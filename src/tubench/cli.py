@@ -17,14 +17,16 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .core import Label, Mode
-from .errors import BenchError, ConfigError
+from .core import Label, Mode, scored_sessions
+from .errors import BenchError, ConfigError, MetricError
 from .evaluator import ExperimentConfig, run_experiment
 from .ingest import ColumnMapping, read_dataset, read_table, write_dataset, write_table
 from .matcher import EPSILON
 from .metrics import Scheme, aggregate, compute_scheme, inclusion_per_session
-from .stream import GlobalOrder, LocalOrder, SessionPolicy, StreamConfig
+from .stream import GlobalOrder, LocalOrder, SessionPolicy, StreamConfig, impostor_count
 from .synthdata import SynthConfig, generate
 from .update import StrategyKind, UpdateStrategy
 
@@ -339,6 +341,10 @@ def cmd_run(config_path, out_dir) -> None:
     resolved = load_config(config_path)
     dataset = _load_dataset(resolved)
     experiment = _build_experiment(resolved)
+    for session in scored_sessions(experiment.mode, dataset.num_sessions):
+        genuine = np.bincount(dataset.row_user[dataset.row_session == session])
+        if not any(impostor_count(int(n), experiment.stream.impostor_ratio) for n in genuine):
+            raise MetricError(f"session {session}: no impostor queries, so no EER")
     result = run_experiment(dataset, experiment)
     log = result.log
 

@@ -8,8 +8,10 @@ pair (session, order_index); no wall-clock timestamps exist anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from itertools import groupby
 from typing import Iterable
 
 import numpy as np
@@ -32,8 +34,8 @@ class Mode(str, Enum):
     OFFLINE = "offline"
 
 
-def _freeze_features(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _frozen_array(values, dtype=float) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -49,7 +51,7 @@ class Sample:
     provenance: Provenance = Provenance.DATASET
 
     def __post_init__(self):
-        arr = _freeze_features(self.features)
+        arr = _frozen_array(self.features)
         object.__setattr__(self, "features", arr)
         problems = []
         if self.session < 1:
@@ -127,50 +129,64 @@ def dataset_violations(dimension: int, num_sessions: int, samples: Iterable) -> 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Session-structured collection of samples for many users."""
+    """Session-structured collection of samples for many users.
+
+    `rows` holds the samples sorted by (user, session, order_index);
+    `row_user` (position in `users`) and `row_session` index them.
+    """
 
     dimension: int
     num_sessions: int
     samples: tuple[Sample, ...]
+    rows: tuple[Sample, ...] = field(init=False, repr=False)
+    row_user: np.ndarray = field(init=False, repr=False)
+    row_session: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(self.samples))
         problems = dataset_violations(self.dimension, self.num_sessions, self.samples)
         if problems:
             raise ValidationError(problems)
-        by_user_session: dict[tuple[str, int], list[Sample]] = {}
-        for sample in self.samples:
-            by_user_session.setdefault((sample.user_id, sample.session), []).append(sample)
-        for bucket in by_user_session.values():
-            bucket.sort(key=lambda s: s.order_index)
+        users = tuple(sorted({s.user_id for s in self.samples}, key=str))
+        position = {user: i for i, user in enumerate(users)}
+        rows = tuple(sorted(self.samples, key=lambda s: (position[s.user_id], *s.age)))
+        by_user_session = {
+            key: tuple(group) for key, group in groupby(rows, key=lambda s: (s.user_id, s.session))
+        }
+        row_user = _frozen_array([position[s.user_id] for s in rows], np.intp)
+        object.__setattr__(self, "_users", users)
         object.__setattr__(self, "_by_user_session", by_user_session)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "row_user", row_user)
+        object.__setattr__(self, "row_session", _frozen_array([s.session for s in rows], np.intp))
 
     @property
     def user_ids(self) -> frozenset:
-        return frozenset(s.user_id for s in self.samples)
+        return frozenset(self.users)
 
     @property
     def users(self) -> tuple[str, ...]:
         """User identifiers in sorted order, for deterministic iteration."""
-        return tuple(sorted(self.user_ids, key=str))
+        return self._users
+
+    @cached_property
+    def feature_matrix(self) -> np.ndarray:
+        """(len(rows), dimension) features of `rows`, built on first use."""
+        return _frozen_array([s.features for s in self.rows])
 
     def samples_for(self, user_id: str, session: int | None = None) -> tuple[Sample, ...]:
         """A user's samples in chronological order, optionally one session."""
-        index: dict = getattr(self, "_by_user_session")
+        index = self._by_user_session
         if session is not None:
-            return tuple(index.get((user_id, session), ()))
-        collected: list[Sample] = []
-        for sess in range(1, self.num_sessions + 1):
-            collected.extend(index.get((user_id, sess), ()))
-        return tuple(collected)
+            return index.get((user_id, session), ())
+        sessions = range(1, self.num_sessions + 1)
+        return tuple(s for sess in sessions for s in index.get((user_id, sess), ()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        if self.dimension != other.dimension or self.num_sessions != other.num_sessions:
-            return False
-        key = lambda s: (str(s.user_id), s.session, s.order_index)
-        return sorted(self.samples, key=key) == sorted(other.samples, key=key)
+        same_shape = (self.dimension, self.num_sessions) == (other.dimension, other.num_sessions)
+        return same_shape and self.rows == other.rows
 
 
 def validate_dataset(dataset: Dataset) -> list[str]:
@@ -234,6 +250,11 @@ class ScoreRecord:
             raise ValidationError(problems)
 
 
+def scored_sessions(mode: Mode, num_sessions: int) -> range:
+    """Sessions a run logs scores for: 2..S online, 3..S offline."""
+    return range(2 if mode is Mode.ONLINE else 3, num_sessions + 1)
+
+
 @dataclass(frozen=True, eq=False)
 class ScoreLog:
     """Ordered comparison records for a whole evaluation run.
@@ -249,14 +270,13 @@ class ScoreLog:
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
         problems = []
-        first = 2 if self.mode is Mode.ONLINE else 3
-        if self.num_sessions < first:
-            problems.append(f"{self.mode.value} log needs at least {first} sessions")
-        expected = set(range(first, self.num_sessions + 1))
+        expected = scored_sessions(self.mode, self.num_sessions)
+        if self.num_sessions < expected.start:
+            problems.append(f"{self.mode.value} log needs at least {expected.start} sessions")
         covered = {r.session for r in self.records}
-        if covered != expected:
+        if covered != set(expected):
             problems.append(
-                f"{self.mode.value} log must cover sessions {sorted(expected)}, "
+                f"{self.mode.value} log must cover sessions {list(expected)}, "
                 f"got {sorted(covered)}"
             )
         last_session: dict[tuple[int, str], int] = {}
@@ -273,8 +293,7 @@ class ScoreLog:
 
     @property
     def covered_sessions(self) -> range:
-        first = 2 if self.mode is Mode.ONLINE else 3
-        return range(first, self.num_sessions + 1)
+        return scored_sessions(self.mode, self.num_sessions)
 
     @property
     def repeat_ids(self) -> tuple[int, ...]:

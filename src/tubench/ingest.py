@@ -134,12 +134,9 @@ def write_dataset(dataset: Dataset, path) -> None:
     """Write a Dataset in canonical form (see module docstring)."""
     path = Path(path)
     header = ["user", "session", "rep"] + [f"f{j + 1}" for j in range(dataset.dimension)]
-    ordered = sorted(
-        dataset.samples, key=lambda s: (str(s.user_id), s.session, s.order_index)
-    )
     rows = [
         [str(s.user_id), str(s.session), str(s.order_index)]
         + [repr(float(v)) for v in s.features]
-        for s in ordered
+        for s in dataset.rows
     ]
     write_table(path, header, rows)

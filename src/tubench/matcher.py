@@ -162,14 +162,18 @@ def enroll(
     )
 
 
-def raw_score(ref: ReferenceModel, query) -> float:
-    """Scaled-Manhattan dissimilarity of a query vector to the gallery mean."""
+def raw_score(ref: ReferenceModel, query):
+    """Scaled-Manhattan dissimilarity of a query vector to the gallery mean.
+
+    An (n, d) query matrix gives n scores, bitwise equal to scoring each row alone.
+    """
     arr = np.asarray(query, dtype=float)
-    if arr.shape != ref.mu.shape:
+    if arr.ndim not in (1, 2) or arr.shape[-1:] != ref.mu.shape:
         raise ValidationError(
-            f"query dimension {arr.size} != reference dimension {ref.mu.size}"
+            f"query shape {arr.shape} does not end in reference dimension {ref.mu.size}"
         )
-    return float(np.mean(np.abs(arr - ref.mu) * ref._inv_mad))
+    scores = np.mean(np.abs(arr - ref.mu) * ref._inv_mad, axis=-1)
+    return float(scores) if arr.ndim == 1 else scores
 
 
 def center(ref: ReferenceModel, raw: float) -> float:
@@ -177,7 +181,7 @@ def center(ref: ReferenceModel, raw: float) -> float:
     return (raw - ref.center_m) / ref.center_s
 
 
-def centered_score(ref: ReferenceModel, query) -> float:
+def centered_score(ref: ReferenceModel, query):
     return center(ref, raw_score(ref, query))
 
 

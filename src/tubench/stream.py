@@ -7,6 +7,12 @@ interleave (global order), how individual impostor samples are picked
 order. Impostor samples are drawn without replacement; closest-* local
 orders consult the evolving reference at draw time, which is why the
 selector is stateful instead of a pre-materialized list.
+
+The impostor pool is a set of `Dataset.rows`, in (user, session,
+order_index) order, with an alive mask. A closest-* choice scores every
+live row in one batched `centered_score` call and takes the first
+minimum, so ties go to the lowest (user, session, order_index): once per
+draw for `closest_sample`, once per new impostor for `closest_impostor`.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .core import Dataset, Label, QueryEvent, Sample
 from .errors import StreamError, ValidationError
@@ -81,19 +89,18 @@ class StreamState:
     session: int
     labels: list[Label]
     genuine_queue: list[Sample]
-    impostor_pool: dict[str, list[Sample]]
+    dataset: Dataset
+    pool_rows: np.ndarray  # impostor pool: ascending indices into dataset.rows
+    alive: np.ndarray  # per pool row, False once drawn
     local_order: LocalOrder
     rng: SplitMix64
     cursor: int = 0
     emitted: int = 0
-    current_impostor: str | None = None
+    current_impostor: int | None = None  # position in dataset.users
 
     @property
     def exhausted(self) -> bool:
         return self.cursor >= len(self.labels)
-
-    def remaining_impostor_samples(self) -> int:
-        return sum(len(v) for v in self.impostor_pool.values())
 
 
 def plan_session(
@@ -117,21 +124,13 @@ def plan_session(
     n_impostor = impostor_count(n_genuine, config.impostor_ratio)
     labels = _label_sequence(config, n_genuine, n_impostor, rng)
 
-    pool: dict[str, list[Sample]] = {}
-    for user in dataset.users:
-        if user == target_user:
-            continue
-        if config.impostor_session_policy is SessionPolicy.SAME_SESSION:
-            samples = list(dataset.samples_for(user, session))
-        else:
-            samples = list(dataset.samples_for(user))
-        if samples:
-            pool[user] = samples  # already in (session, order_index) order
-
-    available = sum(len(v) for v in pool.values())
-    if available < n_impostor:
+    in_pool = dataset.row_user != dataset.users.index(target_user)
+    if config.impostor_session_policy is SessionPolicy.SAME_SESSION:
+        in_pool &= dataset.row_session == session
+    pool_rows = np.flatnonzero(in_pool)
+    if pool_rows.size < n_impostor:
         raise StreamError(
-            f"session {session}: impostor pool holds {available} samples, "
+            f"session {session}: impostor pool holds {pool_rows.size} samples, "
             f"need {n_impostor}"
         )
     return StreamState(
@@ -139,7 +138,9 @@ def plan_session(
         session=session,
         labels=labels,
         genuine_queue=genuine,
-        impostor_pool=pool,
+        dataset=dataset,
+        pool_rows=pool_rows,
+        alive=np.ones(pool_rows.size, dtype=bool),
         local_order=config.local_order,
         rng=rng,
     )
@@ -182,57 +183,30 @@ def next_query(state: StreamState, current_ref: ReferenceModel) -> QueryEvent | 
     return event
 
 
-def _pop_sample(state: StreamState, user: str, index: int) -> Sample:
-    bucket = state.impostor_pool[user]
-    sample = bucket.pop(index)
-    if not bucket:
-        del state.impostor_pool[user]
-    return sample
-
-
 def _draw_impostor(state: StreamState, ref: ReferenceModel) -> Sample:
-    pool = state.impostor_pool
-    if not pool:
+    live = np.flatnonzero(state.alive)
+    if live.size == 0:
         raise StreamError(f"session {state.session}: impostor pool exhausted")
+    rows = state.pool_rows[live]
     order = state.local_order
 
+    def closest() -> int:  # argmin keeps the first minimum: the lowest row wins ties
+        return int(np.argmin(centered_score(ref, state.dataset.feature_matrix[rows])))
+
     if order is LocalOrder.TOTALLY_RANDOM:
-        total = state.remaining_impostor_samples()
-        pick = state.rng.randbelow(total)
-        for user in list(pool):
-            bucket = pool[user]
-            if pick < len(bucket):
-                return _pop_sample(state, user, pick)
-            pick -= len(bucket)
-        raise AssertionError("unreachable: pick within total pool size")
-
-    if order is LocalOrder.CLOSEST_SAMPLE:
-        best_key = None
-        best = None
-        for user in pool:
-            for idx, sample in enumerate(pool[user]):
-                score = centered_score(ref, sample.features)
-                key = (score, str(user), sample.session, sample.order_index)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (user, idx)
-        user, idx = best
-        return _pop_sample(state, user, idx)
-
-    # random_impostor / closest_impostor: stick with the current impostor
-    # until that user's pool is exhausted, then pick the next one.
-    if state.current_impostor not in pool:
-        users = sorted(pool, key=str)
-        if order is LocalOrder.RANDOM_IMPOSTOR:
-            state.current_impostor = users[state.rng.randbelow(len(users))]
-        else:
-            best_key = None
-            chosen = None
-            for user in users:
-                closest = min(centered_score(ref, s.features) for s in pool[user])
-                key = (closest, str(user))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    chosen = user
-            state.current_impostor = chosen
-    return _pop_sample(state, state.current_impostor, 0)
+        pick = state.rng.randbelow(live.size)
+    elif order is LocalOrder.CLOSEST_SAMPLE:
+        pick = closest()
+    else:
+        # random_impostor / closest_impostor: stick with the current impostor
+        # until that user's pool is exhausted, then pick the next one.
+        owners = state.dataset.row_user[rows]
+        if state.current_impostor not in owners:
+            if order is LocalOrder.RANDOM_IMPOSTOR:
+                users = np.unique(owners)
+                state.current_impostor = int(users[state.rng.randbelow(users.size)])
+            else:
+                state.current_impostor = int(owners[closest()])
+        pick = np.argmax(owners == state.current_impostor)  # their earliest live row
+    state.alive[live[pick]] = False
+    return state.dataset.rows[rows[pick]]

@@ -208,6 +208,7 @@ def test_run_without_impostor_scores_fails_with_session(tmp_path, capsys):
     code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "session 2" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scores.csv").exists()  # failed before the run
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tubench import (
     EPSILON,
@@ -119,6 +120,35 @@ def test_raw_score_rejects_dimension_mismatch():
     ref = enroll("u", enrollment("u", [[0.0, 0.0], [2.0, 2.0]]))
     with pytest.raises(ValidationError):
         raw_score(ref, [1.0])
+
+
+def test_scores_reject_matrices_of_the_wrong_shape():
+    ref = enroll("u", enrollment("u", [[0.0, 0.0], [2.0, 2.0]]))
+    for bad in (np.zeros((3, 1)), np.zeros((2, 3, 2)), 1.0):
+        with pytest.raises(ValidationError):
+            raw_score(ref, bad)
+        with pytest.raises(ValidationError):
+            centered_score(ref, bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([1, 3, 8, 10, 31, 200]),
+    n=st.integers(1, 50),
+    scale=st.sampled_from([1e-3, 1.0, 1e6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matrix_scores_equal_row_scores_bitwise(d, n, scale, seed):
+    # Scoring an (n, d) matrix must reproduce the 1-D path row by row to
+    # the last bit: numpy has to reduce each row in the same order.
+    rng = np.random.default_rng(seed)
+    ref = enroll("u", enrollment("u", rng.normal(size=(4, d)) * scale))
+    queries = rng.normal(size=(n, d)) * scale
+    for score in (raw_score, centered_score):
+        batched = score(ref, queries)
+        assert batched.shape == (n,)
+        one_by_one = np.array([score(ref, row) for row in queries])
+        assert np.array_equal(batched.view(np.uint64), one_by_one.view(np.uint64))
 
 
 def test_centered_score_is_affine_in_raw():

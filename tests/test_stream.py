@@ -6,15 +6,21 @@ from tubench import (
     GlobalOrder,
     Label,
     LocalOrder,
+    QueryEvent,
     SessionPolicy,
+    StrategyKind,
     StreamConfig,
     StreamError,
+    UpdateStrategy,
     ValidationError,
+    centered_score,
     enroll,
     impostor_count,
+    maybe_update,
     next_query,
     plan_session,
 )
+from tubench.rng import SplitMix64
 from conftest import make_sample
 
 
@@ -273,3 +279,117 @@ def test_plan_session_requires_genuine_material():
     dataset = grid_dataset(num_users=2)
     with pytest.raises(StreamError):
         plan_session(dataset, "u0", 9, StreamConfig(0.3, seed=0))
+
+
+def reference_draws(dataset, target, session, config, ref):
+    """Test-only reference stream: the per-sample loops over a per-user
+    dict pool that the row-array pool replaced. Random global order only.
+    Yields (sample, label) and reads `ref` afresh at every draw."""
+    genuine = list(dataset.samples_for(target, session))
+    rng = SplitMix64(config.seed)
+    if not config.respect_chronology:
+        rng.shuffle(genuine)
+    n_impostor = impostor_count(len(genuine), config.impostor_ratio)
+    labels = [Label.GENUINE] * len(genuine) + [Label.IMPOSTOR] * n_impostor
+    rng.shuffle(labels)
+    pool = {}
+    for user in dataset.users:
+        if user == target:
+            continue
+        if config.impostor_session_policy is SessionPolicy.SAME_SESSION:
+            samples = list(dataset.samples_for(user, session))
+        else:
+            samples = list(dataset.samples_for(user))
+        if samples:
+            pool[user] = samples
+
+    def pop(user, index):
+        sample = pool[user].pop(index)
+        if not pool[user]:
+            del pool[user]
+        return sample
+
+    current = None
+    for label in labels:
+        if label is Label.GENUINE:
+            yield genuine.pop(0), label
+            continue
+        order = config.local_order
+        if order is LocalOrder.TOTALLY_RANDOM:
+            pick = rng.randbelow(sum(len(v) for v in pool.values()))
+            for user in list(pool):
+                if pick < len(pool[user]):
+                    yield pop(user, pick), label
+                    break
+                pick -= len(pool[user])
+        elif order is LocalOrder.CLOSEST_SAMPLE:
+            best = min(
+                (centered_score(ref, s.features), str(u), s.session, s.order_index, u, i)
+                for u in pool
+                for i, s in enumerate(pool[u])
+            )
+            yield pop(best[4], best[5]), label
+        else:
+            if current not in pool:
+                users = sorted(pool, key=str)
+                if order is LocalOrder.RANDOM_IMPOSTOR:
+                    current = users[rng.randbelow(len(users))]
+                else:
+                    closest = {
+                        u: min(centered_score(ref, s.features) for s in pool[u]) for u in users
+                    }
+                    current = min(users, key=lambda u: (closest[u], str(u)))
+            yield pop(current, 0), label
+
+
+def tie_heavy_dataset():
+    """u1, u2 and u10 share every vector, and each user repeats two
+    values, so closest-* draws tie often; as strings u10 < u11 < u2."""
+    bases = {"u0": 0.0, "u1": 1.0, "u2": 1.0, "u10": 1.0, "u11": 1.5}
+    samples = [
+        make_sample(user, session, order, [base + 0.1 * (order % 2), base - 0.2 * (order % 2)])
+        for user, base in bases.items()
+        for session in (1, 2, 3)
+        for order in range((session - 1) * 4, session * 4)
+    ]
+    return Dataset(dimension=2, num_sessions=3, samples=tuple(samples))
+
+
+def emitted(events):
+    return [(s.user_id, s.session, s.order_index, label) for s, label in events]
+
+
+@pytest.mark.parametrize(
+    "dataset, targets",
+    [(grid_dataset(), ("u0", "u2")), (tie_heavy_dataset(), ("u0", "u10"))],
+    ids=["grid", "tie-heavy"],
+)
+def test_row_pool_draws_match_the_reference_loops(dataset, targets):
+    # Every draw absorbs the query, so the reference (and with it every
+    # closest-* ranking) moves during the session.
+    absorb_all = UpdateStrategy(StrategyKind.SELF_THRESHOLD, update_threshold=np.inf)
+
+    def run(draws, target, ref):
+        events = []
+        for sample, label in draws:
+            events.append((sample, label))
+            query = QueryEvent(sample, target, label, len(events) - 1)
+            maybe_update(ref, query, centered_score(ref, sample.features), absorb_all)
+        return emitted(events)
+
+    for order in LocalOrder:
+        for policy in SessionPolicy:
+            for seed in range(20):
+                target = targets[seed % 2]
+                session = 2 + seed % 2
+                config = StreamConfig(
+                    0.6, GlobalOrder.RANDOM, order, respect_chronology=seed % 3 != 0,
+                    impostor_session_policy=policy, seed=seed,
+                )
+                state = plan_session(dataset, target, session, config)
+                fast_ref = enroll(target, dataset.samples_for(target, 1))
+                fast_draws = iter(lambda: next_query(state, fast_ref), None)
+                fast = run(((e.sample, e.true_label) for e in fast_draws), target, fast_ref)
+                slow_ref = enroll(target, dataset.samples_for(target, 1))
+                slow_draws = reference_draws(dataset, target, session, config, slow_ref)
+                assert fast == run(slow_draws, target, slow_ref), (order, policy, seed)
