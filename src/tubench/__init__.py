@@ -18,6 +18,7 @@ from .core import (
     Sample,
     ScoreLog,
     ScoreRecord,
+    column_violations,
     dataset_violations,
     validate_dataset,
 )

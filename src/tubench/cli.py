@@ -348,9 +348,32 @@ def cmd_run(config_path, out_dir) -> None:
     result = run_experiment(dataset, experiment)
     log = result.log
 
+    # Every table that can fail is computed before the first file is
+    # written, so a failed run leaves no result file behind. The score
+    # rows cannot fail and are formatted while they are written.
+    schemes = [Scheme(name) for name in resolved["evaluation"]["schemes"]]
+    sessions = tuple(log.covered_sessions)
+    vectors = {
+        scheme: [compute_scheme(scheme, log.for_repeat(k)) for k in log.repeat_ids]
+        for scheme in schemes
+    }
+    metric_rows = []
+    for repeat_pos, repeat_id in enumerate(log.repeat_ids):
+        for scheme in schemes:
+            for session, value in zip(sessions, vectors[scheme][repeat_pos]):
+                metric_rows.append([str(repeat_id), scheme.value, str(session), _fmt(value)])
+    summary_rows = []
+    for scheme in schemes:
+        report = aggregate(scheme, vectors[scheme], sessions)
+        for session, mean, std in zip(sessions, report.mean_per_slot, report.std_per_slot):
+            summary_rows.append([scheme.value, str(session), _fmt(mean), _fmt(std)])
+    inclusion_rows = [
+        [str(rep), str(session), _fmt(value)]
+        for (rep, session), value in inclusion_per_session(result.snapshots).items()
+    ]
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
     write_table(
         out_dir / "scores.csv",
         ["repeat", "session", "target_user", "source_user", "label", "raw", "centered", "update_applied"],
@@ -368,35 +391,11 @@ def cmd_run(config_path, out_dir) -> None:
             for r in log.records
         ),
     )
-
-    schemes = [Scheme(name) for name in resolved["evaluation"]["schemes"]]
-    sessions = tuple(log.covered_sessions)
-    vectors = {
-        scheme: [compute_scheme(scheme, log.for_repeat(k)) for k in log.repeat_ids]
-        for scheme in schemes
-    }
-    metric_rows = []
-    for repeat_pos, repeat_id in enumerate(log.repeat_ids):
-        for scheme in schemes:
-            for session, value in zip(sessions, vectors[scheme][repeat_pos]):
-                metric_rows.append([str(repeat_id), scheme.value, str(session), _fmt(value)])
     write_table(out_dir / "metrics.csv", ["repeat", "scheme", "session", "eer"], metric_rows)
-
-    summary_rows = []
-    for scheme in schemes:
-        report = aggregate(scheme, vectors[scheme], sessions)
-        for session, mean, std in zip(sessions, report.mean_per_slot, report.std_per_slot):
-            summary_rows.append([scheme.value, str(session), _fmt(mean), _fmt(std)])
     write_table(
         out_dir / "summary.csv", ["scheme", "session", "mean_eer", "std_eer"], summary_rows
     )
-
-    inclusion = inclusion_per_session(result.snapshots)
-    write_table(
-        out_dir / "inclusion.csv",
-        ["repeat", "session", "mean_inclusion"],
-        ([str(rep), str(session), _fmt(value)] for (rep, session), value in inclusion.items()),
-    )
+    write_table(out_dir / "inclusion.csv", ["repeat", "session", "mean_inclusion"], inclusion_rows)
     _write_manifest(out_dir / "manifest.json", "run", resolved, list(RESULT_FILES))
 
 

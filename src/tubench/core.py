@@ -8,10 +8,8 @@ pair (session, order_index); no wall-clock timestamps exist anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
-from functools import cached_property
-from itertools import groupby
 from typing import Iterable
 
 import numpy as np
@@ -34,13 +32,7 @@ class Mode(str, Enum):
     OFFLINE = "offline"
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Sample:
     """One biometric acquisition: a feature vector with its chronology."""
 
@@ -51,7 +43,8 @@ class Sample:
     provenance: Provenance = Provenance.DATASET
 
     def __post_init__(self):
-        arr = _frozen_array(self.features)
+        arr = np.array(self.features, dtype=float)
+        arr.flags.writeable = False
         object.__setattr__(self, "features", arr)
         problems = []
         if self.session < 1:
@@ -91,6 +84,74 @@ class Sample:
         )
 
 
+def _feature_facts(dimension: int, features) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row: feature count, whether it is not a vector of `dimension`
+    values, and whether every value is finite (where it is one)."""
+    if isinstance(features, np.ndarray) and features.ndim == 2:
+        n, width = features.shape
+        finite = np.isfinite(features).all(axis=1)
+        return np.full(n, width), np.full(n, width != dimension), finite
+    arrays = [np.asarray(f, dtype=float) for f in features]
+    sizes = np.array([a.size for a in arrays], dtype=np.intp)
+    misshapen = np.array([a.ndim != 1 for a in arrays], dtype=bool) | (sizes != dimension)
+    finite = np.ones(len(arrays), dtype=bool)
+    vectors = np.flatnonzero(~misshapen)
+    if vectors.size:
+        finite[vectors] = np.isfinite(np.stack([arrays[i] for i in vectors])).all(axis=1)
+    return sizes, misshapen, finite
+
+
+def _check_columns(dimension, num_sessions, user_ids, sessions, order_indices, features):
+    """Problems of per-row columns, the sorted users, and the permutation
+    that sorts the rows by (user, session, order_index) with the sorted
+    (user position, session, order_index) columns."""
+    problems = []
+    if dimension < 1:
+        problems.append(f"dimension must be >= 1, got {dimension}")
+    if num_sessions < 2:
+        problems.append(f"dataset must span at least 2 sessions, got {num_sessions}")
+    users = tuple(sorted(set(user_ids), key=str))
+    position = {user: i for i, user in enumerate(users)}
+    codes = np.fromiter(map(position.__getitem__, user_ids), np.intp, len(user_ids))
+    session_col = np.asarray(sessions, dtype=np.intp).reshape(-1)
+    order_col = np.asarray(order_indices, dtype=np.intp).reshape(-1)
+    order = np.lexsort((order_col, session_col, codes))
+    # Stable sort: within a run of equal keys, every row after the first repeats it.
+    key = (codes[order], session_col[order], order_col[order])
+    repeat = np.zeros(len(order), dtype=bool)
+    repeat[order[1:]] = np.logical_and.reduce([k[1:] == k[:-1] for k in key])
+    in_range = (session_col >= 1) & (session_col <= num_sessions)
+    sizes, misshapen, finite = _feature_facts(dimension, features)
+    for i in np.flatnonzero(repeat | ~in_range | misshapen | ~finite).tolist():
+        key_text = f"({user_ids[i]}, session {sessions[i]}, #{order_indices[i]})"
+        if repeat[i]:
+            problems.append(f"duplicate sample key {key_text}")
+        if not in_range[i]:
+            problems.append(f"sample {key_text}: session outside [1, {num_sessions}]")
+        if misshapen[i]:
+            problems.append(f"sample {key_text}: feature dimension {sizes[i]} != {dimension}")
+        elif not finite[i]:
+            problems.append(f"sample {key_text}: non-finite feature value")
+    enrolled = np.zeros(len(users), dtype=bool)
+    enrolled[codes[in_range & (session_col == 1)]] = True
+    for k in np.flatnonzero(~enrolled).tolist():
+        problems.append(f"user {users[k]}: no session-1 samples (no enrollment material)")
+    return problems, users, order, key
+
+
+def column_violations(
+    dimension: int, num_sessions: int, user_ids, sessions, order_indices, features
+) -> list[str]:
+    """Check per-row columns against the dataset invariants in one vectorized pass.
+
+    `features` is an (N, width) matrix or N per-row vectors. Problems come
+    in row order (per row: duplicate key, session range, then feature
+    dimension or non-finite values), then every user without session-1
+    samples, sorted by str.
+    """
+    return _check_columns(dimension, num_sessions, user_ids, sessions, order_indices, features)[0]
+
+
 def dataset_violations(dimension: int, num_sessions: int, samples: Iterable) -> list[str]:
     """Scan sample-shaped records against the dataset invariants.
 
@@ -98,67 +159,110 @@ def dataset_violations(dimension: int, num_sessions: int, samples: Iterable) -> 
     features, which lets loaders report every problem in a file instead
     of failing on the first bad row.
     """
-    problems = []
-    if dimension < 1:
-        problems.append(f"dimension must be >= 1, got {dimension}")
-    if num_sessions < 2:
-        problems.append(f"dataset must span at least 2 sessions, got {num_sessions}")
-    seen_keys: set[tuple] = set()
-    users_with_session1: set = set()
-    all_users: set = set()
-    for sample in samples:
-        key = (sample.user_id, sample.session, sample.order_index)
-        key_text = f"({key[0]}, session {key[1]}, #{key[2]})"
-        all_users.add(sample.user_id)
-        if key in seen_keys:
-            problems.append(f"duplicate sample key {key_text}")
-        seen_keys.add(key)
-        if not 1 <= sample.session <= num_sessions:
-            problems.append(f"sample {key_text}: session outside [1, {num_sessions}]")
-        elif sample.session == 1:
-            users_with_session1.add(sample.user_id)
-        features = np.asarray(sample.features, dtype=float)
-        if features.ndim != 1 or features.size != dimension:
-            problems.append(f"sample {key_text}: feature dimension {features.size} != {dimension}")
-        elif not np.all(np.isfinite(features)):
-            problems.append(f"sample {key_text}: non-finite feature value")
-    for user in sorted(all_users - users_with_session1, key=str):
-        problems.append(f"user {user}: no session-1 samples (no enrollment material)")
-    return problems
+    return column_violations(dimension, num_sessions, *_record_columns(list(samples)))
+
+
+def _record_columns(records) -> tuple[list, list, list, list]:
+    """user_id, session, order_index and features columns of sample-shaped records."""
+    return (
+        [r.user_id for r in records],
+        [r.session for r in records],
+        [r.order_index for r in records],
+        [r.features for r in records],
+    )
+
+
+def _row_views(users, row_user, row_session, row_order, matrix, provenance) -> tuple[Sample, ...]:
+    """Samples over the rows of a validated read-only matrix, not re-validated."""
+    views = []
+    put = object.__setattr__
+    for user, session, order_index, features in zip(
+        map(users.__getitem__, row_user.tolist()), row_session.tolist(), row_order.tolist(), matrix
+    ):
+        view = object.__new__(Sample)
+        put(view, "user_id", user)
+        put(view, "session", session)
+        put(view, "order_index", order_index)
+        put(view, "features", features)
+        put(view, "provenance", provenance)
+        views.append(view)
+    return tuple(views)
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Session-structured collection of samples for many users.
 
-    `rows` holds the samples sorted by (user, session, order_index);
-    `row_user` (position in `users`) and `row_session` index them.
+    Built from Sample objects, or from per-row columns with
+    `from_columns`; either way validated once, by `column_violations`.
+    `feature_matrix` holds every feature vector, read-only, in (user,
+    session, order_index) order; `rows` are the samples in that order
+    (read-only views of the matrix when built from columns), and
+    `row_user` (position in `users`), `row_session` and `row_order` index
+    them.
     """
 
     dimension: int
     num_sessions: int
-    samples: tuple[Sample, ...]
+    samples: tuple[Sample, ...] = ()
+    columns: InitVar[tuple | None] = None
     rows: tuple[Sample, ...] = field(init=False, repr=False)
+    feature_matrix: np.ndarray = field(init=False, repr=False)
     row_user: np.ndarray = field(init=False, repr=False)
     row_session: np.ndarray = field(init=False, repr=False)
+    row_order: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        problems = dataset_violations(self.dimension, self.num_sessions, self.samples)
+    @classmethod
+    def from_columns(
+        cls,
+        dimension: int,
+        num_sessions: int,
+        user_ids,
+        sessions,
+        order_indices,
+        features: np.ndarray,
+        provenance: Provenance = Provenance.DATASET,
+    ) -> "Dataset":
+        """A dataset from per-row columns and an (N, dimension) feature matrix."""
+        columns = (user_ids, sessions, order_indices, features, provenance)
+        return cls(dimension, num_sessions, columns=columns)
+
+    def __post_init__(self, columns):
+        records = None
+        if columns is None:
+            records = tuple(self.samples)
+            columns = (*_record_columns(records), None)
+        user_ids, sessions, order_indices, features, provenance = columns
+        problems, users, order, (row_user, row_session, row_order) = _check_columns(
+            self.dimension, self.num_sessions, user_ids, sessions, order_indices, features
+        )
         if problems:
             raise ValidationError(problems)
-        users = tuple(sorted({s.user_id for s in self.samples}, key=str))
-        position = {user: i for i, user in enumerate(users)}
-        rows = tuple(sorted(self.samples, key=lambda s: (position[s.user_id], *s.age)))
+        if not isinstance(features, np.ndarray):
+            features = np.stack(features) if len(features) else np.empty((0, self.dimension))
+        matrix = np.asarray(features, dtype=float)[order]
+        for column in (matrix, row_user, row_session, row_order):
+            column.flags.writeable = False
+        if records is None:
+            rows = _row_views(users, row_user, row_session, row_order, matrix, provenance)
+            object.__setattr__(self, "samples", rows)
+        else:
+            rows = tuple(map(records.__getitem__, order.tolist()))
+            object.__setattr__(self, "samples", records)
+        starts = np.flatnonzero(
+            np.diff(row_user, prepend=-1) | np.diff(row_session, prepend=-1)
+        ).tolist()
         by_user_session = {
-            key: tuple(group) for key, group in groupby(rows, key=lambda s: (s.user_id, s.session))
+            (users[row_user[a]], row_session[a].item()): rows[a:b]
+            for a, b in zip(starts, starts[1:] + [len(rows)])
         }
-        row_user = _frozen_array([position[s.user_id] for s in rows], np.intp)
         object.__setattr__(self, "_users", users)
         object.__setattr__(self, "_by_user_session", by_user_session)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "feature_matrix", matrix)
         object.__setattr__(self, "row_user", row_user)
-        object.__setattr__(self, "row_session", _frozen_array([s.session for s in rows], np.intp))
+        object.__setattr__(self, "row_session", row_session)
+        object.__setattr__(self, "row_order", row_order)
 
     @property
     def user_ids(self) -> frozenset:
@@ -168,11 +272,6 @@ class Dataset:
     def users(self) -> tuple[str, ...]:
         """User identifiers in sorted order, for deterministic iteration."""
         return self._users
-
-    @cached_property
-    def feature_matrix(self) -> np.ndarray:
-        """(len(rows), dimension) features of `rows`, built on first use."""
-        return _frozen_array([s.features for s in self.rows])
 
     def samples_for(self, user_id: str, session: int | None = None) -> tuple[Sample, ...]:
         """A user's samples in chronological order, optionally one session."""
@@ -186,7 +285,12 @@ class Dataset:
         if not isinstance(other, Dataset):
             return NotImplemented
         same_shape = (self.dimension, self.num_sessions) == (other.dimension, other.num_sessions)
-        return same_shape and self.rows == other.rows
+        columns = ("row_user", "row_session", "row_order", "feature_matrix")
+        return (
+            same_shape
+            and self.users == other.users
+            and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in columns)
+        )
 
 
 def validate_dataset(dataset: Dataset) -> list[str]:

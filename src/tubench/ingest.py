@@ -11,12 +11,16 @@ mapping adapts loaders to the common keystroke-benchmark layout
 from __future__ import annotations
 
 import csv
+import io
+from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
 
-from .core import Dataset, Provenance, Sample, dataset_violations
-from .errors import FormatError, ValidationError
+import numpy as np
+
+from .core import Dataset, Provenance
+from .errors import FormatError
 
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:
@@ -54,11 +58,13 @@ class ColumnMapping:
 CMU_KEYSTROKE = ColumnMapping("subject", "sessionIndex", "rep")
 
 
-class _Row(NamedTuple):
-    user_id: str
-    session: int
-    order_index: int
-    features: list[float]
+def _first_non_numeric(row: list[str], names: list[str], positions: list[int]) -> str:
+    """The first feature name whose field float() rejects."""
+    for name, index in zip(names, positions):
+        try:
+            float(row[index])
+        except ValueError:
+            return name
 
 
 def read_dataset(path, mapping: ColumnMapping = ColumnMapping()) -> Dataset:
@@ -67,76 +73,102 @@ def read_dataset(path, mapping: ColumnMapping = ColumnMapping()) -> Dataset:
     Rows are grouped per user and ordered by (session, rep); order_index
     is assigned as the rank in that ordering, making it the single
     source of chronology regardless of how the file numbered its reps.
+    The file is streamed into columns, features parsed with float().
     """
-    header, rows = read_table(path)
-    positions = {name: i for i, name in enumerate(header)}
-    for name in (mapping.user_column, mapping.session_column, mapping.rep_column):
-        if name not in positions:
-            raise FormatError(f"{path}: missing column '{name}'")
-    if mapping.feature_columns is None:
-        claimed = {mapping.user_column, mapping.session_column, mapping.rep_column}
-        feature_names = [name for name in header if name not in claimed]
-    else:
-        feature_names = list(mapping.feature_columns)
-        for name in feature_names:
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise FormatError(f"{path}: empty file")
+        positions = {name: i for i, name in enumerate(header)}
+        for name in (mapping.user_column, mapping.session_column, mapping.rep_column):
             if name not in positions:
                 raise FormatError(f"{path}: missing column '{name}'")
-    if not feature_names:
-        raise FormatError(f"{path}: no feature columns")
-    feature_idx = [positions[name] for name in feature_names]
-    user_idx = positions[mapping.user_column]
-    session_idx = positions[mapping.session_column]
-    rep_idx = positions[mapping.rep_column]
+        if mapping.feature_columns is None:
+            claimed = {mapping.user_column, mapping.session_column, mapping.rep_column}
+            feature_names = [name for name in header if name not in claimed]
+        else:
+            feature_names = list(mapping.feature_columns)
+            for name in feature_names:
+                if name not in positions:
+                    raise FormatError(f"{path}: missing column '{name}'")
+        if not feature_names:
+            raise FormatError(f"{path}: no feature columns")
+        feature_idx = [positions[name] for name in feature_names]
+        pick = itemgetter(*feature_idx) if len(feature_idx) > 1 else lambda row: (row[feature_idx[0]],)
+        user_idx = positions[mapping.user_column]
+        session_idx = positions[mapping.session_column]
+        rep_idx = positions[mapping.rep_column]
 
-    parsed: dict[str, list[tuple[int, int, list[float]]]] = {}
-    for line_no, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise FormatError(
-                f"{path}: row {line_no}: expected {len(header)} fields, got {len(row)}"
-            )
-        try:
-            session = int(row[session_idx])
-            rep = int(row[rep_idx])
-        except ValueError:
-            raise FormatError(f"{path}: row {line_no}: non-integer session or rep") from None
-        features = []
-        for name, idx in zip(feature_names, feature_idx):
-            try:
-                features.append(float(row[idx]))
-            except ValueError:
+        user_codes: dict[str, int] = {}  # in order of first appearance
+        codes, sessions, reps = [], [], []
+        features = array("d")
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
                 raise FormatError(
-                    f"{path}: row {line_no}: non-numeric feature '{name}'"
-                ) from None
-        parsed.setdefault(row[user_idx], []).append((session, rep, features))
+                    f"{path}: row {line_no}: expected {len(header)} fields, got {len(row)}"
+                )
+            try:
+                session = int(row[session_idx])
+                rep = int(row[rep_idx])
+            except ValueError:
+                raise FormatError(f"{path}: row {line_no}: non-integer session or rep") from None
+            try:
+                features.extend(map(float, pick(row)))
+            except ValueError:
+                name = _first_non_numeric(row, feature_names, feature_idx)
+                raise FormatError(f"{path}: row {line_no}: non-numeric feature '{name}'") from None
+            codes.append(user_codes.setdefault(row[user_idx], len(user_codes)))
+            sessions.append(session)
+            reps.append(rep)
 
-    if not parsed:
+    if not codes:
         raise FormatError(f"{path}: no data rows")
-    staged: list[_Row] = []
-    num_sessions = 0
-    for user in sorted(parsed, key=str):
-        entries = sorted(parsed[user], key=lambda e: (e[0], e[1]))
-        for rank, (session, _rep, features) in enumerate(entries):
-            staged.append(_Row(user, session, rank, features))
-            num_sessions = max(num_sessions, session)
-
+    users = sorted(user_codes, key=str)
+    rank = {user: i for i, user in enumerate(users)}
+    user_pos = np.array([rank[user] for user in user_codes], dtype=np.intp)[codes]
+    session_col = np.array(sessions, dtype=np.intp)
+    order = np.lexsort((np.array(reps, dtype=np.intp), session_col, user_pos))
+    user_pos = user_pos[order]
+    first_row = np.searchsorted(user_pos, np.arange(len(users)))
     dimension = len(feature_names)
-    problems = dataset_violations(dimension, num_sessions, staged)
-    if problems:
-        raise ValidationError(problems)
-    samples = tuple(
-        Sample(r.user_id, r.session, r.order_index, r.features, Provenance.DATASET)
-        for r in staged
+    return Dataset.from_columns(
+        dimension=dimension,
+        num_sessions=max(0, int(session_col.max())),
+        user_ids=[users[k] for k in user_pos.tolist()],
+        sessions=session_col[order],
+        order_indices=np.arange(len(order)) - first_row[user_pos],
+        features=np.frombuffer(features, dtype=float).reshape(-1, dimension)[order],
+        provenance=Provenance.DATASET,
     )
-    return Dataset(dimension=dimension, num_sessions=num_sessions, samples=samples)
+
+
+def _csv_field(value: str) -> str:
+    """`value` rendered as csv.writer renders it inside a row of several fields."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([value, ""])
+    return buffer.getvalue()[: -len(",\n")]
 
 
 def write_dataset(dataset: Dataset, path) -> None:
-    """Write a Dataset in canonical form (see module docstring)."""
+    """Write a Dataset in canonical form (see module docstring).
+
+    Lines are streamed row by row and joined directly: only a user id can
+    need csv quoting, so each is rendered by csv once, while ints and
+    float reprs never need it.
+    """
     path = Path(path)
     header = ["user", "session", "rep"] + [f"f{j + 1}" for j in range(dataset.dimension)]
-    rows = [
-        [str(s.user_id), str(s.session), str(s.order_index)]
-        + [repr(float(v)) for v in s.features]
-        for s in dataset.rows
-    ]
-    write_table(path, header, rows)
+    users = [_csv_field(str(user)) for user in dataset.users]
+    lines = (
+        f"{users[user]},{session},{order_index},{','.join(map(repr, features.tolist()))}\n"
+        for user, session, order_index, features in zip(
+            dataset.row_user.tolist(),
+            dataset.row_session.tolist(),
+            dataset.row_order.tolist(),
+            dataset.feature_matrix,
+        )
+    )
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        handle.writelines(lines)

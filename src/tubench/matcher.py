@@ -10,7 +10,7 @@ update thresholds meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -47,52 +47,110 @@ class GalleryEntry:
         object.__setattr__(self, "features", arr)
 
 
-@dataclass(eq=False)
 class ReferenceModel:
     """A user's adaptable biometric reference.
 
     The gallery is mutated by exactly one evaluation loop at a time;
     mu / mad always mirror the current gallery, while center_m /
     center_s stay fixed at their enrollment values.
+
+    The gallery's vectors live in one preallocated matrix, one row per
+    entry in gallery order: enrollment entries first, then updates,
+    oldest first; each row's (origin, source_user, source_session) tag
+    sits at the same position in a list. The matrix has capacity + 1
+    rows and doubles when a gallery outgrows it; evicting the oldest
+    update shifts the later update rows up by one.
     """
 
-    target_user: str
-    gallery: list[GalleryEntry]
-    mu: np.ndarray
-    mad: np.ndarray
-    center_m: float
-    center_s: float
-    eps: float = EPSILON
-    capacity: int | None = None
-    _inv_mad: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        target_user: str,
+        gallery: list[GalleryEntry],
+        mu: np.ndarray,
+        mad: np.ndarray,
+        center_m: float,
+        center_s: float,
+        eps: float = EPSILON,
+        capacity: int | None = None,
+    ):
+        self.target_user = target_user
+        self.mu = mu
+        self.mad = mad
+        self.center_m = center_m
+        self.center_s = center_s
+        self.eps = eps
+        self.capacity = capacity
+        entries = list(gallery)
+        enrolled = sum(1 for e in entries if e.origin is Origin.ENROLLMENT)
         problems = []
-        if not self.gallery:
-            problems.append(f"reference for {self.target_user}: gallery must be non-empty")
+        if not entries:
+            problems.append(f"reference for {target_user}: gallery must be non-empty")
         else:
-            dim = self.gallery[0].features.size
-            if any(e.features.size != dim for e in self.gallery):
-                problems.append(f"reference for {self.target_user}: mixed gallery dimensions")
-            if self.mu.shape != (dim,) or self.mad.shape != (dim,):
-                problems.append(f"reference for {self.target_user}: statistics shape mismatch")
-        if self.eps <= 0:
+            dim = entries[0].features.size
+            if any(e.features.size != dim for e in entries):
+                problems.append(f"reference for {target_user}: mixed gallery dimensions")
+            if mu.shape != (dim,) or mad.shape != (dim,):
+                problems.append(f"reference for {target_user}: statistics shape mismatch")
+            if any(e.origin is not Origin.ENROLLMENT for e in entries[:enrolled]):
+                problems.append(f"reference for {target_user}: enrollment entries must come first")
+        if eps <= 0:
             problems.append("eps must be > 0")
-        elif self.gallery and not np.all(self.mad >= self.eps):
+        elif entries and not np.all(mad >= eps):
             problems.append("mad entries must be floored at eps")
-        if self.center_s < self.eps:
+        if center_s < eps:
             problems.append("center_s must be floored at eps")
         if problems:
             raise ValidationError(problems)
-        self._inv_mad = 1.0 / self.mad
+        rows = capacity + 1 if capacity is not None else 2 * len(entries)
+        self._matrix = np.empty((max(rows, len(entries)), dim))
+        self._matrix[: len(entries)] = [e.features for e in entries]
+        self._tags = [(e.origin, e.source_user, e.source_session) for e in entries]
+        self._enrolled = enrolled
+        self._inv_mad = 1.0 / mad
+
+    @property
+    def gallery(self) -> tuple[GalleryEntry, ...]:
+        """The gallery as entries in gallery order, built from the matrix rows."""
+        return tuple(GalleryEntry(row, *tag) for row, tag in zip(self.vectors, self._tags))
+
+    @property
+    def origins(self) -> tuple[Origin, ...]:
+        """Each gallery entry's origin, in gallery order."""
+        return tuple(tag[0] for tag in self._tags)
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """(gallery size, dimension) view of the gallery's vectors, in gallery order."""
+        return self._matrix[: len(self._tags)]
 
     @property
     def dimension(self) -> int:
-        return int(self.gallery[0].features.size)
+        return int(self._matrix.shape[1])
 
     @property
     def enrollment_size(self) -> int:
-        return sum(1 for e in self.gallery if e.origin is Origin.ENROLLMENT)
+        return self._enrolled
+
+    def append(self, entry: GalleryEntry, capacity: int | None = None) -> GalleryEntry | None:
+        """Add an update entry; past `capacity` entries, evict and return the oldest update.
+
+        mu / mad are left as they are; `refresh_statistics` recomputes them.
+        """
+        if entry.origin is Origin.ENROLLMENT:
+            raise ValidationError("enrollment entries cannot be appended to a gallery")
+        n = len(self._tags)
+        if n == len(self._matrix):
+            grown = np.empty((2 * n, self._matrix.shape[1]))
+            grown[:n] = self._matrix
+            self._matrix = grown
+        self._matrix[n] = entry.features
+        self._tags.append((entry.origin, entry.source_user, entry.source_session))
+        if capacity is None or n + 1 <= capacity:
+            return None
+        first = self._enrolled
+        evicted = GalleryEntry(self._matrix[first], *self._tags.pop(first))
+        self._matrix[first:n] = self._matrix[first + 1 : n + 1]
+        return evicted
 
 
 def gallery_statistics(vectors: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +245,6 @@ def centered_score(ref: ReferenceModel, query):
 
 def refresh_statistics(ref: ReferenceModel) -> ReferenceModel:
     """Recompute mu / mad from the current gallery; centering untouched."""
-    vectors = np.stack([e.features for e in ref.gallery])
-    ref.mu, ref.mad = gallery_statistics(vectors, ref.eps)
+    ref.mu, ref.mad = gallery_statistics(ref.vectors, ref.eps)
     ref._inv_mad = 1.0 / ref.mad
     return ref

@@ -5,6 +5,12 @@ session i samples scatter around base + (i - 1) * drift. Linear drift is
 the simplest ageing model that makes a frozen reference degrade across
 sessions. Generation is fully determined by the seed via per-user
 SplitMix64 streams, independent of iteration order.
+
+Each user's d * (2 + sessions * samples) normals are drawn as one block
+(base, then drift, then each sample's noise in chronological order),
+bit-equal to drawing them one at a time from the scalar Box-Muller
+stream, and the features are formed with whole-matrix operations that
+perform the same IEEE operation on every element as a per-sample loop.
 """
 
 from __future__ import annotations
@@ -13,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Provenance, Sample
+from .core import Dataset, Provenance
 from .errors import ValidationError
-from .rng import SplitMix64, mix64
+from .rng import block_normals, mix64
 
 
 @dataclass(frozen=True)
@@ -56,24 +62,25 @@ class SynthConfig:
 def generate(config: SynthConfig) -> Dataset:
     """Materialize the configured dataset; same config -> identical output."""
     d = config.dimension
+    sessions = config.num_sessions
     per_session = config.samples_per_session
-    samples = []
+    per_user = sessions * per_session
+    elapsed = np.arange(sessions, dtype=float)[:, None]  # session - 1
+    features = np.empty((config.num_users, sessions, per_session, d))
     for user_index in range(config.num_users):
-        stream = SplitMix64(mix64(config.seed, user_index))
-        base = config.base_spread * np.array(stream.normals(d))
-        drift = config.drift_scale * np.array(stream.normals(d))
-        user_id = f"u{user_index:03d}"
-        for session in range(1, config.num_sessions + 1):
-            ageing = base + (session - 1) * drift
-            for k in range(per_session):
-                noise = config.noise_scale * np.array(stream.normals(d))
-                samples.append(
-                    Sample(
-                        user_id=user_id,
-                        session=session,
-                        order_index=(session - 1) * per_session + k,
-                        features=ageing + noise,
-                        provenance=Provenance.SYNTHETIC,
-                    )
-                )
-    return Dataset(dimension=d, num_sessions=config.num_sessions, samples=tuple(samples))
+        normals = block_normals(mix64(config.seed, user_index), d * (2 + per_user))
+        base = config.base_spread * normals[:d]
+        drift = config.drift_scale * normals[d : 2 * d]
+        ageing = base + elapsed * drift
+        noise = config.noise_scale * normals[2 * d :].reshape(sessions, per_session, d)
+        np.add(ageing[:, None, :], noise, out=features[user_index])
+    user_ids = [f"u{user_index:03d}" for user_index in range(config.num_users)]
+    return Dataset.from_columns(
+        dimension=d,
+        num_sessions=sessions,
+        user_ids=[user for user in user_ids for _ in range(per_user)],
+        sessions=np.tile(np.repeat(np.arange(1, sessions + 1), per_session), config.num_users),
+        order_indices=np.tile(np.arange(per_user), config.num_users),
+        features=features.reshape(-1, d),
+        provenance=Provenance.SYNTHETIC,
+    )

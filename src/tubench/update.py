@@ -89,28 +89,21 @@ def maybe_update(
         raise ValidationError(
             f"query dimension {sample.dimension} != reference dimension {ref.dimension}"
         )
+    if strategy.capacity is not None and strategy.capacity < ref.enrollment_size:
+        raise ConfigError(
+            f"gallery capacity {strategy.capacity} is below the enrollment size "
+            f"{ref.enrollment_size}"
+        )
     origin = Origin.IMPOSTOR_UPDATE if is_impostor else Origin.GENUINE_UPDATE
-    ref.gallery.append(GalleryEntry(sample.features, origin, sample.user_id, sample.session))
-
-    evicted = None
-    if strategy.capacity is not None:
-        if strategy.capacity < ref.enrollment_size:
-            raise ConfigError(
-                f"gallery capacity {strategy.capacity} is below the enrollment size "
-                f"{ref.enrollment_size}"
-            )
-        if len(ref.gallery) > strategy.capacity:
-            for idx, entry in enumerate(ref.gallery):
-                if entry.origin is not Origin.ENROLLMENT:
-                    evicted = ref.gallery.pop(idx)
-                    break
+    entry = GalleryEntry(sample.features, origin, sample.user_id, sample.session)
+    evicted = ref.append(entry, strategy.capacity)
     refresh_statistics(ref)
     return UpdateOutcome(True, evicted, is_impostor)
 
 
 def impostor_inclusion(ref: ReferenceModel) -> float:
     """Fraction of the gallery that originated from impostor queries."""
-    if not ref.gallery:
+    origins = ref.origins
+    if not origins:
         raise ValidationError("impostor_inclusion needs a non-empty gallery")
-    impostors = sum(1 for e in ref.gallery if e.origin is Origin.IMPOSTOR_UPDATE)
-    return impostors / len(ref.gallery)
+    return origins.count(Origin.IMPOSTOR_UPDATE) / len(origins)

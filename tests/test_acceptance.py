@@ -5,12 +5,10 @@ the whole module stays inside its runtime budget. Every test prints one
 ``[acceptance] <name>: PASS/FAIL`` line.
 """
 
-import copy
 import json
 import math
 import random
 import time
-from collections import defaultdict
 from typing import NamedTuple
 
 import numpy as np

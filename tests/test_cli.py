@@ -4,8 +4,8 @@ from collections import defaultdict
 
 import pytest
 
-from tubench.cli import cmd_generate, cmd_report, cmd_run, load_config, main
-from tubench.errors import ConfigError
+from tubench.cli import RESULT_FILES, cmd_generate, cmd_report, cmd_run, load_config, main
+from tubench.errors import ConfigError, MetricError
 from tubench.ingest import read_table
 from conftest import fast_oracle_eer
 
@@ -209,6 +209,19 @@ def test_run_without_impostor_scores_fails_with_session(tmp_path, capsys):
     assert code == 2
     assert "session 2" in capsys.readouterr().err
     assert not (tmp_path / "out" / "scores.csv").exists()  # failed before the run
+
+
+def test_metric_failure_leaves_no_result_file(tmp_path, capsys, monkeypatch):
+    def failing_scheme(scheme, log):
+        raise MetricError(f"{scheme.value}: forced failure")
+
+    monkeypatch.setattr("tubench.cli.compute_scheme", failing_scheme)
+    config = write_config(tmp_path / "ok.json")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert "forced failure" in capsys.readouterr().err
+    for name in (*RESULT_FILES, "manifest.json"):
+        assert not (out / name).exists(), name
 
 
 def test_cli_exit_codes(tmp_path, capsys):

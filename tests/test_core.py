@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tubench import (
     Dataset,
@@ -13,10 +14,102 @@ from tubench import (
     ScoreLog,
     ScoreRecord,
     ValidationError,
+    column_violations,
     dataset_violations,
     validate_dataset,
 )
 from conftest import make_sample
+
+
+def reference_violations(dimension, num_sessions, samples):
+    """Reference row-by-row scan of the dataset invariants."""
+    problems = []
+    if dimension < 1:
+        problems.append(f"dimension must be >= 1, got {dimension}")
+    if num_sessions < 2:
+        problems.append(f"dataset must span at least 2 sessions, got {num_sessions}")
+    seen_keys = set()
+    users_with_session1 = set()
+    all_users = set()
+    for sample in samples:
+        key = (sample.user_id, sample.session, sample.order_index)
+        key_text = f"({key[0]}, session {key[1]}, #{key[2]})"
+        all_users.add(sample.user_id)
+        if key in seen_keys:
+            problems.append(f"duplicate sample key {key_text}")
+        seen_keys.add(key)
+        if not 1 <= sample.session <= num_sessions:
+            problems.append(f"sample {key_text}: session outside [1, {num_sessions}]")
+        elif sample.session == 1:
+            users_with_session1.add(sample.user_id)
+        features = np.asarray(sample.features, dtype=float)
+        if features.ndim != 1 or features.size != dimension:
+            problems.append(f"sample {key_text}: feature dimension {features.size} != {dimension}")
+        elif not np.all(np.isfinite(features)):
+            problems.append(f"sample {key_text}: non-finite feature value")
+    for user in sorted(all_users - users_with_session1, key=str):
+        problems.append(f"user {user}: no session-1 samples (no enrollment material)")
+    return problems
+
+
+_feature_value = st.one_of(
+    st.floats(-5.0, 5.0), st.sampled_from([math.nan, math.inf, -math.inf])
+)
+
+
+@st.composite
+def sample_shaped_records(draw):
+    dimension = draw(st.integers(0, 3))
+    num_sessions = draw(st.integers(0, 4))
+    width = st.integers(0, 4) if draw(st.booleans()) else st.just(dimension)
+    records = draw(
+        st.lists(
+            st.builds(
+                SimpleNamespace,
+                user_id=st.sampled_from(["a", "b", "c", "u10", "u2"]),
+                session=st.integers(-1, 5),
+                order_index=st.integers(-2, 3),
+                features=width.flatmap(lambda n: st.lists(_feature_value, min_size=n, max_size=n)),
+            ),
+            max_size=25,
+        )
+    )
+    return dimension, num_sessions, records
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample_shaped_records())
+def test_column_validator_matches_the_row_by_row_scan(case):
+    dimension, num_sessions, records = case
+    expected = reference_violations(dimension, num_sessions, records)
+    assert dataset_violations(dimension, num_sessions, records) == expected
+    if expected:
+        with pytest.raises(ValidationError) as err:
+            Dataset(dimension=dimension, num_sessions=num_sessions, samples=records)
+        assert err.value.violations == expected
+    widths = {len(r.features) for r in records}
+    if len(widths) == 1:  # the matrix form of the same columns
+        matrix = np.array([r.features for r in records], dtype=float)
+        got = column_violations(
+            dimension,
+            num_sessions,
+            [r.user_id for r in records],
+            np.array([r.session for r in records]),
+            np.array([r.order_index for r in records]),
+            matrix,
+        )
+        assert got == expected
+
+
+def test_column_validator_reports_non_vector_features_like_the_scan():
+    records = [
+        SimpleNamespace(user_id="a", session=1, order_index=0, features=[[1.0, 2.0]]),
+        SimpleNamespace(user_id="a", session=2, order_index=1, features=3.0),
+        SimpleNamespace(user_id="a", session=2, order_index=2, features=[1.0, math.nan]),
+    ]
+    expected = reference_violations(2, 2, records)
+    assert len(expected) == 3
+    assert dataset_violations(2, 2, records) == expected
 
 
 def test_sample_rejects_bad_session():
@@ -119,6 +212,25 @@ def test_dataset_lookup_is_chronological():
     assert orders == sorted(orders)
     assert [s.order_index for s in dataset.samples_for("a", 1)] == [0, 1]
     assert dataset.samples_for("a", 2)[0].session == 2
+
+
+def test_dataset_from_columns_equals_dataset_from_samples():
+    samples = _ok_samples()
+    columns = Dataset.from_columns(
+        2,
+        2,
+        [s.user_id for s in reversed(samples)],
+        [s.session for s in reversed(samples)],
+        [s.order_index for s in reversed(samples)],
+        [s.features.tolist() for s in reversed(samples)],
+    )
+    assert columns == Dataset(dimension=2, num_sessions=2, samples=samples)
+    assert columns.rows == Dataset(dimension=2, num_sessions=2, samples=samples).rows
+    assert not columns.feature_matrix.flags.writeable
+    with pytest.raises(ValueError):
+        columns.rows[0].features[0] = 9.0
+    with pytest.raises(ValidationError, match="session-1"):
+        Dataset.from_columns(1, 2, ["a"], [2], [0], np.array([[1.0]]))
 
 
 def test_dataset_equality_is_field_for_field():

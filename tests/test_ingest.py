@@ -52,6 +52,29 @@ def test_round_trip_over_random_small_datasets(tmp_path):
         assert read_dataset(path) == dataset
 
 
+def test_user_ids_are_quoted_like_csv_writer_does(tmp_path):
+    users = ["plain", "a,b", 'q"x', "line\nbreak", " pad ", "tab\there"]
+    samples = tuple(
+        make_sample(user, session, session - 1, [0.1 * k, -2.5e-7, 1e16 + k])
+        for k, user in enumerate(users)
+        for session in (1, 2)
+    )
+    dataset = Dataset(dimension=3, num_sessions=2, samples=samples)
+    path = tmp_path / "quoted.csv"
+    write_dataset(dataset, path)
+    expected = tmp_path / "expected.csv"
+    write_table(
+        expected,
+        ["user", "session", "rep", "f1", "f2", "f3"],
+        [
+            [s.user_id, str(s.session), str(s.order_index), *map(repr, s.features.tolist())]
+            for s in dataset.rows
+        ],
+    )
+    assert path.read_bytes() == expected.read_bytes()
+    assert read_dataset(path) == dataset
+
+
 def test_canonical_layout(tmp_path):
     samples = (
         make_sample("z", 1, 0, [1.5, 2.5]),

@@ -177,7 +177,7 @@ def test_refresh_statistics_is_idempotent():
 def test_refresh_after_appending_the_mean_shrinks_mad():
     ref = enroll("u", enrollment("u", [[0.0, 1.0], [4.0, 3.0], [2.0, 5.0]]))
     before_mu, before_mad = ref.mu.copy(), ref.mad.copy()
-    ref.gallery.append(GalleryEntry(before_mu, Origin.GENUINE_UPDATE, "u", 2))
+    assert ref.append(GalleryEntry(before_mu, Origin.GENUINE_UPDATE, "u", 2)) is None
     refresh_statistics(ref)
     assert np.allclose(ref.mu, before_mu)
     assert np.all(ref.mad <= before_mad + 1e-15)
@@ -187,8 +187,15 @@ def test_refresh_after_appending_the_mean_shrinks_mad():
 
 
 def test_singleton_gallery_statistics_are_floored():
-    ref = enroll("u", enrollment("u", [[0.0, 1.0], [4.0, 3.0]]))
-    ref.gallery[:] = [GalleryEntry([7.0, 8.0], Origin.ENROLLMENT, "u", 1)]
+    enrolled = enroll("u", enrollment("u", [[0.0, 1.0], [4.0, 3.0]]))
+    ref = ReferenceModel(
+        "u",
+        [GalleryEntry([7.0, 8.0], Origin.ENROLLMENT, "u", 1)],
+        enrolled.mu,
+        enrolled.mad,
+        enrolled.center_m,
+        enrolled.center_s,
+    )
     refresh_statistics(ref)
     assert np.array_equal(ref.mu, [7.0, 8.0])
     assert np.allclose(ref.mad, EPSILON)
@@ -200,6 +207,18 @@ def test_reference_model_construction_is_validated():
     entry = GalleryEntry([1.0, 2.0], Origin.ENROLLMENT, "u", 1)
     with pytest.raises(ValidationError):
         ReferenceModel("u", [entry], np.array([0.0]), np.array([1.0]), 0.0, 1.0)
+
+
+def test_gallery_keeps_enrollment_entries_first():
+    enrolled = GalleryEntry([2.0], Origin.ENROLLMENT, "u", 1)
+    update = GalleryEntry([1.0], Origin.GENUINE_UPDATE, "u", 2)
+    mu, mad = np.array([1.5]), np.array([0.5])
+    with pytest.raises(ValidationError, match="enrollment entries must come first"):
+        ReferenceModel("u", [update, enrolled], mu, mad, 0.0, 1.0)
+    ref = ReferenceModel("u", [enrolled, update], mu, mad, 0.0, 1.0)
+    with pytest.raises(ValidationError, match="cannot be appended"):
+        ref.append(GalleryEntry([3.0], Origin.ENROLLMENT, "u", 1))
+    assert [e.origin for e in ref.gallery] == [Origin.ENROLLMENT, Origin.GENUINE_UPDATE]
 
 
 def test_statistics_track_gallery_through_random_update_sequences():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tubench.rng import SplitMix64, mix64
+from tubench.rng import SplitMix64, block_normals, mix64
 
 
 def test_mix64_is_deterministic_and_order_sensitive():
@@ -46,7 +46,6 @@ def test_shuffle_is_a_permutation():
 
 
 def test_normals_have_standard_moments():
-    stream = SplitMix64(31)
-    values = np.array(stream.normals(20000))
+    values = block_normals(31, 20000)
     assert abs(values.mean()) < 0.03
     assert abs(values.std() - 1.0) < 0.03

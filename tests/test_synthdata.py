@@ -1,7 +1,114 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tubench import SynthConfig, ValidationError, generate, validate_dataset
+from tubench import (
+    Dataset,
+    Provenance,
+    Sample,
+    SynthConfig,
+    ValidationError,
+    generate,
+    read_dataset,
+    validate_dataset,
+    write_dataset,
+)
+from tubench.rng import SplitMix64, block_normals, mix64
+
+
+class ScalarNormals:
+    """Reference Box-Muller stream: one variate per call, the sine of each
+    uniform pair kept as a spare for the next call."""
+
+    def __init__(self, seed):
+        self._stream = SplitMix64(seed)
+        self._spare = None
+
+    def normal(self):
+        if self._spare is not None:
+            value, self._spare = self._spare, None
+            return value
+        u1 = 1.0 - self._stream.random()
+        u2 = self._stream.random()
+        radius = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        self._spare = radius * math.sin(theta)
+        return radius * math.cos(theta)
+
+    def normals(self, count):
+        return [self.normal() for _ in range(count)]
+
+
+def reference_generate(config):
+    """Reference generator: one Sample per draw of d normals, in order."""
+    d = config.dimension
+    per_session = config.samples_per_session
+    samples = []
+    for user_index in range(config.num_users):
+        stream = ScalarNormals(mix64(config.seed, user_index))
+        base = config.base_spread * np.array(stream.normals(d))
+        drift = config.drift_scale * np.array(stream.normals(d))
+        user_id = f"u{user_index:03d}"
+        for session in range(1, config.num_sessions + 1):
+            ageing = base + (session - 1) * drift
+            for k in range(per_session):
+                noise = config.noise_scale * np.array(stream.normals(d))
+                samples.append(
+                    Sample(
+                        user_id=user_id,
+                        session=session,
+                        order_index=(session - 1) * per_session + k,
+                        features=ageing + noise,
+                        provenance=Provenance.SYNTHETIC,
+                    )
+                )
+    return Dataset(dimension=d, num_sessions=config.num_sessions, samples=tuple(samples))
+
+
+def bits(values):
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 31, mix64(42, 7), 2**64 - 1])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 10, 31, 1001, 1240])
+def test_block_normals_equal_the_scalar_stream_bitwise(seed, count):
+    expected = ScalarNormals(seed).normals(count)
+    got = block_normals(seed, count)
+    assert got.shape == (count,)
+    assert np.array_equal(bits(got), bits(expected))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    users=st.integers(1, 4),
+    sessions=st.integers(2, 5),
+    per_session=st.integers(1, 5),
+    dimension=st.sampled_from([1, 2, 3, 10, 31]),
+    seed=st.integers(0, 2**64 - 1),
+    drift=st.floats(0.0, 2.0),
+    spread=st.floats(0.01, 5.0),
+    noise=st.floats(0.001, 2.0),
+)
+def test_generate_equals_the_per_sample_reference_bitwise(
+    tmp_path_factory, users, sessions, per_session, dimension, seed, drift, spread, noise
+):
+    config = SynthConfig(
+        users, sessions, per_session, dimension,
+        base_spread=spread, drift_scale=drift, noise_scale=noise, seed=seed,
+    )
+    got = generate(config)
+    expected = reference_generate(config)
+    assert np.array_equal(bits(got.feature_matrix), bits(expected.feature_matrix))
+    assert got == expected
+    directory = tmp_path_factory.mktemp("synth")
+    write_dataset(got, directory / "got.csv")
+    write_dataset(expected, directory / "expected.csv")
+    assert (directory / "got.csv").read_bytes() == (directory / "expected.csv").read_bytes()
+    back = read_dataset(directory / "got.csv")
+    assert back == got
+    assert np.array_equal(bits(back.feature_matrix), bits(got.feature_matrix))
 
 
 ACCEPTANCE_SHAPE = dict(

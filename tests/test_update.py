@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tubench import (
     Label,
@@ -15,6 +16,7 @@ from tubench import (
     impostor_inclusion,
     maybe_update,
 )
+from tubench.matcher import gallery_statistics
 from tubench.rng import SplitMix64
 from conftest import make_sample
 
@@ -184,3 +186,49 @@ def test_strategy_none_keeps_gallery_bit_identical():
     assert len(ref.gallery) == len(before)
     for entry, original in zip(ref.gallery, before):
         assert np.array_equal(entry.features, original)
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    enrolled=st.integers(2, 6),
+    dimension=st.sampled_from([1, 2, 3, 31]),
+    capacity_factor=st.one_of(st.none(), st.floats(1.0, 3.0)),
+    steps=st.lists(st.tuples(st.booleans(), st.booleans()), max_size=60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fifo_gallery_matches_a_fresh_recompute_after_every_update(
+    enrolled, dimension, capacity_factor, steps, seed
+):
+    rng = np.random.default_rng(seed)
+    capacity = None if capacity_factor is None else int(enrolled * capacity_factor)
+    ref = fresh_ref(vectors=rng.normal(size=(enrolled, dimension)), capacity=capacity)
+    enrollment = ref.gallery
+    strategy = UpdateStrategy(StrategyKind.SELF_THRESHOLD, 0.0, capacity=capacity)
+    updates = []  # expected update vectors, oldest first
+    for i, (genuine, accept) in enumerate(steps):
+        features = rng.normal(size=dimension) * 3.0
+        query = query_for(ref, "u" if genuine else "imp", features, position=i, order=10 + i)
+        outcome = maybe_update(ref, query, -1.0 if accept else 1.0, strategy)
+        assert outcome.applied is accept
+        if accept:
+            updates.append(features)
+        if capacity is not None and len(enrollment) + len(updates) > capacity:
+            assert outcome.evicted.origin is not Origin.ENROLLMENT
+            assert np.array_equal(outcome.evicted.features, updates.pop(0))
+        else:
+            assert outcome.evicted is None
+        gallery = ref.gallery
+        assert len(gallery) == len(enrollment) + len(updates)
+        for entry, expected in zip(gallery, enrollment):
+            assert entry.origin is Origin.ENROLLMENT
+            assert np.array_equal(entry.features, expected.features)
+        for entry, expected in zip(gallery[len(enrollment) :], updates):
+            assert entry.origin is not Origin.ENROLLMENT
+            assert np.array_equal(entry.features, expected)
+        mu, mad = gallery_statistics(np.stack([e.features for e in ref.gallery]), ref.eps)
+        assert np.array_equal(_bits(ref.mu), _bits(mu))
+        assert np.array_equal(_bits(ref.mad), _bits(mad))
