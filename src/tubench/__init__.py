@@ -20,6 +20,7 @@ from .core import (
     ScoreRecord,
     column_violations,
     dataset_violations,
+    score_log_violations,
     validate_dataset,
 )
 from .errors import (

@@ -20,10 +20,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import Label, Mode, scored_sessions
+from .core import Label, Mode, ScoreLog, scored_sessions
 from .errors import BenchError, ConfigError, MetricError
 from .evaluator import ExperimentConfig, run_experiment
-from .ingest import ColumnMapping, read_dataset, read_table, write_dataset, write_table
+from .ingest import (
+    ColumnMapping,
+    csv_field,
+    read_dataset,
+    read_table,
+    write_dataset,
+    write_table,
+)
 from .matcher import EPSILON
 from .metrics import Scheme, aggregate, compute_scheme, inclusion_per_session
 from .stream import GlobalOrder, LocalOrder, SessionPolicy, StreamConfig, impostor_count
@@ -154,6 +161,8 @@ def resolve_config(document: dict) -> dict:
             _get(matcher_raw, "matcher", "epsilon", (int, float), "a number", EPSILON)
         )
     }
+    if not (math.isfinite(matcher["epsilon"]) and matcher["epsilon"] > 0):
+        raise _fail("matcher.epsilon", "must be finite and > 0")
 
     update_raw = _section(document, "update")
     _reject_unknown(update_raw, "update", {"kind", "threshold", "capacity"})
@@ -322,6 +331,21 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _score_lines(log: ScoreLog):
+    """One scores.csv line per log row: floats as repr, user ids quoted by csv once."""
+    users = [csv_field(str(user)) for user in log.users]
+    genuine, impostor = Label.GENUINE.value, Label.IMPOSTOR.value
+    for repeat, session, target, source, raw, centered, applied in zip(
+        log.repeat.tolist(), log.session.tolist(), log.target.tolist(), log.source.tolist(),
+        log.raw.tolist(), log.centered.tolist(), log.applied.tolist(),
+    ):
+        yield (
+            f"{repeat},{session},{users[target]},{users[source]},"
+            f"{genuine if target == source else impostor},"
+            f"{raw!r},{centered!r},{'true' if applied else 'false'}\n"
+        )
+
+
 def cmd_generate(config_path, out_path) -> None:
     """Generate a synthetic dataset file plus its manifest."""
     resolved = load_config(config_path)
@@ -339,8 +363,8 @@ def cmd_generate(config_path, out_path) -> None:
 def cmd_run(config_path, out_dir) -> None:
     """Run the configured experiment and write the result tables."""
     resolved = load_config(config_path)
-    dataset = _load_dataset(resolved)
     experiment = _build_experiment(resolved)
+    dataset = _load_dataset(resolved)
     for session in scored_sessions(experiment.mode, dataset.num_sessions):
         genuine = np.bincount(dataset.row_user[dataset.row_session == session])
         if not any(impostor_count(int(n), experiment.stream.impostor_ratio) for n in genuine):
@@ -350,7 +374,7 @@ def cmd_run(config_path, out_dir) -> None:
 
     # Every table that can fail is computed before the first file is
     # written, so a failed run leaves no result file behind. The score
-    # rows cannot fail and are formatted while they are written.
+    # lines cannot fail and are formatted while they are written.
     schemes = [Scheme(name) for name in resolved["evaluation"]["schemes"]]
     sessions = tuple(log.covered_sessions)
     vectors = {
@@ -377,19 +401,7 @@ def cmd_run(config_path, out_dir) -> None:
     write_table(
         out_dir / "scores.csv",
         ["repeat", "session", "target_user", "source_user", "label", "raw", "centered", "update_applied"],
-        (
-            [
-                str(r.repeat_id),
-                str(r.session),
-                str(r.target_user),
-                str(r.source_user),
-                r.true_label.value,
-                _fmt(r.raw_score),
-                _fmt(r.centered_score),
-                "true" if r.update_applied else "false",
-            ]
-            for r in log.records
-        ),
+        lines=_score_lines(log),
     )
     write_table(out_dir / "metrics.csv", ["repeat", "scheme", "session", "eer"], metric_rows)
     write_table(

@@ -9,6 +9,7 @@ pair (session, order_index); no wall-clock timestamps exist anywhere.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from enum import Enum
 from typing import Iterable
 
@@ -252,12 +253,12 @@ class Dataset:
         starts = np.flatnonzero(
             np.diff(row_user, prepend=-1) | np.diff(row_session, prepend=-1)
         ).tolist()
-        by_user_session = {
-            (users[row_user[a]], row_session[a].item()): rows[a:b]
+        spans = {
+            (users[row_user[a]], row_session[a].item()): range(a, b)
             for a, b in zip(starts, starts[1:] + [len(rows)])
         }
         object.__setattr__(self, "_users", users)
-        object.__setattr__(self, "_by_user_session", by_user_session)
+        object.__setattr__(self, "_spans", spans)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "feature_matrix", matrix)
         object.__setattr__(self, "row_user", row_user)
@@ -273,13 +274,17 @@ class Dataset:
         """User identifiers in sorted order, for deterministic iteration."""
         return self._users
 
+    def row_range(self, user_id: str, session: int) -> range:
+        """Positions in `rows` of one user's session, in chronological order."""
+        return self._spans.get((user_id, session), range(0))
+
     def samples_for(self, user_id: str, session: int | None = None) -> tuple[Sample, ...]:
         """A user's samples in chronological order, optionally one session."""
-        index = self._by_user_session
         if session is not None:
-            return index.get((user_id, session), ())
+            span = self.row_range(user_id, session)
+            return self.rows[span.start : span.stop]
         sessions = range(1, self.num_sessions + 1)
-        return tuple(s for sess in sessions for s in index.get((user_id, sess), ()))
+        return tuple(s for sess in sessions for s in self.samples_for(user_id, sess))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -335,23 +340,31 @@ class ScoreRecord:
     update_applied: bool
 
     def __post_init__(self):
-        problems = []
-        if self.repeat_id < 0:
-            problems.append("repeat_id must be >= 0")
-        if self.session < 1:
-            problems.append("session must be >= 1")
-        if not (np.isfinite(self.raw_score) and self.raw_score >= 0):
-            problems.append(f"raw_score must be finite and >= 0, got {self.raw_score}")
-        if not np.isfinite(self.centered_score):
-            problems.append(f"centered_score must be finite, got {self.centered_score}")
-        genuine = self.source_user == self.target_user
-        if (self.true_label is Label.GENUINE) != genuine:
-            problems.append(
-                f"record {self.source_user} vs {self.target_user}: "
-                f"label {self.true_label.value} contradicts user identity"
-            )
+        problems = _record_problems(
+            self.repeat_id, self.session, self.target_user, self.source_user,
+            self.true_label, self.raw_score, self.centered_score,
+        )
         if problems:
             raise ValidationError(problems)
+
+
+def _record_problems(repeat_id, session, target_user, source_user, true_label, raw, centered):
+    """What is wrong with one comparison record's values, in field order."""
+    problems = []
+    if repeat_id < 0:
+        problems.append("repeat_id must be >= 0")
+    if session < 1:
+        problems.append("session must be >= 1")
+    if not (np.isfinite(raw) and raw >= 0):
+        problems.append(f"raw_score must be finite and >= 0, got {raw}")
+    if not np.isfinite(centered):
+        problems.append(f"centered_score must be finite, got {centered}")
+    if (true_label is Label.GENUINE) != (source_user == target_user):
+        problems.append(
+            f"record {source_user} vs {target_user}: "
+            f"label {true_label.value} contradicts user identity"
+        )
+    return problems
 
 
 def scored_sessions(mode: Mode, num_sessions: int) -> range:
@@ -359,41 +372,149 @@ def scored_sessions(mode: Mode, num_sessions: int) -> range:
     return range(2 if mode is Mode.ONLINE else 3, num_sessions + 1)
 
 
+def score_log_violations(
+    num_sessions: int, mode: Mode, users, repeat, session, target, source, raw, centered,
+    impostor=None,
+) -> list[str]:
+    """Check score-log columns against the log invariants in one vectorized pass.
+
+    `target` and `source` are positions in `users`; `impostor`, when
+    given, is each row's stated label, checked against the identities.
+    Problems come row by row, in row order, worded as `ScoreRecord`
+    words them; then the session count, the covered sessions, and the
+    first row whose session precedes an earlier row's of the same
+    (repeat, target).
+    """
+    repeat, session, target, source = (
+        np.asarray(c, dtype=np.intp) for c in (repeat, session, target, source)
+    )
+    raw, centered = np.asarray(raw, dtype=float), np.asarray(centered, dtype=float)
+    labelled_impostor = source != target if impostor is None else np.asarray(impostor, dtype=bool)
+    bad = (
+        (repeat < 0) | (session < 1) | ~(np.isfinite(raw) & (raw >= 0)) | ~np.isfinite(centered)
+        | (labelled_impostor == (source == target))
+    )
+    problems = []
+    for i in np.flatnonzero(bad).tolist():
+        label = Label.IMPOSTOR if labelled_impostor[i] else Label.GENUINE
+        problems += _record_problems(
+            repeat[i], session[i], users[target[i]], users[source[i]], label,
+            raw[i].item(), centered[i].item(),
+        )
+    expected = scored_sessions(mode, num_sessions)
+    if num_sessions < expected.start:
+        problems.append(f"{mode.value} log needs at least {expected.start} sessions")
+    covered = np.unique(session).tolist()
+    if covered != list(expected):
+        problems.append(
+            f"{mode.value} log must cover sessions {list(expected)}, got {covered}"
+        )
+    # Within each (repeat, target) group, in row order (the sort is stable),
+    # a session below its predecessor's is out of stream order.
+    order = np.lexsort((target, repeat))
+    group_repeat, group_target, group_session = repeat[order], target[order], session[order]
+    same_group = (group_repeat[1:] == group_repeat[:-1]) & (group_target[1:] == group_target[:-1])
+    backwards = order[1:][same_group & (group_session[1:] < group_session[:-1])]
+    if backwards.size:
+        first = backwards.min()
+        problems.append(
+            f"records for repeat {repeat[first]}, user {users[target[first]]} "
+            "are out of stream order"
+        )
+    return problems
+
+
+_LOG_COLUMNS = (
+    ("repeat", np.intp), ("session", np.intp), ("target", np.intp), ("source", np.intp),
+    ("raw", float), ("centered", float), ("applied", bool),
+)
+
+
 @dataclass(frozen=True, eq=False)
 class ScoreLog:
-    """Ordered comparison records for a whole evaluation run.
+    """Comparison records for a whole evaluation run, held as columns.
+
+    Row k is the run's k-th comparison: `repeat`, `session`, `target` and
+    `source` (positions in `users`, sorted by str), the `raw` and
+    `centered` scores, and whether the query was `applied` as an update.
+    A comparison is genuine when source == target. The log is built from
+    `ScoreRecord` objects, `ScoreLog(records, num_sessions, mode)`, or
+    from columns with `from_columns`, and validated once either way, by
+    `score_log_violations`; `records` gives the rows back as records.
 
     Online runs cover sessions 2..S; offline runs cover 3..S because the
     last consumed session never gets its own frozen-reference pass.
     """
 
-    records: tuple[ScoreRecord, ...]
+    from_records: InitVar[Iterable[ScoreRecord]]
     num_sessions: int
     mode: Mode
+    columns: InitVar[tuple | None] = None
+    users: tuple[str, ...] = field(init=False)
+    repeat: np.ndarray = field(init=False, repr=False)
+    session: np.ndarray = field(init=False, repr=False)
+    target: np.ndarray = field(init=False, repr=False)
+    source: np.ndarray = field(init=False, repr=False)
+    raw: np.ndarray = field(init=False, repr=False)
+    centered: np.ndarray = field(init=False, repr=False)
+    applied: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        problems = []
-        expected = scored_sessions(self.mode, self.num_sessions)
-        if self.num_sessions < expected.start:
-            problems.append(f"{self.mode.value} log needs at least {expected.start} sessions")
-        covered = {r.session for r in self.records}
-        if covered != set(expected):
-            problems.append(
-                f"{self.mode.value} log must cover sessions {list(expected)}, "
-                f"got {sorted(covered)}"
+    @classmethod
+    def from_columns(
+        cls, users, num_sessions: int, mode: Mode,
+        repeat, session, target, source, raw, centered, applied,
+    ) -> "ScoreLog":
+        """A log from per-row columns; `target`/`source` index `users`."""
+        columns = (tuple(users), repeat, session, target, source, raw, centered, applied, None)
+        return cls((), num_sessions, mode, columns=columns)
+
+    def __post_init__(self, from_records, columns):
+        if columns is None:
+            records = tuple(from_records)
+            ids = {r.target_user for r in records} | {r.source_user for r in records}
+            users = tuple(sorted(ids, key=str))
+            position = {user: i for i, user in enumerate(users)}
+            columns = (
+                users,
+                [r.repeat_id for r in records],
+                [r.session for r in records],
+                [position[r.target_user] for r in records],
+                [position[r.source_user] for r in records],
+                [r.raw_score for r in records],
+                [r.centered_score for r in records],
+                [r.update_applied for r in records],
+                [r.true_label is Label.IMPOSTOR for r in records],
             )
-        last_session: dict[tuple[int, str], int] = {}
-        for record in self.records:
-            group = (record.repeat_id, record.target_user)
-            if last_session.get(group, 0) > record.session:
-                problems.append(
-                    f"records for repeat {group[0]}, user {group[1]} are out of stream order"
-                )
-                break
-            last_session[group] = record.session
+        users, *values, impostor = columns
+        arrays = [np.array(v, dtype=dtype) for v, (_, dtype) in zip(values, _LOG_COLUMNS)]
+        problems = score_log_violations(self.num_sessions, self.mode, users, *arrays[:-1], impostor)
         if problems:
             raise ValidationError(problems)
+        object.__setattr__(self, "users", users)
+        for (name, _), column in zip(_LOG_COLUMNS, arrays):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @property
+    def genuine(self) -> np.ndarray:
+        """Per row, whether the comparison is genuine (source is the target)."""
+        return self.source == self.target
+
+    @cached_property
+    def records(self) -> tuple[ScoreRecord, ...]:
+        """The rows as validated `ScoreRecord` objects, in row order."""
+        users = self.users
+        return tuple(
+            ScoreRecord(
+                repeat, session, users[target], users[source],
+                Label.GENUINE if target == source else Label.IMPOSTOR, raw, centered, applied,
+            )
+            for repeat, session, target, source, raw, centered, applied in zip(
+                self.repeat.tolist(), self.session.tolist(), self.target.tolist(),
+                self.source.tolist(), self.raw.tolist(), self.centered.tolist(),
+                self.applied.tolist(),
+            )
+        )
 
     @property
     def covered_sessions(self) -> range:
@@ -401,12 +522,13 @@ class ScoreLog:
 
     @property
     def repeat_ids(self) -> tuple[int, ...]:
-        return tuple(sorted({r.repeat_id for r in self.records}))
+        return tuple(np.unique(self.repeat).tolist())
 
     def for_repeat(self, repeat_id: int) -> "ScoreLog":
         """Sub-log holding a single repeat's records."""
-        picked = tuple(r for r in self.records if r.repeat_id == repeat_id)
-        return ScoreLog(picked, self.num_sessions, self.mode)
+        picked = self.repeat == repeat_id
+        columns = (getattr(self, name)[picked] for name, _ in _LOG_COLUMNS)
+        return ScoreLog.from_columns(self.users, self.num_sessions, self.mode, *columns)
 
     def session_records(self, session: int) -> tuple[ScoreRecord, ...]:
         return tuple(r for r in self.records if r.session == session)

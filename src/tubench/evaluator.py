@@ -1,11 +1,18 @@
 """Session-loop orchestration: online and offline evaluation runs.
 
+One loop serves both modes. A session's queries are presented in
+stream order to the user's reference, which changes only where the
+update rule accepts a query; so each query is scored against the
+reference it meets with one matrix call per reference state: the
+queries after an applied update are rescored, the earlier ones are not.
+
 Online: every query's centered score is logged as a metric sample and
-immediately drives the update decision, so one comparison serves both
-purposes. Offline: a session is first scored in full against frozen
-references (those are the metric samples), and only then replayed
-through the update rule; the final session is consumed for update only,
-which is why offline runs yield one fewer per-session measure.
+the same score drives the update decision; the stream re-plans its
+closest-* impostors after each update. Offline: a session is first
+scored in full against the frozen reference (those are the metric
+samples), and then the same queries are replayed through the same loop
+for the update decisions; session 2 is consumed for update only, which
+is why offline runs yield one fewer per-session measure.
 """
 
 from __future__ import annotations
@@ -13,12 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from .core import Dataset, Mode, QueryEvent, Sample, ScoreLog, ScoreRecord
+import numpy as np
+
+from .core import Dataset, Mode, Sample, ScoreLog, scored_sessions
 from .errors import ConfigError, PartitionError, ValidationError
-from .matcher import EPSILON, ReferenceModel, center, centered_score, enroll, raw_score
+from .matcher import EPSILON, ReferenceModel, center, enroll, raw_score
+from .matcher import centered_score  # noqa: F401  perfbench traces it under this module
 from .rng import mix64
-from .stream import StreamConfig, next_query, plan_session
-from .update import UpdateStrategy, impostor_inclusion, maybe_update
+from .stream import StreamConfig, commit, plan_rows, plan_session
+from .stream import next_query  # noqa: F401  perfbench traces it under this module
+from .update import UpdateStrategy, accepts, apply_update, impostor_inclusion
+from .update import maybe_update  # noqa: F401  perfbench traces it under this module
 
 
 @dataclass(frozen=True)
@@ -80,12 +92,48 @@ def _session_stream(dataset, user, user_index, session, repeat, config):
     return plan_session(dataset, user, session, replace(config.stream, seed=seed))
 
 
-def run_online(dataset: Dataset, config: ExperimentConfig) -> RunResult:
-    """Score-and-update loop: each query is scored once, logged, and the
-    same score immediately feeds the update decision."""
-    if config.mode is not Mode.ONLINE:
-        raise ConfigError(f"run_online called with mode {config.mode.value}")
-    records: list[ScoreRecord] = []
+def _present(model, dataset, rows, impostor, strategy, stream=None):
+    """Present the queries on `rows` to `model` in order, updating it where
+    the strategy accepts one.
+
+    Returns each query's raw and centered score against the reference it
+    met, and whether it updated that reference. The queries after an
+    applied update are rescored against the updated reference; an online
+    `stream` first commits the presented queries and re-plans the rest
+    there, while an offline replay (no stream) keeps its rows.
+    """
+    queries = dataset.feature_matrix[rows]
+    raw = np.empty(rows.size)
+    centered = np.empty(rows.size)
+    applied = np.zeros(rows.size, dtype=bool)
+    done = 0
+    while done < rows.size:
+        raw[done:] = raw_score(model, queries[done:])
+        centered[done:] = center(model, raw[done:])
+        accepted = accepts(strategy, centered[done:], impostor[done:])
+        first = int(accepted.argmax())
+        if not accepted[first]:
+            break
+        done += first
+        apply_update(model, dataset.rows[rows[done]], bool(impostor[done]), strategy)
+        applied[done] = True
+        done += 1
+        if stream is not None:
+            commit(stream, done)
+            rows[done:] = plan_rows(stream, model)
+            queries[done:] = dataset.feature_matrix[rows[done:]]
+    return raw, centered, applied
+
+
+def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
+    """Run every (repeat, user) through sessions 2..S in the configured mode."""
+    online = config.mode is Mode.ONLINE
+    if not online and dataset.num_sessions < 3:
+        raise ConfigError(
+            f"offline evaluation needs at least 3 sessions, dataset has {dataset.num_sessions}"
+        )
+    logged_sessions = scored_sessions(config.mode, dataset.num_sessions)
+    logged = []  # per logged session: repeat, session, target, rows, raw, centered, applied
     snapshots: list[InclusionSnapshot] = []
     final_models: dict[tuple[int, str], ReferenceModel] = {}
     users = dataset.users
@@ -94,94 +142,56 @@ def run_online(dataset: Dataset, config: ExperimentConfig) -> RunResult:
             model = _enroll_user(dataset, user, config)
             for session in range(2, dataset.num_sessions + 1):
                 state = _session_stream(dataset, user, user_index, session, repeat, config)
-                while (query := next_query(state, model)) is not None:
-                    raw = raw_score(model, query.sample.features)
-                    centered = center(model, raw)
-                    outcome = maybe_update(model, query, centered, config.strategy)
-                    records.append(
-                        ScoreRecord(
-                            repeat_id=repeat,
-                            session=session,
-                            target_user=user,
-                            source_user=query.sample.user_id,
-                            true_label=query.true_label,
-                            raw_score=raw,
-                            centered_score=centered,
-                            update_applied=outcome.applied,
-                        )
+                rows = plan_rows(state, model)
+                if online or session not in logged_sessions:
+                    raw, centered, applied = _present(
+                        model, dataset, rows, state.impostor, config.strategy, state
                     )
+                else:
+                    raw = raw_score(model, dataset.feature_matrix[rows])
+                    centered = center(model, raw)
+                    applied = _present(model, dataset, rows, state.impostor, config.strategy)[2]
+                if session in logged_sessions:
+                    logged.append((repeat, session, user_index, rows, raw, centered, applied))
                 snapshots.append(
                     InclusionSnapshot(repeat, user, session, impostor_inclusion(model))
                 )
             final_models[(repeat, user)] = model
-    log = ScoreLog(tuple(records), dataset.num_sessions, Mode.ONLINE)
-    return RunResult(log, tuple(snapshots), final_models)
+    return RunResult(_score_log(dataset, config.mode, logged), tuple(snapshots), final_models)
+
+
+def _score_log(dataset: Dataset, mode: Mode, logged: list[tuple]) -> ScoreLog:
+    """One columnar log from the logged sessions, in run order."""
+    repeat, session, target, rows, raw, centered, applied = zip(*logged) if logged else [()] * 7
+    lengths = [len(r) for r in rows]
+
+    def flat(parts, dtype):
+        return np.concatenate([np.empty(0, dtype), *parts])
+
+    return ScoreLog.from_columns(
+        dataset.users,
+        dataset.num_sessions,
+        mode,
+        *(np.repeat(np.array(c, dtype=np.intp), lengths) for c in (repeat, session, target)),
+        dataset.row_user[flat(rows, np.intp)],
+        flat(raw, float),
+        flat(centered, float),
+        flat(applied, bool),
+    )
+
+
+def run_online(dataset: Dataset, config: ExperimentConfig) -> RunResult:
+    """`run_experiment` for an online config."""
+    if config.mode is not Mode.ONLINE:
+        raise ConfigError(f"run_online called with mode {config.mode.value}")
+    return run_experiment(dataset, config)
 
 
 def run_offline(dataset: Dataset, config: ExperimentConfig) -> RunResult:
-    """Frozen-reference scoring followed by an update replay per session.
-
-    Session 2 is consumed for update only. For each later session the
-    realized query order is fixed while scoring against the frozen
-    references, then the same queries are replayed through the update
-    rule (scored anew against the evolving reference).
-    """
+    """`run_experiment` for an offline config."""
     if config.mode is not Mode.OFFLINE:
         raise ConfigError(f"run_offline called with mode {config.mode.value}")
-    if dataset.num_sessions < 3:
-        raise ConfigError(
-            f"offline evaluation needs at least 3 sessions, dataset has {dataset.num_sessions}"
-        )
-    records: list[ScoreRecord] = []
-    snapshots: list[InclusionSnapshot] = []
-    final_models: dict[tuple[int, str], ReferenceModel] = {}
-    users = dataset.users
-    for repeat in range(config.repeats):
-        for user_index, user in enumerate(users):
-            model = _enroll_user(dataset, user, config)
-
-            state = _session_stream(dataset, user, user_index, 2, repeat, config)
-            while (query := next_query(state, model)) is not None:
-                maybe_update(model, query, centered_score(model, query.sample.features), config.strategy)
-            snapshots.append(InclusionSnapshot(repeat, user, 2, impostor_inclusion(model)))
-
-            for session in range(3, dataset.num_sessions + 1):
-                state = _session_stream(dataset, user, user_index, session, repeat, config)
-                staged: list[tuple[QueryEvent, float, float]] = []
-                while (query := next_query(state, model)) is not None:
-                    raw = raw_score(model, query.sample.features)
-                    staged.append((query, raw, center(model, raw)))
-                applied_flags = []
-                for query, _, _ in staged:
-                    outcome = maybe_update(
-                        model, query, centered_score(model, query.sample.features), config.strategy
-                    )
-                    applied_flags.append(outcome.applied)
-                for (query, raw, centered), applied in zip(staged, applied_flags):
-                    records.append(
-                        ScoreRecord(
-                            repeat_id=repeat,
-                            session=session,
-                            target_user=user,
-                            source_user=query.sample.user_id,
-                            true_label=query.true_label,
-                            raw_score=raw,
-                            centered_score=centered,
-                            update_applied=applied,
-                        )
-                    )
-                snapshots.append(
-                    InclusionSnapshot(repeat, user, session, impostor_inclusion(model))
-                )
-            final_models[(repeat, user)] = model
-    log = ScoreLog(tuple(records), dataset.num_sessions, Mode.OFFLINE)
-    return RunResult(log, tuple(snapshots), final_models)
-
-
-def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
-    if config.mode is Mode.ONLINE:
-        return run_online(dataset, config)
-    return run_offline(dataset, config)
+    return run_experiment(dataset, config)
 
 
 def partition_sessionless(samples, k: int) -> Dataset:

@@ -32,12 +32,17 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
-def write_table(path, header: list[str], rows) -> None:
-    """Write a comma-delimited file with a header and unix newlines."""
+def write_table(path, header: list[str], rows=(), lines=()) -> None:
+    """Write a comma-delimited file with a header and unix newlines.
+
+    `rows` are lists of fields, formatted by csv; `lines` follow them,
+    already formatted, each ending in a newline.
+    """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+        handle.writelines(lines)
 
 
 @dataclass(frozen=True)
@@ -143,7 +148,7 @@ def read_dataset(path, mapping: ColumnMapping = ColumnMapping()) -> Dataset:
     )
 
 
-def _csv_field(value: str) -> str:
+def csv_field(value: str) -> str:
     """`value` rendered as csv.writer renders it inside a row of several fields."""
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerow([value, ""])
@@ -159,7 +164,7 @@ def write_dataset(dataset: Dataset, path) -> None:
     """
     path = Path(path)
     header = ["user", "session", "rep"] + [f"f{j + 1}" for j in range(dataset.dimension)]
-    users = [_csv_field(str(user)) for user in dataset.users]
+    users = [csv_field(str(user)) for user in dataset.users]
     lines = (
         f"{users[user]},{session},{order_index},{','.join(map(repr, features.tolist()))}\n"
         for user, session, order_index, features in zip(

@@ -160,10 +160,6 @@ def gallery_statistics(vectors: np.ndarray, eps: float) -> tuple[np.ndarray, np.
     return mu, mad
 
 
-def _score_against(query: np.ndarray, mu: np.ndarray, mad: np.ndarray) -> float:
-    return float(np.mean(np.abs(query - mu) / mad))
-
-
 def enroll(
     target_user: str,
     enrollment_samples: Sequence[Sample],
@@ -196,11 +192,14 @@ def enroll(
             f"gallery capacity {capacity} is below the enrollment size {len(samples)}"
         )
 
-    loo_scores = []
-    for k in range(len(samples)):
-        rest = np.delete(vectors, k, axis=0)
-        mu_k, mad_k = gallery_statistics(rest, eps)
-        loo_scores.append(_score_against(vectors[k], mu_k, mad_k))
+    # Row k of `rest` holds every enrollment vector but the k-th, in order,
+    # so the axis-1 reductions give each leave-one-out gallery's statistics.
+    n = len(samples)
+    others = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
+    rest = vectors[others]
+    mu_loo = rest.mean(axis=1)
+    mad_loo = np.maximum(np.abs(rest - mu_loo[:, None, :]).mean(axis=1), eps)
+    loo_scores = np.mean(np.abs(vectors - mu_loo) / mad_loo, axis=1)
     center_m = float(np.mean(loo_scores))
     center_s = max(float(np.std(loo_scores)), eps)
 

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Label, ScoreLog
+from .core import ScoreLog
 from .errors import MetricError
 from .evaluator import InclusionSnapshot
 
@@ -76,21 +76,16 @@ def eer(genuine, impostor) -> float:
     return float((far[best] + frr[best]) / 2.0)
 
 
-def _session_scores(log: ScoreLog, session: int) -> tuple[list[float], list[float]]:
-    genuine: list[float] = []
-    impostor: list[float] = []
-    for record in log.records:
-        if record.session != session:
-            continue
-        if record.true_label is Label.GENUINE:
-            genuine.append(record.centered_score)
-        else:
-            impostor.append(record.centered_score)
-    if not genuine:
+def _session_scores(log: ScoreLog, session: int) -> tuple[np.ndarray, np.ndarray]:
+    picked = log.session == session
+    genuine = log.genuine
+    gen = log.centered[picked & genuine]
+    imp = log.centered[picked & ~genuine]
+    if not gen.size:
         raise MetricError(f"session {session}: no genuine scores")
-    if not impostor:
+    if not imp.size:
         raise MetricError(f"session {session}: no impostor scores")
-    return genuine, impostor
+    return gen, imp
 
 
 def per_session_eer(log: ScoreLog) -> list[float]:
@@ -107,13 +102,8 @@ def cumulative_mean_eer(log: ScoreLog) -> list[float]:
 def pooled_eer(log: ScoreLog) -> list[float]:
     """EER of all covered sessions' scores merged into one global set,
     duplicated once per covered session for side-by-side plotting."""
-    genuine: list[float] = []
-    impostor: list[float] = []
-    for session in log.covered_sessions:
-        gen, imp = _session_scores(log, session)
-        genuine.extend(gen)
-        impostor.extend(imp)
-    value = eer(genuine, impostor)
+    genuine, impostor = zip(*(_session_scores(log, s) for s in log.covered_sessions))
+    value = eer(np.concatenate(genuine), np.concatenate(impostor))
     return [value] * len(log.covered_sessions)
 
 

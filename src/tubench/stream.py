@@ -4,15 +4,24 @@ A stream is configured along four axes: how many impostor queries
 accompany the genuine ones (impostor ratio), how the two label kinds
 interleave (global order), how individual impostor samples are picked
 (local order), and whether genuine samples keep their chronological
-order. Impostor samples are drawn without replacement; closest-* local
-orders consult the evolving reference at draw time, which is why the
-selector is stateful instead of a pre-materialized list.
+order. Impostor samples are drawn without replacement.
 
-The impostor pool is a set of `Dataset.rows`, in (user, session,
-order_index) order, with an alive mask. A closest-* choice scores every
-live row in one batched `centered_score` call and takes the first
-minimum, so ties go to the lowest (user, session, order_index): once per
-draw for `closest_sample`, once per new impostor for `closest_impostor`.
+A planned stream holds a row of `Dataset.rows` for every query
+position. Genuine rows, and the impostor rows of the random local
+orders, are fixed when the session is planned: the stream's generator
+serves the genuine shuffle, the label shuffle and then every random
+draw, in label order. The closest-* orders consult the evolving
+reference: `plan_rows` chooses the impostors of the positions not yet
+presented against a given reference, and `commit` marks positions as
+presented, so a caller re-plans only after an update changes the
+reference. The impostor pool is a set of rows, in (user, session,
+order_index) order, with an alive mask. A closest-* plan scores every
+live row in one batched `centered_score` call and ranks the rows by a
+stable sort, so ties go to the lowest (user, session, order_index), as
+repeatedly taking the first minimum would: `closest_sample` takes rows
+in that ranking, `closest_impostor` takes users in the ranking of their
+first-ranked row (the current impostor first), each user's rows in
+ascending order.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Dataset, Label, QueryEvent, Sample
+from .core import Dataset, Label, QueryEvent
 from .errors import StreamError, ValidationError
 from .matcher import ReferenceModel, centered_score
 from .rng import SplitMix64
@@ -83,24 +92,27 @@ def impostor_count(genuine_count: int, impostor_ratio: float) -> int:
 
 @dataclass(eq=False)
 class StreamState:
-    """Mutable cursor over one planned session stream."""
+    """One planned session stream and how much of it has been presented.
+
+    `rows[k]` is the dataset row of query position k and `impostor[k]`
+    whether it is an impostor query; positions before `cursor` have been
+    presented.
+    """
 
     target_user: str
     session: int
-    labels: list[Label]
-    genuine_queue: list[Sample]
+    impostor: np.ndarray
+    rows: np.ndarray
     dataset: Dataset
     pool_rows: np.ndarray  # impostor pool: ascending indices into dataset.rows
-    alive: np.ndarray  # per pool row, False once drawn
+    alive: np.ndarray  # per pool row, False once presented
     local_order: LocalOrder
-    rng: SplitMix64
     cursor: int = 0
-    emitted: int = 0
     current_impostor: int | None = None  # position in dataset.users
 
     @property
     def exhausted(self) -> bool:
-        return self.cursor >= len(self.labels)
+        return self.cursor >= self.rows.size
 
 
 def plan_session(
@@ -109,10 +121,10 @@ def plan_session(
     session: int,
     config: StreamConfig,
 ) -> StreamState:
-    """Lay out the label sequence and sample pools for one session."""
+    """Lay out the label sequence, the genuine rows and the random draws of one session."""
     if session < 2:
         raise ValidationError(f"query sessions start at 2, got {session}")
-    genuine = list(dataset.samples_for(target_user, session))
+    genuine = list(dataset.row_range(target_user, session))
     if not genuine:
         raise StreamError(f"user {target_user} has no samples in session {session}")
 
@@ -133,17 +145,39 @@ def plan_session(
             f"session {session}: impostor pool holds {pool_rows.size} samples, "
             f"need {n_impostor}"
         )
+    impostor = np.array([label is Label.IMPOSTOR for label in labels], dtype=bool)
+    rows = np.empty(len(labels), dtype=np.intp)
+    rows[~impostor] = genuine
+    if config.local_order is LocalOrder.TOTALLY_RANDOM:
+        pool = pool_rows.tolist()
+        rows[impostor] = [pool.pop(rng.randbelow(len(pool))) for _ in range(n_impostor)]
+    elif config.local_order is LocalOrder.RANDOM_IMPOSTOR:
+        rows[impostor] = _random_impostor_rows(dataset.row_user, pool_rows, n_impostor, rng)
     return StreamState(
         target_user=target_user,
         session=session,
-        labels=labels,
-        genuine_queue=genuine,
+        impostor=impostor,
+        rows=rows,
         dataset=dataset,
         pool_rows=pool_rows,
         alive=np.ones(pool_rows.size, dtype=bool),
         local_order=config.local_order,
-        rng=rng,
     )
+
+
+def _random_impostor_rows(row_user, pool_rows, count, rng) -> list[int]:
+    """A random impostor's rows in ascending order, then another's, until `count`.
+
+    Each impostor is drawn uniformly from the users still in the pool, in
+    position order, at the draw that needs them.
+    """
+    owners = row_user[pool_rows]
+    users = np.unique(owners).tolist()
+    picked: list[int] = []
+    while len(picked) < count:
+        user = users.pop(rng.randbelow(len(users)))
+        picked += pool_rows[owners == user].tolist()
+    return picked[:count]
 
 
 def _label_sequence(
@@ -168,45 +202,49 @@ def _label_sequence(
     return labels
 
 
+def plan_rows(state: StreamState, ref: ReferenceModel) -> np.ndarray:
+    """The rows of the positions from the cursor on, as presented while `ref` holds.
+
+    closest-* orders choose those positions' impostors against `ref`;
+    the result is a view of `state.rows`.
+    """
+    ahead = state.rows[state.cursor :]
+    if state.local_order not in (LocalOrder.CLOSEST_SAMPLE, LocalOrder.CLOSEST_IMPOSTOR):
+        return ahead
+    slots = state.impostor[state.cursor :]
+    count = int(np.count_nonzero(slots))
+    if count:
+        live = state.pool_rows[state.alive]
+        scores = centered_score(ref, state.dataset.feature_matrix[live])
+        ranked = live[np.argsort(scores, kind="stable")]
+        if state.local_order is LocalOrder.CLOSEST_IMPOSTOR:
+            row_user = state.dataset.row_user
+            owners = row_user[ranked]
+            firsts = np.unique(owners, return_index=True)[1]
+            rank = np.empty(len(state.dataset.users), dtype=np.intp)
+            rank[owners[np.sort(firsts)]] = np.arange(firsts.size)
+            if state.current_impostor is not None:
+                rank[state.current_impostor] = -1
+            ranked = live[np.argsort(rank[row_user[live]], kind="stable")]
+        ahead[slots] = ranked[:count]
+    return ahead
+
+
+def commit(state: StreamState, count: int) -> None:
+    """Mark the positions before `count` as presented: their impostors leave the pool."""
+    presented = state.rows[state.cursor : count][state.impostor[state.cursor : count]]
+    if presented.size:
+        state.alive[np.searchsorted(state.pool_rows, presented)] = False
+        state.current_impostor = int(state.dataset.row_user[presented[-1]])
+    state.cursor = count
+
+
 def next_query(state: StreamState, current_ref: ReferenceModel) -> QueryEvent | None:
-    """Emit the next query event, or None once the stream is exhausted."""
+    """Present the next query, planned against `current_ref`, or None once the stream is exhausted."""
     if state.exhausted:
         return None
-    label = state.labels[state.cursor]
-    state.cursor += 1
-    if label is Label.GENUINE:
-        sample = state.genuine_queue.pop(0)
-    else:
-        sample = _draw_impostor(state, current_ref)
-    event = QueryEvent(sample, state.target_user, label, state.emitted)
-    state.emitted += 1
-    return event
-
-
-def _draw_impostor(state: StreamState, ref: ReferenceModel) -> Sample:
-    live = np.flatnonzero(state.alive)
-    if live.size == 0:
-        raise StreamError(f"session {state.session}: impostor pool exhausted")
-    rows = state.pool_rows[live]
-    order = state.local_order
-
-    def closest() -> int:  # argmin keeps the first minimum: the lowest row wins ties
-        return int(np.argmin(centered_score(ref, state.dataset.feature_matrix[rows])))
-
-    if order is LocalOrder.TOTALLY_RANDOM:
-        pick = state.rng.randbelow(live.size)
-    elif order is LocalOrder.CLOSEST_SAMPLE:
-        pick = closest()
-    else:
-        # random_impostor / closest_impostor: stick with the current impostor
-        # until that user's pool is exhausted, then pick the next one.
-        owners = state.dataset.row_user[rows]
-        if state.current_impostor not in owners:
-            if order is LocalOrder.RANDOM_IMPOSTOR:
-                users = np.unique(owners)
-                state.current_impostor = int(users[state.rng.randbelow(users.size)])
-            else:
-                state.current_impostor = int(owners[closest()])
-        pick = np.argmax(owners == state.current_impostor)  # their earliest live row
-    state.alive[live[pick]] = False
-    return state.dataset.rows[rows[pick]]
+    position = state.cursor
+    row = plan_rows(state, current_ref)[0]
+    commit(state, position + 1)
+    label = Label.IMPOSTOR if state.impostor[position] else Label.GENUINE
+    return QueryEvent(state.dataset.rows[row], state.target_user, label, position)

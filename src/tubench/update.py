@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .core import Label, QueryEvent
 from .errors import ConfigError, ValidationError
 from .matcher import GalleryEntry, Origin, ReferenceModel, refresh_statistics
@@ -61,30 +63,29 @@ class UpdateOutcome:
             raise ValidationError("an update that was not applied cannot evict")
 
 
-def maybe_update(
-    ref: ReferenceModel,
-    query: QueryEvent,
-    centered: float,
-    strategy: UpdateStrategy,
-) -> UpdateOutcome:
-    """Apply the strategy's decision rule to one already-scored query.
+def accepts(strategy: UpdateStrategy, centered, impostor):
+    """The strategy's decision rule, elementwise over scored queries.
 
-    The caller passes the centered score it computed for the query, so
-    scoring happens exactly once per query in an online loop. Ground
-    truth is consulted only by the supervised strategy; the provenance
-    tag on an inserted entry is measurement bookkeeping.
+    True where a query with that centered score and ground truth would
+    update the reference. Ground truth is read only by the supervised
+    strategy.
     """
-    is_impostor = query.true_label is Label.IMPOSTOR
     if strategy.kind is StrategyKind.NONE:
-        return UpdateOutcome(False, None, is_impostor)
-    if strategy.kind is StrategyKind.SELF_THRESHOLD:
-        apply = centered <= strategy.update_threshold
-    else:
-        apply = (not is_impostor) and centered <= strategy.update_threshold
-    if not apply:
-        return UpdateOutcome(False, None, is_impostor)
+        return np.zeros(np.shape(centered), dtype=bool)
+    accept = np.asarray(centered) <= strategy.update_threshold
+    if strategy.kind is StrategyKind.SUPERVISED:
+        accept = accept & ~np.asarray(impostor)
+    return accept
 
-    sample = query.sample
+
+def apply_update(
+    ref: ReferenceModel, sample, is_impostor: bool, strategy: UpdateStrategy
+) -> GalleryEntry | None:
+    """Insert an accepted query's sample into the gallery and refresh mu / mad.
+
+    Returns the entry FIFO eviction removed, if any. The provenance tag
+    on the inserted entry is measurement bookkeeping.
+    """
     if sample.dimension != ref.dimension:
         raise ValidationError(
             f"query dimension {sample.dimension} != reference dimension {ref.dimension}"
@@ -98,7 +99,24 @@ def maybe_update(
     entry = GalleryEntry(sample.features, origin, sample.user_id, sample.session)
     evicted = ref.append(entry, strategy.capacity)
     refresh_statistics(ref)
-    return UpdateOutcome(True, evicted, is_impostor)
+    return evicted
+
+
+def maybe_update(
+    ref: ReferenceModel,
+    query: QueryEvent,
+    centered: float,
+    strategy: UpdateStrategy,
+) -> UpdateOutcome:
+    """Apply the strategy's decision rule to one already-scored query.
+
+    The caller passes the centered score it computed for the query, so
+    scoring happens exactly once per query.
+    """
+    is_impostor = query.true_label is Label.IMPOSTOR
+    if not accepts(strategy, centered, is_impostor):
+        return UpdateOutcome(False, None, is_impostor)
+    return UpdateOutcome(True, apply_update(ref, query.sample, is_impostor, strategy), is_impostor)
 
 
 def impostor_inclusion(ref: ReferenceModel) -> float:

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 from collections import defaultdict
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from tubench.cli import RESULT_FILES, cmd_generate, cmd_report, cmd_run, load_config, main
 from tubench.errors import ConfigError, MetricError
 from tubench.ingest import read_table
+from tubench.synthdata import generate
 from conftest import fast_oracle_eer
 
 BASE_CONFIG = {
@@ -222,6 +224,31 @@ def test_metric_failure_leaves_no_result_file(tmp_path, capsys, monkeypatch):
     assert "forced failure" in capsys.readouterr().err
     for name in (*RESULT_FILES, "manifest.json"):
         assert not (out / name).exists(), name
+
+
+@pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0.0, -1e-6])
+def test_epsilon_must_be_finite_and_positive(tmp_path, capsys, epsilon):
+    config = write_config(tmp_path / "eps.json", patch={"matcher": {"epsilon": epsilon}})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert "matcher.epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_stream_config_fails_before_the_dataset_is_built(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def recording_generate(config):
+        calls.append(config)
+        return generate(config)
+
+    monkeypatch.setattr("tubench.cli.generate", recording_generate)
+    config = write_config(tmp_path / "ratio.json", patch={"stream": {"impostor_ratio": 1.5}})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert "impostor_ratio" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -16,6 +16,7 @@ from tubench import (
     ValidationError,
     column_violations,
     dataset_violations,
+    score_log_violations,
     validate_dataset,
 )
 from conftest import make_sample
@@ -292,6 +293,91 @@ def test_log_for_repeat_filters_records():
     sub = log.for_repeat(1)
     assert all(r.repeat_id == 1 for r in sub.records)
     assert len(sub.records) == 2
+
+
+def reference_log_violations(num_sessions, mode, rows):
+    """The record-by-record checks: each record's, as ScoreRecord makes
+    them, then the scan the record-holding ScoreLog made."""
+    problems = []
+    for r in rows:
+        if r.repeat_id < 0:
+            problems.append("repeat_id must be >= 0")
+        if r.session < 1:
+            problems.append("session must be >= 1")
+        if not (np.isfinite(r.raw_score) and r.raw_score >= 0):
+            problems.append(f"raw_score must be finite and >= 0, got {r.raw_score}")
+        if not np.isfinite(r.centered_score):
+            problems.append(f"centered_score must be finite, got {r.centered_score}")
+        if (r.true_label is Label.GENUINE) != (r.source_user == r.target_user):
+            problems.append(
+                f"record {r.source_user} vs {r.target_user}: "
+                f"label {r.true_label.value} contradicts user identity"
+            )
+    expected = range(2 if mode is Mode.ONLINE else 3, num_sessions + 1)
+    if num_sessions < expected.start:
+        problems.append(f"{mode.value} log needs at least {expected.start} sessions")
+    covered = {r.session for r in rows}
+    if covered != set(expected):
+        problems.append(
+            f"{mode.value} log must cover sessions {list(expected)}, got {sorted(covered)}"
+        )
+    last_session = {}
+    for r in rows:
+        group = (r.repeat_id, r.target_user)
+        if last_session.get(group, 0) > r.session:
+            problems.append(
+                f"records for repeat {group[0]}, user {group[1]} are out of stream order"
+            )
+            break
+        last_session[group] = r.session
+    return problems
+
+
+@st.composite
+def score_log_rows(draw):
+    num_sessions = draw(st.integers(1, 4))
+    mode = draw(st.sampled_from(list(Mode)))
+    honest_labels = draw(st.booleans())
+    raw = st.one_of(st.floats(0.0, 10.0), st.sampled_from([-0.5, math.nan, math.inf]))
+    centered = st.one_of(st.floats(-5.0, 5.0), st.just(math.nan))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        target, source = draw(st.sampled_from(["a", "b", "u10"])), draw(st.sampled_from(["a", "u10"]))
+        label = Label.GENUINE if target == source else Label.IMPOSTOR
+        if not honest_labels:
+            label = draw(st.sampled_from(list(Label)))
+        rows.append(SimpleNamespace(
+            repeat_id=draw(st.integers(-1, 1)), session=draw(st.integers(0, 4)),
+            target_user=target, source_user=source, true_label=label,
+            raw_score=draw(raw), centered_score=draw(centered),
+        ))
+    return num_sessions, mode, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(score_log_rows())
+def test_log_column_checks_match_the_record_by_record_checks(case):
+    num_sessions, mode, rows = case
+    expected = reference_log_violations(num_sessions, mode, rows)
+    users = sorted({r.target_user for r in rows} | {r.source_user for r in rows})
+    columns = (
+        [r.repeat_id for r in rows],
+        [r.session for r in rows],
+        [users.index(r.target_user) for r in rows],
+        [users.index(r.source_user) for r in rows],
+        [r.raw_score for r in rows],
+        [r.centered_score for r in rows],
+    )
+    impostor = [r.true_label is Label.IMPOSTOR for r in rows]
+    assert score_log_violations(num_sessions, mode, users, *columns, impostor) == expected
+    if all((r.true_label is Label.GENUINE) == (r.source_user == r.target_user) for r in rows):
+        applied = [False] * len(rows)
+        if expected:
+            with pytest.raises(ValidationError) as err:
+                ScoreLog.from_columns(users, num_sessions, mode, *columns, applied)
+            assert err.value.violations == expected
+        else:
+            ScoreLog.from_columns(users, num_sessions, mode, *columns, applied)
 
 
 def test_core_types_are_frozen():

@@ -1,31 +1,42 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tubench import (
     ConfigError,
     Dataset,
     GlobalOrder,
     Label,
+    LocalOrder,
     Mode,
     Origin,
     PartitionError,
     Scheme,
+    ScoreLog,
+    ScoreRecord,
+    SessionPolicy,
     StrategyKind,
     StreamConfig,
     UpdateStrategy,
     ExperimentConfig,
     center,
+    centered_score,
     enroll,
+    impostor_count,
+    impostor_inclusion,
+    maybe_update,
     next_query,
     partition_sessionless,
     plan_session,
     raw_score,
+    run_experiment,
     run_offline,
     run_online,
 )
-from tubench.evaluator import derive_seed
+from tubench.evaluator import InclusionSnapshot, derive_seed
 from tubench.synthdata import SynthConfig, generate
 from conftest import make_sample, two_user_1d_dataset
 
@@ -309,3 +320,163 @@ def test_seed_derivation_separates_all_axes():
         for session in (2, 3)
     }
     assert len(seen) == 2 * 3 * 3 * 2
+
+
+# --- the per-query loops, kept as the reference for the batched session loop --
+
+
+def _reference_stream(dataset, user, user_index, session, repeat, config):
+    seed = derive_seed(config.base_seed, repeat, user_index, session)
+    return plan_session(dataset, user, session, replace(config.stream, seed=seed))
+
+
+def _reference_enroll(dataset, user, config):
+    return enroll(
+        user, dataset.samples_for(user, 1), eps=config.eps, capacity=config.strategy.capacity
+    )
+
+
+def reference_online(dataset, config):
+    """One next_query, raw_score and maybe_update per query; one record each."""
+    records, snapshots, final_models = [], [], {}
+    for repeat in range(config.repeats):
+        for user_index, user in enumerate(dataset.users):
+            model = _reference_enroll(dataset, user, config)
+            for session in range(2, dataset.num_sessions + 1):
+                state = _reference_stream(dataset, user, user_index, session, repeat, config)
+                while (query := next_query(state, model)) is not None:
+                    raw = raw_score(model, query.sample.features)
+                    centered = center(model, raw)
+                    outcome = maybe_update(model, query, centered, config.strategy)
+                    records.append(
+                        ScoreRecord(repeat, session, user, query.sample.user_id,
+                                    query.true_label, raw, centered, outcome.applied)
+                    )
+                snapshots.append(
+                    InclusionSnapshot(repeat, user, session, impostor_inclusion(model))
+                )
+            final_models[(repeat, user)] = model
+    return records, snapshots, final_models
+
+
+def reference_offline(dataset, config):
+    """Session 2 for update only; later sessions scored frozen, then replayed."""
+    records, snapshots, final_models = [], [], {}
+    for repeat in range(config.repeats):
+        for user_index, user in enumerate(dataset.users):
+            model = _reference_enroll(dataset, user, config)
+            state = _reference_stream(dataset, user, user_index, 2, repeat, config)
+            while (query := next_query(state, model)) is not None:
+                maybe_update(model, query, centered_score(model, query.sample.features), config.strategy)
+            snapshots.append(InclusionSnapshot(repeat, user, 2, impostor_inclusion(model)))
+            for session in range(3, dataset.num_sessions + 1):
+                state = _reference_stream(dataset, user, user_index, session, repeat, config)
+                staged = []
+                while (query := next_query(state, model)) is not None:
+                    raw = raw_score(model, query.sample.features)
+                    staged.append((query, raw, center(model, raw)))
+                flags = [
+                    maybe_update(
+                        model, query, centered_score(model, query.sample.features), config.strategy
+                    ).applied
+                    for query, _, _ in staged
+                ]
+                for (query, raw, centered), applied in zip(staged, flags):
+                    records.append(
+                        ScoreRecord(repeat, session, user, query.sample.user_id,
+                                    query.true_label, raw, centered, applied)
+                    )
+                snapshots.append(
+                    InclusionSnapshot(repeat, user, session, impostor_inclusion(model))
+                )
+            final_models[(repeat, user)] = model
+    return records, snapshots, final_models
+
+
+def _hex_records(records):
+    return [
+        (r.repeat_id, r.session, r.target_user, r.source_user, r.true_label,
+         float(r.raw_score).hex(), float(r.centered_score).hex(), r.update_applied)
+        for r in records
+    ]
+
+
+def _assert_same_galleries(got, expected):
+    assert got.keys() == expected.keys()
+    for key, model in expected.items():
+        assert got[key].vectors.tobytes() == model.vectors.tobytes(), key
+        assert got[key].origins == model.origins, key
+        assert got[key].mu.tobytes() == model.mu.tobytes(), key
+        assert got[key].mad.tobytes() == model.mad.tobytes(), key
+
+
+SESSION_SIZE = 4  # genuine queries per session of `close_users`
+
+
+def close_users(seed):
+    """Users close enough that thresholds 2.0 and 50.0 admit impostors."""
+    return generate(
+        SynthConfig(4, 4, SESSION_SIZE, 2, base_spread=0.3,
+                    drift_scale=0.05, noise_scale=0.3, seed=seed)
+    )
+
+
+@st.composite
+def loop_configs(draw):
+    mode = draw(st.sampled_from(list(Mode)))
+    impostor_ratio = 0.5
+    scripted = None
+    global_order = draw(st.sampled_from(list(GlobalOrder)))
+    if global_order is GlobalOrder.SCRIPTED:
+        n_impostor = impostor_count(SESSION_SIZE, impostor_ratio)
+        scripted = draw(st.permutations(
+            [Label.GENUINE] * SESSION_SIZE + [Label.IMPOSTOR] * n_impostor
+        ))
+    stream = StreamConfig(
+        impostor_ratio,
+        global_order,
+        draw(st.sampled_from(list(LocalOrder))),
+        respect_chronology=draw(st.booleans()),
+        impostor_session_policy=draw(st.sampled_from(list(SessionPolicy))),
+        scripted=scripted,
+    )
+    strategy = UpdateStrategy(
+        draw(st.sampled_from(list(StrategyKind))),
+        update_threshold=draw(st.sampled_from([2.0, 50.0])),
+        capacity=draw(st.sampled_from([None, SESSION_SIZE, SESSION_SIZE + 2])),
+    )
+    config = ExperimentConfig(mode, stream, strategy, repeats=draw(st.integers(1, 2)),
+                              base_seed=draw(st.integers(0, 2**32)))
+    return close_users(draw(st.integers(0, 50))), config
+
+
+@settings(max_examples=120, deadline=None)
+@given(loop_configs())
+def test_session_loop_matches_the_per_query_loops_bitwise(case):
+    dataset, config = case
+    reference = reference_online if config.mode is Mode.ONLINE else reference_offline
+    records, snapshots, final_models = reference(dataset, config)
+    result = run_experiment(dataset, config)
+    assert _hex_records(result.log.records) == _hex_records(records)
+    assert list(result.snapshots) == snapshots
+    _assert_same_galleries(result.final_models, final_models)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_columnar_log_equals_the_log_built_from_its_records(mode):
+    # A lenient self-threshold on close users absorbs impostors, so the
+    # comparison covers impostor updates as well as genuine ones.
+    config = ExperimentConfig(
+        mode,
+        StreamConfig(0.5, local_order=LocalOrder.CLOSEST_SAMPLE),
+        UpdateStrategy(StrategyKind.SELF_THRESHOLD, 50.0),
+        repeats=2,
+        base_seed=3,
+    )
+    log = run_experiment(close_users(5), config).log
+    rebuilt = ScoreLog(log.records, log.num_sessions, mode)
+    assert rebuilt.users == log.users
+    for name in ("repeat", "session", "target", "source", "raw", "centered", "applied"):
+        assert getattr(rebuilt, name).tobytes() == getattr(log, name).tobytes(), name
+    assert np.any(log.applied & ~log.genuine)
+    assert rebuilt.records == log.records

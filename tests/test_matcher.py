@@ -151,6 +151,35 @@ def test_matrix_scores_equal_row_scores_bitwise(d, n, scale, seed):
         assert np.array_equal(batched.view(np.uint64), one_by_one.view(np.uint64))
 
 
+def loop_centering(vectors, eps):
+    """The leave-one-out centering constants, one np.delete per sample
+    (the per-sample loop `enroll` used before it gathered all n at once)."""
+    scores = []
+    for k in range(len(vectors)):
+        rest = np.delete(vectors, k, axis=0)
+        mu = rest.mean(axis=0)
+        mad = np.maximum(np.abs(rest - mu).mean(axis=0), eps)
+        scores.append(float(np.mean(np.abs(vectors[k] - mu) / mad)))
+    return float(np.mean(scores)), max(float(np.std(scores)), eps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    d=st.sampled_from([1, 3, 10, 31, 200]),
+    scale=st.sampled_from([1e-3, 1.0, 1e6]),
+    eps=st.sampled_from([EPSILON, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gathered_leave_one_out_equals_the_per_sample_loop_bitwise(n, d, scale, eps, seed):
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(n, d)) * scale + rng.normal()
+    ref = enroll("u", enrollment("u", vectors), eps=eps)
+    center_m, center_s = loop_centering(vectors, eps)
+    assert ref.center_m.hex() == center_m.hex()
+    assert ref.center_s.hex() == center_s.hex()
+
+
 def test_centered_score_is_affine_in_raw():
     ref = enroll("u", enrollment("u", [[0.0, 0.0], [2.0, 2.0], [4.0, 4.0]]))
     m, s = ref.center_m, ref.center_s
