@@ -14,7 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -39,210 +43,133 @@ from .update import StrategyKind, UpdateStrategy
 
 RESULT_FILES = ("scores.csv", "metrics.csv", "summary.csv", "inclusion.csv")
 
+REQUIRED = object()
+"""The default of a config field that has none."""
+
+# Every config field, per section: (JSON type, default or REQUIRED). A type
+# is int, float (any JSON number, resolved to a float), str, bool, an Enum
+# (a string out of the enum's values), dict (the section named by the
+# field's dotted path) or [T] (a list of T). A missing or null field takes
+# its default, which is resolved like a given value; a null default stays
+# null. Defaults shared with a dataclass are read from it.
+FIELDS = {
+    "dataset": {"path": (str, None), "synthetic": (dict, None), "mapping": (dict, {})},
+    "dataset.synthetic": {
+        "num_users": (int, REQUIRED),
+        "num_sessions": (int, REQUIRED),
+        "samples_per_session": (int, REQUIRED),
+        "dimension": (int, REQUIRED),
+        "base_spread": (float, SynthConfig.base_spread),
+        "drift_scale": (float, SynthConfig.drift_scale),
+        "noise_scale": (float, SynthConfig.noise_scale),
+        "seed": (int, SynthConfig.seed),
+    },
+    "dataset.mapping": {
+        "user_column": (str, ColumnMapping.user_column),
+        "session_column": (str, ColumnMapping.session_column),
+        "rep_column": (str, ColumnMapping.rep_column),
+        "feature_columns": ([str], ColumnMapping.feature_columns),
+    },
+    "matcher": {"epsilon": (float, EPSILON)},
+    "update": {
+        "kind": (StrategyKind, StrategyKind.NONE),
+        "threshold": (float, None),
+        "capacity": (int, UpdateStrategy.capacity),
+    },
+    "stream": {
+        "impostor_ratio": (float, REQUIRED),
+        "global_order": (GlobalOrder, StreamConfig.global_order),
+        "local_order": (LocalOrder, StreamConfig.local_order),
+        "respect_chronology": (bool, StreamConfig.respect_chronology),
+        "impostor_session_policy": (SessionPolicy, StreamConfig.impostor_session_policy),
+        "scripted": ([Label], StreamConfig.scripted),
+    },
+    "evaluation": {
+        "mode": (Mode, Mode.ONLINE),
+        "repeats": (int, ExperimentConfig.repeats),
+        "base_seed": (int, ExperimentConfig.base_seed),
+        "schemes": ([Scheme], list(Scheme)),
+    },
+    "output": {"label": (str, "experiment")},
+}
+
+_WHAT = {
+    int: "an integer", float: "a number", str: "a string", bool: "a boolean",
+    Label: "a label string", Scheme: "a scheme name",
+}
+
 
 def _fail(path: str, message: str) -> ConfigError:
     return ConfigError(f"{path}: {message}")
 
 
-def _expect(value, path: str, kinds, what: str):
-    if isinstance(value, bool) and bool not in (
-        kinds if isinstance(kinds, tuple) else (kinds,)
-    ):
-        raise _fail(path, f"expected {what}")
-    if not isinstance(value, kinds):
+def _check(value, path: str, kind, what: str):
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
         raise _fail(path, f"expected {what}")
     return value
 
 
-def _get(section: dict, root: str, key: str, kinds, what: str, default=None, required=False):
-    path = f"{root}.{key}"
-    if key not in section or section[key] is None:
-        if required:
-            raise _fail(path, "missing required field")
-        return default
-    return _expect(section[key], path, kinds, what)
-
-
-def _section(document: dict, name: str) -> dict:
-    value = document.get(name, {})
+def _resolve(value, path: str, kind, default):
+    """Type-check one field (its default when missing or null) and resolve it."""
     if value is None:
-        return {}
-    return _expect(value, name, dict, "an object")
-
-
-def _reject_unknown(section: dict, root: str, known: set[str]) -> None:
-    unknown = set(section) - known
-    if unknown:
-        raise _fail(f"{root}.{sorted(unknown)[0]}", "unknown field")
-
-
-def _resolve_synth(raw: dict) -> dict:
-    root = "dataset.synthetic"
-    resolved = {
-        "num_users": _get(raw, root, "num_users", int, "an integer", required=True),
-        "num_sessions": _get(raw, root, "num_sessions", int, "an integer", required=True),
-        "samples_per_session": _get(
-            raw, root, "samples_per_session", int, "an integer", required=True
-        ),
-        "dimension": _get(raw, root, "dimension", int, "an integer", required=True),
-        "base_spread": float(_get(raw, root, "base_spread", (int, float), "a number", 1.0)),
-        "drift_scale": float(_get(raw, root, "drift_scale", (int, float), "a number", 0.0)),
-        "noise_scale": float(_get(raw, root, "noise_scale", (int, float), "a number", 0.1)),
-        "seed": _get(raw, root, "seed", int, "an integer", 0),
-    }
-    _reject_unknown(raw, root, set(resolved))
-    return resolved
-
-
-def _resolve_mapping(raw: dict) -> dict:
-    root = "dataset.mapping"
-    _reject_unknown(raw, root, {"user_column", "session_column", "rep_column", "feature_columns"})
-    features = raw.get("feature_columns")
-    if features is not None:
-        features = [
-            _expect(name, f"{root}.feature_columns", str, "a string")
-            for name in _expect(features, f"{root}.feature_columns", list, "a list")
+        if default is REQUIRED:
+            raise _fail(path, "missing required field")
+        value = default
+        if value is None:
+            return None
+    if kind is dict:
+        fields = FIELDS[path]
+        unknown = sorted(set(_check(value, path, dict, "an object")) - set(fields))
+        if unknown:
+            raise _fail(f"{path}.{unknown[0]}", "unknown field")
+        return {
+            key: _resolve(value.get(key), f"{path}.{key}", *field) for key, field in fields.items()
+        }
+    if isinstance(kind, list):
+        (item_kind,) = kind
+        items = [
+            _check(item, path, str, _WHAT[item_kind])
+            for item in _check(value, path, list, "a list")
         ]
-    return {
-        "user_column": _get(raw, root, "user_column", str, "a string", "user"),
-        "session_column": _get(raw, root, "session_column", str, "a string", "session"),
-        "rep_column": _get(raw, root, "rep_column", str, "a string", "rep"),
-        "feature_columns": features,
-    }
-
-
-_ENUM_CHOICES = {
-    "update.kind": [k.value for k in StrategyKind],
-    "stream.global_order": [o.value for o in GlobalOrder],
-    "stream.local_order": [o.value for o in LocalOrder],
-    "stream.impostor_session_policy": [p.value for p in SessionPolicy],
-    "evaluation.mode": [m.value for m in Mode],
-}
-
-
-def _enum_value(section: dict, root: str, key: str, default: str) -> str:
-    value = _get(section, root, key, str, "a string", default)
-    choices = _ENUM_CHOICES[f"{root}.{key}"]
-    if value not in choices:
-        raise _fail(f"{root}.{key}", f"must be one of {choices}")
-    return value
+        if item_kind is str:
+            return items
+        choices = [member.value for member in item_kind]
+        bad = [item for item in items if item not in choices]
+        if bad:
+            raise _fail(path, f"unknown {item_kind.__name__.lower()} '{bad[0]}'")
+        return [item_kind(item).value for item in items]
+    if issubclass(kind, Enum):
+        choices = [member.value for member in kind]
+        if _check(value, path, str, "a string") not in choices:
+            raise _fail(path, f"must be one of {choices}")
+        return kind(value).value
+    value = _check(value, path, kind, _WHAT[kind])
+    return float(value) if kind is float else value
 
 
 def resolve_config(document: dict) -> dict:
-    """Fill defaults and type-check a raw config document.
+    """Fill defaults and type-check a raw config document against FIELDS.
 
     The result is self-contained: feeding it back through this function
     is the identity, which is what makes manifests re-runnable.
     """
-    _expect(document, "config", dict, "an object")
-    known = {"dataset", "matcher", "update", "stream", "evaluation", "output"}
-    unknown = set(document) - known
+    sections = [name for name in FIELDS if "." not in name]
+    unknown = sorted(set(_check(document, "config", dict, "an object")) - set(sections))
     if unknown:
-        raise _fail(sorted(unknown)[0], "unknown section")
+        raise _fail(unknown[0], "unknown section")
+    resolved = {name: _resolve(document.get(name), name, dict, {}) for name in sections}
 
-    dataset_raw = _section(document, "dataset")
-    _reject_unknown(dataset_raw, "dataset", {"synthetic", "path", "mapping"})
-    synth_raw = dataset_raw.get("synthetic")
-    path = _get(dataset_raw, "dataset", "path", str, "a string")
-    if synth_raw is None and path is None:
+    dataset, epsilon, update = resolved["dataset"], resolved["matcher"]["epsilon"], resolved["update"]
+    if dataset["synthetic"] is None and dataset["path"] is None:
         raise _fail("dataset", "needs either a 'synthetic' section or a 'path'")
-    dataset = {
-        "synthetic": _resolve_synth(_expect(synth_raw, "dataset.synthetic", dict, "an object"))
-        if synth_raw is not None
-        else None,
-        "path": path,
-        "mapping": _resolve_mapping(_section(dataset_raw, "mapping")),
-    }
-
-    matcher_raw = _section(document, "matcher")
-    _reject_unknown(matcher_raw, "matcher", {"epsilon"})
-    matcher = {
-        "epsilon": float(
-            _get(matcher_raw, "matcher", "epsilon", (int, float), "a number", EPSILON)
-        )
-    }
-    if not (math.isfinite(matcher["epsilon"]) and matcher["epsilon"] > 0):
+    if not (math.isfinite(epsilon) and epsilon > 0):
         raise _fail("matcher.epsilon", "must be finite and > 0")
-
-    update_raw = _section(document, "update")
-    _reject_unknown(update_raw, "update", {"kind", "threshold", "capacity"})
-    kind = _enum_value(update_raw, "update", "kind", StrategyKind.NONE.value)
-    threshold = _get(update_raw, "update", "threshold", (int, float), "a number")
-    if kind == StrategyKind.SELF_THRESHOLD.value and threshold is None:
+    if update["kind"] == StrategyKind.SELF_THRESHOLD.value and update["threshold"] is None:
         raise _fail("update.threshold", "required for self_threshold updating")
-    update = {
-        "kind": kind,
-        "threshold": float(threshold) if threshold is not None else None,
-        "capacity": _get(update_raw, "update", "capacity", int, "an integer"),
-    }
-
-    stream_raw = _section(document, "stream")
-    _reject_unknown(
-        stream_raw,
-        "stream",
-        {"impostor_ratio", "global_order", "local_order", "respect_chronology",
-         "impostor_session_policy", "scripted"},
-    )
-    scripted = stream_raw.get("scripted")
-    if scripted is not None:
-        scripted = [
-            _expect(label, "stream.scripted", str, "a label string")
-            for label in _expect(scripted, "stream.scripted", list, "a list")
-        ]
-        bad = [l for l in scripted if l not in (Label.GENUINE.value, Label.IMPOSTOR.value)]
-        if bad:
-            raise _fail("stream.scripted", f"unknown label '{bad[0]}'")
-    stream = {
-        "impostor_ratio": float(
-            _get(stream_raw, "stream", "impostor_ratio", (int, float), "a number", required=True)
-        ),
-        "global_order": _enum_value(stream_raw, "stream", "global_order", GlobalOrder.RANDOM.value),
-        "local_order": _enum_value(
-            stream_raw, "stream", "local_order", LocalOrder.TOTALLY_RANDOM.value
-        ),
-        "respect_chronology": _get(
-            stream_raw, "stream", "respect_chronology", bool, "a boolean", True
-        ),
-        "impostor_session_policy": _enum_value(
-            stream_raw, "stream", "impostor_session_policy", SessionPolicy.SAME_SESSION.value
-        ),
-        "scripted": scripted,
-    }
-
-    evaluation_raw = _section(document, "evaluation")
-    _reject_unknown(evaluation_raw, "evaluation", {"mode", "repeats", "base_seed", "schemes"})
-    schemes = evaluation_raw.get("schemes")
-    if schemes is None:
-        schemes = [s.value for s in Scheme]
-    else:
-        schemes = [
-            _expect(name, "evaluation.schemes", str, "a scheme name")
-            for name in _expect(schemes, "evaluation.schemes", list, "a list")
-        ]
-        for name in schemes:
-            if name not in [s.value for s in Scheme]:
-                raise _fail("evaluation.schemes", f"unknown scheme '{name}'")
-    evaluation = {
-        "mode": _enum_value(evaluation_raw, "evaluation", "mode", Mode.ONLINE.value),
-        "repeats": _get(evaluation_raw, "evaluation", "repeats", int, "an integer", 1),
-        "base_seed": _get(evaluation_raw, "evaluation", "base_seed", int, "an integer", 0),
-        "schemes": schemes,
-    }
-    if evaluation["repeats"] < 1:
+    if resolved["evaluation"]["repeats"] < 1:
         raise _fail("evaluation.repeats", "must be >= 1")
-
-    output_raw = _section(document, "output")
-    _reject_unknown(output_raw, "output", {"label"})
-    output = {"label": _get(output_raw, "output", "label", str, "a string", "experiment")}
-
-    return {
-        "dataset": dataset,
-        "matcher": matcher,
-        "update": update,
-        "stream": stream,
-        "evaluation": evaluation,
-        "output": output,
-    }
+    return resolved
 
 
 def load_config(path) -> dict:
@@ -267,53 +194,41 @@ def load_config(path) -> dict:
     return resolved
 
 
-def _build_stream_config(resolved: dict) -> StreamConfig:
-    section = resolved["stream"]
-    scripted = section["scripted"]
-    return StreamConfig(
-        impostor_ratio=section["impostor_ratio"],
-        global_order=GlobalOrder(section["global_order"]),
-        local_order=LocalOrder(section["local_order"]),
-        respect_chronology=section["respect_chronology"],
-        impostor_session_policy=SessionPolicy(section["impostor_session_policy"]),
-        scripted=tuple(Label(l) for l in scripted) if scripted is not None else None,
-    )
+def _arguments(section: str, values: dict) -> dict:
+    """A resolved section as dataclass arguments: enum members, lists as tuples."""
+    arguments = dict(values)
+    for key, (kind, _) in FIELDS[section].items():
+        if values[key] is None:
+            continue
+        if isinstance(kind, list):
+            arguments[key] = tuple(map(kind[0], values[key]))
+        elif issubclass(kind, Enum):
+            arguments[key] = kind(values[key])
+    return arguments
 
 
-def _build_strategy(resolved: dict) -> UpdateStrategy:
-    section = resolved["update"]
-    threshold = section["threshold"]
-    return UpdateStrategy(
-        kind=StrategyKind(section["kind"]),
-        update_threshold=threshold if threshold is not None else math.inf,
-        capacity=section["capacity"],
-    )
-
-
-def _build_experiment(resolved: dict) -> ExperimentConfig:
-    evaluation = resolved["evaluation"]
-    return ExperimentConfig(
-        mode=Mode(evaluation["mode"]),
-        stream=_build_stream_config(resolved),
-        strategy=_build_strategy(resolved),
-        repeats=evaluation["repeats"],
-        base_seed=evaluation["base_seed"],
+def _build_experiment(resolved: dict) -> tuple[ExperimentConfig, tuple[Scheme, ...]]:
+    """The experiment and the EER schemes to report."""
+    update = _arguments("update", resolved["update"])
+    threshold = update.pop("threshold")
+    evaluation = _arguments("evaluation", resolved["evaluation"])
+    schemes = evaluation.pop("schemes")
+    experiment = ExperimentConfig(
+        stream=StreamConfig(**_arguments("stream", resolved["stream"])),
+        strategy=UpdateStrategy(
+            update_threshold=math.inf if threshold is None else threshold, **update
+        ),
         eps=resolved["matcher"]["epsilon"],
+        **evaluation,
     )
+    return experiment, schemes
 
 
 def _load_dataset(resolved: dict):
     section = resolved["dataset"]
     if section["synthetic"] is not None:
         return generate(SynthConfig(**section["synthetic"]))
-    mapping = ColumnMapping(
-        user_column=section["mapping"]["user_column"],
-        session_column=section["mapping"]["session_column"],
-        rep_column=section["mapping"]["rep_column"],
-        feature_columns=tuple(section["mapping"]["feature_columns"])
-        if section["mapping"]["feature_columns"] is not None
-        else None,
-    )
+    mapping = ColumnMapping(**_arguments("dataset.mapping", section["mapping"]))
     return read_dataset(Path(section["path"]), mapping)
 
 
@@ -351,7 +266,7 @@ def cmd_generate(config_path, out_path) -> None:
     resolved = load_config(config_path)
     if resolved["dataset"]["synthetic"] is None:
         raise ConfigError("dataset.synthetic: required by the generate command")
-    dataset = generate(SynthConfig(**resolved["dataset"]["synthetic"]))
+    dataset = _load_dataset(resolved)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_dataset(dataset, out_path)
@@ -363,7 +278,7 @@ def cmd_generate(config_path, out_path) -> None:
 def cmd_run(config_path, out_dir) -> None:
     """Run the configured experiment and write the result tables."""
     resolved = load_config(config_path)
-    experiment = _build_experiment(resolved)
+    experiment, schemes = _build_experiment(resolved)
     dataset = _load_dataset(resolved)
     for session in scored_sessions(experiment.mode, dataset.num_sessions):
         genuine = np.bincount(dataset.row_user[dataset.row_session == session])
@@ -373,9 +288,10 @@ def cmd_run(config_path, out_dir) -> None:
     log = result.log
 
     # Every table that can fail is computed before the first file is
-    # written, so a failed run leaves no result file behind. The score
-    # lines cannot fail and are formatted while they are written.
-    schemes = [Scheme(name) for name in resolved["evaluation"]["schemes"]]
+    # written; the score lines cannot fail and are formatted while they are
+    # written. The files go into a fresh sibling directory and are moved
+    # into place, the manifest last, only once all of them exist. So a
+    # failed run leaves no result file in the output directory.
     sessions = tuple(log.covered_sessions)
     vectors = {
         scheme: [compute_scheme(scheme, log.for_repeat(k)) for k in log.repeat_ids]
@@ -397,18 +313,25 @@ def cmd_run(config_path, out_dir) -> None:
     ]
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_table(
-        out_dir / "scores.csv",
-        ["repeat", "session", "target_user", "source_user", "label", "raw", "centered", "update_applied"],
-        lines=_score_lines(log),
-    )
-    write_table(out_dir / "metrics.csv", ["repeat", "scheme", "session", "eer"], metric_rows)
-    write_table(
-        out_dir / "summary.csv", ["scheme", "session", "mean_eer", "std_eer"], summary_rows
-    )
-    write_table(out_dir / "inclusion.csv", ["repeat", "session", "mean_inclusion"], inclusion_rows)
-    _write_manifest(out_dir / "manifest.json", "run", resolved, list(RESULT_FILES))
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
+    try:
+        write_table(
+            staging / "scores.csv",
+            ["repeat", "session", "target_user", "source_user", "label", "raw", "centered", "update_applied"],
+            lines=_score_lines(log),
+        )
+        write_table(staging / "metrics.csv", ["repeat", "scheme", "session", "eer"], metric_rows)
+        write_table(
+            staging / "summary.csv", ["scheme", "session", "mean_eer", "std_eer"], summary_rows
+        )
+        write_table(staging / "inclusion.csv", ["repeat", "session", "mean_inclusion"], inclusion_rows)
+        _write_manifest(staging / "manifest.json", "run", resolved, list(RESULT_FILES))
+        out_dir.mkdir(exist_ok=True)
+        for name in (*RESULT_FILES, "manifest.json"):
+            os.replace(staging / name, out_dir / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def cmd_report(in_dirs, out_path) -> None:

@@ -529,6 +529,3 @@ class ScoreLog:
         picked = self.repeat == repeat_id
         columns = (getattr(self, name)[picked] for name, _ in _LOG_COLUMNS)
         return ScoreLog.from_columns(self.users, self.num_sessions, self.mode, *columns)
-
-    def session_records(self, session: int) -> tuple[ScoreRecord, ...]:
-        return tuple(r for r in self.records if r.session == session)

@@ -2,14 +2,36 @@ import copy
 import json
 import math
 from collections import defaultdict
+from enum import Enum
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from tubench.cli import RESULT_FILES, cmd_generate, cmd_report, cmd_run, load_config, main
+from tubench.cli import (
+    FIELDS,
+    REQUIRED,
+    RESULT_FILES,
+    _build_experiment,
+    _load_dataset,
+    cmd_generate,
+    cmd_report,
+    cmd_run,
+    load_config,
+    main,
+    resolve_config,
+)
+from tubench.core import Label, Mode
 from tubench.errors import ConfigError, MetricError
-from tubench.ingest import read_table
+from tubench.evaluator import ExperimentConfig
+from tubench.ingest import ColumnMapping, read_table, write_table
+from tubench.metrics import Scheme
+from tubench.stream import GlobalOrder, LocalOrder, SessionPolicy, StreamConfig
 from tubench.synthdata import generate
+from tubench.update import StrategyKind, UpdateStrategy
 from conftest import fast_oracle_eer
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 BASE_CONFIG = {
     "dataset": {
@@ -107,6 +129,57 @@ def test_unknown_fields_are_rejected(tmp_path):
         load_config(path)
 
 
+def test_resolved_sections_build_the_dataclasses(tmp_path, monkeypatch):
+    config = write_config(
+        tmp_path / "c.json",
+        patch={
+            "dataset": {
+                "synthetic": None,
+                "path": "d.csv",
+                "mapping": {"user_column": "subject", "feature_columns": ["f1", "f2"]},
+            },
+            "matcher": {"epsilon": 0.5},
+            "update": {"kind": "supervised", "threshold": None, "capacity": 4},
+            "stream": {
+                "global_order": "scripted",
+                "scripted": ["impostor", "genuine"],
+                "local_order": "closest_sample",
+                "respect_chronology": False,
+                "impostor_session_policy": "any_session",
+            },
+            "evaluation": {"mode": "offline", "schemes": ["pooled", "per_session"]},
+        },
+    )
+    resolved = load_config(config)
+    assert _build_experiment(resolved) == (
+        ExperimentConfig(
+            mode=Mode.OFFLINE,
+            stream=StreamConfig(
+                impostor_ratio=0.3,
+                global_order=GlobalOrder.SCRIPTED,
+                local_order=LocalOrder.CLOSEST_SAMPLE,
+                respect_chronology=False,
+                impostor_session_policy=SessionPolicy.ANY_SESSION,
+                scripted=(Label.IMPOSTOR, Label.GENUINE),
+            ),
+            strategy=UpdateStrategy(StrategyKind.SUPERVISED, math.inf, 4),
+            repeats=2,
+            base_seed=3,
+            eps=0.5,
+        ),
+        (Scheme.POOLED, Scheme.PER_SESSION),
+    )
+    calls = []
+    monkeypatch.setattr("tubench.cli.read_dataset", lambda *args: calls.append(args))
+    _load_dataset(resolved)
+    assert calls == [
+        (
+            Path(resolved["dataset"]["path"]),
+            ColumnMapping(user_column="subject", feature_columns=("f1", "f2")),
+        )
+    ]
+
+
 def test_run_writes_all_result_files(tmp_path):
     config = write_config(tmp_path / "run.json")
     out = tmp_path / "out"
@@ -138,6 +211,80 @@ def test_run_is_byte_deterministic_and_manifest_reruns(tmp_path):
     # the manifest alone reproduces the run byte for byte
     cmd_run(first / "manifest.json", third)
     assert read_bytes_map(first) == read_bytes_map(third)
+    # re-running into an existing output directory, from its own manifest,
+    # replaces every file with the same bytes and leaves nothing beside it
+    cmd_run(first / "manifest.json", first)
+    assert read_bytes_map(first) == read_bytes_map(second)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o1", "o2", "o3", "run.json"]
+
+
+BASE_MANIFEST = """\
+{
+  "artifact_version": "0.1.0",
+  "command": "run",
+  "config": {
+    "dataset": {
+      "mapping": {
+        "feature_columns": null,
+        "rep_column": "rep",
+        "session_column": "session",
+        "user_column": "user"
+      },
+      "path": null,
+      "synthetic": {
+        "base_spread": 1.0,
+        "dimension": 4,
+        "drift_scale": 0.06,
+        "noise_scale": 0.2,
+        "num_sessions": 4,
+        "num_users": 5,
+        "samples_per_session": 6,
+        "seed": 9
+      }
+    },
+    "evaluation": {
+      "base_seed": 3,
+      "mode": "online",
+      "repeats": 2,
+      "schemes": [
+        "per_session",
+        "cumulative_mean",
+        "pooled"
+      ]
+    },
+    "matcher": {
+      "epsilon": 1e-06
+    },
+    "output": {
+      "label": "sys-a"
+    },
+    "stream": {
+      "global_order": "random",
+      "impostor_ratio": 0.3,
+      "impostor_session_policy": "same_session",
+      "local_order": "totally_random",
+      "respect_chronology": true,
+      "scripted": null
+    },
+    "update": {
+      "capacity": null,
+      "kind": "self_threshold",
+      "threshold": -0.2
+    }
+  },
+  "outputs": [
+    "scores.csv",
+    "metrics.csv",
+    "summary.csv",
+    "inclusion.csv"
+  ]
+}
+"""
+
+
+def test_base_config_manifest_bytes_are_pinned(tmp_path):
+    cmd_run(write_config(tmp_path / "run.json"), tmp_path / "out")
+    assert (tmp_path / "out" / "manifest.json").read_text(encoding="utf-8") == BASE_MANIFEST
 
 
 def test_run_metrics_match_independent_oracle_over_scores(tmp_path):
@@ -226,12 +373,50 @@ def test_metric_failure_leaves_no_result_file(tmp_path, capsys, monkeypatch):
         assert not (out / name).exists(), name
 
 
+def test_write_failure_leaves_no_result_file_and_no_staging_directory(
+    tmp_path, capsys, monkeypatch
+):
+    calls = []
+
+    def failing_write_table(*args, **kwargs):
+        calls.append(args[0])
+        if len(calls) == 2:
+            raise OSError("disk full")
+        write_table(*args, **kwargs)
+
+    monkeypatch.setattr("tubench.cli.write_table", failing_write_table)
+    config = write_config(tmp_path / "ok.json")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert len(calls) == 2
+    for name in (*RESULT_FILES, "manifest.json"):
+        assert not (out / name).exists(), name
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.json"]
+
+
 @pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0.0, -1e-6])
 def test_epsilon_must_be_finite_and_positive(tmp_path, capsys, epsilon):
     config = write_config(tmp_path / "eps.json", patch={"matcher": {"epsilon": epsilon}})
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 1
     assert "matcher.epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "patch, path",
+    [
+        ({"dataset": {"synthetic": None}}, "dataset"),
+        ({"update": {"threshold": None}}, "update.threshold"),
+        ({"evaluation": {"repeats": 0}}, "evaluation.repeats"),
+    ],
+)
+def test_cross_field_rules_fail_naming_the_field(tmp_path, capsys, patch, path):
+    config = write_config(tmp_path / "bad.json", patch=patch)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
     assert not out.exists()
 
 
@@ -328,3 +513,154 @@ def test_all_outputs_parse_as_tables(tmp_path):
         header, rows = read_table(out / name)
         assert header and rows
         assert all(len(r) == len(header) for r in rows)
+
+
+MISSING = object()
+
+
+def _wrong_values(kind, default):
+    """Values of the wrong JSON type, or outside the choices, for one FIELDS type."""
+    if default is REQUIRED:
+        yield "missing", MISSING
+        yield "null", None
+    if isinstance(kind, list):
+        yield "not-a-list", "x"
+        yield "list-of-numbers", [5]
+        if issubclass(kind[0], Enum):
+            yield "unknown-item", ["bogus"]
+    elif issubclass(kind, Enum):
+        yield "number", 5
+        yield "unknown-choice", "bogus"
+    elif kind in (int, float):
+        yield "string", "1"
+        yield "true", True
+        if kind is int:
+            yield "fraction", 1.5
+    elif kind is bool:
+        yield "number", 1
+    else:  # str, dict
+        yield "number", 5
+
+
+def _field_faults():
+    for section, fields in FIELDS.items():
+        if "." not in section:
+            yield pytest.param(section, 5, id=f"{section}=number")
+        yield pytest.param(f"{section}.bogus", 1, id=f"{section}.bogus=unknown-field")
+        for key, (kind, default) in fields.items():
+            path = f"{section}.{key}"
+            for name, value in _wrong_values(kind, default):
+                yield pytest.param(path, value, id=f"{path}={name}")
+
+
+@pytest.mark.parametrize("path, value", list(_field_faults()))
+def test_each_field_fault_fails_naming_the_field(tmp_path, capsys, path, value):
+    document = copy.deepcopy(BASE_CONFIG)
+    *parents, key = path.split(".")
+    section = document
+    for name in parents:
+        section = section.setdefault(name, {})
+    if value is MISSING:
+        del section[key]
+    else:
+        section[key] = value
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(document))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not out.exists()
+
+
+_VALID = {
+    int: st.integers(),
+    float: st.floats() | st.integers(-(2**53), 2**53),
+    str: st.text(max_size=6),
+    bool: st.booleans(),
+}
+_CONSTRAINED = {
+    "matcher.epsilon": st.floats(min_value=1e-300, allow_infinity=False) | st.integers(1, 10),
+    "evaluation.repeats": st.integers(1, 20),
+}
+
+
+def _valid(path, kind):
+    if path in _CONSTRAINED:
+        return _CONSTRAINED[path]
+    if kind is dict:
+        required, optional = {}, {}
+        for key, (field_kind, default) in FIELDS[path].items():
+            value = _valid(f"{path}.{key}", field_kind)
+            if default is REQUIRED:
+                required[key] = value
+            else:
+                optional[key] = st.none() | value
+        return st.fixed_dictionaries(required, optional=optional)
+    if isinstance(kind, list):
+        return st.lists(_valid(path, kind[0]), max_size=4)
+    if issubclass(kind, Enum):
+        return st.sampled_from([member.value for member in kind])
+    return _VALID[kind]
+
+
+_DOCUMENTS = st.fixed_dictionaries(
+    {"dataset": _valid("dataset", dict), "stream": _valid("stream", dict)},
+    optional={
+        name: st.none() | _valid(name, dict)
+        for name in FIELDS
+        if "." not in name and name not in ("dataset", "stream")
+    },
+)
+
+
+def _uncanonical_fields(values, section):
+    """Dotted names of resolved values not of their section's canonical type."""
+    for key, (kind, _) in FIELDS[section].items():
+        value, path = values[key], f"{section}.{key}"
+        if value is None:
+            continue
+        if kind is dict:
+            yield from _uncanonical_fields(value, path)
+        elif isinstance(kind, list):
+            if type(value) is not list or any(type(item) is not str for item in value):
+                yield path
+        elif type(value) is not (str if issubclass(kind, Enum) else kind):
+            yield path
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS)
+def test_resolve_config_is_idempotent(document):
+    # the two cross-field rules the drawn fields can break
+    dataset, update = document["dataset"], document.get("update") or {}
+    if dataset.get("synthetic") is None and dataset.get("path") is None:
+        dataset["path"] = "data.csv"
+    assume(update.get("kind") != "self_threshold" or update.get("threshold") is not None)
+    resolved = resolve_config(document)
+    # numbers resolve to floats and choices to plain strings
+    assert [path for name in resolved for path in _uncanonical_fields(resolved[name], name)] == []
+    text = json.dumps(resolved, sort_keys=True)
+    assert json.dumps(resolve_config(json.loads(text)), sort_keys=True) == text
+    assert json.dumps(resolve_config(resolved), sort_keys=True) == text
+
+
+_TYPE_NAMES = {int: "integer", float: "number", str: "string", bool: "boolean", dict: "object"}
+
+
+def _reference_row(path, kind, default):
+    """The README config-reference row of one FIELDS entry."""
+    item = kind[0] if isinstance(kind, list) else kind
+    enum = issubclass(item, Enum)
+    type_name = "string" if enum else _TYPE_NAMES[item]
+    if isinstance(kind, list):
+        type_name = f"list of {type_name}s"
+    shown = "required" if default is REQUIRED else f"`{json.dumps(default)}`"
+    choices = ", ".join(f"`{member.value}`" for member in item) if enum else ""
+    return f"| `{path}` | {type_name} | {shown} | {choices} |"
+
+
+def test_readme_config_reference_matches_fields():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    for section, fields in FIELDS.items():
+        for key, (kind, default) in fields.items():
+            assert _reference_row(f"{section}.{key}", kind, default) in lines
