@@ -13,7 +13,6 @@ from .core import (
     Dataset,
     Label,
     Mode,
-    Provenance,
     QueryEvent,
     Sample,
     ScoreLog,
@@ -21,7 +20,6 @@ from .core import (
     column_violations,
     dataset_violations,
     score_log_violations,
-    validate_dataset,
 )
 from .errors import (
     BenchError,
@@ -39,8 +37,6 @@ from .evaluator import (
     RunResult,
     partition_sessionless,
     run_experiment,
-    run_offline,
-    run_online,
 )
 from .ingest import CMU_KEYSTROKE, ColumnMapping, read_dataset, write_dataset
 from .matcher import (

@@ -18,6 +18,7 @@ import os
 import shutil
 import sys
 import tempfile
+from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
 
@@ -145,7 +146,12 @@ def _resolve(value, path: str, kind, default):
             raise _fail(path, f"must be one of {choices}")
         return kind(value).value
     value = _check(value, path, kind, _WHAT[kind])
-    return float(value) if kind is float else value
+    if kind is float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise _fail(path, "number out of range") from None
+    return value
 
 
 def resolve_config(document: dict) -> dict:
@@ -183,7 +189,7 @@ def load_config(path) -> dict:
         document = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"{path}: no such config file") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if isinstance(document, dict) and "artifact_version" in document and "config" in document:
         document = document["config"]
@@ -261,6 +267,21 @@ def _score_lines(log: ScoreLog):
         )
 
 
+@contextmanager
+def _staging(target: Path):
+    """A fresh directory beside `target`, removed with whatever is left in it.
+
+    A command writes all its outputs there and only then moves them into
+    place, the manifest last, so a failed command leaves no output file.
+    """
+    target.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent))
+    try:
+        yield staging
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
 def cmd_generate(config_path, out_path) -> None:
     """Generate a synthetic dataset file plus its manifest."""
     resolved = load_config(config_path)
@@ -268,11 +289,12 @@ def cmd_generate(config_path, out_path) -> None:
         raise ConfigError("dataset.synthetic: required by the generate command")
     dataset = _load_dataset(resolved)
     out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_dataset(dataset, out_path)
-    _write_manifest(
-        Path(str(out_path) + ".manifest.json"), "generate", resolved, [out_path.name]
-    )
+    manifest_name = out_path.name + ".manifest.json"
+    with _staging(out_path) as staging:
+        write_dataset(dataset, staging / out_path.name)
+        _write_manifest(staging / manifest_name, "generate", resolved, [out_path.name])
+        for name in (out_path.name, manifest_name):
+            os.replace(staging / name, out_path.parent / name)
 
 
 def cmd_run(config_path, out_dir) -> None:
@@ -289,9 +311,7 @@ def cmd_run(config_path, out_dir) -> None:
 
     # Every table that can fail is computed before the first file is
     # written; the score lines cannot fail and are formatted while they are
-    # written. The files go into a fresh sibling directory and are moved
-    # into place, the manifest last, only once all of them exist. So a
-    # failed run leaves no result file in the output directory.
+    # written.
     sessions = tuple(log.covered_sessions)
     vectors = {
         scheme: [compute_scheme(scheme, log.for_repeat(k)) for k in log.repeat_ids]
@@ -313,9 +333,7 @@ def cmd_run(config_path, out_dir) -> None:
     ]
 
     out_dir = Path(out_dir)
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
-    try:
+    with _staging(out_dir) as staging:
         write_table(
             staging / "scores.csv",
             ["repeat", "session", "target_user", "source_user", "label", "raw", "centered", "update_applied"],
@@ -330,8 +348,17 @@ def cmd_run(config_path, out_dir) -> None:
         out_dir.mkdir(exist_ok=True)
         for name in (*RESULT_FILES, "manifest.json"):
             os.replace(staging / name, out_dir / name)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+
+
+def _manifest_label(path: Path) -> str:
+    """The run label a run manifest holds at config.output.label."""
+    try:
+        label = json.loads(path.read_text(encoding="utf-8"))["config"]["output"]["label"]
+    except (ValueError, KeyError, TypeError):
+        label = None
+    if not isinstance(label, str):
+        raise ConfigError(f"{path}: not a run manifest with a string config.output.label")
+    return label
 
 
 def cmd_report(in_dirs, out_path) -> None:
@@ -343,11 +370,7 @@ def cmd_report(in_dirs, out_path) -> None:
         if not summary_path.exists():
             raise FileNotFoundError(f"{directory}: missing summary.csv")
         manifest_path = directory / "manifest.json"
-        if manifest_path.exists():
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-            label = manifest["config"]["output"]["label"]
-        else:
-            label = directory.name
+        label = _manifest_label(manifest_path) if manifest_path.exists() else directory.name
         header, data = read_table(summary_path)
         expected = ["scheme", "session", "mean_eer", "std_eer"]
         if header != expected:

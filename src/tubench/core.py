@@ -18,11 +18,6 @@ import numpy as np
 from .errors import ValidationError
 
 
-class Provenance(str, Enum):
-    DATASET = "dataset"
-    SYNTHETIC = "synthetic"
-
-
 class Label(str, Enum):
     GENUINE = "genuine"
     IMPOSTOR = "impostor"
@@ -41,7 +36,6 @@ class Sample:
     session: int
     order_index: int
     features: np.ndarray
-    provenance: Provenance = Provenance.DATASET
 
     def __post_init__(self):
         arr = np.array(self.features, dtype=float)
@@ -62,19 +56,7 @@ class Sample:
     def _key_text(self) -> str:
         return f"({self.user_id}, session {self.session}, #{self.order_index})"
 
-    @property
-    def age(self) -> tuple[int, int]:
-        """Total chronological order within one user."""
-        return (self.session, self.order_index)
-
-    @property
-    def dimension(self) -> int:
-        return int(self.features.size)
-
     def __eq__(self, other) -> bool:
-        # provenance records how the sample entered the process, not what
-        # it is; the canonical file format does not carry it, so it stays
-        # out of value equality.
         if not isinstance(other, Sample):
             return NotImplemented
         return (
@@ -173,7 +155,7 @@ def _record_columns(records) -> tuple[list, list, list, list]:
     )
 
 
-def _row_views(users, row_user, row_session, row_order, matrix, provenance) -> tuple[Sample, ...]:
+def _row_views(users, row_user, row_session, row_order, matrix) -> tuple[Sample, ...]:
     """Samples over the rows of a validated read-only matrix, not re-validated."""
     views = []
     put = object.__setattr__
@@ -185,7 +167,6 @@ def _row_views(users, row_user, row_session, row_order, matrix, provenance) -> t
         put(view, "session", session)
         put(view, "order_index", order_index)
         put(view, "features", features)
-        put(view, "provenance", provenance)
         views.append(view)
     return tuple(views)
 
@@ -194,20 +175,18 @@ def _row_views(users, row_user, row_session, row_order, matrix, provenance) -> t
 class Dataset:
     """Session-structured collection of samples for many users.
 
-    Built from Sample objects, or from per-row columns with
-    `from_columns`; either way validated once, by `column_violations`.
-    `feature_matrix` holds every feature vector, read-only, in (user,
-    session, order_index) order; `rows` are the samples in that order
-    (read-only views of the matrix when built from columns), and
-    `row_user` (position in `users`), `row_session` and `row_order` index
-    them.
+    Built from sample-shaped `records`, or from per-row columns with
+    `from_columns`; either way split into columns and validated once, by
+    `column_violations`. `feature_matrix` holds every feature vector,
+    read-only, in (user, session, order_index) order, and `row_user`
+    (position in `users`), `row_session` and `row_order` index its rows.
+    `samples` views the same rows as `Sample` objects, built on first use.
     """
 
     dimension: int
     num_sessions: int
-    samples: tuple[Sample, ...] = ()
+    records: InitVar[Iterable] = ()
     columns: InitVar[tuple | None] = None
-    rows: tuple[Sample, ...] = field(init=False, repr=False)
     feature_matrix: np.ndarray = field(init=False, repr=False)
     row_user: np.ndarray = field(init=False, repr=False)
     row_session: np.ndarray = field(init=False, repr=False)
@@ -215,25 +194,16 @@ class Dataset:
 
     @classmethod
     def from_columns(
-        cls,
-        dimension: int,
-        num_sessions: int,
-        user_ids,
-        sessions,
-        order_indices,
-        features: np.ndarray,
-        provenance: Provenance = Provenance.DATASET,
+        cls, dimension: int, num_sessions: int, user_ids, sessions, order_indices, features
     ) -> "Dataset":
         """A dataset from per-row columns and an (N, dimension) feature matrix."""
-        columns = (user_ids, sessions, order_indices, features, provenance)
+        columns = (user_ids, sessions, order_indices, features)
         return cls(dimension, num_sessions, columns=columns)
 
-    def __post_init__(self, columns):
-        records = None
+    def __post_init__(self, records, columns):
         if columns is None:
-            records = tuple(self.samples)
-            columns = (*_record_columns(records), None)
-        user_ids, sessions, order_indices, features, provenance = columns
+            columns = _record_columns(list(records))
+        user_ids, sessions, order_indices, features = columns
         problems, users, order, (row_user, row_session, row_order) = _check_columns(
             self.dimension, self.num_sessions, user_ids, sessions, order_indices, features
         )
@@ -244,30 +214,26 @@ class Dataset:
         matrix = np.asarray(features, dtype=float)[order]
         for column in (matrix, row_user, row_session, row_order):
             column.flags.writeable = False
-        if records is None:
-            rows = _row_views(users, row_user, row_session, row_order, matrix, provenance)
-            object.__setattr__(self, "samples", rows)
-        else:
-            rows = tuple(map(records.__getitem__, order.tolist()))
-            object.__setattr__(self, "samples", records)
         starts = np.flatnonzero(
             np.diff(row_user, prepend=-1) | np.diff(row_session, prepend=-1)
         ).tolist()
         spans = {
             (users[row_user[a]], row_session[a].item()): range(a, b)
-            for a, b in zip(starts, starts[1:] + [len(rows)])
+            for a, b in zip(starts, starts[1:] + [len(matrix)])
         }
         object.__setattr__(self, "_users", users)
         object.__setattr__(self, "_spans", spans)
-        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "feature_matrix", matrix)
         object.__setattr__(self, "row_user", row_user)
         object.__setattr__(self, "row_session", row_session)
         object.__setattr__(self, "row_order", row_order)
 
-    @property
-    def user_ids(self) -> frozenset:
-        return frozenset(self.users)
+    @cached_property
+    def samples(self) -> tuple[Sample, ...]:
+        """Every row as a read-only `Sample` view of the matrix, in row order."""
+        return _row_views(
+            self._users, self.row_user, self.row_session, self.row_order, self.feature_matrix
+        )
 
     @property
     def users(self) -> tuple[str, ...]:
@@ -275,14 +241,14 @@ class Dataset:
         return self._users
 
     def row_range(self, user_id: str, session: int) -> range:
-        """Positions in `rows` of one user's session, in chronological order."""
+        """Rows of `feature_matrix` holding one user's session, in chronological order."""
         return self._spans.get((user_id, session), range(0))
 
     def samples_for(self, user_id: str, session: int | None = None) -> tuple[Sample, ...]:
         """A user's samples in chronological order, optionally one session."""
         if session is not None:
             span = self.row_range(user_id, session)
-            return self.rows[span.start : span.stop]
+            return self.samples[span.start : span.stop]
         sessions = range(1, self.num_sessions + 1)
         return tuple(s for sess in sessions for s in self.samples_for(user_id, sess))
 
@@ -296,11 +262,6 @@ class Dataset:
             and self.users == other.users
             and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in columns)
         )
-
-
-def validate_dataset(dataset: Dataset) -> list[str]:
-    """Re-check an existing Dataset; empty list means every invariant holds."""
-    return dataset_violations(dataset.dimension, dataset.num_sessions, dataset.samples)
 
 
 @dataclass(frozen=True, eq=False)

@@ -78,23 +78,14 @@ def derive_seed(base_seed: int, repeat: int, user_index: int, session: int) -> i
     return mix64(base_seed, repeat, user_index, session)
 
 
-def _enroll_user(dataset: Dataset, user: str, config: ExperimentConfig) -> ReferenceModel:
-    return enroll(
-        user,
-        dataset.samples_for(user, 1),
-        eps=config.eps,
-        capacity=config.strategy.capacity,
-    )
-
-
 def _session_stream(dataset, user, user_index, session, repeat, config):
     seed = derive_seed(config.base_seed, repeat, user_index, session)
     return plan_session(dataset, user, session, replace(config.stream, seed=seed))
 
 
-def _present(model, dataset, rows, impostor, strategy, stream=None):
+def _present(model, dataset, users, rows, impostor, strategy, stream=None):
     """Present the queries on `rows` to `model` in order, updating it where
-    the strategy accepts one.
+    the strategy accepts one; `users` is `dataset.users`, read once per run.
 
     Returns each query's raw and centered score against the reference it
     met, and whether it updated that reference. The queries after an
@@ -115,7 +106,11 @@ def _present(model, dataset, rows, impostor, strategy, stream=None):
         if not accepted[first]:
             break
         done += first
-        apply_update(model, dataset.rows[rows[done]], bool(impostor[done]), strategy)
+        row = rows[done]
+        apply_update(
+            model, queries[done], users[dataset.row_user[row]], int(dataset.row_session[row]),
+            bool(impostor[done]), strategy,
+        )
         applied[done] = True
         done += 1
         if stream is not None:
@@ -139,18 +134,26 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
     users = dataset.users
     for repeat in range(config.repeats):
         for user_index, user in enumerate(users):
-            model = _enroll_user(dataset, user, config)
+            span = dataset.row_range(user, 1)
+            model = enroll(
+                user,
+                dataset.feature_matrix[span.start : span.stop],
+                eps=config.eps,
+                capacity=config.strategy.capacity,
+            )
             for session in range(2, dataset.num_sessions + 1):
                 state = _session_stream(dataset, user, user_index, session, repeat, config)
                 rows = plan_rows(state, model)
                 if online or session not in logged_sessions:
                     raw, centered, applied = _present(
-                        model, dataset, rows, state.impostor, config.strategy, state
+                        model, dataset, users, rows, state.impostor, config.strategy, state
                     )
                 else:
                     raw = raw_score(model, dataset.feature_matrix[rows])
                     centered = center(model, raw)
-                    applied = _present(model, dataset, rows, state.impostor, config.strategy)[2]
+                    applied = _present(
+                        model, dataset, users, rows, state.impostor, config.strategy
+                    )[2]
                 if session in logged_sessions:
                     logged.append((repeat, session, user_index, rows, raw, centered, applied))
                 snapshots.append(
@@ -178,20 +181,6 @@ def _score_log(dataset: Dataset, mode: Mode, logged: list[tuple]) -> ScoreLog:
         flat(centered, float),
         flat(applied, bool),
     )
-
-
-def run_online(dataset: Dataset, config: ExperimentConfig) -> RunResult:
-    """`run_experiment` for an online config."""
-    if config.mode is not Mode.ONLINE:
-        raise ConfigError(f"run_online called with mode {config.mode.value}")
-    return run_experiment(dataset, config)
-
-
-def run_offline(dataset: Dataset, config: ExperimentConfig) -> RunResult:
-    """`run_experiment` for an offline config."""
-    if config.mode is not Mode.OFFLINE:
-        raise ConfigError(f"run_offline called with mode {config.mode.value}")
-    return run_experiment(dataset, config)
 
 
 def partition_sessionless(samples, k: int) -> Dataset:
@@ -228,5 +217,4 @@ def partition_sessionless(samples, k: int) -> Dataset:
             for sample in chronological[start : start + size]:
                 rebuilt.append(replace(sample, session=block + 1))
             start += size
-    dimension = rebuilt[0].dimension
-    return Dataset(dimension=dimension, num_sessions=k, samples=tuple(rebuilt))
+    return Dataset(dimension=rebuilt[0].features.size, num_sessions=k, records=rebuilt)

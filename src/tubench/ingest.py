@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, Provenance
+from .core import Dataset
 from .errors import FormatError
 
 
@@ -144,7 +144,6 @@ def read_dataset(path, mapping: ColumnMapping = ColumnMapping()) -> Dataset:
         sessions=session_col[order],
         order_indices=np.arange(len(order)) - first_row[user_pos],
         features=np.frombuffer(features, dtype=float).reshape(-1, dimension)[order],
-        provenance=Provenance.DATASET,
     )
 
 

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
-from .core import Sample
 from .errors import ConfigError, EnrollmentError, ValidationError
 
 EPSILON = 1e-6
@@ -65,7 +63,8 @@ class ReferenceModel:
     def __init__(
         self,
         target_user: str,
-        gallery: list[GalleryEntry],
+        vectors,
+        tags,
         mu: np.ndarray,
         mad: np.ndarray,
         center_m: float,
@@ -79,32 +78,32 @@ class ReferenceModel:
         self.center_m = center_m
         self.center_s = center_s
         self.eps = eps
-        self.capacity = capacity
-        entries = list(gallery)
-        enrolled = sum(1 for e in entries if e.origin is Origin.ENROLLMENT)
+        vectors = np.asarray(vectors, dtype=float)
+        tags = list(tags)
+        enrolled = sum(1 for tag in tags if tag[0] is Origin.ENROLLMENT)
         problems = []
-        if not entries:
-            problems.append(f"reference for {target_user}: gallery must be non-empty")
+        if vectors.ndim != 2 or not vectors.size:
+            problems.append(f"reference for {target_user}: gallery must be a non-empty matrix")
         else:
-            dim = entries[0].features.size
-            if any(e.features.size != dim for e in entries):
-                problems.append(f"reference for {target_user}: mixed gallery dimensions")
+            dim = vectors.shape[1]
+            if len(tags) != len(vectors):
+                problems.append(f"reference for {target_user}: one tag per gallery vector")
             if mu.shape != (dim,) or mad.shape != (dim,):
                 problems.append(f"reference for {target_user}: statistics shape mismatch")
-            if any(e.origin is not Origin.ENROLLMENT for e in entries[:enrolled]):
+            if any(tag[0] is not Origin.ENROLLMENT for tag in tags[:enrolled]):
                 problems.append(f"reference for {target_user}: enrollment entries must come first")
         if eps <= 0:
             problems.append("eps must be > 0")
-        elif entries and not np.all(mad >= eps):
+        elif vectors.size and not np.all(mad >= eps):
             problems.append("mad entries must be floored at eps")
         if center_s < eps:
             problems.append("center_s must be floored at eps")
         if problems:
             raise ValidationError(problems)
-        rows = capacity + 1 if capacity is not None else 2 * len(entries)
-        self._matrix = np.empty((max(rows, len(entries)), dim))
-        self._matrix[: len(entries)] = [e.features for e in entries]
-        self._tags = [(e.origin, e.source_user, e.source_session) for e in entries]
+        rows = capacity + 1 if capacity is not None else 2 * len(tags)
+        self._matrix = np.empty((max(rows, len(tags)), dim))
+        self._matrix[: len(tags)] = vectors
+        self._tags = tags
         self._enrolled = enrolled
         self._inv_mad = 1.0 / mad
 
@@ -131,26 +130,26 @@ class ReferenceModel:
     def enrollment_size(self) -> int:
         return self._enrolled
 
-    def append(self, entry: GalleryEntry, capacity: int | None = None) -> GalleryEntry | None:
-        """Add an update entry; past `capacity` entries, evict and return the oldest update.
+    def append(self, features, tag: tuple, capacity: int | None = None) -> tuple | None:
+        """Add an update vector with its (origin, source_user, source_session) tag;
+        past `capacity` entries, evict the oldest update and return its tag.
 
         mu / mad are left as they are; `refresh_statistics` recomputes them.
         """
-        if entry.origin is Origin.ENROLLMENT:
+        if tag[0] is Origin.ENROLLMENT:
             raise ValidationError("enrollment entries cannot be appended to a gallery")
         n = len(self._tags)
         if n == len(self._matrix):
             grown = np.empty((2 * n, self._matrix.shape[1]))
             grown[:n] = self._matrix
             self._matrix = grown
-        self._matrix[n] = entry.features
-        self._tags.append((entry.origin, entry.source_user, entry.source_session))
+        self._matrix[n] = features
+        self._tags.append(tag)
         if capacity is None or n + 1 <= capacity:
             return None
         first = self._enrolled
-        evicted = GalleryEntry(self._matrix[first], *self._tags.pop(first))
         self._matrix[first:n] = self._matrix[first + 1 : n + 1]
-        return evicted
+        return self._tags.pop(first)
 
 
 def gallery_statistics(vectors: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -162,39 +161,31 @@ def gallery_statistics(vectors: np.ndarray, eps: float) -> tuple[np.ndarray, np.
 
 def enroll(
     target_user: str,
-    enrollment_samples: Sequence[Sample],
+    enrollment_vectors,
     *,
     eps: float = EPSILON,
     capacity: int | None = None,
 ) -> ReferenceModel:
-    """Build a reference from enrollment samples.
+    """Build a reference from the (n, d) matrix of a user's enrollment vectors.
 
-    The centering constants come from leave-one-out self-scores: each
-    enrollment vector is scored against the statistics of the remaining
-    ones; center_m is the mean of those scores and center_s their
-    population standard deviation (floored at eps). They never change
-    afterwards, so the centered scale keeps its meaning while the
-    gallery evolves.
+    Every entry is tagged (ENROLLMENT, target_user, 1). The centering
+    constants come from leave-one-out self-scores: each enrollment
+    vector is scored against the statistics of the remaining ones;
+    center_m is the mean of those scores and center_s their population
+    standard deviation (floored at eps). They never change afterwards,
+    so the centered scale keeps its meaning while the gallery evolves.
     """
-    samples = list(enrollment_samples)
-    if len(samples) < 2:
+    vectors = np.asarray(enrollment_vectors, dtype=float)
+    n = len(vectors)
+    if vectors.ndim != 2 or n < 2:
         raise EnrollmentError(
-            f"user {target_user}: enrollment needs at least 2 samples, got {len(samples)}"
+            f"user {target_user}: enrollment needs an (n >= 2, d) matrix, got shape {vectors.shape}"
         )
-    wrong = [s.user_id for s in samples if s.user_id != target_user]
-    if wrong:
-        raise ValidationError(
-            f"enrollment for {target_user} contains samples from other users: {sorted(set(map(str, wrong)))}"
-        )
-    vectors = np.stack([s.features for s in samples])
-    if capacity is not None and capacity < len(samples):
-        raise ConfigError(
-            f"gallery capacity {capacity} is below the enrollment size {len(samples)}"
-        )
+    if capacity is not None and capacity < n:
+        raise ConfigError(f"gallery capacity {capacity} is below the enrollment size {n}")
 
     # Row k of `rest` holds every enrollment vector but the k-th, in order,
     # so the axis-1 reductions give each leave-one-out gallery's statistics.
-    n = len(samples)
     others = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
     rest = vectors[others]
     mu_loo = rest.mean(axis=1)
@@ -204,12 +195,10 @@ def enroll(
     center_s = max(float(np.std(loo_scores)), eps)
 
     mu, mad = gallery_statistics(vectors, eps)
-    gallery = [
-        GalleryEntry(s.features, Origin.ENROLLMENT, s.user_id, s.session) for s in samples
-    ]
     return ReferenceModel(
         target_user=target_user,
-        gallery=gallery,
+        vectors=vectors,
+        tags=[(Origin.ENROLLMENT, target_user, 1)] * n,
         mu=mu,
         mad=mad,
         center_m=center_m,

@@ -6,8 +6,8 @@ interleave (global order), how individual impostor samples are picked
 (local order), and whether genuine samples keep their chronological
 order. Impostor samples are drawn without replacement.
 
-A planned stream holds a row of `Dataset.rows` for every query
-position. Genuine rows, and the impostor rows of the random local
+A planned stream holds a row of `Dataset.feature_matrix` for every
+query position. Genuine rows, and the impostor rows of the random local
 orders, are fixed when the session is planned: the stream's generator
 serves the genuine shuffle, the label shuffle and then every random
 draw, in label order. The closest-* orders consult the evolving
@@ -104,7 +104,7 @@ class StreamState:
     impostor: np.ndarray
     rows: np.ndarray
     dataset: Dataset
-    pool_rows: np.ndarray  # impostor pool: ascending indices into dataset.rows
+    pool_rows: np.ndarray  # impostor pool: ascending rows of dataset.feature_matrix
     alive: np.ndarray  # per pool row, False once presented
     local_order: LocalOrder
     cursor: int = 0
@@ -247,4 +247,4 @@ def next_query(state: StreamState, current_ref: ReferenceModel) -> QueryEvent | 
     row = plan_rows(state, current_ref)[0]
     commit(state, position + 1)
     label = Label.IMPOSTOR if state.impostor[position] else Label.GENUINE
-    return QueryEvent(state.dataset.rows[row], state.target_user, label, position)
+    return QueryEvent(state.dataset.samples[row], state.target_user, label, position)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Provenance
+from .core import Dataset
 from .errors import ValidationError
 from .rng import block_normals, mix64
 
@@ -82,5 +82,4 @@ def generate(config: SynthConfig) -> Dataset:
         sessions=np.tile(np.repeat(np.arange(1, sessions + 1), per_session), config.num_users),
         order_indices=np.tile(np.arange(per_user), config.num_users),
         features=features.reshape(-1, d),
-        provenance=Provenance.SYNTHETIC,
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import Label, QueryEvent
 from .errors import ConfigError, ValidationError
-from .matcher import GalleryEntry, Origin, ReferenceModel, refresh_statistics
+from .matcher import Origin, ReferenceModel, refresh_statistics
 
 
 class StrategyKind(str, Enum):
@@ -55,7 +55,7 @@ class UpdateOutcome:
     """What one query did to the reference."""
 
     applied: bool
-    evicted: GalleryEntry | None
+    evicted: tuple | None  # the evicted entry's (origin, source_user, source_session)
     was_impostor: bool
 
     def __post_init__(self):
@@ -79,16 +79,22 @@ def accepts(strategy: UpdateStrategy, centered, impostor):
 
 
 def apply_update(
-    ref: ReferenceModel, sample, is_impostor: bool, strategy: UpdateStrategy
-) -> GalleryEntry | None:
-    """Insert an accepted query's sample into the gallery and refresh mu / mad.
+    ref: ReferenceModel,
+    features,
+    source_user: str,
+    source_session: int,
+    is_impostor: bool,
+    strategy: UpdateStrategy,
+) -> tuple | None:
+    """Insert an accepted query's vector into the gallery and refresh mu / mad.
 
-    Returns the entry FIFO eviction removed, if any. The provenance tag
-    on the inserted entry is measurement bookkeeping.
+    Returns the tag FIFO eviction removed, if any. The (origin,
+    source_user, source_session) tag of the inserted vector is
+    measurement bookkeeping.
     """
-    if sample.dimension != ref.dimension:
+    if np.shape(features) != (ref.dimension,):
         raise ValidationError(
-            f"query dimension {sample.dimension} != reference dimension {ref.dimension}"
+            f"query shape {np.shape(features)} != reference dimension ({ref.dimension},)"
         )
     if strategy.capacity is not None and strategy.capacity < ref.enrollment_size:
         raise ConfigError(
@@ -96,8 +102,7 @@ def apply_update(
             f"{ref.enrollment_size}"
         )
     origin = Origin.IMPOSTOR_UPDATE if is_impostor else Origin.GENUINE_UPDATE
-    entry = GalleryEntry(sample.features, origin, sample.user_id, sample.session)
-    evicted = ref.append(entry, strategy.capacity)
+    evicted = ref.append(features, (origin, source_user, source_session), strategy.capacity)
     refresh_statistics(ref)
     return evicted
 
@@ -116,7 +121,11 @@ def maybe_update(
     is_impostor = query.true_label is Label.IMPOSTOR
     if not accepts(strategy, centered, is_impostor):
         return UpdateOutcome(False, None, is_impostor)
-    return UpdateOutcome(True, apply_update(ref, query.sample, is_impostor, strategy), is_impostor)
+    sample = query.sample
+    evicted = apply_update(
+        ref, sample.features, sample.user_id, sample.session, is_impostor, strategy
+    )
+    return UpdateOutcome(True, evicted, is_impostor)
 
 
 def impostor_inclusion(ref: ReferenceModel) -> float:

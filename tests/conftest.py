@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tubench import Dataset, Provenance, Sample
+from tubench import Dataset, Sample
 
 
 def fast_oracle_eer(genuine, impostor):
@@ -50,8 +50,8 @@ def sign_test_p(wins, losses):
     return min(1.0, 2 * tail / 2**n)
 
 
-def make_sample(user, session, order, feats, provenance=Provenance.DATASET):
-    return Sample(user, session, order, np.asarray(feats, dtype=float), provenance)
+def make_sample(user, session, order, feats):
+    return Sample(user, session, order, np.asarray(feats, dtype=float))
 
 
 def two_user_1d_dataset():
@@ -66,7 +66,7 @@ def two_user_1d_dataset():
             samples.append(make_sample(user, 1, order, [offset + value]))
         samples.append(make_sample(user, 2, 3, [offset + 2.2]))
         samples.append(make_sample(user, 3, 4, [offset + 2.6]))
-    return Dataset(dimension=1, num_sessions=3, samples=tuple(samples))
+    return Dataset(dimension=1, num_sessions=3, records=tuple(samples))
 
 
 @pytest.fixture

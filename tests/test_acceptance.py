@@ -35,8 +35,6 @@ from tubench import (
     pooled_eer,
     report_for,
     run_experiment,
-    run_offline,
-    run_online,
     enroll,
 )
 from tubench.core import Mode as CoreMode, ScoreLog, ScoreRecord
@@ -93,7 +91,7 @@ def primary_runs(acceptance_dataset):
     }
     start = time.perf_counter()
     runs = {
-        name: run_online(acceptance_dataset, _online_config(strategy, PRIMARY_BASE_SEED))
+        name: run_experiment(acceptance_dataset, _online_config(strategy, PRIMARY_BASE_SEED))
         for name, strategy in systems.items()
     }
     TIMINGS["primary_runs"] = time.perf_counter() - start
@@ -122,7 +120,7 @@ def ordering_outcomes(acceptance_dataset):
         runs = {}
         for threshold in (LENIENT_THRESHOLD, STRICT_THRESHOLD):
             strategy = UpdateStrategy(StrategyKind.SELF_THRESHOLD, threshold)
-            result = run_online(acceptance_dataset, _online_config(strategy, base_seed))
+            result = run_experiment(acceptance_dataset, _online_config(strategy, base_seed))
             mean_eer, report = _mean_per_session_eer(result)
             runs[threshold] = OrderingRun(
                 mean_eer,
@@ -205,11 +203,11 @@ def test_scheme_identities_hold_on_arbitrary_logs():
 
 def test_online_yields_one_more_session_measure_than_offline(acceptance_dataset):
     strategy = UpdateStrategy(StrategyKind.SELF_THRESHOLD, -0.2)
-    online = run_online(
+    online = run_experiment(
         acceptance_dataset,
         ExperimentConfig(Mode.ONLINE, ACCEPTANCE_STREAM, strategy, 1, 2024),
     )
-    offline = run_offline(
+    offline = run_experiment(
         acceptance_dataset,
         ExperimentConfig(Mode.OFFLINE, ACCEPTANCE_STREAM, strategy, 1, 2024),
     )
@@ -234,7 +232,8 @@ def test_stream_order_contracts_hold_over_100_streams(acceptance_dataset):
         user = users[seed % len(users)]
         session = 2 + seed % 7
         if user not in ref_cache:
-            ref_cache[user] = enroll(user, acceptance_dataset.samples_for(user, 1))
+            matrix = acceptance_dataset.feature_matrix
+            ref_cache[user] = enroll(user, matrix[acceptance_dataset.row_range(user, 1)])
         ref = ref_cache[user]
 
         def events_for(**kwargs):
@@ -527,7 +526,7 @@ def test_impostor_first_inclusion_dominates_genuine_first(acceptance_dataset):
                 local_order=LocalOrder.TOTALLY_RANDOM, respect_chronology=True,
             )
             config = ExperimentConfig(Mode.ONLINE, stream, strategy, 1, base_seed)
-            result = run_online(acceptance_dataset, config)
+            result = run_experiment(acceptance_dataset, config)
             totals.extend(
                 impostor_inclusion(model) for model in result.final_models.values()
             )

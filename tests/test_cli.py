@@ -446,6 +446,35 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("digits, named", [(401, "stream.impostor_ratio"), (4400, "big.json")])
+def test_numbers_too_large_fail_naming_the_field_or_file(tmp_path, capsys, digits, named):
+    # 401 digits parse as an int that float() cannot hold; past 4,300
+    # digits json.loads itself refuses to convert the int.
+    config = write_config(tmp_path / "big.json")
+    text = config.read_text()
+    assert '"impostor_ratio": 0.3' in text
+    huge = '"impostor_ratio": 1' + "0" * (digits - 1)
+    config.write_text(text.replace('"impostor_ratio": 0.3', huge))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_write_failure_leaves_no_file_and_no_staging_directory(
+    tmp_path, capsys, monkeypatch
+):
+    def failing_write_dataset(dataset, path):
+        Path(path).write_text("user,session,rep\n")  # a partial file, then the disk fills
+        raise OSError("disk full")
+
+    monkeypatch.setattr("tubench.cli.write_dataset", failing_write_dataset)
+    config = write_config(tmp_path / "gen.json")
+    assert main(["generate", "--config", str(config), "--out", str(tmp_path / "d.csv")]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.json"]
+
+
 def test_run_from_dataset_file_and_manifest_rerun(tmp_path):
     # materialize the dataset, then run from the file; the manifest pins
     # an absolute dataset path so it reruns from any directory.
@@ -504,6 +533,19 @@ def test_report_missing_summary_names_directory(tmp_path, capsys):
     code = main(["report", "--in", str(empty), "--out", str(tmp_path / "c.csv")])
     assert code == 2
     assert "nothing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("manifest", ["{not json", '{"config": {"dataset": {}}}'])
+def test_report_bad_manifest_names_it(tmp_path, capsys, manifest):
+    run = tmp_path / "run"
+    run.mkdir()
+    header = ["scheme", "session", "mean_eer", "std_eer"]
+    write_table(run / "summary.csv", header, [["pooled", "2", "0.1", "0.0"]])
+    (run / "manifest.json").write_text(manifest)
+    code = main(["report", "--in", str(run), "--out", str(tmp_path / "c.csv")])
+    assert code == 1
+    assert str(run / "manifest.json") in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_all_outputs_parse_as_tables(tmp_path):

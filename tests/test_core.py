@@ -17,7 +17,6 @@ from tubench import (
     column_violations,
     dataset_violations,
     score_log_violations,
-    validate_dataset,
 )
 from conftest import make_sample
 
@@ -86,7 +85,7 @@ def test_column_validator_matches_the_row_by_row_scan(case):
     assert dataset_violations(dimension, num_sessions, records) == expected
     if expected:
         with pytest.raises(ValidationError) as err:
-            Dataset(dimension=dimension, num_sessions=num_sessions, samples=records)
+            Dataset(dimension=dimension, num_sessions=num_sessions, records=records)
         assert err.value.violations == expected
     widths = {len(r.features) for r in records}
     if len(widths) == 1:  # the matrix form of the same columns
@@ -146,12 +145,6 @@ def test_sample_features_are_immutable():
     assert other.features[0] == 5.0
 
 
-def test_sample_age_is_session_then_order():
-    early = make_sample("u", 1, 9, [0.0])
-    late = make_sample("u", 2, 0, [0.0])
-    assert early.age < late.age
-
-
 def _ok_samples():
     return (
         make_sample("a", 1, 0, [0.0, 0.0]),
@@ -163,8 +156,8 @@ def _ok_samples():
 
 
 def test_well_formed_dataset_has_no_violations():
-    dataset = Dataset(dimension=2, num_sessions=2, samples=_ok_samples())
-    assert validate_dataset(dataset) == []
+    assert dataset_violations(2, 2, _ok_samples()) == []
+    Dataset(dimension=2, num_sessions=2, records=_ok_samples())
 
 
 def test_violation_for_missing_enrollment_session():
@@ -202,12 +195,12 @@ def test_violation_for_dimension_mismatch():
 def test_dataset_construction_rejects_violations():
     samples = [make_sample("a", 1, 0, [0.0]), make_sample("b", 2, 0, [1.0])]
     with pytest.raises(ValidationError) as err:
-        Dataset(dimension=1, num_sessions=2, samples=tuple(samples))
+        Dataset(dimension=1, num_sessions=2, records=tuple(samples))
     assert any("session-1" in v for v in err.value.violations)
 
 
 def test_dataset_lookup_is_chronological():
-    dataset = Dataset(dimension=2, num_sessions=2, samples=_ok_samples())
+    dataset = Dataset(dimension=2, num_sessions=2, records=_ok_samples())
     assert dataset.users == ("a", "b")
     orders = [s.order_index for s in dataset.samples_for("a")]
     assert orders == sorted(orders)
@@ -225,18 +218,19 @@ def test_dataset_from_columns_equals_dataset_from_samples():
         [s.order_index for s in reversed(samples)],
         [s.features.tolist() for s in reversed(samples)],
     )
-    assert columns == Dataset(dimension=2, num_sessions=2, samples=samples)
-    assert columns.rows == Dataset(dimension=2, num_sessions=2, samples=samples).rows
+    assert columns == Dataset(dimension=2, num_sessions=2, records=samples)
+    assert columns.samples == Dataset(dimension=2, num_sessions=2, records=samples).samples
+    assert columns.samples == tuple(sorted(samples, key=lambda s: (s.user_id, s.session)))
     assert not columns.feature_matrix.flags.writeable
     with pytest.raises(ValueError):
-        columns.rows[0].features[0] = 9.0
+        columns.samples[0].features[0] = 9.0
     with pytest.raises(ValidationError, match="session-1"):
         Dataset.from_columns(1, 2, ["a"], [2], [0], np.array([[1.0]]))
 
 
 def test_dataset_equality_is_field_for_field():
-    first = Dataset(dimension=2, num_sessions=2, samples=_ok_samples())
-    second = Dataset(dimension=2, num_sessions=2, samples=tuple(reversed(_ok_samples())))
+    first = Dataset(dimension=2, num_sessions=2, records=_ok_samples())
+    second = Dataset(dimension=2, num_sessions=2, records=tuple(reversed(_ok_samples())))
     assert first == second
 
 

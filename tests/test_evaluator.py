@@ -14,6 +14,7 @@ from tubench import (
     Mode,
     Origin,
     PartitionError,
+    ReferenceModel,
     Scheme,
     ScoreLog,
     ScoreRecord,
@@ -33,8 +34,6 @@ from tubench import (
     plan_session,
     raw_score,
     run_experiment,
-    run_offline,
-    run_online,
 )
 from tubench.evaluator import InclusionSnapshot, derive_seed
 from tubench.synthdata import SynthConfig, generate
@@ -66,11 +65,11 @@ def small_synth(seed=3, users=4, sessions=4, per_session=4, d=3):
 def test_online_covers_one_session_more_than_offline():
     dataset = small_synth()
     stream = StreamConfig(impostor_ratio=0.3, seed=0)
-    online = run_online(
+    online = run_experiment(
         dataset,
         ExperimentConfig(Mode.ONLINE, stream, UpdateStrategy(StrategyKind.NONE), 1, 5),
     )
-    offline = run_offline(
+    offline = run_experiment(
         dataset,
         ExperimentConfig(Mode.OFFLINE, stream, UpdateStrategy(StrategyKind.NONE), 1, 5),
     )
@@ -89,23 +88,10 @@ def test_runs_are_deterministic():
         repeats=2,
         base_seed=11,
     )
-    first = run_online(dataset, config)
-    second = run_online(dataset, config)
+    first = run_experiment(dataset, config)
+    second = run_experiment(dataset, config)
     assert first.log.records == second.log.records
     assert first.snapshots == second.snapshots
-
-
-def test_mode_mismatch_is_rejected():
-    dataset = small_synth()
-    config = ExperimentConfig(
-        Mode.OFFLINE, StreamConfig(impostor_ratio=0.3), UpdateStrategy(StrategyKind.NONE)
-    )
-    with pytest.raises(ConfigError):
-        run_online(dataset, config)
-    with pytest.raises(ConfigError):
-        run_offline(dataset, config.__class__(
-            Mode.ONLINE, config.stream, config.strategy
-        ))
 
 
 def test_offline_needs_at_least_three_sessions():
@@ -114,7 +100,38 @@ def test_offline_needs_at_least_three_sessions():
         Mode.OFFLINE, StreamConfig(impostor_ratio=0.3), UpdateStrategy(StrategyKind.NONE)
     )
     with pytest.raises(ConfigError, match="3 sessions"):
-        run_offline(dataset, config)
+        run_experiment(dataset, config)
+
+
+def test_runs_build_no_sample_views_and_evict_update_tags_oldest_first(monkeypatch):
+    appended, evicted = [], []
+    append = ReferenceModel.append
+
+    def recording_append(model, features, tag, capacity=None):
+        gone = append(model, features, tag, capacity)
+        appended.append((model, tag))
+        if gone is not None:
+            evicted.append((model, gone))
+        return gone
+
+    monkeypatch.setattr(ReferenceModel, "append", recording_append)
+    dataset = small_synth()  # built from columns
+    for mode in Mode:
+        appended.clear()
+        evicted.clear()
+        strategy = UpdateStrategy(StrategyKind.SUPERVISED, capacity=6)
+        result = run_experiment(
+            dataset, ExperimentConfig(mode, StreamConfig(impostor_ratio=0.3), strategy, 1, 2)
+        )
+        assert evicted, mode
+        for model in result.final_models.values():
+            added = [tag for owner, tag in appended if owner is model]
+            gone = [tag for owner, tag in evicted if owner is model]
+            assert gone == added[: len(gone)]
+            kept = [(e.origin, e.source_user, e.source_session) for e in model.gallery[4:]]
+            assert kept == added[len(gone) :]
+            assert all(tag[1] == model.target_user for tag in added)
+    assert "samples" not in dataset.__dict__
 
 
 def test_online_single_user_scores_match_standalone_recomputation():
@@ -124,14 +141,14 @@ def test_online_single_user_scores_match_standalone_recomputation():
     samples = [make_sample("solo", 1, i, [float(i), 1.0]) for i in range(3)]
     samples += [make_sample("solo", s, 3 * (s - 1) + i, [0.5 * s + 0.1 * i, 1.0])
                 for s in (2, 3) for i in range(3)]
-    dataset = Dataset(dimension=2, num_sessions=3, samples=tuple(samples))
+    dataset = Dataset(dimension=2, num_sessions=3, records=tuple(samples))
     config = ExperimentConfig(
         Mode.ONLINE, StreamConfig(impostor_ratio=0.0), UpdateStrategy(StrategyKind.NONE),
         repeats=1, base_seed=2,
     )
-    result = run_online(dataset, config)
+    result = run_experiment(dataset, config)
 
-    ref = enroll("solo", dataset.samples_for("solo", 1))
+    ref = enroll("solo", dataset.feature_matrix[dataset.row_range("solo", 1)])
     expected = []
     for session in (2, 3):
         for sample in dataset.samples_for("solo", session):
@@ -150,7 +167,7 @@ def test_online_applied_records_match_gallery_insertions():
         repeats=2,
         base_seed=13,
     )
-    result = run_online(dataset, config)
+    result = run_experiment(dataset, config)
     for (repeat, user), model in result.final_models.items():
         applied = sum(
             1
@@ -164,10 +181,10 @@ def test_online_applied_records_match_gallery_insertions():
 def test_offline_and_online_agree_when_nothing_updates():
     dataset = small_synth(users=5, sessions=5)
     stream = StreamConfig(impostor_ratio=0.3)
-    online = run_online(
+    online = run_experiment(
         dataset, ExperimentConfig(Mode.ONLINE, stream, UpdateStrategy(StrategyKind.NONE), 2, 17)
     )
-    offline = run_offline(
+    offline = run_experiment(
         dataset, ExperimentConfig(Mode.OFFLINE, stream, UpdateStrategy(StrategyKind.NONE), 2, 17)
     )
     for session in (3, 4, 5):
@@ -177,7 +194,7 @@ def test_offline_and_online_agree_when_nothing_updates():
 
 
 def test_online_hand_trace(trace_dataset):
-    result = run_online(trace_dataset, trace_config(Mode.ONLINE))
+    result = run_experiment(trace_dataset, trace_config(Mode.ONLINE))
     a_records = [r for r in result.log.records if r.target_user == "A"]
     sqrt2 = math.sqrt(2.0)
 
@@ -201,7 +218,7 @@ def test_online_hand_trace(trace_dataset):
 
 
 def test_offline_hand_trace(trace_dataset):
-    result = run_offline(trace_dataset, trace_config(Mode.OFFLINE))
+    result = run_experiment(trace_dataset, trace_config(Mode.OFFLINE))
     sqrt2 = math.sqrt(2.0)
     a_records = [r for r in result.log.records if r.target_user == "A"]
     assert [r.session for r in a_records] == [3, 3]
@@ -230,9 +247,9 @@ def test_offline_hand_trace(trace_dataset):
 def test_offline_scoring_references_exclude_current_session_vectors(trace_dataset):
     # replay the offline protocol manually with library primitives and
     # assert the frozen-scoring pass never sees same-session vectors;
-    # the records produced must match run_offline exactly.
+    # the records produced must match run_experiment exactly.
     config = trace_config(Mode.OFFLINE)
-    result = run_offline(trace_dataset, config)
+    result = run_experiment(trace_dataset, config)
 
     from dataclasses import replace
     from tubench import centered_score, maybe_update
@@ -240,7 +257,7 @@ def test_offline_scoring_references_exclude_current_session_vectors(trace_datase
     manual = []
     users = trace_dataset.users
     for user_index, user in enumerate(users):
-        model = enroll(user, trace_dataset.samples_for(user, 1))
+        model = enroll(user, trace_dataset.feature_matrix[trace_dataset.row_range(user, 1)])
         state = plan_session(
             trace_dataset, user, 2,
             replace(config.stream, seed=derive_seed(config.base_seed, 0, user_index, 2)),
@@ -332,7 +349,10 @@ def _reference_stream(dataset, user, user_index, session, repeat, config):
 
 def _reference_enroll(dataset, user, config):
     return enroll(
-        user, dataset.samples_for(user, 1), eps=config.eps, capacity=config.strategy.capacity
+        user,
+        dataset.feature_matrix[dataset.row_range(user, 1)],
+        eps=config.eps,
+        capacity=config.strategy.capacity,
     )
 
 

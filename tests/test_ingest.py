@@ -46,7 +46,7 @@ def test_round_trip_over_random_small_datasets(tmp_path):
                         make_sample(f"user{u}", session, order, rng.normal(size=d))
                     )
                     order += 1
-        dataset = Dataset(dimension=int(d), num_sessions=int(sessions), samples=tuple(samples))
+        dataset = Dataset(dimension=int(d), num_sessions=int(sessions), records=tuple(samples))
         path = tmp_path / f"rt{trial}.csv"
         write_dataset(dataset, path)
         assert read_dataset(path) == dataset
@@ -59,7 +59,7 @@ def test_user_ids_are_quoted_like_csv_writer_does(tmp_path):
         for k, user in enumerate(users)
         for session in (1, 2)
     )
-    dataset = Dataset(dimension=3, num_sessions=2, samples=samples)
+    dataset = Dataset(dimension=3, num_sessions=2, records=samples)
     path = tmp_path / "quoted.csv"
     write_dataset(dataset, path)
     expected = tmp_path / "expected.csv"
@@ -68,7 +68,7 @@ def test_user_ids_are_quoted_like_csv_writer_does(tmp_path):
         ["user", "session", "rep", "f1", "f2", "f3"],
         [
             [s.user_id, str(s.session), str(s.order_index), *map(repr, s.features.tolist())]
-            for s in dataset.rows
+            for s in dataset.samples
         ],
     )
     assert path.read_bytes() == expected.read_bytes()
@@ -83,7 +83,7 @@ def test_canonical_layout(tmp_path):
         make_sample("a", 2, 1, [0.1, 0.2]),
     )
     path = tmp_path / "tiny.csv"
-    write_dataset(Dataset(dimension=2, num_sessions=2, samples=samples), path)
+    write_dataset(Dataset(dimension=2, num_sessions=2, records=samples), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "user,session,rep,f1,f2"
     assert lines[1].startswith("a,1,0,")  # rows sorted by user then session
@@ -93,7 +93,7 @@ def test_canonical_layout(tmp_path):
 
 def test_singleton_dataset_writes_header_plus_one_row(tmp_path):
     dataset = Dataset(
-        dimension=2, num_sessions=2, samples=(make_sample("only", 1, 0, [1.0, 2.0]),)
+        dimension=2, num_sessions=2, records=(make_sample("only", 1, 0, [1.0, 2.0]),)
     )
     path = tmp_path / "one.csv"
     write_dataset(dataset, path)
@@ -119,7 +119,7 @@ def test_cmu_benchmark_layout_loads(tmp_path):
 
     dataset = read_dataset(path, CMU_KEYSTROKE)
     assert dataset.num_sessions == 8
-    assert len(dataset.user_ids) == 51
+    assert len(dataset.users) == 51
     assert dataset.dimension == 5
     # order_index follows (session, rep) chronology per user
     for user in dataset.users:

@@ -8,7 +8,6 @@ from tubench import (
     EPSILON,
     ConfigError,
     EnrollmentError,
-    GalleryEntry,
     Label,
     Origin,
     QueryEvent,
@@ -27,10 +26,6 @@ from tubench.rng import SplitMix64
 from conftest import make_sample
 
 
-def enrollment(user, vectors):
-    return [make_sample(user, 1, i, v) for i, v in enumerate(vectors)]
-
-
 def brute_stats(vectors, eps=EPSILON):
     """Independent recomputation of the gallery statistics."""
     arr = np.asarray(vectors, dtype=float)
@@ -44,14 +39,14 @@ def brute_raw(query, mu, mad):
 
 
 def test_enroll_identical_vectors_floors_everything():
-    ref = enroll("u", enrollment("u", [[1.0, 2.0], [1.0, 2.0]]))
+    ref = enroll("u", np.array([[1.0, 2.0], [1.0, 2.0]]))
     assert np.allclose(ref.mad, EPSILON)
     assert ref.center_m == 0.0
     assert ref.center_s == EPSILON
 
 
 def test_enroll_two_point_statistics():
-    ref = enroll("u", enrollment("u", [[0.0, 0.0], [2.0, 2.0]]))
+    ref = enroll("u", np.array([[0.0, 0.0], [2.0, 2.0]]))
     assert np.array_equal(ref.mu, [1.0, 1.0])
     assert np.array_equal(ref.mad, [1.0, 1.0])
 
@@ -63,7 +58,7 @@ def test_enroll_leave_one_out_centering_matches_hand_computation():
     #   hold (2,2): rest mean (2,2), rest mad (2,2) -> score 0
     #   hold (4,4): rest mean (1,1), rest mad (1,1) -> score 3
     vectors = [[0.0, 0.0], [2.0, 2.0], [4.0, 4.0]]
-    ref = enroll("u", enrollment("u", vectors))
+    ref = enroll("u", np.array(vectors))
     assert ref.center_m == pytest.approx(2.0, abs=1e-15)
     assert ref.center_s == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
@@ -79,27 +74,23 @@ def test_enroll_leave_one_out_centering_matches_hand_computation():
 
 def test_enroll_requires_two_samples():
     with pytest.raises(EnrollmentError):
-        enroll("u", enrollment("u", [[1.0]]))
-
-
-def test_enroll_rejects_mixed_users():
-    samples = enrollment("u", [[1.0], [2.0]]) + [make_sample("v", 1, 2, [3.0])]
-    with pytest.raises(ValidationError):
-        enroll("u", samples)
+        enroll("u", np.array([[1.0]]))
+    with pytest.raises(EnrollmentError, match="matrix"):
+        enroll("u", [1.0, 2.0, 3.0])  # one vector, not a matrix of several
 
 
 def test_enroll_rejects_capacity_below_enrollment():
     with pytest.raises(ConfigError):
-        enroll("u", enrollment("u", [[1.0], [2.0], [3.0]]), capacity=2)
+        enroll("u", np.array([[1.0], [2.0], [3.0]]), capacity=2)
 
 
 def test_raw_score_of_gallery_mean_is_zero():
-    ref = enroll("u", enrollment("u", [[0.0, 1.0], [2.0, 5.0], [1.0, 0.0]]))
+    ref = enroll("u", np.array([[0.0, 1.0], [2.0, 5.0], [1.0, 0.0]]))
     assert raw_score(ref, ref.mu) == 0.0
 
 
 def test_raw_score_hand_example():
-    ref = enroll("u", enrollment("u", [[0.0, 0.0], [2.0, 2.0]]))
+    ref = enroll("u", np.array([[0.0, 0.0], [2.0, 2.0]]))
     ref.mu = np.array([1.0, 2.0])
     ref.mad = np.array([0.5, 1.0])
     ref._inv_mad = 1.0 / ref.mad
@@ -109,7 +100,7 @@ def test_raw_score_hand_example():
 def test_raw_score_matches_elementwise_recomputation():
     rng = np.random.default_rng(7)
     vectors = rng.normal(size=(6, 5))
-    ref = enroll("u", enrollment("u", vectors))
+    ref = enroll("u", np.array(vectors))
     for _ in range(20):
         query = rng.normal(size=5)
         expected = brute_raw(query, ref.mu, ref.mad)
@@ -117,13 +108,13 @@ def test_raw_score_matches_elementwise_recomputation():
 
 
 def test_raw_score_rejects_dimension_mismatch():
-    ref = enroll("u", enrollment("u", [[0.0, 0.0], [2.0, 2.0]]))
+    ref = enroll("u", np.array([[0.0, 0.0], [2.0, 2.0]]))
     with pytest.raises(ValidationError):
         raw_score(ref, [1.0])
 
 
 def test_scores_reject_matrices_of_the_wrong_shape():
-    ref = enroll("u", enrollment("u", [[0.0, 0.0], [2.0, 2.0]]))
+    ref = enroll("u", np.array([[0.0, 0.0], [2.0, 2.0]]))
     for bad in (np.zeros((3, 1)), np.zeros((2, 3, 2)), 1.0):
         with pytest.raises(ValidationError):
             raw_score(ref, bad)
@@ -142,7 +133,7 @@ def test_matrix_scores_equal_row_scores_bitwise(d, n, scale, seed):
     # Scoring an (n, d) matrix must reproduce the 1-D path row by row to
     # the last bit: numpy has to reduce each row in the same order.
     rng = np.random.default_rng(seed)
-    ref = enroll("u", enrollment("u", rng.normal(size=(4, d)) * scale))
+    ref = enroll("u", np.array(rng.normal(size=(4, d)) * scale))
     queries = rng.normal(size=(n, d)) * scale
     for score in (raw_score, centered_score):
         batched = score(ref, queries)
@@ -174,14 +165,14 @@ def loop_centering(vectors, eps):
 def test_gathered_leave_one_out_equals_the_per_sample_loop_bitwise(n, d, scale, eps, seed):
     rng = np.random.default_rng(seed)
     vectors = rng.normal(size=(n, d)) * scale + rng.normal()
-    ref = enroll("u", enrollment("u", vectors), eps=eps)
+    ref = enroll("u", np.array(vectors), eps=eps)
     center_m, center_s = loop_centering(vectors, eps)
     assert ref.center_m.hex() == center_m.hex()
     assert ref.center_s.hex() == center_s.hex()
 
 
 def test_centered_score_is_affine_in_raw():
-    ref = enroll("u", enrollment("u", [[0.0, 0.0], [2.0, 2.0], [4.0, 4.0]]))
+    ref = enroll("u", np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 4.0]]))
     m, s = ref.center_m, ref.center_s
     assert center(ref, m) == 0.0
     assert center(ref, m - 0.2 * s) == pytest.approx(-0.2, abs=1e-12)
@@ -196,7 +187,7 @@ def test_centered_score_is_affine_in_raw():
 
 
 def test_refresh_statistics_is_idempotent():
-    ref = enroll("u", enrollment("u", [[0.0, 1.0], [4.0, 3.0]]))
+    ref = enroll("u", np.array([[0.0, 1.0], [4.0, 3.0]]))
     mu, mad = ref.mu.copy(), ref.mad.copy()
     refresh_statistics(ref)
     assert np.array_equal(ref.mu, mu)
@@ -204,9 +195,9 @@ def test_refresh_statistics_is_idempotent():
 
 
 def test_refresh_after_appending_the_mean_shrinks_mad():
-    ref = enroll("u", enrollment("u", [[0.0, 1.0], [4.0, 3.0], [2.0, 5.0]]))
+    ref = enroll("u", np.array([[0.0, 1.0], [4.0, 3.0], [2.0, 5.0]]))
     before_mu, before_mad = ref.mu.copy(), ref.mad.copy()
-    assert ref.append(GalleryEntry(before_mu, Origin.GENUINE_UPDATE, "u", 2)) is None
+    assert ref.append(before_mu, (Origin.GENUINE_UPDATE, "u", 2)) is None
     refresh_statistics(ref)
     assert np.allclose(ref.mu, before_mu)
     assert np.all(ref.mad <= before_mad + 1e-15)
@@ -216,10 +207,11 @@ def test_refresh_after_appending_the_mean_shrinks_mad():
 
 
 def test_singleton_gallery_statistics_are_floored():
-    enrolled = enroll("u", enrollment("u", [[0.0, 1.0], [4.0, 3.0]]))
+    enrolled = enroll("u", np.array([[0.0, 1.0], [4.0, 3.0]]))
     ref = ReferenceModel(
         "u",
-        [GalleryEntry([7.0, 8.0], Origin.ENROLLMENT, "u", 1)],
+        [[7.0, 8.0]],
+        [(Origin.ENROLLMENT, "u", 1)],
         enrolled.mu,
         enrolled.mad,
         enrolled.center_m,
@@ -231,29 +223,30 @@ def test_singleton_gallery_statistics_are_floored():
 
 
 def test_reference_model_construction_is_validated():
-    with pytest.raises(ValidationError):
-        ReferenceModel("u", [], np.array([0.0]), np.array([1.0]), 0.0, 1.0)
-    entry = GalleryEntry([1.0, 2.0], Origin.ENROLLMENT, "u", 1)
-    with pytest.raises(ValidationError):
-        ReferenceModel("u", [entry], np.array([0.0]), np.array([1.0]), 0.0, 1.0)
+    mu, mad, tag = np.array([0.0]), np.array([1.0]), (Origin.ENROLLMENT, "u", 1)
+    with pytest.raises(ValidationError, match="non-empty"):
+        ReferenceModel("u", [], [], mu, mad, 0.0, 1.0)
+    with pytest.raises(ValidationError, match="statistics shape"):
+        ReferenceModel("u", [[1.0, 2.0]], [tag], mu, mad, 0.0, 1.0)
+    with pytest.raises(ValidationError, match="one tag per gallery vector"):
+        ReferenceModel("u", [[1.0], [2.0]], [tag], mu, mad, 0.0, 1.0)
 
 
 def test_gallery_keeps_enrollment_entries_first():
-    enrolled = GalleryEntry([2.0], Origin.ENROLLMENT, "u", 1)
-    update = GalleryEntry([1.0], Origin.GENUINE_UPDATE, "u", 2)
+    enrolled, update = (Origin.ENROLLMENT, "u", 1), (Origin.GENUINE_UPDATE, "u", 2)
     mu, mad = np.array([1.5]), np.array([0.5])
     with pytest.raises(ValidationError, match="enrollment entries must come first"):
-        ReferenceModel("u", [update, enrolled], mu, mad, 0.0, 1.0)
-    ref = ReferenceModel("u", [enrolled, update], mu, mad, 0.0, 1.0)
+        ReferenceModel("u", [[1.0], [2.0]], [update, enrolled], mu, mad, 0.0, 1.0)
+    ref = ReferenceModel("u", [[2.0], [1.0]], [enrolled, update], mu, mad, 0.0, 1.0)
     with pytest.raises(ValidationError, match="cannot be appended"):
-        ref.append(GalleryEntry([3.0], Origin.ENROLLMENT, "u", 1))
+        ref.append([3.0], (Origin.ENROLLMENT, "u", 1))
     assert [e.origin for e in ref.gallery] == [Origin.ENROLLMENT, Origin.GENUINE_UPDATE]
 
 
 def test_statistics_track_gallery_through_random_update_sequences():
     rng = np.random.default_rng(11)
     stream_rng = SplitMix64(99)
-    ref = enroll("u", enrollment("u", rng.normal(size=(4, 3))))
+    ref = enroll("u", np.array(rng.normal(size=(4, 3))))
     strategy = UpdateStrategy(StrategyKind.SELF_THRESHOLD, update_threshold=math.inf)
     m, s = ref.center_m, ref.center_s
     for i in range(40):

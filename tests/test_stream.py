@@ -35,11 +35,11 @@ def grid_dataset(num_users=4, sessions=3, per_session=7, d=2, spacing=10.0):
                 order = (session - 1) * per_session + i
                 feats = [base + 0.01 * order, base - 0.01 * order]
                 samples.append(make_sample(f"u{k}", session, order, feats))
-    return Dataset(dimension=d, num_sessions=sessions, samples=tuple(samples))
+    return Dataset(dimension=d, num_sessions=sessions, records=tuple(samples))
 
 
 def reference_for(dataset, user="u0"):
-    return enroll(user, dataset.samples_for(user, 1))
+    return enroll(user, dataset.feature_matrix[dataset.row_range(user, 1)])
 
 
 def drain(state, ref):
@@ -185,8 +185,8 @@ def test_closest_sample_breaks_ties_lexicographically():
             for s in (1, 2)
             for i in ((s - 1),)
         )
-    dataset = Dataset(dimension=2, num_sessions=2, samples=tuple(samples))
-    ref = enroll("a", [make_sample("a", 1, 0, [0.0, 0.0]), make_sample("a", 1, 1, [0.1, 0.1])])
+    dataset = Dataset(dimension=2, num_sessions=2, records=tuple(samples))
+    ref = enroll("a", [[0.0, 0.0], [0.1, 0.1]])
     config = StreamConfig(0.5, GlobalOrder.IMPOSTOR_FIRST, LocalOrder.CLOSEST_SAMPLE, seed=0)
     events = drain(plan_session(dataset, "a", 2, config), ref)
     impostor = [e for e in events if e.true_label is Label.IMPOSTOR][0]
@@ -352,7 +352,7 @@ def tie_heavy_dataset():
         for session in (1, 2, 3)
         for order in range((session - 1) * 4, session * 4)
     ]
-    return Dataset(dimension=2, num_sessions=3, samples=tuple(samples))
+    return Dataset(dimension=2, num_sessions=3, records=tuple(samples))
 
 
 def emitted(events):
@@ -387,9 +387,9 @@ def test_row_pool_draws_match_the_reference_loops(dataset, targets):
                     impostor_session_policy=policy, seed=seed,
                 )
                 state = plan_session(dataset, target, session, config)
-                fast_ref = enroll(target, dataset.samples_for(target, 1))
+                fast_ref = enroll(target, dataset.feature_matrix[dataset.row_range(target, 1)])
                 fast_draws = iter(lambda: next_query(state, fast_ref), None)
                 fast = run(((e.sample, e.true_label) for e in fast_draws), target, fast_ref)
-                slow_ref = enroll(target, dataset.samples_for(target, 1))
+                slow_ref = enroll(target, dataset.feature_matrix[dataset.row_range(target, 1)])
                 slow_draws = reference_draws(dataset, target, session, config, slow_ref)
                 assert fast == run(slow_draws, target, slow_ref), (order, policy, seed)

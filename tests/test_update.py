@@ -22,8 +22,7 @@ from conftest import make_sample
 
 
 def fresh_ref(user="u", vectors=((0.0, 0.0), (2.0, 2.0), (4.0, 4.0)), capacity=None):
-    samples = [make_sample(user, 1, i, list(v)) for i, v in enumerate(vectors)]
-    return enroll(user, samples, capacity=capacity)
+    return enroll(user, np.array(vectors, dtype=float), capacity=capacity)
 
 
 def query_for(ref, source, feats, position=0, session=2, order=10):
@@ -87,8 +86,8 @@ def test_fifo_evicts_oldest_non_enrollment_entry():
     assert first.applied and first.evicted is None
     second = maybe_update(ref, query_for(ref, "imp", [2.0, 2.0], position=1), 0.0, strategy)
     assert second.applied
-    assert second.evicted is not None
-    assert second.evicted.features.tolist() == [1.0, 1.0]  # the older update, not enrollment
+    assert second.evicted == (Origin.GENUINE_UPDATE, "u", 2)  # the older update, not enrollment
+    assert [e.features.tolist() for e in ref.gallery[3:]] == [[2.0, 2.0]]
     assert len(ref.gallery) == 4
     assert sum(1 for e in ref.gallery if e.origin is Origin.ENROLLMENT) == 3
 
@@ -112,11 +111,10 @@ def test_strategy_field_validation():
 
 
 def test_update_outcome_consistency_is_validated():
-    from tubench import GalleryEntry, UpdateOutcome
+    from tubench import UpdateOutcome
 
-    entry = GalleryEntry([0.0], Origin.GENUINE_UPDATE, "u", 2)
     with pytest.raises(ValidationError):
-        UpdateOutcome(applied=False, evicted=entry, was_impostor=False)
+        UpdateOutcome(applied=False, evicted=(Origin.GENUINE_UPDATE, "u", 2), was_impostor=False)
 
 
 def test_inclusion_of_fresh_reference_is_zero():
@@ -208,17 +206,20 @@ def test_fifo_gallery_matches_a_fresh_recompute_after_every_update(
     ref = fresh_ref(vectors=rng.normal(size=(enrolled, dimension)), capacity=capacity)
     enrollment = ref.gallery
     strategy = UpdateStrategy(StrategyKind.SELF_THRESHOLD, 0.0, capacity=capacity)
-    updates = []  # expected update vectors, oldest first
+    updates, tags = [], []  # expected update vectors and their tags, oldest first
     for i, (genuine, accept) in enumerate(steps):
         features = rng.normal(size=dimension) * 3.0
-        query = query_for(ref, "u" if genuine else "imp", features, position=i, order=10 + i)
+        source = "u" if genuine else "imp"
+        query = query_for(ref, source, features, position=i, session=2 + i, order=10 + i)
         outcome = maybe_update(ref, query, -1.0 if accept else 1.0, strategy)
         assert outcome.applied is accept
         if accept:
             updates.append(features)
+            origin = Origin.GENUINE_UPDATE if genuine else Origin.IMPOSTOR_UPDATE
+            tags.append((origin, source, 2 + i))
         if capacity is not None and len(enrollment) + len(updates) > capacity:
-            assert outcome.evicted.origin is not Origin.ENROLLMENT
-            assert np.array_equal(outcome.evicted.features, updates.pop(0))
+            assert outcome.evicted == tags.pop(0)
+            updates.pop(0)
         else:
             assert outcome.evicted is None
         gallery = ref.gallery
