@@ -301,9 +301,14 @@ def cmd_run(config_path, out_dir) -> None:
     """Run the configured experiment and write the result tables."""
     resolved = load_config(config_path)
     experiment, schemes = _build_experiment(resolved)
+    synthetic = resolved["dataset"]["synthetic"] or {}  # checked before it is generated
+    if experiment.mode is Mode.OFFLINE and synthetic.get("num_sessions", 3) < 3:
+        raise _fail("dataset.synthetic.num_sessions", "offline evaluation needs at least 3")
+    if (experiment.strategy.capacity or math.inf) < synthetic.get("samples_per_session", 0):
+        raise _fail("update.capacity", "below samples_per_session, the enrollment size")
     dataset = _load_dataset(resolved)
     for session in scored_sessions(experiment.mode, dataset.num_sessions):
-        genuine = np.bincount(dataset.row_user[dataset.row_session == session])
+        genuine = np.bincount(dataset.row_user[dataset.session_rows[session]])
         if not any(impostor_count(int(n), experiment.stream.impostor_ratio) for n in genuine):
             raise MetricError(f"session {session}: no impostor queries, so no EER")
     result = run_experiment(dataset, experiment)

@@ -235,6 +235,11 @@ class Dataset:
             self._users, self.row_user, self.row_session, self.row_order, self.feature_matrix
         )
 
+    @cached_property
+    def session_rows(self) -> tuple[np.ndarray, ...]:
+        """At index s, the rows of `feature_matrix` in session s, ascending."""
+        return tuple(np.flatnonzero(self.row_session == s) for s in range(self.num_sessions + 1))
+
     @property
     def users(self) -> tuple[str, ...]:
         """User identifiers in sorted order, for deterministic iteration."""

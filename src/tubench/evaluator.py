@@ -12,7 +12,10 @@ closest-* impostors after each update. Offline: a session is first
 scored in full against the frozen reference (those are the metric
 samples), and then the same queries are replayed through the same loop
 for the update decisions; session 2 is consumed for update only, which
-is why offline runs yield one fewer per-session measure.
+is why offline runs yield one fewer per-session measure. Under a
+score-free rule (`none`, or a threshold of +inf), offline sessions apply
+their accepted rows as one FIFO batch, unscored in session 2, except
+under closest-* orders, whose session 2 re-plans after each update.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from .errors import ConfigError, PartitionError, ValidationError
 from .matcher import EPSILON, ReferenceModel, center, enroll, raw_score
 from .matcher import centered_score  # noqa: F401  perfbench traces it under this module
 from .rng import mix64
-from .stream import StreamConfig, commit, plan_rows, plan_session
+from .stream import CLOSEST, StreamConfig, commit, plan_rows, plan_session
 from .stream import next_query  # noqa: F401  perfbench traces it under this module
-from .update import UpdateStrategy, accepts, apply_update, impostor_inclusion
+from .update import UpdateStrategy, accepts, apply_updates, impostor_inclusion, score_free
 from .update import maybe_update  # noqa: F401  perfbench traces it under this module
 
 
@@ -83,33 +86,32 @@ def _session_stream(dataset, user, user_index, session, repeat, config):
     return plan_session(dataset, user, session, replace(config.stream, seed=seed))
 
 
-def _present(model, dataset, users, rows, impostor, strategy, stream=None):
+def _present(model, dataset, users, rows, impostor, strategy, stream=None, raw=None):
     """Present the queries on `rows` to `model` in order, updating it where
     the strategy accepts one; `users` is `dataset.users`, read once per run.
 
     Returns each query's raw and centered score against the reference it
-    met, and whether it updated that reference. The queries after an
-    applied update are rescored against the updated reference; an online
-    `stream` first commits the presented queries and re-plans the rest
-    there, while an offline replay (no stream) keeps its rows.
+    met, and whether it updated that reference; a given `raw` holds the
+    first scores, unmodified. The queries after an applied update are
+    rescored against the updated reference; an online `stream` first
+    commits the presented queries and re-plans the rest there, while an
+    offline replay (no stream) keeps its rows.
     """
     queries = dataset.feature_matrix[rows]
-    raw = np.empty(rows.size)
-    centered = np.empty(rows.size)
+    raw = raw_score(model, queries) if raw is None else raw.copy()
+    centered = center(model, raw)
     applied = np.zeros(rows.size, dtype=bool)
     done = 0
     while done < rows.size:
-        raw[done:] = raw_score(model, queries[done:])
-        centered[done:] = center(model, raw[done:])
         accepted = accepts(strategy, centered[done:], impostor[done:])
         first = int(accepted.argmax())
         if not accepted[first]:
             break
         done += first
         row = rows[done]
-        apply_update(
-            model, queries[done], users[dataset.row_user[row]], int(dataset.row_session[row]),
-            bool(impostor[done]), strategy,
+        apply_updates(
+            model, queries[done : done + 1], [users[dataset.row_user[row]]],
+            [int(dataset.row_session[row])], impostor[done : done + 1], strategy,
         )
         applied[done] = True
         done += 1
@@ -117,6 +119,9 @@ def _present(model, dataset, users, rows, impostor, strategy, stream=None):
             commit(stream, done)
             rows[done:] = plan_rows(stream, model)
             queries[done:] = dataset.feature_matrix[rows[done:]]
+        if done < rows.size:
+            raw[done:] = raw_score(model, queries[done:])
+            centered[done:] = center(model, raw[done:])
     return raw, centered, applied
 
 
@@ -132,6 +137,7 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
     snapshots: list[InclusionSnapshot] = []
     final_models: dict[tuple[int, str], ReferenceModel] = {}
     users = dataset.users
+    strategy, free = config.strategy, score_free(config.strategy)
     for repeat in range(config.repeats):
         for user_index, user in enumerate(users):
             span = dataset.row_range(user, 1)
@@ -139,22 +145,31 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
                 user,
                 dataset.feature_matrix[span.start : span.stop],
                 eps=config.eps,
-                capacity=config.strategy.capacity,
+                capacity=strategy.capacity,
             )
             for session in range(2, dataset.num_sessions + 1):
                 state = _session_stream(dataset, user, user_index, session, repeat, config)
-                rows = plan_rows(state, model)
-                if online or session not in logged_sessions:
-                    raw, centered, applied = _present(
-                        model, dataset, users, rows, state.impostor, config.strategy, state
-                    )
-                else:
+                rows, impostor = plan_rows(state, model), state.impostor
+                scored = session in logged_sessions
+                if scored and not online:
                     raw = raw_score(model, dataset.feature_matrix[rows])
                     centered = center(model, raw)
-                    applied = _present(
-                        model, dataset, users, rows, state.impostor, config.strategy
-                    )[2]
-                if session in logged_sessions:
+                if not online and free and (scored or state.local_order not in CLOSEST):
+                    applied = accepts(strategy, np.zeros(rows.size), impostor)
+                    if applied.any():  # one FIFO batch, one refresh
+                        picked = rows[applied]
+                        apply_updates(
+                            model, dataset.feature_matrix[picked],
+                            [users[u] for u in dataset.row_user[picked].tolist()],
+                            dataset.row_session[picked].tolist(), impostor[applied], strategy,
+                        )
+                elif scored and not online:
+                    applied = _present(model, dataset, users, rows, impostor, strategy, raw=raw)[2]
+                else:
+                    raw, centered, applied = _present(
+                        model, dataset, users, rows, impostor, strategy, state
+                    )
+                if scored:
                     logged.append((repeat, session, user_index, rows, raw, centered, applied))
                 snapshots.append(
                     InclusionSnapshot(repeat, user, session, impostor_inclusion(model))

@@ -57,7 +57,7 @@ class ReferenceModel:
     oldest first; each row's (origin, source_user, source_session) tag
     sits at the same position in a list. The matrix has capacity + 1
     rows and doubles when a gallery outgrows it; evicting the oldest
-    update shifts the later update rows up by one.
+    updates shifts the later update rows up.
     """
 
     def __init__(
@@ -131,25 +131,29 @@ class ReferenceModel:
         return self._enrolled
 
     def append(self, features, tag: tuple, capacity: int | None = None) -> tuple | None:
-        """Add an update vector with its (origin, source_user, source_session) tag;
-        past `capacity` entries, evict the oldest update and return its tag.
+        """`extend` by one vector and its tag; the evicted tag, if any."""
+        evicted = self.extend(np.reshape(features, (1, -1)), (tag,), capacity)
+        return evicted[0] if evicted else None
 
-        mu / mad are left as they are; `refresh_statistics` recomputes them.
-        """
-        if tag[0] is Origin.ENROLLMENT:
+    def extend(self, vectors, tags, capacity: int | None = None) -> list[tuple]:
+        """Add a (k, d) matrix of update vectors with their (origin, source_user,
+        source_session) tags as k appends would: each append past `capacity`
+        entries evicts the oldest update. Returns the evicted tags, oldest
+        first; mu / mad are left to `refresh_statistics`."""
+        if any(tag[0] is Origin.ENROLLMENT for tag in tags):
             raise ValidationError("enrollment entries cannot be appended to a gallery")
-        n = len(self._tags)
-        if n == len(self._matrix):
-            grown = np.empty((2 * n, self._matrix.shape[1]))
-            grown[:n] = self._matrix
+        first, n = self._enrolled, len(self._tags)
+        updates = self._tags[first:] + list(tags)
+        update_rows = np.concatenate([self._matrix[first:n], vectors])
+        keep = len(updates) if capacity is None else min(len(updates), max(n, capacity) - first)
+        if first + keep > len(self._matrix):
+            grown = np.empty((max(2 * len(self._matrix), first + keep), self._matrix.shape[1]))
+            grown[:first] = self._matrix[:first]
             self._matrix = grown
-        self._matrix[n] = features
-        self._tags.append(tag)
-        if capacity is None or n + 1 <= capacity:
-            return None
-        first = self._enrolled
-        self._matrix[first:n] = self._matrix[first + 1 : n + 1]
-        return self._tags.pop(first)
+        dropped = len(updates) - keep
+        self._matrix[first : first + keep] = update_rows[dropped:]
+        self._tags[first:] = updates[dropped:]
+        return updates[:dropped]
 
 
 def gallery_statistics(vectors: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:

@@ -52,6 +52,10 @@ class LocalOrder(str, Enum):
     CLOSEST_IMPOSTOR = "closest_impostor"
 
 
+CLOSEST = (LocalOrder.CLOSEST_SAMPLE, LocalOrder.CLOSEST_IMPOSTOR)
+"""The local orders that choose impostors against the evolving reference."""
+
+
 class SessionPolicy(str, Enum):
     SAME_SESSION = "same_session"
     ANY_SESSION = "any_session"
@@ -124,7 +128,8 @@ def plan_session(
     """Lay out the label sequence, the genuine rows and the random draws of one session."""
     if session < 2:
         raise ValidationError(f"query sessions start at 2, got {session}")
-    genuine = list(dataset.row_range(target_user, session))
+    own = dataset.row_range(target_user, session)
+    genuine = list(own)
     if not genuine:
         raise StreamError(f"user {target_user} has no samples in session {session}")
 
@@ -136,10 +141,14 @@ def plan_session(
     n_impostor = impostor_count(n_genuine, config.impostor_ratio)
     labels = _label_sequence(config, n_genuine, n_impostor, rng)
 
-    in_pool = dataset.row_user != dataset.users.index(target_user)
+    # Rows sort by (user, session): the target's rows are one run of the candidates.
     if config.impostor_session_policy is SessionPolicy.SAME_SESSION:
-        in_pool &= dataset.row_session == session
-    pool_rows = np.flatnonzero(in_pool)
+        candidates = dataset.session_rows[session]
+        start, stop = np.searchsorted(candidates, [own.start, own.stop])
+    else:
+        candidates, user = np.arange(dataset.row_user.size), dataset.row_user[own.start]
+        start, stop = np.searchsorted(dataset.row_user, [user, user + 1])
+    pool_rows = np.concatenate([candidates[:start], candidates[stop:]])
     if pool_rows.size < n_impostor:
         raise StreamError(
             f"session {session}: impostor pool holds {pool_rows.size} samples, "
@@ -209,7 +218,7 @@ def plan_rows(state: StreamState, ref: ReferenceModel) -> np.ndarray:
     the result is a view of `state.rows`.
     """
     ahead = state.rows[state.cursor :]
-    if state.local_order not in (LocalOrder.CLOSEST_SAMPLE, LocalOrder.CLOSEST_IMPOSTOR):
+    if state.local_order not in CLOSEST:
         return ahead
     slots = state.impostor[state.cursor :]
     count = int(np.count_nonzero(slots))

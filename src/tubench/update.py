@@ -78,31 +78,33 @@ def accepts(strategy: UpdateStrategy, centered, impostor):
     return accept
 
 
-def apply_update(
-    ref: ReferenceModel,
-    features,
-    source_user: str,
-    source_session: int,
-    is_impostor: bool,
-    strategy: UpdateStrategy,
-) -> tuple | None:
-    """Insert an accepted query's vector into the gallery and refresh mu / mad.
+def score_free(strategy: UpdateStrategy) -> bool:
+    """Whether the decision rule reads no (non-NaN) score: `none`, or any
+    kind at a threshold of +inf. `accepts` then depends on the label alone."""
+    return strategy.kind is StrategyKind.NONE or strategy.update_threshold == math.inf
 
-    Returns the tag FIFO eviction removed, if any. The (origin,
-    source_user, source_session) tag of the inserted vector is
-    measurement bookkeeping.
-    """
-    if np.shape(features) != (ref.dimension,):
+
+def apply_updates(
+    ref: ReferenceModel, features, source_users, source_sessions, impostor, strategy: UpdateStrategy
+) -> list[tuple]:
+    """Insert accepted queries' (k, d) vectors in order and refresh mu / mad
+    once, as one insert and refresh per row would: the statistics read only
+    the final gallery. Returns the evicted tags, oldest first; the inserted
+    (origin, source_user, source_session) tags are measurement bookkeeping."""
+    if np.ndim(features) != 2 or np.shape(features)[1] != ref.dimension:
         raise ValidationError(
-            f"query shape {np.shape(features)} != reference dimension ({ref.dimension},)"
+            f"query shape {np.shape(features)} != (k, reference dimension {ref.dimension})"
         )
     if strategy.capacity is not None and strategy.capacity < ref.enrollment_size:
         raise ConfigError(
             f"gallery capacity {strategy.capacity} is below the enrollment size "
             f"{ref.enrollment_size}"
         )
-    origin = Origin.IMPOSTOR_UPDATE if is_impostor else Origin.GENUINE_UPDATE
-    evicted = ref.append(features, (origin, source_user, source_session), strategy.capacity)
+    tags = [
+        (Origin.IMPOSTOR_UPDATE if is_impostor else Origin.GENUINE_UPDATE, user, session)
+        for user, session, is_impostor in zip(source_users, source_sessions, impostor)
+    ]
+    evicted = ref.extend(features, tags, strategy.capacity)
     refresh_statistics(ref)
     return evicted
 
@@ -122,10 +124,10 @@ def maybe_update(
     if not accepts(strategy, centered, is_impostor):
         return UpdateOutcome(False, None, is_impostor)
     sample = query.sample
-    evicted = apply_update(
-        ref, sample.features, sample.user_id, sample.session, is_impostor, strategy
-    )
-    return UpdateOutcome(True, evicted, is_impostor)
+    evicted = apply_updates(
+        ref, [sample.features], [sample.user_id], [sample.session], [is_impostor], strategy
+    ) or [None]
+    return UpdateOutcome(True, evicted[0], is_impostor)
 
 
 def impostor_inclusion(ref: ReferenceModel) -> float:

@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import math
 from collections import defaultdict
@@ -432,6 +433,28 @@ def test_bad_stream_config_fails_before_the_dataset_is_built(tmp_path, capsys, m
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 1
     assert "impostor_ratio" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mode, path, value",
+    [("offline", "dataset.synthetic.num_sessions", 2), ("online", "update.capacity", 5)],
+)
+def test_bad_run_shape_fails_before_the_dataset_is_built(
+    tmp_path, capsys, monkeypatch, mode, path, value
+):
+    calls = []
+    monkeypatch.setattr("tubench.cli.generate", calls.append)
+    document = copy.deepcopy(BASE_CONFIG)
+    document["evaluation"]["mode"] = mode
+    *sections, field = path.split(".")
+    functools.reduce(dict.__getitem__, sections, document)[field] = value
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(document))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
     assert calls == []
     assert not out.exists()
 

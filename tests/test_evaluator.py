@@ -105,16 +105,15 @@ def test_offline_needs_at_least_three_sessions():
 
 def test_runs_build_no_sample_views_and_evict_update_tags_oldest_first(monkeypatch):
     appended, evicted = [], []
-    append = ReferenceModel.append
+    extend = ReferenceModel.extend
 
-    def recording_append(model, features, tag, capacity=None):
-        gone = append(model, features, tag, capacity)
-        appended.append((model, tag))
-        if gone is not None:
-            evicted.append((model, gone))
+    def recording_extend(model, vectors, tags, capacity=None):
+        gone = extend(model, vectors, tags, capacity)
+        appended.extend((model, tag) for tag in tags)
+        evicted.extend((model, tag) for tag in gone)
         return gone
 
-    monkeypatch.setattr(ReferenceModel, "append", recording_append)
+    monkeypatch.setattr(ReferenceModel, "extend", recording_extend)
     dataset = small_synth()  # built from columns
     for mode in Mode:
         appended.clear()
@@ -462,7 +461,7 @@ def loop_configs(draw):
     )
     strategy = UpdateStrategy(
         draw(st.sampled_from(list(StrategyKind))),
-        update_threshold=draw(st.sampled_from([2.0, 50.0])),
+        update_threshold=draw(st.sampled_from([2.0, 50.0, math.inf])),
         capacity=draw(st.sampled_from([None, SESSION_SIZE, SESSION_SIZE + 2])),
     )
     config = ExperimentConfig(mode, stream, strategy, repeats=draw(st.integers(1, 2)),

@@ -206,6 +206,64 @@ def test_refresh_after_appending_the_mean_shrinks_mad():
     assert np.allclose(ref.mad, expected_mad, atol=1e-15)
 
 
+def reference_append(ref, features, tag, capacity=None):
+    """`ReferenceModel.append` before `extend` existed: one row, at most one eviction."""
+    n = len(ref._tags)
+    if n == len(ref._matrix):
+        grown = np.empty((2 * n, ref._matrix.shape[1]))
+        grown[:n] = ref._matrix
+        ref._matrix = grown
+    ref._matrix[n] = features
+    ref._tags.append(tag)
+    if capacity is None or n + 1 <= capacity:
+        return None
+    first = ref._enrolled
+    ref._matrix[first:n] = ref._matrix[first + 1 : n + 1]
+    return ref._tags.pop(first)
+
+
+def gallery_tags(ref):
+    return [(e.origin, e.source_user, e.source_session) for e in ref.gallery]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    enrolled=st.integers(2, 5),
+    spare=st.sampled_from([None, 0, 1, 3, 8]),
+    batches=st.lists(
+        st.tuples(st.integers(0, 12), st.booleans(), st.sampled_from([None, 0, 1, 3, 8])),
+        max_size=6,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_extend_equals_a_loop_of_one_row_appends(enrolled, spare, batches, seed):
+    # spare None: unbounded, so batches cross the matrix doubling; 0: capacity
+    # equal to the enrollment size, so every update is evicted at once. A batch
+    # may pass another capacity than the enrollment's, so a gallery can already
+    # be past the capacity it is extended under.
+    def capacity_of(spare):
+        return None if spare is None else enrolled + spare
+
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(enrolled, 3))
+    batched, looped = (enroll("u", vectors, capacity=capacity_of(spare)) for _ in range(2))
+    session = 2
+    for k, same, other in batches:
+        capacity = capacity_of(spare if same else other)
+        rows = rng.normal(size=(k, 3))
+        impostor = rng.random(k) < 0.5
+        tags = [
+            (Origin.IMPOSTOR_UPDATE if flag else Origin.GENUINE_UPDATE, "u", session + i)
+            for i, flag in enumerate(impostor)
+        ]
+        session += k
+        evicted = batched.extend(rows, tags, capacity)
+        appended = [reference_append(looped, row, tag, capacity) for row, tag in zip(rows, tags)]
+        assert evicted == [tag for tag in appended if tag is not None]
+        assert batched.vectors.tobytes() == looped.vectors.tobytes()
+        assert gallery_tags(batched) == gallery_tags(looped)
+
+
 def test_singleton_gallery_statistics_are_floored():
     enrolled = enroll("u", np.array([[0.0, 1.0], [4.0, 3.0]]))
     ref = ReferenceModel(
