@@ -29,8 +29,8 @@ from .core import Dataset, Mode, Sample, ScoreLog, scored_sessions
 from .errors import ConfigError, PartitionError, ValidationError
 from .matcher import EPSILON, ReferenceModel, center, enroll, raw_score
 from .matcher import centered_score  # noqa: F401  perfbench traces it under this module
-from .rng import mix64
-from .stream import CLOSEST, StreamConfig, commit, plan_rows, plan_session
+from .rng import block_mix64, block_randbelow, mix64
+from .stream import CLOSEST, StreamConfig, commit, draw_bounds, plan_rows, plan_session
 from .stream import next_query  # noqa: F401  perfbench traces it under this module
 from .update import UpdateStrategy, accepts, apply_updates, impostor_inclusion, score_free
 from .update import maybe_update  # noqa: F401  perfbench traces it under this module
@@ -81,11 +81,6 @@ def derive_seed(base_seed: int, repeat: int, user_index: int, session: int) -> i
     return mix64(base_seed, repeat, user_index, session)
 
 
-def _session_stream(dataset, user, user_index, session, repeat, config):
-    seed = derive_seed(config.base_seed, repeat, user_index, session)
-    return plan_session(dataset, user, session, replace(config.stream, seed=seed))
-
-
 def _present(model, dataset, users, rows, impostor, strategy, stream=None, raw=None):
     """Present the queries on `rows` to `model` in order, updating it where
     the strategy accepts one; `users` is `dataset.users`, read once per run.
@@ -93,9 +88,10 @@ def _present(model, dataset, users, rows, impostor, strategy, stream=None, raw=N
     Returns each query's raw and centered score against the reference it
     met, and whether it updated that reference; a given `raw` holds the
     first scores, unmodified. The queries after an applied update are
-    rescored against the updated reference; an online `stream` first
-    commits the presented queries and re-plans the rest there, while an
-    offline replay (no stream) keeps its rows.
+    rescored against the updated reference; a closest-* `stream` first
+    commits the presented queries and re-plans the rest there, while
+    without a stream (random local orders, whose rows are fixed once
+    planned, or the offline replay) the rows stay as they are.
     """
     queries = dataset.feature_matrix[rows]
     raw = raw_score(model, queries) if raw is None else raw.copy()
@@ -138,7 +134,12 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
     final_models: dict[tuple[int, str], ReferenceModel] = {}
     users = dataset.users
     strategy, free = config.strategy, score_free(config.strategy)
+    sessions = range(2, dataset.num_sessions + 1)
+    bounds = [draw_bounds(dataset, user, s, config.stream) for user in users for s in sessions]
     for repeat in range(config.repeats):
+        # Every stream of the repeat in one block draw, user-major like the loop below.
+        seeds = block_mix64(config.base_seed, repeat, np.arange(len(users))[:, None], sessions)
+        draws = iter(block_randbelow(seeds.ravel(), bounds))
         for user_index, user in enumerate(users):
             span = dataset.row_range(user, 1)
             model = enroll(
@@ -147,8 +148,8 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
                 eps=config.eps,
                 capacity=strategy.capacity,
             )
-            for session in range(2, dataset.num_sessions + 1):
-                state = _session_stream(dataset, user, user_index, session, repeat, config)
+            for session in sessions:
+                state = plan_session(dataset, user, session, config.stream, next(draws))
                 rows, impostor = plan_rows(state, model), state.impostor
                 scored = session in logged_sessions
                 if scored and not online:
@@ -166,8 +167,9 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
                 elif scored and not online:
                     applied = _present(model, dataset, users, rows, impostor, strategy, raw=raw)[2]
                 else:
+                    stream = state if state.local_order in CLOSEST else None
                     raw, centered, applied = _present(
-                        model, dataset, users, rows, impostor, strategy, state
+                        model, dataset, users, rows, impostor, strategy, stream
                     )
                 if scored:
                     logged.append((repeat, session, user_index, rows, raw, centered, applied))

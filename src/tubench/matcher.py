@@ -143,6 +143,11 @@ class ReferenceModel:
         if any(tag[0] is Origin.ENROLLMENT for tag in tags):
             raise ValidationError("enrollment entries cannot be appended to a gallery")
         first, n = self._enrolled, len(self._tags)
+        end = n + len(tags)
+        if end <= len(self._matrix) and (capacity is None or end <= capacity):
+            self._matrix[n:end] = vectors  # nothing to evict and room left: write in place
+            self._tags += tags
+            return []
         updates = self._tags[first:] + list(tags)
         update_rows = np.concatenate([self._matrix[first:n], vectors])
         keep = len(updates) if capacity is None else min(len(updates), max(n, capacity) - first)

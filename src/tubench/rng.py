@@ -6,17 +6,28 @@ the configured seeds, never on interpreter, platform, or scheduling
 state. Normal variates come from the Box-Muller transform, which keeps
 the generation algorithm portable and easy to re-derive.
 
-:func:`block_normals` draws a whole block of them at once. Word k of a
-stream is ``_finalize(seed + k * gamma)``, so the words are computed as
-numpy ``uint64`` arrays; the transcendental step stays on libm through
-``math``, because numpy's ``log``/``cos``/``sin`` can differ from it in
-the last bit. The block is bit-equal to drawing the same count one
-variate at a time, cosine then sine of each uniform pair.
+SplitMix64 is counter-based: word k of a stream is
+``_finalize(seed + k * gamma)``. So any block of words, of one stream
+or of many, is computed at once as a numpy ``uint64`` array
+(:func:`_finalize_words`), and the block functions below are bit-equal
+to drawing the same values one at a time:
+
+- :func:`block_mix64` is :func:`mix64` over arrays of parts, such as
+  every (user, session) of a repeat;
+- :func:`block_randbelow` draws successive ``randbelow`` indices of many
+  streams, each with its own list of bounds. An index is ``word % n``;
+  a stream that meets a word the scalar rejection would skip continues
+  on the scalar stream from that word on;
+- :func:`block_normals` draws a stream's normals. The transcendental
+  step stays on libm through ``math``, because numpy's ``log``/``cos``/
+  ``sin`` can differ from it in the last bit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import chain
 
 import numpy as np
 
@@ -31,6 +42,24 @@ def _finalize(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
     z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
     return z ^ (z >> 31)
+
+
+def _finalize_words(z: np.ndarray) -> np.ndarray:
+    """`_finalize` over a uint64 array, in place; returns `z`."""
+    z ^= z >> _U64(30)
+    z *= _U64(_MUL1)
+    z ^= z >> _U64(27)
+    z *= _U64(_MUL2)
+    z ^= z >> _U64(31)
+    return z
+
+
+def _u64s(values) -> np.ndarray:
+    """Integers (an int, or a sequence or array of them) masked to 64 bits
+    in Python, as `mix64` and `SplitMix64` mask them, then made a uint64
+    array of at least one dimension, so that numpy never sees a negative
+    or oversized value and never computes on a numpy scalar."""
+    return (np.atleast_1d(np.array(values, dtype=object)) & _MASK64).astype(_U64)
 
 
 def mix64(*parts: int) -> int:
@@ -76,6 +105,51 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
+def block_mix64(*parts) -> np.ndarray:
+    """`mix64` elementwise over integer parts broadcast against each other,
+    as a uint64 array: ``block_mix64(base, repeat, users[:, None], sessions)``
+    holds ``mix64(base, repeat, user, session)`` at [user, session]."""
+    parts = np.broadcast_arrays(*map(_u64s, parts))
+    acc = np.zeros(parts[0].shape, _U64)
+    for part in parts:
+        acc = _finalize_words(acc + _U64(_GAMMA) + part)
+    return acc
+
+
+def block_randbelow(seeds, bounds) -> list[list[int]]:
+    """Per stream i, successive ``SplitMix64(seeds[i]).randbelow(n)`` for n in `bounds[i]`.
+
+    The words of every stream are drawn as one block, and each index is
+    ``word % n``. A word at or above randbelow's rejection limit, the
+    largest multiple of n up to 2**64, would be skipped by the scalar
+    stream; a stream that draws one continues on the scalar SplitMix64
+    from that word on, so every index is exact.
+    """
+    lengths = [len(row) for row in bounds]
+    n = np.fromiter(chain.from_iterable(bounds), _U64, sum(lengths))
+    if n.size and not n.min():
+        raise ValueError("randbelow() requires n >= 1")
+    seeds = _u64s(seeds)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    step = np.arange(1, n.size + 1, dtype=_U64) - np.repeat(starts, lengths).astype(_U64)
+    words = _finalize_words(np.repeat(seeds, lengths) + _U64(_GAMMA) * step)
+    flat = (words % n).tolist()
+    ends, starts = ends.tolist(), starts.tolist()
+    rows = [flat[start:end] for start, end in zip(starts, ends)]
+    # The scalar limit is 2**64 - 2**64 % n, and 2**64 % n = ((2**64 - 1) % n + 1) % n.
+    highest = _U64(_MASK64) - (_U64(_MASK64) % n + _U64(1)) % n
+    fallen: set[int] = set()
+    for at in np.flatnonzero(words > highest).tolist():
+        stream = bisect_right(ends, at)
+        if stream not in fallen:
+            fallen.add(stream)
+            skip = at - starts[stream]
+            rng = SplitMix64(int(seeds[stream]) + skip * _GAMMA)
+            rows[stream][skip:] = [rng.randbelow(int(m)) for m in bounds[stream][skip:]]
+    return rows
+
+
 def block_normals(seed: int, count: int) -> np.ndarray:
     """The first ``count`` standard normals of the stream seeded with ``seed``.
 
@@ -85,10 +159,7 @@ def block_normals(seed: int, count: int) -> np.ndarray:
     sqrt is correctly rounded, like libm's, so it is used directly.
     """
     pairs = (count + 1) // 2
-    z = _U64(seed & _MASK64) + _U64(_GAMMA) * np.arange(1, 2 * pairs + 1, dtype=_U64)
-    z = (z ^ (z >> _U64(30))) * _U64(_MUL1)
-    z = (z ^ (z >> _U64(27))) * _U64(_MUL2)
-    z ^= z >> _U64(31)
+    z = _finalize_words(_u64s(seed) + _U64(_GAMMA) * np.arange(1, 2 * pairs + 1, dtype=_U64))
     uniform = (z >> _U64(11)).astype(np.float64) * 2.0**-53
     log_u1 = np.fromiter(map(math.log, (1.0 - uniform[0::2]).tolist()), np.float64, pairs)
     theta = (2.0 * math.pi * uniform[1::2]).tolist()

@@ -8,9 +8,13 @@ order. Impostor samples are drawn without replacement.
 
 A planned stream holds a row of `Dataset.feature_matrix` for every
 query position. Genuine rows, and the impostor rows of the random local
-orders, are fixed when the session is planned: the stream's generator
-serves the genuine shuffle, the label shuffle and then every random
-draw, in label order. The closest-* orders consult the evolving
+orders, are fixed when the session is planned. The session's randomness
+is one run of `randbelow` indices from the SplitMix64 stream of its
+seed, with the bounds `draw_bounds` lists: the genuine shuffle, the
+label shuffle, then the random impostor draws in position order. A run
+draws the indices of many sessions in one block (`rng.block_randbelow`,
+bit-equal to the scalar stream), and `plan_session` applies them with
+list swaps and pops. The closest-* orders consult the evolving
 reference: `plan_rows` chooses the impostors of the positions not yet
 presented against a given reference, and `commit` marks positions as
 presented, so a caller re-plans only after an update changes the
@@ -27,15 +31,17 @@ ascending order.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 import numpy as np
 
 from .core import Dataset, Label, QueryEvent
 from .errors import StreamError, ValidationError
 from .matcher import ReferenceModel, centered_score
-from .rng import SplitMix64
+from .rng import block_randbelow
 
 
 class GlobalOrder(str, Enum):
@@ -119,28 +125,22 @@ class StreamState:
         return self.cursor >= self.rows.size
 
 
-def plan_session(
-    dataset: Dataset,
-    target_user: str,
-    session: int,
-    config: StreamConfig,
-) -> StreamState:
-    """Lay out the label sequence, the genuine rows and the random draws of one session."""
+def _layout(dataset: Dataset, target_user: str, session: int, config: StreamConfig):
+    """A session's genuine rows, its impostor count and its impostor pool, checked."""
     if session < 2:
         raise ValidationError(f"query sessions start at 2, got {session}")
     own = dataset.row_range(target_user, session)
-    genuine = list(own)
-    if not genuine:
+    if not own:
         raise StreamError(f"user {target_user} has no samples in session {session}")
-
-    rng = SplitMix64(config.seed)
-    if not config.respect_chronology:
-        rng.shuffle(genuine)
-
-    n_genuine = len(genuine)
-    n_impostor = impostor_count(n_genuine, config.impostor_ratio)
-    labels = _label_sequence(config, n_genuine, n_impostor, rng)
-
+    n_impostor = impostor_count(len(own), config.impostor_ratio)
+    if config.global_order is GlobalOrder.SCRIPTED:
+        got_g = sum(1 for label in config.scripted if label is Label.GENUINE)
+        got_i = len(config.scripted) - got_g
+        if got_g != len(own) or got_i != n_impostor:
+            raise ValidationError(
+                f"scripted sequence has {got_g} genuine / {got_i} impostor labels, "
+                f"session needs {len(own)} / {n_impostor}"
+            )
     # Rows sort by (user, session): the target's rows are one run of the candidates.
     if config.impostor_session_policy is SessionPolicy.SAME_SESSION:
         candidates = dataset.session_rows[session]
@@ -154,14 +154,62 @@ def plan_session(
             f"session {session}: impostor pool holds {pool_rows.size} samples, "
             f"need {n_impostor}"
         )
-    impostor = np.array([label is Label.IMPOSTOR for label in labels], dtype=bool)
-    rows = np.empty(len(labels), dtype=np.intp)
+    return own, n_impostor, pool_rows
+
+
+def draw_bounds(
+    dataset: Dataset, target_user: str, session: int, config: StreamConfig
+) -> list[int]:
+    """The bounds of the `randbelow` draws that one session's stream consumes, in order.
+
+    They are the genuine shuffle's (chronology off), the label shuffle's
+    (random global order), then one per `totally_random` pool pop or
+    `random_impostor` user pick; the picks are listed for every pool
+    user, the most a session can take. Checks the session as
+    `plan_session` does.
+    """
+    own, n_impostor, pool_rows = _layout(dataset, target_user, session, config)
+    bounds: list[int] = []
+    if not config.respect_chronology:
+        bounds += range(len(own), 1, -1)
+    if config.global_order is GlobalOrder.RANDOM:
+        bounds += range(len(own) + n_impostor, 1, -1)
+    if config.local_order is LocalOrder.TOTALLY_RANDOM:
+        bounds += range(pool_rows.size, pool_rows.size - n_impostor, -1)
+    elif config.local_order is LocalOrder.RANDOM_IMPOSTOR:
+        bounds += range(np.unique(dataset.row_user[pool_rows]).size, 0, -1)
+    return bounds
+
+
+def plan_session(
+    dataset: Dataset,
+    target_user: str,
+    session: int,
+    config: StreamConfig,
+    indices: list[int] | None = None,
+) -> StreamState:
+    """Lay out the label sequence, the genuine rows and the random draws of one session.
+
+    `indices` are the session's `randbelow` draws for the bounds that
+    `draw_bounds` lists, as a run draws them in blocks; without them the
+    session draws its own from `config.seed`, through the same block draw.
+    """
+    if indices is None:
+        bounds = draw_bounds(dataset, target_user, session, config)
+        indices = block_randbelow([config.seed], [bounds])[0]
+    own, n_impostor, pool_rows = _layout(dataset, target_user, session, config)
+    n_genuine = len(own)
+    draws = iter(indices)
+    genuine = list(own)
+    if not config.respect_chronology:
+        _shuffle(genuine, draws)
+    impostor = _impostor_flags(config, n_genuine, n_impostor, draws)
+    rows = np.empty(impostor.size, dtype=np.intp)
     rows[~impostor] = genuine
     if config.local_order is LocalOrder.TOTALLY_RANDOM:
-        pool = pool_rows.tolist()
-        rows[impostor] = [pool.pop(rng.randbelow(len(pool))) for _ in range(n_impostor)]
+        rows[impostor] = pool_rows[_popped(islice(draws, n_impostor))]
     elif config.local_order is LocalOrder.RANDOM_IMPOSTOR:
-        rows[impostor] = _random_impostor_rows(dataset.row_user, pool_rows, n_impostor, rng)
+        rows[impostor] = _random_impostor_rows(dataset.row_user, pool_rows, n_impostor, draws)
     return StreamState(
         target_user=target_user,
         session=session,
@@ -174,7 +222,28 @@ def plan_session(
     )
 
 
-def _random_impostor_rows(row_user, pool_rows, count, rng) -> list[int]:
+def _shuffle(items: list, draws) -> None:
+    """`SplitMix64.shuffle`, Fisher-Yates, with its `randbelow` indices taken from `draws`."""
+    for i, j in zip(range(len(items) - 1, 0, -1), draws):
+        items[i], items[j] = items[j], items[i]
+
+
+def _popped(indices) -> list[int]:
+    """The original positions that successive ``items.pop(j)`` take, for j in
+    `indices`, found without building the list: pop j takes the least
+    position p with p == j + (taken positions at or below p)."""
+    taken: list[int] = []  # ascending
+    positions = []
+    for j in indices:
+        position = j
+        while (moved := j + bisect_right(taken, position)) != position:
+            position = moved
+        insort(taken, position)
+        positions.append(position)
+    return positions
+
+
+def _random_impostor_rows(row_user, pool_rows, count, draws) -> list[int]:
     """A random impostor's rows in ascending order, then another's, until `count`.
 
     Each impostor is drawn uniformly from the users still in the pool, in
@@ -184,31 +253,22 @@ def _random_impostor_rows(row_user, pool_rows, count, rng) -> list[int]:
     users = np.unique(owners).tolist()
     picked: list[int] = []
     while len(picked) < count:
-        user = users.pop(rng.randbelow(len(users)))
+        user = users.pop(next(draws))
         picked += pool_rows[owners == user].tolist()
     return picked[:count]
 
 
-def _label_sequence(
-    config: StreamConfig, n_genuine: int, n_impostor: int, rng: SplitMix64
-) -> list[Label]:
+def _impostor_flags(config: StreamConfig, n_genuine: int, n_impostor: int, draws) -> np.ndarray:
+    """Per query position, whether the global order puts an impostor there."""
     if config.global_order is GlobalOrder.SCRIPTED:
-        scripted = list(config.scripted)
-        got_g = sum(1 for l in scripted if l is Label.GENUINE)
-        got_i = len(scripted) - got_g
-        if got_g != n_genuine or got_i != n_impostor:
-            raise ValidationError(
-                f"scripted sequence has {got_g} genuine / {got_i} impostor labels, "
-                f"session needs {n_genuine} / {n_impostor}"
-            )
-        return scripted
-    if config.global_order is GlobalOrder.GENUINE_FIRST:
-        return [Label.GENUINE] * n_genuine + [Label.IMPOSTOR] * n_impostor
-    if config.global_order is GlobalOrder.IMPOSTOR_FIRST:
-        return [Label.IMPOSTOR] * n_impostor + [Label.GENUINE] * n_genuine
-    labels = [Label.GENUINE] * n_genuine + [Label.IMPOSTOR] * n_impostor
-    rng.shuffle(labels)
-    return labels
+        flags = [label is Label.IMPOSTOR for label in config.scripted]
+    elif config.global_order is GlobalOrder.IMPOSTOR_FIRST:
+        flags = [True] * n_impostor + [False] * n_genuine
+    else:
+        flags = [False] * n_genuine + [True] * n_impostor
+        if config.global_order is GlobalOrder.RANDOM:
+            _shuffle(flags, draws)
+    return np.array(flags, dtype=bool)
 
 
 def plan_rows(state: StreamState, ref: ReferenceModel) -> np.ndarray:

@@ -35,7 +35,9 @@ from tubench import (
     raw_score,
     run_experiment,
 )
+from tubench import evaluator, stream as stream_module
 from tubench.evaluator import InclusionSnapshot, derive_seed
+from tubench.stream import CLOSEST, draw_bounds
 from tubench.synthdata import SynthConfig, generate
 from conftest import make_sample, two_user_1d_dataset
 
@@ -499,3 +501,101 @@ def test_columnar_log_equals_the_log_built_from_its_records(mode):
         assert getattr(rebuilt, name).tobytes() == getattr(log, name).tobytes(), name
     assert np.any(log.applied & ~log.genuine)
     assert rebuilt.records == log.records
+
+
+QUERY_SIZE = 4  # genuine queries per session of `mixed_counts` when they are uniform
+
+
+def mixed_counts(uniform_queries=False):
+    """Five users whose enrollment sizes differ and, unless `uniform_queries`,
+    whose query sessions hold 3 to 6 samples each, so one run plans
+    sessions with different bound lists."""
+    users, sessions, orders, features = [], [], [], []
+    for u in range(5):
+        order = 0
+        for session in (1, 2, 3, 4):
+            if session == 1:
+                count = 3 + u
+            else:
+                count = QUERY_SIZE if uniform_queries else 3 + (2 * u + session) % 4
+            for _ in range(count):
+                users.append(f"u{u}")
+                sessions.append(session)
+                orders.append(order)
+                features.append([u + 0.1 * order, u - 0.05 * order])
+                order += 1
+    return Dataset.from_columns(2, 4, users, sessions, orders, np.array(features))
+
+
+@pytest.mark.parametrize("chronology", [True, False])
+@pytest.mark.parametrize("policy", list(SessionPolicy))
+@pytest.mark.parametrize("local_order", list(LocalOrder))
+@pytest.mark.parametrize("global_order", list(GlobalOrder))
+def test_plans_from_block_drawn_indices_equal_per_session_plans(
+    monkeypatch, global_order, local_order, policy, chronology
+):
+    scripted = global_order is GlobalOrder.SCRIPTED  # one script fits one genuine count only
+    dataset = mixed_counts(uniform_queries=scripted)
+    script = (Label.IMPOSTOR, Label.GENUINE, Label.GENUINE, Label.IMPOSTOR, Label.GENUINE,
+              Label.GENUINE)[: QUERY_SIZE + impostor_count(QUERY_SIZE, 0.3)]
+    stream = StreamConfig(0.3, global_order, local_order, chronology, policy,
+                          scripted=script if scripted else None)
+    config = ExperimentConfig(Mode.ONLINE, stream, UpdateStrategy(StrategyKind.NONE),
+                              repeats=2, base_seed=-(2**65) + 3)
+    sessions = range(2, dataset.num_sessions + 1)
+    bounds = {tuple(draw_bounds(dataset, u, s, stream)) for u in dataset.users for s in sessions}
+    if not scripted and (global_order is GlobalOrder.RANDOM or not chronology
+                         or local_order is LocalOrder.TOTALLY_RANDOM):
+        assert len(bounds) > 1  # the genuine count or the pool size enters the bounds
+
+    planned = []
+
+    def recording_plan_session(*args):
+        state = plan_session(*args)
+        planned.append((state.rows.copy(), state.impostor.copy(), state.pool_rows.copy()))
+        return state
+
+    monkeypatch.setattr(evaluator, "plan_session", recording_plan_session)
+    run_experiment(dataset, config)
+    expected = [
+        (repeat, user_index, user, session)
+        for repeat in range(config.repeats)
+        for user_index, user in enumerate(dataset.users)
+        for session in sessions
+    ]
+    assert len(planned) == len(expected)
+    for (rows, impostor, pool), (repeat, user_index, user, session) in zip(planned, expected):
+        seed = derive_seed(config.base_seed, repeat, user_index, session)
+        state = plan_session(dataset, user, session, replace(stream, seed=seed))
+        key = (repeat, user, session)
+        assert impostor.tolist() == state.impostor.tolist(), key
+        # closest-* impostor rows are chosen later, against the reference
+        fixed = ~impostor if local_order in CLOSEST else slice(None)
+        assert rows[fixed].tolist() == state.rows[fixed].tolist(), key
+        assert pool.tolist() == state.pool_rows.tolist(), key
+
+
+@pytest.mark.parametrize("local_order", list(LocalOrder))
+def test_only_closest_sessions_replan_after_an_update(monkeypatch, local_order):
+    calls = []
+
+    def counting_plan_rows(state, ref):
+        calls.append(state)
+        return stream_module.plan_rows(state, ref)
+
+    monkeypatch.setattr(evaluator, "plan_rows", counting_plan_rows)
+    config = ExperimentConfig(
+        Mode.ONLINE,
+        StreamConfig(0.5, local_order=local_order),
+        UpdateStrategy(StrategyKind.SELF_THRESHOLD, 50.0),
+        repeats=2,
+        base_seed=3,
+    )
+    dataset = close_users(5)
+    log = run_experiment(dataset, config).log
+    sessions = config.repeats * len(dataset.users) * (dataset.num_sessions - 1)
+    if local_order in CLOSEST:
+        assert len(calls) == sessions + np.count_nonzero(log.applied)
+    else:
+        assert len(calls) == sessions
+    assert np.count_nonzero(log.applied) > sessions

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tubench import (
     Dataset,
@@ -21,6 +22,7 @@ from tubench import (
     plan_session,
 )
 from tubench.rng import SplitMix64
+from tubench.stream import _popped
 from conftest import make_sample
 
 
@@ -393,3 +395,33 @@ def test_row_pool_draws_match_the_reference_loops(dataset, targets):
                 slow_ref = enroll(target, dataset.feature_matrix[dataset.row_range(target, 1)])
                 slow_draws = reference_draws(dataset, target, session, config, slow_ref)
                 assert fast == run(slow_draws, target, slow_ref), (order, policy, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pool_pops_are_found_without_building_the_pool(data):
+    size = data.draw(st.integers(0, 30))
+    count = data.draw(st.integers(0, size))
+    indices = [data.draw(st.integers(0, size - 1 - k)) for k in range(count)]
+    pool = list(range(size))
+    assert _popped(indices) == [pool.pop(j) for j in indices]
+
+
+def test_random_impostor_can_take_every_pool_user():
+    # Six impostor queries need all three two-row impostors, so the last
+    # user pick draws below 1: its word is consumed all the same.
+    samples = [make_sample("t", 1, i, [0.0, 0.1 * i]) for i in range(3)]
+    samples += [make_sample("t", 2, 3 + i, [0.0, 0.1 * i]) for i in range(6)]
+    samples += [
+        make_sample(user, session, 2 * (session - 1) + i, [5.0 + k, 0.1 * i])
+        for k, user in enumerate(("a", "b", "c"))
+        for session in (1, 2)
+        for i in range(2)
+    ]
+    dataset = Dataset(dimension=2, num_sessions=2, records=tuple(samples))
+    for seed in range(10):
+        config = StreamConfig(0.5, GlobalOrder.RANDOM, LocalOrder.RANDOM_IMPOSTOR, seed=seed)
+        ref = reference_for(dataset, "t")
+        fast = [(e.sample, e.true_label) for e in drain(plan_session(dataset, "t", 2, config), ref)]
+        assert {s.user_id for s, label in fast if label is Label.IMPOSTOR} == {"a", "b", "c"}
+        assert emitted(fast) == emitted(reference_draws(dataset, "t", 2, config, ref)), seed
