@@ -18,7 +18,6 @@ from .core import (
     ScoreLog,
     ScoreRecord,
     column_violations,
-    dataset_violations,
     score_log_violations,
 )
 from .errors import (

@@ -318,10 +318,11 @@ def cmd_run(config_path, out_dir) -> None:
     # written; the score lines cannot fail and are formatted while they are
     # written.
     sessions = tuple(log.covered_sessions)
-    vectors = {
-        scheme: [compute_scheme(scheme, log.for_repeat(k)) for k in log.repeat_ids]
-        for scheme in schemes
-    }
+    vectors = {scheme: [] for scheme in schemes}
+    for repeat_id in log.repeat_ids:
+        repeat_log = log.for_repeat(repeat_id)
+        for scheme in schemes:
+            vectors[scheme].append(compute_scheme(scheme, repeat_log))
     metric_rows = []
     for repeat_pos, repeat_id in enumerate(log.repeat_ids):
         for scheme in schemes:
@@ -380,7 +381,14 @@ def cmd_report(in_dirs, out_path) -> None:
         expected = ["scheme", "session", "mean_eer", "std_eer"]
         if header != expected:
             raise ConfigError(f"{summary_path}: unexpected header {header}")
-        for row in data:
+        for row_no, row in enumerate(data, start=2):
+            try:
+                int(row[1] if len(row) == len(expected) else "")
+            except ValueError:
+                raise ConfigError(
+                    f"{summary_path}: row {row_no}: expected {len(expected)} fields with an"
+                    f" integer session, got {row}"
+                ) from None
             rows.append([label, *row])
     rows.sort(key=lambda r: (r[0], r[1], int(r[2])))
     out_path = Path(out_path)

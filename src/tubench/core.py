@@ -1,9 +1,11 @@
 """Shared domain model: samples, datasets, query events, score logs.
 
-Every type validates its invariants at construction time and is
-immutable afterwards, so instances can be shared freely between
-evaluation loops. Within one user, acquisition time is ordered by the
-pair (session, order_index); no wall-clock timestamps exist anywhere.
+Datasets, query events and score logs validate their invariants at
+construction time and are immutable afterwards, so instances can be
+shared freely between evaluation loops; a `Sample` is an unchecked view
+of one validated dataset row. Within one user, acquisition time is
+ordered by the pair (session, order_index); no wall-clock timestamps
+exist anywhere.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
@@ -30,31 +31,16 @@ class Mode(str, Enum):
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Sample:
-    """One biometric acquisition: a feature vector with its chronology."""
+    """One biometric acquisition: a feature vector with its chronology.
+
+    A plain view of one `Dataset` row, which the dataset has validated;
+    a `Sample` checks nothing itself.
+    """
 
     user_id: str
     session: int
     order_index: int
     features: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.features, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "features", arr)
-        problems = []
-        if self.session < 1:
-            problems.append(f"sample {self._key_text()}: session must be >= 1")
-        if self.order_index < 0:
-            problems.append(f"sample {self._key_text()}: order_index must be >= 0")
-        if arr.ndim != 1 or arr.size < 1:
-            problems.append(f"sample {self._key_text()}: features must be a non-empty vector")
-        elif not np.all(np.isfinite(arr)):
-            problems.append(f"sample {self._key_text()}: non-finite feature value")
-        if problems:
-            raise ValidationError(problems)
-
-    def _key_text(self) -> str:
-        return f"({self.user_id}, session {self.session}, #{self.order_index})"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sample):
@@ -65,23 +51,6 @@ class Sample:
             and self.order_index == other.order_index
             and np.array_equal(self.features, other.features)
         )
-
-
-def _feature_facts(dimension: int, features) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row: feature count, whether it is not a vector of `dimension`
-    values, and whether every value is finite (where it is one)."""
-    if isinstance(features, np.ndarray) and features.ndim == 2:
-        n, width = features.shape
-        finite = np.isfinite(features).all(axis=1)
-        return np.full(n, width), np.full(n, width != dimension), finite
-    arrays = [np.asarray(f, dtype=float) for f in features]
-    sizes = np.array([a.size for a in arrays], dtype=np.intp)
-    misshapen = np.array([a.ndim != 1 for a in arrays], dtype=bool) | (sizes != dimension)
-    finite = np.ones(len(arrays), dtype=bool)
-    vectors = np.flatnonzero(~misshapen)
-    if vectors.size:
-        finite[vectors] = np.isfinite(np.stack([arrays[i] for i in vectors])).all(axis=1)
-    return sizes, misshapen, finite
 
 
 def _check_columns(dimension, num_sessions, user_ids, sessions, order_indices, features):
@@ -104,7 +73,9 @@ def _check_columns(dimension, num_sessions, user_ids, sessions, order_indices, f
     repeat = np.zeros(len(order), dtype=bool)
     repeat[order[1:]] = np.logical_and.reduce([k[1:] == k[:-1] for k in key])
     in_range = (session_col >= 1) & (session_col <= num_sessions)
-    sizes, misshapen, finite = _feature_facts(dimension, features)
+    width = features.shape[1]
+    misshapen = np.full(len(features), width != dimension)
+    finite = np.isfinite(features).all(axis=1)
     for i in np.flatnonzero(repeat | ~in_range | misshapen | ~finite).tolist():
         key_text = f"({user_ids[i]}, session {sessions[i]}, #{order_indices[i]})"
         if repeat[i]:
@@ -112,7 +83,7 @@ def _check_columns(dimension, num_sessions, user_ids, sessions, order_indices, f
         if not in_range[i]:
             problems.append(f"sample {key_text}: session outside [1, {num_sessions}]")
         if misshapen[i]:
-            problems.append(f"sample {key_text}: feature dimension {sizes[i]} != {dimension}")
+            problems.append(f"sample {key_text}: feature dimension {width} != {dimension}")
         elif not finite[i]:
             problems.append(f"sample {key_text}: non-finite feature value")
     enrolled = np.zeros(len(users), dtype=bool)
@@ -127,66 +98,30 @@ def column_violations(
 ) -> list[str]:
     """Check per-row columns against the dataset invariants in one vectorized pass.
 
-    `features` is an (N, width) matrix or N per-row vectors. Problems come
-    in row order (per row: duplicate key, session range, then feature
-    dimension or non-finite values), then every user without session-1
-    samples, sorted by str.
+    `features` is an (N, width) matrix. Problems come in row order (per
+    row: duplicate key, session range, then feature dimension or
+    non-finite values), then every user without session-1 samples,
+    sorted by str.
     """
+    features = np.asarray(features, dtype=float)
     return _check_columns(dimension, num_sessions, user_ids, sessions, order_indices, features)[0]
-
-
-def dataset_violations(dimension: int, num_sessions: int, samples: Iterable) -> list[str]:
-    """Scan sample-shaped records against the dataset invariants.
-
-    Works on anything exposing user_id / session / order_index /
-    features, which lets loaders report every problem in a file instead
-    of failing on the first bad row.
-    """
-    return column_violations(dimension, num_sessions, *_record_columns(list(samples)))
-
-
-def _record_columns(records) -> tuple[list, list, list, list]:
-    """user_id, session, order_index and features columns of sample-shaped records."""
-    return (
-        [r.user_id for r in records],
-        [r.session for r in records],
-        [r.order_index for r in records],
-        [r.features for r in records],
-    )
-
-
-def _row_views(users, row_user, row_session, row_order, matrix) -> tuple[Sample, ...]:
-    """Samples over the rows of a validated read-only matrix, not re-validated."""
-    views = []
-    put = object.__setattr__
-    for user, session, order_index, features in zip(
-        map(users.__getitem__, row_user.tolist()), row_session.tolist(), row_order.tolist(), matrix
-    ):
-        view = object.__new__(Sample)
-        put(view, "user_id", user)
-        put(view, "session", session)
-        put(view, "order_index", order_index)
-        put(view, "features", features)
-        views.append(view)
-    return tuple(views)
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Session-structured collection of samples for many users.
 
-    Built from sample-shaped `records`, or from per-row columns with
-    `from_columns`; either way split into columns and validated once, by
-    `column_violations`. `feature_matrix` holds every feature vector,
-    read-only, in (user, session, order_index) order, and `row_user`
-    (position in `users`), `row_session` and `row_order` index its rows.
-    `samples` views the same rows as `Sample` objects, built on first use.
+    Built from per-row columns and an (N, dimension) feature matrix with
+    `from_columns`, and validated once, by `column_violations`.
+    `feature_matrix` holds every feature vector, read-only, in (user,
+    session, order_index) order, and `row_user` (position in `users`),
+    `row_session` and `row_order` index its rows. `samples` views the
+    same rows as `Sample` objects, built on first use.
     """
 
     dimension: int
     num_sessions: int
-    records: InitVar[Iterable] = ()
-    columns: InitVar[tuple | None] = None
+    columns: InitVar[tuple]
     feature_matrix: np.ndarray = field(init=False, repr=False)
     row_user: np.ndarray = field(init=False, repr=False)
     row_session: np.ndarray = field(init=False, repr=False)
@@ -200,18 +135,15 @@ class Dataset:
         columns = (user_ids, sessions, order_indices, features)
         return cls(dimension, num_sessions, columns=columns)
 
-    def __post_init__(self, records, columns):
-        if columns is None:
-            columns = _record_columns(list(records))
+    def __post_init__(self, columns):
         user_ids, sessions, order_indices, features = columns
+        features = np.asarray(features, dtype=float)
         problems, users, order, (row_user, row_session, row_order) = _check_columns(
             self.dimension, self.num_sessions, user_ids, sessions, order_indices, features
         )
         if problems:
             raise ValidationError(problems)
-        if not isinstance(features, np.ndarray):
-            features = np.stack(features) if len(features) else np.empty((0, self.dimension))
-        matrix = np.asarray(features, dtype=float)[order]
+        matrix = features[order]
         for column in (matrix, row_user, row_session, row_order):
             column.flags.writeable = False
         starts = np.flatnonzero(
@@ -231,9 +163,10 @@ class Dataset:
     @cached_property
     def samples(self) -> tuple[Sample, ...]:
         """Every row as a read-only `Sample` view of the matrix, in row order."""
-        return _row_views(
-            self._users, self.row_user, self.row_session, self.row_order, self.feature_matrix
-        )
+        return tuple(map(
+            Sample, map(self._users.__getitem__, self.row_user.tolist()),
+            self.row_session.tolist(), self.row_order.tolist(), self.feature_matrix,
+        ))
 
     @cached_property
     def session_rows(self) -> tuple[np.ndarray, ...]:
@@ -339,14 +272,13 @@ def scored_sessions(mode: Mode, num_sessions: int) -> range:
 
 
 def score_log_violations(
-    num_sessions: int, mode: Mode, users, repeat, session, target, source, raw, centered,
-    impostor=None,
+    num_sessions: int, mode: Mode, users, repeat, session, target, source, raw, centered
 ) -> list[str]:
     """Check score-log columns against the log invariants in one vectorized pass.
 
-    `target` and `source` are positions in `users`; `impostor`, when
-    given, is each row's stated label, checked against the identities.
-    Problems come row by row, in row order, worded as `ScoreRecord`
+    `target` and `source` are positions in `users`; a row's label is its
+    identity (genuine where source == target), so no label can contradict
+    it. Problems come row by row, in row order, worded as `ScoreRecord`
     words them; then the session count, the covered sessions, and the
     first row whose session precedes an earlier row's of the same
     (repeat, target).
@@ -355,14 +287,10 @@ def score_log_violations(
         np.asarray(c, dtype=np.intp) for c in (repeat, session, target, source)
     )
     raw, centered = np.asarray(raw, dtype=float), np.asarray(centered, dtype=float)
-    labelled_impostor = source != target if impostor is None else np.asarray(impostor, dtype=bool)
-    bad = (
-        (repeat < 0) | (session < 1) | ~(np.isfinite(raw) & (raw >= 0)) | ~np.isfinite(centered)
-        | (labelled_impostor == (source == target))
-    )
+    bad = (repeat < 0) | (session < 1) | ~(np.isfinite(raw) & (raw >= 0)) | ~np.isfinite(centered)
     problems = []
     for i in np.flatnonzero(bad).tolist():
-        label = Label.IMPOSTOR if labelled_impostor[i] else Label.GENUINE
+        label = Label.GENUINE if source[i] == target[i] else Label.IMPOSTOR
         problems += _record_problems(
             repeat[i], session[i], users[target[i]], users[source[i]], label,
             raw[i].item(), centered[i].item(),
@@ -404,26 +332,24 @@ class ScoreLog:
     `source` (positions in `users`, sorted by str), the `raw` and
     `centered` scores, and whether the query was `applied` as an update.
     A comparison is genuine when source == target. The log is built from
-    `ScoreRecord` objects, `ScoreLog(records, num_sessions, mode)`, or
-    from columns with `from_columns`, and validated once either way, by
-    `score_log_violations`; `records` gives the rows back as records.
+    columns with `from_columns` and validated once, by
+    `score_log_violations`; `records` gives the rows back as
+    `ScoreRecord` objects.
 
     Online runs cover sessions 2..S; offline runs cover 3..S because the
     last consumed session never gets its own frozen-reference pass.
     """
 
-    from_records: InitVar[Iterable[ScoreRecord]]
+    users: tuple[str, ...]
     num_sessions: int
     mode: Mode
-    columns: InitVar[tuple | None] = None
-    users: tuple[str, ...] = field(init=False)
-    repeat: np.ndarray = field(init=False, repr=False)
-    session: np.ndarray = field(init=False, repr=False)
-    target: np.ndarray = field(init=False, repr=False)
-    source: np.ndarray = field(init=False, repr=False)
-    raw: np.ndarray = field(init=False, repr=False)
-    centered: np.ndarray = field(init=False, repr=False)
-    applied: np.ndarray = field(init=False, repr=False)
+    repeat: np.ndarray = field(repr=False)
+    session: np.ndarray = field(repr=False)
+    target: np.ndarray = field(repr=False)
+    source: np.ndarray = field(repr=False)
+    raw: np.ndarray = field(repr=False)
+    centered: np.ndarray = field(repr=False)
+    applied: np.ndarray = field(repr=False)
 
     @classmethod
     def from_columns(
@@ -431,32 +357,14 @@ class ScoreLog:
         repeat, session, target, source, raw, centered, applied,
     ) -> "ScoreLog":
         """A log from per-row columns; `target`/`source` index `users`."""
-        columns = (tuple(users), repeat, session, target, source, raw, centered, applied, None)
-        return cls((), num_sessions, mode, columns=columns)
+        return cls(tuple(users), num_sessions, mode, repeat, session, target, source, raw,
+                   centered, applied)
 
-    def __post_init__(self, from_records, columns):
-        if columns is None:
-            records = tuple(from_records)
-            ids = {r.target_user for r in records} | {r.source_user for r in records}
-            users = tuple(sorted(ids, key=str))
-            position = {user: i for i, user in enumerate(users)}
-            columns = (
-                users,
-                [r.repeat_id for r in records],
-                [r.session for r in records],
-                [position[r.target_user] for r in records],
-                [position[r.source_user] for r in records],
-                [r.raw_score for r in records],
-                [r.centered_score for r in records],
-                [r.update_applied for r in records],
-                [r.true_label is Label.IMPOSTOR for r in records],
-            )
-        users, *values, impostor = columns
-        arrays = [np.array(v, dtype=dtype) for v, (_, dtype) in zip(values, _LOG_COLUMNS)]
-        problems = score_log_violations(self.num_sessions, self.mode, users, *arrays[:-1], impostor)
+    def __post_init__(self):
+        arrays = [np.array(getattr(self, name), dtype=dtype) for name, dtype in _LOG_COLUMNS]
+        problems = score_log_violations(self.num_sessions, self.mode, self.users, *arrays[:-1])
         if problems:
             raise ValidationError(problems)
-        object.__setattr__(self, "users", users)
         for (name, _), column in zip(_LOG_COLUMNS, arrays):
             column.flags.writeable = False
             object.__setattr__(self, name, column)

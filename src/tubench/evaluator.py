@@ -20,12 +20,12 @@ under closest-* orders, whose session 2 re-plans after each update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .core import Dataset, Mode, Sample, ScoreLog, scored_sessions
+from .core import Dataset, Mode, ScoreLog, scored_sessions
 from .errors import ConfigError, PartitionError, ValidationError
 from .matcher import EPSILON, ReferenceModel, center, enroll, raw_score
 from .matcher import centered_score  # noqa: F401  perfbench traces it under this module
@@ -107,7 +107,7 @@ def _present(model, dataset, users, rows, impostor, strategy, stream=None, raw=N
         row = rows[done]
         apply_updates(
             model, queries[done : done + 1], [users[dataset.row_user[row]]],
-            [int(dataset.row_session[row])], impostor[done : done + 1], strategy,
+            [int(dataset.row_session[row])], impostor[done : done + 1],
         )
         applied[done] = True
         done += 1
@@ -162,7 +162,7 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
                         apply_updates(
                             model, dataset.feature_matrix[picked],
                             [users[u] for u in dataset.row_user[picked].tolist()],
-                            dataset.row_session[picked].tolist(), impostor[applied], strategy,
+                            dataset.row_session[picked].tolist(), impostor[applied],
                         )
                 elif scored and not online:
                     applied = _present(model, dataset, users, rows, impostor, strategy, raw=raw)[2]
@@ -200,38 +200,34 @@ def _score_log(dataset: Dataset, mode: Mode, logged: list[tuple]) -> ScoreLog:
     )
 
 
-def partition_sessionless(samples, k: int) -> Dataset:
-    """Split a sessionless sample collection into k pseudo-sessions.
+def partition_sessionless(user_ids, order_indices, features, k: int) -> Dataset:
+    """Split a sessionless collection, given as per-row columns and an
+    (N, d) feature matrix, into k pseudo-sessions.
 
-    Per user, samples are cut into k contiguous chronological blocks of
-    near-equal size (earlier blocks take the remainder); block b becomes
-    session b + 1.
+    Per user, rows are cut into k contiguous chronological blocks (by
+    order_index) of near-equal size, earlier blocks taking the remainder;
+    block b becomes session b + 1.
     """
     if k < 2:
         raise ConfigError(f"partition needs k >= 2, got {k}")
-    samples = list(samples)
-    if not samples:
+    if not len(user_ids):
         raise PartitionError("no samples to partition")
-    by_user: dict[str, list[Sample]] = {}
-    for sample in samples:
-        if sample.session != 1:
-            raise PartitionError(
-                f"user {sample.user_id}: sample in session {sample.session}; "
-                "partition expects sessionless input (all session 1)"
-            )
-        by_user.setdefault(sample.user_id, []).append(sample)
-
-    rebuilt: list[Sample] = []
-    for user in sorted(by_user, key=str):
-        chronological = sorted(by_user[user], key=lambda s: s.order_index)
-        n = len(chronological)
-        if n < k:
-            raise PartitionError(f"user {user}: {n} samples cannot fill {k} sessions")
-        base, extra = divmod(n, k)
-        start = 0
-        for block in range(k):
-            size = base + (1 if block < extra else 0)
-            for sample in chronological[start : start + size]:
-                rebuilt.append(replace(sample, session=block + 1))
-            start += size
-    return Dataset(dimension=rebuilt[0].features.size, num_sessions=k, records=rebuilt)
+    users = sorted(set(user_ids), key=str)
+    position = {user: i for i, user in enumerate(users)}
+    codes = np.array([position[user] for user in user_ids], dtype=np.intp)
+    order_col = np.asarray(order_indices, dtype=np.intp)
+    counts = np.bincount(codes)
+    short = np.flatnonzero(counts < k)
+    if short.size:
+        user = short[0]
+        raise PartitionError(f"user {users[user]}: {counts[user]} samples cannot fill {k} sessions")
+    order = np.lexsort((order_col, codes))  # stable: equal order_indices keep row order
+    n = counts[codes[order]]
+    rank = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+    base, extra = n // k, n % k  # the first `extra` blocks take base + 1 rows
+    block = np.maximum(rank // (base + 1), (rank - extra) // base)
+    features = np.asarray(features, dtype=float)
+    return Dataset.from_columns(
+        features.shape[1], k, [users[c] for c in codes[order].tolist()], block + 1,
+        order_col[order], features[order],
+    )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -23,9 +24,20 @@ from .core import Dataset
 from .errors import FormatError
 
 
+@contextmanager
+def _utf8(path):
+    """`path` opened as UTF-8 text for csv; bytes that are not UTF-8 raise a
+    FormatError naming the file."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: not UTF-8 text") from None
+
+
 def read_table(path) -> tuple[list[str], list[list[str]]]:
     """Read a comma-delimited file with a header; returns (header, rows)."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    with _utf8(path) as handle:
         rows = list(csv.reader(handle))
     if not rows:
         raise FormatError(f"{path}: empty file")
@@ -80,7 +92,7 @@ def read_dataset(path, mapping: ColumnMapping = ColumnMapping()) -> Dataset:
     source of chronology regardless of how the file numbered its reps.
     The file is streamed into columns, features parsed with float().
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with _utf8(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:

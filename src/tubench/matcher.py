@@ -55,9 +55,11 @@ class ReferenceModel:
     The gallery's vectors live in one preallocated matrix, one row per
     entry in gallery order: enrollment entries first, then updates,
     oldest first; each row's (origin, source_user, source_session) tag
-    sits at the same position in a list. The matrix has capacity + 1
-    rows and doubles when a gallery outgrows it; evicting the oldest
-    updates shifts the later update rows up.
+    sits at the same position in a list. With a `capacity` (at least the
+    enrollment size) the gallery is a FIFO that evicts only updates, and
+    the matrix has capacity rows; without one it grows without bound,
+    and the matrix doubles when outgrown. Evicting the oldest updates
+    shifts the later update rows up.
     """
 
     def __init__(
@@ -78,6 +80,7 @@ class ReferenceModel:
         self.center_m = center_m
         self.center_s = center_s
         self.eps = eps
+        self.capacity = capacity
         vectors = np.asarray(vectors, dtype=float)
         tags = list(tags)
         enrolled = sum(1 for tag in tags if tag[0] is Origin.ENROLLMENT)
@@ -100,8 +103,11 @@ class ReferenceModel:
             problems.append("center_s must be floored at eps")
         if problems:
             raise ValidationError(problems)
-        rows = capacity + 1 if capacity is not None else 2 * len(tags)
-        self._matrix = np.empty((max(rows, len(tags)), dim))
+        if capacity is not None and capacity < len(tags):
+            raise ConfigError(
+                f"gallery capacity {capacity} is below the enrollment size {len(tags)}"
+            )
+        self._matrix = np.empty((2 * len(tags) if capacity is None else capacity, dim))
         self._matrix[: len(tags)] = vectors
         self._tags = tags
         self._enrolled = enrolled
@@ -126,37 +132,26 @@ class ReferenceModel:
     def dimension(self) -> int:
         return int(self._matrix.shape[1])
 
-    @property
-    def enrollment_size(self) -> int:
-        return self._enrolled
-
-    def append(self, features, tag: tuple, capacity: int | None = None) -> tuple | None:
-        """`extend` by one vector and its tag; the evicted tag, if any."""
-        evicted = self.extend(np.reshape(features, (1, -1)), (tag,), capacity)
-        return evicted[0] if evicted else None
-
-    def extend(self, vectors, tags, capacity: int | None = None) -> list[tuple]:
+    def extend(self, vectors, tags) -> list[tuple]:
         """Add a (k, d) matrix of update vectors with their (origin, source_user,
         source_session) tags as k appends would: each append past `capacity`
         entries evicts the oldest update. Returns the evicted tags, oldest
         first; mu / mad are left to `refresh_statistics`."""
         if any(tag[0] is Origin.ENROLLMENT for tag in tags):
             raise ValidationError("enrollment entries cannot be appended to a gallery")
-        first, n = self._enrolled, len(self._tags)
+        first, n, capacity = self._enrolled, len(self._tags), self.capacity
         end = n + len(tags)
-        if end <= len(self._matrix) and (capacity is None or end <= capacity):
-            self._matrix[n:end] = vectors  # nothing to evict and room left: write in place
+        if capacity is None and end > len(self._matrix):  # an unbounded gallery grows
+            grown = np.empty((max(2 * len(self._matrix), end), self._matrix.shape[1]))
+            grown[:n] = self._matrix[:n]
+            self._matrix = grown
+        if capacity is None or end <= capacity:  # nothing to evict: write in place
+            self._matrix[n:end] = vectors
             self._tags += tags
             return []
         updates = self._tags[first:] + list(tags)
-        update_rows = np.concatenate([self._matrix[first:n], vectors])
-        keep = len(updates) if capacity is None else min(len(updates), max(n, capacity) - first)
-        if first + keep > len(self._matrix):
-            grown = np.empty((max(2 * len(self._matrix), first + keep), self._matrix.shape[1]))
-            grown[:first] = self._matrix[:first]
-            self._matrix = grown
-        dropped = len(updates) - keep
-        self._matrix[first : first + keep] = update_rows[dropped:]
+        dropped = end - capacity
+        self._matrix[first:capacity] = np.concatenate([self._matrix[first:n], vectors])[dropped:]
         self._tags[first:] = updates[dropped:]
         return updates[:dropped]
 
@@ -183,6 +178,7 @@ def enroll(
     center_m is the mean of those scores and center_s their population
     standard deviation (floored at eps). They never change afterwards,
     so the centered scale keeps its meaning while the gallery evolves.
+    `capacity` is the gallery's FIFO capacity for the reference's lifetime.
     """
     vectors = np.asarray(enrollment_vectors, dtype=float)
     n = len(vectors)
@@ -190,8 +186,6 @@ def enroll(
         raise EnrollmentError(
             f"user {target_user}: enrollment needs an (n >= 2, d) matrix, got shape {vectors.shape}"
         )
-    if capacity is not None and capacity < n:
-        raise ConfigError(f"gallery capacity {capacity} is below the enrollment size {n}")
 
     # Row k of `rest` holds every enrollment vector but the k-th, in order,
     # so the axis-1 reductions give each leave-one-out gallery's statistics.

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .core import Label, QueryEvent
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError
 from .matcher import Origin, ReferenceModel, refresh_statistics
 
 
@@ -31,9 +31,9 @@ class UpdateStrategy:
     """How (and whether) accepted queries enter the gallery.
 
     capacity None means the gallery grows without bound; an integer
-    switches to FIFO eviction among non-enrollment entries. The capacity
-    must cover the enrollment gallery, which is checked once the
-    enrollment size is known.
+    switches to FIFO eviction among non-enrollment entries. A run enrolls
+    each reference with it (`enroll(..., capacity=)`), and the reference
+    rejects a capacity below its enrollment size.
     """
 
     kind: StrategyKind
@@ -85,7 +85,7 @@ def score_free(strategy: UpdateStrategy) -> bool:
 
 
 def apply_updates(
-    ref: ReferenceModel, features, source_users, source_sessions, impostor, strategy: UpdateStrategy
+    ref: ReferenceModel, features, source_users, source_sessions, impostor
 ) -> list[tuple]:
     """Insert accepted queries' (k, d) vectors in order and refresh mu / mad
     once, as one insert and refresh per row would: the statistics read only
@@ -95,16 +95,11 @@ def apply_updates(
         raise ValidationError(
             f"query shape {np.shape(features)} != (k, reference dimension {ref.dimension})"
         )
-    if strategy.capacity is not None and strategy.capacity < ref.enrollment_size:
-        raise ConfigError(
-            f"gallery capacity {strategy.capacity} is below the enrollment size "
-            f"{ref.enrollment_size}"
-        )
     tags = [
         (Origin.IMPOSTOR_UPDATE if is_impostor else Origin.GENUINE_UPDATE, user, session)
         for user, session, is_impostor in zip(source_users, source_sessions, impostor)
     ]
-    evicted = ref.extend(features, tags, strategy.capacity)
+    evicted = ref.extend(features, tags)
     refresh_statistics(ref)
     return evicted
 
@@ -125,7 +120,7 @@ def maybe_update(
         return UpdateOutcome(False, None, is_impostor)
     sample = query.sample
     evicted = apply_updates(
-        ref, [sample.features], [sample.user_id], [sample.session], [is_impostor], strategy
+        ref, [sample.features], [sample.user_id], [sample.session], [is_impostor]
     ) or [None]
     return UpdateOutcome(True, evicted[0], is_impostor)
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tubench import Dataset, Sample
+from tubench import Dataset, Sample, ScoreLog
 
 
 def fast_oracle_eer(genuine, impostor):
@@ -54,6 +54,43 @@ def make_sample(user, session, order, feats):
     return Sample(user, session, order, np.asarray(feats, dtype=float))
 
 
+def sample_columns(samples, width):
+    """The user_id, session, order_index columns and the (N, width) feature
+    matrix of sample-shaped records."""
+    samples = list(samples)
+    return (
+        [s.user_id for s in samples],
+        [s.session for s in samples],
+        [s.order_index for s in samples],
+        np.array([s.features for s in samples], dtype=float).reshape(len(samples), width),
+    )
+
+
+def dataset_of(dimension, num_sessions, samples):
+    """`Dataset.from_columns` over the columns of sample-shaped records."""
+    return Dataset.from_columns(dimension, num_sessions, *sample_columns(samples, dimension))
+
+
+def log_of(records, num_sessions, mode):
+    """`ScoreLog.from_columns` over the columns of `ScoreRecord` objects, with
+    the users sorted by str."""
+    records = tuple(records)
+    users = sorted({r.target_user for r in records} | {r.source_user for r in records}, key=str)
+    position = {user: i for i, user in enumerate(users)}
+    return ScoreLog.from_columns(
+        users,
+        num_sessions,
+        mode,
+        [r.repeat_id for r in records],
+        [r.session for r in records],
+        [position[r.target_user] for r in records],
+        [position[r.source_user] for r in records],
+        [r.raw_score for r in records],
+        [r.centered_score for r in records],
+        [r.update_applied for r in records],
+    )
+
+
 def two_user_1d_dataset():
     """Two symmetric 1-d users over 3 sessions, small enough to trace by hand.
 
@@ -66,7 +103,7 @@ def two_user_1d_dataset():
             samples.append(make_sample(user, 1, order, [offset + value]))
         samples.append(make_sample(user, 2, 3, [offset + 2.2]))
         samples.append(make_sample(user, 3, 4, [offset + 2.6]))
-    return Dataset(dimension=1, num_sessions=3, records=tuple(samples))
+    return dataset_of(1, 3, samples)
 
 
 @pytest.fixture

@@ -37,9 +37,9 @@ from tubench import (
     run_experiment,
     enroll,
 )
-from tubench.core import Mode as CoreMode, ScoreLog, ScoreRecord
+from tubench.core import Mode as CoreMode, ScoreRecord
 from tubench.cli import cmd_run
-from conftest import fast_oracle_eer, sign_test_p
+from conftest import fast_oracle_eer, log_of, sign_test_p
 
 TIMINGS = {}
 
@@ -171,7 +171,7 @@ def _random_log(rng, num_sessions):
             records.append(
                 ScoreRecord(0, session, "t", "x", Label.IMPOSTOR, 1.0, rng.gauss(1, 1), False)
             )
-    return ScoreLog(tuple(records), num_sessions, CoreMode.ONLINE)
+    return log_of(records, num_sessions, CoreMode.ONLINE)
 
 
 def test_scheme_identities_hold_on_arbitrary_logs():

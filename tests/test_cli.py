@@ -22,7 +22,7 @@ from tubench.cli import (
     main,
     resolve_config,
 )
-from tubench.core import Label, Mode
+from tubench.core import Label, Mode, ScoreLog
 from tubench.errors import ConfigError, MetricError
 from tubench.evaluator import ExperimentConfig
 from tubench.ingest import ColumnMapping, read_table, write_table
@@ -569,6 +569,68 @@ def test_report_bad_manifest_names_it(tmp_path, capsys, manifest):
     assert code == 1
     assert str(run / "manifest.json") in capsys.readouterr().err
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "row, bad",
+    [
+        (["pooled", "2", "0.1"], "short row"),
+        (["pooled", "two", "0.1", "0.0"], "non-integer session"),
+        (["pooled", "", "0.1", "0.0"], "empty session"),
+        (["pooled", "2", "0.1", "0.0", "9"], "long row"),
+    ],
+)
+def test_report_bad_summary_row_names_the_file_and_row(tmp_path, capsys, row, bad):
+    run = tmp_path / "run"
+    run.mkdir()
+    header = ["scheme", "session", "mean_eer", "std_eer"]
+    write_table(run / "summary.csv", header, [["pooled", "3", "0.1", "0.0"], row])
+    code = main(["report", "--in", str(run), "--out", str(tmp_path / "c.csv")])
+    assert code == 1, bad
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run / 'summary.csv'}: row 3: "), bad
+    assert "Traceback" not in err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_report_on_a_summary_that_is_not_utf8_names_it(tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "summary.csv").write_bytes(b"scheme,session,mean_eer,std_eer\npooled,2,0.1,\xff\n")
+    code = main(["report", "--in", str(run), "--out", str(tmp_path / "c.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {run / 'summary.csv'}: not UTF-8 text\n"
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("where", ["header", "data row"])
+def test_run_on_a_dataset_that_is_not_utf8_names_it(tmp_path, capsys, where):
+    dataset = tmp_path / "data.csv"
+    cmd_generate(write_config(tmp_path / "gen.json"), dataset)
+    text = dataset.read_bytes()
+    if where == "header":
+        dataset.write_bytes(b"\xe9" + text)
+    else:
+        dataset.write_bytes(text + b"u999,1,0" + b",\xe9" * 4 + b"\n")
+    config = write_config(tmp_path / "run.json", dataset={"path": str(dataset)})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {dataset}: not UTF-8 text\n"
+    assert not out.exists()
+
+
+def test_run_builds_one_sub_log_per_repeat_for_every_scheme(tmp_path, monkeypatch):
+    built = []
+    for_repeat = ScoreLog.for_repeat
+
+    def counting_for_repeat(log, repeat_id):
+        built.append(repeat_id)
+        return for_repeat(log, repeat_id)
+
+    monkeypatch.setattr(ScoreLog, "for_repeat", counting_for_repeat)
+    cmd_run(write_config(tmp_path / "c.json"), tmp_path / "out")
+    assert len(Scheme) == 3
+    assert built == [0, 1]  # BASE_CONFIG runs 2 repeats
 
 
 def test_all_outputs_parse_as_tables(tmp_path):

@@ -10,15 +10,13 @@ from tubench import (
     Label,
     Mode,
     QueryEvent,
-    Sample,
     ScoreLog,
     ScoreRecord,
     ValidationError,
     column_violations,
-    dataset_violations,
     score_log_violations,
 )
-from conftest import make_sample
+from conftest import dataset_of, log_of, make_sample, sample_columns
 
 
 def reference_violations(dimension, num_sessions, samples):
@@ -61,7 +59,7 @@ _feature_value = st.one_of(
 def sample_shaped_records(draw):
     dimension = draw(st.integers(0, 3))
     num_sessions = draw(st.integers(0, 4))
-    width = st.integers(0, 4) if draw(st.booleans()) else st.just(dimension)
+    width = draw(st.integers(0, 4)) if draw(st.booleans()) else dimension
     records = draw(
         st.lists(
             st.builds(
@@ -69,80 +67,39 @@ def sample_shaped_records(draw):
                 user_id=st.sampled_from(["a", "b", "c", "u10", "u2"]),
                 session=st.integers(-1, 5),
                 order_index=st.integers(-2, 3),
-                features=width.flatmap(lambda n: st.lists(_feature_value, min_size=n, max_size=n)),
+                features=st.lists(_feature_value, min_size=width, max_size=width),
             ),
             max_size=25,
         )
     )
-    return dimension, num_sessions, records
+    return dimension, num_sessions, width, records
 
 
 @settings(max_examples=300, deadline=None)
 @given(sample_shaped_records())
 def test_column_validator_matches_the_row_by_row_scan(case):
-    dimension, num_sessions, records = case
+    dimension, num_sessions, width, records = case
     expected = reference_violations(dimension, num_sessions, records)
-    assert dataset_violations(dimension, num_sessions, records) == expected
+    columns = sample_columns(records, width)
+    assert column_violations(dimension, num_sessions, *columns) == expected
     if expected:
         with pytest.raises(ValidationError) as err:
-            Dataset(dimension=dimension, num_sessions=num_sessions, records=records)
+            Dataset.from_columns(dimension, num_sessions, *columns)
         assert err.value.violations == expected
-    widths = {len(r.features) for r in records}
-    if len(widths) == 1:  # the matrix form of the same columns
-        matrix = np.array([r.features for r in records], dtype=float)
-        got = column_violations(
-            dimension,
-            num_sessions,
-            [r.user_id for r in records],
-            np.array([r.session for r in records]),
-            np.array([r.order_index for r in records]),
-            matrix,
-        )
-        assert got == expected
+    else:
+        Dataset.from_columns(dimension, num_sessions, *columns)
 
 
-def test_column_validator_reports_non_vector_features_like_the_scan():
-    records = [
-        SimpleNamespace(user_id="a", session=1, order_index=0, features=[[1.0, 2.0]]),
-        SimpleNamespace(user_id="a", session=2, order_index=1, features=3.0),
-        SimpleNamespace(user_id="a", session=2, order_index=2, features=[1.0, math.nan]),
-    ]
-    expected = reference_violations(2, 2, records)
-    assert len(expected) == 3
-    assert dataset_violations(2, 2, records) == expected
+def violations(dimension, num_sessions, samples, width=None):
+    """`column_violations` over the columns of sample-shaped records."""
+    columns = sample_columns(samples, dimension if width is None else width)
+    return column_violations(dimension, num_sessions, *columns)
 
 
-def test_sample_rejects_bad_session():
-    with pytest.raises(ValidationError):
-        make_sample("u", 0, 0, [1.0])
-
-
-def test_sample_rejects_negative_order_index():
-    with pytest.raises(ValidationError):
-        make_sample("u", 1, -1, [1.0])
-
-
-def test_sample_rejects_non_finite_features():
-    with pytest.raises(ValidationError, match="non-finite"):
-        make_sample("u", 1, 0, [1.0, math.nan])
-    with pytest.raises(ValidationError):
-        make_sample("u", 1, 0, [math.inf])
-
-
-def test_sample_rejects_empty_features():
-    with pytest.raises(ValidationError):
-        make_sample("u", 1, 0, [])
-
-
-def test_sample_features_are_immutable():
-    sample = make_sample("u", 1, 0, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        sample.features[0] = 3.0
-    # a copy is taken, so mutating the source array does not leak in
-    source = np.array([5.0, 6.0])
-    other = make_sample("u", 1, 1, source)
-    source[0] = -1.0
-    assert other.features[0] == 5.0
+def test_sample_is_an_unchecked_view():
+    sample = make_sample("u", 0, -1, [math.nan])
+    assert (sample.session, sample.order_index) == (0, -1)
+    assert math.isnan(sample.features[0])
 
 
 def _ok_samples():
@@ -156,51 +113,52 @@ def _ok_samples():
 
 
 def test_well_formed_dataset_has_no_violations():
-    assert dataset_violations(2, 2, _ok_samples()) == []
-    Dataset(dimension=2, num_sessions=2, records=_ok_samples())
+    assert violations(2, 2, _ok_samples()) == []
+    dataset_of(2, 2, _ok_samples())
 
 
 def test_violation_for_missing_enrollment_session():
     samples = [make_sample("a", 1, 0, [0.0]), make_sample("b", 2, 0, [1.0])]
-    problems = dataset_violations(1, 2, samples)
+    problems = violations(1, 2, samples)
     assert len(problems) == 1
     assert "b" in problems[0] and "session-1" in problems[0]
 
 
 def test_violation_for_non_finite_feature_names_sample():
-    # Sample itself refuses non-finite values, so the scan is exercised
-    # through a sample-shaped stub, the same way loaders stage raw rows.
-    stub = SimpleNamespace(user_id="a", session=1, order_index=0, features=[math.nan])
-    good = SimpleNamespace(user_id="a", session=2, order_index=1, features=[0.5])
-    problems = dataset_violations(1, 2, [stub, good])
+    samples = [make_sample("a", 1, 0, [math.nan]), make_sample("a", 2, 1, [0.5])]
+    problems = violations(1, 2, samples)
     assert len(problems) == 1
     assert "non-finite" in problems[0] and "a" in problems[0]
 
 
 def test_violation_for_duplicate_sample_key():
     samples = [make_sample("a", 1, 0, [0.0]), make_sample("a", 1, 0, [1.0])]
-    assert any("duplicate" in p for p in dataset_violations(1, 2, samples))
+    assert any("duplicate" in p for p in violations(1, 2, samples))
 
 
 def test_violation_for_session_out_of_range():
     samples = [make_sample("a", 1, 0, [0.0]), make_sample("a", 5, 1, [1.0])]
-    assert any("outside" in p for p in dataset_violations(1, 2, samples))
+    assert any("outside" in p for p in violations(1, 2, samples))
 
 
 def test_violation_for_dimension_mismatch():
-    samples = [make_sample("a", 1, 0, [0.0]), make_sample("a", 2, 1, [1.0, 2.0])]
-    assert any("dimension" in p for p in dataset_violations(1, 2, samples))
+    samples = [make_sample("a", 1, 0, [0.0, 1.0]), make_sample("a", 2, 1, [1.0, 2.0])]
+    problems = violations(1, 2, samples, width=2)
+    assert problems == [
+        "sample (a, session 1, #0): feature dimension 2 != 1",
+        "sample (a, session 2, #1): feature dimension 2 != 1",
+    ]
 
 
 def test_dataset_construction_rejects_violations():
     samples = [make_sample("a", 1, 0, [0.0]), make_sample("b", 2, 0, [1.0])]
     with pytest.raises(ValidationError) as err:
-        Dataset(dimension=1, num_sessions=2, records=tuple(samples))
+        dataset_of(1, 2, samples)
     assert any("session-1" in v for v in err.value.violations)
 
 
 def test_dataset_lookup_is_chronological():
-    dataset = Dataset(dimension=2, num_sessions=2, records=_ok_samples())
+    dataset = dataset_of(2, 2, _ok_samples())
     assert dataset.users == ("a", "b")
     orders = [s.order_index for s in dataset.samples_for("a")]
     assert orders == sorted(orders)
@@ -218,8 +176,8 @@ def test_dataset_from_columns_equals_dataset_from_samples():
         [s.order_index for s in reversed(samples)],
         [s.features.tolist() for s in reversed(samples)],
     )
-    assert columns == Dataset(dimension=2, num_sessions=2, records=samples)
-    assert columns.samples == Dataset(dimension=2, num_sessions=2, records=samples).samples
+    assert columns == dataset_of(2, 2, samples)
+    assert columns.samples == dataset_of(2, 2, samples).samples
     assert columns.samples == tuple(sorted(samples, key=lambda s: (s.user_id, s.session)))
     assert not columns.feature_matrix.flags.writeable
     with pytest.raises(ValueError):
@@ -229,8 +187,8 @@ def test_dataset_from_columns_equals_dataset_from_samples():
 
 
 def test_dataset_equality_is_field_for_field():
-    first = Dataset(dimension=2, num_sessions=2, records=_ok_samples())
-    second = Dataset(dimension=2, num_sessions=2, records=tuple(reversed(_ok_samples())))
+    first = dataset_of(2, 2, _ok_samples())
+    second = dataset_of(2, 2, reversed(_ok_samples()))
     assert first == second
 
 
@@ -259,30 +217,30 @@ def _record(repeat, session, target="t", source="s", centered=0.0):
 
 def test_online_log_must_cover_sessions_2_to_s():
     records = (_record(0, 2), _record(0, 3))
-    log = ScoreLog(records, 3, Mode.ONLINE)
+    log = log_of(records, 3, Mode.ONLINE)
     assert list(log.covered_sessions) == [2, 3]
     with pytest.raises(ValidationError):
-        ScoreLog((_record(0, 2),), 3, Mode.ONLINE)  # session 3 missing
+        log_of((_record(0, 2),), 3, Mode.ONLINE)  # session 3 missing
     with pytest.raises(ValidationError):
-        ScoreLog(records, 2, Mode.ONLINE)  # session 3 out of range
+        log_of(records, 2, Mode.ONLINE)  # session 3 out of range
 
 
 def test_offline_log_covers_3_to_s_only():
-    log = ScoreLog((_record(0, 3),), 3, Mode.OFFLINE)
+    log = log_of((_record(0, 3),), 3, Mode.OFFLINE)
     assert list(log.covered_sessions) == [3]
     with pytest.raises(ValidationError):
-        ScoreLog((_record(0, 2), _record(0, 3)), 3, Mode.OFFLINE)
+        log_of((_record(0, 2), _record(0, 3)), 3, Mode.OFFLINE)
 
 
 def test_log_rejects_out_of_stream_order_records():
     records = (_record(0, 3), _record(0, 2))
     with pytest.raises(ValidationError, match="stream order"):
-        ScoreLog(records, 3, Mode.ONLINE)
+        log_of(records, 3, Mode.ONLINE)
 
 
 def test_log_for_repeat_filters_records():
     records = (_record(0, 2), _record(1, 2), _record(0, 3), _record(1, 3))
-    log = ScoreLog(records, 3, Mode.ONLINE)
+    log = log_of(records, 3, Mode.ONLINE)
     assert log.repeat_ids == (0, 1)
     sub = log.for_repeat(1)
     assert all(r.repeat_id == 1 for r in sub.records)
@@ -331,18 +289,15 @@ def reference_log_violations(num_sessions, mode, rows):
 def score_log_rows(draw):
     num_sessions = draw(st.integers(1, 4))
     mode = draw(st.sampled_from(list(Mode)))
-    honest_labels = draw(st.booleans())
     raw = st.one_of(st.floats(0.0, 10.0), st.sampled_from([-0.5, math.nan, math.inf]))
     centered = st.one_of(st.floats(-5.0, 5.0), st.just(math.nan))
     rows = []
     for _ in range(draw(st.integers(0, 12))):
         target, source = draw(st.sampled_from(["a", "b", "u10"])), draw(st.sampled_from(["a", "u10"]))
-        label = Label.GENUINE if target == source else Label.IMPOSTOR
-        if not honest_labels:
-            label = draw(st.sampled_from(list(Label)))
         rows.append(SimpleNamespace(
             repeat_id=draw(st.integers(-1, 1)), session=draw(st.integers(0, 4)),
-            target_user=target, source_user=source, true_label=label,
+            target_user=target, source_user=source,
+            true_label=Label.GENUINE if target == source else Label.IMPOSTOR,
             raw_score=draw(raw), centered_score=draw(centered),
         ))
     return num_sessions, mode, rows
@@ -362,16 +317,14 @@ def test_log_column_checks_match_the_record_by_record_checks(case):
         [r.raw_score for r in rows],
         [r.centered_score for r in rows],
     )
-    impostor = [r.true_label is Label.IMPOSTOR for r in rows]
-    assert score_log_violations(num_sessions, mode, users, *columns, impostor) == expected
-    if all((r.true_label is Label.GENUINE) == (r.source_user == r.target_user) for r in rows):
-        applied = [False] * len(rows)
-        if expected:
-            with pytest.raises(ValidationError) as err:
-                ScoreLog.from_columns(users, num_sessions, mode, *columns, applied)
-            assert err.value.violations == expected
-        else:
+    assert score_log_violations(num_sessions, mode, users, *columns) == expected
+    applied = [False] * len(rows)
+    if expected:
+        with pytest.raises(ValidationError) as err:
             ScoreLog.from_columns(users, num_sessions, mode, *columns, applied)
+        assert err.value.violations == expected
+    else:
+        ScoreLog.from_columns(users, num_sessions, mode, *columns, applied)
 
 
 def test_core_types_are_frozen():

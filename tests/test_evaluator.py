@@ -16,7 +16,6 @@ from tubench import (
     PartitionError,
     ReferenceModel,
     Scheme,
-    ScoreLog,
     ScoreRecord,
     SessionPolicy,
     StrategyKind,
@@ -39,7 +38,7 @@ from tubench import evaluator, stream as stream_module
 from tubench.evaluator import InclusionSnapshot, derive_seed
 from tubench.stream import CLOSEST, draw_bounds
 from tubench.synthdata import SynthConfig, generate
-from conftest import make_sample, two_user_1d_dataset
+from conftest import dataset_of, log_of, make_sample, sample_columns, two_user_1d_dataset
 
 SCRIPTED = (Label.GENUINE, Label.IMPOSTOR)
 
@@ -109,8 +108,8 @@ def test_runs_build_no_sample_views_and_evict_update_tags_oldest_first(monkeypat
     appended, evicted = [], []
     extend = ReferenceModel.extend
 
-    def recording_extend(model, vectors, tags, capacity=None):
-        gone = extend(model, vectors, tags, capacity)
+    def recording_extend(model, vectors, tags):
+        gone = extend(model, vectors, tags)
         appended.extend((model, tag) for tag in tags)
         evicted.extend((model, tag) for tag in gone)
         return gone
@@ -142,7 +141,7 @@ def test_online_single_user_scores_match_standalone_recomputation():
     samples = [make_sample("solo", 1, i, [float(i), 1.0]) for i in range(3)]
     samples += [make_sample("solo", s, 3 * (s - 1) + i, [0.5 * s + 0.1 * i, 1.0])
                 for s in (2, 3) for i in range(3)]
-    dataset = Dataset(dimension=2, num_sessions=3, records=tuple(samples))
+    dataset = dataset_of(2, 3, tuple(samples))
     config = ExperimentConfig(
         Mode.ONLINE, StreamConfig(impostor_ratio=0.0), UpdateStrategy(StrategyKind.NONE),
         repeats=1, base_seed=2,
@@ -290,10 +289,16 @@ def test_offline_scoring_references_exclude_current_session_vectors(trace_datase
     assert got == manual
 
 
+def _partition(samples, k):
+    """`partition_sessionless` over the columns of sessionless samples."""
+    user_ids, _, order_indices, features = sample_columns(samples, 1)
+    return partition_sessionless(user_ids, order_indices, features, k)
+
+
 def test_partition_even_split():
     samples = [make_sample("u", 1, i, [float(i)]) for i in range(10)]
     samples += [make_sample("v", 1, i, [float(i) + 50]) for i in range(10)]
-    dataset = partition_sessionless(samples, 2)
+    dataset = _partition(samples, 2)
     assert dataset.num_sessions == 2
     assert len(dataset.samples_for("u", 1)) == 5
     assert len(dataset.samples_for("u", 2)) == 5
@@ -301,9 +306,18 @@ def test_partition_even_split():
 
 def test_partition_remainder_goes_to_early_blocks():
     samples = [make_sample("u", 1, i, [float(i)]) for i in range(7)]
-    dataset = partition_sessionless(samples, 3)
+    dataset = _partition(samples, 3)
     sizes = [len(dataset.samples_for("u", s)) for s in (1, 2, 3)]
     assert sizes == [3, 2, 2]
+
+
+def test_partition_block_sizes_follow_divmod():
+    for n in range(2, 25):
+        samples = [make_sample("u", 1, i, [float(i)]) for i in range(n)]
+        for k in range(2, n + 1):
+            base, extra = divmod(n, k)
+            sizes = [len(_partition(samples, k).samples_for("u", s)) for s in range(1, k + 1)]
+            assert sizes == [base + 1] * extra + [base] * (k - extra), (n, k)
 
 
 def test_partition_preserves_chronology():
@@ -312,21 +326,23 @@ def test_partition_preserves_chronology():
         make_sample("u", 1, i, [float(v)])
         for i, v in enumerate(rng.normal(size=11))
     ]
-    dataset = partition_sessionless(samples, 4)
+    dataset = _partition(samples[::-1], 4)  # blocks follow order_index, not row order
     for session in range(1, 4):
         left = max(s.order_index for s in dataset.samples_for("u", session))
         right = min(s.order_index for s in dataset.samples_for("u", session + 1))
         assert left < right
+    for sample in dataset.samples:
+        assert np.array_equal(sample.features, samples[sample.order_index].features)
 
 
 def test_partition_errors_name_the_user():
     samples = [make_sample("tiny", 1, i, [0.0 + i]) for i in range(2)]
     with pytest.raises(PartitionError, match="tiny"):
-        partition_sessionless(samples, 3)
-    with pytest.raises(PartitionError):
-        partition_sessionless([make_sample("u", 2, 0, [0.0])], 2)
+        _partition(samples, 3)
+    with pytest.raises(PartitionError, match="no samples"):
+        _partition([], 2)
     with pytest.raises(ConfigError):
-        partition_sessionless([make_sample("u", 1, 0, [0.0])], 1)
+        _partition([make_sample("u", 1, 0, [0.0])], 1)
 
 
 def test_seed_derivation_separates_all_axes():
@@ -495,7 +511,7 @@ def test_columnar_log_equals_the_log_built_from_its_records(mode):
         base_seed=3,
     )
     log = run_experiment(close_users(5), config).log
-    rebuilt = ScoreLog(log.records, log.num_sessions, mode)
+    rebuilt = log_of(log.records, log.num_sessions, mode)
     assert rebuilt.users == log.users
     for name in ("repeat", "session", "target", "source", "raw", "centered", "applied"):
         assert getattr(rebuilt, name).tobytes() == getattr(log, name).tobytes(), name

@@ -4,7 +4,6 @@ import pytest
 from tubench import (
     CMU_KEYSTROKE,
     ColumnMapping,
-    Dataset,
     FormatError,
     SynthConfig,
     ValidationError,
@@ -13,7 +12,7 @@ from tubench import (
     write_dataset,
 )
 from tubench.ingest import read_table, write_table
-from conftest import make_sample
+from conftest import dataset_of, make_sample
 
 
 def test_round_trip_of_synthetic_dataset_is_exact(tmp_path):
@@ -46,7 +45,7 @@ def test_round_trip_over_random_small_datasets(tmp_path):
                         make_sample(f"user{u}", session, order, rng.normal(size=d))
                     )
                     order += 1
-        dataset = Dataset(dimension=int(d), num_sessions=int(sessions), records=tuple(samples))
+        dataset = dataset_of(int(d), int(sessions), tuple(samples))
         path = tmp_path / f"rt{trial}.csv"
         write_dataset(dataset, path)
         assert read_dataset(path) == dataset
@@ -59,7 +58,7 @@ def test_user_ids_are_quoted_like_csv_writer_does(tmp_path):
         for k, user in enumerate(users)
         for session in (1, 2)
     )
-    dataset = Dataset(dimension=3, num_sessions=2, records=samples)
+    dataset = dataset_of(3, 2, samples)
     path = tmp_path / "quoted.csv"
     write_dataset(dataset, path)
     expected = tmp_path / "expected.csv"
@@ -83,7 +82,7 @@ def test_canonical_layout(tmp_path):
         make_sample("a", 2, 1, [0.1, 0.2]),
     )
     path = tmp_path / "tiny.csv"
-    write_dataset(Dataset(dimension=2, num_sessions=2, records=samples), path)
+    write_dataset(dataset_of(2, 2, samples), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "user,session,rep,f1,f2"
     assert lines[1].startswith("a,1,0,")  # rows sorted by user then session
@@ -92,9 +91,7 @@ def test_canonical_layout(tmp_path):
 
 
 def test_singleton_dataset_writes_header_plus_one_row(tmp_path):
-    dataset = Dataset(
-        dimension=2, num_sessions=2, records=(make_sample("only", 1, 0, [1.0, 2.0]),)
-    )
+    dataset = dataset_of(2, 2, (make_sample("only", 1, 0, [1.0, 2.0]),))
     path = tmp_path / "one.csv"
     write_dataset(dataset, path)
     lines = path.read_text().splitlines()

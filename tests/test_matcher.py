@@ -80,8 +80,9 @@ def test_enroll_requires_two_samples():
 
 
 def test_enroll_rejects_capacity_below_enrollment():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="capacity 2 is below the enrollment size 3"):
         enroll("u", np.array([[1.0], [2.0], [3.0]]), capacity=2)
+    assert enroll("u", np.array([[1.0], [2.0], [3.0]]), capacity=3).capacity == 3
 
 
 def test_raw_score_of_gallery_mean_is_zero():
@@ -197,7 +198,7 @@ def test_refresh_statistics_is_idempotent():
 def test_refresh_after_appending_the_mean_shrinks_mad():
     ref = enroll("u", np.array([[0.0, 1.0], [4.0, 3.0], [2.0, 5.0]]))
     before_mu, before_mad = ref.mu.copy(), ref.mad.copy()
-    assert ref.append(before_mu, (Origin.GENUINE_UPDATE, "u", 2)) is None
+    assert ref.extend(before_mu[None], [(Origin.GENUINE_UPDATE, "u", 2)]) == []
     refresh_statistics(ref)
     assert np.allclose(ref.mu, before_mu)
     assert np.all(ref.mad <= before_mad + 1e-15)
@@ -206,8 +207,9 @@ def test_refresh_after_appending_the_mean_shrinks_mad():
     assert np.allclose(ref.mad, expected_mad, atol=1e-15)
 
 
-def reference_append(ref, features, tag, capacity=None):
-    """`ReferenceModel.append` before `extend` existed: one row, at most one eviction."""
+def reference_append(ref, features, tag):
+    """A one-row append under the reference's capacity, as galleries appended
+    before `extend` existed: at most one eviction."""
     n = len(ref._tags)
     if n == len(ref._matrix):
         grown = np.empty((2 * n, ref._matrix.shape[1]))
@@ -215,7 +217,7 @@ def reference_append(ref, features, tag, capacity=None):
         ref._matrix = grown
     ref._matrix[n] = features
     ref._tags.append(tag)
-    if capacity is None or n + 1 <= capacity:
+    if ref.capacity is None or n + 1 <= ref.capacity:
         return None
     first = ref._enrolled
     ref._matrix[first:n] = ref._matrix[first + 1 : n + 1]
@@ -230,26 +232,18 @@ def gallery_tags(ref):
 @given(
     enrolled=st.integers(2, 5),
     spare=st.sampled_from([None, 0, 1, 3, 8]),
-    batches=st.lists(
-        st.tuples(st.integers(0, 12), st.booleans(), st.sampled_from([None, 0, 1, 3, 8])),
-        max_size=6,
-    ),
+    batches=st.lists(st.integers(0, 12), max_size=6),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_extend_equals_a_loop_of_one_row_appends(enrolled, spare, batches, seed):
     # spare None: unbounded, so batches cross the matrix doubling; 0: capacity
-    # equal to the enrollment size, so every update is evicted at once. A batch
-    # may pass another capacity than the enrollment's, so a gallery can already
-    # be past the capacity it is extended under.
-    def capacity_of(spare):
-        return None if spare is None else enrolled + spare
-
+    # equal to the enrollment size, so every update is evicted at once.
+    capacity = None if spare is None else enrolled + spare
     rng = np.random.default_rng(seed)
     vectors = rng.normal(size=(enrolled, 3))
-    batched, looped = (enroll("u", vectors, capacity=capacity_of(spare)) for _ in range(2))
+    batched, looped = (enroll("u", vectors, capacity=capacity) for _ in range(2))
     session = 2
-    for k, same, other in batches:
-        capacity = capacity_of(spare if same else other)
+    for k in batches:
         rows = rng.normal(size=(k, 3))
         impostor = rng.random(k) < 0.5
         tags = [
@@ -257,11 +251,42 @@ def test_extend_equals_a_loop_of_one_row_appends(enrolled, spare, batches, seed)
             for i, flag in enumerate(impostor)
         ]
         session += k
-        evicted = batched.extend(rows, tags, capacity)
-        appended = [reference_append(looped, row, tag, capacity) for row, tag in zip(rows, tags)]
+        evicted = batched.extend(rows, tags)
+        appended = [reference_append(looped, row, tag) for row, tag in zip(rows, tags)]
         assert evicted == [tag for tag in appended if tag is not None]
         assert batched.vectors.tobytes() == looped.vectors.tobytes()
         assert gallery_tags(batched) == gallery_tags(looped)
+
+
+def _updates(first_session, k):
+    rows = np.arange(first_session, first_session + k, dtype=float)[:, None] * [1.0, -1.0]
+    return rows, [(Origin.GENUINE_UPDATE, "u", first_session + i) for i in range(k)]
+
+
+def test_a_batch_that_lands_exactly_on_the_capacity_evicts_nothing():
+    ref = enroll("u", np.array([[0.0, 0.0], [1.0, 1.0]]), capacity=5)
+    rows, tags = _updates(2, 3)
+    assert ref.extend(rows, tags) == []
+    assert len(ref.vectors) == 5
+    assert ref.vectors[2:].tobytes() == rows.tobytes()
+    assert gallery_tags(ref)[2:] == tags
+
+
+def test_one_row_past_the_capacity_evicts_the_oldest_update():
+    ref = enroll("u", np.array([[0.0, 0.0], [1.0, 1.0]]), capacity=5)
+    rows, tags = _updates(2, 3)
+    ref.extend(rows, tags)  # the gallery sits at its capacity
+    row, tag = _updates(5, 1)
+    assert ref.extend(row, tag) == tags[:1]
+    assert len(ref.vectors) == 5
+    assert ref.vectors[2:].tobytes() == np.concatenate([rows[1:], row]).tobytes()
+    assert gallery_tags(ref)[2:] == tags[1:] + tag
+    # a batch that overshoots the capacity by one from below evicts one too
+    ref = enroll("u", np.array([[0.0, 0.0], [1.0, 1.0]]), capacity=5)
+    rows, tags = _updates(2, 4)
+    assert ref.extend(rows, tags) == tags[:1]
+    assert gallery_tags(ref)[2:] == tags[1:]
+    assert ref.vectors[2:].tobytes() == rows[1:].tobytes()
 
 
 def test_singleton_gallery_statistics_are_floored():
@@ -297,7 +322,7 @@ def test_gallery_keeps_enrollment_entries_first():
         ReferenceModel("u", [[1.0], [2.0]], [update, enrolled], mu, mad, 0.0, 1.0)
     ref = ReferenceModel("u", [[2.0], [1.0]], [enrolled, update], mu, mad, 0.0, 1.0)
     with pytest.raises(ValidationError, match="cannot be appended"):
-        ref.append([3.0], (Origin.ENROLLMENT, "u", 1))
+        ref.extend(np.array([[3.0]]), [(Origin.ENROLLMENT, "u", 1)])
     assert [e.origin for e in ref.gallery] == [Origin.ENROLLMENT, Origin.GENUINE_UPDATE]
 
 

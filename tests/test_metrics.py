@@ -9,7 +9,6 @@ from tubench import (
     MetricError,
     Mode,
     Scheme,
-    ScoreLog,
     ScoreRecord,
     aggregate,
     cumulative_mean_eer,
@@ -21,6 +20,7 @@ from tubench import (
     report_for,
 )
 from tubench.evaluator import InclusionSnapshot
+from conftest import log_of
 
 
 def oracle_eer(genuine, impostor):
@@ -120,7 +120,7 @@ def _log_from_session_scores(per_session, mode=Mode.ONLINE, repeat=0):
                 ScoreRecord(repeat, session, "t", "x", Label.IMPOSTOR, 1.0, value, False)
             )
     num_sessions = max(per_session)
-    return ScoreLog(tuple(records), num_sessions, mode)
+    return log_of(tuple(records), num_sessions, mode)
 
 
 def test_per_session_eer_is_constant_on_identical_sessions():
@@ -157,7 +157,7 @@ def test_per_session_eer_requires_both_labels_each_session():
         ScoreRecord(0, 2, "t", "x", Label.IMPOSTOR, 1.0, 0.9, False),
         ScoreRecord(0, 3, "t", "t", Label.GENUINE, 1.0, 0.1, False),
     )
-    log = ScoreLog(records, 3, Mode.ONLINE)
+    log = log_of(records, 3, Mode.ONLINE)
     with pytest.raises(MetricError, match="session 3"):
         per_session_eer(log)
 
@@ -243,7 +243,7 @@ def test_schemes_are_order_invariant_within_sessions():
         chunk = [r for r in log.records if r.session == session]
         rng.shuffle(chunk)
         shuffled_records.extend(chunk)
-    shuffled = ScoreLog(tuple(shuffled_records), 3, Mode.ONLINE)
+    shuffled = log_of(tuple(shuffled_records), 3, Mode.ONLINE)
     assert per_session_eer(shuffled) == per_session_eer(log)
     assert cumulative_mean_eer(shuffled) == cumulative_mean_eer(log)
     assert pooled_eer(shuffled) == pooled_eer(log)
@@ -282,7 +282,7 @@ def test_report_for_splits_repeats():
     scores_b = ([0.2, 0.3], [0.25, 0.6])
     log0 = _log_from_session_scores({2: scores_a, 3: scores_a}, repeat=0)
     log1 = _log_from_session_scores({2: scores_b, 3: scores_b}, repeat=1)
-    merged = ScoreLog(log0.records + log1.records, 3, Mode.ONLINE)
+    merged = log_of(log0.records + log1.records, 3, Mode.ONLINE)
     report = report_for(Scheme.PER_SESSION, merged)
     assert report.per_repeat == (
         tuple(per_session_eer(log0)),

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tubench import (
-    Dataset,
     GlobalOrder,
     Label,
     LocalOrder,
@@ -23,7 +22,7 @@ from tubench import (
 )
 from tubench.rng import SplitMix64
 from tubench.stream import _popped
-from conftest import make_sample
+from conftest import dataset_of, make_sample
 
 
 def grid_dataset(num_users=4, sessions=3, per_session=7, d=2, spacing=10.0):
@@ -37,7 +36,7 @@ def grid_dataset(num_users=4, sessions=3, per_session=7, d=2, spacing=10.0):
                 order = (session - 1) * per_session + i
                 feats = [base + 0.01 * order, base - 0.01 * order]
                 samples.append(make_sample(f"u{k}", session, order, feats))
-    return Dataset(dimension=d, num_sessions=sessions, records=tuple(samples))
+    return dataset_of(d, sessions, tuple(samples))
 
 
 def reference_for(dataset, user="u0"):
@@ -187,7 +186,7 @@ def test_closest_sample_breaks_ties_lexicographically():
             for s in (1, 2)
             for i in ((s - 1),)
         )
-    dataset = Dataset(dimension=2, num_sessions=2, records=tuple(samples))
+    dataset = dataset_of(2, 2, tuple(samples))
     ref = enroll("a", [[0.0, 0.0], [0.1, 0.1]])
     config = StreamConfig(0.5, GlobalOrder.IMPOSTOR_FIRST, LocalOrder.CLOSEST_SAMPLE, seed=0)
     events = drain(plan_session(dataset, "a", 2, config), ref)
@@ -354,7 +353,7 @@ def tie_heavy_dataset():
         for session in (1, 2, 3)
         for order in range((session - 1) * 4, session * 4)
     ]
-    return Dataset(dimension=2, num_sessions=3, records=tuple(samples))
+    return dataset_of(2, 3, tuple(samples))
 
 
 def emitted(events):
@@ -418,7 +417,7 @@ def test_random_impostor_can_take_every_pool_user():
         for session in (1, 2)
         for i in range(2)
     ]
-    dataset = Dataset(dimension=2, num_sessions=2, records=tuple(samples))
+    dataset = dataset_of(2, 2, tuple(samples))
     for seed in range(10):
         config = StreamConfig(0.5, GlobalOrder.RANDOM, LocalOrder.RANDOM_IMPOSTOR, seed=seed)
         ref = reference_for(dataset, "t")

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tubench import (
-    Dataset,
     Sample,
     SynthConfig,
     ValidationError,
@@ -14,6 +13,7 @@ from tubench import (
     write_dataset,
 )
 from tubench.rng import SplitMix64, block_normals, mix64
+from conftest import dataset_of
 
 
 class ScalarNormals:
@@ -61,7 +61,7 @@ def reference_generate(config):
                         features=ageing + noise,
                     )
                 )
-    return Dataset(dimension=d, num_sessions=config.num_sessions, records=tuple(samples))
+    return dataset_of(d, config.num_sessions, tuple(samples))
 
 
 def bits(values):
