@@ -40,7 +40,6 @@ from .evaluator import (
 from .ingest import CMU_KEYSTROKE, ColumnMapping, read_dataset, write_dataset
 from .matcher import (
     EPSILON,
-    GalleryEntry,
     Origin,
     ReferenceModel,
     center,

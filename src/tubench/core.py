@@ -1,11 +1,11 @@
-"""Shared domain model: samples, datasets, query events, score logs.
+"""Shared domain model: datasets and score logs as columns, and per-query views.
 
-Datasets, query events and score logs validate their invariants at
-construction time and are immutable afterwards, so instances can be
-shared freely between evaluation loops; a `Sample` is an unchecked view
-of one validated dataset row. Within one user, acquisition time is
-ordered by the pair (session, order_index); no wall-clock timestamps
-exist anywhere.
+A `Dataset` and a `ScoreLog` are built from per-row columns, checked in
+one vectorized pass, and immutable afterwards, so runs share them
+freely. `Sample` (an unchecked view of one dataset row), `QueryEvent`
+and `ScoreRecord` serve the per-query reference loops only. Within one
+user, acquisition time is ordered by (session, order_index); no
+wall-clock timestamps exist anywhere.
 """
 
 from __future__ import annotations
@@ -42,21 +42,33 @@ class Sample:
     order_index: int
     features: np.ndarray
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sample):
-            return NotImplemented
-        return (
-            self.user_id == other.user_id
-            and self.session == other.session
-            and self.order_index == other.order_index
-            and np.array_equal(self.features, other.features)
-        )
+
+def _require_rows(rows: int, sizes: dict) -> None:
+    """Raise a ValidationError naming each column whose length is not `rows`."""
+    wrong = [f"column {name} has {n} entries, not {rows}" for name, n in sizes.items() if n != rows]
+    if wrong:
+        raise ValidationError(wrong)
+
+
+def _feature_matrix(user_ids, sessions, order_indices, features) -> np.ndarray:
+    """`features` as a float (N, width) matrix, checked to have one row per
+    entry of the other columns before any of them is indexed."""
+    try:
+        matrix = np.asarray(features, dtype=float)
+    except (TypeError, ValueError):  # ragged rows, or not numbers
+        raise ValidationError("column features must be a matrix of numbers") from None
+    if matrix.ndim != 2:
+        raise ValidationError(f"column features must be an (N, width) matrix, got {matrix.shape}")
+    lengths = {"user_ids": user_ids, "sessions": sessions, "order_indices": order_indices}
+    _require_rows(len(matrix), {name: len(column) for name, column in lengths.items()})
+    return matrix
 
 
 def _check_columns(dimension, num_sessions, user_ids, sessions, order_indices, features):
-    """Problems of per-row columns, the sorted users, and the permutation
-    that sorts the rows by (user, session, order_index) with the sorted
+    """Problems of per-row columns, the sorted users, the feature matrix
+    with its rows sorted by (user, session, order_index), and the sorted
     (user position, session, order_index) columns."""
+    features = _feature_matrix(user_ids, sessions, order_indices, features)
     problems = []
     if dimension < 1:
         problems.append(f"dimension must be >= 1, got {dimension}")
@@ -90,7 +102,7 @@ def _check_columns(dimension, num_sessions, user_ids, sessions, order_indices, f
     enrolled[codes[in_range & (session_col == 1)]] = True
     for k in np.flatnonzero(~enrolled).tolist():
         problems.append(f"user {users[k]}: no session-1 samples (no enrollment material)")
-    return problems, users, order, key
+    return problems, users, features[order], key
 
 
 def column_violations(
@@ -103,7 +115,6 @@ def column_violations(
     non-finite values), then every user without session-1 samples,
     sorted by str.
     """
-    features = np.asarray(features, dtype=float)
     return _check_columns(dimension, num_sessions, user_ids, sessions, order_indices, features)[0]
 
 
@@ -112,7 +123,8 @@ class Dataset:
     """Session-structured collection of samples for many users.
 
     Built from per-row columns and an (N, dimension) feature matrix with
-    `from_columns`, and validated once, by `column_violations`.
+    `from_columns`: a column without one entry per row is rejected first,
+    then the rows are checked once, by `column_violations`.
     `feature_matrix` holds every feature vector, read-only, in (user,
     session, order_index) order, and `row_user` (position in `users`),
     `row_session` and `row_order` index its rows. `samples` views the
@@ -136,14 +148,11 @@ class Dataset:
         return cls(dimension, num_sessions, columns=columns)
 
     def __post_init__(self, columns):
-        user_ids, sessions, order_indices, features = columns
-        features = np.asarray(features, dtype=float)
-        problems, users, order, (row_user, row_session, row_order) = _check_columns(
-            self.dimension, self.num_sessions, user_ids, sessions, order_indices, features
+        problems, users, matrix, (row_user, row_session, row_order) = _check_columns(
+            self.dimension, self.num_sessions, *columns
         )
         if problems:
             raise ValidationError(problems)
-        matrix = features[order]
         for column in (matrix, row_user, row_session, row_order):
             column.flags.writeable = False
         starts = np.flatnonzero(
@@ -181,14 +190,6 @@ class Dataset:
     def row_range(self, user_id: str, session: int) -> range:
         """Rows of `feature_matrix` holding one user's session, in chronological order."""
         return self._spans.get((user_id, session), range(0))
-
-    def samples_for(self, user_id: str, session: int | None = None) -> tuple[Sample, ...]:
-        """A user's samples in chronological order, optionally one session."""
-        if session is not None:
-            span = self.row_range(user_id, session)
-            return self.samples[span.start : span.stop]
-        sessions = range(1, self.num_sessions + 1)
-        return tuple(s for sess in sessions for s in self.samples_for(user_id, sess))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -332,9 +333,8 @@ class ScoreLog:
     `source` (positions in `users`, sorted by str), the `raw` and
     `centered` scores, and whether the query was `applied` as an update.
     A comparison is genuine when source == target. The log is built from
-    columns with `from_columns` and validated once, by
-    `score_log_violations`; `records` gives the rows back as
-    `ScoreRecord` objects.
+    columns of one length with `from_columns` and validated once, by
+    `score_log_violations`.
 
     Online runs cover sessions 2..S; offline runs cover 3..S because the
     last consumed session never gets its own frozen-reference pass.
@@ -362,6 +362,8 @@ class ScoreLog:
 
     def __post_init__(self):
         arrays = [np.array(getattr(self, name), dtype=dtype) for name, dtype in _LOG_COLUMNS]
+        sizes = {name: column.size for (name, _), column in zip(_LOG_COLUMNS, arrays)}
+        _require_rows(max(sizes.values()), sizes)
         problems = score_log_violations(self.num_sessions, self.mode, self.users, *arrays[:-1])
         if problems:
             raise ValidationError(problems)
@@ -373,22 +375,6 @@ class ScoreLog:
     def genuine(self) -> np.ndarray:
         """Per row, whether the comparison is genuine (source is the target)."""
         return self.source == self.target
-
-    @cached_property
-    def records(self) -> tuple[ScoreRecord, ...]:
-        """The rows as validated `ScoreRecord` objects, in row order."""
-        users = self.users
-        return tuple(
-            ScoreRecord(
-                repeat, session, users[target], users[source],
-                Label.GENUINE if target == source else Label.IMPOSTOR, raw, centered, applied,
-            )
-            for repeat, session, target, source, raw, centered, applied in zip(
-                self.repeat.tolist(), self.session.tolist(), self.target.tolist(),
-                self.source.tolist(), self.raw.tolist(), self.centered.tolist(),
-                self.applied.tolist(),
-            )
-        )
 
     @property
     def covered_sessions(self) -> range:

@@ -1,21 +1,20 @@
 """Session-loop orchestration: online and offline evaluation runs.
 
-One loop serves both modes. A session's queries are presented in
-stream order to the user's reference, which changes only where the
-update rule accepts a query; so each query is scored against the
-reference it meets with one matrix call per reference state: the
-queries after an applied update are rescored, the earlier ones are not.
+One loop serves both modes: each session is planned, presented to the
+user's reference by one `_present` call, and logged if the mode logs
+it. The reference changes only where the update rule accepts a query;
+the queries after an applied update are rescored against it, with one
+matrix call per reference state.
 
-Online: every query's centered score is logged as a metric sample and
-the same score drives the update decision; the stream re-plans its
-closest-* impostors after each update. Offline: a session is first
-scored in full against the frozen reference (those are the metric
-samples), and then the same queries are replayed through the same loop
-for the update decisions; session 2 is consumed for update only, which
-is why offline runs yield one fewer per-session measure. Under a
-score-free rule (`none`, or a threshold of +inf), offline sessions apply
-their accepted rows as one FIFO batch, unscored in session 2, except
-under closest-* orders, whose session 2 re-plans after each update.
+Online, each query's score against the reference it meets is logged and
+drives the update decision, and closest-* orders re-plan their impostors
+after each update. Offline, the logged scores are the session-start
+scores against the frozen reference, and the same queries are replayed
+for the update decisions. Session 2 is consumed for update only (so
+offline runs yield one fewer per-session measure), and only it re-plans
+closest-* impostors. Under a score-free rule (`none`, or a threshold of
++inf), an offline session that re-plans nothing applies its accepted
+rows as one FIFO batch.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .core import Dataset, Mode, ScoreLog, scored_sessions
 from .errors import ConfigError, PartitionError, ValidationError
 from .matcher import EPSILON, ReferenceModel, center, enroll, raw_score
 from .matcher import centered_score  # noqa: F401  perfbench traces it under this module
-from .rng import block_mix64, block_randbelow, mix64
+from .rng import block_mix64, block_randbelow
 from .stream import CLOSEST, StreamConfig, commit, draw_bounds, plan_rows, plan_session
 from .stream import next_query  # noqa: F401  perfbench traces it under this module
 from .update import UpdateStrategy, accepts, apply_updates, impostor_inclusion, score_free
@@ -76,26 +75,35 @@ class RunResult:
     final_models: Mapping[tuple[int, str], ReferenceModel]
 
 
-def derive_seed(base_seed: int, repeat: int, user_index: int, session: int) -> int:
-    """Per-(repeat, user, session) stream seed; order-independent execution."""
-    return mix64(base_seed, repeat, user_index, session)
+def _apply(model, dataset, users, rows, impostor) -> None:
+    """Insert the queries on `rows` into `model` as updates, in order, with
+    their (origin, source user, source session) tags, and refresh it once."""
+    apply_updates(
+        model, dataset.feature_matrix[rows], [users[u] for u in dataset.row_user[rows].tolist()],
+        dataset.row_session[rows].tolist(), impostor,
+    )
 
 
-def _present(model, dataset, users, rows, impostor, strategy, stream=None, raw=None):
+def _present(model, dataset, users, rows, impostor, strategy, stream=None, frozen=False):
     """Present the queries on `rows` to `model` in order, updating it where
     the strategy accepts one; `users` is `dataset.users`, read once per run.
 
-    Returns each query's raw and centered score against the reference it
-    met, and whether it updated that reference; a given `raw` holds the
-    first scores, unmodified. The queries after an applied update are
-    rescored against the updated reference; a closest-* `stream` first
-    commits the presented queries and re-plans the rest there, while
-    without a stream (random local orders, whose rows are fixed once
-    planned, or the offline replay) the rows stay as they are.
+    Returns each query's raw and centered score and whether it updated
+    the reference. After an applied update the later queries are rescored;
+    a closest-* `stream` first commits the presented ones and re-plans the
+    rest. A `frozen` (offline) presentation returns the session-start
+    scores; if it re-plans nothing under a score-free rule, its accepted
+    rows enter as one FIFO batch with one refresh.
     """
     queries = dataset.feature_matrix[rows]
-    raw = raw_score(model, queries) if raw is None else raw.copy()
+    raw = raw_score(model, queries)
     centered = center(model, raw)
+    if frozen and stream is None and score_free(strategy):
+        applied = accepts(strategy, centered, impostor)
+        if applied.any():
+            _apply(model, dataset, users, rows[applied], impostor[applied])
+        return raw, centered, applied
+    scores = (raw.copy(), centered.copy()) if frozen else (raw, centered)
     applied = np.zeros(rows.size, dtype=bool)
     done = 0
     while done < rows.size:
@@ -104,11 +112,7 @@ def _present(model, dataset, users, rows, impostor, strategy, stream=None, raw=N
         if not accepted[first]:
             break
         done += first
-        row = rows[done]
-        apply_updates(
-            model, queries[done : done + 1], [users[dataset.row_user[row]]],
-            [int(dataset.row_session[row])], impostor[done : done + 1],
-        )
+        _apply(model, dataset, users, rows[done : done + 1], impostor[done : done + 1])
         applied[done] = True
         done += 1
         if stream is not None:
@@ -118,7 +122,7 @@ def _present(model, dataset, users, rows, impostor, strategy, stream=None, raw=N
         if done < rows.size:
             raw[done:] = raw_score(model, queries[done:])
             centered[done:] = center(model, raw[done:])
-    return raw, centered, applied
+    return (*scores, applied)
 
 
 def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
@@ -133,7 +137,6 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
     snapshots: list[InclusionSnapshot] = []
     final_models: dict[tuple[int, str], ReferenceModel] = {}
     users = dataset.users
-    strategy, free = config.strategy, score_free(config.strategy)
     sessions = range(2, dataset.num_sessions + 1)
     bounds = [draw_bounds(dataset, user, s, config.stream) for user in users for s in sessions]
     for repeat in range(config.repeats):
@@ -146,32 +149,18 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
                 user,
                 dataset.feature_matrix[span.start : span.stop],
                 eps=config.eps,
-                capacity=strategy.capacity,
+                capacity=config.strategy.capacity,
             )
             for session in sessions:
                 state = plan_session(dataset, user, session, config.stream, next(draws))
-                rows, impostor = plan_rows(state, model), state.impostor
-                scored = session in logged_sessions
-                if scored and not online:
-                    raw = raw_score(model, dataset.feature_matrix[rows])
-                    centered = center(model, raw)
-                if not online and free and (scored or state.local_order not in CLOSEST):
-                    applied = accepts(strategy, np.zeros(rows.size), impostor)
-                    if applied.any():  # one FIFO batch, one refresh
-                        picked = rows[applied]
-                        apply_updates(
-                            model, dataset.feature_matrix[picked],
-                            [users[u] for u in dataset.row_user[picked].tolist()],
-                            dataset.row_session[picked].tolist(), impostor[applied],
-                        )
-                elif scored and not online:
-                    applied = _present(model, dataset, users, rows, impostor, strategy, raw=raw)[2]
-                else:
-                    stream = state if state.local_order in CLOSEST else None
-                    raw, centered, applied = _present(
-                        model, dataset, users, rows, impostor, strategy, stream
-                    )
-                if scored:
+                # Offline, only the unlogged session 2 re-plans its closest-* impostors.
+                replan = state.local_order in CLOSEST and (online or session not in logged_sessions)
+                rows = plan_rows(state, model)
+                raw, centered, applied = _present(
+                    model, dataset, users, rows, state.impostor, config.strategy,
+                    state if replan else None, frozen=not online,
+                )
+                if session in logged_sessions:
                     logged.append((repeat, session, user_index, rows, raw, centered, applied))
                 snapshots.append(
                     InclusionSnapshot(repeat, user, session, impostor_inclusion(model))

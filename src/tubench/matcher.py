@@ -10,7 +10,6 @@ update thresholds meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -24,25 +23,6 @@ class Origin(str, Enum):
     ENROLLMENT = "enrollment"
     GENUINE_UPDATE = "genuine_update"
     IMPOSTOR_UPDATE = "impostor_update"
-
-
-@dataclass(frozen=True, eq=False)
-class GalleryEntry:
-    """One vector in a reference gallery, tagged with its provenance.
-
-    source_user / source_session are ground-truth bookkeeping used only
-    for measurement; update decisions never read them.
-    """
-
-    features: np.ndarray
-    origin: Origin
-    source_user: str
-    source_session: int
-
-    def __post_init__(self):
-        arr = np.array(self.features, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "features", arr)
 
 
 class ReferenceModel:
@@ -112,11 +92,6 @@ class ReferenceModel:
         self._tags = tags
         self._enrolled = enrolled
         self._inv_mad = 1.0 / mad
-
-    @property
-    def gallery(self) -> tuple[GalleryEntry, ...]:
-        """The gallery as entries in gallery order, built from the matrix rows."""
-        return tuple(GalleryEntry(row, *tag) for row, tag in zip(self.vectors, self._tags))
 
     @property
     def origins(self) -> tuple[Origin, ...]:

@@ -120,10 +120,6 @@ class StreamState:
     cursor: int = 0
     current_impostor: int | None = None  # position in dataset.users
 
-    @property
-    def exhausted(self) -> bool:
-        return self.cursor >= self.rows.size
-
 
 def _layout(dataset: Dataset, target_user: str, session: int, config: StreamConfig):
     """A session's genuine rows, its impostor count and its impostor pool, checked."""
@@ -309,8 +305,8 @@ def commit(state: StreamState, count: int) -> None:
 
 
 def next_query(state: StreamState, current_ref: ReferenceModel) -> QueryEvent | None:
-    """Present the next query, planned against `current_ref`, or None once the stream is exhausted."""
-    if state.exhausted:
+    """Present the next query, planned against `current_ref`, or None after the last position."""
+    if state.cursor >= state.rows.size:
         return None
     position = state.cursor
     row = plan_rows(state, current_ref)[0]

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from tubench import Dataset, Sample, ScoreLog
+from tubench import Dataset, Label, Sample, ScoreLog
+
+LOG_COLUMNS = ("repeat", "session", "target", "source", "raw", "centered", "applied")
 
 
 def fast_oracle_eer(genuine, impostor):
@@ -89,6 +91,25 @@ def log_of(records, num_sessions, mode):
         [r.centered_score for r in records],
         [r.update_applied for r in records],
     )
+
+
+def log_columns(log, rows=slice(None)):
+    """The log's columns in `ScoreLog.from_columns` order, at `rows`."""
+    return [getattr(log, name)[rows] for name in LOG_COLUMNS]
+
+
+def log_rows(log):
+    """Each row of a score log, read from its columns, in `ScoreRecord`
+    field order: repeat, session, target and source user, label, raw and
+    centered score, and whether it was applied."""
+    users = log.users
+    return [
+        (repeat, session, users[target], users[source],
+         Label.GENUINE if target == source else Label.IMPOSTOR, raw, centered, applied)
+        for repeat, session, target, source, raw, centered, applied in zip(
+            *(column.tolist() for column in log_columns(log))
+        )
+    ]
 
 
 def two_user_1d_dataset():

@@ -160,10 +160,14 @@ def test_dataset_construction_rejects_violations():
 def test_dataset_lookup_is_chronological():
     dataset = dataset_of(2, 2, _ok_samples())
     assert dataset.users == ("a", "b")
-    orders = [s.order_index for s in dataset.samples_for("a")]
+    orders = dataset.row_order[dataset.row_user == dataset.users.index("a")].tolist()
     assert orders == sorted(orders)
-    assert [s.order_index for s in dataset.samples_for("a", 1)] == [0, 1]
-    assert dataset.samples_for("a", 2)[0].session == 2
+    assert dataset.row_order[dataset.row_range("a", 1)].tolist() == [0, 1]
+    assert dataset.row_session[dataset.row_range("a", 2)][0] == 2
+
+
+def _fields(samples):
+    return [(s.user_id, s.session, s.order_index, s.features.tolist()) for s in samples]
 
 
 def test_dataset_from_columns_equals_dataset_from_samples():
@@ -177,13 +181,45 @@ def test_dataset_from_columns_equals_dataset_from_samples():
         [s.features.tolist() for s in reversed(samples)],
     )
     assert columns == dataset_of(2, 2, samples)
-    assert columns.samples == dataset_of(2, 2, samples).samples
-    assert columns.samples == tuple(sorted(samples, key=lambda s: (s.user_id, s.session)))
+    assert _fields(columns.samples) == _fields(dataset_of(2, 2, samples).samples)
+    assert _fields(columns.samples) == _fields(sorted(samples, key=lambda s: (s.user_id, s.session)))
     assert not columns.feature_matrix.flags.writeable
     with pytest.raises(ValueError):
         columns.samples[0].features[0] = 9.0
     with pytest.raises(ValidationError, match="session-1"):
         Dataset.from_columns(1, 2, ["a"], [2], [0], np.array([[1.0]]))
+
+
+@pytest.mark.parametrize(
+    "user_ids, sessions, order_indices, features, column",
+    [
+        (["a"], [1], [0], [1.0], "features"),  # one vector, not a matrix
+        (["a", "a"], [1, 2], [0, 1], [[1.0], [1.0, 2.0]], "features"),  # ragged rows
+        (["a", "a"], [1, 2], [0, 1], [["x"], ["y"]], "features"),  # not numbers
+        (["a", "b"], [1, 1], [0, 1], [[1.0]], "user_ids"),  # 2 user ids, 1 row
+        (["a"], [1, 2], [0, 1], [[1.0], [2.0]], "user_ids"),  # 1 user id, 2 rows
+        (["a", "a"], [1], [0, 1], [[1.0], [2.0]], "sessions"),
+        (["a", "a"], [1, 2], [0, 1, 2], [[1.0], [2.0]], "order_indices"),
+    ],
+    ids=["vector", "ragged", "not-numbers", "2-ids-1-row", "1-id-2-rows", "sessions", "orders"],
+)
+def test_malformed_columns_are_rejected_by_name(
+    user_ids, sessions, order_indices, features, column
+):
+    for build in (column_violations, Dataset.from_columns):
+        with pytest.raises(ValidationError, match=f"column {column} "):
+            build(1, 2, user_ids, sessions, order_indices, features)
+
+
+@pytest.mark.parametrize("short", ["repeat", "target", "raw", "applied"])
+def test_log_columns_of_unequal_length_are_rejected_by_name(short):
+    columns = {
+        "repeat": [0, 0], "session": [2, 2], "target": [0, 0], "source": [0, 1],
+        "raw": [1.0, 2.0], "centered": [0.0, 1.0], "applied": [False, False],
+    }
+    columns[short] = columns[short][:1]
+    with pytest.raises(ValidationError, match=f"^column {short} has 1 entries, not 2$"):
+        ScoreLog.from_columns(("a", "b"), 2, Mode.ONLINE, *columns.values())
 
 
 def test_dataset_equality_is_field_for_field():
@@ -243,8 +279,7 @@ def test_log_for_repeat_filters_records():
     log = log_of(records, 3, Mode.ONLINE)
     assert log.repeat_ids == (0, 1)
     sub = log.for_repeat(1)
-    assert all(r.repeat_id == 1 for r in sub.records)
-    assert len(sub.records) == 2
+    assert sub.repeat.tolist() == [1, 1]
 
 
 def reference_log_violations(num_sessions, mode, rows):

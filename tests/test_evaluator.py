@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -34,11 +34,14 @@ from tubench import (
     raw_score,
     run_experiment,
 )
-from tubench import evaluator, stream as stream_module
-from tubench.evaluator import InclusionSnapshot, derive_seed
+from tubench import evaluator, stream as stream_module, update as update_module
+from tubench.evaluator import InclusionSnapshot
+from tubench.rng import mix64
 from tubench.stream import CLOSEST, draw_bounds
 from tubench.synthdata import SynthConfig, generate
-from conftest import dataset_of, log_of, make_sample, sample_columns, two_user_1d_dataset
+from conftest import (
+    dataset_of, log_columns, log_of, log_rows, make_sample, sample_columns, two_user_1d_dataset,
+)
 
 SCRIPTED = (Label.GENUINE, Label.IMPOSTOR)
 
@@ -91,7 +94,9 @@ def test_runs_are_deterministic():
     )
     first = run_experiment(dataset, config)
     second = run_experiment(dataset, config)
-    assert first.log.records == second.log.records
+    assert first.log.users == second.log.users
+    for got, expected in zip(log_columns(first.log), log_columns(second.log)):
+        assert got.tobytes() == expected.tobytes()
     assert first.snapshots == second.snapshots
 
 
@@ -128,7 +133,7 @@ def test_runs_build_no_sample_views_and_evict_update_tags_oldest_first(monkeypat
             added = [tag for owner, tag in appended if owner is model]
             gone = [tag for owner, tag in evicted if owner is model]
             assert gone == added[: len(gone)]
-            kept = [(e.origin, e.source_user, e.source_session) for e in model.gallery[4:]]
+            kept = model._tags[4:]
             assert kept == added[len(gone) :]
             assert all(tag[1] == model.target_user for tag in added)
     assert "samples" not in dataset.__dict__
@@ -151,10 +156,11 @@ def test_online_single_user_scores_match_standalone_recomputation():
     ref = enroll("solo", dataset.feature_matrix[dataset.row_range("solo", 1)])
     expected = []
     for session in (2, 3):
-        for sample in dataset.samples_for("solo", session):
-            raw = raw_score(ref, sample.features)
+        for features in dataset.feature_matrix[dataset.row_range("solo", session)]:
+            raw = raw_score(ref, features)
             expected.append((session, raw, center(ref, raw)))
-    got = [(r.session, r.raw_score, r.centered_score) for r in result.log.records]
+    log = result.log
+    got = list(zip(log.session.tolist(), log.raw.tolist(), log.centered.tolist()))
     assert got == expected
 
 
@@ -168,13 +174,11 @@ def test_online_applied_records_match_gallery_insertions():
         base_seed=13,
     )
     result = run_experiment(dataset, config)
+    log = result.log
     for (repeat, user), model in result.final_models.items():
-        applied = sum(
-            1
-            for r in result.log.records
-            if r.repeat_id == repeat and r.target_user == user and r.update_applied
-        )
-        inserted = sum(1 for e in model.gallery if e.origin is not Origin.ENROLLMENT)
+        rows = (log.repeat == repeat) & (log.target == log.users.index(user))
+        applied = np.count_nonzero(log.applied[rows])
+        inserted = sum(1 for origin in model.origins if origin is not Origin.ENROLLMENT)
         assert applied == inserted
 
 
@@ -188,60 +192,57 @@ def test_offline_and_online_agree_when_nothing_updates():
         dataset, ExperimentConfig(Mode.OFFLINE, stream, UpdateStrategy(StrategyKind.NONE), 2, 17)
     )
     for session in (3, 4, 5):
-        on = sorted(r.centered_score for r in online.log.records if r.session == session)
-        off = sorted(r.centered_score for r in offline.log.records if r.session == session)
+        on = sorted(online.log.centered[online.log.session == session].tolist())
+        off = sorted(offline.log.centered[offline.log.session == session].tolist())
         assert on == off
 
 
 def test_online_hand_trace(trace_dataset):
-    result = run_experiment(trace_dataset, trace_config(Mode.ONLINE))
-    a_records = [r for r in result.log.records if r.target_user == "A"]
+    log = run_experiment(trace_dataset, trace_config(Mode.ONLINE)).log
+    a = log.target == log.users.index("A")
+    raw, centered, applied = log.raw[a], log.centered[a], log.applied[a]
     sqrt2 = math.sqrt(2.0)
 
     # session 2: genuine 2.2 against enrollment stats (mu 2, mad 4/3)
-    g2 = a_records[0]
-    assert g2.raw_score == pytest.approx(0.2 / (4 / 3), rel=1e-12)
-    assert g2.centered_score == pytest.approx((0.2 / (4 / 3) - 2.0) / sqrt2, rel=1e-12)
-    assert g2.update_applied  # -1.308 <= -0.2
+    assert raw[0] == pytest.approx(0.2 / (4 / 3), rel=1e-12)
+    assert centered[0] == pytest.approx((0.2 / (4 / 3) - 2.0) / sqrt2, rel=1e-12)
+    assert applied[0]  # -1.308 <= -0.2
     # impostor 12.2 against the updated gallery {0,2,4,2.2}: (mu 2.05, mad 1.05)
-    i2 = a_records[1]
-    assert i2.raw_score == pytest.approx(10.15 / 1.05, rel=1e-12)
-    assert not i2.update_applied
+    assert raw[1] == pytest.approx(10.15 / 1.05, rel=1e-12)
+    assert not applied[1]
 
     # session 3: genuine 2.6 against (2.05, 1.05), applied, then impostor
     # 12.6 against the twice-updated gallery (mu 2.16, mad 0.928)
-    g3, i3 = a_records[2], a_records[3]
-    assert g3.raw_score == pytest.approx(0.55 / 1.05, rel=1e-12)
-    assert g3.update_applied
-    assert i3.raw_score == pytest.approx(10.44 / 0.928, rel=1e-12)
-    assert not i3.update_applied
+    assert raw[2] == pytest.approx(0.55 / 1.05, rel=1e-12)
+    assert applied[2]
+    assert raw[3] == pytest.approx(10.44 / 0.928, rel=1e-12)
+    assert not applied[3]
 
 
 def test_offline_hand_trace(trace_dataset):
     result = run_experiment(trace_dataset, trace_config(Mode.OFFLINE))
     sqrt2 = math.sqrt(2.0)
-    a_records = [r for r in result.log.records if r.target_user == "A"]
-    assert [r.session for r in a_records] == [3, 3]
+    log = result.log
+    a = log.target == log.users.index("A")
+    assert log.session[a].tolist() == [3, 3]
+    raw, centered = log.raw[a], log.centered[a]
 
     # session 2 was consumed for update only: genuine 2.2 joined the
     # gallery, so session 3 is scored frozen against (mu 2.05, mad 1.05).
-    g3, i3 = a_records
-    assert g3.true_label is Label.GENUINE
-    assert g3.raw_score == pytest.approx(0.55 / 1.05, rel=1e-12)
-    assert g3.centered_score == pytest.approx((0.55 / 1.05 - 2.0) / sqrt2, rel=1e-12)
-    assert i3.true_label is Label.IMPOSTOR
-    assert i3.raw_score == pytest.approx(10.55 / 1.05, rel=1e-12)
-    assert i3.centered_score == pytest.approx((10.55 / 1.05 - 2.0) / sqrt2, rel=1e-12)
+    assert log.genuine[a].tolist() == [True, False]
+    assert raw[0] == pytest.approx(0.55 / 1.05, rel=1e-12)
+    assert centered[0] == pytest.approx((0.55 / 1.05 - 2.0) / sqrt2, rel=1e-12)
+    assert raw[1] == pytest.approx(10.55 / 1.05, rel=1e-12)
+    assert centered[1] == pytest.approx((10.55 / 1.05 - 2.0) / sqrt2, rel=1e-12)
 
     # replay: the genuine query updates (applied recorded on its row);
     # the impostor is then re-scored against (mu 2.16, mad 0.928) and
     # stays out.
-    assert g3.update_applied is True
-    assert i3.update_applied is False
+    assert log.applied[a].tolist() == [True, False]
     model = result.final_models[(0, "A")]
     assert np.allclose(model.mu, [2.16])
     assert np.allclose(model.mad, [0.928])
-    assert [e.origin for e in model.gallery].count(Origin.GENUINE_UPDATE) == 2
+    assert model.origins.count(Origin.GENUINE_UPDATE) == 2
 
 
 def test_offline_scoring_references_exclude_current_session_vectors(trace_dataset):
@@ -260,16 +261,16 @@ def test_offline_scoring_references_exclude_current_session_vectors(trace_datase
         model = enroll(user, trace_dataset.feature_matrix[trace_dataset.row_range(user, 1)])
         state = plan_session(
             trace_dataset, user, 2,
-            replace(config.stream, seed=derive_seed(config.base_seed, 0, user_index, 2)),
+            replace(config.stream, seed=mix64(config.base_seed, 0, user_index, 2)),
         )
         while (query := next_query(state, model)) is not None:
             maybe_update(model, query, centered_score(model, query.sample.features), config.strategy)
         for session in (3,):
             state = plan_session(
                 trace_dataset, user, session,
-                replace(config.stream, seed=derive_seed(config.base_seed, 0, user_index, session)),
+                replace(config.stream, seed=mix64(config.base_seed, 0, user_index, session)),
             )
-            assert all(e.source_session < session for e in model.gallery)
+            assert all(source_session < session for _, _, source_session in model._tags)
             staged = []
             while (query := next_query(state, model)) is not None:
                 raw = raw_score(model, query.sample.features)
@@ -283,8 +284,8 @@ def test_offline_scoring_references_exclude_current_session_vectors(trace_datase
                     (user, session, query.sample.user_id, raw, centered_value, applied)
                 )
     got = [
-        (r.target_user, r.session, r.source_user, r.raw_score, r.centered_score, r.update_applied)
-        for r in result.log.records
+        (target, session, source, raw, centered, applied)
+        for _, session, target, source, _, raw, centered, applied in log_rows(result.log)
     ]
     assert got == manual
 
@@ -300,14 +301,14 @@ def test_partition_even_split():
     samples += [make_sample("v", 1, i, [float(i) + 50]) for i in range(10)]
     dataset = _partition(samples, 2)
     assert dataset.num_sessions == 2
-    assert len(dataset.samples_for("u", 1)) == 5
-    assert len(dataset.samples_for("u", 2)) == 5
+    assert len(dataset.row_range("u", 1)) == 5
+    assert len(dataset.row_range("u", 2)) == 5
 
 
 def test_partition_remainder_goes_to_early_blocks():
     samples = [make_sample("u", 1, i, [float(i)]) for i in range(7)]
     dataset = _partition(samples, 3)
-    sizes = [len(dataset.samples_for("u", s)) for s in (1, 2, 3)]
+    sizes = [len(dataset.row_range("u", s)) for s in (1, 2, 3)]
     assert sizes == [3, 2, 2]
 
 
@@ -316,7 +317,8 @@ def test_partition_block_sizes_follow_divmod():
         samples = [make_sample("u", 1, i, [float(i)]) for i in range(n)]
         for k in range(2, n + 1):
             base, extra = divmod(n, k)
-            sizes = [len(_partition(samples, k).samples_for("u", s)) for s in range(1, k + 1)]
+            dataset = _partition(samples, k)
+            sizes = [len(dataset.row_range("u", s)) for s in range(1, k + 1)]
             assert sizes == [base + 1] * extra + [base] * (k - extra), (n, k)
 
 
@@ -328,8 +330,8 @@ def test_partition_preserves_chronology():
     ]
     dataset = _partition(samples[::-1], 4)  # blocks follow order_index, not row order
     for session in range(1, 4):
-        left = max(s.order_index for s in dataset.samples_for("u", session))
-        right = min(s.order_index for s in dataset.samples_for("u", session + 1))
+        left = dataset.row_order[dataset.row_range("u", session)].max()
+        right = dataset.row_order[dataset.row_range("u", session + 1)].min()
         assert left < right
     for sample in dataset.samples:
         assert np.array_equal(sample.features, samples[sample.order_index].features)
@@ -347,7 +349,7 @@ def test_partition_errors_name_the_user():
 
 def test_seed_derivation_separates_all_axes():
     seen = {
-        derive_seed(base, repeat, user, session)
+        mix64(base, repeat, user, session)
         for base in (0, 1)
         for repeat in (0, 1, 2)
         for user in (0, 1, 2)
@@ -360,7 +362,7 @@ def test_seed_derivation_separates_all_axes():
 
 
 def _reference_stream(dataset, user, user_index, session, repeat, config):
-    seed = derive_seed(config.base_seed, repeat, user_index, session)
+    seed = mix64(config.base_seed, repeat, user_index, session)
     return plan_session(dataset, user, session, replace(config.stream, seed=seed))
 
 
@@ -430,11 +432,11 @@ def reference_offline(dataset, config):
     return records, snapshots, final_models
 
 
-def _hex_records(records):
+def _hex_rows(rows):
+    """Rows in `ScoreRecord` field order, with the scores as exact hex strings."""
     return [
-        (r.repeat_id, r.session, r.target_user, r.source_user, r.true_label,
-         float(r.raw_score).hex(), float(r.centered_score).hex(), r.update_applied)
-        for r in records
+        (repeat, session, target, source, label, float(raw).hex(), float(centered).hex(), applied)
+        for repeat, session, target, source, label, raw, centered, applied in rows
     ]
 
 
@@ -494,7 +496,7 @@ def test_session_loop_matches_the_per_query_loops_bitwise(case):
     reference = reference_online if config.mode is Mode.ONLINE else reference_offline
     records, snapshots, final_models = reference(dataset, config)
     result = run_experiment(dataset, config)
-    assert _hex_records(result.log.records) == _hex_records(records)
+    assert _hex_rows(log_rows(result.log)) == _hex_rows(astuple(r) for r in records)
     assert list(result.snapshots) == snapshots
     _assert_same_galleries(result.final_models, final_models)
 
@@ -511,12 +513,12 @@ def test_columnar_log_equals_the_log_built_from_its_records(mode):
         base_seed=3,
     )
     log = run_experiment(close_users(5), config).log
-    rebuilt = log_of(log.records, log.num_sessions, mode)
+    rebuilt = log_of([ScoreRecord(*row) for row in log_rows(log)], log.num_sessions, mode)
     assert rebuilt.users == log.users
     for name in ("repeat", "session", "target", "source", "raw", "centered", "applied"):
         assert getattr(rebuilt, name).tobytes() == getattr(log, name).tobytes(), name
     assert np.any(log.applied & ~log.genuine)
-    assert rebuilt.records == log.records
+    assert log_rows(rebuilt) == log_rows(log)
 
 
 QUERY_SIZE = 4  # genuine queries per session of `mixed_counts` when they are uniform
@@ -581,7 +583,7 @@ def test_plans_from_block_drawn_indices_equal_per_session_plans(
     ]
     assert len(planned) == len(expected)
     for (rows, impostor, pool), (repeat, user_index, user, session) in zip(planned, expected):
-        seed = derive_seed(config.base_seed, repeat, user_index, session)
+        seed = mix64(config.base_seed, repeat, user_index, session)
         state = plan_session(dataset, user, session, replace(stream, seed=seed))
         key = (repeat, user, session)
         assert impostor.tolist() == state.impostor.tolist(), key
@@ -615,3 +617,44 @@ def test_only_closest_sessions_replan_after_an_update(monkeypatch, local_order):
     else:
         assert len(calls) == sessions
     assert np.count_nonzero(log.applied) > sessions
+
+
+@pytest.mark.parametrize("local_order", [LocalOrder.TOTALLY_RANDOM, LocalOrder.CLOSEST_IMPOSTOR])
+def test_score_free_offline_sessions_refresh_once_unless_they_replan(monkeypatch, local_order):
+    # Supervised at +inf reads no score: it applies every genuine query.
+    planned, refreshes = [], []
+
+    def recording_plan_session(dataset, user, session, *args):
+        planned.append((user, session))
+        return plan_session(dataset, user, session, *args)
+
+    def counting_refresh(ref):
+        refreshes.append(len(planned) - 1)  # the session being presented
+        return update_refresh(ref)
+
+    update_refresh = update_module.refresh_statistics
+    monkeypatch.setattr(evaluator, "plan_session", recording_plan_session)
+    monkeypatch.setattr(update_module, "refresh_statistics", counting_refresh)
+    dataset = small_synth(sessions=5)
+    config = ExperimentConfig(
+        Mode.OFFLINE,
+        StreamConfig(0.3, local_order=local_order),
+        UpdateStrategy(StrategyKind.SUPERVISED, math.inf, capacity=6),
+        repeats=2,
+        base_seed=9,
+    )
+    log = run_experiment(dataset, config).log
+    sessions = range(2, dataset.num_sessions + 1)
+    keys = [(r, u, s) for r in range(config.repeats) for u in dataset.users for s in sessions]
+    assert planned == [(u, s) for _, u, s in keys]
+    expected = []
+    for repeat, user, session in keys:
+        if session == 2:  # unlogged: every genuine query is applied
+            applied = len(dataset.row_range(user, 2))
+        else:
+            rows = (log.repeat == repeat) & (log.target == log.users.index(user))
+            applied = int(np.count_nonzero(log.applied & rows & (log.session == session)))
+        replans = session == 2 and local_order in CLOSEST
+        expected.append(applied if replans else min(applied, 1))
+    assert all(expected)
+    assert [refreshes.count(i) for i in range(len(keys))] == expected

@@ -120,7 +120,7 @@ def test_cmu_benchmark_layout_loads(tmp_path):
     assert dataset.dimension == 5
     # order_index follows (session, rep) chronology per user
     for user in dataset.users:
-        orders = [s.order_index for s in dataset.samples_for(user)]
+        orders = dataset.row_order[dataset.row_user == dataset.users.index(user)].tolist()
         assert orders == list(range(16))
 
 
@@ -134,7 +134,7 @@ def test_feature_column_subset_is_respected(tmp_path):
     mapping = ColumnMapping(feature_columns=("keep",))
     dataset = read_dataset(path, mapping)
     assert dataset.dimension == 1
-    assert dataset.samples_for("u", 2)[0].features.tolist() == [2.0]
+    assert dataset.feature_matrix[dataset.row_range("u", 2)].tolist() == [[2.0]]
 
 
 def test_empty_file_is_a_format_error(tmp_path):

@@ -9,6 +9,7 @@ from tubench import (
     MetricError,
     Mode,
     Scheme,
+    ScoreLog,
     ScoreRecord,
     aggregate,
     cumulative_mean_eer,
@@ -20,7 +21,7 @@ from tubench import (
     report_for,
 )
 from tubench.evaluator import InclusionSnapshot
-from conftest import log_of
+from conftest import log_columns, log_of
 
 
 def oracle_eer(genuine, impostor):
@@ -238,12 +239,12 @@ def test_schemes_are_order_invariant_within_sessions():
         for s in (2, 3)
     }
     log = _log_from_session_scores(per_session)
-    shuffled_records = []
+    shuffled_rows = []
     for session in (2, 3):
-        chunk = [r for r in log.records if r.session == session]
+        chunk = np.flatnonzero(log.session == session).tolist()
         rng.shuffle(chunk)
-        shuffled_records.extend(chunk)
-    shuffled = log_of(tuple(shuffled_records), 3, Mode.ONLINE)
+        shuffled_rows.extend(chunk)
+    shuffled = ScoreLog.from_columns(log.users, 3, Mode.ONLINE, *log_columns(log, shuffled_rows))
     assert per_session_eer(shuffled) == per_session_eer(log)
     assert cumulative_mean_eer(shuffled) == cumulative_mean_eer(log)
     assert pooled_eer(shuffled) == pooled_eer(log)
@@ -282,7 +283,11 @@ def test_report_for_splits_repeats():
     scores_b = ([0.2, 0.3], [0.25, 0.6])
     log0 = _log_from_session_scores({2: scores_a, 3: scores_a}, repeat=0)
     log1 = _log_from_session_scores({2: scores_b, 3: scores_b}, repeat=1)
-    merged = log_of(log0.records + log1.records, 3, Mode.ONLINE)
+    assert log0.users == log1.users
+    merged = ScoreLog.from_columns(
+        log0.users, 3, Mode.ONLINE,
+        *map(np.concatenate, zip(log_columns(log0), log_columns(log1))),
+    )
     report = report_for(Scheme.PER_SESSION, merged)
     assert report.per_repeat == (
         tuple(per_session_eer(log0)),

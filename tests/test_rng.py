@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tubench.evaluator import derive_seed
 from tubench.rng import SplitMix64, block_mix64, block_normals, block_randbelow, mix64
 
 WIDE = st.integers(-(2**70), 2**70)  # masked to 64 bits, as mix64 and SplitMix64 mask
@@ -105,7 +104,7 @@ def test_block_randbelow_rejects_a_zero_bound():
     st.lists(WIDE, min_size=1, max_size=3),
     st.lists(WIDE, min_size=1, max_size=3),
 )
-def test_block_mix64_equals_mix64_and_derive_seed(base, repeats, users, sessions):
+def test_block_mix64_equals_mix64(base, repeats, users, sessions):
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         block = block_mix64(
@@ -117,4 +116,3 @@ def test_block_mix64_equals_mix64_and_derive_seed(base, repeats, users, sessions
     assert block.shape == (len(repeats), len(users), len(sessions))
     for (i, j, k), value in np.ndenumerate(block):
         assert int(value) == mix64(base, repeats[i], users[j], sessions[k])
-        assert int(value) == derive_seed(base, repeats[i], users[j], sessions[k])

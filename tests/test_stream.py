@@ -166,7 +166,7 @@ def test_closest_sample_picks_minimal_centered_score():
     # on one axis but farther on the other; scores must be minimal picks.
     from tubench import centered_score
 
-    pool = [s for u in ("u1", "u2", "u3") for s in dataset.samples_for(u, 2)]
+    pool = [dataset.samples[row] for u in ("u1", "u2", "u3") for row in dataset.row_range(u, 2)]
     scores = {(s.user_id, s.order_index): centered_score(ref, s.features) for s in pool}
     chosen = []
     remaining = dict(scores)
@@ -204,7 +204,7 @@ def test_random_impostor_consumes_one_user_chronologically():
     impostors = [e.sample for e in events if e.true_label is Label.IMPOSTOR]
     assert len(impostors) == 6
     # per-user runs are contiguous with strictly increasing order_index,
-    # and a new impostor appears only when the previous one is exhausted
+    # and a new impostor appears only once the previous one has no samples left
     runs = []
     for sample in impostors:
         if not runs or runs[-1][0] != sample.user_id:
@@ -286,7 +286,7 @@ def reference_draws(dataset, target, session, config, ref):
     """Test-only reference stream: the per-sample loops over a per-user
     dict pool that the row-array pool replaced. Random global order only.
     Yields (sample, label) and reads `ref` afresh at every draw."""
-    genuine = list(dataset.samples_for(target, session))
+    genuine = [dataset.samples[row] for row in dataset.row_range(target, session)]
     rng = SplitMix64(config.seed)
     if not config.respect_chronology:
         rng.shuffle(genuine)
@@ -298,9 +298,10 @@ def reference_draws(dataset, target, session, config, ref):
         if user == target:
             continue
         if config.impostor_session_policy is SessionPolicy.SAME_SESSION:
-            samples = list(dataset.samples_for(user, session))
+            sessions = [session]
         else:
-            samples = list(dataset.samples_for(user))
+            sessions = range(1, dataset.num_sessions + 1)
+        samples = [dataset.samples[row] for s in sessions for row in dataset.row_range(user, s)]
         if samples:
             pool[user] = samples
 

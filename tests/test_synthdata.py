@@ -115,7 +115,7 @@ ACCEPTANCE_SHAPE = dict(
 
 
 def session_centroid(dataset, user, session):
-    return np.mean([s.features for s in dataset.samples_for(user, session)], axis=0)
+    return np.mean(dataset.feature_matrix[dataset.row_range(user, session)], axis=0)
 
 
 def test_generation_is_bit_deterministic():
@@ -136,7 +136,7 @@ def test_generated_dataset_is_valid():
 def test_order_index_increases_through_sessions():
     dataset = generate(SynthConfig(3, 4, 5, 2, seed=7))
     for user in dataset.users:
-        orders = [s.order_index for s in dataset.samples_for(user)]
+        orders = dataset.row_order[dataset.row_user == dataset.users.index(user)].tolist()
         assert orders == list(range(4 * 5))
 
 
@@ -176,8 +176,8 @@ def test_acceptance_scale_drift_exceeds_within_session_spread():
     for user in dataset.users:
         centroid = session_centroid(dataset, user, 1)
         spreads.append(np.mean([
-            np.linalg.norm(s.features - centroid)
-            for s in dataset.samples_for(user, 1)
+            np.linalg.norm(features - centroid)
+            for features in dataset.feature_matrix[dataset.row_range(user, 1)]
         ]))
     assert travel > np.mean(spreads)
 

@@ -33,10 +33,10 @@ def query_for(ref, source, feats, position=0, session=2, order=10):
 
 def test_strategy_none_never_touches_the_gallery():
     ref = fresh_ref()
-    before = [e.features.tolist() for e in ref.gallery]
+    before = ref.vectors.tolist()
     outcome = maybe_update(ref, query_for(ref, "u", [1.0, 1.0]), -5.0, UpdateStrategy(StrategyKind.NONE))
     assert outcome.applied is False and outcome.evicted is None
-    assert [e.features.tolist() for e in ref.gallery] == before
+    assert ref.vectors.tolist() == before
 
 
 def test_self_threshold_applies_on_close_impostor():
@@ -45,7 +45,7 @@ def test_self_threshold_applies_on_close_impostor():
     outcome = maybe_update(ref, query_for(ref, "imp", [2.0, 2.0]), -0.25, strategy)
     assert outcome.applied is True
     assert outcome.was_impostor is True
-    assert ref.gallery[-1].origin is Origin.IMPOSTOR_UPDATE
+    assert ref.origins[-1] is Origin.IMPOSTOR_UPDATE
     assert impostor_inclusion(ref) == pytest.approx(1 / 4)
 
 
@@ -70,7 +70,7 @@ def test_supervised_accepts_all_genuine_at_infinite_threshold():
     ref = fresh_ref()
     strategy = UpdateStrategy(StrategyKind.SUPERVISED)  # threshold +inf
     assert maybe_update(ref, query_for(ref, "u", [9.0, 9.0]), 50.0, strategy).applied
-    assert ref.gallery[-1].origin is Origin.GENUINE_UPDATE
+    assert ref.origins[-1] is Origin.GENUINE_UPDATE
 
 
 def test_supervised_still_gated_by_threshold():
@@ -87,9 +87,9 @@ def test_fifo_evicts_oldest_non_enrollment_entry():
     second = maybe_update(ref, query_for(ref, "imp", [2.0, 2.0], position=1), 0.0, strategy)
     assert second.applied
     assert second.evicted == (Origin.GENUINE_UPDATE, "u", 2)  # the older update, not enrollment
-    assert [e.features.tolist() for e in ref.gallery[3:]] == [[2.0, 2.0]]
-    assert len(ref.gallery) == 4
-    assert sum(1 for e in ref.gallery if e.origin is Origin.ENROLLMENT) == 3
+    assert ref.vectors[3:].tolist() == [[2.0, 2.0]]
+    assert len(ref.vectors) == 4
+    assert ref.origins.count(Origin.ENROLLMENT) == 3
 
 
 def test_fifo_preserves_enrollment_under_long_sequences():
@@ -99,8 +99,8 @@ def test_fifo_preserves_enrollment_under_long_sequences():
     for i in range(30):
         source = "u" if i % 3 else "imp"
         maybe_update(ref, query_for(ref, source, rng.normal(size=2), position=i, order=10 + i), -1.0, strategy)
-        assert len(ref.gallery) <= 5
-        assert sum(1 for e in ref.gallery if e.origin is Origin.ENROLLMENT) == 3
+        assert len(ref.vectors) <= 5
+        assert ref.origins.count(Origin.ENROLLMENT) == 3
 
 
 def test_strategy_field_validation():
@@ -126,7 +126,7 @@ def test_inclusion_simple_ratio():
     strategy = UpdateStrategy(StrategyKind.SELF_THRESHOLD, math.inf)
     maybe_update(ref, query_for(ref, "imp", [1.0, 1.0]), 0.0, strategy)
     maybe_update(ref, query_for(ref, "imp", [2.0, 1.0], position=1, order=11), 0.0, strategy)
-    assert len(ref.gallery) == 10
+    assert len(ref.vectors) == 10
     assert impostor_inclusion(ref) == pytest.approx(0.2)
 
 
@@ -139,7 +139,7 @@ def test_inclusion_after_scripted_sequence():
     for source, position in script:
         query = query_for(ref, source, [1.5, 1.5], position=position, order=20 + position)
         assert maybe_update(ref, query, centered_score(ref, query.sample.features), strategy).applied
-    assert len(ref.gallery) == 8
+    assert len(ref.vectors) == 8
     assert impostor_inclusion(ref) == pytest.approx(1 / 8)
 
 
@@ -176,14 +176,14 @@ def test_supervised_inclusion_stays_zero_over_random_sequences():
 def test_strategy_none_keeps_gallery_bit_identical():
     rng = np.random.default_rng(29)
     ref = fresh_ref()
-    before = [e.features.copy() for e in ref.gallery]
+    before = ref.vectors.copy()
     for i in range(25):
         source = "u" if rng.random() < 0.5 else "imp"
         query = query_for(ref, source, rng.normal(size=2), position=i, order=5 + i)
         maybe_update(ref, query, centered_score(ref, query.sample.features), UpdateStrategy(StrategyKind.NONE))
-    assert len(ref.gallery) == len(before)
-    for entry, original in zip(ref.gallery, before):
-        assert np.array_equal(entry.features, original)
+    assert ref.vectors.shape == before.shape
+    for row, original in zip(ref.vectors, before):
+        assert np.array_equal(row, original)
 
 
 def _bits(values):
@@ -204,7 +204,7 @@ def test_fifo_gallery_matches_a_fresh_recompute_after_every_update(
     rng = np.random.default_rng(seed)
     capacity = None if capacity_factor is None else int(enrolled * capacity_factor)
     ref = fresh_ref(vectors=rng.normal(size=(enrolled, dimension)), capacity=capacity)
-    enrollment = ref.gallery
+    enrollment = ref.vectors.copy()
     strategy = UpdateStrategy(StrategyKind.SELF_THRESHOLD, 0.0, capacity=capacity)
     updates, tags = [], []  # expected update vectors and their tags, oldest first
     for i, (genuine, accept) in enumerate(steps):
@@ -222,14 +222,15 @@ def test_fifo_gallery_matches_a_fresh_recompute_after_every_update(
             updates.pop(0)
         else:
             assert outcome.evicted is None
-        gallery = ref.gallery
-        assert len(gallery) == len(enrollment) + len(updates)
-        for entry, expected in zip(gallery, enrollment):
-            assert entry.origin is Origin.ENROLLMENT
-            assert np.array_equal(entry.features, expected.features)
-        for entry, expected in zip(gallery[len(enrollment) :], updates):
-            assert entry.origin is not Origin.ENROLLMENT
-            assert np.array_equal(entry.features, expected)
-        mu, mad = gallery_statistics(np.stack([e.features for e in ref.gallery]), ref.eps)
+        vectors, origins = ref.vectors, ref.origins
+        assert len(vectors) == len(origins) == len(enrollment) + len(updates)
+        for row, origin, expected in zip(vectors, origins, enrollment):
+            assert origin is Origin.ENROLLMENT
+            assert np.array_equal(row, expected)
+        cut = len(enrollment)
+        for row, origin, expected in zip(vectors[cut:], origins[cut:], updates):
+            assert origin is not Origin.ENROLLMENT
+            assert np.array_equal(row, expected)
+        mu, mad = gallery_statistics(vectors.copy(), ref.eps)
         assert np.array_equal(_bits(ref.mu), _bits(mu))
         assert np.array_equal(_bits(ref.mad), _bits(mad))
