@@ -32,7 +32,6 @@ from .errors import (
 )
 from .evaluator import (
     ExperimentConfig,
-    InclusionSnapshot,
     RunResult,
     partition_sessionless,
     run_experiment,
@@ -49,17 +48,12 @@ from .matcher import (
     refresh_statistics,
 )
 from .metrics import (
-    EvaluationReport,
     Scheme,
     aggregate,
     compute_scheme,
-    cumulative_mean_eer,
     eer,
     far_frr,
-    inclusion_per_session,
-    per_session_eer,
-    pooled_eer,
-    report_for,
+    session_eers,
 )
 from .stream import (
     GlobalOrder,

@@ -37,7 +37,7 @@ from .ingest import (
     write_table,
 )
 from .matcher import EPSILON
-from .metrics import Scheme, aggregate, compute_scheme, inclusion_per_session
+from .metrics import Scheme, aggregate, compute_scheme, session_eers
 from .stream import GlobalOrder, LocalOrder, SessionPolicy, StreamConfig, impostor_count
 from .synthdata import SynthConfig, generate
 from .update import StrategyKind, UpdateStrategy
@@ -248,10 +248,6 @@ def _write_manifest(path: Path, command: str, resolved: dict, outputs: list[str]
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _score_lines(log: ScoreLog):
     """One scores.csv line per log row: floats as repr, user ids quoted by csv once."""
     users = [csv_field(str(user)) for user in log.users]
@@ -317,25 +313,26 @@ def cmd_run(config_path, out_dir) -> None:
     # Every table that can fail is computed before the first file is
     # written; the score lines cannot fail and are formatted while they are
     # written.
-    sessions = tuple(log.covered_sessions)
-    vectors = {scheme: [] for scheme in schemes}
-    for repeat_id in log.repeat_ids:
-        repeat_log = log.for_repeat(repeat_id)
-        for scheme in schemes:
-            vectors[scheme].append(compute_scheme(scheme, repeat_log))
-    metric_rows = []
-    for repeat_pos, repeat_id in enumerate(log.repeat_ids):
-        for scheme in schemes:
-            for session, value in zip(sessions, vectors[scheme][repeat_pos]):
-                metric_rows.append([str(repeat_id), scheme.value, str(session), _fmt(value)])
+    eers = session_eers(log)
+    tables = {scheme: compute_scheme(scheme, eers) for scheme in schemes}
+    sessions = log.covered_sessions
+    metric_rows = [
+        [str(repeat_id), scheme.value, str(session), repr(value)]
+        for row, repeat_id in enumerate(np.unique(log.repeat).tolist())
+        for scheme in schemes
+        for session, value in zip(sessions, tables[scheme][row].tolist())
+    ]
     summary_rows = []
     for scheme in schemes:
-        report = aggregate(scheme, vectors[scheme], sessions)
-        for session, mean, std in zip(sessions, report.mean_per_slot, report.std_per_slot):
-            summary_rows.append([scheme.value, str(session), _fmt(mean), _fmt(std)])
+        mean, std = aggregate(tables[scheme])
+        summary_rows += (
+            [scheme.value, str(session), repr(m), repr(sd)]
+            for session, m, sd in zip(sessions, mean.tolist(), std.tolist())
+        )
     inclusion_rows = [
-        [str(rep), str(session), _fmt(value)]
-        for (rep, session), value in inclusion_per_session(result.snapshots).items()
+        [str(repeat), str(session), repr(value)]
+        for repeat, means in enumerate(result.inclusion.mean(axis=-1).tolist())
+        for session, value in zip(range(2, dataset.num_sessions + 1), means)
     ]
 
     out_dir = Path(out_dir)
@@ -429,12 +426,9 @@ def main(argv=None) -> int:
             cmd_run(args.config, args.out)
         else:
             cmd_report(args.in_dirs, args.out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (BenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)  # an OSError is a runtime error
     return 0
 
 

@@ -50,25 +50,38 @@ def _require_rows(rows: int, sizes: dict) -> None:
         raise ValidationError(wrong)
 
 
-def _feature_matrix(user_ids, sessions, order_indices, features) -> np.ndarray:
-    """`features` as a float (N, width) matrix, checked to have one row per
-    entry of the other columns before any of them is indexed."""
+def _columns(user_ids, sessions, order_indices, features):
+    """`features` as a float (N, width) matrix, and `sessions` and
+    `order_indices` as integer vectors, each column checked to be one
+    entry per matrix row before any of them is indexed."""
+    matrix = _array("features", features, float, "an (N, width) matrix of numbers")
+    integers = "a one-dimensional column of integers"
+    vectors = {
+        "user_ids": _array("user_ids", user_ids, object, "a one-dimensional column"),
+        "sessions": _array("sessions", sessions, np.intp, integers),
+        "order_indices": _array("order_indices", order_indices, np.intp, integers),
+    }
+    _require_rows(len(matrix), {name: v.size for name, v in vectors.items()})
+    return matrix, vectors["sessions"], vectors["order_indices"]
+
+
+def _array(name: str, column, dtype, what: str) -> np.ndarray:
+    """`column` as an array of `dtype`, 2-D for floats and 1-D otherwise;
+    a ValidationError naming the column says `what` it must be if not."""
     try:
-        matrix = np.asarray(features, dtype=float)
-    except (TypeError, ValueError):  # ragged rows, or not numbers
-        raise ValidationError("column features must be a matrix of numbers") from None
-    if matrix.ndim != 2:
-        raise ValidationError(f"column features must be an (N, width) matrix, got {matrix.shape}")
-    lengths = {"user_ids": user_ids, "sessions": sessions, "order_indices": order_indices}
-    _require_rows(len(matrix), {name: len(column) for name, column in lengths.items()})
-    return matrix
+        array = np.asarray(column, dtype=dtype)
+    except (TypeError, ValueError):  # ragged, or not of that type
+        array = None
+    if array is None or array.ndim != (2 if dtype is float else 1):
+        raise ValidationError(f"column {name} must be {what}")
+    return array
 
 
 def _check_columns(dimension, num_sessions, user_ids, sessions, order_indices, features):
     """Problems of per-row columns, the sorted users, the feature matrix
     with its rows sorted by (user, session, order_index), and the sorted
     (user position, session, order_index) columns."""
-    features = _feature_matrix(user_ids, sessions, order_indices, features)
+    features, session_col, order_col = _columns(user_ids, sessions, order_indices, features)
     problems = []
     if dimension < 1:
         problems.append(f"dimension must be >= 1, got {dimension}")
@@ -77,8 +90,6 @@ def _check_columns(dimension, num_sessions, user_ids, sessions, order_indices, f
     users = tuple(sorted(set(user_ids), key=str))
     position = {user: i for i, user in enumerate(users)}
     codes = np.fromiter(map(position.__getitem__, user_ids), np.intp, len(user_ids))
-    session_col = np.asarray(sessions, dtype=np.intp).reshape(-1)
-    order_col = np.asarray(order_indices, dtype=np.intp).reshape(-1)
     order = np.lexsort((order_col, session_col, codes))
     # Stable sort: within a run of equal keys, every row after the first repeats it.
     key = (codes[order], session_col[order], order_col[order])
@@ -379,13 +390,3 @@ class ScoreLog:
     @property
     def covered_sessions(self) -> range:
         return scored_sessions(self.mode, self.num_sessions)
-
-    @property
-    def repeat_ids(self) -> tuple[int, ...]:
-        return tuple(np.unique(self.repeat).tolist())
-
-    def for_repeat(self, repeat_id: int) -> "ScoreLog":
-        """Sub-log holding a single repeat's records."""
-        picked = self.repeat == repeat_id
-        columns = (getattr(self, name)[picked] for name, _ in _LOG_COLUMNS)
-        return ScoreLog.from_columns(self.users, self.num_sessions, self.mode, *columns)

@@ -51,27 +51,18 @@ class ExperimentConfig:
             raise ValidationError(f"repeats must be >= 1, got {self.repeats}")
 
 
-@dataclass(frozen=True)
-class InclusionSnapshot:
-    """Impostor-inclusion ratio of one reference at a session boundary."""
-
-    repeat_id: int
-    target_user: str
-    session: int
-    inclusion: float
-
-
 @dataclass(frozen=True, eq=False)
 class RunResult:
     """A run's score log plus the gallery-side measurements.
 
-    The snapshots record impostor inclusion at the end of every session
-    in which updates could occur; final_models keeps each (repeat, user)
-    reference for provenance checks.
+    `inclusion[r, s - 2, u]` is the impostor inclusion of the reference of
+    `log.users[u]` in repeat r at the end of session s, for every session
+    2..S in which updates could occur; final_models keeps each (repeat,
+    user) reference for provenance checks.
     """
 
     log: ScoreLog
-    snapshots: tuple[InclusionSnapshot, ...]
+    inclusion: np.ndarray
     final_models: Mapping[tuple[int, str], ReferenceModel]
 
 
@@ -134,10 +125,10 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
         )
     logged_sessions = scored_sessions(config.mode, dataset.num_sessions)
     logged = []  # per logged session: repeat, session, target, rows, raw, centered, applied
-    snapshots: list[InclusionSnapshot] = []
     final_models: dict[tuple[int, str], ReferenceModel] = {}
     users = dataset.users
     sessions = range(2, dataset.num_sessions + 1)
+    inclusion = np.empty((config.repeats, len(sessions), len(users)))
     bounds = [draw_bounds(dataset, user, s, config.stream) for user in users for s in sessions]
     for repeat in range(config.repeats):
         # Every stream of the repeat in one block draw, user-major like the loop below.
@@ -162,11 +153,9 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
                 )
                 if session in logged_sessions:
                     logged.append((repeat, session, user_index, rows, raw, centered, applied))
-                snapshots.append(
-                    InclusionSnapshot(repeat, user, session, impostor_inclusion(model))
-                )
+                inclusion[repeat, session - 2, user_index] = impostor_inclusion(model)
             final_models[(repeat, user)] = model
-    return RunResult(_score_log(dataset, config.mode, logged), tuple(snapshots), final_models)
+    return RunResult(_score_log(dataset, config.mode, logged), inclusion, final_models)
 
 
 def _score_log(dataset: Dataset, mode: Mode, logged: list[tuple]) -> ScoreLog:

@@ -6,20 +6,21 @@ pooled scores (duplicated across session slots so the three can be
 plotted against each other). They answer different questions and can
 suggest contradictory conclusions about the same run, which is exactly
 what the bench exists to expose.
+
+`session_eers` computes each EER of a log once, per (repeat, session) and
+pooled per repeat; `compute_scheme` reads one presentation's (repeats,
+sessions) matrix off them, and `aggregate` its per-slot mean and spread.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .core import ScoreLog
 from .errors import MetricError
-from .evaluator import InclusionSnapshot
 
 
 class Scheme(str, Enum):
@@ -76,116 +77,53 @@ def eer(genuine, impostor) -> float:
     return float((far[best] + frr[best]) / 2.0)
 
 
-def _session_scores(log: ScoreLog, session: int) -> tuple[np.ndarray, np.ndarray]:
-    picked = log.session == session
-    genuine = log.genuine
-    gen = log.centered[picked & genuine]
-    imp = log.centered[picked & ~genuine]
-    if not gen.size:
-        raise MetricError(f"session {session}: no genuine scores")
-    if not imp.size:
-        raise MetricError(f"session {session}: no impostor scores")
-    return gen, imp
+def session_eers(log: ScoreLog) -> tuple[np.ndarray, np.ndarray]:
+    """A (repeats, covered sessions) matrix of per-session EERs, each over
+    all users' comparisons of one (repeat, session), and each repeat's
+    pooled EER over all its sessions; repeats in ascending id order. The
+    first (repeat, session) without genuine or impostor scores raises."""
+    repeats, repeat_pos = np.unique(log.repeat, return_inverse=True)
+    sessions = log.covered_sessions
+    shape = (len(repeats), len(sessions), 2)
+    # Group k = (repeat, session, label) in row-major order of `shape`, genuine first.
+    group = (repeat_pos * len(sessions) + log.session - sessions.start) * 2 + ~log.genuine
+    counts = np.bincount(group, minlength=math.prod(shape))
+    empty = np.argwhere(counts.reshape(shape) == 0)  # in row-major order
+    if empty.size:
+        _, s, side = empty[0].tolist()
+        raise MetricError(f"session {sessions[s]}: no {'impostor' if side else 'genuine'} scores")
+    parts = np.split(log.centered[np.argsort(group, kind="stable")], np.cumsum(counts)[:-1])
+    per_session = [eer(gen, imp) for gen, imp in zip(parts[::2], parts[1::2])]
+    step = 2 * len(sessions)  # one repeat's parts
+    pooled = [
+        eer(np.concatenate(parts[k : k + step : 2]), np.concatenate(parts[k + 1 : k + step : 2]))
+        for k in range(0, len(parts), step)
+    ]
+    return np.reshape(per_session, shape[:2]), np.array(pooled)
 
 
-def per_session_eer(log: ScoreLog) -> list[float]:
-    """One EER per covered session, pooling all users' comparisons."""
-    return [eer(*_session_scores(log, s)) for s in log.covered_sessions]
+def compute_scheme(scheme: Scheme, eers: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """One scheme's (repeats, sessions) matrix from what `session_eers` returns.
 
-
-def cumulative_mean_eer(log: ScoreLog) -> list[float]:
-    """Running mean of the per-session EERs up to each session."""
-    per_session = per_session_eer(log)
-    return [float(np.mean(per_session[: i + 1])) for i in range(len(per_session))]
-
-
-def pooled_eer(log: ScoreLog) -> list[float]:
-    """EER of all covered sessions' scores merged into one global set,
-    duplicated once per covered session for side-by-side plotting."""
-    genuine, impostor = zip(*(_session_scores(log, s) for s in log.covered_sessions))
-    value = eer(np.concatenate(genuine), np.concatenate(impostor))
-    return [value] * len(log.covered_sessions)
-
-
-_SCHEME_FUNCTIONS = {
-    Scheme.PER_SESSION: per_session_eer,
-    Scheme.CUMULATIVE_MEAN: cumulative_mean_eer,
-    Scheme.POOLED: pooled_eer,
-}
-
-
-def compute_scheme(scheme: Scheme, log: ScoreLog) -> list[float]:
-    return _SCHEME_FUNCTIONS[Scheme(scheme)](log)
-
-
-@dataclass(frozen=True, eq=False)
-class EvaluationReport:
-    """Per-repeat EER vectors for one scheme, with per-slot statistics."""
-
-    scheme: Scheme
-    sessions: tuple[int, ...]
-    per_repeat: tuple[tuple[float, ...], ...]
-    mean_per_slot: tuple[float, ...]
-    std_per_slot: tuple[float, ...]
-
-    def __post_init__(self):
-        problems = []
-        for row in self.per_repeat:
-            if len(row) != len(self.sessions):
-                problems.append("per-repeat vector length != session slot count")
-                break
-            if any(not 0.0 <= v <= 1.0 for v in row):
-                problems.append("EER values must lie in [0, 1]")
-                break
-            if self.scheme is Scheme.POOLED and len(set(row)) > 1:
-                problems.append("pooled scheme must repeat one value across slots")
-                break
-        if problems:
-            raise MetricError("; ".join(problems))
-
-
-def aggregate(
-    scheme: Scheme,
-    per_repeat: Sequence[Sequence[float]],
-    sessions: Sequence[int],
-) -> EvaluationReport:
-    """Average per-repeat scheme vectors slot by slot.
-
-    mean/std are the arithmetic mean and population standard deviation
-    across repeats for each session slot.
+    The cumulative mean takes each prefix's mean on its own (a running sum
+    could differ in the last bit); the pooled value repeats across slots.
     """
-    vectors = [tuple(float(v) for v in row) for row in per_repeat]
-    if not vectors:
-        raise MetricError("aggregate needs at least one repeat")
-    slots = len(sessions)
-    if any(len(row) != slots for row in vectors):
-        raise MetricError(
-            f"aggregate: repeat vectors do not all cover {slots} session slots"
-        )
-    arr = np.asarray(vectors, dtype=float)
-    return EvaluationReport(
-        scheme=Scheme(scheme),
-        sessions=tuple(int(s) for s in sessions),
-        per_repeat=tuple(vectors),
-        mean_per_slot=tuple(float(v) for v in arr.mean(axis=0)),
-        std_per_slot=tuple(float(v) for v in arr.std(axis=0)),
-    )
+    per_session, pooled = eers
+    scheme = Scheme(scheme)
+    if scheme is Scheme.PER_SESSION:
+        return per_session
+    if scheme is Scheme.CUMULATIVE_MEAN:
+        return np.array([[np.mean(row[: i + 1]) for i in range(row.size)] for row in per_session])
+    return np.repeat(pooled[:, None], per_session.shape[1], axis=1)
 
 
-def report_for(scheme: Scheme, log: ScoreLog) -> EvaluationReport:
-    """Compute one scheme per repeat in the log and aggregate the repeats."""
-    vectors = [compute_scheme(scheme, log.for_repeat(r)) for r in log.repeat_ids]
-    return aggregate(scheme, vectors, tuple(log.covered_sessions))
-
-
-def inclusion_per_session(
-    snapshots: Iterable[InclusionSnapshot],
-) -> dict[tuple[int, int], float]:
-    """Mean impostor-inclusion over target users, keyed (repeat, session)."""
-    grouped: dict[tuple[int, int], list[float]] = {}
-    for snap in snapshots:
-        grouped.setdefault((snap.repeat_id, snap.session), []).append(snap.inclusion)
-    return {
-        key: float(np.mean(values))
-        for key, values in sorted(grouped.items())
-    }
+def aggregate(per_repeat) -> tuple[np.ndarray, np.ndarray]:
+    """The arithmetic mean and population standard deviation across repeats
+    of a (repeats, sessions) matrix, per session slot."""
+    try:
+        matrix = np.asarray(per_repeat, dtype=float)
+    except ValueError:  # ragged rows
+        matrix = np.empty(0)
+    if matrix.ndim != 2 or not matrix.shape[0]:
+        raise MetricError("aggregate needs a (repeats, sessions) matrix of at least one repeat")
+    return matrix.mean(axis=0), matrix.std(axis=0)

@@ -110,7 +110,6 @@ class StreamState:
     """
 
     target_user: str
-    session: int
     impostor: np.ndarray
     rows: np.ndarray
     dataset: Dataset
@@ -208,7 +207,6 @@ def plan_session(
         rows[impostor] = _random_impostor_rows(dataset.row_user, pool_rows, n_impostor, draws)
     return StreamState(
         target_user=target_user,
-        session=session,
         impostor=impostor,
         rows=rows,
         dataset=dataset,

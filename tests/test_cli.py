@@ -6,6 +6,7 @@ from collections import defaultdict
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -24,7 +25,8 @@ from tubench.cli import (
 )
 from tubench.core import Label, Mode, ScoreLog
 from tubench.errors import ConfigError, MetricError
-from tubench.evaluator import ExperimentConfig
+from tubench import metrics
+from tubench.evaluator import ExperimentConfig, run_experiment
 from tubench.ingest import ColumnMapping, read_table, write_table
 from tubench.metrics import Scheme
 from tubench.stream import GlobalOrder, LocalOrder, SessionPolicy, StreamConfig
@@ -619,18 +621,45 @@ def test_run_on_a_dataset_that_is_not_utf8_names_it(tmp_path, capsys, where):
     assert not out.exists()
 
 
-def test_run_builds_one_sub_log_per_repeat_for_every_scheme(tmp_path, monkeypatch):
-    built = []
-    for_repeat = ScoreLog.for_repeat
+def test_run_computes_each_eer_once_from_one_log(tmp_path, monkeypatch):
+    calls = {"eer": 0, "log": 0}
+    eer, build_log = metrics.eer, ScoreLog.__post_init__
 
-    def counting_for_repeat(log, repeat_id):
-        built.append(repeat_id)
-        return for_repeat(log, repeat_id)
+    def counting_eer(genuine, impostor):
+        calls["eer"] += 1
+        return eer(genuine, impostor)
 
-    monkeypatch.setattr(ScoreLog, "for_repeat", counting_for_repeat)
+    def counting_build_log(log):
+        calls["log"] += 1
+        build_log(log)
+
+    monkeypatch.setattr(metrics, "eer", counting_eer)
+    monkeypatch.setattr(ScoreLog, "__post_init__", counting_build_log)
     cmd_run(write_config(tmp_path / "c.json"), tmp_path / "out")
     assert len(Scheme) == 3
-    assert built == [0, 1]  # BASE_CONFIG runs 2 repeats
+    # BASE_CONFIG: 2 repeats x (3 covered sessions + 1 pooled), one log
+    assert calls == {"eer": 2 * (3 + 1), "log": 1}
+
+
+def test_inclusion_table_is_the_mean_over_users_of_the_run(tmp_path):
+    # A lenient threshold on close users lets impostors into the galleries;
+    # past 8 users numpy's mean sums pairwise.
+    synthetic = {**BASE_CONFIG["dataset"]["synthetic"], "num_users": 12, "base_spread": 0.3}
+    config = write_config(
+        tmp_path / "c.json",
+        patch={"update": {"threshold": 3.0}, "dataset": {"synthetic": synthetic}},
+    )
+    cmd_run(config, tmp_path / "out")
+    resolved = load_config(config)
+    dataset = _load_dataset(resolved)
+    inclusion = run_experiment(dataset, _build_experiment(resolved)[0]).inclusion
+    expected = [
+        [str(repeat), str(session), repr(float(np.mean(inclusion[repeat, session - 2].tolist())))]
+        for repeat in range(2)
+        for session in range(2, 5)
+    ]
+    assert inclusion.any()
+    assert read_table(tmp_path / "out" / "inclusion.csv")[1] == expected
 
 
 def test_all_outputs_parse_as_tables(tmp_path):

@@ -200,8 +200,17 @@ def test_dataset_from_columns_equals_dataset_from_samples():
         (["a"], [1, 2], [0, 1], [[1.0], [2.0]], "user_ids"),  # 1 user id, 2 rows
         (["a", "a"], [1], [0, 1], [[1.0], [2.0]], "sessions"),
         (["a", "a"], [1, 2], [0, 1, 2], [[1.0], [2.0]], "order_indices"),
+        (["a", "a"], [[1, 1], [2, 2]], [0, 1], [[1.0], [2.0]], "sessions"),  # 2-D
+        (["a", "a"], 1, [0, 1], [[1.0], [2.0]], "sessions"),  # a scalar
+        (["a", "a"], [1, 2], [[0], [1]], [[1.0], [2.0]], "order_indices"),  # 2-D
+        (["a", "a"], [1, 2], [0, [1, 2]], [[1.0], [2.0]], "order_indices"),  # ragged
+        ([["a"], ["a"]], [1, 2], [0, 1], [[1.0], [2.0]], "user_ids"),  # 2-D
+        ("a", [1], [0], [[1.0]], "user_ids"),  # a scalar
     ],
-    ids=["vector", "ragged", "not-numbers", "2-ids-1-row", "1-id-2-rows", "sessions", "orders"],
+    ids=[
+        "vector", "ragged", "not-numbers", "2-ids-1-row", "1-id-2-rows", "sessions", "orders",
+        "2d-sessions", "scalar-sessions", "2d-orders", "ragged-orders", "2d-ids", "scalar-ids",
+    ],
 )
 def test_malformed_columns_are_rejected_by_name(
     user_ids, sessions, order_indices, features, column
@@ -274,12 +283,11 @@ def test_log_rejects_out_of_stream_order_records():
         log_of(records, 3, Mode.ONLINE)
 
 
-def test_log_for_repeat_filters_records():
+def test_log_keeps_each_record_repeat():
     records = (_record(0, 2), _record(1, 2), _record(0, 3), _record(1, 3))
     log = log_of(records, 3, Mode.ONLINE)
-    assert log.repeat_ids == (0, 1)
-    sub = log.for_repeat(1)
-    assert sub.repeat.tolist() == [1, 1]
+    assert np.unique(log.repeat).tolist() == [0, 1]
+    assert log.repeat.tolist() == [0, 1, 0, 1]
 
 
 def reference_log_violations(num_sessions, mode, rows):

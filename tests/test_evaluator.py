@@ -35,7 +35,6 @@ from tubench import (
     run_experiment,
 )
 from tubench import evaluator, stream as stream_module, update as update_module
-from tubench.evaluator import InclusionSnapshot
 from tubench.rng import mix64
 from tubench.stream import CLOSEST, draw_bounds
 from tubench.synthdata import SynthConfig, generate
@@ -79,8 +78,9 @@ def test_online_covers_one_session_more_than_offline():
     )
     assert list(online.log.covered_sessions) == [2, 3, 4]
     assert list(offline.log.covered_sessions) == [3, 4]
-    assert {s.session for s in online.snapshots} == {2, 3, 4}
-    assert {s.session for s in offline.snapshots} == {2, 3, 4}
+    # inclusion is read after every session 2..4, for each of the 4 users
+    assert online.inclusion.shape == (1, 3, 4)
+    assert offline.inclusion.shape == (1, 3, 4)
 
 
 def test_runs_are_deterministic():
@@ -97,7 +97,7 @@ def test_runs_are_deterministic():
     assert first.log.users == second.log.users
     for got, expected in zip(log_columns(first.log), log_columns(second.log)):
         assert got.tobytes() == expected.tobytes()
-    assert first.snapshots == second.snapshots
+    assert first.inclusion.tobytes() == second.inclusion.tobytes()
 
 
 def test_offline_needs_at_least_three_sessions():
@@ -245,6 +245,17 @@ def test_offline_hand_trace(trace_dataset):
     assert model.origins.count(Origin.GENUINE_UPDATE) == 2
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_inclusion_array_reads_each_reference_after_each_session(trace_dataset, mode):
+    # At a threshold of +inf every query joins the 3-vector enrollment
+    # gallery: one genuine and one impostor per session, in both modes.
+    result = run_experiment(trace_dataset, trace_config(mode, threshold=math.inf))
+    assert result.inclusion.tolist() == [[[1 / 5, 1 / 5], [2 / 7, 2 / 7]]]
+    # Without updates no impostor ever enters.
+    result = run_experiment(trace_dataset, trace_config(mode, StrategyKind.NONE))
+    assert result.inclusion.tolist() == [[[0.0, 0.0], [0.0, 0.0]]]
+
+
 def test_offline_scoring_references_exclude_current_session_vectors(trace_dataset):
     # replay the offline protocol manually with library primitives and
     # assert the frozen-scoring pass never sees same-session vectors;
@@ -377,7 +388,8 @@ def _reference_enroll(dataset, user, config):
 
 def reference_online(dataset, config):
     """One next_query, raw_score and maybe_update per query; one record each."""
-    records, snapshots, final_models = [], [], {}
+    records, final_models = [], {}
+    inclusion = _inclusion_array(dataset, config)
     for repeat in range(config.repeats):
         for user_index, user in enumerate(dataset.users):
             model = _reference_enroll(dataset, user, config)
@@ -391,23 +403,22 @@ def reference_online(dataset, config):
                         ScoreRecord(repeat, session, user, query.sample.user_id,
                                     query.true_label, raw, centered, outcome.applied)
                     )
-                snapshots.append(
-                    InclusionSnapshot(repeat, user, session, impostor_inclusion(model))
-                )
+                inclusion[repeat, session - 2, user_index] = impostor_inclusion(model)
             final_models[(repeat, user)] = model
-    return records, snapshots, final_models
+    return records, inclusion, final_models
 
 
 def reference_offline(dataset, config):
     """Session 2 for update only; later sessions scored frozen, then replayed."""
-    records, snapshots, final_models = [], [], {}
+    records, final_models = [], {}
+    inclusion = _inclusion_array(dataset, config)
     for repeat in range(config.repeats):
         for user_index, user in enumerate(dataset.users):
             model = _reference_enroll(dataset, user, config)
             state = _reference_stream(dataset, user, user_index, 2, repeat, config)
             while (query := next_query(state, model)) is not None:
                 maybe_update(model, query, centered_score(model, query.sample.features), config.strategy)
-            snapshots.append(InclusionSnapshot(repeat, user, 2, impostor_inclusion(model)))
+            inclusion[repeat, 0, user_index] = impostor_inclusion(model)
             for session in range(3, dataset.num_sessions + 1):
                 state = _reference_stream(dataset, user, user_index, session, repeat, config)
                 staged = []
@@ -425,11 +436,15 @@ def reference_offline(dataset, config):
                         ScoreRecord(repeat, session, user, query.sample.user_id,
                                     query.true_label, raw, centered, applied)
                     )
-                snapshots.append(
-                    InclusionSnapshot(repeat, user, session, impostor_inclusion(model))
-                )
+                inclusion[repeat, session - 2, user_index] = impostor_inclusion(model)
             final_models[(repeat, user)] = model
-    return records, snapshots, final_models
+    return records, inclusion, final_models
+
+
+def _inclusion_array(dataset, config):
+    """A NaN-filled (repeats, sessions 2..S, users) array, so that an entry
+    left unset compares unequal."""
+    return np.full((config.repeats, dataset.num_sessions - 1, len(dataset.users)), np.nan)
 
 
 def _hex_rows(rows):
@@ -494,10 +509,11 @@ def loop_configs(draw):
 def test_session_loop_matches_the_per_query_loops_bitwise(case):
     dataset, config = case
     reference = reference_online if config.mode is Mode.ONLINE else reference_offline
-    records, snapshots, final_models = reference(dataset, config)
+    records, inclusion, final_models = reference(dataset, config)
     result = run_experiment(dataset, config)
     assert _hex_rows(log_rows(result.log)) == _hex_rows(astuple(r) for r in records)
-    assert list(result.snapshots) == snapshots
+    assert result.inclusion.shape == inclusion.shape
+    assert result.inclusion.tobytes() == inclusion.tobytes()
     _assert_same_galleries(result.final_models, final_models)
 
 

@@ -12,15 +12,11 @@ from tubench import (
     ScoreLog,
     ScoreRecord,
     aggregate,
-    cumulative_mean_eer,
+    compute_scheme,
     eer,
     far_frr,
-    inclusion_per_session,
-    per_session_eer,
-    pooled_eer,
-    report_for,
+    session_eers,
 )
-from tubench.evaluator import InclusionSnapshot
 from conftest import log_columns, log_of
 
 
@@ -107,6 +103,19 @@ def test_eer_is_rank_invariant():
             assert eer([fn(x) for x in genuine], [fn(x) for x in impostor]) == base
 
 
+def _one_repeat(scheme):
+    """The scheme's vector for a one-repeat log, as a list."""
+    def vector(log):
+        (row,) = compute_scheme(scheme, session_eers(log)).tolist()
+        return row
+    return vector
+
+
+per_session_of = _one_repeat(Scheme.PER_SESSION)
+cumulative_of = _one_repeat(Scheme.CUMULATIVE_MEAN)
+pooled_of = _one_repeat(Scheme.POOLED)
+
+
 def _log_from_session_scores(per_session, mode=Mode.ONLINE, repeat=0):
     """Build a log from {session: (genuine scores, impostor scores)}."""
     records = []
@@ -127,7 +136,7 @@ def _log_from_session_scores(per_session, mode=Mode.ONLINE, repeat=0):
 def test_per_session_eer_is_constant_on_identical_sessions():
     scores = ([0.1, 0.2, 0.3], [0.25, 0.4, 0.5])
     log = _log_from_session_scores({2: scores, 3: scores, 4: scores})
-    values = per_session_eer(log)
+    values = per_session_of(log)
     assert values == [values[0]] * 3
     assert values[0] == pytest.approx(1 / 3)
 
@@ -143,13 +152,13 @@ def test_per_session_eer_matches_independent_per_session_oracle():
     }
     log = _log_from_session_scores(per_session)
     expected = [oracle_eer(*per_session[s]) for s in (2, 3, 4)]
-    assert per_session_eer(log) == expected
+    assert per_session_of(log) == expected
 
 
 def test_per_session_eer_length_for_eight_sessions():
     scores = ([0.1, 0.2], [0.6, 0.9])
     log = _log_from_session_scores({s: scores for s in range(2, 9)})
-    assert len(per_session_eer(log)) == 7
+    assert len(per_session_of(log)) == 7
 
 
 def test_per_session_eer_requires_both_labels_each_session():
@@ -160,7 +169,7 @@ def test_per_session_eer_requires_both_labels_each_session():
     )
     log = log_of(records, 3, Mode.ONLINE)
     with pytest.raises(MetricError, match="session 3"):
-        per_session_eer(log)
+        session_eers(log)
 
 
 def test_cumulative_mean_is_prefix_mean():
@@ -173,8 +182,8 @@ def test_cumulative_mean_is_prefix_mean():
         for s in range(2, 8)
     }
     log = _log_from_session_scores(per_session)
-    a = per_session_eer(log)
-    b = cumulative_mean_eer(log)
+    a = per_session_of(log)
+    b = cumulative_of(log)
     assert b[0] == a[0]
     for i in range(len(a)):
         assert abs(b[i] - sum(a[: i + 1]) / (i + 1)) < 1e-12
@@ -194,20 +203,20 @@ def test_cumulative_mean_arithmetic_example():
         return genuine, impostor
 
     log = _log_from_session_scores({2: session_with_eer(1), 3: session_with_eer(2), 4: session_with_eer(3)})
-    assert per_session_eer(log) == pytest.approx([0.1, 0.2, 0.3])
-    assert cumulative_mean_eer(log) == pytest.approx([0.1, 0.15, 0.2])
+    assert per_session_of(log) == pytest.approx([0.1, 0.2, 0.3])
+    assert cumulative_of(log) == pytest.approx([0.1, 0.15, 0.2])
 
 
 def test_pooled_eer_of_single_session_equals_per_session():
     scores = ([0.1, 0.2, 0.35], [0.3, 0.4])
     log = _log_from_session_scores({2: scores})
-    assert pooled_eer(log) == per_session_eer(log)
+    assert pooled_of(log) == per_session_of(log)
 
 
 def test_pooled_eer_on_identical_sessions_equals_common_value():
     scores = ([0.1, 0.2, 0.3], [0.25, 0.4, 0.5])
     log = _log_from_session_scores({s: scores for s in (2, 3, 4)})
-    pooled = pooled_eer(log)
+    pooled = pooled_of(log)
     assert pooled == [pytest.approx(1 / 3)] * 3
 
 
@@ -223,7 +232,7 @@ def test_pooled_eer_matches_pooled_oracle_and_duplicates():
     log = _log_from_session_scores(per_session)
     genuine = [v for s in (2, 3, 4) for v in per_session[s][0]]
     impostor = [v for s in (2, 3, 4) for v in per_session[s][1]]
-    pooled = pooled_eer(log)
+    pooled = pooled_of(log)
     assert len(pooled) == 3
     assert len(set(pooled)) == 1
     assert pooled[0] == oracle_eer(genuine, impostor)
@@ -245,75 +254,91 @@ def test_schemes_are_order_invariant_within_sessions():
         rng.shuffle(chunk)
         shuffled_rows.extend(chunk)
     shuffled = ScoreLog.from_columns(log.users, 3, Mode.ONLINE, *log_columns(log, shuffled_rows))
-    assert per_session_eer(shuffled) == per_session_eer(log)
-    assert cumulative_mean_eer(shuffled) == cumulative_mean_eer(log)
-    assert pooled_eer(shuffled) == pooled_eer(log)
+    assert per_session_of(shuffled) == per_session_of(log)
+    assert cumulative_of(shuffled) == cumulative_of(log)
+    assert pooled_of(shuffled) == pooled_of(log)
 
 
 def test_aggregate_degenerate_single_repeat():
-    report = aggregate(Scheme.PER_SESSION, [[0.1, 0.2]], [2, 3])
-    assert report.mean_per_slot == (0.1, 0.2)
-    assert report.std_per_slot == (0.0, 0.0)
+    mean, std = aggregate([[0.1, 0.2]])
+    assert tuple(mean.tolist()) == (0.1, 0.2)
+    assert tuple(std.tolist()) == (0.0, 0.0)
 
 
 def test_aggregate_two_repeats_mean():
-    report = aggregate(Scheme.PER_SESSION, [[0.1, 0.3], [0.3, 0.1]], [2, 3])
-    assert report.mean_per_slot == pytest.approx((0.2, 0.2))
+    mean, _ = aggregate([[0.1, 0.3], [0.3, 0.1]])
+    assert tuple(mean.tolist()) == pytest.approx((0.2, 0.2))
 
 
 def test_aggregate_matches_independent_statistics():
     rng = random.Random(8)
     vectors = [[rng.random() for _ in range(5)] for _ in range(10)]
-    report = aggregate(Scheme.PER_SESSION, vectors, [2, 3, 4, 5, 6])
+    mean_per_slot, std_per_slot = aggregate(vectors)
     for slot in range(5):
         column = [vec[slot] for vec in vectors]
         mean = sum(column) / len(column)
         std = math.sqrt(sum((v - mean) ** 2 for v in column) / len(column))
-        assert report.mean_per_slot[slot] == pytest.approx(mean, abs=1e-12)
-        assert report.std_per_slot[slot] == pytest.approx(std, abs=1e-12)
+        assert mean_per_slot[slot] == pytest.approx(mean, abs=1e-12)
+        assert std_per_slot[slot] == pytest.approx(std, abs=1e-12)
 
 
 def test_aggregate_rejects_mismatched_slots():
     with pytest.raises(MetricError):
-        aggregate(Scheme.PER_SESSION, [[0.1, 0.2], [0.1]], [2, 3])
+        aggregate([[0.1, 0.2], [0.1]])
+    with pytest.raises(MetricError):
+        aggregate(np.empty((0, 2)))
 
 
-def test_report_for_splits_repeats():
+def _merged(*logs):
+    """One log holding the rows of same-user logs, in order."""
+    assert len({log.users for log in logs}) == 1
+    return ScoreLog.from_columns(
+        logs[0].users, logs[0].num_sessions, logs[0].mode,
+        *map(np.concatenate, zip(*map(log_columns, logs))),
+    )
+
+
+def test_session_eers_splits_repeats():
     scores_a = ([0.1, 0.2], [0.4, 0.5])
     scores_b = ([0.2, 0.3], [0.25, 0.6])
     log0 = _log_from_session_scores({2: scores_a, 3: scores_a}, repeat=0)
     log1 = _log_from_session_scores({2: scores_b, 3: scores_b}, repeat=1)
-    assert log0.users == log1.users
-    merged = ScoreLog.from_columns(
-        log0.users, 3, Mode.ONLINE,
-        *map(np.concatenate, zip(log_columns(log0), log_columns(log1))),
-    )
-    report = report_for(Scheme.PER_SESSION, merged)
-    assert report.per_repeat == (
-        tuple(per_session_eer(log0)),
-        tuple(per_session_eer(log1)),
-    )
+    per_session, pooled = session_eers(_merged(log0, log1))
+    assert per_session.tolist() == [per_session_of(log0), per_session_of(log1)]
+    assert pooled.tolist() == [pooled_of(log0)[0], pooled_of(log1)[0]]
 
 
-def test_inclusion_per_session_means_over_users():
-    snapshots = [
-        InclusionSnapshot(0, "a", 2, 0.0),
-        InclusionSnapshot(0, "b", 2, 0.5),
-        InclusionSnapshot(0, "a", 3, 0.25),
-        InclusionSnapshot(0, "b", 3, 0.25),
+def test_session_eers_orders_repeats_by_id_not_by_row():
+    scores_a = ([0.1, 0.2], [0.4, 0.5])
+    scores_b = ([0.2, 0.3], [0.25, 0.6])
+    log3 = _log_from_session_scores({2: scores_a, 3: scores_b}, repeat=3)
+    log1 = _log_from_session_scores({2: scores_b, 3: scores_a}, repeat=1)
+    per_session, _ = session_eers(_merged(log3, log1))
+    assert per_session.tolist() == [per_session_of(log1), per_session_of(log3)]
+
+
+def test_session_eers_raise_for_the_first_repeat_then_session():
+    # Repeat ids in ascending order whatever the row order, then sessions.
+    full = _log_from_session_scores({2: ([0.1], [0.9]), 3: ([0.1], [0.9])}, repeat=1)
+    cases = [
+        ({2: ([0.1], [0.9]), 3: ([0.1], [])}, "session 3: no impostor scores"),
+        ({2: ([], [0.9]), 3: ([0.1], [])}, "session 2: no genuine scores"),
     ]
-    result = inclusion_per_session(snapshots)
-    assert result == {(0, 2): 0.25, (0, 3): 0.25}
+    for scores, message in cases:
+        first = _log_from_session_scores(scores, repeat=0)
+        for logs in ((first, full), (full, first)):
+            with pytest.raises(MetricError, match=f"^{message}$"):
+                session_eers(_merged(*logs))
+    broken = _log_from_session_scores({2: ([], [0.9]), 3: ([0.1], [0.9])}, repeat=2)
+    with pytest.raises(MetricError, match="^session 3: no impostor scores$"):
+        session_eers(_merged(broken, _log_from_session_scores(cases[0][0], repeat=0)))
 
 
-def test_inclusion_vector_shapes_for_scripted_story():
-    # one impostor lands in session 3 of 4 and stays: zero, zero, then a
-    # positive constant (the gallery only grows afterwards).
-    snapshots = [
-        InclusionSnapshot(0, "a", 2, 0.0),
-        InclusionSnapshot(0, "a", 3, 1 / 5),
-        InclusionSnapshot(0, "a", 4, 1 / 5),
-    ]
-    values = [inclusion_per_session(snapshots)[(0, s)] for s in (2, 3, 4)]
-    assert values[0] == 0.0
-    assert values[1] == values[2] == pytest.approx(0.2)
+def test_cumulative_mean_is_each_prefix_mean_bitwise():
+    # Past 8 sessions numpy's mean sums pairwise, which a running sum would not.
+    rng = random.Random(5)
+    per_session = np.array([[rng.random() for _ in range(20)] for _ in range(3)])
+    cumulative = compute_scheme(Scheme.CUMULATIVE_MEAN, (per_session, np.zeros(3)))
+    for row, got in zip(per_session, cumulative):
+        expected = [float(np.mean(row.tolist()[: i + 1])) for i in range(row.size)]
+        assert got.tolist() == expected
