@@ -64,6 +64,7 @@ from .stream import (
     impostor_count,
     next_query,
     plan_session,
+    session_layouts,
 )
 from .synthdata import SynthConfig, generate
 from .update import (

@@ -1,9 +1,11 @@
 """Session-loop orchestration: online and offline evaluation runs.
 
-One loop serves both modes: each session is planned, presented to the
-user's reference by one `_present` call, and logged if the mode logs
-it. The reference changes only where the update rule accepts a query;
-the queries after an applied update are rescored against it, with one
+One loop serves both modes. Each (user, session) is laid out once per
+run, before the first enrollment; each repeat plans every session from
+its layout and its block-drawn indices, presents it to the user's
+reference by one `_present` call, and logs it if the mode logs it. The
+reference changes only where the update rule accepts a query; the
+queries after an applied update are rescored against it, with one
 matrix call per reference state.
 
 Online, each query's score against the reference it meets is logged and
@@ -28,8 +30,8 @@ from .core import Dataset, Mode, ScoreLog, scored_sessions
 from .errors import ConfigError, PartitionError, ValidationError
 from .matcher import EPSILON, ReferenceModel, center, enroll, raw_score
 from .matcher import centered_score  # noqa: F401  perfbench traces it under this module
-from .rng import block_mix64, block_randbelow
-from .stream import CLOSEST, StreamConfig, commit, draw_bounds, plan_rows, plan_session
+from .rng import BlockBounds, block_mix64, block_randbelow
+from .stream import CLOSEST, StreamConfig, commit, plan_rows, plan_session, session_layouts
 from .stream import next_query  # noqa: F401  perfbench traces it under this module
 from .update import UpdateStrategy, accepts, apply_updates, impostor_inclusion, score_free
 from .update import maybe_update  # noqa: F401  perfbench traces it under this module
@@ -129,11 +131,13 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
     users = dataset.users
     sessions = range(2, dataset.num_sessions + 1)
     inclusion = np.empty((config.repeats, len(sessions), len(users)))
-    bounds = [draw_bounds(dataset, user, s, config.stream) for user in users for s in sessions]
+    closest = config.stream.local_order in CLOSEST
+    layouts = session_layouts(dataset, config.stream, [(u, s) for u in users for s in sessions])
+    bounds = BlockBounds([layout.bounds for layout in layouts])
     for repeat in range(config.repeats):
-        # Every stream of the repeat in one block draw, user-major like the loop below.
+        # Every stream of the repeat in one block draw; seeds and layouts are user-major.
         seeds = block_mix64(config.base_seed, repeat, np.arange(len(users))[:, None], sessions)
-        draws = iter(block_randbelow(seeds.ravel(), bounds))
+        plans = zip(layouts, block_randbelow(seeds.ravel(), bounds))
         for user_index, user in enumerate(users):
             span = dataset.row_range(user, 1)
             model = enroll(
@@ -143,9 +147,9 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
                 capacity=config.strategy.capacity,
             )
             for session in sessions:
-                state = plan_session(dataset, user, session, config.stream, next(draws))
+                state = plan_session(*next(plans))
                 # Offline, only the unlogged session 2 re-plans its closest-* impostors.
-                replan = state.local_order in CLOSEST and (online or session not in logged_sessions)
+                replan = closest and (online or session not in logged_sessions)
                 rows = plan_rows(state, model)
                 raw, centered, applied = _present(
                     model, dataset, users, rows, state.impostor, config.strategy,

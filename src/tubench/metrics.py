@@ -34,8 +34,8 @@ def far_frr(genuine, impostor, threshold: float) -> tuple[float, float]:
 
     Scores are dissimilarities, so acceptance means score <= threshold.
     """
-    gen = np.asarray(list(genuine), dtype=float)
-    imp = np.asarray(list(impostor), dtype=float)
+    gen = np.asarray(genuine, dtype=float)
+    imp = np.asarray(impostor, dtype=float)
     if gen.size == 0:
         raise MetricError("far_frr needs at least one genuine score")
     if imp.size == 0:
@@ -60,8 +60,8 @@ def eer(genuine, impostor) -> float:
     one minimizing |far - frr| wins; ties fall to the smaller far + frr,
     then to the smaller threshold.
     """
-    gen = np.sort(np.asarray(list(genuine), dtype=float))
-    imp = np.sort(np.asarray(list(impostor), dtype=float))
+    gen = np.sort(np.asarray(genuine, dtype=float))
+    imp = np.sort(np.asarray(impostor, dtype=float))
     if gen.size == 0:
         raise MetricError("eer needs at least one genuine score")
     if imp.size == 0:

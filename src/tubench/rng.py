@@ -15,9 +15,10 @@ to drawing the same values one at a time:
 - :func:`block_mix64` is :func:`mix64` over arrays of parts, such as
   every (user, session) of a repeat;
 - :func:`block_randbelow` draws successive ``randbelow`` indices of many
-  streams, each with its own list of bounds. An index is ``word % n``;
-  a stream that meets a word the scalar rejection would skip continues
-  on the scalar stream from that word on;
+  streams, each with its own list of bounds, which :class:`BlockBounds`
+  converts once for any number of blocks. An index is ``word % n``; a
+  stream that meets a word the scalar rejection would skip continues on
+  the scalar stream from that word on;
 - :func:`block_normals` draws a stream's normals. The transcendental
   step stays on libm through ``math``, because numpy's ``log``/``cos``/
   ``sin`` can differ from it in the last bit.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -116,8 +117,26 @@ def block_mix64(*parts) -> np.ndarray:
     return acc
 
 
-def block_randbelow(seeds, bounds) -> list[list[int]]:
-    """Per stream i, successive ``SplitMix64(seeds[i]).randbelow(n)`` for n in `bounds[i]`.
+class BlockBounds:
+    """Many streams' `randbelow` bounds, one sequence per stream, converted once
+    into the arrays that `block_randbelow` reads for any number of blocks."""
+
+    def __init__(self, bounds):
+        self.rows = bounds
+        self.lengths = [len(row) for row in bounds]
+        self.n = np.fromiter(chain.from_iterable(bounds), _U64, sum(self.lengths))
+        if self.n.size and not self.n.min():
+            raise ValueError("randbelow() requires n >= 1")
+        self.ends = list(accumulate(self.lengths))
+        self.starts = [end - length for end, length in zip(self.ends, self.lengths)]
+        self.step = np.arange(1, self.n.size + 1, dtype=_U64)  # word number in its stream
+        self.step -= np.repeat(self.starts, self.lengths).astype(_U64)
+        # The scalar limit is 2**64 - 2**64 % n, and 2**64 % n = ((2**64 - 1) % n + 1) % n.
+        self.highest = _U64(_MASK64) - (_U64(_MASK64) % self.n + _U64(1)) % self.n
+
+
+def block_randbelow(seeds, bounds: BlockBounds) -> list[list[int]]:
+    """Per stream i, successive ``SplitMix64(seeds[i]).randbelow(n)`` for n in `bounds.rows[i]`.
 
     The words of every stream are drawn as one block, and each index is
     ``word % n``. A word at or above randbelow's rejection limit, the
@@ -125,28 +144,18 @@ def block_randbelow(seeds, bounds) -> list[list[int]]:
     stream; a stream that draws one continues on the scalar SplitMix64
     from that word on, so every index is exact.
     """
-    lengths = [len(row) for row in bounds]
-    n = np.fromiter(chain.from_iterable(bounds), _U64, sum(lengths))
-    if n.size and not n.min():
-        raise ValueError("randbelow() requires n >= 1")
     seeds = _u64s(seeds)
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    step = np.arange(1, n.size + 1, dtype=_U64) - np.repeat(starts, lengths).astype(_U64)
-    words = _finalize_words(np.repeat(seeds, lengths) + _U64(_GAMMA) * step)
-    flat = (words % n).tolist()
-    ends, starts = ends.tolist(), starts.tolist()
-    rows = [flat[start:end] for start, end in zip(starts, ends)]
-    # The scalar limit is 2**64 - 2**64 % n, and 2**64 % n = ((2**64 - 1) % n + 1) % n.
-    highest = _U64(_MASK64) - (_U64(_MASK64) % n + _U64(1)) % n
+    words = _finalize_words(np.repeat(seeds, bounds.lengths) + _U64(_GAMMA) * bounds.step)
+    flat = (words % bounds.n).tolist()
+    rows = [flat[start:end] for start, end in zip(bounds.starts, bounds.ends)]
     fallen: set[int] = set()
-    for at in np.flatnonzero(words > highest).tolist():
-        stream = bisect_right(ends, at)
+    for at in np.flatnonzero(words > bounds.highest).tolist():
+        stream = bisect_right(bounds.ends, at)
         if stream not in fallen:
             fallen.add(stream)
-            skip = at - starts[stream]
+            skip = at - bounds.starts[stream]
             rng = SplitMix64(int(seeds[stream]) + skip * _GAMMA)
-            rows[stream][skip:] = [rng.randbelow(int(m)) for m in bounds[stream][skip:]]
+            rows[stream][skip:] = [rng.randbelow(int(m)) for m in bounds.rows[stream][skip:]]
     return rows
 
 

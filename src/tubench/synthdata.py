@@ -15,6 +15,7 @@ perform the same IEEE operation on every element as a per-sample loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,12 +50,12 @@ class SynthConfig:
             )
         if self.dimension < 1:
             problems.append(f"dimension must be >= 1, got {self.dimension}")
-        if not self.base_spread > 0:
-            problems.append(f"base_spread must be > 0, got {self.base_spread}")
-        if self.drift_scale < 0:
-            problems.append(f"drift_scale must be >= 0, got {self.drift_scale}")
-        if not self.noise_scale > 0:
-            problems.append(f"noise_scale must be > 0, got {self.noise_scale}")
+        if not 0 < self.base_spread < math.inf:
+            problems.append(f"base_spread must be finite and > 0, got {self.base_spread}")
+        if not 0 <= self.drift_scale < math.inf:
+            problems.append(f"drift_scale must be finite and >= 0, got {self.drift_scale}")
+        if not 0 < self.noise_scale < math.inf:
+            problems.append(f"noise_scale must be finite and > 0, got {self.noise_scale}")
         if problems:
             raise ValidationError(problems)
 

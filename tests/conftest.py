@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from tubench import Dataset, Label, Sample, ScoreLog
+from tubench import Dataset, Label, Sample, ScoreLog, plan_session, session_layouts
+from tubench.rng import SplitMix64
 
 LOG_COLUMNS = ("repeat", "session", "target", "source", "raw", "centered", "applied")
 
@@ -71,6 +72,16 @@ def sample_columns(samples, width):
 def dataset_of(dimension, num_sessions, samples):
     """`Dataset.from_columns` over the columns of sample-shaped records."""
     return Dataset.from_columns(dimension, num_sessions, *sample_columns(samples, dimension))
+
+
+def planned(dataset, user, session, config, seed):
+    """`plan_session` of one (user, session) under the stream `config`, its
+    indices drawn one at a time from the scalar `SplitMix64(seed)` stream,
+    as a run draws them from the stream seeded ``mix64(base_seed, repeat,
+    user_index, session)``."""
+    (layout,) = session_layouts(dataset, config, [(user, session)])
+    rng = SplitMix64(seed)
+    return plan_session(layout, [rng.randbelow(n) for n in layout.bounds])
 
 
 def log_of(records, num_sessions, mode):

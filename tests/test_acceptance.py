@@ -31,14 +31,13 @@ from tubench import (
     generate,
     impostor_inclusion,
     next_query,
-    plan_session,
     run_experiment,
     session_eers,
     enroll,
 )
 from tubench.core import Mode as CoreMode, ScoreRecord
 from tubench.cli import cmd_run
-from conftest import fast_oracle_eer, log_of, sign_test_p
+from conftest import fast_oracle_eer, log_of, planned, sign_test_p
 
 TIMINGS = {}
 
@@ -241,8 +240,8 @@ def test_stream_order_contracts_hold_over_100_streams(acceptance_dataset):
         ref = ref_cache[user]
 
         def events_for(**kwargs):
-            config = StreamConfig(impostor_ratio=0.30, seed=seed, **kwargs)
-            state = plan_session(acceptance_dataset, user, session, config)
+            config = StreamConfig(impostor_ratio=0.30, **kwargs)
+            state = planned(acceptance_dataset, user, session, config, seed)
             out = []
             while (event := next_query(state, ref)) is not None:
                 out.append(event)

@@ -439,6 +439,22 @@ def test_bad_stream_config_fails_before_the_dataset_is_built(tmp_path, capsys, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["base_spread", "drift_scale", "noise_scale"])
+def test_non_finite_synthetic_scales_fail_before_generating(
+    tmp_path, capsys, monkeypatch, field, value
+):
+    calls = []
+    monkeypatch.setattr("tubench.cli.generate", calls.append)
+    patch = {"dataset": {"synthetic": {**BASE_CONFIG["dataset"]["synthetic"], field: value}}}
+    config = write_config(tmp_path / "scale.json", patch=patch)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "mode, path, value",
     [("offline", "dataset.synthetic.num_sessions", 2), ("online", "update.capacity", 5)],
@@ -813,6 +829,13 @@ def _reference_row(path, kind, default):
     shown = "required" if default is REQUIRED else f"`{json.dumps(default)}`"
     choices = ", ".join(f"`{member.value}`" for member in item) if enum else ""
     return f"| `{path}` | {type_name} | {shown} | {choices} |"
+
+
+def test_readme_library_usage_runs_as_written(capsys):
+    section = README.read_text(encoding="utf-8").split("## Library usage", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```\n", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("[2, 3, 4, 5, 6, 7, 8]")
 
 
 def test_readme_config_reference_matches_fields():

@@ -1,5 +1,5 @@
 import math
-from dataclasses import astuple, replace
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from tubench import (
     SessionPolicy,
     StrategyKind,
     StreamConfig,
+    StreamError,
     UpdateStrategy,
     ExperimentConfig,
     center,
@@ -36,10 +37,11 @@ from tubench import (
 )
 from tubench import evaluator, stream as stream_module, update as update_module
 from tubench.rng import mix64
-from tubench.stream import CLOSEST, draw_bounds
+from tubench.stream import CLOSEST, session_layouts
 from tubench.synthdata import SynthConfig, generate
 from conftest import (
-    dataset_of, log_columns, log_of, log_rows, make_sample, sample_columns, two_user_1d_dataset,
+    dataset_of, log_columns, log_of, log_rows, make_sample, planned, sample_columns,
+    two_user_1d_dataset,
 )
 
 SCRIPTED = (Label.GENUINE, Label.IMPOSTOR)
@@ -67,7 +69,7 @@ def small_synth(seed=3, users=4, sessions=4, per_session=4, d=3):
 
 def test_online_covers_one_session_more_than_offline():
     dataset = small_synth()
-    stream = StreamConfig(impostor_ratio=0.3, seed=0)
+    stream = StreamConfig(impostor_ratio=0.3)
     online = run_experiment(
         dataset,
         ExperimentConfig(Mode.ONLINE, stream, UpdateStrategy(StrategyKind.NONE), 1, 5),
@@ -263,23 +265,21 @@ def test_offline_scoring_references_exclude_current_session_vectors(trace_datase
     config = trace_config(Mode.OFFLINE)
     result = run_experiment(trace_dataset, config)
 
-    from dataclasses import replace
     from tubench import centered_score, maybe_update
 
     manual = []
     users = trace_dataset.users
     for user_index, user in enumerate(users):
         model = enroll(user, trace_dataset.feature_matrix[trace_dataset.row_range(user, 1)])
-        state = plan_session(
-            trace_dataset, user, 2,
-            replace(config.stream, seed=mix64(config.base_seed, 0, user_index, 2)),
+        state = planned(
+            trace_dataset, user, 2, config.stream, mix64(config.base_seed, 0, user_index, 2)
         )
         while (query := next_query(state, model)) is not None:
             maybe_update(model, query, centered_score(model, query.sample.features), config.strategy)
         for session in (3,):
-            state = plan_session(
-                trace_dataset, user, session,
-                replace(config.stream, seed=mix64(config.base_seed, 0, user_index, session)),
+            state = planned(
+                trace_dataset, user, session, config.stream,
+                mix64(config.base_seed, 0, user_index, session),
             )
             assert all(source_session < session for _, _, source_session in model._tags)
             staged = []
@@ -374,7 +374,7 @@ def test_seed_derivation_separates_all_axes():
 
 def _reference_stream(dataset, user, user_index, session, repeat, config):
     seed = mix64(config.base_seed, repeat, user_index, session)
-    return plan_session(dataset, user, session, replace(config.stream, seed=seed))
+    return planned(dataset, user, session, config.stream, seed)
 
 
 def _reference_enroll(dataset, user, config):
@@ -577,16 +577,18 @@ def test_plans_from_block_drawn_indices_equal_per_session_plans(
     config = ExperimentConfig(Mode.ONLINE, stream, UpdateStrategy(StrategyKind.NONE),
                               repeats=2, base_seed=-(2**65) + 3)
     sessions = range(2, dataset.num_sessions + 1)
-    bounds = {tuple(draw_bounds(dataset, u, s, stream)) for u in dataset.users for s in sessions}
+    targets = [(u, s) for u in dataset.users for s in sessions]
+    bounds = {layout.bounds for layout in session_layouts(dataset, stream, targets)}
     if not scripted and (global_order is GlobalOrder.RANDOM or not chronology
                          or local_order is LocalOrder.TOTALLY_RANDOM):
         assert len(bounds) > 1  # the genuine count or the pool size enters the bounds
 
-    planned = []
+    plans = []
 
     def recording_plan_session(*args):
         state = plan_session(*args)
-        planned.append((state.rows.copy(), state.impostor.copy(), state.pool_rows.copy()))
+        pool = state.layout.candidates[state.alive]
+        plans.append((state.rows.copy(), state.impostor.copy(), pool))
         return state
 
     monkeypatch.setattr(evaluator, "plan_session", recording_plan_session)
@@ -597,16 +599,62 @@ def test_plans_from_block_drawn_indices_equal_per_session_plans(
         for user_index, user in enumerate(dataset.users)
         for session in sessions
     ]
-    assert len(planned) == len(expected)
-    for (rows, impostor, pool), (repeat, user_index, user, session) in zip(planned, expected):
+    assert len(plans) == len(expected)
+    for (rows, impostor, pool), (repeat, user_index, user, session) in zip(plans, expected):
         seed = mix64(config.base_seed, repeat, user_index, session)
-        state = plan_session(dataset, user, session, replace(stream, seed=seed))
+        state = planned(dataset, user, session, stream, seed)
         key = (repeat, user, session)
         assert impostor.tolist() == state.impostor.tolist(), key
         # closest-* impostor rows are chosen later, against the reference
         fixed = ~impostor if local_order in CLOSEST else slice(None)
         assert rows[fixed].tolist() == state.rows[fixed].tolist(), key
-        assert pool.tolist() == state.pool_rows.tolist(), key
+        assert pool.tolist() == state.layout.candidates[state.alive].tolist(), key
+        # the pool is the other users' rows of the session, or of every session
+        others = dataset.row_user != user_index
+        if policy is SessionPolicy.SAME_SESSION:
+            others &= dataset.row_session == session
+        assert pool.tolist() == np.flatnonzero(others).tolist(), key
+
+
+@pytest.mark.parametrize("repeats", [1, 3])
+def test_a_run_lays_out_each_session_once(monkeypatch, repeats):
+    made, converted, used = [], [], []
+    layout_type, bounds_type = stream_module.SessionLayout, evaluator.BlockBounds
+
+    def making_layout(*args):
+        made.append(layout_type(*args))
+        return made[-1]
+
+    def converting_bounds(bounds):
+        converted.append(bounds)
+        return bounds_type(bounds)
+
+    def recording_plan_session(layout, indices):
+        used.append(layout)
+        return plan_session(layout, indices)
+
+    monkeypatch.setattr(stream_module, "SessionLayout", making_layout)
+    monkeypatch.setattr(evaluator, "BlockBounds", converting_bounds)
+    monkeypatch.setattr(evaluator, "plan_session", recording_plan_session)
+    dataset = mixed_counts()
+    config = ExperimentConfig(Mode.ONLINE, StreamConfig(0.3), UpdateStrategy(StrategyKind.NONE),
+                              repeats, base_seed=5)
+    run_experiment(dataset, config)
+    assert len(made) == len(dataset.users) * (dataset.num_sessions - 1)
+    assert len(converted) == 1
+    # every repeat plans the same layouts, user-major
+    assert [id(layout) for layout in used] == [id(layout) for layout in made] * repeats
+
+
+def test_stream_faults_are_reported_before_enrollment_faults():
+    # u0 cannot be enrolled (one session-1 sample); u1 has nothing in session 3.
+    rows = [("u0", 1), ("u0", 2), ("u0", 3), ("u1", 1), ("u1", 1), ("u1", 2)]
+    users, sessions = zip(*rows)
+    dataset = Dataset.from_columns(1, 3, users, sessions, range(len(rows)),
+                                   np.arange(len(rows), dtype=float)[:, None])
+    config = ExperimentConfig(Mode.ONLINE, StreamConfig(0.0), UpdateStrategy(StrategyKind.NONE))
+    with pytest.raises(StreamError, match="user u1 has no samples in session 3"):
+        run_experiment(dataset, config)
 
 
 @pytest.mark.parametrize("local_order", list(LocalOrder))
@@ -638,14 +686,15 @@ def test_only_closest_sessions_replan_after_an_update(monkeypatch, local_order):
 @pytest.mark.parametrize("local_order", [LocalOrder.TOTALLY_RANDOM, LocalOrder.CLOSEST_IMPOSTOR])
 def test_score_free_offline_sessions_refresh_once_unless_they_replan(monkeypatch, local_order):
     # Supervised at +inf reads no score: it applies every genuine query.
-    planned, refreshes = [], []
+    plans, refreshes = [], []
 
-    def recording_plan_session(dataset, user, session, *args):
-        planned.append((user, session))
-        return plan_session(dataset, user, session, *args)
+    def recording_plan_session(layout, indices):
+        session = int(layout.dataset.row_session[layout.genuine.start])
+        plans.append((layout.target_user, session))
+        return plan_session(layout, indices)
 
     def counting_refresh(ref):
-        refreshes.append(len(planned) - 1)  # the session being presented
+        refreshes.append(len(plans) - 1)  # the session being presented
         return update_refresh(ref)
 
     update_refresh = update_module.refresh_statistics
@@ -662,7 +711,7 @@ def test_score_free_offline_sessions_refresh_once_unless_they_replan(monkeypatch
     log = run_experiment(dataset, config).log
     sessions = range(2, dataset.num_sessions + 1)
     keys = [(r, u, s) for r in range(config.repeats) for u in dataset.users for s in sessions]
-    assert planned == [(u, s) for _, u, s in keys]
+    assert plans == [(u, s) for _, u, s in keys]
     expected = []
     for repeat, user, session in keys:
         if session == 2:  # unlogged: every genuine query is applied

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tubench.rng import SplitMix64, block_mix64, block_normals, block_randbelow, mix64
+from tubench.rng import BlockBounds, SplitMix64, block_mix64, block_normals, block_randbelow, mix64
 
 WIDE = st.integers(-(2**70), 2**70)  # masked to 64 bits, as mix64 and SplitMix64 mask
 HALF_REJECTED = 2**63 + 1  # randbelow's limit is 2**63 + 1: about half of all words fail it
@@ -72,7 +72,7 @@ def test_block_randbelow_equals_successive_scalar_draws(streams):
     bounds = [row for _, row in streams]
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        got = block_randbelow(seeds, bounds)
+        got = block_randbelow(seeds, BlockBounds(bounds))
     assert got == [scalar_draws(seed, row) for seed, row in streams]
 
 
@@ -86,15 +86,15 @@ def test_block_randbelow_falls_back_to_the_scalar_stream_mid_row():
         stream.next_u64()
         rejected += stream.next_u64() >= HALF_REJECTED
     assert 0 < rejected < len(seeds)
-    assert block_randbelow(seeds, [bounds] * len(seeds)) == [
+    assert block_randbelow(seeds, BlockBounds([bounds] * len(seeds))) == [
         scalar_draws(seed, bounds) for seed in seeds
     ]
 
 
 def test_block_randbelow_rejects_a_zero_bound():
     with pytest.raises(ValueError):
-        block_randbelow([1, 2], [[3], [2, 0]])
-    assert block_randbelow([], []) == []
+        block_randbelow([1, 2], BlockBounds([[3], [2, 0]]))
+    assert block_randbelow([], BlockBounds([])) == []
 
 
 @settings(max_examples=200, deadline=None)

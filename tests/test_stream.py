@@ -19,10 +19,11 @@ from tubench import (
     maybe_update,
     next_query,
     plan_session,
+    session_layouts,
 )
 from tubench.rng import SplitMix64
 from tubench.stream import _popped
-from conftest import dataset_of, make_sample
+from conftest import dataset_of, make_sample, planned
 
 
 def grid_dataset(num_users=4, sessions=3, per_session=7, d=2, spacing=10.0):
@@ -59,8 +60,8 @@ def test_impostor_count_examples():
 
 def test_stream_length_and_counts():
     dataset = grid_dataset()
-    config = StreamConfig(impostor_ratio=0.30, seed=5)
-    state = plan_session(dataset, "u0", 2, config)
+    config = StreamConfig(impostor_ratio=0.30)
+    state = planned(dataset, "u0", 2, config, seed=5)
     events = drain(state, reference_for(dataset))
     assert len(events) == 10  # G=7 genuine + I=3 impostors
     assert sum(1 for e in events if e.true_label is Label.GENUINE) == 7
@@ -70,7 +71,7 @@ def test_stream_length_and_counts():
 
 def test_zero_ratio_gives_genuine_only_stream():
     dataset = grid_dataset()
-    state = plan_session(dataset, "u0", 2, StreamConfig(impostor_ratio=0.0, seed=1))
+    state = planned(dataset, "u0", 2, StreamConfig(impostor_ratio=0.0), seed=1)
     events = drain(state, reference_for(dataset))
     assert len(events) == 7
     assert all(e.true_label is Label.GENUINE for e in events)
@@ -78,7 +79,7 @@ def test_zero_ratio_gives_genuine_only_stream():
 
 def test_half_ratio_has_exact_label_multiset():
     dataset = grid_dataset(per_session=5)
-    state = plan_session(dataset, "u0", 2, StreamConfig(impostor_ratio=0.5, seed=9))
+    state = planned(dataset, "u0", 2, StreamConfig(impostor_ratio=0.5), seed=9)
     events = drain(state, reference_for(dataset))
     labels = [e.true_label for e in events]
     assert labels.count(Label.GENUINE) == 5
@@ -87,9 +88,9 @@ def test_half_ratio_has_exact_label_multiset():
 
 def test_insufficient_impostor_pool_is_an_error():
     dataset = grid_dataset(num_users=2, per_session=4)
-    config = StreamConfig(impostor_ratio=0.6, seed=2)  # needs 6, pool has 4
+    config = StreamConfig(impostor_ratio=0.6)  # needs 6, pool has 4
     with pytest.raises(StreamError, match="session 2"):
-        plan_session(dataset, "u0", 2, config)
+        planned(dataset, "u0", 2, config, seed=2)
 
 
 def test_genuine_first_and_impostor_first_are_mirrors():
@@ -97,11 +98,11 @@ def test_genuine_first_and_impostor_first_are_mirrors():
     ref = reference_for(dataset)
     for seed in range(5):
         first = drain(
-            plan_session(dataset, "u0", 2, StreamConfig(0.3, GlobalOrder.GENUINE_FIRST, seed=seed)),
+            planned(dataset, "u0", 2, StreamConfig(0.3, GlobalOrder.GENUINE_FIRST), seed),
             ref,
         )
         second = drain(
-            plan_session(dataset, "u0", 2, StreamConfig(0.3, GlobalOrder.IMPOSTOR_FIRST, seed=seed)),
+            planned(dataset, "u0", 2, StreamConfig(0.3, GlobalOrder.IMPOSTOR_FIRST), seed),
             ref,
         )
         assert [e.true_label for e in first] == [Label.GENUINE] * 7 + [Label.IMPOSTOR] * 3
@@ -115,13 +116,13 @@ def test_scripted_order_is_followed_and_validated():
         Label.IMPOSTOR, Label.GENUINE, Label.GENUINE, Label.IMPOSTOR, Label.GENUINE,
         Label.GENUINE, Label.GENUINE, Label.IMPOSTOR, Label.GENUINE, Label.GENUINE,
     )
-    config = StreamConfig(0.3, GlobalOrder.SCRIPTED, scripted=script, seed=0)
-    events = drain(plan_session(dataset, "u0", 2, config), ref)
+    config = StreamConfig(0.3, GlobalOrder.SCRIPTED, scripted=script)
+    events = drain(planned(dataset, "u0", 2, config, seed=0), ref)
     assert tuple(e.true_label for e in events) == script
 
-    short = StreamConfig(0.3, GlobalOrder.SCRIPTED, scripted=script[:4], seed=0)
+    short = StreamConfig(0.3, GlobalOrder.SCRIPTED, scripted=script[:4])
     with pytest.raises(ValidationError, match="scripted"):
-        plan_session(dataset, "u0", 2, short)
+        planned(dataset, "u0", 2, short, seed=0)
     with pytest.raises(ValidationError):
         StreamConfig(0.3, GlobalOrder.SCRIPTED)  # sequence missing
 
@@ -131,7 +132,7 @@ def test_chronology_gives_strictly_increasing_genuine_age():
     ref = reference_for(dataset)
     for seed in range(10):
         events = drain(
-            plan_session(dataset, "u0", 2, StreamConfig(0.3, seed=seed, respect_chronology=True)),
+            planned(dataset, "u0", 2, StreamConfig(0.3, respect_chronology=True), seed),
             ref,
         )
         ages = [e.sample.order_index for e in events if e.true_label is Label.GENUINE]
@@ -144,8 +145,8 @@ def test_shuffled_genuine_order_inverts_half_of_adjacent_pairs():
     ref = reference_for(dataset)
     inverted = total = 0
     for seed in range(400):
-        config = StreamConfig(0.0, seed=seed, respect_chronology=False)
-        events = drain(plan_session(dataset, "u0", 2, config), ref)
+        config = StreamConfig(0.0, respect_chronology=False)
+        events = drain(planned(dataset, "u0", 2, config, seed), ref)
         ages = [e.sample.order_index for e in events]
         for a, b in zip(ages, ages[1:]):
             total += 1
@@ -156,10 +157,8 @@ def test_shuffled_genuine_order_inverts_half_of_adjacent_pairs():
 def test_closest_sample_picks_minimal_centered_score():
     dataset = grid_dataset()
     ref = reference_for(dataset)  # u0 reference: other users at 10, 20, 30
-    config = StreamConfig(
-        0.3, GlobalOrder.IMPOSTOR_FIRST, LocalOrder.CLOSEST_SAMPLE, seed=4
-    )
-    events = drain(plan_session(dataset, "u0", 2, config), ref)
+    config = StreamConfig(0.3, GlobalOrder.IMPOSTOR_FIRST, LocalOrder.CLOSEST_SAMPLE)
+    events = drain(planned(dataset, "u0", 2, config, seed=4), ref)
     impostors = [e for e in events if e.true_label is Label.IMPOSTOR]
     # brute force: u1's session-2 samples are the closest pool vectors,
     # and within u1 the wiggle makes later order_index slightly closer
@@ -188,8 +187,8 @@ def test_closest_sample_breaks_ties_lexicographically():
         )
     dataset = dataset_of(2, 2, tuple(samples))
     ref = enroll("a", [[0.0, 0.0], [0.1, 0.1]])
-    config = StreamConfig(0.5, GlobalOrder.IMPOSTOR_FIRST, LocalOrder.CLOSEST_SAMPLE, seed=0)
-    events = drain(plan_session(dataset, "a", 2, config), ref)
+    config = StreamConfig(0.5, GlobalOrder.IMPOSTOR_FIRST, LocalOrder.CLOSEST_SAMPLE)
+    events = drain(planned(dataset, "a", 2, config, seed=0), ref)
     impostor = [e for e in events if e.true_label is Label.IMPOSTOR][0]
     assert impostor.sample.user_id == "u1"
 
@@ -197,10 +196,8 @@ def test_closest_sample_breaks_ties_lexicographically():
 def test_random_impostor_consumes_one_user_chronologically():
     dataset = grid_dataset(num_users=3, per_session=6)
     ref = reference_for(dataset)
-    config = StreamConfig(
-        0.5, GlobalOrder.IMPOSTOR_FIRST, LocalOrder.RANDOM_IMPOSTOR, seed=13
-    )
-    events = drain(plan_session(dataset, "u0", 2, config), ref)
+    config = StreamConfig(0.5, GlobalOrder.IMPOSTOR_FIRST, LocalOrder.RANDOM_IMPOSTOR)
+    events = drain(planned(dataset, "u0", 2, config, seed=13), ref)
     impostors = [e.sample for e in events if e.true_label is Label.IMPOSTOR]
     assert len(impostors) == 6
     # per-user runs are contiguous with strictly increasing order_index,
@@ -219,10 +216,8 @@ def test_random_impostor_consumes_one_user_chronologically():
 def test_closest_impostor_selects_nearest_user_first():
     dataset = grid_dataset(num_users=4, per_session=3)  # u1 at 10 is nearest to u0
     ref = reference_for(dataset)
-    config = StreamConfig(
-        0.5, GlobalOrder.IMPOSTOR_FIRST, LocalOrder.CLOSEST_IMPOSTOR, seed=21
-    )
-    events = drain(plan_session(dataset, "u0", 2, config), ref)
+    config = StreamConfig(0.5, GlobalOrder.IMPOSTOR_FIRST, LocalOrder.CLOSEST_IMPOSTOR)
+    events = drain(planned(dataset, "u0", 2, config, seed=21), ref)
     impostors = [e.sample for e in events if e.true_label is Label.IMPOSTOR]
     assert [s.user_id for s in impostors] == ["u1", "u1", "u1"]
     assert [s.order_index for s in impostors] == sorted(s.order_index for s in impostors)
@@ -232,8 +227,8 @@ def test_no_impostor_sample_repeats_within_a_session():
     dataset = grid_dataset(num_users=5, per_session=4)
     ref = reference_for(dataset)
     for order in LocalOrder:
-        config = StreamConfig(0.5, GlobalOrder.RANDOM, order, seed=31)
-        events = drain(plan_session(dataset, "u0", 2, config), ref)
+        config = StreamConfig(0.5, GlobalOrder.RANDOM, order)
+        events = drain(planned(dataset, "u0", 2, config, seed=31), ref)
         keys = [
             (e.sample.user_id, e.sample.session, e.sample.order_index)
             for e in events
@@ -245,15 +240,14 @@ def test_no_impostor_sample_repeats_within_a_session():
 def test_same_session_policy_restricts_the_pool():
     dataset = grid_dataset(num_users=3, sessions=3)
     ref = reference_for(dataset)
-    config = StreamConfig(0.4, seed=3, impostor_session_policy=SessionPolicy.SAME_SESSION)
-    events = drain(plan_session(dataset, "u0", 3, config), ref)
+    config = StreamConfig(0.4, impostor_session_policy=SessionPolicy.SAME_SESSION)
+    events = drain(planned(dataset, "u0", 3, config, seed=3), ref)
     assert all(e.sample.session == 3 for e in events if e.true_label is Label.IMPOSTOR)
 
-    any_cfg = StreamConfig(0.4, seed=3, impostor_session_policy=SessionPolicy.ANY_SESSION)
     sessions = set()
     for seed in range(30):
-        cfg = StreamConfig(0.4, seed=seed, impostor_session_policy=SessionPolicy.ANY_SESSION)
-        events = drain(plan_session(dataset, "u0", 3, cfg), ref)
+        cfg = StreamConfig(0.4, impostor_session_policy=SessionPolicy.ANY_SESSION)
+        events = drain(planned(dataset, "u0", 3, cfg, seed), ref)
         sessions |= {e.sample.session for e in events if e.true_label is Label.IMPOSTOR}
     assert sessions - {3}  # other sessions do appear
 
@@ -261,9 +255,9 @@ def test_same_session_policy_restricts_the_pool():
 def test_identical_seed_and_config_give_identical_streams():
     dataset = grid_dataset()
     ref = reference_for(dataset)
-    config = StreamConfig(0.3, GlobalOrder.RANDOM, LocalOrder.TOTALLY_RANDOM, seed=77)
-    first = drain(plan_session(dataset, "u0", 2, config), ref)
-    second = drain(plan_session(dataset, "u0", 2, config), ref)
+    config = StreamConfig(0.3, GlobalOrder.RANDOM, LocalOrder.TOTALLY_RANDOM)
+    first = drain(planned(dataset, "u0", 2, config, seed=77), ref)
+    second = drain(planned(dataset, "u0", 2, config, seed=77), ref)
     assert [(e.sample.user_id, e.sample.order_index, e.true_label) for e in first] == [
         (e.sample.user_id, e.sample.order_index, e.true_label) for e in second
     ]
@@ -279,15 +273,15 @@ def test_ratio_must_leave_room_for_genuine_queries():
 def test_plan_session_requires_genuine_material():
     dataset = grid_dataset(num_users=2)
     with pytest.raises(StreamError):
-        plan_session(dataset, "u0", 9, StreamConfig(0.3, seed=0))
+        planned(dataset, "u0", 9, StreamConfig(0.3), seed=0)
 
 
-def reference_draws(dataset, target, session, config, ref):
+def reference_draws(dataset, target, session, config, seed, ref):
     """Test-only reference stream: the per-sample loops over a per-user
     dict pool that the row-array pool replaced. Random global order only.
     Yields (sample, label) and reads `ref` afresh at every draw."""
     genuine = [dataset.samples[row] for row in dataset.row_range(target, session)]
-    rng = SplitMix64(config.seed)
+    rng = SplitMix64(seed)
     if not config.respect_chronology:
         rng.shuffle(genuine)
     n_impostor = impostor_count(len(genuine), config.impostor_ratio)
@@ -386,14 +380,14 @@ def test_row_pool_draws_match_the_reference_loops(dataset, targets):
                 session = 2 + seed % 2
                 config = StreamConfig(
                     0.6, GlobalOrder.RANDOM, order, respect_chronology=seed % 3 != 0,
-                    impostor_session_policy=policy, seed=seed,
+                    impostor_session_policy=policy,
                 )
-                state = plan_session(dataset, target, session, config)
+                state = planned(dataset, target, session, config, seed)
                 fast_ref = enroll(target, dataset.feature_matrix[dataset.row_range(target, 1)])
                 fast_draws = iter(lambda: next_query(state, fast_ref), None)
                 fast = run(((e.sample, e.true_label) for e in fast_draws), target, fast_ref)
                 slow_ref = enroll(target, dataset.feature_matrix[dataset.row_range(target, 1)])
-                slow_draws = reference_draws(dataset, target, session, config, slow_ref)
+                slow_draws = reference_draws(dataset, target, session, config, seed, slow_ref)
                 assert fast == run(slow_draws, target, slow_ref), (order, policy, seed)
 
 
@@ -420,8 +414,67 @@ def test_random_impostor_can_take_every_pool_user():
     ]
     dataset = dataset_of(2, 2, tuple(samples))
     for seed in range(10):
-        config = StreamConfig(0.5, GlobalOrder.RANDOM, LocalOrder.RANDOM_IMPOSTOR, seed=seed)
+        config = StreamConfig(0.5, GlobalOrder.RANDOM, LocalOrder.RANDOM_IMPOSTOR)
         ref = reference_for(dataset, "t")
-        fast = [(e.sample, e.true_label) for e in drain(plan_session(dataset, "t", 2, config), ref)]
+        fast = [(e.sample, e.true_label) for e in drain(planned(dataset, "t", 2, config, seed), ref)]
         assert {s.user_id for s, label in fast if label is Label.IMPOSTOR} == {"a", "b", "c"}
-        assert emitted(fast) == emitted(reference_draws(dataset, "t", 2, config, ref)), seed
+        assert emitted(fast) == emitted(reference_draws(dataset, "t", 2, config, seed, ref)), seed
+
+
+def counted(values, taken):
+    """Yield `values`, then one index more, recording each index taken."""
+    for value in [*values, 0]:
+        taken.append(value)
+        yield value
+
+
+SCRIPT = (
+    Label.IMPOSTOR, Label.GENUINE, Label.GENUINE, Label.IMPOSTOR, Label.GENUINE,
+    Label.GENUINE, Label.GENUINE, Label.IMPOSTOR, Label.GENUINE, Label.GENUINE,
+)
+
+
+@pytest.mark.parametrize("policy", list(SessionPolicy))
+@pytest.mark.parametrize("chronology", [True, False])
+@pytest.mark.parametrize("local_order", list(LocalOrder))
+@pytest.mark.parametrize("global_order", list(GlobalOrder))
+def test_a_planned_session_consumes_exactly_its_layout_bounds(
+    global_order, local_order, chronology, policy
+):
+    # Each index at the top of its bound leaves every shuffle as it is and
+    # pops the last pool row or user; so a bound that is off by one, out
+    # of order or missing changes the plan or fails it.
+    dataset = grid_dataset(num_users=5)
+    config = StreamConfig(0.3, global_order, local_order, chronology, policy,
+                          scripted=SCRIPT if global_order is GlobalOrder.SCRIPTED else None)
+    for target, session in (("u0", 2), ("u3", 3)):
+        (layout,) = session_layouts(dataset, config, [(target, session)])
+        others = dataset.row_user != dataset.users.index(target)
+        if policy is SessionPolicy.SAME_SESSION:
+            others &= dataset.row_session == session
+        pool = np.flatnonzero(others)
+        runs = np.split(pool, np.flatnonzero(np.diff(dataset.row_user[pool])) + 1)
+        for top in (True, False):
+            taken = []
+            indices = [n - 1 if top else 0 for n in layout.bounds]
+            state = plan_session(layout, counted(indices, taken))
+            impostor = state.impostor
+            n_impostor = int(impostor.sum())
+            assert (len(impostor) - n_impostor, n_impostor) == (7, 3)
+            genuine = state.rows[~impostor].tolist()
+            assert sorted(genuine) == list(dataset.row_range(target, session))
+            unused = 0
+            if local_order is LocalOrder.TOTALLY_RANDOM:
+                expected = pool[::-1] if top else pool
+                assert state.rows[impostor].tolist() == expected[:n_impostor].tolist()
+            elif local_order is LocalOrder.RANDOM_IMPOSTOR:
+                picked = runs[::-1] if top else runs
+                expected = np.concatenate(picked)[:n_impostor]
+                assert state.rows[impostor].tolist() == expected.tolist()
+                used = np.unique(dataset.row_user[expected]).size
+                unused = len(runs) - used  # picks the session did not need
+            assert len(taken) == len(layout.bounds) - unused, (target, session, top)
+            if top:
+                assert genuine == sorted(genuine)
+                if global_order is GlobalOrder.RANDOM:
+                    assert impostor.tolist() == [False] * 7 + [True] * 3
