@@ -167,12 +167,15 @@ def resolve_config(document: dict) -> dict:
     resolved = {name: _resolve(document.get(name), name, dict, {}) for name in sections}
 
     dataset, epsilon, update = resolved["dataset"], resolved["matcher"]["epsilon"], resolved["update"]
+    stream = resolved["stream"]
     if dataset["synthetic"] is None and dataset["path"] is None:
         raise _fail("dataset", "needs either a 'synthetic' section or a 'path'")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise _fail("matcher.epsilon", "must be finite and > 0")
     if update["kind"] == StrategyKind.SELF_THRESHOLD.value and update["threshold"] is None:
         raise _fail("update.threshold", "required for self_threshold updating")
+    if (stream["scripted"] is None) == (stream["global_order"] == GlobalOrder.SCRIPTED.value):
+        raise _fail("stream.scripted", "given exactly when stream.global_order is 'scripted'")
     if resolved["evaluation"]["repeats"] < 1:
         raise _fail("evaluation.repeats", "must be >= 1")
     return resolved
@@ -388,9 +391,10 @@ def cmd_report(in_dirs, out_path) -> None:
                 ) from None
             rows.append([label, *row])
     rows.sort(key=lambda r: (r[0], r[1], int(r[2])))
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_table(out_path, ["system", "scheme", "session", "mean_eer", "std_eer"], rows)
+    header = ["system", "scheme", "session", "mean_eer", "std_eer"]
+    with _staging(Path(out_path)) as staging:
+        write_table(staging / "report.csv", header, rows)
+        os.replace(staging / "report.csv", out_path)
 
 
 def build_parser() -> argparse.ArgumentParser:

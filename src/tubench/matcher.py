@@ -5,7 +5,8 @@ rules therefore read "score <= threshold". Each reference carries
 centering constants frozen at enrollment that place scores on a scale
 where 0 means "as close as a typical enrollment self-comparison" and
 negative values mean closer than that, which is what makes negative
-update thresholds meaningful.
+update thresholds meaningful. A reference is built only by enrolling a
+user's enrollment vectors, and its gallery tags every entry it holds.
 """
 
 from __future__ import annotations
@@ -26,72 +27,63 @@ class Origin(str, Enum):
 
 
 class ReferenceModel:
-    """A user's adaptable biometric reference.
+    """A user's adaptable biometric reference, built by enrolling the (n, d)
+    matrix of the user's enrollment vectors.
 
     The gallery is mutated by exactly one evaluation loop at a time;
     mu / mad always mirror the current gallery, while center_m /
-    center_s stay fixed at their enrollment values.
+    center_s stay fixed at their enrollment values. The centering
+    constants come from leave-one-out self-scores: each enrollment
+    vector is scored against the statistics of the remaining ones;
+    center_m is the mean of those scores and center_s their population
+    standard deviation (floored at eps). They never change afterwards,
+    so the centered scale keeps its meaning while the gallery evolves.
 
     The gallery's vectors live in one preallocated matrix, one row per
     entry in gallery order: enrollment entries first, then updates,
-    oldest first; each row's (origin, source_user, source_session) tag
-    sits at the same position in a list. With a `capacity` (at least the
-    enrollment size) the gallery is a FIFO that evicts only updates, and
-    the matrix has capacity rows; without one it grows without bound,
-    and the matrix doubles when outgrown. Evicting the oldest updates
-    shifts the later update rows up.
+    oldest first. The gallery tags each row (origin, source_user,
+    source_session) itself, at the same position in a list: enrollment
+    entries (ENROLLMENT, target_user, 1), updates by `extend`. With a
+    `capacity` (at least the enrollment size) the gallery is a FIFO that
+    evicts only updates, and the matrix has capacity rows; without one it
+    grows without bound, and the matrix doubles when outgrown. Evicting
+    the oldest updates shifts the later update rows up.
     """
 
     def __init__(
-        self,
-        target_user: str,
-        vectors,
-        tags,
-        mu: np.ndarray,
-        mad: np.ndarray,
-        center_m: float,
-        center_s: float,
-        eps: float = EPSILON,
-        capacity: int | None = None,
+        self, target_user: str, vectors, eps: float = EPSILON, capacity: int | None = None
     ):
+        vectors = np.asarray(vectors, dtype=float)
+        if vectors.ndim != 2 or len(vectors) < 2 or not vectors.shape[1]:
+            raise EnrollmentError(
+                f"user {target_user}: enrollment needs an (n >= 2, d) matrix,"
+                f" got shape {vectors.shape}"
+            )
+        n = len(vectors)
+        if not eps > 0:
+            raise ValidationError("eps must be > 0")
+        if capacity is not None and capacity < n:
+            raise ConfigError(f"gallery capacity {capacity} is below the enrollment size {n}")
+
+        # Row k of `rest` holds every enrollment vector but the k-th, in order,
+        # so the axis-1 reductions give each leave-one-out gallery's statistics.
+        others = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
+        rest = vectors[others]
+        mu_loo = rest.mean(axis=1)
+        mad_loo = np.maximum(np.abs(rest - mu_loo[:, None, :]).mean(axis=1), eps)
+        loo_scores = np.mean(np.abs(vectors - mu_loo) / mad_loo, axis=1)
+        self.center_m = float(np.mean(loo_scores))
+        self.center_s = max(float(np.std(loo_scores)), eps)
+
         self.target_user = target_user
-        self.mu = mu
-        self.mad = mad
-        self.center_m = center_m
-        self.center_s = center_s
         self.eps = eps
         self.capacity = capacity
-        vectors = np.asarray(vectors, dtype=float)
-        tags = list(tags)
-        enrolled = sum(1 for tag in tags if tag[0] is Origin.ENROLLMENT)
-        problems = []
-        if vectors.ndim != 2 or not vectors.size:
-            problems.append(f"reference for {target_user}: gallery must be a non-empty matrix")
-        else:
-            dim = vectors.shape[1]
-            if len(tags) != len(vectors):
-                problems.append(f"reference for {target_user}: one tag per gallery vector")
-            if mu.shape != (dim,) or mad.shape != (dim,):
-                problems.append(f"reference for {target_user}: statistics shape mismatch")
-            if any(tag[0] is not Origin.ENROLLMENT for tag in tags[:enrolled]):
-                problems.append(f"reference for {target_user}: enrollment entries must come first")
-        if eps <= 0:
-            problems.append("eps must be > 0")
-        elif vectors.size and not np.all(mad >= eps):
-            problems.append("mad entries must be floored at eps")
-        if center_s < eps:
-            problems.append("center_s must be floored at eps")
-        if problems:
-            raise ValidationError(problems)
-        if capacity is not None and capacity < len(tags):
-            raise ConfigError(
-                f"gallery capacity {capacity} is below the enrollment size {len(tags)}"
-            )
-        self._matrix = np.empty((2 * len(tags) if capacity is None else capacity, dim))
-        self._matrix[: len(tags)] = vectors
-        self._tags = tags
-        self._enrolled = enrolled
-        self._inv_mad = 1.0 / mad
+        self._matrix = np.empty((2 * n if capacity is None else capacity, vectors.shape[1]))
+        self._matrix[:n] = vectors
+        self._tags = [(Origin.ENROLLMENT, target_user, 1)] * n
+        self._enrolled = n
+        self.mu, self.mad = gallery_statistics(vectors, eps)
+        self._inv_mad = 1.0 / self.mad
 
     @property
     def origins(self) -> tuple[Origin, ...]:
@@ -107,13 +99,16 @@ class ReferenceModel:
     def dimension(self) -> int:
         return int(self._matrix.shape[1])
 
-    def extend(self, vectors, tags) -> list[tuple]:
-        """Add a (k, d) matrix of update vectors with their (origin, source_user,
-        source_session) tags as k appends would: each append past `capacity`
-        entries evicts the oldest update. Returns the evicted tags, oldest
-        first; mu / mad are left to `refresh_statistics`."""
-        if any(tag[0] is Origin.ENROLLMENT for tag in tags):
-            raise ValidationError("enrollment entries cannot be appended to a gallery")
+    def extend(self, vectors, source_users, source_sessions, impostor) -> list[tuple]:
+        """Add a (k, d) matrix of update vectors as k appends would, tagging
+        each (IMPOSTOR_UPDATE or GENUINE_UPDATE, source_user, source_session)
+        by its `impostor` flag: each append past `capacity` entries evicts
+        the oldest update. Returns the evicted tags, oldest first; mu / mad
+        are left to `refresh_statistics`."""
+        tags = [
+            (Origin.IMPOSTOR_UPDATE if is_impostor else Origin.GENUINE_UPDATE, user, session)
+            for user, session, is_impostor in zip(source_users, source_sessions, impostor)
+        ]
         first, n, capacity = self._enrolled, len(self._tags), self.capacity
         end = n + len(tags)
         if capacity is None and end > len(self._matrix):  # an unbounded gallery grows
@@ -124,7 +119,7 @@ class ReferenceModel:
             self._matrix[n:end] = vectors
             self._tags += tags
             return []
-        updates = self._tags[first:] + list(tags)
+        updates = self._tags[first:] + tags
         dropped = end - capacity
         self._matrix[first:capacity] = np.concatenate([self._matrix[first:n], vectors])[dropped:]
         self._tags[first:] = updates[dropped:]
@@ -145,45 +140,9 @@ def enroll(
     eps: float = EPSILON,
     capacity: int | None = None,
 ) -> ReferenceModel:
-    """Build a reference from the (n, d) matrix of a user's enrollment vectors.
-
-    Every entry is tagged (ENROLLMENT, target_user, 1). The centering
-    constants come from leave-one-out self-scores: each enrollment
-    vector is scored against the statistics of the remaining ones;
-    center_m is the mean of those scores and center_s their population
-    standard deviation (floored at eps). They never change afterwards,
-    so the centered scale keeps its meaning while the gallery evolves.
-    `capacity` is the gallery's FIFO capacity for the reference's lifetime.
-    """
-    vectors = np.asarray(enrollment_vectors, dtype=float)
-    n = len(vectors)
-    if vectors.ndim != 2 or n < 2:
-        raise EnrollmentError(
-            f"user {target_user}: enrollment needs an (n >= 2, d) matrix, got shape {vectors.shape}"
-        )
-
-    # Row k of `rest` holds every enrollment vector but the k-th, in order,
-    # so the axis-1 reductions give each leave-one-out gallery's statistics.
-    others = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
-    rest = vectors[others]
-    mu_loo = rest.mean(axis=1)
-    mad_loo = np.maximum(np.abs(rest - mu_loo[:, None, :]).mean(axis=1), eps)
-    loo_scores = np.mean(np.abs(vectors - mu_loo) / mad_loo, axis=1)
-    center_m = float(np.mean(loo_scores))
-    center_s = max(float(np.std(loo_scores)), eps)
-
-    mu, mad = gallery_statistics(vectors, eps)
-    return ReferenceModel(
-        target_user=target_user,
-        vectors=vectors,
-        tags=[(Origin.ENROLLMENT, target_user, 1)] * n,
-        mu=mu,
-        mad=mad,
-        center_m=center_m,
-        center_s=center_s,
-        eps=eps,
-        capacity=capacity,
-    )
+    """Build a reference from the (n, d) matrix of a user's enrollment vectors;
+    `capacity` is the gallery's FIFO capacity for the reference's lifetime."""
+    return ReferenceModel(target_user, enrollment_vectors, eps, capacity)
 
 
 def raw_score(ref: ReferenceModel, query):

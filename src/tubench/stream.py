@@ -82,10 +82,13 @@ class StreamConfig:
         problems = []
         if not 0.0 <= self.impostor_ratio < 1.0:
             problems.append(f"impostor_ratio must be in [0, 1), got {self.impostor_ratio}")
-        if self.global_order is GlobalOrder.SCRIPTED and self.scripted is None:
-            problems.append("scripted global order needs a label sequence")
+        if (self.scripted is None) == (self.global_order is GlobalOrder.SCRIPTED):
+            problems.append("scripted: a label sequence goes with the scripted global order only")
         if self.scripted is not None:
-            object.__setattr__(self, "scripted", tuple(self.scripted))
+            try:
+                object.__setattr__(self, "scripted", tuple(map(Label, self.scripted)))
+            except ValueError as exc:
+                problems.append(f"scripted: {exc}")
         if problems:
             raise ValidationError(problems)
 

@@ -4,7 +4,9 @@ Supervised and self-threshold updating share one threshold gate; they
 differ only in whether the ground-truth label is consulted, which is
 exactly the variable the bench isolates. Self-threshold updating never
 reads the label, so impostor vectors that score below the threshold do
-get absorbed into the reference.
+get absorbed into the reference. An applied update hands the gallery its
+source and ground truth; the gallery tags the entry, and impostor
+inclusion reads those tags.
 """
 
 from __future__ import annotations
@@ -89,17 +91,13 @@ def apply_updates(
 ) -> list[tuple]:
     """Insert accepted queries' (k, d) vectors in order and refresh mu / mad
     once, as one insert and refresh per row would: the statistics read only
-    the final gallery. Returns the evicted tags, oldest first; the inserted
-    (origin, source_user, source_session) tags are measurement bookkeeping."""
+    the final gallery. The gallery tags each insert by its source and
+    `impostor` flag; returns the evicted tags, oldest first."""
     if np.ndim(features) != 2 or np.shape(features)[1] != ref.dimension:
         raise ValidationError(
             f"query shape {np.shape(features)} != (k, reference dimension {ref.dimension})"
         )
-    tags = [
-        (Origin.IMPOSTOR_UPDATE if is_impostor else Origin.GENUINE_UPDATE, user, session)
-        for user, session, is_impostor in zip(source_users, source_sessions, impostor)
-    ]
-    evicted = ref.extend(features, tags)
+    evicted = ref.extend(features, source_users, source_sessions, impostor)
     refresh_statistics(ref)
     return evicted
 
@@ -128,6 +126,4 @@ def maybe_update(
 def impostor_inclusion(ref: ReferenceModel) -> float:
     """Fraction of the gallery that originated from impostor queries."""
     origins = ref.origins
-    if not origins:
-        raise ValidationError("impostor_inclusion needs a non-empty gallery")
     return origins.count(Origin.IMPOSTOR_UPDATE) / len(origins)

@@ -19,6 +19,7 @@ from tubench.cli import (
     cmd_generate,
     cmd_report,
     cmd_run,
+    entry_point,
     load_config,
     main,
     resolve_config,
@@ -413,6 +414,8 @@ def test_epsilon_must_be_finite_and_positive(tmp_path, capsys, epsilon):
         ({"dataset": {"synthetic": None}}, "dataset"),
         ({"update": {"threshold": None}}, "update.threshold"),
         ({"evaluation": {"repeats": 0}}, "evaluation.repeats"),
+        ({"stream": {"scripted": ["impostor"]}}, "stream.scripted"),
+        ({"stream": {"global_order": "scripted"}}, "stream.scripted"),
     ],
 )
 def test_cross_field_rules_fail_naming_the_field(tmp_path, capsys, patch, path):
@@ -611,6 +614,39 @@ def test_report_bad_summary_row_names_the_file_and_row(tmp_path, capsys, row, ba
     assert not (tmp_path / "c.csv").exists()
 
 
+def test_a_failed_report_write_keeps_the_previous_report(tmp_path, capsys, monkeypatch):
+    run = tmp_path / "run"
+    run.mkdir()
+    write_table(run / "summary.csv", ["scheme", "session", "mean_eer", "std_eer"],
+                [["pooled", "2", "0.1", "0.0"]])
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    (reports / "c.csv").write_bytes(b"the previous report\n")
+
+    def failing_write_table(path, header, rows=(), lines=()):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(",".join(header)[:10])
+        raise OSError(f"{path}: disk full")
+
+    monkeypatch.setattr("tubench.cli.write_table", failing_write_table)
+    code = main(["report", "--in", str(run), "--out", str(reports / "c.csv")])
+    assert code == 2
+    assert "disk full" in capsys.readouterr().err
+    assert (reports / "c.csv").read_bytes() == b"the previous report\n"
+    assert [p.name for p in reports.iterdir()] == ["c.csv"]  # no staging directory left
+
+
+def test_the_console_script_exits_with_mains_status(tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "missing"
+    argv = ["tubench", "report", "--in", str(missing), "--out", str(tmp_path / "c.csv")]
+    monkeypatch.setattr("sys.argv", argv)
+    with pytest.raises(SystemExit) as exit_info:
+        entry_point()
+    assert exit_info.value.code == 2
+    assert "missing" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_report_on_a_summary_that_is_not_utf8_names_it(tmp_path, capsys):
     run = tmp_path / "run"
     run.mkdir()
@@ -803,11 +839,16 @@ def _uncanonical_fields(values, section):
 @settings(max_examples=300, deadline=None)
 @given(_DOCUMENTS)
 def test_resolve_config_is_idempotent(document):
-    # the two cross-field rules the drawn fields can break
+    # the three cross-field rules the drawn fields can break
     dataset, update = document["dataset"], document.get("update") or {}
     if dataset.get("synthetic") is None and dataset.get("path") is None:
         dataset["path"] = "data.csv"
     assume(update.get("kind") != "self_threshold" or update.get("threshold") is not None)
+    stream = document["stream"]
+    if stream.get("global_order") != "scripted":
+        stream.pop("scripted", None)
+    elif stream.get("scripted") is None:
+        stream["scripted"] = ["genuine"]
     resolved = resolve_config(document)
     # numbers resolve to floats and choices to plain strings
     assert [path for name in resolved for path in _uncanonical_fields(resolved[name], name)] == []

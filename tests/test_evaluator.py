@@ -115,9 +115,15 @@ def test_runs_build_no_sample_views_and_evict_update_tags_oldest_first(monkeypat
     appended, evicted = [], []
     extend = ReferenceModel.extend
 
-    def recording_extend(model, vectors, tags):
-        gone = extend(model, vectors, tags)
-        appended.extend((model, tag) for tag in tags)
+    def recording_extend(model, vectors, *sources):
+        before = model._tags[model._enrolled :]
+        gone = extend(model, vectors, *sources)
+        # The gallery's updates were `before` + the new tags, less `gone` from the front.
+        updates = gone + model._tags[model._enrolled :]
+        assert updates[: len(before)] == before
+        added = updates[len(before) :]
+        assert len(added) == len(vectors)
+        appended.extend((model, tag) for tag in added)
         evicted.extend((model, tag) for tag in gone)
         return gone
 

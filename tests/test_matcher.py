@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from tubench import (
     raw_score,
     refresh_statistics,
 )
+from tubench.matcher import gallery_statistics
 from tubench.rng import SplitMix64
 from conftest import make_sample
 
@@ -198,7 +200,7 @@ def test_refresh_statistics_is_idempotent():
 def test_refresh_after_appending_the_mean_shrinks_mad():
     ref = enroll("u", np.array([[0.0, 1.0], [4.0, 3.0], [2.0, 5.0]]))
     before_mu, before_mad = ref.mu.copy(), ref.mad.copy()
-    assert ref.extend(before_mu[None], [(Origin.GENUINE_UPDATE, "u", 2)]) == []
+    assert ref.extend(before_mu[None], ["u"], [2], [False]) == []
     refresh_statistics(ref)
     assert np.allclose(ref.mu, before_mu)
     assert np.all(ref.mad <= before_mad + 1e-15)
@@ -242,12 +244,13 @@ def test_extend_equals_a_loop_of_one_row_appends(enrolled, spare, batches, seed)
     for k in batches:
         rows = rng.normal(size=(k, 3))
         impostor = rng.random(k) < 0.5
+        sessions = list(range(session, session + k))
         tags = [
-            (Origin.IMPOSTOR_UPDATE if flag else Origin.GENUINE_UPDATE, "u", session + i)
-            for i, flag in enumerate(impostor)
+            (Origin.IMPOSTOR_UPDATE if flag else Origin.GENUINE_UPDATE, "u", source_session)
+            for source_session, flag in zip(sessions, impostor)
         ]
         session += k
-        evicted = batched.extend(rows, tags)
+        evicted = batched.extend(rows, ["u"] * k, sessions, impostor)
         appended = [reference_append(looped, row, tag) for row, tag in zip(rows, tags)]
         assert evicted == [tag for tag in appended if tag is not None]
         assert batched.vectors.tobytes() == looped.vectors.tobytes()
@@ -259,10 +262,15 @@ def _updates(first_session, k):
     return rows, [(Origin.GENUINE_UPDATE, "u", first_session + i) for i in range(k)]
 
 
+def _extend(ref, rows, tags):
+    """Append genuine updates from user "u", one per tag's source session."""
+    return ref.extend(rows, ["u"] * len(tags), [tag[2] for tag in tags], [False] * len(tags))
+
+
 def test_a_batch_that_lands_exactly_on_the_capacity_evicts_nothing():
     ref = enroll("u", np.array([[0.0, 0.0], [1.0, 1.0]]), capacity=5)
     rows, tags = _updates(2, 3)
-    assert ref.extend(rows, tags) == []
+    assert _extend(ref, rows, tags) == []
     assert len(ref.vectors) == 5
     assert ref.vectors[2:].tobytes() == rows.tobytes()
     assert ref._tags[2:] == tags
@@ -271,55 +279,72 @@ def test_a_batch_that_lands_exactly_on_the_capacity_evicts_nothing():
 def test_one_row_past_the_capacity_evicts_the_oldest_update():
     ref = enroll("u", np.array([[0.0, 0.0], [1.0, 1.0]]), capacity=5)
     rows, tags = _updates(2, 3)
-    ref.extend(rows, tags)  # the gallery sits at its capacity
+    _extend(ref, rows, tags)  # the gallery sits at its capacity
     row, tag = _updates(5, 1)
-    assert ref.extend(row, tag) == tags[:1]
+    assert _extend(ref, row, tag) == tags[:1]
     assert len(ref.vectors) == 5
     assert ref.vectors[2:].tobytes() == np.concatenate([rows[1:], row]).tobytes()
     assert ref._tags[2:] == tags[1:] + tag
     # a batch that overshoots the capacity by one from below evicts one too
     ref = enroll("u", np.array([[0.0, 0.0], [1.0, 1.0]]), capacity=5)
     rows, tags = _updates(2, 4)
-    assert ref.extend(rows, tags) == tags[:1]
+    assert _extend(ref, rows, tags) == tags[:1]
     assert ref._tags[2:] == tags[1:]
     assert ref.vectors[2:].tobytes() == rows[1:].tobytes()
 
 
 def test_singleton_gallery_statistics_are_floored():
-    enrolled = enroll("u", np.array([[0.0, 1.0], [4.0, 3.0]]))
-    ref = ReferenceModel(
-        "u",
-        [[7.0, 8.0]],
-        [(Origin.ENROLLMENT, "u", 1)],
-        enrolled.mu,
-        enrolled.mad,
-        enrolled.center_m,
-        enrolled.center_s,
-    )
+    mu, mad = gallery_statistics(np.array([[7.0, 8.0]]), EPSILON)
+    assert np.array_equal(mu, [7.0, 8.0])
+    assert np.allclose(mad, EPSILON)
+    # a gallery of one repeated vector has the singleton's statistics
+    ref = enroll("u", np.array([[7.0, 8.0], [7.0, 8.0]]))
     refresh_statistics(ref)
     assert np.array_equal(ref.mu, [7.0, 8.0])
     assert np.allclose(ref.mad, EPSILON)
+    assert ref.center_s == EPSILON
 
 
 def test_reference_model_construction_is_validated():
-    mu, mad, tag = np.array([0.0]), np.array([1.0]), (Origin.ENROLLMENT, "u", 1)
-    with pytest.raises(ValidationError, match="non-empty"):
-        ReferenceModel("u", [], [], mu, mad, 0.0, 1.0)
-    with pytest.raises(ValidationError, match="statistics shape"):
-        ReferenceModel("u", [[1.0, 2.0]], [tag], mu, mad, 0.0, 1.0)
-    with pytest.raises(ValidationError, match="one tag per gallery vector"):
-        ReferenceModel("u", [[1.0], [2.0]], [tag], mu, mad, 0.0, 1.0)
+    with pytest.raises(EnrollmentError, match=r"shape \(0,\)"):
+        ReferenceModel("u", [])
+    with pytest.raises(EnrollmentError, match=r"shape \(1, 2\)"):
+        ReferenceModel("u", [[1.0, 2.0]])
+    with pytest.raises(ConfigError, match="capacity 1 is below the enrollment size 2"):
+        ReferenceModel("u", [[1.0], [2.0]], capacity=1)
+    ref = ReferenceModel("u", [[1.0], [2.0]], 0.5, 2)
+    assert (ref.eps, ref.capacity) == (0.5, 2)
+    assert ref._tags == [(Origin.ENROLLMENT, "u", 1)] * 2
+
+
+@pytest.mark.parametrize(
+    "vectors, eps, error, message",
+    [
+        ([[1.0], [2.0]], 0.0, ValidationError, "eps must be > 0"),
+        ([[1.0], [2.0]], -1.0, ValidationError, "eps must be > 0"),
+        ([[1.0], [2.0]], math.nan, ValidationError, "eps must be > 0"),
+        (np.empty((3, 0)), EPSILON, EnrollmentError, r"shape \(3, 0\)"),
+    ],
+    ids=["eps 0", "eps -1", "eps nan", "zero width"],
+)
+def test_enrollment_checks_its_inputs_before_any_arithmetic(vectors, eps, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's divide and empty-mean warnings included
+        with pytest.raises(error, match=message):
+            enroll("u", vectors, eps=eps)
 
 
 def test_gallery_keeps_enrollment_entries_first():
-    enrolled, update = (Origin.ENROLLMENT, "u", 1), (Origin.GENUINE_UPDATE, "u", 2)
-    mu, mad = np.array([1.5]), np.array([0.5])
-    with pytest.raises(ValidationError, match="enrollment entries must come first"):
-        ReferenceModel("u", [[1.0], [2.0]], [update, enrolled], mu, mad, 0.0, 1.0)
-    ref = ReferenceModel("u", [[2.0], [1.0]], [enrolled, update], mu, mad, 0.0, 1.0)
-    with pytest.raises(ValidationError, match="cannot be appended"):
-        ref.extend(np.array([[3.0]]), [(Origin.ENROLLMENT, "u", 1)])
-    assert ref.origins == (Origin.ENROLLMENT, Origin.GENUINE_UPDATE)
+    ref = enroll("u", np.array([[2.0], [1.0]]))
+    assert ref.extend(np.array([[3.0], [4.0]]), ["u", "v"], [2, 2], [False, True]) == []
+    assert ref.origins == (
+        Origin.ENROLLMENT, Origin.ENROLLMENT, Origin.GENUINE_UPDATE, Origin.IMPOSTOR_UPDATE
+    )
+    assert ref._tags[2:] == [(Origin.GENUINE_UPDATE, "u", 2), (Origin.IMPOSTOR_UPDATE, "v", 2)]
+    # a FIFO gallery evicts only updates, so its enrollment entries stay first
+    ref = enroll("u", np.array([[2.0], [1.0]]), capacity=2)
+    assert ref.extend(np.array([[3.0]]), ["v"], [2], [True]) == [(Origin.IMPOSTOR_UPDATE, "v", 2)]
+    assert ref.origins == (Origin.ENROLLMENT, Origin.ENROLLMENT)
 
 
 def test_statistics_track_gallery_through_random_update_sequences():

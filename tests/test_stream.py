@@ -123,8 +123,22 @@ def test_scripted_order_is_followed_and_validated():
     short = StreamConfig(0.3, GlobalOrder.SCRIPTED, scripted=script[:4])
     with pytest.raises(ValidationError, match="scripted"):
         planned(dataset, "u0", 2, short, seed=0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="scripted global order only"):
         StreamConfig(0.3, GlobalOrder.SCRIPTED)  # sequence missing
+
+
+def test_scripted_label_strings_are_converted_and_need_the_scripted_order():
+    dataset = grid_dataset()
+    config = StreamConfig(0.3, GlobalOrder.SCRIPTED, scripted=[label.value for label in SCRIPT])
+    assert config.scripted == SCRIPT
+    assert all(type(label) is Label for label in config.scripted)
+    events = drain(planned(dataset, "u0", 2, config, seed=0), reference_for(dataset))
+    assert tuple(e.true_label for e in events) == SCRIPT
+    with pytest.raises(ValidationError, match="scripted: 'genuin' is not a valid Label"):
+        StreamConfig(0.3, GlobalOrder.SCRIPTED, scripted=("genuine", "genuin"))
+    for order in set(GlobalOrder) - {GlobalOrder.SCRIPTED}:
+        with pytest.raises(ValidationError, match="scripted global order only"):
+            StreamConfig(0.3, order, scripted=SCRIPT)
 
 
 def test_chronology_gives_strictly_increasing_genuine_age():
