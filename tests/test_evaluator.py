@@ -15,7 +15,6 @@ from tubench import (
     Origin,
     PartitionError,
     ReferenceModel,
-    Scheme,
     ScoreRecord,
     SessionPolicy,
     StrategyKind,
@@ -41,7 +40,6 @@ from tubench.stream import CLOSEST, session_layouts
 from tubench.synthdata import SynthConfig, generate
 from conftest import (
     dataset_of, log_columns, log_of, log_rows, make_sample, planned, sample_columns,
-    two_user_1d_dataset,
 )
 
 SCRIPTED = (Label.GENUINE, Label.IMPOSTOR)

@@ -1,5 +1,8 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from tubench import (
     CMU_KEYSTROKE,
@@ -11,7 +14,7 @@ from tubench import (
     read_dataset,
     write_dataset,
 )
-from tubench.ingest import read_table, write_table
+from tubench.ingest import _assemble, _read_bulk, _read_rows, read_table, write_table
 from conftest import dataset_of, make_sample
 
 
@@ -196,3 +199,192 @@ def test_read_table_round_trips_arbitrary_tables(tmp_path):
     got_header, got_rows = read_table(path)
     assert got_header == header
     assert got_rows == rows
+
+
+HEADER = "user,session,rep,f1,f2\n"
+ROWS = "u,1,0,1.0,2.0\nu,2,1,3.0,4.0\n"
+
+
+@pytest.mark.parametrize(
+    "content, mapping, message",
+    [
+        (HEADER + "u,1,0,1.0,2.0\nu,2,1,3.0\n", None, "row 3: expected 5 fields, got 4"),
+        (HEADER + "u,1,0,1.0,2.0,9.0\n" + ROWS, None, "row 2: expected 5 fields, got 6"),
+        (HEADER + "u,1,0,1.0,2.0\n\nu,2,1,3.0,4.0\n", None, "row 3: expected 5 fields, got 0"),
+        (HEADER + ROWS + "\n", None, "row 4: expected 5 fields, got 0"),
+        (HEADER + "u,1,0,1.0,2.0\nu,two,1,3.0,4.0\n", None, "row 3: non-integer session or rep"),
+        (HEADER + "u,1,0.5,1.0,2.0\n", None, "row 2: non-integer session or rep"),
+        (HEADER + "u,1,0,1.0,x\n", None, "row 2: non-numeric feature 'f2'"),
+        ("user,session,rep\nu,1,0\n", None, "no feature columns"),
+        (HEADER + ROWS, ColumnMapping(feature_columns=("f1", "f9")), "missing column 'f9'"),
+        (HEADER.encode() + b"u\xff,1,0,1.0,2.0\n", None, "not UTF-8 text"),
+        ("\ufeff" + HEADER + ROWS, None, "missing column 'user'"),
+        ("user,session,rep,f1,f1\nu,1,0,8.0,9.0\n", None, "duplicate column 'f1'"),
+        ("user,session,rep,f1,user\na,1,0,1.0,y\n", None, "duplicate column 'user'"),
+        (HEADER + ROWS, ColumnMapping(feature_columns=("f1", "f1")), "duplicate column 'f1'"),
+        ("", None, "empty file"),
+        (HEADER, None, "no data rows"),
+    ],
+    ids=[
+        "short row", "long row", "blank middle line", "trailing blank line",
+        "non-integer session", "non-integer rep", "non-numeric feature", "no feature columns",
+        "missing mapped feature", "not UTF-8", "UTF-8 BOM header", "repeated feature column",
+        "repeated user column", "repeated mapped feature", "empty file", "no data rows",
+    ],
+)
+def test_read_dataset_error_texts(tmp_path, content, mapping, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    mapping = mapping or ColumnMapping()
+    for read in (read_dataset, _read_rows):
+        with pytest.raises(FormatError) as caught:
+            read(path, mapping)
+        assert str(caught.value) == f"{path}: {message}"
+
+
+def _outcome(read):
+    """What a read gives: the dataset's columns as bytes, or the error's type and text."""
+    try:
+        dataset = read()
+    except Exception as error:  # compared between the two readers, not handled
+        return type(error), str(error)
+    return (
+        dataset.users,
+        dataset.num_sessions,
+        dataset.feature_matrix.shape,
+        *(column.tobytes() for column in (
+            dataset.row_user, dataset.row_session, dataset.row_order, dataset.feature_matrix,
+        )),
+    )
+
+
+def _row_loop(path, mapping=ColumnMapping()):
+    return _assemble(*_read_rows(path, mapping))
+
+
+def test_canonical_files_take_the_bulk_path(tmp_path):
+    dataset = generate(SynthConfig(5, 3, 4, 7, drift_scale=0.1, seed=4))
+    path = tmp_path / "data.csv"
+    write_dataset(dataset, path)
+    columns = _read_bulk(path, ColumnMapping())
+    assert columns is not None
+    assert _outcome(lambda: _assemble(*columns)) == _outcome(lambda: _row_loop(path))
+    # ids after the features, the last one ending its line
+    lines = path.read_text().splitlines()
+    moved = tmp_path / "moved.csv"
+    moved.write_text("".join(
+        ",".join(fields[3:] + [fields[2], fields[0], fields[1]]) + "\n"
+        for fields in (line.split(",") for line in lines)
+    ))
+    columns = _read_bulk(moved, ColumnMapping())
+    assert columns is not None
+    assert _outcome(lambda: _assemble(*columns)) == _outcome(lambda: _row_loop(path))
+    assert read_dataset(moved) == dataset
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        HEADER + '"u,v",1,0,1.0,2.0\n"u,v",2,1,3.0,4.0\n',
+        HEADER + '"u",1,0,1.0,2.0\n"u",2,1,3.0,4.0\n',
+        HEADER.replace("\n", "\r\n") + ROWS.replace("\n", "\r\n"),
+        HEADER + "u\0,1,0,1.0,2.0\nu\0,2,1,3.0,4.0\n",
+        HEADER + "u,1,0,1_0,2.0\nu,2,1,3.0,4.0\n",
+        HEADER + "u,1,0,\u0661\u0662,2.0\nu,2,1,3.0,4.0\n",
+        HEADER + "u,1,0,1.0\x1c,2.0\nu,2,1,3.0,4.0\n",
+        HEADER + "u,1,0,1.0,\x1f2.0\nu,2,1,3.0,4.0\n",
+        HEADER + "u,1,0,1.0,2.0\n\nu,2,1,3.0,4.0\n",
+        HEADER + "u,1,x,1.0,2.0\nu,2,1,3.0,4.0\n",
+        HEADER,
+    ],
+    ids=[
+        "quoted user with a comma", "quoted user", "CRLF", "NUL", "underscore",
+        "non-ASCII digits", "x1c", "x1f", "blank line", "non-integer rep", "no data rows",
+    ],
+)
+def test_bulk_path_leaves_these_files_to_the_row_loop(tmp_path, content):
+    path = tmp_path / "data.csv"
+    path.write_text(content, newline="")
+    assert _read_bulk(path, ColumnMapping()) is None
+    assert _outcome(lambda: read_dataset(path)) == _outcome(lambda: _row_loop(path))
+
+
+def test_lines_past_the_csv_field_limit_go_to_the_row_loop(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text(HEADER + "u,1,0,1.0,2.0\nu,2,1,3.0,4.0\n" + "w" * 30 + ",1,0,5.0,6.0\n")
+    limit = csv.field_size_limit(20)
+    try:
+        assert _read_bulk(path, ColumnMapping()) is None
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            read_dataset(path)
+        csv.field_size_limit(30)  # the line is longer, but no field
+        assert _read_bulk(path, ColumnMapping()) is None
+        assert read_dataset(path) == _row_loop(path)
+    finally:
+        csv.field_size_limit(limit)
+
+
+# Tokens that float(), int(), csv and np.loadtxt may read differently, or not at all.
+_ODD_TOKENS = [
+    " 1.5 ", "\t2", "\x0b3", "4\x0c", "1_0", "+.5", "nan", "-nan", "-inf", "Infinity", "1e400",
+    "-0.0", "5e-324", "0x10", "0x1p3", "", " ", " 2", "+1", "1.0", "\u0661\u0662", "\x1c4",
+    "5\x1f", "\xa06", "7\u2003", "8\x85", "9\u2028", "1 2", "1e", " a", "\u00e9", '"a"',
+    '"a,b"', '"q""x"', '"3.5"', "u\0",
+]
+_ODD_LINES = ["blank", "short", "long", "crlf"]
+# csv reads '"a"' as the user 'a', and '"q""x"' as 'q"x'.
+_USERS = ["a", "b", "c d", '"a"', '"q""x"']
+
+
+@st.composite
+def csv_texts(draw):
+    """A dataset file with its columns in any order, and a mapping that reads
+    all its features or some of them in any order. Every user has rows in
+    sessions 1 and 2, so a file of canonical fields is a valid dataset. A
+    file is odd in at most three ways: odd tokens in some fields, blank,
+    short or long lines, or CRLF line endings."""
+    d = draw(st.integers(1, 3))
+    names = ["user", "session", "rep"] + [f"f{j + 1}" for j in range(d)]
+    order = draw(st.permutations(range(len(names))))
+    chosen = draw(st.permutations(names[3:]))[: draw(st.integers(1, d))]
+    mapping = ColumnMapping(feature_columns=draw(st.sampled_from([None, tuple(chosen)])))
+    odd = draw(st.lists(st.sampled_from(_ODD_TOKENS + _ODD_LINES), max_size=3, unique=True))
+    tokens = [token for token in odd if token not in _ODD_LINES]
+
+    def field(canonical):
+        if tokens:
+            canonical = st.one_of(canonical, canonical, canonical, st.sampled_from(tokens))
+        return draw(canonical)
+
+    users = draw(st.lists(st.sampled_from(_USERS), min_size=1, max_size=3, unique=True))
+    keys = [(user, session) for user in users for session in ("1", "2")]
+    keys += draw(st.lists(st.tuples(st.sampled_from(users), st.sampled_from("123")), max_size=3))
+    kinds = ["row"] * 4 + [kind for kind in odd if kind in ("blank", "short", "long")]
+    feature = st.floats(-1e6, 1e6).map(repr)
+    lines = [",".join(names[k] for k in order)]
+    for user, session in draw(st.permutations(keys)):
+        kind = draw(st.sampled_from(kinds))
+        fields = [field(st.just(user)), field(st.just(session)), field(st.integers(0, 5).map(str))]
+        fields = [(fields + [field(feature) for _ in range(d)])[k] for k in order]
+        if kind == "short":
+            fields.pop()
+        elif kind == "long":
+            fields.append(field(feature))
+        lines.append("" if kind == "blank" else ",".join(fields))
+    newline = "\r\n" if "crlf" in odd else "\n"
+    return newline.join(lines) + draw(st.sampled_from([newline, ""])), mapping
+
+
+@settings(max_examples=250, deadline=None)
+@given(csv_texts())
+def test_bulk_path_reads_every_file_as_the_row_loop_does(tmp_path_factory, drawn):
+    text, mapping = drawn
+    path = tmp_path_factory.mktemp("differential") / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = _outcome(lambda: _row_loop(path, mapping))
+    columns = _read_bulk(path, mapping)
+    path_taken = "row loop" if columns is None else "bulk"
+    event(f"{path_taken}: {'error' if isinstance(expected[0], type) else 'dataset'}")
+    if columns is not None:
+        assert _outcome(lambda: _assemble(*columns)) == expected
+    assert _outcome(lambda: read_dataset(path, mapping)) == expected
