@@ -26,14 +26,12 @@ from .errors import (
     EnrollmentError,
     FormatError,
     MetricError,
-    PartitionError,
     StreamError,
     ValidationError,
 )
 from .evaluator import (
     ExperimentConfig,
     RunResult,
-    partition_sessionless,
     run_experiment,
 )
 from .ingest import CMU_KEYSTROKE, ColumnMapping, read_dataset, write_dataset

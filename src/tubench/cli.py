@@ -252,18 +252,23 @@ def _write_manifest(path: Path, command: str, resolved: dict, outputs: list[str]
 
 
 def _score_lines(log: ScoreLog):
-    """One scores.csv line per log row: floats as repr, user ids quoted by csv once."""
+    """`lines(lo, hi)`, the scores.csv lines of log rows lo..hi-1: floats as
+    repr, user ids quoted by csv once."""
     users = [csv_field(str(user)) for user in log.users]
     genuine, impostor = Label.GENUINE.value, Label.IMPOSTOR.value
-    for repeat, session, target, source, raw, centered, applied in zip(
-        log.repeat.tolist(), log.session.tolist(), log.target.tolist(), log.source.tolist(),
-        log.raw.tolist(), log.centered.tolist(), log.applied.tolist(),
-    ):
-        yield (
-            f"{repeat},{session},{users[target]},{users[source]},"
-            f"{genuine if target == source else impostor},"
-            f"{raw!r},{centered!r},{'true' if applied else 'false'}\n"
-        )
+    columns = (log.repeat, log.session, log.target, log.source, log.raw, log.centered, log.applied)
+
+    def lines(lo: int, hi: int):
+        for repeat, session, target, source, raw, centered, applied in zip(
+            *(column[lo:hi].tolist() for column in columns)
+        ):
+            yield (
+                f"{repeat},{session},{users[target]},{users[source]},"
+                f"{genuine if target == source else impostor},"
+                f"{raw!r},{centered!r},{'true' if applied else 'false'}\n"
+            )
+
+    return lines
 
 
 @contextmanager
@@ -344,6 +349,7 @@ def cmd_run(config_path, out_dir) -> None:
             staging / "scores.csv",
             ["repeat", "session", "target_user", "source_user", "label", "raw", "centered", "update_applied"],
             lines=_score_lines(log),
+            count=len(log.raw),
         )
         write_table(staging / "metrics.csv", ["repeat", "scheme", "session", "eer"], metric_rows)
         write_table(

@@ -41,9 +41,5 @@ class MetricError(BenchError):
     """A performance measure cannot be computed from the given scores."""
 
 
-class PartitionError(BenchError):
-    """A sessionless sample collection cannot be split as requested."""
-
-
 class FormatError(BenchError):
     """A delimited-text file does not match the expected layout."""

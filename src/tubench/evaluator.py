@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import Dataset, Mode, ScoreLog, scored_sessions
-from .errors import ConfigError, PartitionError, ValidationError
+from .errors import ConfigError, ValidationError
 from .matcher import EPSILON, ReferenceModel, center, enroll, raw_score
 from .matcher import centered_score  # noqa: F401  perfbench traces it under this module
 from .rng import BlockBounds, block_mix64, block_randbelow
@@ -179,37 +179,4 @@ def _score_log(dataset: Dataset, mode: Mode, logged: list[tuple]) -> ScoreLog:
         flat(raw, float),
         flat(centered, float),
         flat(applied, bool),
-    )
-
-
-def partition_sessionless(user_ids, order_indices, features, k: int) -> Dataset:
-    """Split a sessionless collection, given as per-row columns and an
-    (N, d) feature matrix, into k pseudo-sessions.
-
-    Per user, rows are cut into k contiguous chronological blocks (by
-    order_index) of near-equal size, earlier blocks taking the remainder;
-    block b becomes session b + 1.
-    """
-    if k < 2:
-        raise ConfigError(f"partition needs k >= 2, got {k}")
-    if not len(user_ids):
-        raise PartitionError("no samples to partition")
-    users = sorted(set(user_ids), key=str)
-    position = {user: i for i, user in enumerate(users)}
-    codes = np.array([position[user] for user in user_ids], dtype=np.intp)
-    order_col = np.asarray(order_indices, dtype=np.intp)
-    counts = np.bincount(codes)
-    short = np.flatnonzero(counts < k)
-    if short.size:
-        user = short[0]
-        raise PartitionError(f"user {users[user]}: {counts[user]} samples cannot fill {k} sessions")
-    order = np.lexsort((order_col, codes))  # stable: equal order_indices keep row order
-    n = counts[codes[order]]
-    rank = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
-    base, extra = n // k, n % k  # the first `extra` blocks take base + 1 rows
-    block = np.maximum(rank // (base + 1), (rank - extra) // base)
-    features = np.asarray(features, dtype=float)
-    return Dataset.from_columns(
-        features.shape[1], k, [users[c] for c in codes[order].tolist()], block + 1,
-        order_col[order], features[order],
     )

@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import shutil
+import threading
+import warnings
 from array import array
 from collections import Counter
 from contextlib import contextmanager
@@ -45,17 +49,82 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
-def write_table(path, header: list[str], rows=(), lines=()) -> None:
+#: Below this many lines an output is formatted in this process only: a
+#: fork and its wait cost about as much as formatting 4,096 lines.
+SPLIT_MIN_LINES = 4096
+
+
+def _two_cores() -> bool:
+    """Whether a forked child can format on a second CPU: fork exists, this
+    process may run on 2 or more CPUs, and no other thread runs."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _write_lines(handle, path: Path, lines, count: int) -> None:
+    """Write `lines(0, count)` to the open text `handle` of `path`.
+
+    `lines(lo, hi)` yields lines lo..hi-1, each ending in a newline. From
+    SPLIT_MIN_LINES lines on, where `_two_cores()`, a forked child formats
+    lines [count // 2, count) into a sibling part file while this process
+    formats the first half into `handle`, then appends the part file. The
+    bytes are those of one in-process pass: a child that fails leaves its
+    half to this process. The child is always reaped and the part file
+    always removed.
+    """
+    if count < SPLIT_MIN_LINES or not _two_cores():
+        handle.writelines(lines(0, count))
+        return
+    mid = count // 2
+    part = path.with_name(path.name + ".part")
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns of native threads (numpy's BLAS pool) at a
+            # fork; the child calls no code that takes their locks.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        handle.writelines(lines(0, count))
+        return
+    if pid == 0:  # the child: format, write, and leave without any cleanup
+        status = 1
+        try:
+            with open(part, "w", newline="", encoding="utf-8") as out:
+                out.writelines(lines(mid, count))
+            status = 0
+        finally:
+            os._exit(status)
+    try:
+        try:
+            handle.writelines(lines(0, mid))
+        finally:
+            failed = os.waitpid(pid, 0)[1] != 0
+        if failed:
+            handle.writelines(lines(mid, count))
+        else:
+            handle.flush()
+            with open(part, "rb") as rest:
+                shutil.copyfileobj(rest, handle.buffer, 1 << 20)
+    finally:
+        part.unlink(missing_ok=True)
+
+
+def write_table(path, header: list[str], rows=(), lines=None, count: int = 0) -> None:
     """Write a comma-delimited file with a header and unix newlines.
 
-    `rows` are lists of fields, formatted by csv; `lines` follow them,
-    already formatted, each ending in a newline.
+    `rows` are lists of fields, formatted by csv. When `lines` is given,
+    `count` lines follow them, already formatted: `lines(lo, hi)` yields
+    lines lo..hi-1, each ending in a newline (see `_write_lines`).
     """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-        handle.writelines(lines)
+        if lines is not None:
+            _write_lines(handle, Path(path), lines, count)
 
 
 @dataclass(frozen=True)
@@ -209,14 +278,39 @@ def _read_bulk(path, mapping: ColumnMapping):
     return user_codes, codes, sessions, reps, features
 
 
-def _assemble(user_codes: dict[str, int], codes, sessions, reps, features) -> Dataset:
+def _integers(path, column: str, values: list[int]) -> np.ndarray:
+    """`values`, the parsed fields of `column` in row order, as an intp
+    vector; a value past its range is a FormatError naming the row."""
+    try:
+        return np.array(values, dtype=np.intp)
+    except OverflowError:
+        bounds = np.iinfo(np.intp)
+        row = next(i for i, value in enumerate(values) if not bounds.min <= value <= bounds.max)
+        raise FormatError(
+            f"{path}: row {row + 2}: integer out of range in column '{column}'"
+        ) from None
+
+
+def _assemble(
+    path, mapping: ColumnMapping, user_codes: dict[str, int], codes, sessions, reps, features
+) -> Dataset:
     """A Dataset from parsed columns: users sorted by str, each one's rows
-    ranked by (session, rep) into order indices."""
+    ranked by (session, rep) into order indices. Sessions 1..S must each
+    hold a row; the first one that holds none is a FormatError, raised
+    before anything is built per session."""
+    session_col = _integers(path, mapping.session_column, sessions)
+    rep_col = _integers(path, mapping.rep_column, reps)
+    present = np.unique(session_col)
+    present = present[present >= 1]
+    missing = np.flatnonzero(present != np.arange(1, len(present) + 1))
+    if missing.size:
+        raise FormatError(
+            f"{path}: session {missing[0] + 1} has no rows, though session {present[-1]} has"
+        )
     users = sorted(user_codes, key=str)
     rank = {user: i for i, user in enumerate(users)}
     user_pos = np.array([rank[user] for user in user_codes], dtype=np.intp)[codes]
-    session_col = np.array(sessions, dtype=np.intp)
-    order = np.lexsort((np.array(reps, dtype=np.intp), session_col, user_pos))
+    order = np.lexsort((rep_col, session_col, user_pos))
     user_pos = user_pos[order]
     first_row = np.searchsorted(user_pos, np.arange(len(users)))
     return Dataset.from_columns(
@@ -243,12 +337,14 @@ def read_dataset(path, mapping: ColumnMapping = ColumnMapping()) -> Dataset:
     field count than the header or is longer than csv's field limit, when
     the file has no data rows or is not UTF-8, or when int() or loadtxt
     rejects a field. Both give the same dataset for the same file, and
-    every row error comes from the row loop.
+    every row error comes from the row loop. A session or rep past the
+    intp range, or a session number skipped, is a FormatError raised
+    before the dataset is built.
     """
     columns = _read_bulk(path, mapping)
     if columns is None:
         columns = _read_rows(path, mapping)
-    return _assemble(*columns)
+    return _assemble(path, mapping, *columns)
 
 
 def csv_field(value: str) -> str:
@@ -268,15 +364,16 @@ def write_dataset(dataset: Dataset, path) -> None:
     path = Path(path)
     header = ["user", "session", "rep"] + [f"f{j + 1}" for j in range(dataset.dimension)]
     users = [csv_field(str(user)) for user in dataset.users]
-    lines = (
-        f"{users[user]},{session},{order_index},{','.join(map(repr, features.tolist()))}\n"
+
+    def lines(lo: int, hi: int):
         for user, session, order_index, features in zip(
-            dataset.row_user.tolist(),
-            dataset.row_session.tolist(),
-            dataset.row_order.tolist(),
-            dataset.feature_matrix,
-        )
-    )
+            dataset.row_user[lo:hi].tolist(),
+            dataset.row_session[lo:hi].tolist(),
+            dataset.row_order[lo:hi].tolist(),
+            dataset.feature_matrix[lo:hi],
+        ):
+            yield f"{users[user]},{session},{order_index},{','.join(map(repr, features.tolist()))}\n"
+
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
-        handle.writelines(lines)
+        _write_lines(handle, path, lines, len(dataset.feature_matrix))

@@ -1,10 +1,12 @@
 import bisect
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tubench import Dataset, Label, Sample, ScoreLog, plan_session, session_layouts
+from tubench import Dataset, Label, Sample, ScoreLog, ingest, plan_session, session_layouts
 from tubench.rng import SplitMix64
 
 LOG_COLUMNS = ("repeat", "session", "target", "source", "raw", "centered", "applied")
@@ -141,3 +143,34 @@ def two_user_1d_dataset():
 @pytest.fixture
 def trace_dataset():
     return two_user_1d_dataset()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Sends every line-formatted output, of any length and on any CPU
+    count, through the forked writer; the list grows by one per fork."""
+    calls = []
+    fork = os.fork
+
+    def counting_fork():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(ingest, "SPLIT_MIN_LINES", 0)
+    monkeypatch.setattr(ingest, "_two_cores", lambda: True)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def in_process(write):
+    """Run `write()` with every output formatted in this process only."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "SPLIT_MIN_LINES", math.inf)
+        write()
+
+
+def assert_reaped_and_clean(directory):
+    """No child process is left to reap and no part file under `directory`."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not list(Path(directory).rglob("*.part"))

@@ -33,7 +33,7 @@ from tubench.metrics import Scheme
 from tubench.stream import GlobalOrder, LocalOrder, SessionPolicy, StreamConfig
 from tubench.synthdata import generate
 from tubench.update import StrategyKind, UpdateStrategy
-from conftest import fast_oracle_eer
+from conftest import assert_reaped_and_clean, fast_oracle_eer, in_process
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -884,3 +884,41 @@ def test_readme_config_reference_matches_fields():
     for section, fields in FIELDS.items():
         for key, (kind, default) in fields.items():
             assert _reference_row(f"{section}.{key}", kind, default) in lines
+
+
+def _quoted_user_dataset(path):
+    """The synthetic dataset of BASE_CONFIG written with user ids csv must quote."""
+    cmd_generate(write_config(path.parent / "gen.json"), path)
+    names = ["plain", "a,b", 'q"x', "line\nbreak", " pad "]
+    header, rows = read_table(path)
+    users = sorted({row[0] for row in rows})
+    write_table(path, header, [[names[users.index(row[0])], *row[1:]] for row in rows])
+
+
+@pytest.mark.parametrize("repeats", [1, 2])
+@pytest.mark.parametrize("source", ["synthetic", "quoted file"])
+def test_forked_scores_csv_equals_one_pass(tmp_path, forks, source, repeats):
+    patch = {"evaluation": {"repeats": repeats}}
+    if source == "quoted file":
+        _quoted_user_dataset(tmp_path / "data.csv")
+        patch["dataset"] = {"synthetic": None, "path": "data.csv"}
+    config = write_config(tmp_path / "run.json", patch)
+    before = len(forks)
+    cmd_run(config, tmp_path / "forked")
+    assert len(forks) == before + 1  # scores.csv only: the other tables are rows
+    in_process(lambda: cmd_run(config, tmp_path / "single"))
+    assert len(forks) == before + 1
+    assert read_bytes_map(tmp_path / "forked") == read_bytes_map(tmp_path / "single")
+    scores = read_table(tmp_path / "forked" / "scores.csv")[1]
+    assert {row[2] for row in scores} >= ({"a,b", 'q"x'} if source == "quoted file" else set())
+    assert len(scores) % 2 == repeats % 2  # 1 repeat writes an odd count of lines here
+    assert_reaped_and_clean(tmp_path)
+
+
+def test_forked_generate_equals_one_pass(tmp_path, forks):
+    config = write_config(tmp_path / "gen.json")
+    cmd_generate(config, tmp_path / "forked.csv")
+    assert len(forks) == 1
+    in_process(lambda: cmd_generate(config, tmp_path / "single.csv"))
+    assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "single.csv").read_bytes()
+    assert_reaped_and_clean(tmp_path)

@@ -13,7 +13,6 @@ from tubench import (
     LocalOrder,
     Mode,
     Origin,
-    PartitionError,
     ReferenceModel,
     ScoreRecord,
     SessionPolicy,
@@ -29,7 +28,6 @@ from tubench import (
     impostor_inclusion,
     maybe_update,
     next_query,
-    partition_sessionless,
     plan_session,
     raw_score,
     run_experiment,
@@ -38,9 +36,7 @@ from tubench import evaluator, stream as stream_module, update as update_module
 from tubench.rng import mix64
 from tubench.stream import CLOSEST, session_layouts
 from tubench.synthdata import SynthConfig, generate
-from conftest import (
-    dataset_of, log_columns, log_of, log_rows, make_sample, planned, sample_columns,
-)
+from conftest import dataset_of, log_columns, log_of, log_rows, make_sample, planned
 
 SCRIPTED = (Label.GENUINE, Label.IMPOSTOR)
 
@@ -303,63 +299,6 @@ def test_offline_scoring_references_exclude_current_session_vectors(trace_datase
         for _, session, target, source, _, raw, centered, applied in log_rows(result.log)
     ]
     assert got == manual
-
-
-def _partition(samples, k):
-    """`partition_sessionless` over the columns of sessionless samples."""
-    user_ids, _, order_indices, features = sample_columns(samples, 1)
-    return partition_sessionless(user_ids, order_indices, features, k)
-
-
-def test_partition_even_split():
-    samples = [make_sample("u", 1, i, [float(i)]) for i in range(10)]
-    samples += [make_sample("v", 1, i, [float(i) + 50]) for i in range(10)]
-    dataset = _partition(samples, 2)
-    assert dataset.num_sessions == 2
-    assert len(dataset.row_range("u", 1)) == 5
-    assert len(dataset.row_range("u", 2)) == 5
-
-
-def test_partition_remainder_goes_to_early_blocks():
-    samples = [make_sample("u", 1, i, [float(i)]) for i in range(7)]
-    dataset = _partition(samples, 3)
-    sizes = [len(dataset.row_range("u", s)) for s in (1, 2, 3)]
-    assert sizes == [3, 2, 2]
-
-
-def test_partition_block_sizes_follow_divmod():
-    for n in range(2, 25):
-        samples = [make_sample("u", 1, i, [float(i)]) for i in range(n)]
-        for k in range(2, n + 1):
-            base, extra = divmod(n, k)
-            dataset = _partition(samples, k)
-            sizes = [len(dataset.row_range("u", s)) for s in range(1, k + 1)]
-            assert sizes == [base + 1] * extra + [base] * (k - extra), (n, k)
-
-
-def test_partition_preserves_chronology():
-    rng = np.random.default_rng(2)
-    samples = [
-        make_sample("u", 1, i, [float(v)])
-        for i, v in enumerate(rng.normal(size=11))
-    ]
-    dataset = _partition(samples[::-1], 4)  # blocks follow order_index, not row order
-    for session in range(1, 4):
-        left = dataset.row_order[dataset.row_range("u", session)].max()
-        right = dataset.row_order[dataset.row_range("u", session + 1)].min()
-        assert left < right
-    for sample in dataset.samples:
-        assert np.array_equal(sample.features, samples[sample.order_index].features)
-
-
-def test_partition_errors_name_the_user():
-    samples = [make_sample("tiny", 1, i, [0.0 + i]) for i in range(2)]
-    with pytest.raises(PartitionError, match="tiny"):
-        _partition(samples, 3)
-    with pytest.raises(PartitionError, match="no samples"):
-        _partition([], 2)
-    with pytest.raises(ConfigError):
-        _partition([make_sample("u", 1, 0, [0.0])], 1)
 
 
 def test_seed_derivation_separates_all_axes():

@@ -1,12 +1,16 @@
 import csv
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from tubench import (
     CMU_KEYSTROKE,
     ColumnMapping,
+    Dataset,
     FormatError,
     SynthConfig,
     ValidationError,
@@ -14,8 +18,9 @@ from tubench import (
     read_dataset,
     write_dataset,
 )
+from tubench import ingest
 from tubench.ingest import _assemble, _read_bulk, _read_rows, read_table, write_table
-from conftest import dataset_of, make_sample
+from conftest import assert_reaped_and_clean, dataset_of, in_process, make_sample
 
 
 def test_round_trip_of_synthetic_dataset_is_exact(tmp_path):
@@ -259,7 +264,7 @@ def _outcome(read):
 
 
 def _row_loop(path, mapping=ColumnMapping()):
-    return _assemble(*_read_rows(path, mapping))
+    return _assemble(path, mapping, *_read_rows(path, mapping))
 
 
 def test_canonical_files_take_the_bulk_path(tmp_path):
@@ -268,7 +273,8 @@ def test_canonical_files_take_the_bulk_path(tmp_path):
     write_dataset(dataset, path)
     columns = _read_bulk(path, ColumnMapping())
     assert columns is not None
-    assert _outcome(lambda: _assemble(*columns)) == _outcome(lambda: _row_loop(path))
+    expected = _outcome(lambda: _row_loop(path))
+    assert _outcome(lambda: _assemble(path, ColumnMapping(), *columns)) == expected
     # ids after the features, the last one ending its line
     lines = path.read_text().splitlines()
     moved = tmp_path / "moved.csv"
@@ -278,7 +284,7 @@ def test_canonical_files_take_the_bulk_path(tmp_path):
     ))
     columns = _read_bulk(moved, ColumnMapping())
     assert columns is not None
-    assert _outcome(lambda: _assemble(*columns)) == _outcome(lambda: _row_loop(path))
+    assert _outcome(lambda: _assemble(moved, ColumnMapping(), *columns)) == expected
     assert read_dataset(moved) == dataset
 
 
@@ -386,5 +392,174 @@ def test_bulk_path_reads_every_file_as_the_row_loop_does(tmp_path_factory, drawn
     path_taken = "row loop" if columns is None else "bulk"
     event(f"{path_taken}: {'error' if isinstance(expected[0], type) else 'dataset'}")
     if columns is not None:
-        assert _outcome(lambda: _assemble(*columns)) == expected
+        assert _outcome(lambda: _assemble(path, mapping, *columns)) == expected
     assert _outcome(lambda: read_dataset(path, mapping)) == expected
+
+
+@pytest.mark.parametrize("column", ["session", "rep"])
+@pytest.mark.parametrize("value", ["99999999999999999999", "-9223372036854775809"])
+def test_integers_past_int64_name_the_file_row_and_column(tmp_path, column, value):
+    path = tmp_path / "big.csv"
+    row = {"session": f"u,{value},1,3.0,4.0\n", "rep": f"u,2,{value},3.0,4.0\n"}[column]
+    path.write_text(HEADER + "u,1,0,1.0,2.0\n" + row)
+    assert _read_bulk(path, ColumnMapping()) is not None
+    for read in (read_dataset, _row_loop):
+        with pytest.raises(FormatError) as caught:
+            read(path)
+        assert str(caught.value) == f"{path}: row 3: integer out of range in column '{column}'"
+    cmu = tmp_path / "cmu.csv"
+    cmu.write_text(path.read_text().replace("user,session", "subject,sessionIndex", 1))
+    name = {"session": "sessionIndex", "rep": "rep"}[column]
+    with pytest.raises(FormatError, match=f"row 3: integer out of range in column '{name}'"):
+        read_dataset(cmu, CMU_KEYSTROKE)
+
+
+@pytest.mark.parametrize(
+    "sessions, missing, last",
+    [((1, 2000000000), 2, 2000000000), ((1, 2, 4), 3, 4), ((0, 1, 3), 2, 3), ((2, 3), 1, 3)],
+)
+def test_a_session_gap_names_the_first_missing_session(
+    tmp_path, monkeypatch, sessions, missing, last
+):
+    path = tmp_path / "gap.csv"
+    path.write_text(HEADER + "".join(f"u,{s},{k},1.0,2.0\n" for k, s in enumerate(sessions)))
+
+    def built(*args, **kwargs):
+        raise AssertionError("a dataset was built")
+
+    monkeypatch.setattr(Dataset, "from_columns", built)
+    for read in (read_dataset, _row_loop):
+        with pytest.raises(FormatError) as caught:
+            read(path)
+        message = f"session {missing} has no rows, though session {last} has"
+        assert str(caught.value) == f"{path}: {message}"
+
+
+def _lines(lo, hi):
+    return (f"{i},x\n" for i in range(lo, hi))
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 10])
+def test_forked_table_lines_equal_one_pass(tmp_path, forks, count):
+    path = tmp_path / "t.csv"
+    write_table(path, ["n", "v"], [["a", "b,c"]], lines=_lines, count=count)
+    assert len(forks) == 1
+    assert path.read_bytes() == ("n,v\na,\"b,c\"\n" + "".join(_lines(0, count))).encode()
+    assert_reaped_and_clean(tmp_path)
+
+
+QUOTED_USERS = ["plain", "a,b", 'q"x', "line\nbreak", " pad ", "\u00e9"]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 8, 11])
+def test_forked_dataset_write_equals_one_pass(tmp_path, forks, rows):
+    samples = tuple(
+        make_sample(QUOTED_USERS[k % len(QUOTED_USERS)], 1 + k // len(QUOTED_USERS), k,
+                    [0.1 * k, -2.5e-7, 1e16 + k])
+        for k in range(rows)
+    )
+    dataset = dataset_of(3, 2, samples)
+    forked, single = tmp_path / "forked.csv", tmp_path / "single.csv"
+    write_dataset(dataset, forked)
+    assert len(forks) == 1
+    in_process(lambda: write_dataset(dataset, single))
+    assert len(forks) == 1
+    assert forked.read_bytes() == single.read_bytes()
+    assert len(forked.read_text(encoding="utf-8").splitlines()) > rows  # one user breaks a line
+    assert_reaped_and_clean(tmp_path)
+
+
+@st.composite
+def small_datasets(draw):
+    """A dimension and the samples of a dataset of 2 or 3 sessions whose
+    users need csv quoting or not."""
+    d = draw(st.integers(1, 3))
+    users = draw(st.lists(st.sampled_from(QUOTED_USERS), min_size=1, max_size=4, unique=True))
+    feature = st.floats(allow_nan=False, allow_infinity=False)
+    samples = []
+    for user in users:
+        counts = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+        order = 0
+        for session, count in enumerate(counts, start=1):
+            for _ in range(count):
+                samples.append(make_sample(user, session, order, draw(st.lists(
+                    feature, min_size=d, max_size=d))))
+                order += 1
+    return d, tuple(samples)
+
+
+# `forks` patches the same values for every example and counts forks across them.
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(small_datasets())
+def test_forked_write_of_any_small_dataset_equals_one_pass(tmp_path_factory, forks, drawn):
+    d, samples = drawn
+    dataset = dataset_of(d, max(sample.session for sample in samples), samples)
+    directory = tmp_path_factory.mktemp("split")
+    forked, single = directory / "forked.csv", directory / "single.csv"
+    before = len(forks)
+    write_dataset(dataset, forked)
+    assert len(forks) == before + 1
+    in_process(lambda: write_dataset(dataset, single))
+    assert forked.read_bytes() == single.read_bytes()
+    assert read_dataset(forked) == dataset
+    assert_reaped_and_clean(directory)
+
+
+@pytest.mark.parametrize("failure", ["raises", "raises after one line", "is killed"])
+def test_a_failed_child_leaves_its_half_to_the_parent(tmp_path, forks, failure):
+    parent = os.getpid()
+
+    def lines(lo, hi):
+        for i in range(lo, hi):
+            if os.getpid() != parent and (i > lo or failure != "raises after one line"):
+                if failure == "is killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("the child fails")
+            yield f"{i},x\n"
+
+    path = tmp_path / "t.csv"
+    write_table(path, ["n", "v"], lines=lines, count=9)
+    assert len(forks) == 1
+    assert path.read_text() == "n,v\n" + "".join(_lines(0, 9))
+    assert_reaped_and_clean(tmp_path)
+
+
+def test_a_parent_failure_still_reaps_the_child_and_removes_the_part(tmp_path, forks):
+    parent = os.getpid()
+
+    def lines(lo, hi):
+        if os.getpid() == parent and lo == 0:
+            raise RuntimeError("the parent fails")
+        return _lines(lo, hi)
+
+    with pytest.raises(RuntimeError, match="the parent fails"):
+        write_table(tmp_path / "t.csv", ["n", "v"], lines=lines, count=9)
+    assert len(forks) == 1
+    assert_reaped_and_clean(tmp_path)
+
+
+def test_short_outputs_threads_and_one_cpu_stay_in_process(tmp_path, monkeypatch):
+    forked = []
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    write_table(tmp_path / "short.csv", ["n", "v"], lines=_lines,
+                count=ingest.SPLIT_MIN_LINES - 1)
+    assert ingest._two_cores()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert not ingest._two_cores()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert not ingest._two_cores()
+    finally:
+        stop.set()
+        thread.join()
+    monkeypatch.delattr(os, "fork")
+    assert not ingest._two_cores()
+    assert forked == []
+    assert (tmp_path / "short.csv").read_text() == "n,v\n" + "".join(
+        _lines(0, ingest.SPLIT_MIN_LINES - 1))
