@@ -17,7 +17,6 @@ from .core import (
     Sample,
     ScoreLog,
     ScoreRecord,
-    column_violations,
     score_log_violations,
 )
 from .errors import (
@@ -50,7 +49,6 @@ from .metrics import (
     aggregate,
     compute_scheme,
     eer,
-    far_frr,
     session_eers,
 )
 from .stream import (

@@ -116,26 +116,17 @@ def _check_columns(dimension, num_sessions, user_ids, sessions, order_indices, f
     return problems, users, features[order], key
 
 
-def column_violations(
-    dimension: int, num_sessions: int, user_ids, sessions, order_indices, features
-) -> list[str]:
-    """Check per-row columns against the dataset invariants in one vectorized pass.
-
-    `features` is an (N, width) matrix. Problems come in row order (per
-    row: duplicate key, session range, then feature dimension or
-    non-finite values), then every user without session-1 samples,
-    sorted by str.
-    """
-    return _check_columns(dimension, num_sessions, user_ids, sessions, order_indices, features)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Session-structured collection of samples for many users.
 
     Built from per-row columns and an (N, dimension) feature matrix with
     `from_columns`: a column without one entry per row is rejected first,
-    then the rows are checked once, by `column_violations`.
+    then the rows are checked once, in one vectorized pass. Every problem
+    is raised together, as `ValidationError.violations`, in row order
+    (per row: duplicate key, session range, then feature dimension or
+    non-finite values), then every user without session-1 samples,
+    sorted by str.
     `feature_matrix` holds every feature vector, read-only, in (user,
     session, order_index) order, and `row_user` (position in `users`),
     `row_session` and `row_order` index its rows. `samples` views the
@@ -344,8 +335,8 @@ class ScoreLog:
     `source` (positions in `users`, sorted by str), the `raw` and
     `centered` scores, and whether the query was `applied` as an update.
     A comparison is genuine when source == target. The log is built from
-    columns of one length with `from_columns` and validated once, by
-    `score_log_violations`.
+    columns of one length, `users` as any sequence (kept as a tuple), and
+    validated once, by `score_log_violations`.
 
     Online runs cover sessions 2..S; offline runs cover 3..S because the
     last consumed session never gets its own frozen-reference pass.
@@ -362,16 +353,8 @@ class ScoreLog:
     centered: np.ndarray = field(repr=False)
     applied: np.ndarray = field(repr=False)
 
-    @classmethod
-    def from_columns(
-        cls, users, num_sessions: int, mode: Mode,
-        repeat, session, target, source, raw, centered, applied,
-    ) -> "ScoreLog":
-        """A log from per-row columns; `target`/`source` index `users`."""
-        return cls(tuple(users), num_sessions, mode, repeat, session, target, source, raw,
-                   centered, applied)
-
     def __post_init__(self):
+        object.__setattr__(self, "users", tuple(self.users))
         arrays = [np.array(getattr(self, name), dtype=dtype) for name, dtype in _LOG_COLUMNS]
         sizes = {name: column.size for (name, _), column in zip(_LOG_COLUMNS, arrays)}
         _require_rows(max(sizes.values()), sizes)

@@ -170,7 +170,7 @@ def _score_log(dataset: Dataset, mode: Mode, logged: list[tuple]) -> ScoreLog:
     def flat(parts, dtype):
         return np.concatenate([np.empty(0, dtype), *parts])
 
-    return ScoreLog.from_columns(
+    return ScoreLog(
         dataset.users,
         dataset.num_sessions,
         mode,

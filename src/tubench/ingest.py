@@ -361,7 +361,6 @@ def write_dataset(dataset: Dataset, path) -> None:
     need csv quoting, so each is rendered by csv once, while ints and
     float reprs never need it.
     """
-    path = Path(path)
     header = ["user", "session", "rep"] + [f"f{j + 1}" for j in range(dataset.dimension)]
     users = [csv_field(str(user)) for user in dataset.users]
 
@@ -374,6 +373,4 @@ def write_dataset(dataset: Dataset, path) -> None:
         ):
             yield f"{users[user]},{session},{order_index},{','.join(map(repr, features.tolist()))}\n"
 
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\n")
-        _write_lines(handle, path, lines, len(dataset.feature_matrix))
+    write_table(path, header, lines=lines, count=len(dataset.feature_matrix))

@@ -29,22 +29,6 @@ class Scheme(str, Enum):
     POOLED = "pooled"
 
 
-def far_frr(genuine, impostor, threshold: float) -> tuple[float, float]:
-    """False-acceptance and false-rejection rates at one threshold.
-
-    Scores are dissimilarities, so acceptance means score <= threshold.
-    """
-    gen = np.asarray(genuine, dtype=float)
-    imp = np.asarray(impostor, dtype=float)
-    if gen.size == 0:
-        raise MetricError("far_frr needs at least one genuine score")
-    if imp.size == 0:
-        raise MetricError("far_frr needs at least one impostor score")
-    far = int(np.count_nonzero(imp <= threshold)) / imp.size
-    frr = int(np.count_nonzero(gen > threshold)) / gen.size
-    return far, frr
-
-
 def _candidate_thresholds(scores: np.ndarray) -> np.ndarray:
     distinct = np.unique(scores)
     midpoints = (distinct[:-1] + distinct[1:]) / 2.0

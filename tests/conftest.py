@@ -87,12 +87,12 @@ def planned(dataset, user, session, config, seed):
 
 
 def log_of(records, num_sessions, mode):
-    """`ScoreLog.from_columns` over the columns of `ScoreRecord` objects, with
+    """`ScoreLog(...)` over the columns of `ScoreRecord` objects, with
     the users sorted by str."""
     records = tuple(records)
     users = sorted({r.target_user for r in records} | {r.source_user for r in records}, key=str)
     position = {user: i for i, user in enumerate(users)}
-    return ScoreLog.from_columns(
+    return ScoreLog(
         users,
         num_sessions,
         mode,
@@ -107,7 +107,7 @@ def log_of(records, num_sessions, mode):
 
 
 def log_columns(log, rows=slice(None)):
-    """The log's columns in `ScoreLog.from_columns` order, at `rows`."""
+    """The log's columns in `ScoreLog` order, at `rows`."""
     return [getattr(log, name)[rows] for name in LOG_COLUMNS]
 
 

@@ -13,7 +13,6 @@ from tubench import (
     ScoreLog,
     ScoreRecord,
     ValidationError,
-    column_violations,
     score_log_violations,
 )
 from conftest import dataset_of, log_of, make_sample, sample_columns
@@ -81,7 +80,6 @@ def test_column_validator_matches_the_row_by_row_scan(case):
     dimension, num_sessions, width, records = case
     expected = reference_violations(dimension, num_sessions, records)
     columns = sample_columns(records, width)
-    assert column_violations(dimension, num_sessions, *columns) == expected
     if expected:
         with pytest.raises(ValidationError) as err:
             Dataset.from_columns(dimension, num_sessions, *columns)
@@ -91,9 +89,14 @@ def test_column_validator_matches_the_row_by_row_scan(case):
 
 
 def violations(dimension, num_sessions, samples, width=None):
-    """`column_violations` over the columns of sample-shaped records."""
+    """The `ValidationError.violations` that `Dataset.from_columns` raises
+    over the columns of sample-shaped records, or [] when it builds."""
     columns = sample_columns(samples, dimension if width is None else width)
-    return column_violations(dimension, num_sessions, *columns)
+    try:
+        Dataset.from_columns(dimension, num_sessions, *columns)
+    except ValidationError as err:
+        return err.violations
+    return []
 
 
 def test_sample_is_an_unchecked_view():
@@ -215,9 +218,8 @@ def test_dataset_from_columns_equals_dataset_from_samples():
 def test_malformed_columns_are_rejected_by_name(
     user_ids, sessions, order_indices, features, column
 ):
-    for build in (column_violations, Dataset.from_columns):
-        with pytest.raises(ValidationError, match=f"column {column} "):
-            build(1, 2, user_ids, sessions, order_indices, features)
+    with pytest.raises(ValidationError, match=f"column {column} "):
+        Dataset.from_columns(1, 2, user_ids, sessions, order_indices, features)
 
 
 @pytest.mark.parametrize("short", ["repeat", "target", "raw", "applied"])
@@ -228,7 +230,7 @@ def test_log_columns_of_unequal_length_are_rejected_by_name(short):
     }
     columns[short] = columns[short][:1]
     with pytest.raises(ValidationError, match=f"^column {short} has 1 entries, not 2$"):
-        ScoreLog.from_columns(("a", "b"), 2, Mode.ONLINE, *columns.values())
+        ScoreLog(("a", "b"), 2, Mode.ONLINE, *columns.values())
 
 
 def test_dataset_equality_is_field_for_field():
@@ -364,10 +366,10 @@ def test_log_column_checks_match_the_record_by_record_checks(case):
     applied = [False] * len(rows)
     if expected:
         with pytest.raises(ValidationError) as err:
-            ScoreLog.from_columns(users, num_sessions, mode, *columns, applied)
+            ScoreLog(users, num_sessions, mode, *columns, applied)
         assert err.value.violations == expected
     else:
-        ScoreLog.from_columns(users, num_sessions, mode, *columns, applied)
+        ScoreLog(users, num_sessions, mode, *columns, applied)
 
 
 def test_core_types_are_frozen():

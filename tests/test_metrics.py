@@ -14,7 +14,6 @@ from tubench import (
     aggregate,
     compute_scheme,
     eer,
-    far_frr,
     session_eers,
 )
 from conftest import log_columns, log_of
@@ -41,25 +40,6 @@ def oracle_eer(genuine, impostor):
         if best is None or key < best[0]:
             best = (key, (far + frr) / 2.0)
     return best[1]
-
-
-def test_far_frr_boundaries():
-    genuine, impostor = [0.1, 0.2, 0.3], [0.25, 0.4, 0.5]
-    assert far_frr(genuine, impostor, -1.0) == (0.0, 1.0)
-    assert far_frr(genuine, impostor, 9.0) == (1.0, 0.0)
-
-
-def test_far_frr_hand_counted():
-    far, frr = far_frr([0.1, 0.2, 0.3], [0.25, 0.4, 0.5], 0.275)
-    assert far == pytest.approx(1 / 3)
-    assert frr == pytest.approx(1 / 3)
-
-
-def test_far_frr_rejects_empty_sides():
-    with pytest.raises(MetricError):
-        far_frr([], [1.0], 0.5)
-    with pytest.raises(MetricError):
-        far_frr([1.0], [], 0.5)
 
 
 def test_eer_perfect_separation():
@@ -253,7 +233,7 @@ def test_schemes_are_order_invariant_within_sessions():
         chunk = np.flatnonzero(log.session == session).tolist()
         rng.shuffle(chunk)
         shuffled_rows.extend(chunk)
-    shuffled = ScoreLog.from_columns(log.users, 3, Mode.ONLINE, *log_columns(log, shuffled_rows))
+    shuffled = ScoreLog(log.users, 3, Mode.ONLINE, *log_columns(log, shuffled_rows))
     assert per_session_of(shuffled) == per_session_of(log)
     assert cumulative_of(shuffled) == cumulative_of(log)
     assert pooled_of(shuffled) == pooled_of(log)
@@ -292,7 +272,7 @@ def test_aggregate_rejects_mismatched_slots():
 def _merged(*logs):
     """One log holding the rows of same-user logs, in order."""
     assert len({log.users for log in logs}) == 1
-    return ScoreLog.from_columns(
+    return ScoreLog(
         logs[0].users, logs[0].num_sessions, logs[0].mode,
         *map(np.concatenate, zip(*map(log_columns, logs))),
     )
