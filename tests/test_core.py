@@ -15,7 +15,7 @@ from tubench import (
     ValidationError,
     score_log_violations,
 )
-from conftest import dataset_of, log_of, make_sample, sample_columns
+from conftest import dataset_of, log_columns, log_of, make_sample, sample_columns
 
 
 def reference_violations(dimension, num_sessions, samples):
@@ -151,6 +151,24 @@ def test_violation_for_dimension_mismatch():
         "sample (a, session 1, #0): feature dimension 2 != 1",
         "sample (a, session 2, #1): feature dimension 2 != 1",
     ]
+
+
+def test_violations_come_in_row_order_then_users_without_enrollment():
+    samples = [
+        make_sample("c", 3, 0, [0.0]),
+        make_sample("a", 1, 0, [0.0]),
+        make_sample("a", 1, 0, [math.inf]),
+        make_sample("b", 2, 0, [1.0]),
+    ]
+    expected = [
+        "sample (c, session 3, #0): session outside [1, 2]",
+        "duplicate sample key (a, session 1, #0)",
+        "sample (a, session 1, #0): non-finite feature value",
+        "user b: no session-1 samples (no enrollment material)",
+        "user c: no session-1 samples (no enrollment material)",
+    ]
+    assert reference_violations(1, 2, samples) == expected
+    assert violations(1, 2, samples) == expected
 
 
 def test_dataset_construction_rejects_violations():
@@ -290,6 +308,15 @@ def test_log_keeps_each_record_repeat():
     log = log_of(records, 3, Mode.ONLINE)
     assert np.unique(log.repeat).tolist() == [0, 1]
     assert log.repeat.tolist() == [0, 1, 0, 1]
+
+
+def test_log_keeps_users_as_a_tuple():
+    log = log_of((_record(0, 2), _record(0, 3)), 3, Mode.ONLINE)
+    assert log.users == ("s", "t")
+    for users in (["s", "t"], iter(["s", "t"])):
+        rebuilt = ScoreLog(users, 3, Mode.ONLINE, *log_columns(log))
+        assert rebuilt.users == ("s", "t")
+        assert {rebuilt.users: 0}[log.users] == 0
 
 
 def reference_log_violations(num_sessions, mode, rows):

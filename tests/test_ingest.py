@@ -469,6 +469,22 @@ def test_forked_dataset_write_equals_one_pass(tmp_path, forks, rows):
     assert_reaped_and_clean(tmp_path)
 
 
+def test_forked_dataset_write_takes_a_str_path(tmp_path, forks):
+    samples = tuple(
+        make_sample(user, session, session - 1, [0.5 * session])
+        for user in QUOTED_USERS
+        for session in (1, 2)
+    )
+    dataset = dataset_of(1, 2, samples)
+    named, single = tmp_path / "named.csv", tmp_path / "single.csv"
+    write_dataset(dataset, str(named))
+    assert len(forks) == 1
+    in_process(lambda: write_dataset(dataset, single))
+    assert named.read_bytes() == single.read_bytes()
+    assert read_dataset(named) == dataset
+    assert_reaped_and_clean(tmp_path)
+
+
 @st.composite
 def small_datasets(draw):
     """A dimension and the samples of a dataset of 2 or 3 sessions whose
