@@ -113,6 +113,11 @@ def _check_columns(dimension, num_sessions, user_ids, sessions, order_indices, f
     enrolled[codes[in_range & (session_col == 1)]] = True
     for k in np.flatnonzero(~enrolled).tolist():
         problems.append(f"user {users[k]}: no session-1 samples (no enrollment material)")
+    present = np.unique(session_col[in_range])
+    gaps = np.flatnonzero(present != np.arange(1, present.size + 1))
+    empty = gaps[0] + 1 if gaps.size else present.size + 1
+    if empty <= num_sessions:
+        problems.append(f"session {empty} of {num_sessions}: no samples")
     return problems, users, features[order], key
 
 
@@ -126,7 +131,8 @@ class Dataset:
     is raised together, as `ValidationError.violations`, in row order
     (per row: duplicate key, session range, then feature dimension or
     non-finite values), then every user without session-1 samples,
-    sorted by str.
+    sorted by str, then the first of sessions 1..`num_sessions` without
+    samples.
     `feature_matrix` holds every feature vector, read-only, in (user,
     session, order_index) order, and `row_user` (position in `users`),
     `row_session` and `row_order` index its rows. `samples` views the

@@ -14,6 +14,7 @@ import csv
 import io
 import os
 import shutil
+import signal
 import threading
 import warnings
 from array import array
@@ -55,7 +56,7 @@ SPLIT_MIN_LINES = 4096
 
 
 def _two_cores() -> bool:
-    """Whether a forked child can format on a second CPU: fork exists, this
+    """Whether a forked child can work on a second CPU: fork exists, this
     process may run on 2 or more CPUs, and no other thread runs."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return False
@@ -64,50 +65,81 @@ def _two_cores() -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
-def _write_lines(handle, path: Path, lines, count: int) -> None:
-    """Write `lines(0, count)` to the open text `handle` of `path`.
+def split_work(here, there, receive=lambda stream: True) -> None:
+    """Call `here()` in this process while a forked child calls `there(out)`.
 
-    `lines(lo, hi)` yields lines lo..hi-1, each ending in a newline. From
-    SPLIT_MIN_LINES lines on, where `_two_cores()`, a forked child formats
-    lines [count // 2, count) into a sibling part file while this process
-    formats the first half into `handle`, then appends the part file. The
-    bytes are those of one in-process pass: a child that fails leaves its
-    half to this process. The child is always reaped and the part file
-    always removed.
+    `out` is a binary stream into a pipe, which `receive(pipe)` reads once
+    `here()` has returned, saying whether all of it came. Where no child
+    can run (see `_two_cores`), or it fails, or `receive` says False,
+    `there` and `receive` run here through a buffer. When `here` or
+    `receive` raises, the child is killed; it is always reaped.
     """
-    if count < SPLIT_MIN_LINES or not _two_cores():
-        handle.writelines(lines(0, count))
-        return
-    mid = count // 2
-    part = path.with_name(path.name + ".part")
-    try:
+    pid = None
+    if _two_cores():
+        read_end, write_end = os.pipe()
         with warnings.catch_warnings():
             # Python 3.12+ warns of native threads (numpy's BLAS pool) at a
             # fork; the child calls no code that takes their locks.
             warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        handle.writelines(lines(0, count))
-        return
-    if pid == 0:  # the child: format, write, and leave without any cleanup
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+    if pid == 0:  # the child: its share, then leave without any cleanup
         status = 1
         try:
-            with open(part, "w", newline="", encoding="utf-8") as out:
-                out.writelines(lines(mid, count))
+            os.close(read_end)
+            with open(write_end, "wb") as out:
+                there(out)
             status = 0
         finally:
             os._exit(status)
-    try:
-        try:
-            handle.writelines(lines(0, mid))
+    received = False
+    if pid is None:
+        here()
+    else:
+        os.close(write_end)
+        try:  # the pipe closes before the wait, which ends a child blocked on it
+            with open(read_end, "rb") as pipe:
+                here()
+                received = receive(pipe)
+        except BaseException:  # the child's share is of no use now
+            os.kill(pid, signal.SIGKILL)
+            raise
         finally:
-            failed = os.waitpid(pid, 0)[1] != 0
-        if failed:
-            handle.writelines(lines(mid, count))
-        else:
-            handle.flush()
-            with open(part, "rb") as rest:
-                shutil.copyfileobj(rest, handle.buffer, 1 << 20)
+            received = os.waitpid(pid, 0)[1] == 0 and received
+    if not received:
+        buffer = io.BytesIO()
+        there(buffer)
+        buffer.seek(0)
+        receive(buffer)
+
+
+def _write_lines(handle, path: Path, lines, count: int) -> None:
+    """Write `lines(0, count)` to the open text `handle` of `path`.
+
+    `lines(lo, hi)` yields lines lo..hi-1, each ending in a newline. From
+    SPLIT_MIN_LINES lines on, where `_two_cores()`, lines [count // 2,
+    count) are formatted into a sibling part file by a forked child (see
+    `split_work`) while this process formats the first half into
+    `handle`, and then appended; a pipe would stall the child. The bytes
+    are those of one pass, and the part file is always removed.
+    """
+    if count < SPLIT_MIN_LINES or not _two_cores():
+        handle.writelines(lines(0, count))
+        return
+    part = path.with_name(path.name + ".part")
+
+    def there(_):
+        with open(part, "w", newline="", encoding="utf-8") as out:
+            out.writelines(lines(count // 2, count))
+
+    try:
+        split_work(lambda: handle.writelines(lines(0, count // 2)), there)
+        handle.flush()
+        with open(part, "rb") as rest:
+            shutil.copyfileobj(rest, handle.buffer, 1 << 20)
     finally:
         part.unlink(missing_ok=True)
 
@@ -226,51 +258,100 @@ def _read_rows(path, mapping: ColumnMapping):
     return user_codes, codes, sessions, reps, matrix
 
 
-def _plain(line: str) -> bool:
+def _plain(line: bytes) -> bool:
     """Whether `line` holds none of the characters that need the row loop:
     csv's quote and carriage return, NUL, and the separators \\x1c-\\x1f,
     which numpy's float parser strips as whitespace and float() rejects."""
     return not (
-        '"' in line or "\r" in line or "\0" in line
-        or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line
+        b'"' in line or b"\r" in line or b"\0" in line
+        or b"\x1c" in line or b"\x1d" in line or b"\x1e" in line or b"\x1f" in line
     )
 
 
+#: Below this many bytes of rows a dataset file is parsed in this process
+#: only: from 256 KiB on, the features a child parses take longer than a
+#: fork, its wait and the transfer back (about 3 ms).
+SPLIT_MIN_BYTES = 1 << 18
+
+
+def _features(path, start: int, rows: int | None, feature_idx) -> np.ndarray:
+    """The feature columns of `rows` lines of `path` from byte `start` on,
+    or of every line from there where `rows` is None, parsed by loadtxt."""
+    with open(path, "rb") as handle:
+        handle.seek(start)
+        return np.loadtxt(
+            io.TextIOWrapper(handle, encoding="utf-8", newline=""), delimiter=",",
+            comments=None, quotechar=None, usecols=feature_idx, dtype=float, ndmin=2,
+            max_rows=rows,
+        )
+
+
 def _read_bulk(path, mapping: ColumnMapping):
-    """The columns of `_read_rows`, with every feature parsed by one
-    np.loadtxt call, or None where the file needs the row loop.
+    """The columns of `_read_rows`, with every feature parsed by np.loadtxt,
+    or None where the file needs the row loop.
 
     A streaming pass checks each line and splits off only its id fields,
     so no token of the file is kept as a string; loadtxt then parses the
-    feature columns of the same lines.
+    feature columns of the same lines. From SPLIT_MIN_BYTES of rows on, a
+    forked child (see `split_work`) parses the features from the first
+    line start at or after a third of the rows' bytes and sends them as
+    raw float64 bytes into the matrix; this process makes the pass and
+    parses the features before that line, which takes about as long.
     """
     limit = csv.field_size_limit()
+    user_codes: dict[bytes, int] = {}
+    codes, sessions, reps = [], [], []
+    front = features = None
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            first = next(handle, "").removesuffix("\n")
-            if not first or not _plain(first):
-                return None
-            header = first.split(",")
-            ids, _, feature_idx = _layout(path, header, mapping)
-            user_idx, session_idx, rep_idx = ids
-            split = max(ids) + 1
-            commas = len(header) - 1
-            user_codes: dict[str, int] = {}
-            codes, sessions, reps = [], [], []
-            for line in handle:
-                if line.count(",") != commas or len(line) > limit or not _plain(line):
-                    return None
-                fields = line.removesuffix("\n").split(",", split)
-                sessions.append(int(fields[session_idx]))
-                reps.append(int(fields[rep_idx]))
-                codes.append(user_codes.setdefault(fields[user_idx], len(user_codes)))
+        with open(path, "rb") as handle:
+            first = handle.readline().removesuffix(b"\n")
+            header = first.decode("utf-8").split(",")
+            body, size = handle.tell(), handle.seek(0, os.SEEK_END)
+            if size - body >= SPLIT_MIN_BYTES:
+                handle.seek(body + (size - body) // 3 - 1)
+                handle.readline()
+            cut = handle.tell()
+        if not first or not _plain(first):
+            return None
+        ids, _, feature_idx = _layout(path, header, mapping)
+        user_idx, session_idx, rep_idx = ids
+        split = max(ids) + 1
+        commas = len(header) - 1
+
+        def here():
+            nonlocal front, features
+            with open(path, "rb") as handle:
+                handle.seek(body)
+                at = body
+                for line in handle:
+                    if at == cut:
+                        front = len(codes)
+                    at += len(line)
+                    if line.count(b",") != commas or len(line) > limit or not _plain(line):
+                        raise ValueError("a line for the row loop")
+                    fields = line.removesuffix(b"\n").split(b",", split)
+                    sessions.append(int(fields[session_idx]))
+                    reps.append(int(fields[rep_idx]))
+                    codes.append(user_codes.setdefault(fields[user_idx], len(user_codes)))
             if not codes:
-                return None
-            handle.seek(0)
-            features = np.loadtxt(
-                handle, delimiter=",", comments=None, quotechar=None, skiprows=1,
-                usecols=feature_idx, dtype=float, ndmin=2, encoding="utf-8",
-            )
+                raise ValueError("no data rows")
+            features = _features(path, body, front, feature_idx)
+
+        def receive(stream):
+            nonlocal features
+            matrix = np.empty((len(codes), len(feature_idx)))
+            matrix[:front] = features
+            if stream.readinto(matrix[front:]) != matrix[front:].nbytes or stream.read(1):
+                return False
+            features = matrix
+            return True
+
+        if cut < size:
+            split_work(here, lambda out: out.write(_features(path, cut, None, feature_idx).data),
+                       receive)
+        else:
+            here()
+        user_codes = {user.decode("utf-8"): code for user, code in user_codes.items()}
     except ValueError:  # UnicodeDecodeError among them
         return None
     if features.shape != (len(codes), len(feature_idx)):

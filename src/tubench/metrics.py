@@ -101,6 +101,20 @@ def compute_scheme(scheme: Scheme, eers: tuple[np.ndarray, np.ndarray]) -> np.nd
     return np.repeat(pooled[:, None], per_session.shape[1], axis=1)
 
 
+def sign_test_p(wins: int, losses: int) -> float:
+    """Exact two-sided sign-test p-value for paired wins against losses.
+
+    Ties are left out by the caller. Under the null hypothesis each
+    untied pair is a fair coin, so p is twice the smaller tail of
+    Binomial(wins + losses, 1/2), capped at 1; no pairs gives 1.
+    """
+    n = wins + losses
+    if n == 0:
+        return 1.0
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2**n)
+
+
 def aggregate(per_repeat) -> tuple[np.ndarray, np.ndarray]:
     """The arithmetic mean and population standard deviation across repeats
     of a (repeats, sessions) matrix, per session slot."""

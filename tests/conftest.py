@@ -1,4 +1,5 @@
 import bisect
+import io
 import math
 import os
 from pathlib import Path
@@ -6,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tubench import Dataset, Label, Sample, ScoreLog, ingest, plan_session, session_layouts
+from tubench import (
+    Dataset, Label, Sample, ScoreLog, ingest, plan_session, session_layouts, synthdata,
+)
 from tubench.rng import SplitMix64
 
 LOG_COLUMNS = ("repeat", "session", "target", "source", "raw", "centered", "applied")
@@ -39,20 +42,6 @@ def fast_oracle_eer(genuine, impostor):
             best_key = key
             best_eer = (far + frr) / 2.0
     return best_eer
-
-
-def sign_test_p(wins, losses):
-    """Exact two-sided sign-test p-value for paired wins against losses.
-
-    Ties are left out by the caller. Under the null hypothesis each
-    untied pair is a fair coin, so p is twice the smaller tail of
-    Binomial(wins + losses, 1/2), capped at 1; no pairs gives 1.
-    """
-    n = wins + losses
-    if n == 0:
-        return 1.0
-    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
-    return min(1.0, 2 * tail / 2**n)
 
 
 def make_sample(user, session, order, feats):
@@ -162,11 +151,14 @@ def forks(monkeypatch):
     return calls
 
 
-def in_process(write):
-    """Run `write()` with every output formatted in this process only."""
+def in_process(work):
+    """Run `work()` with every output formatted, every dataset file read and
+    every dataset drawn in this process only."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "SPLIT_MIN_LINES", math.inf)
-        write()
+        patch.setattr(ingest, "SPLIT_MIN_BYTES", math.inf)
+        patch.setattr(synthdata, "SPLIT_MIN_VALUES", math.inf)
+        work()
 
 
 def assert_reaped_and_clean(directory):
@@ -174,3 +166,22 @@ def assert_reaped_and_clean(directory):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert not list(Path(directory).rglob("*.part"))
+
+
+def altered_child(split_work, alter):
+    """`split_work` whose forked child sends `alter(sent)` where its share
+    would send the bytes `sent`; the share done in this process is left
+    as it is."""
+    parent = os.getpid()
+
+    def split(here, there, *receive):
+        def share(out):
+            if os.getpid() == parent:
+                return there(out)
+            buffer = io.BytesIO()
+            there(buffer)
+            out.write(alter(buffer.getvalue()))
+
+        return split_work(here, share, *receive)
+
+    return split

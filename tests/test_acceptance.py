@@ -37,7 +37,8 @@ from tubench import (
 )
 from tubench.core import Mode as CoreMode, ScoreRecord
 from tubench.cli import cmd_run
-from conftest import fast_oracle_eer, log_of, planned, sign_test_p
+from tubench.metrics import sign_test_p
+from conftest import fast_oracle_eer, log_of, planned
 
 TIMINGS = {}
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,6 +47,10 @@ def reference_violations(dimension, num_sessions, samples):
             problems.append(f"sample {key_text}: non-finite feature value")
     for user in sorted(all_users - users_with_session1, key=str):
         problems.append(f"user {user}: no session-1 samples (no enrollment material)")
+    present = {s.session for s in samples}
+    empty = next((s for s in range(1, num_sessions + 1) if s not in present), None)
+    if empty is not None:
+        problems.append(f"session {empty} of {num_sessions}: no samples")
     return problems
 
 
@@ -169,6 +174,25 @@ def test_violations_come_in_row_order_then_users_without_enrollment():
     ]
     assert reference_violations(1, 2, samples) == expected
     assert violations(1, 2, samples) == expected
+
+
+@pytest.mark.parametrize(
+    "sessions, num_sessions, message",
+    [((1, 3), 3, "session 2 of 3"), ((1, 2), 3, "session 3 of 3"),
+     ((1, 2_000_000_000), 2_000_000_000, "session 2 of 2000000000")],
+)
+def test_first_session_without_samples_is_named_without_a_per_session_array(
+    sessions, num_sessions, message
+):
+    samples = [make_sample("a", s, k, [float(k)]) for k, s in enumerate(sessions)]
+    tracemalloc.start()
+    try:
+        problems = violations(1, num_sessions, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert problems == [f"{message}: no samples"]
+    assert peak < 1 << 20
 
 
 def test_dataset_construction_rejects_violations():

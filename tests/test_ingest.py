@@ -2,6 +2,7 @@ import csv
 import os
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from tubench import (
 )
 from tubench import ingest
 from tubench.ingest import _assemble, _read_bulk, _read_rows, read_table, write_table
-from conftest import assert_reaped_and_clean, dataset_of, in_process, make_sample
+from conftest import altered_child, assert_reaped_and_clean, dataset_of, in_process, make_sample
 
 
 def test_round_trip_of_synthetic_dataset_is_exact(tmp_path):
@@ -98,13 +99,13 @@ def test_canonical_layout(tmp_path):
     assert len(lines) == 5
 
 
-def test_singleton_dataset_writes_header_plus_one_row(tmp_path):
-    dataset = dataset_of(2, 2, (make_sample("only", 1, 0, [1.0, 2.0]),))
+def test_smallest_dataset_writes_header_plus_one_row_per_session(tmp_path):
+    samples = (make_sample("only", 1, 0, [1.0, 2.0]), make_sample("only", 2, 1, [3.0, 4.0]))
     path = tmp_path / "one.csv"
-    write_dataset(dataset, path)
+    write_dataset(dataset_of(2, 2, samples), path)
     lines = path.read_text().splitlines()
-    assert len(lines) == 2
-    assert lines[1] == "only,1,0,1.0,2.0"
+    assert len(lines) == 3
+    assert lines[1:] == ["only,1,0,1.0,2.0", "only,2,1,3.0,4.0"]
 
 
 def test_cmu_benchmark_layout_loads(tmp_path):
@@ -451,10 +452,10 @@ def test_forked_table_lines_equal_one_pass(tmp_path, forks, count):
 QUOTED_USERS = ["plain", "a,b", 'q"x', "line\nbreak", " pad ", "\u00e9"]
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3, 8, 11])
+@pytest.mark.parametrize("rows", [2, 3, 4, 8, 11])
 def test_forked_dataset_write_equals_one_pass(tmp_path, forks, rows):
     samples = tuple(
-        make_sample(QUOTED_USERS[k % len(QUOTED_USERS)], 1 + k // len(QUOTED_USERS), k,
+        make_sample(QUOTED_USERS[k // 2 % len(QUOTED_USERS)], 1 + k % 2, k,
                     [0.1 * k, -2.5e-7, 1e16 + k])
         for k in range(rows)
     )
@@ -579,3 +580,128 @@ def test_short_outputs_threads_and_one_cpu_stay_in_process(tmp_path, monkeypatch
     assert forked == []
     assert (tmp_path / "short.csv").read_text() == "n,v\n" + "".join(
         _lines(0, ingest.SPLIT_MIN_LINES - 1))
+
+
+@pytest.fixture
+def split_reads(forks, monkeypatch):
+    """Sends every dataset file read through the forked reader; the list
+    grows by one per fork."""
+    monkeypatch.setattr(ingest, "SPLIT_MIN_BYTES", 0)
+    return forks
+
+
+def _one_pass(read):
+    """`read()` with every file read in this process only."""
+    result = []
+    in_process(lambda: result.append(read()))
+    return result[0]
+
+
+def _columns_bytes(columns):
+    return None if columns is None else (*columns[:4], columns[4].tobytes())
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(csv_texts())
+def test_split_read_reads_every_file_as_the_row_loop_does(tmp_path_factory, split_reads, drawn):
+    text, mapping = drawn
+    directory = tmp_path_factory.mktemp("split-read")
+    path = directory / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = _outcome(lambda: _row_loop(path, mapping))
+    assert _outcome(lambda: read_dataset(path, mapping)) == expected
+    split = _read_bulk(path, mapping)
+    assert _columns_bytes(split) == _columns_bytes(_one_pass(lambda: _read_bulk(path, mapping)))
+    assert_reaped_and_clean(directory)
+
+
+def _split_file(tmp_path, rows=40):
+    """A file of `rows` valid rows of one user over sessions 1 and 2."""
+    path = tmp_path / "data.csv"
+    path.write_text(HEADER + "".join(f"u,{1 + k % 2},{k},{k}.5,-{k}.25\n" for k in range(rows)))
+    return path
+
+
+@pytest.mark.parametrize(
+    "row, line, message",
+    [
+        (30, "u,2,30,1.0,x\n", "row 32: non-numeric feature 'f2'"),
+        (30, "u,2,30,1.0\n", "row 32: expected 5 fields, got 4"),
+        (5, "u,2,5,x,2.0\n", "row 7: non-numeric feature 'f1'"),
+        (30, '"u",2,30,1.0,2.0\n', None),
+        (39, "u,2,39,1.0,2.0\r\n", None),
+    ],
+    ids=["non-numeric", "short row", "non-numeric before the cut", "quote", "CRLF"],
+)
+def test_a_row_for_the_row_loop_in_either_part(tmp_path, split_reads, row, line, message):
+    path = _split_file(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[row + 1] = line
+    path.write_text("".join(lines), newline="")
+    assert _read_bulk(path, ColumnMapping()) is None
+    outcome = _outcome(lambda: read_dataset(path))
+    assert outcome == _outcome(lambda: _row_loop(path))
+    if message is not None:
+        assert outcome == (FormatError, f"{path}: {message}")
+    assert split_reads
+    assert_reaped_and_clean(tmp_path)
+
+
+@pytest.mark.parametrize("failure", ["raises", "is killed", "sends too little", "sends too much"])
+def test_a_failed_or_short_child_leaves_its_rows_to_the_parent(
+    tmp_path, split_reads, monkeypatch, failure
+):
+    path = _split_file(tmp_path)
+    expected = _one_pass(lambda: _read_bulk(path, ColumnMapping()))
+    parent = os.getpid()
+    features = ingest._features
+
+    def failing(*args):
+        if os.getpid() != parent:
+            if failure == "is killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("the child fails")
+        return features(*args)
+
+    if failure in ("raises", "is killed"):
+        monkeypatch.setattr(ingest, "_features", failing)
+    else:
+        # Eight bytes fewer or more shift every value the child sends.
+        alter = (lambda sent: sent[8:]) if failure == "sends too little" else (
+            lambda sent: bytes(8) + sent)
+        monkeypatch.setattr(ingest, "split_work", altered_child(ingest.split_work, alter))
+    assert _columns_bytes(_read_bulk(path, ColumnMapping())) == _columns_bytes(expected)
+    assert len(split_reads) == 1
+    assert read_dataset(path) == _one_pass(lambda: read_dataset(path))
+    assert_reaped_and_clean(tmp_path)
+
+
+def test_a_parent_failure_still_reaps_the_reading_child(tmp_path, split_reads, monkeypatch):
+    path = _split_file(tmp_path)
+    parent = os.getpid()
+    features = ingest._features
+
+    def failing(*args):
+        if os.getpid() == parent:
+            raise RuntimeError("the parent fails")
+        return features(*args)
+
+    monkeypatch.setattr(ingest, "_features", failing)
+    with pytest.raises(RuntimeError, match="the parent fails"):
+        read_dataset(path)
+    assert len(split_reads) == 1
+    assert_reaped_and_clean(tmp_path)
+
+
+def test_a_failure_here_kills_the_child_at_once(tmp_path, forks):
+    def here():
+        raise RuntimeError("this process fails")
+
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="this process fails"):
+        ingest.split_work(here, lambda out: time.sleep(60))
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1
+    assert_reaped_and_clean(tmp_path)

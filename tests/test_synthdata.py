@@ -1,4 +1,6 @@
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -12,8 +14,9 @@ from tubench import (
     read_dataset,
     write_dataset,
 )
+from tubench import ingest, synthdata
 from tubench.rng import SplitMix64, block_normals, mix64
-from conftest import dataset_of
+from conftest import altered_child, assert_reaped_and_clean, dataset_of, in_process
 
 
 class ScalarNormals:
@@ -191,3 +194,65 @@ def test_config_validation():
         SynthConfig(1, 2, 1, 1, noise_scale=0.0)
     with pytest.raises(ValidationError):
         SynthConfig(1, 2, 1, 1, drift_scale=-0.1)
+
+
+@pytest.fixture
+def split_generate(forks, monkeypatch):
+    """Draws every dataset on two processes; the list grows by one per fork."""
+    monkeypatch.setattr(synthdata, "SPLIT_MIN_VALUES", 0)
+    return forks
+
+
+def _one_process(config):
+    result = []
+    in_process(lambda: result.append(generate(config)))
+    return result[0]
+
+
+@pytest.mark.parametrize("users", [1, 2, 5])
+def test_split_generate_equals_one_process_bitwise(tmp_path, split_generate, users):
+    config = SynthConfig(users, 3, 4, 5, drift_scale=0.3, seed=users)
+    got = generate(config)
+    assert len(split_generate) == 1
+    expected = _one_process(config)
+    assert len(split_generate) == 1
+    assert np.array_equal(bits(got.feature_matrix), bits(expected.feature_matrix))
+    assert got == expected == reference_generate(config)
+    assert_reaped_and_clean(tmp_path)
+
+
+@pytest.mark.parametrize("failure", ["raises", "is killed", "sends too little"])
+def test_a_failed_or_short_child_leaves_its_users_to_the_parent(
+    tmp_path, split_generate, monkeypatch, failure
+):
+    config = SynthConfig(5, 3, 4, 5, drift_scale=0.3, seed=9)
+    parent = os.getpid()
+    normals = synthdata.block_normals
+
+    def failing(seed, count):
+        if os.getpid() != parent:
+            if failure == "is killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("the child fails")
+        return normals(seed, count)
+
+    if failure == "sends too little":
+        split = altered_child(synthdata.split_work, lambda sent: sent[8:])
+        monkeypatch.setattr(synthdata, "split_work", split)
+    else:
+        monkeypatch.setattr(synthdata, "block_normals", failing)
+    got = generate(config)
+    assert len(split_generate) == 1
+    assert np.array_equal(bits(got.feature_matrix), bits(reference_generate(config).feature_matrix))
+    assert got == _one_process(config)
+    assert_reaped_and_clean(tmp_path)
+
+
+def test_the_acceptance_shape_is_drawn_in_one_process(monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(ingest, "_two_cores", lambda: True)
+    monkeypatch.setattr(os, "fork", fork)
+    config = SynthConfig(**ACCEPTANCE_SHAPE, seed=42)
+    assert generate(config) == reference_generate(config)
