@@ -12,12 +12,15 @@ metric/data error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import shutil
 import sys
 import tempfile
+import types
+import typing
 from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
@@ -38,7 +41,7 @@ from .ingest import (
 )
 from .matcher import EPSILON
 from .metrics import Scheme, aggregate, compute_scheme, session_eers
-from .stream import GlobalOrder, LocalOrder, SessionPolicy, StreamConfig, impostor_count
+from .stream import GlobalOrder, StreamConfig, impostor_count
 from .synthdata import SynthConfig, generate
 from .update import StrategyKind, UpdateStrategy
 
@@ -47,44 +50,38 @@ RESULT_FILES = ("scores.csv", "metrics.csv", "summary.csv", "inclusion.csv")
 REQUIRED = object()
 """The default of a config field that has none."""
 
+
+def _fields_of(cls) -> dict:
+    """The FIELDS section of a dataclass, in field order: `T | None` is T,
+    `tuple[T, ...]` is [T], and a field without a default is REQUIRED."""
+    section, hints = {}, typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        if isinstance(kind, types.UnionType):
+            kind = typing.get_args(kind)[0]
+        if typing.get_origin(kind) is tuple:
+            kind = [typing.get_args(kind)[0]]
+        section[f.name] = (kind, REQUIRED if f.default is dataclasses.MISSING else f.default)
+    return section
+
+
 # Every config field, per section: (JSON type, default or REQUIRED). A type
 # is int, float (any JSON number, resolved to a float), str, bool, an Enum
 # (a string out of the enum's values), dict (the section named by the
 # field's dotted path) or [T] (a list of T). A missing or null field takes
 # its default, which is resolved like a given value; a null default stays
-# null. Defaults shared with a dataclass are read from it.
+# null. Sections that match a dataclass field for field are read from it.
 FIELDS = {
     "dataset": {"path": (str, None), "synthetic": (dict, None), "mapping": (dict, {})},
-    "dataset.synthetic": {
-        "num_users": (int, REQUIRED),
-        "num_sessions": (int, REQUIRED),
-        "samples_per_session": (int, REQUIRED),
-        "dimension": (int, REQUIRED),
-        "base_spread": (float, SynthConfig.base_spread),
-        "drift_scale": (float, SynthConfig.drift_scale),
-        "noise_scale": (float, SynthConfig.noise_scale),
-        "seed": (int, SynthConfig.seed),
-    },
-    "dataset.mapping": {
-        "user_column": (str, ColumnMapping.user_column),
-        "session_column": (str, ColumnMapping.session_column),
-        "rep_column": (str, ColumnMapping.rep_column),
-        "feature_columns": ([str], ColumnMapping.feature_columns),
-    },
+    "dataset.synthetic": _fields_of(SynthConfig),
+    "dataset.mapping": _fields_of(ColumnMapping),
     "matcher": {"epsilon": (float, EPSILON)},
     "update": {
         "kind": (StrategyKind, StrategyKind.NONE),
         "threshold": (float, None),
         "capacity": (int, UpdateStrategy.capacity),
     },
-    "stream": {
-        "impostor_ratio": (float, REQUIRED),
-        "global_order": (GlobalOrder, StreamConfig.global_order),
-        "local_order": (LocalOrder, StreamConfig.local_order),
-        "respect_chronology": (bool, StreamConfig.respect_chronology),
-        "impostor_session_policy": (SessionPolicy, StreamConfig.impostor_session_policy),
-        "scripted": ([Label], StreamConfig.scripted),
-    },
+    "stream": _fields_of(StreamConfig),
     "evaluation": {
         "mode": (Mode, Mode.ONLINE),
         "repeats": (int, ExperimentConfig.repeats),

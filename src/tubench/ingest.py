@@ -65,14 +65,16 @@ def _two_cores() -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
-def split_work(here, there, receive=lambda stream: True) -> None:
-    """Call `here()` in this process while a forked child calls `there(out)`.
+def split_work(here, there, into=None) -> None:
+    """Call `here()` in this process while a forked child calls `there()`.
 
-    `out` is a binary stream into a pipe, which `receive(pipe)` reads once
-    `here()` has returned, saying whether all of it came. Where no child
-    can run (see `_two_cores`), or it fails, or `receive` says False,
-    `there` and `receive` run here through a buffer. When `here` or
-    `receive` raises, the child is killed; it is always reaped.
+    With `into`, the child sends the contiguous array `there()` returns
+    as raw bytes through a pipe, read once `here()` has returned straight
+    into the array `into()` gives, which they must fill to the byte.
+    Where no child can run (see `_two_cores`), or it fails, exits non-zero
+    or sends another number of bytes, `there()` runs here, as
+    `into()[...] = there()` with `into`. When `here` or `into` raises, the
+    child is killed; it is always reaped.
     """
     pid = None
     if _two_cores():
@@ -91,7 +93,9 @@ def split_work(here, there, receive=lambda stream: True) -> None:
         try:
             os.close(read_end)
             with open(write_end, "wb") as out:
-                there(out)
+                sent = there()
+                if into is not None:
+                    out.write(sent)
             status = 0
         finally:
             os._exit(status)
@@ -103,17 +107,17 @@ def split_work(here, there, receive=lambda stream: True) -> None:
         try:  # the pipe closes before the wait, which ends a child blocked on it
             with open(read_end, "rb") as pipe:
                 here()
-                received = receive(pipe)
+                target = np.empty(0) if into is None else into()  # with no into, no byte may come
+                received = pipe.readinto(target) == target.nbytes and not pipe.read(1)
         except BaseException:  # the child's share is of no use now
             os.kill(pid, signal.SIGKILL)
             raise
         finally:
             received = os.waitpid(pid, 0)[1] == 0 and received
     if not received:
-        buffer = io.BytesIO()
-        there(buffer)
-        buffer.seek(0)
-        receive(buffer)
+        sent = there()
+        if into is not None:
+            into()[...] = sent
 
 
 def _write_lines(handle, path: Path, lines, count: int) -> None:
@@ -131,7 +135,7 @@ def _write_lines(handle, path: Path, lines, count: int) -> None:
         return
     part = path.with_name(path.name + ".part")
 
-    def there(_):
+    def there():
         with open(part, "w", newline="", encoding="utf-8") as out:
             out.writelines(lines(count // 2, count))
 
@@ -295,8 +299,8 @@ def _read_bulk(path, mapping: ColumnMapping):
     feature columns of the same lines. From SPLIT_MIN_BYTES of rows on, a
     forked child (see `split_work`) parses the features from the first
     line start at or after a third of the rows' bytes and sends them as
-    raw float64 bytes into the matrix; this process makes the pass and
-    parses the features before that line, which takes about as long.
+    raw float64 bytes into the matrix; this process makes the pass, then
+    fills the matrix's rows before that line, which takes about as long.
     """
     limit = csv.field_size_limit()
     user_codes: dict[bytes, int] = {}
@@ -335,26 +339,16 @@ def _read_bulk(path, mapping: ColumnMapping):
                     codes.append(user_codes.setdefault(fields[user_idx], len(user_codes)))
             if not codes:
                 raise ValueError("no data rows")
-            features = _features(path, body, front, feature_idx)
-
-        def receive(stream):
-            nonlocal features
-            matrix = np.empty((len(codes), len(feature_idx)))
-            matrix[:front] = features
-            if stream.readinto(matrix[front:]) != matrix[front:].nbytes or stream.read(1):
-                return False
-            features = matrix
-            return True
+            features = np.empty((len(codes), len(feature_idx)))
+            features[:front] = _features(path, body, front, feature_idx)
 
         if cut < size:
-            split_work(here, lambda out: out.write(_features(path, cut, None, feature_idx).data),
-                       receive)
+            split_work(here, lambda: _features(path, cut, None, feature_idx),
+                       lambda: features[front:])
         else:
             here()
         user_codes = {user.decode("utf-8"): code for user, code in user_codes.items()}
     except ValueError:  # UnicodeDecodeError among them
-        return None
-    if features.shape != (len(codes), len(feature_idx)):
         return None
     return user_codes, codes, sessions, reps, features
 
@@ -375,10 +369,10 @@ def _integers(path, column: str, values: list[int]) -> np.ndarray:
 def _assemble(
     path, mapping: ColumnMapping, user_codes: dict[str, int], codes, sessions, reps, features
 ) -> Dataset:
-    """A Dataset from parsed columns: users sorted by str, each one's rows
-    ranked by (session, rep) into order indices. Sessions 1..S must each
-    hold a row; the first one that holds none is a FormatError, raised
-    before anything is built per session."""
+    """A Dataset from parsed columns in file order, each user's rows ranked
+    by (session, rep) into order indices; `Dataset.from_columns` sorts
+    them. Sessions 1..S must each hold a row; the first one that holds
+    none is a FormatError, raised before anything is built per session."""
     session_col = _integers(path, mapping.session_column, sessions)
     rep_col = _integers(path, mapping.rep_column, reps)
     present = np.unique(session_col)
@@ -388,19 +382,18 @@ def _assemble(
         raise FormatError(
             f"{path}: session {missing[0] + 1} has no rows, though session {present[-1]} has"
         )
-    users = sorted(user_codes, key=str)
-    rank = {user: i for i, user in enumerate(users)}
-    user_pos = np.array([rank[user] for user in user_codes], dtype=np.intp)[codes]
-    order = np.lexsort((rep_col, session_col, user_pos))
-    user_pos = user_pos[order]
-    first_row = np.searchsorted(user_pos, np.arange(len(users)))
+    codes = np.array(codes, dtype=np.intp)
+    order = np.lexsort((rep_col, session_col, codes))
+    grouped = codes[order]
+    rank = np.empty_like(order)  # each row's place after its user's first row
+    rank[order] = np.arange(len(order)) - np.searchsorted(grouped, grouped)
     return Dataset.from_columns(
         dimension=features.shape[1],
         num_sessions=max(0, int(session_col.max())),
-        user_ids=[users[k] for k in user_pos.tolist()],
-        sessions=session_col[order],
-        order_indices=np.arange(len(order)) - first_row[user_pos],
-        features=features[order],
+        user_ids=np.array(list(user_codes), dtype=object)[codes],
+        sessions=session_col,
+        order_indices=rank,
+        features=features,
     )
 
 

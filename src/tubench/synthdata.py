@@ -95,8 +95,7 @@ def generate(config: SynthConfig) -> Dataset:
     if features.size < SPLIT_MIN_VALUES:
         draw(range(n))
     else:
-        split_work(lambda: draw(range(mid)), lambda out: out.write(draw(range(mid, n)).data),
-                   lambda stream: stream.readinto(features[mid:]) == features[mid:].nbytes)
+        split_work(lambda: draw(range(mid)), lambda: draw(range(mid, n)), lambda: features[mid:])
     user_ids = [f"u{user_index:03d}" for user_index in range(config.num_users)]
     return Dataset.from_columns(
         dimension=d,

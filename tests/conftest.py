@@ -1,5 +1,4 @@
 import bisect
-import io
 import math
 import os
 from pathlib import Path
@@ -174,14 +173,12 @@ def altered_child(split_work, alter):
     as it is."""
     parent = os.getpid()
 
-    def split(here, there, *receive):
-        def share(out):
+    def split(here, there, *into):
+        def share():
             if os.getpid() == parent:
-                return there(out)
-            buffer = io.BytesIO()
-            there(buffer)
-            out.write(alter(buffer.getvalue()))
+                return there()
+            return alter(there().tobytes())
 
-        return split_work(here, share, *receive)
+        return split_work(here, share, *into)
 
     return split

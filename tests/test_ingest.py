@@ -186,6 +186,22 @@ def test_non_finite_feature_fails_validation(tmp_path):
         read_dataset(path)
 
 
+def test_dataset_problems_of_a_file_come_in_file_order(tmp_path):
+    path = tmp_path / "nonfinite.csv"
+    write_table(
+        path,
+        ["user", "session", "rep", "f1"],
+        [["b", "1", "0", "nan"], ["a", "2", "0", "inf"], ["a", "1", "0", "1.0"],
+         ["b", "2", "0", "2.0"]],
+    )
+    with pytest.raises(ValidationError) as raised:
+        read_dataset(path)
+    assert raised.value.violations == [
+        "sample (b, session 1, #0): non-finite feature value",
+        "sample (a, session 2, #1): non-finite feature value",
+    ]
+
+
 def test_dataset_invariant_violations_propagate(tmp_path):
     path = tmp_path / "orphan.csv"
     write_table(
@@ -701,7 +717,7 @@ def test_a_failure_here_kills_the_child_at_once(tmp_path, forks):
 
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="this process fails"):
-        ingest.split_work(here, lambda out: time.sleep(60))
+        ingest.split_work(here, lambda: time.sleep(60))
     assert time.monotonic() - start < 30
     assert len(forks) == 1
     assert_reaped_and_clean(tmp_path)

@@ -221,7 +221,7 @@ def test_split_generate_equals_one_process_bitwise(tmp_path, split_generate, use
     assert_reaped_and_clean(tmp_path)
 
 
-@pytest.mark.parametrize("failure", ["raises", "is killed", "sends too little"])
+@pytest.mark.parametrize("failure", ["raises", "is killed", "sends too little", "sends too much"])
 def test_a_failed_or_short_child_leaves_its_users_to_the_parent(
     tmp_path, split_generate, monkeypatch, failure
 ):
@@ -236,11 +236,13 @@ def test_a_failed_or_short_child_leaves_its_users_to_the_parent(
             raise RuntimeError("the child fails")
         return normals(seed, count)
 
-    if failure == "sends too little":
-        split = altered_child(synthdata.split_work, lambda sent: sent[8:])
-        monkeypatch.setattr(synthdata, "split_work", split)
-    else:
+    if failure in ("raises", "is killed"):
         monkeypatch.setattr(synthdata, "block_normals", failing)
+    else:
+        # Eight bytes fewer or more shift every value the child sends.
+        alter = (lambda sent: sent[8:]) if failure == "sends too little" else (
+            lambda sent: bytes(8) + sent)
+        monkeypatch.setattr(synthdata, "split_work", altered_child(synthdata.split_work, alter))
     got = generate(config)
     assert len(split_generate) == 1
     assert np.array_equal(bits(got.feature_matrix), bits(reference_generate(config).feature_matrix))
