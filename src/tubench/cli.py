@@ -76,11 +76,7 @@ FIELDS = {
     "dataset.synthetic": _fields_of(SynthConfig),
     "dataset.mapping": _fields_of(ColumnMapping),
     "matcher": {"epsilon": (float, EPSILON)},
-    "update": {
-        "kind": (StrategyKind, StrategyKind.NONE),
-        "threshold": (float, None),
-        "capacity": (int, UpdateStrategy.capacity),
-    },
+    "update": _fields_of(UpdateStrategy),
     "stream": _fields_of(StreamConfig),
     "evaluation": {
         "mode": (Mode, Mode.ONLINE),
@@ -215,15 +211,11 @@ def _arguments(section: str, values: dict) -> dict:
 
 def _build_experiment(resolved: dict) -> tuple[ExperimentConfig, tuple[Scheme, ...]]:
     """The experiment and the EER schemes to report."""
-    update = _arguments("update", resolved["update"])
-    threshold = update.pop("threshold")
     evaluation = _arguments("evaluation", resolved["evaluation"])
     schemes = evaluation.pop("schemes")
     experiment = ExperimentConfig(
         stream=StreamConfig(**_arguments("stream", resolved["stream"])),
-        strategy=UpdateStrategy(
-            update_threshold=math.inf if threshold is None else threshold, **update
-        ),
+        strategy=UpdateStrategy(**_arguments("update", resolved["update"])),
         eps=resolved["matcher"]["epsilon"],
         **evaluation,
     )

@@ -54,26 +54,27 @@ def _columns(user_ids, sessions, order_indices, features):
     """`features` as a float (N, width) matrix, and `sessions` and
     `order_indices` as integer vectors, each column checked to be one
     entry per matrix row before any of them is indexed."""
-    matrix = _array("features", features, float, "an (N, width) matrix of numbers")
-    integers = "a one-dimensional column of integers"
+    matrix = _array("features", features, float, ndim=2)
     vectors = {
-        "user_ids": _array("user_ids", user_ids, object, "a one-dimensional column"),
-        "sessions": _array("sessions", sessions, np.intp, integers),
-        "order_indices": _array("order_indices", order_indices, np.intp, integers),
+        "user_ids": _array("user_ids", user_ids, object),
+        "sessions": _array("sessions", sessions, np.intp),
+        "order_indices": _array("order_indices", order_indices, np.intp),
     }
     _require_rows(len(matrix), {name: v.size for name, v in vectors.items()})
     return matrix, vectors["sessions"], vectors["order_indices"]
 
 
-def _array(name: str, column, dtype, what: str) -> np.ndarray:
-    """`column` as an array of `dtype`, 2-D for floats and 1-D otherwise;
-    a ValidationError naming the column says `what` it must be if not."""
+def _array(name: str, column, dtype, ndim: int = 1) -> np.ndarray:
+    """`column` as an `ndim`-dimensional array of `dtype`; a ValidationError
+    naming the column says what it must be if not."""
     try:
         array = np.asarray(column, dtype=dtype)
-    except (TypeError, ValueError):  # ragged, or not of that type
+    except (TypeError, ValueError, OverflowError):  # ragged, not of that type, or out of range
         array = None
-    if array is None or array.ndim != (2 if dtype is float else 1):
-        raise ValidationError(f"column {name} must be {what}")
+    if array is None or array.ndim != ndim:
+        shape = "an (N, width) matrix" if ndim == 2 else "a one-dimensional column"
+        entries = {np.intp: " of integers", float: " of numbers", bool: " of booleans"}.get(dtype, "")
+        raise ValidationError(f"column {name} must be {shape}{entries}")
     return array
 
 
@@ -361,7 +362,8 @@ class ScoreLog:
 
     def __post_init__(self):
         object.__setattr__(self, "users", tuple(self.users))
-        arrays = [np.array(getattr(self, name), dtype=dtype) for name, dtype in _LOG_COLUMNS]
+        # Copies, so that freezing them leaves the caller's arrays writable.
+        arrays = [_array(name, getattr(self, name), dtype).copy() for name, dtype in _LOG_COLUMNS]
         sizes = {name: column.size for (name, _), column in zip(_LOG_COLUMNS, arrays)}
         _require_rows(max(sizes.values()), sizes)
         problems = score_log_violations(self.num_sessions, self.mode, self.users, *arrays[:-1])

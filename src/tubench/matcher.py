@@ -11,6 +11,7 @@ user's enrollment vectors, and its gallery tags every entry it holds.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -45,9 +46,9 @@ class ReferenceModel:
     source_session) itself, at the same position in a list: enrollment
     entries (ENROLLMENT, target_user, 1), updates by `extend`. With a
     `capacity` (at least the enrollment size) the gallery is a FIFO that
-    evicts only updates, and the matrix has capacity rows; without one it
-    grows without bound, and the matrix doubles when outgrown. Evicting
-    the oldest updates shifts the later update rows up.
+    evicts only updates, and only when full; without one it grows without
+    bound. The matrix starts at twice the enrollment size and doubles when
+    outgrown, never past the capacity. Evicting shifts later updates up.
     """
 
     def __init__(
@@ -78,7 +79,7 @@ class ReferenceModel:
         self.target_user = target_user
         self.eps = eps
         self.capacity = capacity
-        self._matrix = np.empty((2 * n if capacity is None else capacity, vectors.shape[1]))
+        self._matrix = np.empty((min(2 * n, capacity or math.inf), vectors.shape[1]))
         self._matrix[:n] = vectors
         self._tags = [(Origin.ENROLLMENT, target_user, 1)] * n
         self._enrolled = n
@@ -109,13 +110,13 @@ class ReferenceModel:
             (Origin.IMPOSTOR_UPDATE if is_impostor else Origin.GENUINE_UPDATE, user, session)
             for user, session, is_impostor in zip(source_users, source_sessions, impostor)
         ]
-        first, n, capacity = self._enrolled, len(self._tags), self.capacity
-        end = n + len(tags)
-        if capacity is None and end > len(self._matrix):  # an unbounded gallery grows
-            grown = np.empty((max(2 * len(self._matrix), end), self._matrix.shape[1]))
+        first, n, rows = self._enrolled, len(self._tags), len(self._matrix)
+        end, capacity = n + len(tags), self.capacity or math.inf
+        if end > rows and rows < capacity:  # outgrown: double, never past the capacity
+            grown = np.empty((min(max(2 * rows, end), capacity), self._matrix.shape[1]))
             grown[:n] = self._matrix[:n]
             self._matrix = grown
-        if capacity is None or end <= capacity:  # nothing to evict: write in place
+        if end <= capacity:  # nothing to evict: write in place
             self._matrix[n:end] = vectors
             self._tags += tags
             return []

@@ -32,20 +32,23 @@ class StrategyKind(str, Enum):
 class UpdateStrategy:
     """How (and whether) accepted queries enter the gallery.
 
-    capacity None means the gallery grows without bound; an integer
-    switches to FIFO eviction among non-enrollment entries. A run enrolls
-    each reference with it (`enroll(..., capacity=)`), and the reference
+    threshold None means no score gate, and is stored as +inf. capacity
+    None means the gallery grows without bound; an integer switches to
+    FIFO eviction among non-enrollment entries. A run enrolls each
+    reference with it (`enroll(..., capacity=)`), and the reference
     rejects a capacity below its enrollment size.
     """
 
-    kind: StrategyKind
-    update_threshold: float = math.inf
+    kind: StrategyKind = StrategyKind.NONE
+    threshold: float | None = None
     capacity: int | None = None
 
     def __post_init__(self):
         problems = []
-        if math.isnan(self.update_threshold):
-            problems.append("update_threshold must not be NaN")
+        if self.threshold is None:
+            object.__setattr__(self, "threshold", math.inf)
+        elif math.isnan(self.threshold):
+            problems.append("threshold must not be NaN")
         if self.capacity is not None and self.capacity < 1:
             problems.append(f"capacity must be >= 1, got {self.capacity}")
         if problems:
@@ -74,7 +77,7 @@ def accepts(strategy: UpdateStrategy, centered, impostor):
     """
     if strategy.kind is StrategyKind.NONE:
         return np.zeros(np.shape(centered), dtype=bool)
-    accept = np.asarray(centered) <= strategy.update_threshold
+    accept = np.asarray(centered) <= strategy.threshold
     if strategy.kind is StrategyKind.SUPERVISED:
         accept = accept & ~np.asarray(impostor)
     return accept
@@ -83,7 +86,7 @@ def accepts(strategy: UpdateStrategy, centered, impostor):
 def score_free(strategy: UpdateStrategy) -> bool:
     """Whether the decision rule reads no (non-NaN) score: `none`, or any
     kind at a threshold of +inf. `accepts` then depends on the label alone."""
-    return strategy.kind is StrategyKind.NONE or strategy.update_threshold == math.inf
+    return strategy.kind is StrategyKind.NONE or strategy.threshold == math.inf
 
 
 def apply_updates(

@@ -292,7 +292,7 @@ def test_supervised_updating_never_includes_impostors():
             ),
             strategy=UpdateStrategy(
                 StrategyKind.SUPERVISED,
-                update_threshold=rng.uniform(-1.0, 4.0),
+                threshold=rng.uniform(-1.0, 4.0),
                 capacity=rng.choice([None, 5, 8]),
             ),
             repeats=1,

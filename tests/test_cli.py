@@ -15,6 +15,7 @@ from tubench.cli import (
     REQUIRED,
     RESULT_FILES,
     _build_experiment,
+    _fields_of,
     _load_dataset,
     cmd_generate,
     cmd_report,
@@ -877,6 +878,22 @@ def test_readme_library_usage_runs_as_written(capsys):
     block = section.split("```python\n", 1)[1].split("```\n", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("[2, 3, 4, 5, 6, 7, 8]")
+
+
+def test_the_update_section_is_read_from_update_strategy():
+    assert FIELDS["update"] == _fields_of(UpdateStrategy) == {
+        "kind": (StrategyKind, StrategyKind.NONE), "threshold": (float, None), "capacity": (int, None),
+    }
+
+
+def test_a_capacity_no_gallery_reaches_runs_as_an_unbounded_gallery(tmp_path):
+    tables = []
+    for capacity in (None, 10**12):
+        config = write_config(tmp_path / f"{capacity}.json", patch={"update": {"capacity": capacity}})
+        out = tmp_path / str(capacity)
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        tables.append({name: (out / name).read_bytes() for name in RESULT_FILES})
+    assert tables[0] == tables[1]
 
 
 def test_readme_config_reference_matches_fields():

@@ -251,10 +251,13 @@ def test_dataset_from_columns_equals_dataset_from_samples():
         (["a", "a"], [1, 2], [0, [1, 2]], [[1.0], [2.0]], "order_indices"),  # ragged
         ([["a"], ["a"]], [1, 2], [0, 1], [[1.0], [2.0]], "user_ids"),  # 2-D
         ("a", [1], [0], [[1.0]], "user_ids"),  # a scalar
+        (["a", "a"], [1, 10**20], [0, 1], [[1.0], [2.0]], "sessions"),  # past intp
+        (["a", "a"], [1, 2], [0, 10**20], [[1.0], [2.0]], "order_indices"),  # past intp
     ],
     ids=[
         "vector", "ragged", "not-numbers", "2-ids-1-row", "1-id-2-rows", "sessions", "orders",
         "2d-sessions", "scalar-sessions", "2d-orders", "ragged-orders", "2d-ids", "scalar-ids",
+        "overflow-sessions", "overflow-orders",
     ],
 )
 def test_malformed_columns_are_rejected_by_name(
@@ -273,6 +276,21 @@ def test_log_columns_of_unequal_length_are_rejected_by_name(short):
     columns[short] = columns[short][:1]
     with pytest.raises(ValidationError, match=f"^column {short} has 1 entries, not 2$"):
         ScoreLog(("a", "b"), 2, Mode.ONLINE, *columns.values())
+
+
+@pytest.mark.parametrize("repeat", [[10**20], ["x"], [[1, 2]]], ids=["overflow", "not-integers", "2d"])
+def test_a_malformed_log_column_is_rejected_by_name(repeat):
+    columns = [repeat, [2], [0], [1], [1.0], [0.0], [False]]
+    with pytest.raises(
+        ValidationError, match="^column repeat must be a one-dimensional column of integers$"
+    ):
+        ScoreLog(("a", "b"), 2, Mode.ONLINE, *columns)
+
+
+def test_a_log_leaves_the_callers_columns_writable():
+    repeat = np.zeros(1, dtype=np.intp)
+    log = ScoreLog(("a", "b"), 2, Mode.ONLINE, repeat, [2], [0], [1], [1.0], [0.0], [False])
+    assert repeat.flags.writeable and not log.repeat.flags.writeable
 
 
 def test_dataset_equality_is_field_for_field():

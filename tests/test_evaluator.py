@@ -48,7 +48,7 @@ def trace_config(mode, kind=StrategyKind.SELF_THRESHOLD, threshold=-0.2, repeats
     return ExperimentConfig(
         mode=mode,
         stream=stream,
-        strategy=UpdateStrategy(kind, update_threshold=threshold),
+        strategy=UpdateStrategy(kind, threshold=threshold),
         repeats=repeats,
         base_seed=7,
     )
@@ -439,7 +439,7 @@ def loop_configs(draw):
     )
     strategy = UpdateStrategy(
         draw(st.sampled_from(list(StrategyKind))),
-        update_threshold=draw(st.sampled_from([2.0, 50.0, math.inf])),
+        threshold=draw(st.sampled_from([2.0, 50.0, math.inf])),
         capacity=draw(st.sampled_from([None, SESSION_SIZE, SESSION_SIZE + 2])),
     )
     config = ExperimentConfig(mode, stream, strategy, repeats=draw(st.integers(1, 2)),

@@ -257,6 +257,17 @@ def test_extend_equals_a_loop_of_one_row_appends(enrolled, spare, batches, seed)
         assert batched._tags == looped._tags
 
 
+def test_a_capacity_no_gallery_reaches_allocates_as_an_unbounded_gallery():
+    vectors = np.array([[0.0, 0.0], [1.0, 1.0]])
+    unbounded, huge = enroll("u", vectors), enroll("u", vectors, capacity=10**12)
+    for first_session in (2, 5, 6, 20):
+        rows, tags = _updates(first_session, 3)
+        assert _extend(unbounded, rows, tags) == _extend(huge, rows, tags) == []
+        assert huge._matrix.shape == unbounded._matrix.shape
+        assert huge.vectors.tobytes() == unbounded.vectors.tobytes()
+    assert len(huge._matrix) == 16
+
+
 def _updates(first_session, k):
     rows = np.arange(first_session, first_session + k, dtype=float)[:, None] * [1.0, -1.0]
     return rows, [(Origin.GENUINE_UPDATE, "u", first_session + i) for i in range(k)]
@@ -351,7 +362,7 @@ def test_statistics_track_gallery_through_random_update_sequences():
     rng = np.random.default_rng(11)
     stream_rng = SplitMix64(99)
     ref = enroll("u", np.array(rng.normal(size=(4, 3))))
-    strategy = UpdateStrategy(StrategyKind.SELF_THRESHOLD, update_threshold=math.inf)
+    strategy = UpdateStrategy(StrategyKind.SELF_THRESHOLD, threshold=math.inf)
     m, s = ref.center_m, ref.center_s
     for i in range(40):
         source = "u" if stream_rng.random() < 0.5 else "v"

@@ -377,7 +377,7 @@ def emitted(events):
 def test_row_pool_draws_match_the_reference_loops(dataset, targets):
     # Every draw absorbs the query, so the reference (and with it every
     # closest-* ranking) moves during the session.
-    absorb_all = UpdateStrategy(StrategyKind.SELF_THRESHOLD, update_threshold=np.inf)
+    absorb_all = UpdateStrategy(StrategyKind.SELF_THRESHOLD, threshold=np.inf)
 
     def run(draws, target, ref):
         events = []

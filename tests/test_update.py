@@ -41,7 +41,7 @@ def test_strategy_none_never_touches_the_gallery():
 
 def test_self_threshold_applies_on_close_impostor():
     ref = fresh_ref()
-    strategy = UpdateStrategy(StrategyKind.SELF_THRESHOLD, update_threshold=-0.2)
+    strategy = UpdateStrategy(StrategyKind.SELF_THRESHOLD, threshold=-0.2)
     outcome = maybe_update(ref, query_for(ref, "imp", [2.0, 2.0]), -0.25, strategy)
     assert outcome.applied is True
     assert outcome.was_impostor is True
@@ -50,7 +50,7 @@ def test_self_threshold_applies_on_close_impostor():
 
 
 def test_self_threshold_boundary_is_inclusive():
-    strategy = UpdateStrategy(StrategyKind.SELF_THRESHOLD, update_threshold=-0.2)
+    strategy = UpdateStrategy(StrategyKind.SELF_THRESHOLD, threshold=-0.2)
     ref = fresh_ref()
     assert maybe_update(ref, query_for(ref, "u", [2.0, 2.0]), -0.2, strategy).applied
     ref = fresh_ref()
@@ -59,7 +59,7 @@ def test_self_threshold_boundary_is_inclusive():
 
 def test_supervised_never_admits_impostors():
     ref = fresh_ref()
-    strategy = UpdateStrategy(StrategyKind.SUPERVISED, update_threshold=-0.2)
+    strategy = UpdateStrategy(StrategyKind.SUPERVISED, threshold=-0.2)
     outcome = maybe_update(ref, query_for(ref, "imp", [2.0, 2.0]), -10.0, strategy)
     assert outcome.applied is False
     assert outcome.was_impostor is True
@@ -75,7 +75,7 @@ def test_supervised_accepts_all_genuine_at_infinite_threshold():
 
 def test_supervised_still_gated_by_threshold():
     ref = fresh_ref()
-    strategy = UpdateStrategy(StrategyKind.SUPERVISED, update_threshold=-0.2)
+    strategy = UpdateStrategy(StrategyKind.SUPERVISED, threshold=-0.2)
     assert not maybe_update(ref, query_for(ref, "u", [9.0, 9.0]), 0.5, strategy).applied
 
 
@@ -107,7 +107,23 @@ def test_strategy_field_validation():
     with pytest.raises(ValidationError):
         UpdateStrategy(StrategyKind.SELF_THRESHOLD, capacity=0)
     with pytest.raises(ValidationError):
-        UpdateStrategy(StrategyKind.SELF_THRESHOLD, update_threshold=math.nan)
+        UpdateStrategy(StrategyKind.SELF_THRESHOLD, threshold=math.nan)
+
+
+def test_the_default_strategy_never_updates_and_has_no_score_gate():
+    assert UpdateStrategy() == UpdateStrategy(StrategyKind.NONE, math.inf, None)
+    assert UpdateStrategy().threshold == math.inf
+
+
+@pytest.mark.parametrize("kind", list(StrategyKind))
+def test_a_null_threshold_is_no_score_gate(kind):
+    assert UpdateStrategy(kind, None) == UpdateStrategy(kind, math.inf)
+    assert UpdateStrategy(kind).threshold == math.inf
+
+
+def test_a_nan_threshold_is_rejected_by_name():
+    with pytest.raises(ValidationError, match="^threshold must not be NaN$"):
+        UpdateStrategy(StrategyKind.SUPERVISED, math.nan)
 
 
 def test_update_outcome_consistency_is_validated():
@@ -145,7 +161,7 @@ def test_inclusion_after_scripted_sequence():
 
 def test_self_threshold_is_label_blind():
     # flipping the ground-truth label changes was_impostor but never applied
-    strategy = UpdateStrategy(StrategyKind.SELF_THRESHOLD, update_threshold=0.0)
+    strategy = UpdateStrategy(StrategyKind.SELF_THRESHOLD, threshold=0.0)
     rng = np.random.default_rng(5)
     stream = SplitMix64(17)
     for i in range(40):
@@ -164,7 +180,7 @@ def test_supervised_inclusion_stays_zero_over_random_sequences():
     for trial in range(20):
         ref = fresh_ref()
         strategy = UpdateStrategy(
-            StrategyKind.SUPERVISED, update_threshold=rng.uniform(-1.0, 5.0)
+            StrategyKind.SUPERVISED, threshold=rng.uniform(-1.0, 5.0)
         )
         for i in range(30):
             source = "u" if rng.random() < 0.5 else f"imp{trial}"
