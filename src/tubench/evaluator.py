@@ -22,13 +22,12 @@ rows as one FIFO batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .core import Dataset, Mode, ScoreLog, scored_sessions
 from .errors import ConfigError, ValidationError
-from .matcher import EPSILON, ReferenceModel, center, enroll, raw_score
+from .matcher import EPSILON, center, enroll, raw_score
 from .matcher import centered_score  # noqa: F401  perfbench traces it under this module
 from .rng import BlockBounds, block_mix64, block_randbelow
 from .stream import CLOSEST, StreamConfig, commit, plan_rows, plan_session, session_layouts
@@ -57,15 +56,18 @@ class ExperimentConfig:
 class RunResult:
     """A run's score log plus the gallery-side measurements.
 
-    `inclusion[r, s - 2, u]` is the impostor inclusion of the reference of
-    `log.users[u]` in repeat r at the end of session s, for every session
-    2..S in which updates could occur; final_models keeps each (repeat,
-    user) reference for provenance checks.
+    `inclusion[r, s - 2, u]` and `gallery_size[r, s - 2, u]` are the
+    impostor inclusion and entry count of the reference of `log.users[u]`
+    in repeat r at the end of session s, for every session 2..S in which
+    updates could occur. `updates` has one read-only column each of
+    `repeat`, `session`, `target`, stream `position` and dataset `row`:
+    one entry per applied update, in run order.
     """
 
     log: ScoreLog
     inclusion: np.ndarray
-    final_models: Mapping[tuple[int, str], ReferenceModel]
+    gallery_size: np.ndarray
+    updates: dict[str, np.ndarray]
 
 
 def _apply(model, dataset, users, rows, impostor) -> None:
@@ -126,11 +128,11 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
             f"offline evaluation needs at least 3 sessions, dataset has {dataset.num_sessions}"
         )
     logged_sessions = scored_sessions(config.mode, dataset.num_sessions)
-    logged = []  # per logged session: repeat, session, target, rows, raw, centered, applied
-    final_models: dict[tuple[int, str], ReferenceModel] = {}
+    presented = []  # per session: repeat, session, target, rows, raw, centered, applied
     users = dataset.users
     sessions = range(2, dataset.num_sessions + 1)
     inclusion = np.empty((config.repeats, len(sessions), len(users)))
+    gallery_size = np.empty(inclusion.shape, dtype=np.intp)
     closest = config.stream.local_order in CLOSEST
     layouts = session_layouts(dataset, config.stream, [(u, s) for u in users for s in sessions])
     bounds = BlockBounds([layout.bounds for layout in layouts])
@@ -155,28 +157,39 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
                     model, dataset, users, rows, state.impostor, config.strategy,
                     state if replan else None, frozen=not online,
                 )
-                if session in logged_sessions:
-                    logged.append((repeat, session, user_index, rows, raw, centered, applied))
+                presented.append((repeat, session, user_index, rows, raw, centered, applied))
                 inclusion[repeat, session - 2, user_index] = impostor_inclusion(model)
-            final_models[(repeat, user)] = model
-    return RunResult(_score_log(dataset, config.mode, logged), inclusion, final_models)
+                gallery_size[repeat, session - 2, user_index] = len(model.vectors)
+    log, updates = _tables(dataset, config.mode, logged_sessions, presented)
+    return RunResult(log, inclusion, gallery_size, updates)
 
 
-def _score_log(dataset: Dataset, mode: Mode, logged: list[tuple]) -> ScoreLog:
-    """One columnar log from the logged sessions, in run order."""
-    repeat, session, target, rows, raw, centered, applied = zip(*logged) if logged else [()] * 7
+def _tables(dataset: Dataset, mode: Mode, logged_sessions: range, presented: list[tuple]):
+    """The score log of the logged sessions and the applied-update columns,
+    both in run order, from one concatenation of every presented session."""
+    repeat, session, target, rows, raw, centered, applied = zip(*presented) if presented else [()] * 7
     lengths = [len(r) for r in rows]
 
-    def flat(parts, dtype):
+    def flat(parts, dtype=np.intp):
         return np.concatenate([np.empty(0, dtype), *parts])
 
-    return ScoreLog(
+    columns = dict(
+        zip(("repeat", "session", "target"),
+            (np.repeat(np.array(c, dtype=np.intp), lengths) for c in (repeat, session, target))),
+        position=flat(map(np.arange, lengths)),
+        row=flat(rows),
+    )
+    applied, logged = flat(applied, bool), columns["session"] >= logged_sessions.start
+    log = ScoreLog(
         dataset.users,
         dataset.num_sessions,
         mode,
-        *(np.repeat(np.array(c, dtype=np.intp), lengths) for c in (repeat, session, target)),
-        dataset.row_user[flat(rows, np.intp)],
-        flat(raw, float),
-        flat(centered, float),
-        flat(applied, bool),
+        *(columns[name][logged] for name in ("repeat", "session", "target")),
+        dataset.row_user[columns["row"][logged]],
+        *(flat(scores, float)[logged] for scores in (raw, centered)),
+        applied[logged],
     )
+    updates = {name: column[applied] for name, column in columns.items()}
+    for column in updates.values():
+        column.flags.writeable = False
+    return log, updates

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigError, EnrollmentError, ValidationError
 
 EPSILON = 1e-6
+LOO_BLOCK = 1 << 20
 
 
 class Origin(str, Enum):
@@ -66,13 +67,17 @@ class ReferenceModel:
         if capacity is not None and capacity < n:
             raise ConfigError(f"gallery capacity {capacity} is below the enrollment size {n}")
 
-        # Row k of `rest` holds every enrollment vector but the k-th, in order,
-        # so the axis-1 reductions give each leave-one-out gallery's statistics.
-        others = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
-        rest = vectors[others]
-        mu_loo = rest.mean(axis=1)
-        mad_loo = np.maximum(np.abs(rest - mu_loo[:, None, :]).mean(axis=1), eps)
-        loo_scores = np.mean(np.abs(vectors - mu_loo) / mad_loo, axis=1)
+        # Row k of `rest` holds every enrollment vector but the k-th, in order, so the
+        # axis-1 reductions give each leave-one-out gallery's statistics, the same in
+        # any block of rows; one block holds about LOO_BLOCK values.
+        loo_scores = np.empty(n)
+        step = max(1, LOO_BLOCK // ((n - 1) * vectors.shape[1]))
+        for start in range(0, n, step):
+            k = np.arange(start, min(start + step, n))
+            rest = vectors[np.arange(n - 1) + (np.arange(n - 1) >= k[:, None])]
+            mu_loo = rest.mean(axis=1)
+            mad_loo = np.maximum(np.abs(rest - mu_loo[:, None, :]).mean(axis=1), eps)
+            loo_scores[k] = np.mean(np.abs(vectors[k] - mu_loo) / mad_loo, axis=1)
         self.center_m = float(np.mean(loo_scores))
         self.center_s = max(float(np.std(loo_scores)), eps)
 

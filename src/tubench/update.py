@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -32,11 +33,12 @@ class StrategyKind(str, Enum):
 class UpdateStrategy:
     """How (and whether) accepted queries enter the gallery.
 
-    threshold None means no score gate, and is stored as +inf. capacity
-    None means the gallery grows without bound; an integer switches to
-    FIFO eviction among non-enrollment entries. A run enrolls each
-    reference with it (`enroll(..., capacity=)`), and the reference
-    rejects a capacity below its enrollment size.
+    kind may be given by value ("supervised"). threshold None means no
+    score gate, and is stored as +inf. capacity None means the gallery
+    grows without bound; an integer switches to FIFO eviction among
+    non-enrollment entries. A run enrolls each reference with it
+    (`enroll(..., capacity=)`), and the reference rejects a capacity below
+    its enrollment size.
     """
 
     kind: StrategyKind = StrategyKind.NONE
@@ -45,11 +47,19 @@ class UpdateStrategy:
 
     def __post_init__(self):
         problems = []
+        try:
+            object.__setattr__(self, "kind", StrategyKind(self.kind))
+        except ValueError as exc:
+            problems.append(f"kind: {exc}")
         if self.threshold is None:
             object.__setattr__(self, "threshold", math.inf)
+        elif not isinstance(self.threshold, Real):
+            problems.append(f"threshold must be a number, got {self.threshold!r}")
         elif math.isnan(self.threshold):
             problems.append("threshold must not be NaN")
-        if self.capacity is not None and self.capacity < 1:
+        if self.capacity is not None and not isinstance(self.capacity, Integral):
+            problems.append(f"capacity must be an integer, got {self.capacity!r}")
+        elif self.capacity is not None and self.capacity < 1:
             problems.append(f"capacity must be >= 1, got {self.capacity}")
         if problems:
             raise ValidationError(problems)

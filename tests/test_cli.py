@@ -877,7 +877,9 @@ def test_readme_library_usage_runs_as_written(capsys):
     section = README.read_text(encoding="utf-8").split("## Library usage", 1)[1]
     block = section.split("```python\n", 1)[1].split("```\n", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
-    assert capsys.readouterr().out.startswith("[2, 3, 4, 5, 6, 7, 8]")
+    out = capsys.readouterr().out
+    assert out.startswith("[2, 3, 4, 5, 6, 7, 8]")
+    assert out.endswith("\n1660\n28.3\n")  # the updates and final gallery size printed last
 
 
 def test_the_update_section_is_read_from_update_strategy():

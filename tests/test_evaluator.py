@@ -13,7 +13,6 @@ from tubench import (
     LocalOrder,
     Mode,
     Origin,
-    ReferenceModel,
     ScoreRecord,
     SessionPolicy,
     StrategyKind,
@@ -105,39 +104,25 @@ def test_offline_needs_at_least_three_sessions():
         run_experiment(dataset, config)
 
 
-def test_runs_build_no_sample_views_and_evict_update_tags_oldest_first(monkeypatch):
-    appended, evicted = [], []
-    extend = ReferenceModel.extend
-
-    def recording_extend(model, vectors, *sources):
-        before = model._tags[model._enrolled :]
-        gone = extend(model, vectors, *sources)
-        # The gallery's updates were `before` + the new tags, less `gone` from the front.
-        updates = gone + model._tags[model._enrolled :]
-        assert updates[: len(before)] == before
-        added = updates[len(before) :]
-        assert len(added) == len(vectors)
-        appended.extend((model, tag) for tag in added)
-        evicted.extend((model, tag) for tag in gone)
-        return gone
-
-    monkeypatch.setattr(ReferenceModel, "extend", recording_extend)
+def test_runs_build_no_sample_views_and_evict_updates_oldest_first(monkeypatch):
+    models = recording_enroll(monkeypatch)
     dataset = small_synth()  # built from columns
     for mode in Mode:
-        appended.clear()
-        evicted.clear()
+        models.clear()
         strategy = UpdateStrategy(StrategyKind.SUPERVISED, capacity=6)
         result = run_experiment(
             dataset, ExperimentConfig(mode, StreamConfig(impostor_ratio=0.3), strategy, 1, 2)
         )
-        assert evicted, mode
-        for model in result.final_models.values():
-            added = [tag for owner, tag in appended if owner is model]
-            gone = [tag for owner, tag in evicted if owner is model]
-            assert gone == added[: len(gone)]
-            kept = model._tags[4:]
-            assert kept == added[len(gone) :]
-            assert all(tag[1] == model.target_user for tag in added)
+        updates = result.updates
+        assert (dataset.row_user[updates["row"]] == updates["target"]).all(), mode
+        assert derived_evictions(dataset, result).any(), mode
+        for user_index, model in enumerate(models):
+            rows = updates["row"][updates["target"] == user_index]
+            kept = len(model.vectors) - 4
+            # The gallery keeps the newest `kept` updates, in the order applied.
+            newest = dataset.feature_matrix[rows[rows.size - kept :]]
+            assert model.vectors[4:].tobytes() == newest.tobytes()
+            assert model.origins[4:] == (Origin.GENUINE_UPDATE,) * kept
     assert "samples" not in dataset.__dict__
 
 
@@ -176,12 +161,15 @@ def test_online_applied_records_match_gallery_insertions():
         base_seed=13,
     )
     result = run_experiment(dataset, config)
-    log = result.log
-    for (repeat, user), model in result.final_models.items():
-        rows = (log.repeat == repeat) & (log.target == log.users.index(user))
-        applied = np.count_nonzero(log.applied[rows])
-        inserted = sum(1 for origin in model.origins if origin is not Origin.ENROLLMENT)
-        assert applied == inserted
+    log, updates = result.log, result.updates
+    for repeat in range(config.repeats):
+        for user_index, user in enumerate(dataset.users):
+            rows = (log.repeat == repeat) & (log.target == user_index)
+            applied = np.count_nonzero(log.applied[rows])
+            ours = (updates["repeat"] == repeat) & (updates["target"] == user_index)
+            assert np.count_nonzero(ours) == applied
+            inserted = result.gallery_size[repeat, -1, user_index] - len(dataset.row_range(user, 1))
+            assert applied == inserted
 
 
 def test_offline_and_online_agree_when_nothing_updates():
@@ -221,7 +209,8 @@ def test_online_hand_trace(trace_dataset):
     assert not applied[3]
 
 
-def test_offline_hand_trace(trace_dataset):
+def test_offline_hand_trace(trace_dataset, monkeypatch):
+    models = recording_enroll(monkeypatch)
     result = run_experiment(trace_dataset, trace_config(Mode.OFFLINE))
     sqrt2 = math.sqrt(2.0)
     log = result.log
@@ -241,10 +230,16 @@ def test_offline_hand_trace(trace_dataset):
     # the impostor is then re-scored against (mu 2.16, mad 0.928) and
     # stays out.
     assert log.applied[a].tolist() == [True, False]
-    model = result.final_models[(0, "A")]
+    model = models[log.users.index("A")]
     assert np.allclose(model.mu, [2.16])
     assert np.allclose(model.mad, [0.928])
-    assert model.origins.count(Origin.GENUINE_UPDATE) == 2
+    # Two genuine updates of A: 2.2 in session 2, 2.6 in session 3, each first in its stream.
+    updates = result.updates
+    ours = updates["target"] == log.users.index("A")
+    assert updates["session"][ours].tolist() == [2, 3]
+    assert updates["position"][ours].tolist() == [0, 0]
+    assert trace_dataset.feature_matrix[updates["row"][ours]].tolist() == [[2.2], [2.6]]
+    assert result.gallery_size[0, :, log.users.index("A")].tolist() == [4, 5]
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -329,39 +324,70 @@ def _reference_enroll(dataset, user, config):
     )
 
 
+class _Reference:
+    """What a reference loop saw: its records, every applied update as
+    (repeat, session, target index, stream position, dataset row), each
+    final gallery, and per (repeat, session 2..S, user) the inclusion, the
+    gallery size and the evictions so far, NaN-filled so that an entry
+    left unset compares unequal."""
+
+    def __init__(self, dataset, config):
+        shape = (config.repeats, dataset.num_sessions - 1, len(dataset.users))
+        self.records, self.events, self.galleries = [], [], {}
+        self.inclusion, self.sizes, self.evictions = (np.full(shape, np.nan) for _ in range(3))
+        self.evicted = 0
+
+    def update(self, model, state, query, centered, config, repeat, session, user_index):
+        outcome = maybe_update(model, query, centered, config.strategy)
+        if outcome.applied:
+            row = int(state.rows[query.stream_position])
+            self.events.append((repeat, session, user_index, query.stream_position, row))
+        self.evicted += outcome.evicted is not None
+        return outcome.applied
+
+    def measure(self, model, repeat, session, user_index):
+        key = (repeat, session - 2, user_index)
+        self.inclusion[key] = impostor_inclusion(model)
+        self.sizes[key] = len(model.vectors)
+        self.evictions[key] = self.evicted
+
+
 def reference_online(dataset, config):
     """One next_query, raw_score and maybe_update per query; one record each."""
-    records, final_models = [], {}
-    inclusion = _inclusion_array(dataset, config)
+    seen = _Reference(dataset, config)
     for repeat in range(config.repeats):
         for user_index, user in enumerate(dataset.users):
             model = _reference_enroll(dataset, user, config)
+            seen.evicted = 0
             for session in range(2, dataset.num_sessions + 1):
                 state = _reference_stream(dataset, user, user_index, session, repeat, config)
                 while (query := next_query(state, model)) is not None:
                     raw = raw_score(model, query.sample.features)
                     centered = center(model, raw)
-                    outcome = maybe_update(model, query, centered, config.strategy)
-                    records.append(
-                        ScoreRecord(repeat, session, user, query.sample.user_id,
-                                    query.true_label, raw, centered, outcome.applied)
+                    applied = seen.update(
+                        model, state, query, centered, config, repeat, session, user_index
                     )
-                inclusion[repeat, session - 2, user_index] = impostor_inclusion(model)
-            final_models[(repeat, user)] = model
-    return records, inclusion, final_models
+                    seen.records.append(
+                        ScoreRecord(repeat, session, user, query.sample.user_id,
+                                    query.true_label, raw, centered, applied)
+                    )
+                seen.measure(model, repeat, session, user_index)
+            seen.galleries[(repeat, user)] = model
+    return seen
 
 
 def reference_offline(dataset, config):
     """Session 2 for update only; later sessions scored frozen, then replayed."""
-    records, final_models = [], {}
-    inclusion = _inclusion_array(dataset, config)
+    seen = _Reference(dataset, config)
     for repeat in range(config.repeats):
         for user_index, user in enumerate(dataset.users):
             model = _reference_enroll(dataset, user, config)
+            seen.evicted = 0
             state = _reference_stream(dataset, user, user_index, 2, repeat, config)
             while (query := next_query(state, model)) is not None:
-                maybe_update(model, query, centered_score(model, query.sample.features), config.strategy)
-            inclusion[repeat, 0, user_index] = impostor_inclusion(model)
+                centered = centered_score(model, query.sample.features)
+                seen.update(model, state, query, centered, config, repeat, 2, user_index)
+            seen.measure(model, repeat, 2, user_index)
             for session in range(3, dataset.num_sessions + 1):
                 state = _reference_stream(dataset, user, user_index, session, repeat, config)
                 staged = []
@@ -369,25 +395,20 @@ def reference_offline(dataset, config):
                     raw = raw_score(model, query.sample.features)
                     staged.append((query, raw, center(model, raw)))
                 flags = [
-                    maybe_update(
-                        model, query, centered_score(model, query.sample.features), config.strategy
-                    ).applied
+                    seen.update(
+                        model, state, query, centered_score(model, query.sample.features), config,
+                        repeat, session, user_index,
+                    )
                     for query, _, _ in staged
                 ]
                 for (query, raw, centered), applied in zip(staged, flags):
-                    records.append(
+                    seen.records.append(
                         ScoreRecord(repeat, session, user, query.sample.user_id,
                                     query.true_label, raw, centered, applied)
                     )
-                inclusion[repeat, session - 2, user_index] = impostor_inclusion(model)
-            final_models[(repeat, user)] = model
-    return records, inclusion, final_models
-
-
-def _inclusion_array(dataset, config):
-    """A NaN-filled (repeats, sessions 2..S, users) array, so that an entry
-    left unset compares unequal."""
-    return np.full((config.repeats, dataset.num_sessions - 1, len(dataset.users)), np.nan)
+                seen.measure(model, repeat, session, user_index)
+            seen.galleries[(repeat, user)] = model
+    return seen
 
 
 def _hex_rows(rows):
@@ -405,6 +426,30 @@ def _assert_same_galleries(got, expected):
         assert got[key].origins == model.origins, key
         assert got[key].mu.tobytes() == model.mu.tobytes(), key
         assert got[key].mad.tobytes() == model.mad.tobytes(), key
+
+
+def recording_enroll(monkeypatch):
+    """Make runs enroll through a wrapper of `evaluator.enroll`; returns the
+    list every enrolled reference is appended to, in enrollment order."""
+    models = []
+
+    def enrolling(*args, **kwargs):
+        models.append(enroll(*args, **kwargs))
+        return models[-1]
+
+    monkeypatch.setattr(evaluator, "enroll", enrolling)
+    return models
+
+
+def derived_evictions(dataset, result):
+    """Per (repeat, session 2..S, user), the entries each FIFO gallery has
+    evicted so far: its enrollment size plus its updates applied so far,
+    less its gallery size."""
+    updates = result.updates
+    applied = np.zeros(result.gallery_size.shape, dtype=np.intp)
+    np.add.at(applied, (updates["repeat"], updates["session"] - 2, updates["target"]), 1)
+    enrolled = [len(dataset.row_range(user, 1)) for user in dataset.users]
+    return np.asarray(enrolled) + applied.cumsum(axis=1) - result.gallery_size
 
 
 SESSION_SIZE = 4  # genuine queries per session of `close_users`
@@ -452,12 +497,20 @@ def loop_configs(draw):
 def test_session_loop_matches_the_per_query_loops_bitwise(case):
     dataset, config = case
     reference = reference_online if config.mode is Mode.ONLINE else reference_offline
-    records, inclusion, final_models = reference(dataset, config)
-    result = run_experiment(dataset, config)
-    assert _hex_rows(log_rows(result.log)) == _hex_rows(astuple(r) for r in records)
-    assert result.inclusion.shape == inclusion.shape
-    assert result.inclusion.tobytes() == inclusion.tobytes()
-    _assert_same_galleries(result.final_models, final_models)
+    seen = reference(dataset, config)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        models = recording_enroll(monkeypatch)
+        result = run_experiment(dataset, config)
+    assert _hex_rows(log_rows(result.log)) == _hex_rows(astuple(r) for r in seen.records)
+    assert result.inclusion.shape == seen.inclusion.shape
+    assert result.inclusion.tobytes() == seen.inclusion.tobytes()
+    keys = [(repeat, user) for repeat in range(config.repeats) for user in dataset.users]
+    _assert_same_galleries(dict(zip(keys, models, strict=True)), seen.galleries)
+    updates = result.updates
+    columns = ("repeat", "session", "target", "position", "row")
+    assert list(zip(*(updates[name].tolist() for name in columns))) == seen.events
+    assert result.gallery_size.tolist() == seen.sizes.tolist()
+    assert derived_evictions(dataset, result).tolist() == seen.evictions.tolist()
 
 
 @pytest.mark.parametrize("mode", list(Mode))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from tubench import (
     raw_score,
     refresh_statistics,
 )
+from tubench import matcher
 from tubench.matcher import gallery_statistics
 from tubench.rng import SplitMix64
 from conftest import make_sample
@@ -172,6 +174,52 @@ def test_gathered_leave_one_out_equals_the_per_sample_loop_bitwise(n, d, scale, 
     center_m, center_s = loop_centering(vectors, eps)
     assert ref.center_m.hex() == center_m.hex()
     assert ref.center_s.hex() == center_s.hex()
+
+
+def whole_array_centering(vectors, eps):
+    """The leave-one-out centering constants from one (n, n - 1, d) array
+    of every leave-one-out gallery (the form `enroll` used before it
+    worked in blocks of rows)."""
+    n = len(vectors)
+    others = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
+    rest = vectors[others]
+    mu_loo = rest.mean(axis=1)
+    mad_loo = np.maximum(np.abs(rest - mu_loo[:, None, :]).mean(axis=1), eps)
+    loo_scores = np.mean(np.abs(vectors - mu_loo) / mad_loo, axis=1)
+    return float(np.mean(loo_scores)), max(float(np.std(loo_scores)), eps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    d=st.sampled_from([1, 3, 10, 31]),
+    block=st.integers(1, 4000),
+    scale=st.sampled_from([1e-3, 1.0, 1e6]),
+    eps=st.sampled_from([EPSILON, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_leave_one_out_equals_the_whole_array_bitwise(n, d, block, scale, eps, seed):
+    # A small block splits enrollment into blocks of rows, down to one row each.
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(n, d)) * scale + rng.normal()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matcher, "LOO_BLOCK", block)
+        ref = enroll("u", np.array(vectors), eps=eps)
+    center_m, center_s = whole_array_centering(vectors, eps)
+    assert ref.center_m.hex() == center_m.hex()
+    assert ref.center_s.hex() == center_s.hex()
+
+
+def test_enrollment_memory_stays_bounded_by_its_blocks():
+    # One whole (n, n - 1, d) array and its two temporaries peak at 258 MiB at this size.
+    vectors = np.random.default_rng(5).normal(size=(600, 31))
+    tracemalloc.start()
+    try:
+        enroll("u", vectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_centered_score_is_affine_in_raw():

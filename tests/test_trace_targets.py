@@ -1,22 +1,38 @@
 """The benchmark's tracer wraps tubench functions by name from outside
 (`perfbench/tracing.py`). A rename or a moved import would break
 `--trace 1` only when the benchmark runs, so the names are checked here,
-without running a benchmark."""
+without running a benchmark. So are the updates each benchmark workload
+applies, from the configs `perfbench/workloads.py` makes."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from tubench import run_experiment
+from tubench.cli import _build_experiment, _load_dataset, resolve_config
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
 
 
 def _current(owner, attribute):
@@ -43,3 +59,26 @@ def test_install_wraps_and_uninstall_restores_every_target(tracing):
         tracer.uninstall()
     for target, original in originals.items():
         assert _current(*tracing._owner(target)) is original, target
+
+
+@pytest.mark.parametrize(
+    "name, applied",
+    [
+        ("acceptance-online", 1660),
+        ("cmu-offline-fifo", 51 * 7 * 50),  # every genuine query of sessions 2..8
+        ("local-orders", 664),
+    ],
+)
+def test_each_workload_applies_its_counted_updates_and_no_impostor(workloads, name, applied):
+    workload = workloads.WORKLOADS[name]
+    # cmu-offline-fifo runs on the CSV its generate config writes; the
+    # synthetic section of that config draws the same dataset in memory.
+    documents = [d for d in workload.configs(42).values() if d["dataset"].get("synthetic")]
+    total = impostors = 0
+    for document in documents:
+        resolved = resolve_config(document)
+        dataset = _load_dataset(resolved)
+        updates = run_experiment(dataset, _build_experiment(resolved)[0]).updates
+        total += updates["row"].size
+        impostors += np.count_nonzero(dataset.row_user[updates["row"]] != updates["target"])
+    assert (total, impostors) == (applied, 0)

@@ -18,6 +18,7 @@ from tubench import (
 )
 from tubench.matcher import gallery_statistics
 from tubench.rng import SplitMix64
+from tubench.update import accepts
 from conftest import make_sample
 
 
@@ -124,6 +125,29 @@ def test_a_null_threshold_is_no_score_gate(kind):
 def test_a_nan_threshold_is_rejected_by_name():
     with pytest.raises(ValidationError, match="^threshold must not be NaN$"):
         UpdateStrategy(StrategyKind.SUPERVISED, math.nan)
+
+
+def test_a_kind_given_by_value_is_converted():
+    strategy = UpdateStrategy("supervised", 0.0)
+    assert strategy == UpdateStrategy(StrategyKind.SUPERVISED, 0.0)
+    assert strategy.kind is StrategyKind.SUPERVISED
+    assert accepts(strategy, [-1.0, -1.0], [False, True]).tolist() == [True, False]
+
+
+@pytest.mark.parametrize(
+    "arguments, message",
+    [
+        (("bogus", 0.0), "kind: 'bogus' is not a valid StrategyKind"),
+        ((StrategyKind.SUPERVISED, "x"), "threshold must be a number, got 'x'"),
+        ((StrategyKind.SUPERVISED, None, "3"), "capacity must be an integer, got '3'"),
+        ((StrategyKind.SUPERVISED, None, 2.0), "capacity must be an integer, got 2.0"),
+    ],
+    ids=["kind", "threshold", "capacity-string", "capacity-float"],
+)
+def test_a_malformed_strategy_field_is_rejected_by_name(arguments, message):
+    with pytest.raises(ValidationError) as caught:
+        UpdateStrategy(*arguments)
+    assert caught.value.violations == [message]
 
 
 def test_update_outcome_consistency_is_validated():
