@@ -36,7 +36,6 @@ from .evaluator import (
 from .ingest import CMU_KEYSTROKE, ColumnMapping, read_dataset, write_dataset
 from .matcher import (
     EPSILON,
-    Origin,
     ReferenceModel,
     center,
     centered_score,

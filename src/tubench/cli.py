@@ -197,15 +197,12 @@ def load_config(path) -> dict:
 
 
 def _arguments(section: str, values: dict) -> dict:
-    """A resolved section as dataclass arguments: enum members, lists as tuples."""
+    """A resolved section as dataclass arguments: lists as tuples of their
+    element type (enum fields are converted by the dataclasses)."""
     arguments = dict(values)
     for key, (kind, _) in FIELDS[section].items():
-        if values[key] is None:
-            continue
-        if isinstance(kind, list):
+        if values[key] is not None and isinstance(kind, list):
             arguments[key] = tuple(map(kind[0], values[key]))
-        elif issubclass(kind, Enum):
-            arguments[key] = kind(values[key])
     return arguments
 
 

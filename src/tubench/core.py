@@ -13,10 +13,26 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
 from .errors import ValidationError
+
+
+def convert_enums(instance, kinds: dict, problems: list) -> None:
+    """Set each named enum field of a frozen dataclass to its member, so that
+    a field may be given by value; an unknown value is a problem naming it."""
+    for name, kind in kinds.items():
+        try:
+            object.__setattr__(instance, name, kind(getattr(instance, name)))
+        except ValueError as exc:
+            problems.append(f"{name}: {exc}")
+
+
+def is_integer(value) -> bool:
+    """Whether `value` is an integer other than a bool (an `Integral` too)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 class Label(str, Enum):

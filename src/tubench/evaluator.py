@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Mode, ScoreLog, scored_sessions
+from .core import Dataset, Mode, ScoreLog, convert_enums, is_integer, scored_sessions
 from .errors import ConfigError, ValidationError
 from .matcher import EPSILON, center, enroll, raw_score
 from .matcher import centered_score  # noqa: F401  perfbench traces it under this module
@@ -38,7 +38,7 @@ from .update import maybe_update  # noqa: F401  perfbench traces it under this m
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one evaluation run depends on."""
+    """Everything one evaluation run depends on; mode may be given by value."""
 
     mode: Mode
     stream: StreamConfig
@@ -48,8 +48,16 @@ class ExperimentConfig:
     eps: float = EPSILON
 
     def __post_init__(self):
-        if self.repeats < 1:
-            raise ValidationError(f"repeats must be >= 1, got {self.repeats}")
+        problems = []
+        convert_enums(self, {"mode": Mode}, problems)
+        if not is_integer(self.repeats):
+            problems.append(f"repeats must be an integer, got {self.repeats!r}")
+        elif self.repeats < 1:
+            problems.append(f"repeats must be >= 1, got {self.repeats}")
+        if not is_integer(self.base_seed):
+            problems.append(f"base_seed must be an integer, got {self.base_seed!r}")
+        if problems:
+            raise ValidationError(problems)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +69,8 @@ class RunResult:
     in repeat r at the end of session s, for every session 2..S in which
     updates could occur. `updates` has one read-only column each of
     `repeat`, `session`, `target`, stream `position` and dataset `row`:
-    one entry per applied update, in run order.
+    one entry per applied update, in run order. `inclusion` is derived
+    from `updates` and `gallery_size` (`update.impostor_inclusion`).
     """
 
     log: ScoreLog
@@ -70,18 +79,9 @@ class RunResult:
     updates: dict[str, np.ndarray]
 
 
-def _apply(model, dataset, users, rows, impostor) -> None:
-    """Insert the queries on `rows` into `model` as updates, in order, with
-    their (origin, source user, source session) tags, and refresh it once."""
-    apply_updates(
-        model, dataset.feature_matrix[rows], [users[u] for u in dataset.row_user[rows].tolist()],
-        dataset.row_session[rows].tolist(), impostor,
-    )
-
-
-def _present(model, dataset, users, rows, impostor, strategy, stream=None, frozen=False):
+def _present(model, dataset, rows, impostor, strategy, stream=None, frozen=False):
     """Present the queries on `rows` to `model` in order, updating it where
-    the strategy accepts one; `users` is `dataset.users`, read once per run.
+    the strategy accepts one.
 
     Returns each query's raw and centered score and whether it updated
     the reference. After an applied update the later queries are rescored;
@@ -96,7 +96,7 @@ def _present(model, dataset, users, rows, impostor, strategy, stream=None, froze
     if frozen and stream is None and score_free(strategy):
         applied = accepts(strategy, centered, impostor)
         if applied.any():
-            _apply(model, dataset, users, rows[applied], impostor[applied])
+            apply_updates(model, queries[applied])
         return raw, centered, applied
     scores = (raw.copy(), centered.copy()) if frozen else (raw, centered)
     applied = np.zeros(rows.size, dtype=bool)
@@ -107,7 +107,7 @@ def _present(model, dataset, users, rows, impostor, strategy, stream=None, froze
         if not accepted[first]:
             break
         done += first
-        _apply(model, dataset, users, rows[done : done + 1], impostor[done : done + 1])
+        apply_updates(model, queries[done : done + 1])
         applied[done] = True
         done += 1
         if stream is not None:
@@ -131,8 +131,7 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
     presented = []  # per session: repeat, session, target, rows, raw, centered, applied
     users = dataset.users
     sessions = range(2, dataset.num_sessions + 1)
-    inclusion = np.empty((config.repeats, len(sessions), len(users)))
-    gallery_size = np.empty(inclusion.shape, dtype=np.intp)
+    gallery_size = np.empty((config.repeats, len(sessions), len(users)), dtype=np.intp)
     closest = config.stream.local_order in CLOSEST
     layouts = session_layouts(dataset, config.stream, [(u, s) for u in users for s in sessions])
     bounds = BlockBounds([layout.bounds for layout in layouts])
@@ -154,13 +153,13 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
                 replan = closest and (online or session not in logged_sessions)
                 rows = plan_rows(state, model)
                 raw, centered, applied = _present(
-                    model, dataset, users, rows, state.impostor, config.strategy,
+                    model, dataset, rows, state.impostor, config.strategy,
                     state if replan else None, frozen=not online,
                 )
                 presented.append((repeat, session, user_index, rows, raw, centered, applied))
-                inclusion[repeat, session - 2, user_index] = impostor_inclusion(model)
                 gallery_size[repeat, session - 2, user_index] = len(model.vectors)
     log, updates = _tables(dataset, config.mode, logged_sessions, presented)
+    inclusion = impostor_inclusion(dataset, updates, gallery_size)
     return RunResult(log, inclusion, gallery_size, updates)
 
 

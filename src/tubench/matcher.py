@@ -6,13 +6,13 @@ centering constants frozen at enrollment that place scores on a scale
 where 0 means "as close as a typical enrollment self-comparison" and
 negative values mean closer than that, which is what makes negative
 update thresholds meaningful. A reference is built only by enrolling a
-user's enrollment vectors, and its gallery tags every entry it holds.
+user's enrollment vectors. Its gallery holds vectors only: which query
+each update came from is recorded by the run (`RunResult.updates`).
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 
@@ -20,12 +20,6 @@ from .errors import ConfigError, EnrollmentError, ValidationError
 
 EPSILON = 1e-6
 LOO_BLOCK = 1 << 20
-
-
-class Origin(str, Enum):
-    ENROLLMENT = "enrollment"
-    GENUINE_UPDATE = "genuine_update"
-    IMPOSTOR_UPDATE = "impostor_update"
 
 
 class ReferenceModel:
@@ -43,13 +37,11 @@ class ReferenceModel:
 
     The gallery's vectors live in one preallocated matrix, one row per
     entry in gallery order: enrollment entries first, then updates,
-    oldest first. The gallery tags each row (origin, source_user,
-    source_session) itself, at the same position in a list: enrollment
-    entries (ENROLLMENT, target_user, 1), updates by `extend`. With a
-    `capacity` (at least the enrollment size) the gallery is a FIFO that
-    evicts only updates, and only when full; without one it grows without
-    bound. The matrix starts at twice the enrollment size and doubles when
-    outgrown, never past the capacity. Evicting shifts later updates up.
+    oldest first. With a `capacity` (at least the enrollment size) the
+    gallery is a FIFO that evicts only updates, and only when full; without
+    one it grows without bound. The matrix starts at twice the enrollment
+    size and doubles when outgrown, never past the capacity. Evicting
+    shifts later updates up.
     """
 
     def __init__(
@@ -86,49 +78,38 @@ class ReferenceModel:
         self.capacity = capacity
         self._matrix = np.empty((min(2 * n, capacity or math.inf), vectors.shape[1]))
         self._matrix[:n] = vectors
-        self._tags = [(Origin.ENROLLMENT, target_user, 1)] * n
-        self._enrolled = n
+        self._size = self._enrolled = n
         self.mu, self.mad = gallery_statistics(vectors, eps)
         self._inv_mad = 1.0 / self.mad
 
     @property
-    def origins(self) -> tuple[Origin, ...]:
-        """Each gallery entry's origin, in gallery order."""
-        return tuple(tag[0] for tag in self._tags)
-
-    @property
     def vectors(self) -> np.ndarray:
         """(gallery size, dimension) view of the gallery's vectors, in gallery order."""
-        return self._matrix[: len(self._tags)]
+        return self._matrix[: self._size]
 
     @property
     def dimension(self) -> int:
         return int(self._matrix.shape[1])
 
-    def extend(self, vectors, source_users, source_sessions, impostor) -> list[tuple]:
-        """Add a (k, d) matrix of update vectors as k appends would, tagging
-        each (IMPOSTOR_UPDATE or GENUINE_UPDATE, source_user, source_session)
-        by its `impostor` flag: each append past `capacity` entries evicts
-        the oldest update. Returns the evicted tags, oldest first; mu / mad
-        are left to `refresh_statistics`."""
-        tags = [
-            (Origin.IMPOSTOR_UPDATE if is_impostor else Origin.GENUINE_UPDATE, user, session)
-            for user, session, is_impostor in zip(source_users, source_sessions, impostor)
-        ]
-        first, n, rows = self._enrolled, len(self._tags), len(self._matrix)
-        end, capacity = n + len(tags), self.capacity or math.inf
+    def extend(self, vectors) -> np.ndarray:
+        """Add a (k, d) matrix of update vectors as k appends would: each
+        append past `capacity` entries evicts the oldest update. Returns the
+        evicted update vectors, oldest first; mu / mad are left to
+        `refresh_statistics`."""
+        first, n, rows = self._enrolled, self._size, len(self._matrix)
+        end, capacity = n + len(vectors), self.capacity or math.inf
         if end > rows and rows < capacity:  # outgrown: double, never past the capacity
             grown = np.empty((min(max(2 * rows, end), capacity), self._matrix.shape[1]))
             grown[:n] = self._matrix[:n]
             self._matrix = grown
         if end <= capacity:  # nothing to evict: write in place
             self._matrix[n:end] = vectors
-            self._tags += tags
-            return []
-        updates = self._tags[first:] + tags
+            self._size = end
+            return self._matrix[:0]
+        updates = np.concatenate([self._matrix[first:n], vectors])
         dropped = end - capacity
-        self._matrix[first:capacity] = np.concatenate([self._matrix[first:n], vectors])[dropped:]
-        self._tags[first:] = updates[dropped:]
+        self._matrix[first:capacity] = updates[dropped:]
+        self._size = capacity
         return updates[:dropped]
 
 

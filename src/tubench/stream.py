@@ -39,7 +39,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import Dataset, Label, QueryEvent
+from .core import Dataset, Label, QueryEvent, convert_enums
 from .errors import StreamError, ValidationError
 from .matcher import ReferenceModel, centered_score
 
@@ -69,7 +69,8 @@ class SessionPolicy(str, Enum):
 
 @dataclass(frozen=True)
 class StreamConfig:
-    """Full query-presentation configuration for one experiment."""
+    """Full query-presentation configuration for one experiment; the orders
+    and the session policy may be given by value ("random")."""
 
     impostor_ratio: float
     global_order: GlobalOrder = GlobalOrder.RANDOM
@@ -82,6 +83,12 @@ class StreamConfig:
         problems = []
         if not 0.0 <= self.impostor_ratio < 1.0:
             problems.append(f"impostor_ratio must be in [0, 1), got {self.impostor_ratio}")
+        convert_enums(
+            self,
+            {"global_order": GlobalOrder, "local_order": LocalOrder,
+             "impostor_session_policy": SessionPolicy},
+            problems,
+        )
         if (self.scripted is None) == (self.global_order is GlobalOrder.SCRIPTED):
             problems.append("scripted: a label sequence goes with the scripted global order only")
         if self.scripted is not None:

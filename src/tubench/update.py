@@ -4,9 +4,8 @@ Supervised and self-threshold updating share one threshold gate; they
 differ only in whether the ground-truth label is consulted, which is
 exactly the variable the bench isolates. Self-threshold updating never
 reads the label, so impostor vectors that score below the threshold do
-get absorbed into the reference. An applied update hands the gallery its
-source and ground truth; the gallery tags the entry, and impostor
-inclusion reads those tags.
+get absorbed into the reference. The gallery keeps only vectors; impostor
+inclusion is derived from a run's log of applied updates.
 """
 
 from __future__ import annotations
@@ -14,13 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
-from .core import Label, QueryEvent
+from .core import Dataset, Label, QueryEvent, convert_enums, is_integer
 from .errors import ValidationError
-from .matcher import Origin, ReferenceModel, refresh_statistics
+from .matcher import ReferenceModel, refresh_statistics
 
 
 class StrategyKind(str, Enum):
@@ -47,17 +46,14 @@ class UpdateStrategy:
 
     def __post_init__(self):
         problems = []
-        try:
-            object.__setattr__(self, "kind", StrategyKind(self.kind))
-        except ValueError as exc:
-            problems.append(f"kind: {exc}")
+        convert_enums(self, {"kind": StrategyKind}, problems)
         if self.threshold is None:
             object.__setattr__(self, "threshold", math.inf)
-        elif not isinstance(self.threshold, Real):
+        elif isinstance(self.threshold, bool) or not isinstance(self.threshold, Real):
             problems.append(f"threshold must be a number, got {self.threshold!r}")
         elif math.isnan(self.threshold):
             problems.append("threshold must not be NaN")
-        if self.capacity is not None and not isinstance(self.capacity, Integral):
+        if self.capacity is not None and not is_integer(self.capacity):
             problems.append(f"capacity must be an integer, got {self.capacity!r}")
         elif self.capacity is not None and self.capacity < 1:
             problems.append(f"capacity must be >= 1, got {self.capacity}")
@@ -70,7 +66,7 @@ class UpdateOutcome:
     """What one query did to the reference."""
 
     applied: bool
-    evicted: tuple | None  # the evicted entry's (origin, source_user, source_session)
+    evicted: np.ndarray | None  # the evicted update's vector
     was_impostor: bool
 
     def __post_init__(self):
@@ -99,18 +95,15 @@ def score_free(strategy: UpdateStrategy) -> bool:
     return strategy.kind is StrategyKind.NONE or strategy.threshold == math.inf
 
 
-def apply_updates(
-    ref: ReferenceModel, features, source_users, source_sessions, impostor
-) -> list[tuple]:
+def apply_updates(ref: ReferenceModel, features) -> np.ndarray:
     """Insert accepted queries' (k, d) vectors in order and refresh mu / mad
     once, as one insert and refresh per row would: the statistics read only
-    the final gallery. The gallery tags each insert by its source and
-    `impostor` flag; returns the evicted tags, oldest first."""
+    the final gallery. Returns the evicted update vectors, oldest first."""
     if np.ndim(features) != 2 or np.shape(features)[1] != ref.dimension:
         raise ValidationError(
             f"query shape {np.shape(features)} != (k, reference dimension {ref.dimension})"
         )
-    evicted = ref.extend(features, source_users, source_sessions, impostor)
+    evicted = ref.extend(features)
     refresh_statistics(ref)
     return evicted
 
@@ -129,14 +122,21 @@ def maybe_update(
     is_impostor = query.true_label is Label.IMPOSTOR
     if not accepts(strategy, centered, is_impostor):
         return UpdateOutcome(False, None, is_impostor)
-    sample = query.sample
-    evicted = apply_updates(
-        ref, [sample.features], [sample.user_id], [sample.session], [is_impostor]
-    ) or [None]
-    return UpdateOutcome(True, evicted[0], is_impostor)
+    evicted = apply_updates(ref, [query.sample.features])
+    return UpdateOutcome(True, evicted[0] if len(evicted) else None, is_impostor)
 
 
-def impostor_inclusion(ref: ReferenceModel) -> float:
-    """Fraction of the gallery that originated from impostor queries."""
-    origins = ref.origins
-    return origins.count(Origin.IMPOSTOR_UPDATE) / len(origins)
+def impostor_inclusion(dataset: Dataset, updates: dict, gallery_size: np.ndarray) -> np.ndarray:
+    """Each gallery's share of impostor entries, per (repeat, session 2..S,
+    user) of `gallery_size`, from a run's applied `updates`, which run
+    contiguously per (repeat, target), sessions ascending. It relies on FIFO
+    eviction of the oldest update: a gallery holds its enrollment plus the
+    newest `gallery_size - enrolled` of the updates applied to it so far."""
+    repeats, sessions, users = gallery_size.shape
+    target, row = updates["target"], updates["row"]
+    keys = (updates["repeat"] * users + target) * sessions + updates["session"] - 2
+    grid = np.arange(gallery_size.size).reshape(repeats, users, sessions).transpose(0, 2, 1)
+    ends = np.searchsorted(keys, grid, side="right")  # past each gallery's updates so far
+    enrolled = np.bincount(dataset.row_user[dataset.row_session == 1], minlength=users)
+    impostors = np.concatenate([[0], np.cumsum(dataset.row_user[row] != target)])
+    return (impostors[ends] - impostors[ends - gallery_size + enrolled]) / gallery_size

@@ -12,19 +12,18 @@ from tubench import (
     Label,
     LocalOrder,
     Mode,
-    Origin,
     ScoreRecord,
     SessionPolicy,
     StrategyKind,
     StreamConfig,
     StreamError,
     UpdateStrategy,
+    ValidationError,
     ExperimentConfig,
     center,
     centered_score,
     enroll,
     impostor_count,
-    impostor_inclusion,
     maybe_update,
     next_query,
     plan_session,
@@ -95,6 +94,70 @@ def test_runs_are_deterministic():
     assert first.inclusion.tobytes() == second.inclusion.tobytes()
 
 
+ENUM_FIELDS = {
+    "global_order": GlobalOrder,
+    "local_order": LocalOrder,
+    "impostor_session_policy": SessionPolicy,
+    "mode": Mode,
+}
+
+
+def config_with(field, value):
+    """A run that absorbs and evicts impostors, with one stream field or the
+    mode set to `value`."""
+    fields = {"mode": Mode.ONLINE, field: value}
+    mode = fields.pop("mode")
+    return ExperimentConfig(
+        mode,
+        StreamConfig(0.5, **fields),
+        UpdateStrategy(StrategyKind.SELF_THRESHOLD, 50.0, capacity=SESSION_SIZE + 2),
+        repeats=2,
+        base_seed=3,
+    )
+
+
+@pytest.mark.parametrize(
+    "field, member",
+    [(field, member) for field, kind in ENUM_FIELDS.items() for member in kind
+     if member is not GlobalOrder.SCRIPTED],
+)
+def test_an_enum_field_given_by_value_runs_as_its_member(field, member):
+    by_value, by_member = config_with(field, member.value), config_with(field, member)
+    configured = by_value if field == "mode" else by_value.stream
+    assert getattr(configured, field) is member
+    dataset = close_users(5)
+    got, expected = (run_experiment(dataset, config) for config in (by_value, by_member))
+    for value_column, member_column in zip(log_columns(got.log), log_columns(expected.log)):
+        assert value_column.tobytes() == member_column.tobytes()
+    assert got.inclusion.tobytes() == expected.inclusion.tobytes()
+
+
+@pytest.mark.parametrize("field", list(ENUM_FIELDS))
+def test_an_unknown_enum_value_is_rejected_by_name(field):
+    with pytest.raises(ValidationError) as caught:
+        config_with(field, "sideways")
+    kind = ENUM_FIELDS[field].__name__
+    assert caught.value.violations == [f"{field}: 'sideways' is not a valid {kind}"]
+
+
+@pytest.mark.parametrize(
+    "field, value", [("repeats", 2.5), ("repeats", True), ("repeats", "2"),
+                     ("base_seed", 1.5), ("base_seed", False), ("base_seed", None)],
+)
+def test_repeats_and_base_seed_must_be_integers(field, value):
+    with pytest.raises(ValidationError) as caught:
+        ExperimentConfig(Mode.ONLINE, StreamConfig(0.3), UpdateStrategy(), **{field: value})
+    assert caught.value.violations == [f"{field} must be an integer, got {value!r}"]
+
+
+def test_repeats_must_be_positive_and_may_be_any_integer_type():
+    stream, strategy = StreamConfig(0.3), UpdateStrategy()
+    with pytest.raises(ValidationError, match="^repeats must be >= 1, got 0$"):
+        ExperimentConfig(Mode.ONLINE, stream, strategy, repeats=0)
+    config = ExperimentConfig(Mode.ONLINE, stream, strategy, np.int64(2), -(2**65))
+    assert (config.repeats, config.base_seed) == (2, -(2**65))
+
+
 def test_offline_needs_at_least_three_sessions():
     dataset = small_synth(sessions=2)
     config = ExperimentConfig(
@@ -122,7 +185,8 @@ def test_runs_build_no_sample_views_and_evict_updates_oldest_first(monkeypatch):
             # The gallery keeps the newest `kept` updates, in the order applied.
             newest = dataset.feature_matrix[rows[rows.size - kept :]]
             assert model.vectors[4:].tobytes() == newest.tobytes()
-            assert model.origins[4:] == (Origin.GENUINE_UPDATE,) * kept
+            assert dataset.row_user[rows[rows.size - kept :]].tolist() == [user_index] * kept
+        assert not result.inclusion.any(), mode
     assert "samples" not in dataset.__dict__
 
 
@@ -269,14 +333,18 @@ def test_offline_scoring_references_exclude_current_session_vectors(trace_datase
         state = planned(
             trace_dataset, user, 2, config.stream, mix64(config.base_seed, 0, user_index, 2)
         )
+        sources = [1] * len(model.vectors)  # each gallery entry's session, in gallery order
         while (query := next_query(state, model)) is not None:
-            maybe_update(model, query, centered_score(model, query.sample.features), config.strategy)
+            centered = centered_score(model, query.sample.features)
+            if maybe_update(model, query, centered, config.strategy).applied:
+                sources.append(query.sample.session)
         for session in (3,):
             state = planned(
                 trace_dataset, user, session, config.stream,
                 mix64(config.base_seed, 0, user_index, session),
             )
-            assert all(source_session < session for _, _, source_session in model._tags)
+            assert len(sources) == len(model.vectors)
+            assert all(source_session < session for source_session in sources)
             staged = []
             while (query := next_query(state, model)) is not None:
                 raw = raw_score(model, query.sample.features)
@@ -315,39 +383,45 @@ def _reference_stream(dataset, user, user_index, session, repeat, config):
     return planned(dataset, user, session, config.stream, seed)
 
 
-def _reference_enroll(dataset, user, config):
-    return enroll(
-        user,
-        dataset.feature_matrix[dataset.row_range(user, 1)],
-        eps=config.eps,
-        capacity=config.strategy.capacity,
-    )
-
-
 class _Reference:
     """What a reference loop saw: its records, every applied update as
     (repeat, session, target index, stream position, dataset row), each
-    final gallery, and per (repeat, session 2..S, user) the inclusion, the
-    gallery size and the evictions so far, NaN-filled so that an entry
-    left unset compares unequal."""
+    final gallery with the (row, impostor) pairs of the updates it keeps,
+    and per (repeat, session 2..S, user) the inclusion, the gallery size
+    and the evictions so far, NaN-filled so that an entry left unset
+    compares unequal.
+
+    It keeps its own FIFO of each gallery's updates from what
+    `maybe_update` reports (applied, was_impostor, evicted), so its
+    inclusion reads neither the run's log nor the gallery's contents."""
 
     def __init__(self, dataset, config):
         shape = (config.repeats, dataset.num_sessions - 1, len(dataset.users))
+        self.dataset, self.config = dataset, config
         self.records, self.events, self.galleries = [], [], {}
         self.inclusion, self.sizes, self.evictions = (np.full(shape, np.nan) for _ in range(3))
-        self.evicted = 0
 
-    def update(self, model, state, query, centered, config, repeat, session, user_index):
-        outcome = maybe_update(model, query, centered, config.strategy)
+    def enroll(self, user):
+        """A fresh reference of `user`, with an empty FIFO of its updates."""
+        self.kept, self.evicted = [], 0
+        vectors = self.dataset.feature_matrix[self.dataset.row_range(user, 1)]
+        return enroll(user, vectors, eps=self.config.eps, capacity=self.config.strategy.capacity)
+
+    def update(self, model, state, query, centered, repeat, session, user_index):
+        outcome = maybe_update(model, query, centered, self.config.strategy)
         if outcome.applied:
             row = int(state.rows[query.stream_position])
             self.events.append((repeat, session, user_index, query.stream_position, row))
-        self.evicted += outcome.evicted is not None
+            self.kept.append((row, outcome.was_impostor))
+        if outcome.evicted is not None:
+            self.evicted += 1
+            oldest, _ = self.kept.pop(0)
+            assert outcome.evicted.tobytes() == self.dataset.feature_matrix[oldest].tobytes()
         return outcome.applied
 
     def measure(self, model, repeat, session, user_index):
         key = (repeat, session - 2, user_index)
-        self.inclusion[key] = impostor_inclusion(model)
+        self.inclusion[key] = sum(impostor for _, impostor in self.kept) / len(model.vectors)
         self.sizes[key] = len(model.vectors)
         self.evictions[key] = self.evicted
 
@@ -357,22 +431,19 @@ def reference_online(dataset, config):
     seen = _Reference(dataset, config)
     for repeat in range(config.repeats):
         for user_index, user in enumerate(dataset.users):
-            model = _reference_enroll(dataset, user, config)
-            seen.evicted = 0
+            model = seen.enroll(user)
             for session in range(2, dataset.num_sessions + 1):
                 state = _reference_stream(dataset, user, user_index, session, repeat, config)
                 while (query := next_query(state, model)) is not None:
                     raw = raw_score(model, query.sample.features)
                     centered = center(model, raw)
-                    applied = seen.update(
-                        model, state, query, centered, config, repeat, session, user_index
-                    )
+                    applied = seen.update(model, state, query, centered, repeat, session, user_index)
                     seen.records.append(
                         ScoreRecord(repeat, session, user, query.sample.user_id,
                                     query.true_label, raw, centered, applied)
                     )
                 seen.measure(model, repeat, session, user_index)
-            seen.galleries[(repeat, user)] = model
+            seen.galleries[(repeat, user)] = (model, seen.kept)
     return seen
 
 
@@ -381,12 +452,11 @@ def reference_offline(dataset, config):
     seen = _Reference(dataset, config)
     for repeat in range(config.repeats):
         for user_index, user in enumerate(dataset.users):
-            model = _reference_enroll(dataset, user, config)
-            seen.evicted = 0
+            model = seen.enroll(user)
             state = _reference_stream(dataset, user, user_index, 2, repeat, config)
             while (query := next_query(state, model)) is not None:
                 centered = centered_score(model, query.sample.features)
-                seen.update(model, state, query, centered, config, repeat, 2, user_index)
+                seen.update(model, state, query, centered, repeat, 2, user_index)
             seen.measure(model, repeat, 2, user_index)
             for session in range(3, dataset.num_sessions + 1):
                 state = _reference_stream(dataset, user, user_index, session, repeat, config)
@@ -396,7 +466,7 @@ def reference_offline(dataset, config):
                     staged.append((query, raw, center(model, raw)))
                 flags = [
                     seen.update(
-                        model, state, query, centered_score(model, query.sample.features), config,
+                        model, state, query, centered_score(model, query.sample.features),
                         repeat, session, user_index,
                     )
                     for query, _, _ in staged
@@ -407,7 +477,7 @@ def reference_offline(dataset, config):
                                     query.true_label, raw, centered, applied)
                     )
                 seen.measure(model, repeat, session, user_index)
-            seen.galleries[(repeat, user)] = model
+            seen.galleries[(repeat, user)] = (model, seen.kept)
     return seen
 
 
@@ -419,13 +489,23 @@ def _hex_rows(rows):
     ]
 
 
-def _assert_same_galleries(got, expected):
+def _assert_same_galleries(dataset, result, got, expected):
+    """The run's final galleries `got` hold the reference loop's vectors and
+    statistics, and the updates the run logged last for each are the ones
+    the loop's FIFO kept, with the same impostor flags."""
     assert got.keys() == expected.keys()
-    for key, model in expected.items():
+    updates = result.updates
+    for key, (model, kept) in expected.items():
         assert got[key].vectors.tobytes() == model.vectors.tobytes(), key
-        assert got[key].origins == model.origins, key
         assert got[key].mu.tobytes() == model.mu.tobytes(), key
         assert got[key].mad.tobytes() == model.mad.tobytes(), key
+        repeat, target = key[0], dataset.users.index(key[1])
+        rows = updates["row"][(updates["repeat"] == repeat) & (updates["target"] == target)]
+        rows = rows[rows.size - len(kept) :]
+        assert rows.tolist() == [row for row, _ in kept], key
+        assert (dataset.row_user[rows] != target).tolist() == [flag for _, flag in kept], key
+        vectors = model.vectors[len(model.vectors) - len(kept) :]
+        assert vectors.tobytes() == dataset.feature_matrix[rows].tobytes(), key
 
 
 def recording_enroll(monkeypatch):
@@ -492,10 +572,9 @@ def loop_configs(draw):
     return close_users(draw(st.integers(0, 50))), config
 
 
-@settings(max_examples=120, deadline=None)
-@given(loop_configs())
-def test_session_loop_matches_the_per_query_loops_bitwise(case):
-    dataset, config = case
+def assert_matches_the_per_query_loop(dataset, config):
+    """Run `config` both ways and compare everything bitwise; returns the
+    run's result."""
     reference = reference_online if config.mode is Mode.ONLINE else reference_offline
     seen = reference(dataset, config)
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -505,12 +584,39 @@ def test_session_loop_matches_the_per_query_loops_bitwise(case):
     assert result.inclusion.shape == seen.inclusion.shape
     assert result.inclusion.tobytes() == seen.inclusion.tobytes()
     keys = [(repeat, user) for repeat in range(config.repeats) for user in dataset.users]
-    _assert_same_galleries(dict(zip(keys, models, strict=True)), seen.galleries)
+    _assert_same_galleries(dataset, result, dict(zip(keys, models, strict=True)), seen.galleries)
     updates = result.updates
     columns = ("repeat", "session", "target", "position", "row")
     assert list(zip(*(updates[name].tolist() for name in columns))) == seen.events
     assert result.gallery_size.tolist() == seen.sizes.tolist()
     assert derived_evictions(dataset, result).tolist() == seen.evictions.tolist()
+    return result
+
+
+@settings(max_examples=120, deadline=None)
+@given(loop_configs())
+def test_session_loop_matches_the_per_query_loops_bitwise(case):
+    assert_matches_the_per_query_loop(*case)
+
+
+@pytest.mark.parametrize("local_order", list(LocalOrder))
+@pytest.mark.parametrize("mode", list(Mode))
+def test_inclusion_matches_the_per_query_loop_where_impostors_enter_and_leave(mode, local_order):
+    # A lenient self-threshold on close users absorbs impostors, and a FIFO
+    # two entries above the enrollment size evicts them again.
+    config = ExperimentConfig(
+        mode,
+        StreamConfig(0.5, local_order=local_order),
+        UpdateStrategy(StrategyKind.SELF_THRESHOLD, 50.0, capacity=SESSION_SIZE + 2),
+        repeats=2,
+        base_seed=3,
+    )
+    dataset = close_users(5)
+    result = assert_matches_the_per_query_loop(dataset, config)
+    updates = result.updates
+    assert np.any(dataset.row_user[updates["row"]] != updates["target"])
+    assert derived_evictions(dataset, result).any()
+    assert (result.inclusion > 0).any()
 
 
 @pytest.mark.parametrize("mode", list(Mode))

@@ -11,7 +11,6 @@ from tubench import (
     ConfigError,
     EnrollmentError,
     Label,
-    Origin,
     QueryEvent,
     ReferenceModel,
     StrategyKind,
@@ -248,7 +247,7 @@ def test_refresh_statistics_is_idempotent():
 def test_refresh_after_appending_the_mean_shrinks_mad():
     ref = enroll("u", np.array([[0.0, 1.0], [4.0, 3.0], [2.0, 5.0]]))
     before_mu, before_mad = ref.mu.copy(), ref.mad.copy()
-    assert ref.extend(before_mu[None], ["u"], [2], [False]) == []
+    assert ref.extend(before_mu[None]).shape == (0, 2)
     refresh_statistics(ref)
     assert np.allclose(ref.mu, before_mu)
     assert np.all(ref.mad <= before_mad + 1e-15)
@@ -257,21 +256,22 @@ def test_refresh_after_appending_the_mean_shrinks_mad():
     assert np.allclose(ref.mad, expected_mad, atol=1e-15)
 
 
-def reference_append(ref, features, tag):
+def reference_append(ref, features):
     """A one-row append under the reference's capacity, as galleries appended
-    before `extend` existed: at most one eviction."""
-    n = len(ref._tags)
+    before `extend` existed: returns the evicted update vector, if any."""
+    n = ref._size
     if n == len(ref._matrix):
         grown = np.empty((2 * n, ref._matrix.shape[1]))
         grown[:n] = ref._matrix
         ref._matrix = grown
     ref._matrix[n] = features
-    ref._tags.append(tag)
     if ref.capacity is None or n + 1 <= ref.capacity:
+        ref._size += 1
         return None
     first = ref._enrolled
+    evicted = ref._matrix[first].copy()
     ref._matrix[first:n] = ref._matrix[first + 1 : n + 1]
-    return ref._tags.pop(first)
+    return evicted
 
 
 @settings(max_examples=150, deadline=None)
@@ -288,68 +288,55 @@ def test_extend_equals_a_loop_of_one_row_appends(enrolled, spare, batches, seed)
     rng = np.random.default_rng(seed)
     vectors = rng.normal(size=(enrolled, 3))
     batched, looped = (enroll("u", vectors, capacity=capacity) for _ in range(2))
-    session = 2
     for k in batches:
         rows = rng.normal(size=(k, 3))
-        impostor = rng.random(k) < 0.5
-        sessions = list(range(session, session + k))
-        tags = [
-            (Origin.IMPOSTOR_UPDATE if flag else Origin.GENUINE_UPDATE, "u", source_session)
-            for source_session, flag in zip(sessions, impostor)
-        ]
-        session += k
-        evicted = batched.extend(rows, ["u"] * k, sessions, impostor)
-        appended = [reference_append(looped, row, tag) for row, tag in zip(rows, tags)]
-        assert evicted == [tag for tag in appended if tag is not None]
+        evicted = batched.extend(rows)
+        appended = [reference_append(looped, row) for row in rows]
+        expected = [vector for vector in appended if vector is not None]
+        assert evicted.shape == (len(expected), 3)
+        assert evicted.tobytes() == b"".join(vector.tobytes() for vector in expected)
         assert batched.vectors.tobytes() == looped.vectors.tobytes()
-        assert batched._tags == looped._tags
+        assert batched._size == looped._size
 
 
 def test_a_capacity_no_gallery_reaches_allocates_as_an_unbounded_gallery():
     vectors = np.array([[0.0, 0.0], [1.0, 1.0]])
     unbounded, huge = enroll("u", vectors), enroll("u", vectors, capacity=10**12)
     for first_session in (2, 5, 6, 20):
-        rows, tags = _updates(first_session, 3)
-        assert _extend(unbounded, rows, tags) == _extend(huge, rows, tags) == []
+        rows = _updates(first_session, 3)
+        assert len(unbounded.extend(rows)) == len(huge.extend(rows)) == 0
         assert huge._matrix.shape == unbounded._matrix.shape
         assert huge.vectors.tobytes() == unbounded.vectors.tobytes()
     assert len(huge._matrix) == 16
 
 
-def _updates(first_session, k):
-    rows = np.arange(first_session, first_session + k, dtype=float)[:, None] * [1.0, -1.0]
-    return rows, [(Origin.GENUINE_UPDATE, "u", first_session + i) for i in range(k)]
-
-
-def _extend(ref, rows, tags):
-    """Append genuine updates from user "u", one per tag's source session."""
-    return ref.extend(rows, ["u"] * len(tags), [tag[2] for tag in tags], [False] * len(tags))
+def _updates(first, k):
+    """k distinct update vectors, numbered from `first`."""
+    return np.arange(first, first + k, dtype=float)[:, None] * [1.0, -1.0]
 
 
 def test_a_batch_that_lands_exactly_on_the_capacity_evicts_nothing():
     ref = enroll("u", np.array([[0.0, 0.0], [1.0, 1.0]]), capacity=5)
-    rows, tags = _updates(2, 3)
-    assert _extend(ref, rows, tags) == []
+    rows = _updates(2, 3)
+    assert ref.extend(rows).shape == (0, 2)
     assert len(ref.vectors) == 5
     assert ref.vectors[2:].tobytes() == rows.tobytes()
-    assert ref._tags[2:] == tags
 
 
 def test_one_row_past_the_capacity_evicts_the_oldest_update():
-    ref = enroll("u", np.array([[0.0, 0.0], [1.0, 1.0]]), capacity=5)
-    rows, tags = _updates(2, 3)
-    _extend(ref, rows, tags)  # the gallery sits at its capacity
-    row, tag = _updates(5, 1)
-    assert _extend(ref, row, tag) == tags[:1]
+    enrollment = np.array([[0.0, 0.0], [1.0, 1.0]])
+    ref = enroll("u", enrollment, capacity=5)
+    rows = _updates(2, 3)
+    ref.extend(rows)  # the gallery sits at its capacity
+    row = _updates(5, 1)
+    assert ref.extend(row).tobytes() == rows[:1].tobytes()
     assert len(ref.vectors) == 5
-    assert ref.vectors[2:].tobytes() == np.concatenate([rows[1:], row]).tobytes()
-    assert ref._tags[2:] == tags[1:] + tag
+    assert ref.vectors.tobytes() == np.concatenate([enrollment, rows[1:], row]).tobytes()
     # a batch that overshoots the capacity by one from below evicts one too
-    ref = enroll("u", np.array([[0.0, 0.0], [1.0, 1.0]]), capacity=5)
-    rows, tags = _updates(2, 4)
-    assert _extend(ref, rows, tags) == tags[:1]
-    assert ref._tags[2:] == tags[1:]
-    assert ref.vectors[2:].tobytes() == rows[1:].tobytes()
+    ref = enroll("u", enrollment, capacity=5)
+    rows = _updates(2, 4)
+    assert ref.extend(rows).tobytes() == rows[:1].tobytes()
+    assert ref.vectors.tobytes() == np.concatenate([enrollment, rows[1:]]).tobytes()
 
 
 def test_singleton_gallery_statistics_are_floored():
@@ -373,7 +360,7 @@ def test_reference_model_construction_is_validated():
         ReferenceModel("u", [[1.0], [2.0]], capacity=1)
     ref = ReferenceModel("u", [[1.0], [2.0]], 0.5, 2)
     assert (ref.eps, ref.capacity) == (0.5, 2)
-    assert ref._tags == [(Origin.ENROLLMENT, "u", 1)] * 2
+    assert ref.vectors.tobytes() == np.array([[1.0], [2.0]]).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -395,15 +382,12 @@ def test_enrollment_checks_its_inputs_before_any_arithmetic(vectors, eps, error,
 
 def test_gallery_keeps_enrollment_entries_first():
     ref = enroll("u", np.array([[2.0], [1.0]]))
-    assert ref.extend(np.array([[3.0], [4.0]]), ["u", "v"], [2, 2], [False, True]) == []
-    assert ref.origins == (
-        Origin.ENROLLMENT, Origin.ENROLLMENT, Origin.GENUINE_UPDATE, Origin.IMPOSTOR_UPDATE
-    )
-    assert ref._tags[2:] == [(Origin.GENUINE_UPDATE, "u", 2), (Origin.IMPOSTOR_UPDATE, "v", 2)]
+    assert ref.extend(np.array([[3.0], [4.0]])).shape == (0, 1)
+    assert ref.vectors.tobytes() == np.array([[2.0], [1.0], [3.0], [4.0]]).tobytes()
     # a FIFO gallery evicts only updates, so its enrollment entries stay first
     ref = enroll("u", np.array([[2.0], [1.0]]), capacity=2)
-    assert ref.extend(np.array([[3.0]]), ["v"], [2], [True]) == [(Origin.IMPOSTOR_UPDATE, "v", 2)]
-    assert ref.origins == (Origin.ENROLLMENT, Origin.ENROLLMENT)
+    assert ref.extend(np.array([[3.0]])).tobytes() == np.array([[3.0]]).tobytes()
+    assert ref.vectors.tobytes() == np.array([[2.0], [1.0]]).tobytes()
 
 
 def test_statistics_track_gallery_through_random_update_sequences():

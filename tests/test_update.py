@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from tubench import (
     Label,
-    Origin,
     QueryEvent,
     StrategyKind,
     UpdateStrategy,
@@ -19,11 +18,18 @@ from tubench import (
 from tubench.matcher import gallery_statistics
 from tubench.rng import SplitMix64
 from tubench.update import accepts
-from conftest import make_sample
+from conftest import dataset_of, make_sample
 
 
-def fresh_ref(user="u", vectors=((0.0, 0.0), (2.0, 2.0), (4.0, 4.0)), capacity=None):
+ENROLLMENT = ((0.0, 0.0), (2.0, 2.0), (4.0, 4.0))
+
+
+def fresh_ref(user="u", vectors=ENROLLMENT, capacity=None):
     return enroll(user, np.array(vectors, dtype=float), capacity=capacity)
+
+
+def _bytes(vectors):
+    return np.array(vectors, dtype=float).tobytes()
 
 
 def query_for(ref, source, feats, position=0, session=2, order=10):
@@ -46,8 +52,8 @@ def test_self_threshold_applies_on_close_impostor():
     outcome = maybe_update(ref, query_for(ref, "imp", [2.0, 2.0]), -0.25, strategy)
     assert outcome.applied is True
     assert outcome.was_impostor is True
-    assert ref.origins[-1] is Origin.IMPOSTOR_UPDATE
-    assert impostor_inclusion(ref) == pytest.approx(1 / 4)
+    # one of the gallery's 4 entries is the impostor's vector
+    assert ref.vectors.tobytes() == _bytes([*ENROLLMENT, (2.0, 2.0)])
 
 
 def test_self_threshold_boundary_is_inclusive():
@@ -64,14 +70,15 @@ def test_supervised_never_admits_impostors():
     outcome = maybe_update(ref, query_for(ref, "imp", [2.0, 2.0]), -10.0, strategy)
     assert outcome.applied is False
     assert outcome.was_impostor is True
-    assert impostor_inclusion(ref) == 0.0
+    assert ref.vectors.tobytes() == _bytes(ENROLLMENT)
 
 
 def test_supervised_accepts_all_genuine_at_infinite_threshold():
     ref = fresh_ref()
     strategy = UpdateStrategy(StrategyKind.SUPERVISED)  # threshold +inf
-    assert maybe_update(ref, query_for(ref, "u", [9.0, 9.0]), 50.0, strategy).applied
-    assert ref.origins[-1] is Origin.GENUINE_UPDATE
+    outcome = maybe_update(ref, query_for(ref, "u", [9.0, 9.0]), 50.0, strategy)
+    assert outcome.applied and not outcome.was_impostor
+    assert ref.vectors.tobytes() == _bytes([*ENROLLMENT, (9.0, 9.0)])
 
 
 def test_supervised_still_gated_by_threshold():
@@ -87,10 +94,8 @@ def test_fifo_evicts_oldest_non_enrollment_entry():
     assert first.applied and first.evicted is None
     second = maybe_update(ref, query_for(ref, "imp", [2.0, 2.0], position=1), 0.0, strategy)
     assert second.applied
-    assert second.evicted == (Origin.GENUINE_UPDATE, "u", 2)  # the older update, not enrollment
-    assert ref.vectors[3:].tolist() == [[2.0, 2.0]]
-    assert len(ref.vectors) == 4
-    assert ref.origins.count(Origin.ENROLLMENT) == 3
+    assert second.evicted.tobytes() == _bytes((1.0, 1.0))  # the older update, not enrollment
+    assert ref.vectors.tobytes() == _bytes([*ENROLLMENT, (2.0, 2.0)])
 
 
 def test_fifo_preserves_enrollment_under_long_sequences():
@@ -101,7 +106,7 @@ def test_fifo_preserves_enrollment_under_long_sequences():
         source = "u" if i % 3 else "imp"
         maybe_update(ref, query_for(ref, source, rng.normal(size=2), position=i, order=10 + i), -1.0, strategy)
         assert len(ref.vectors) <= 5
-        assert ref.origins.count(Origin.ENROLLMENT) == 3
+        assert ref.vectors[:3].tobytes() == _bytes(ENROLLMENT)
 
 
 def test_strategy_field_validation():
@@ -141,8 +146,11 @@ def test_a_kind_given_by_value_is_converted():
         ((StrategyKind.SUPERVISED, "x"), "threshold must be a number, got 'x'"),
         ((StrategyKind.SUPERVISED, None, "3"), "capacity must be an integer, got '3'"),
         ((StrategyKind.SUPERVISED, None, 2.0), "capacity must be an integer, got 2.0"),
+        ((StrategyKind.SUPERVISED, True), "threshold must be a number, got True"),
+        ((StrategyKind.SUPERVISED, None, True), "capacity must be an integer, got True"),
     ],
-    ids=["kind", "threshold", "capacity-string", "capacity-float"],
+    ids=["kind", "threshold", "capacity-string", "capacity-float", "threshold-bool",
+         "capacity-bool"],
 )
 def test_a_malformed_strategy_field_is_rejected_by_name(arguments, message):
     with pytest.raises(ValidationError) as caught:
@@ -150,37 +158,89 @@ def test_a_malformed_strategy_field_is_rejected_by_name(arguments, message):
     assert caught.value.violations == [message]
 
 
+def test_bool_threshold_and_capacity_are_rejected_together():
+    with pytest.raises(ValidationError) as caught:
+        UpdateStrategy("supervised", True, True)
+    assert caught.value.violations == [
+        "threshold must be a number, got True", "capacity must be an integer, got True"
+    ]
+    assert UpdateStrategy("supervised", 1, np.int64(4)).capacity == 4
+
+
 def test_update_outcome_consistency_is_validated():
     from tubench import UpdateOutcome
 
     with pytest.raises(ValidationError):
-        UpdateOutcome(applied=False, evicted=(Origin.GENUINE_UPDATE, "u", 2), was_impostor=False)
+        UpdateOutcome(applied=False, evicted=np.array([1.0, 1.0]), was_impostor=False)
 
 
-def test_inclusion_of_fresh_reference_is_zero():
-    assert impostor_inclusion(fresh_ref()) == 0.0
+def two_users():
+    """Users a and b, each with 3 enrollment rows and 2 rows in each of
+    sessions 2 and 3: a's rows are 0-6, b's 7-13, in session order."""
+    samples = [
+        make_sample(user, session, order, [10.0 * index + order])
+        for index, user in enumerate("ab")
+        for session, count in ((1, 3), (2, 2), (3, 2))
+        for order in range(count)
+    ]
+    return dataset_of(1, 3, samples)
 
 
-def test_inclusion_simple_ratio():
-    ref = fresh_ref(vectors=[[float(i), 0.0] for i in range(8)])
-    strategy = UpdateStrategy(StrategyKind.SELF_THRESHOLD, math.inf)
-    maybe_update(ref, query_for(ref, "imp", [1.0, 1.0]), 0.0, strategy)
-    maybe_update(ref, query_for(ref, "imp", [2.0, 1.0], position=1, order=11), 0.0, strategy)
-    assert len(ref.vectors) == 10
-    assert impostor_inclusion(ref) == pytest.approx(0.2)
+def updates_of(*entries):
+    """An update log of (repeat, session, target, row) entries, in run order."""
+    columns = np.array(entries, dtype=np.intp).reshape(-1, 4).T
+    return dict(zip(("repeat", "session", "target", "row"), columns),
+                position=np.zeros(len(entries), dtype=np.intp))
 
 
-def test_inclusion_after_scripted_sequence():
+def test_inclusion_without_updates_is_zero():
+    dataset = two_users()
+    gallery_size = np.full((2, 2, 2), 3, dtype=np.intp)
+    assert impostor_inclusion(dataset, updates_of(), gallery_size).tolist() == [[[0.0] * 2] * 2] * 2
+
+
+def test_inclusion_counts_the_impostor_updates_each_fifo_gallery_keeps():
+    # A capacity of 4 keeps one update beside each 3-row enrollment, so the
+    # newest update evicts the one before it, across a session boundary too.
+    dataset = two_users()
+    updates = updates_of(
+        (0, 2, 0, 10),  # a absorbs b's row ...
+        (0, 3, 0, 5),  # ... which a's own next update evicts
+        (0, 3, 1, 12),
+        (0, 3, 1, 5),  # b keeps a's row, the newer of its two session-3 updates
+        (1, 2, 1, 3),
+        (1, 2, 1, 4),  # b keeps a's second row, and still does after session 3
+    )
+    gallery_size = np.array([[[4, 3], [4, 4]], [[3, 4], [3, 4]]], dtype=np.intp)
+    inclusion = impostor_inclusion(dataset, updates, gallery_size)
+    assert inclusion.tolist() == [[[1 / 4, 0.0], [0.0, 1 / 4]], [[0.0, 1 / 4], [0.0, 1 / 4]]]
+
+
+def test_inclusion_of_unbounded_galleries_counts_every_impostor_update():
+    # a holds 3 enrollment rows and b's 4 rows plus a's own 2 session-3 rows
+    # by the end, 4 impostor entries among 9; b absorbs nothing.
+    dataset = two_users()
+    updates = updates_of((0, 2, 0, 10), (0, 2, 0, 11), (0, 3, 0, 12), (0, 3, 0, 5),
+                         (0, 3, 0, 13), (0, 3, 0, 6))
+    gallery_size = np.array([[[5, 3], [9, 3]]], dtype=np.intp)
+    inclusion = impostor_inclusion(dataset, updates, gallery_size)
+    assert inclusion.tolist() == [[[2 / 5, 0.0], [4 / 9, 0.0]]]
+
+
+def test_scripted_updates_enter_the_gallery_in_order():
     # 4-sample enrollment, then 3 genuine-applied and 1 impostor-applied
-    # updates: replaying by hand gives 1 impostor among 8 entries.
-    ref = fresh_ref(vectors=[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    # updates: the gallery holds 8 entries, one of them the impostor's.
+    enrollment = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]
+    ref = fresh_ref(vectors=enrollment)
     strategy = UpdateStrategy(StrategyKind.SELF_THRESHOLD, math.inf)
     script = [("u", 0), ("imp", 1), ("u", 2), ("u", 3)]
     for source, position in script:
-        query = query_for(ref, source, [1.5, 1.5], position=position, order=20 + position)
-        assert maybe_update(ref, query, centered_score(ref, query.sample.features), strategy).applied
-    assert len(ref.vectors) == 8
-    assert impostor_inclusion(ref) == pytest.approx(1 / 8)
+        features = [1.5 + position, 1.5]
+        query = query_for(ref, source, features, position=position, order=20 + position)
+        outcome = maybe_update(ref, query, centered_score(ref, query.sample.features), strategy)
+        assert outcome.applied and outcome.was_impostor is (source == "imp")
+    updates = [[1.5 + position, 1.5] for _, position in script]
+    assert ref.vectors.tobytes() == _bytes(enrollment + updates)
 
 
 def test_self_threshold_is_label_blind():
@@ -199,18 +259,22 @@ def test_self_threshold_is_label_blind():
         assert out_g.was_impostor is False and out_i.was_impostor is True
 
 
-def test_supervised_inclusion_stays_zero_over_random_sequences():
+def test_supervised_galleries_hold_only_genuine_vectors_over_random_sequences():
     rng = np.random.default_rng(23)
     for trial in range(20):
         ref = fresh_ref()
         strategy = UpdateStrategy(
             StrategyKind.SUPERVISED, threshold=rng.uniform(-1.0, 5.0)
         )
+        genuine = []  # the applied update vectors, in order
         for i in range(30):
             source = "u" if rng.random() < 0.5 else f"imp{trial}"
             query = query_for(ref, source, rng.normal(size=2), position=i, order=5 + i)
-            maybe_update(ref, query, centered_score(ref, query.sample.features), strategy)
-        assert impostor_inclusion(ref) == 0.0
+            outcome = maybe_update(ref, query, centered_score(ref, query.sample.features), strategy)
+            assert not (outcome.applied and outcome.was_impostor)
+            if outcome.applied:
+                genuine.append(query.sample.features)
+        assert ref.vectors.tobytes() == _bytes([*ENROLLMENT, *genuine])
 
 
 def test_strategy_none_keeps_gallery_bit_identical():
@@ -246,31 +310,24 @@ def test_fifo_gallery_matches_a_fresh_recompute_after_every_update(
     ref = fresh_ref(vectors=rng.normal(size=(enrolled, dimension)), capacity=capacity)
     enrollment = ref.vectors.copy()
     strategy = UpdateStrategy(StrategyKind.SELF_THRESHOLD, 0.0, capacity=capacity)
-    updates, tags = [], []  # expected update vectors and their tags, oldest first
+    updates = []  # expected update vectors, oldest first
     for i, (genuine, accept) in enumerate(steps):
         features = rng.normal(size=dimension) * 3.0
         source = "u" if genuine else "imp"
         query = query_for(ref, source, features, position=i, session=2 + i, order=10 + i)
         outcome = maybe_update(ref, query, -1.0 if accept else 1.0, strategy)
         assert outcome.applied is accept
+        assert outcome.was_impostor is not genuine
         if accept:
             updates.append(features)
-            origin = Origin.GENUINE_UPDATE if genuine else Origin.IMPOSTOR_UPDATE
-            tags.append((origin, source, 2 + i))
         if capacity is not None and len(enrollment) + len(updates) > capacity:
-            assert outcome.evicted == tags.pop(0)
-            updates.pop(0)
+            assert outcome.evicted.tobytes() == updates.pop(0).tobytes()
         else:
             assert outcome.evicted is None
-        vectors, origins = ref.vectors, ref.origins
-        assert len(vectors) == len(origins) == len(enrollment) + len(updates)
-        for row, origin, expected in zip(vectors, origins, enrollment):
-            assert origin is Origin.ENROLLMENT
-            assert np.array_equal(row, expected)
-        cut = len(enrollment)
-        for row, origin, expected in zip(vectors[cut:], origins[cut:], updates):
-            assert origin is not Origin.ENROLLMENT
-            assert np.array_equal(row, expected)
+        vectors = ref.vectors
+        assert len(vectors) == len(enrollment) + len(updates)
+        assert vectors[: len(enrollment)].tobytes() == enrollment.tobytes()
+        assert vectors[len(enrollment) :].tobytes() == b"".join(u.tobytes() for u in updates)
         mu, mad = gallery_statistics(vectors.copy(), ref.eps)
         assert np.array_equal(_bits(ref.mu), _bits(mu))
         assert np.array_equal(_bits(ref.mad), _bits(mad))
