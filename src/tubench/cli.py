@@ -12,15 +12,12 @@ metric/data error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import shutil
 import sys
 import tempfile
-import types
-import typing
 from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
@@ -28,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import Label, Mode, ScoreLog, scored_sessions
+from .core import REQUIRED, Label, Mode, ScoreLog, fields_of, scored_sessions, typed
 from .errors import BenchError, ConfigError, MetricError
 from .evaluator import ExperimentConfig, run_experiment
 from .ingest import (
@@ -47,37 +44,19 @@ from .update import StrategyKind, UpdateStrategy
 
 RESULT_FILES = ("scores.csv", "metrics.csv", "summary.csv", "inclusion.csv")
 
-REQUIRED = object()
-"""The default of a config field that has none."""
-
-
-def _fields_of(cls) -> dict:
-    """The FIELDS section of a dataclass, in field order: `T | None` is T,
-    `tuple[T, ...]` is [T], and a field without a default is REQUIRED."""
-    section, hints = {}, typing.get_type_hints(cls)
-    for f in dataclasses.fields(cls):
-        kind = hints[f.name]
-        if isinstance(kind, types.UnionType):
-            kind = typing.get_args(kind)[0]
-        if typing.get_origin(kind) is tuple:
-            kind = [typing.get_args(kind)[0]]
-        section[f.name] = (kind, REQUIRED if f.default is dataclasses.MISSING else f.default)
-    return section
-
-
 # Every config field, per section: (JSON type, default or REQUIRED). A type
-# is int, float (any JSON number, resolved to a float), str, bool, an Enum
-# (a string out of the enum's values), dict (the section named by the
-# field's dotted path) or [T] (a list of T). A missing or null field takes
-# its default, which is resolved like a given value; a null default stays
-# null. Sections that match a dataclass field for field are read from it.
+# is int, float, str, bool, an Enum (a string out of its values), [T] (a list
+# of T), each checked by `core.typed`, or dict (the section named by the
+# field's dotted path). A missing or null field takes its default, which is
+# resolved like a given value; a null default stays null. Sections that
+# match a dataclass field for field are read from it.
 FIELDS = {
     "dataset": {"path": (str, None), "synthetic": (dict, None), "mapping": (dict, {})},
-    "dataset.synthetic": _fields_of(SynthConfig),
-    "dataset.mapping": _fields_of(ColumnMapping),
+    "dataset.synthetic": fields_of(SynthConfig),
+    "dataset.mapping": fields_of(ColumnMapping),
     "matcher": {"epsilon": (float, EPSILON)},
-    "update": _fields_of(UpdateStrategy),
-    "stream": _fields_of(StreamConfig),
+    "update": fields_of(UpdateStrategy),
+    "stream": fields_of(StreamConfig),
     "evaluation": {
         "mode": (Mode, Mode.ONLINE),
         "repeats": (int, ExperimentConfig.repeats),
@@ -87,21 +66,8 @@ FIELDS = {
     "output": {"label": (str, "experiment")},
 }
 
-_WHAT = {
-    int: "an integer", float: "a number", str: "a string", bool: "a boolean",
-    Label: "a label string", Scheme: "a scheme name",
-}
-
-
 def _fail(path: str, message: str) -> ConfigError:
     return ConfigError(f"{path}: {message}")
-
-
-def _check(value, path: str, kind, what: str):
-    accepted = (int, float) if kind is float else kind
-    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
-        raise _fail(path, f"expected {what}")
-    return value
 
 
 def _resolve(value, path: str, kind, default):
@@ -114,37 +80,21 @@ def _resolve(value, path: str, kind, default):
             return None
     if kind is dict:
         fields = FIELDS[path]
-        unknown = sorted(set(_check(value, path, dict, "an object")) - set(fields))
+        if not isinstance(value, dict):
+            raise _fail(path, "expected an object")
+        unknown = sorted(set(value) - set(fields))
         if unknown:
             raise _fail(f"{path}.{unknown[0]}", "unknown field")
         return {
             key: _resolve(value.get(key), f"{path}.{key}", *field) for key, field in fields.items()
         }
-    if isinstance(kind, list):
-        (item_kind,) = kind
-        items = [
-            _check(item, path, str, _WHAT[item_kind])
-            for item in _check(value, path, list, "a list")
-        ]
-        if item_kind is str:
-            return items
-        choices = [member.value for member in item_kind]
-        bad = [item for item in items if item not in choices]
-        if bad:
-            raise _fail(path, f"unknown {item_kind.__name__.lower()} '{bad[0]}'")
-        return [item_kind(item).value for item in items]
-    if issubclass(kind, Enum):
-        choices = [member.value for member in kind]
-        if _check(value, path, str, "a string") not in choices:
-            raise _fail(path, f"must be one of {choices}")
-        return kind(value).value
-    value = _check(value, path, kind, _WHAT[kind])
-    if kind is float:
-        try:
-            return float(value)
-        except OverflowError:
-            raise _fail(path, "number out of range") from None
-    return value
+    try:
+        value = typed(kind, value)
+    except TypeError as exc:
+        raise _fail(path, f"expected {exc}") from None
+    if isinstance(value, tuple):  # written in its JSON form, as is an Enum
+        return [item.value if isinstance(item, Enum) else item for item in value]
+    return value.value if isinstance(value, Enum) else value
 
 
 def resolve_config(document: dict) -> dict:
@@ -154,7 +104,9 @@ def resolve_config(document: dict) -> dict:
     is the identity, which is what makes manifests re-runnable.
     """
     sections = [name for name in FIELDS if "." not in name]
-    unknown = sorted(set(_check(document, "config", dict, "an object")) - set(sections))
+    if not isinstance(document, dict):
+        raise _fail("config", "expected an object")
+    unknown = sorted(set(document) - set(sections))
     if unknown:
         raise _fail(unknown[0], "unknown section")
     resolved = {name: _resolve(document.get(name), name, dict, {}) for name in sections}
@@ -171,6 +123,10 @@ def resolve_config(document: dict) -> dict:
         raise _fail("stream.scripted", "given exactly when stream.global_order is 'scripted'")
     if resolved["evaluation"]["repeats"] < 1:
         raise _fail("evaluation.repeats", "must be >= 1")
+    schemes = resolved["evaluation"]["schemes"]
+    for i, scheme in enumerate(schemes):
+        if scheme in schemes[:i]:
+            raise _fail("evaluation.schemes", f"'{scheme}' given twice")
     return resolved
 
 
@@ -196,23 +152,13 @@ def load_config(path) -> dict:
     return resolved
 
 
-def _arguments(section: str, values: dict) -> dict:
-    """A resolved section as dataclass arguments: lists as tuples of their
-    element type (enum fields are converted by the dataclasses)."""
-    arguments = dict(values)
-    for key, (kind, _) in FIELDS[section].items():
-        if values[key] is not None and isinstance(kind, list):
-            arguments[key] = tuple(map(kind[0], values[key]))
-    return arguments
-
-
 def _build_experiment(resolved: dict) -> tuple[ExperimentConfig, tuple[Scheme, ...]]:
     """The experiment and the EER schemes to report."""
-    evaluation = _arguments("evaluation", resolved["evaluation"])
-    schemes = evaluation.pop("schemes")
+    evaluation = dict(resolved["evaluation"])
+    schemes = tuple(map(Scheme, evaluation.pop("schemes")))
     experiment = ExperimentConfig(
-        stream=StreamConfig(**_arguments("stream", resolved["stream"])),
-        strategy=UpdateStrategy(**_arguments("update", resolved["update"])),
+        stream=StreamConfig(**resolved["stream"]),
+        strategy=UpdateStrategy(**resolved["update"]),
         eps=resolved["matcher"]["epsilon"],
         **evaluation,
     )
@@ -223,8 +169,7 @@ def _load_dataset(resolved: dict):
     section = resolved["dataset"]
     if section["synthetic"] is not None:
         return generate(SynthConfig(**section["synthetic"]))
-    mapping = ColumnMapping(**_arguments("dataset.mapping", section["mapping"]))
-    return read_dataset(Path(section["path"]), mapping)
+    return read_dataset(Path(section["path"]), ColumnMapping(**section["mapping"]))
 
 
 def _write_manifest(path: Path, command: str, resolved: dict, outputs: list[str]) -> None:
@@ -361,7 +306,7 @@ def _manifest_label(path: Path) -> str:
 
 def cmd_report(in_dirs, out_path) -> None:
     """Merge summary tables from several runs into one long-format table."""
-    rows = []
+    rows, labelled = [], {}
     for directory in in_dirs:
         directory = Path(directory)
         summary_path = directory / "summary.csv"
@@ -369,6 +314,11 @@ def cmd_report(in_dirs, out_path) -> None:
             raise FileNotFoundError(f"{directory}: missing summary.csv")
         manifest_path = directory / "manifest.json"
         label = _manifest_label(manifest_path) if manifest_path.exists() else directory.name
+        if label in labelled:
+            raise ConfigError(
+                f"{labelled[label]} and {directory}: both have the system label '{label}'"
+            )
+        labelled[label] = directory
         header, data = read_table(summary_path)
         expected = ["scheme", "session", "mean_eer", "std_eer"]
         if header != expected:

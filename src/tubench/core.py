@@ -5,34 +5,92 @@ one vectorized pass, and immutable afterwards, so runs share them
 freely. `Sample` (an unchecked view of one dataset row), `QueryEvent`
 and `ScoreRecord` serve the per-query reference loops only. Within one
 user, acquisition time is ordered by (session, order_index); no
-wall-clock timestamps exist anywhere.
+wall-clock timestamps exist anywhere. `typed` is the type rule of every
+config field, which the config dataclasses and the CLI share.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import types
+import typing
+from contextlib import suppress
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from enum import Enum
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import ValidationError
 
+REQUIRED = object()
+"""The default of a config field that has none."""
 
-def convert_enums(instance, kinds: dict, problems: list) -> None:
-    """Set each named enum field of a frozen dataclass to its member, so that
-    a field may be given by value; an unknown value is a problem naming it."""
-    for name, kind in kinds.items():
+
+@cache
+def fields_of(cls) -> dict:
+    """Each field of a config dataclass as (kind, default), in field order:
+    `T | None` is T, `tuple[T, ...]` is [T], and no default is REQUIRED."""
+    section, hints = {}, typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        if isinstance(kind, types.UnionType):
+            kind = typing.get_args(kind)[0]
+        if typing.get_origin(kind) is tuple:
+            kind = [typing.get_args(kind)[0]]
+        section[f.name] = (kind, REQUIRED if f.default is dataclasses.MISSING else f.default)
+    return section
+
+
+def _what(kind) -> str:
+    if isinstance(kind, list):
+        return f"a list, each {_what(kind[0])}"
+    if issubclass(kind, Enum):
+        return f"one of {[member.value for member in kind]}"
+    return {int: "an integer", float: "a number", str: "a string", bool: "a boolean"}.get(
+        kind, f"of type {kind.__name__}"
+    )
+
+
+def typed(kind, value):
+    """`value` as a field of a `fields_of` kind, by the one type rule of every
+    config field: an int and a bool never stand for each other, any real
+    number becomes a float, an Enum is taken by its value, and [T] is a list
+    of T, kept as a tuple. Else a TypeError says what the value must be."""
+    if isinstance(kind, list):
+        if isinstance(value, (list, tuple)):
+            with suppress(TypeError):
+                return tuple(typed(kind[0], item) for item in value)
+    elif issubclass(kind, Enum):
+        with suppress(ValueError, TypeError):
+            return kind(value)
+    elif isinstance(value, bool) == (kind is bool):
+        if kind is int and isinstance(value, Integral):
+            return int(value)
+        if kind is float and isinstance(value, Real):
+            with suppress(OverflowError):
+                return float(value)
+            raise TypeError("a number that fits a float")
+        if kind not in (int, float) and isinstance(value, kind):
+            return value
+    raise TypeError(_what(kind))
+
+
+def check_fields(instance) -> None:
+    """Set each field of a frozen config dataclass to its `typed` value, or
+    leave a None whose default is None; raise every misfit together, by name."""
+    problems = []
+    for name, (kind, default) in fields_of(type(instance)).items():
+        value = getattr(instance, name)
+        if value is None and default is None:
+            continue
         try:
-            object.__setattr__(instance, name, kind(getattr(instance, name)))
-        except ValueError as exc:
-            problems.append(f"{name}: {exc}")
-
-
-def is_integer(value) -> bool:
-    """Whether `value` is an integer other than a bool (an `Integral` too)."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
+            object.__setattr__(instance, name, typed(kind, value))
+        except TypeError as exc:
+            problems.append(f"{name} must be {exc}, got {value!r}")
+    if problems:
+        raise ValidationError(problems)
 
 
 class Label(str, Enum):

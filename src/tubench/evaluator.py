@@ -21,11 +21,12 @@ rows as one FIFO batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Mode, ScoreLog, convert_enums, is_integer, scored_sessions
+from .core import Dataset, Mode, ScoreLog, check_fields, scored_sessions
 from .errors import ConfigError, ValidationError
 from .matcher import EPSILON, center, enroll, raw_score
 from .matcher import centered_score  # noqa: F401  perfbench traces it under this module
@@ -38,7 +39,8 @@ from .update import maybe_update  # noqa: F401  perfbench traces it under this m
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one evaluation run depends on; mode may be given by value."""
+    """Everything one evaluation run depends on; mode may be given by value.
+    eps, the matcher's floor on every spread, must be finite and > 0."""
 
     mode: Mode
     stream: StreamConfig
@@ -48,14 +50,12 @@ class ExperimentConfig:
     eps: float = EPSILON
 
     def __post_init__(self):
+        check_fields(self)
         problems = []
-        convert_enums(self, {"mode": Mode}, problems)
-        if not is_integer(self.repeats):
-            problems.append(f"repeats must be an integer, got {self.repeats!r}")
-        elif self.repeats < 1:
+        if self.repeats < 1:
             problems.append(f"repeats must be >= 1, got {self.repeats}")
-        if not is_integer(self.base_seed):
-            problems.append(f"base_seed must be an integer, got {self.base_seed!r}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            problems.append(f"eps must be finite and > 0, got {self.eps}")
         if problems:
             raise ValidationError(problems)
 

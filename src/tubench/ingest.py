@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, check_fields
 from .errors import FormatError
 
 
@@ -175,6 +175,9 @@ class ColumnMapping:
     session_column: str = "session"
     rep_column: str = "rep"
     feature_columns: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 #: Layout used by the public CMU keystroke benchmark files.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, check_fields
 from .errors import ValidationError
 from .ingest import split_work
 from .rng import block_normals, mix64
@@ -40,6 +40,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         problems = []
         if self.num_users < 1:
             problems.append(f"num_users must be >= 1, got {self.num_users}")

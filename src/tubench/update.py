@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Real
 
 import numpy as np
 
-from .core import Dataset, Label, QueryEvent, convert_enums, is_integer
+from .core import Dataset, Label, QueryEvent, check_fields
 from .errors import ValidationError
 from .matcher import ReferenceModel, refresh_statistics
 
@@ -45,17 +44,13 @@ class UpdateStrategy:
     capacity: int | None = None
 
     def __post_init__(self):
+        check_fields(self)
         problems = []
-        convert_enums(self, {"kind": StrategyKind}, problems)
         if self.threshold is None:
             object.__setattr__(self, "threshold", math.inf)
-        elif isinstance(self.threshold, bool) or not isinstance(self.threshold, Real):
-            problems.append(f"threshold must be a number, got {self.threshold!r}")
         elif math.isnan(self.threshold):
             problems.append("threshold must not be NaN")
-        if self.capacity is not None and not is_integer(self.capacity):
-            problems.append(f"capacity must be an integer, got {self.capacity!r}")
-        elif self.capacity is not None and self.capacity < 1:
+        if self.capacity is not None and self.capacity < 1:
             problems.append(f"capacity must be >= 1, got {self.capacity}")
         if problems:
             raise ValidationError(problems)

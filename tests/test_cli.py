@@ -15,7 +15,6 @@ from tubench.cli import (
     REQUIRED,
     RESULT_FILES,
     _build_experiment,
-    _fields_of,
     _load_dataset,
     cmd_generate,
     cmd_report,
@@ -25,7 +24,7 @@ from tubench.cli import (
     main,
     resolve_config,
 )
-from tubench.core import Label, Mode, ScoreLog
+from tubench.core import Label, Mode, ScoreLog, fields_of
 from tubench.errors import ConfigError, MetricError
 from tubench import metrics
 from tubench.evaluator import ExperimentConfig, run_experiment
@@ -427,6 +426,18 @@ def test_cross_field_rules_fail_naming_the_field(tmp_path, capsys, patch, path):
     assert not out.exists()
 
 
+def test_a_scheme_given_twice_fails_before_the_dataset_is_built(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("tubench.cli.generate", calls.append)
+    schemes = ["pooled", "per_session", "pooled"]
+    config = write_config(tmp_path / "c.json", patch={"evaluation": {"schemes": schemes}})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: evaluation.schemes: 'pooled' given twice\n"
+    assert calls == []
+    assert not out.exists()
+
+
 def test_bad_stream_config_fails_before_the_dataset_is_built(tmp_path, capsys, monkeypatch):
     calls = []
 
@@ -613,6 +624,28 @@ def test_report_bad_summary_row_names_the_file_and_row(tmp_path, capsys, row, ba
     assert err.startswith(f"error: {run / 'summary.csv'}: row 3: "), bad
     assert "Traceback" not in err
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("named", ["by manifest", "by directory"])
+def test_report_rejects_a_repeated_system_label(tmp_path, capsys, named):
+    if named == "by manifest":
+        runs, label = [tmp_path / "x", tmp_path / "y"], "sys-a"
+    else:
+        runs, label = [tmp_path / "a" / "run", tmp_path / "b" / "run"], "run"
+    for run in runs:
+        run.mkdir(parents=True)
+        write_table(
+            run / "summary.csv", ["scheme", "session", "mean_eer", "std_eer"],
+            [["pooled", "2", "0.1", "0.0"]],
+        )
+        if named == "by manifest":
+            (run / "manifest.json").write_text(json.dumps({"config": {"output": {"label": label}}}))
+    out = tmp_path / "c.csv"
+    assert main(["report", "--in", str(runs[0]), "--in", str(runs[1]), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {runs[0]} and {runs[1]}: both have the system label '{label}'\n"
+    tops = {run.relative_to(tmp_path).parts[0] for run in runs}
+    assert {path.name for path in tmp_path.iterdir()} == tops  # no report, no staging directory
 
 
 def test_a_failed_report_write_keeps_the_previous_report(tmp_path, capsys, monkeypatch):
@@ -840,8 +873,11 @@ def _uncanonical_fields(values, section):
 @settings(max_examples=300, deadline=None)
 @given(_DOCUMENTS)
 def test_resolve_config_is_idempotent(document):
-    # the three cross-field rules the drawn fields can break
+    # the four cross-field rules the drawn fields can break
     dataset, update = document["dataset"], document.get("update") or {}
+    evaluation = document.get("evaluation") or {}
+    if evaluation.get("schemes"):
+        evaluation["schemes"] = list(dict.fromkeys(evaluation["schemes"]))
     if dataset.get("synthetic") is None and dataset.get("path") is None:
         dataset["path"] = "data.csv"
     assume(update.get("kind") != "self_threshold" or update.get("threshold") is not None)
@@ -883,7 +919,7 @@ def test_readme_library_usage_runs_as_written(capsys):
 
 
 def test_the_update_section_is_read_from_update_strategy():
-    assert FIELDS["update"] == _fields_of(UpdateStrategy) == {
+    assert FIELDS["update"] == fields_of(UpdateStrategy) == {
         "kind": (StrategyKind, StrategyKind.NONE), "threshold": (float, None), "capacity": (int, None),
     }
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -7,15 +9,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tubench import (
+    ColumnMapping,
     Dataset,
+    ExperimentConfig,
     Label,
     Mode,
     QueryEvent,
     ScoreLog,
     ScoreRecord,
+    StreamConfig,
+    SynthConfig,
+    UpdateStrategy,
     ValidationError,
     score_log_violations,
 )
+from tubench.core import fields_of, typed
 from conftest import dataset_of, log_columns, log_of, make_sample, sample_columns
 
 
@@ -448,3 +456,77 @@ def test_core_types_are_frozen():
     record = _record(0, 2)
     with pytest.raises(AttributeError):
         record.session = 5
+
+
+CONFIGS = (
+    SynthConfig(3, 3, 2, 2),
+    ColumnMapping(),
+    StreamConfig(0.3),
+    UpdateStrategy(),
+    ExperimentConfig(Mode.ONLINE, StreamConfig(0.3), UpdateStrategy()),
+)
+
+
+def _wrong_types(kind):
+    """Values that are not of one `fields_of` kind."""
+    if isinstance(kind, list):
+        return ["x", [5]]
+    return {
+        int: [2.5, True, "1"], float: [True, "0.5"], bool: [1, "false"], str: [5, ["x"]],
+    }.get(kind, [5, "x"])  # an Enum or a config dataclass
+
+
+@pytest.mark.parametrize(
+    "config, name, kind, value",
+    [
+        pytest.param(config, name, kind, value, id=f"{type(config).__name__}.{name}={value!r}")
+        for config in CONFIGS
+        for name, (kind, _) in fields_of(type(config)).items()
+        for value in _wrong_types(kind)
+    ],
+)
+def test_every_config_field_of_the_wrong_type_fails_naming_it(config, name, kind, value):
+    with pytest.raises(TypeError) as misfit:
+        typed(kind, value)
+    with pytest.raises(ValidationError) as caught:
+        dataclasses.replace(config, **{name: value})
+    assert caught.value.violations == [f"{name} must be {misfit.value}, got {value!r}"]
+
+
+def test_every_wrong_field_is_named_before_any_range_check():
+    with pytest.raises(ValidationError) as caught:
+        SynthConfig(0, "3", 2, 2, noise_scale=-1.0, seed=None)
+    assert caught.value.violations == [
+        "num_sessions must be an integer, got '3'", "seed must be an integer, got None",
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind, value, expected",
+    [
+        (int, np.int64(3), 3), (int, -(2**65), -(2**65)), (float, 2, 2.0),
+        (float, np.float32(0.5), 0.5), (bool, False, False), (str, "a", "a"),
+        (Mode, "offline", Mode.OFFLINE), (Mode, Mode.ONLINE, Mode.ONLINE),
+        ([Label], ["impostor", Label.GENUINE], (Label.IMPOSTOR, Label.GENUINE)),
+        ([str], [], ()),
+    ],
+)
+def test_typed_converts_by_the_one_rule(kind, value, expected):
+    got = typed(kind, value)
+    assert got == expected and type(got) is type(expected)
+
+
+@pytest.mark.parametrize(
+    "kind, value, what",
+    [
+        (int, True, "an integer"), (int, 2.0, "an integer"), (bool, 1, "a boolean"),
+        (bool, np.True_, "a boolean"), (float, False, "a number"),
+        (float, 10**400, "a number that fits a float"), (str, b"a", "a string"),
+        (Mode, "Online", "one of ['online', 'offline']"), ([str], "ab", "a list, each a string"),
+        ([Label], ["genuin"], "a list, each one of ['genuine', 'impostor']"),
+        (StreamConfig, {"impostor_ratio": 0.3}, "of type StreamConfig"),
+    ],
+)
+def test_typed_says_what_a_misfit_must_be(kind, value, what):
+    with pytest.raises(TypeError, match=f"^{re.escape(what)}$"):
+        typed(kind, value)

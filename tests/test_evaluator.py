@@ -136,8 +136,8 @@ def test_an_enum_field_given_by_value_runs_as_its_member(field, member):
 def test_an_unknown_enum_value_is_rejected_by_name(field):
     with pytest.raises(ValidationError) as caught:
         config_with(field, "sideways")
-    kind = ENUM_FIELDS[field].__name__
-    assert caught.value.violations == [f"{field}: 'sideways' is not a valid {kind}"]
+    choices = [member.value for member in ENUM_FIELDS[field]]
+    assert caught.value.violations == [f"{field} must be one of {choices}, got 'sideways'"]
 
 
 @pytest.mark.parametrize(
@@ -148,6 +148,13 @@ def test_repeats_and_base_seed_must_be_integers(field, value):
     with pytest.raises(ValidationError) as caught:
         ExperimentConfig(Mode.ONLINE, StreamConfig(0.3), UpdateStrategy(), **{field: value})
     assert caught.value.violations == [f"{field} must be an integer, got {value!r}"]
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1e-6])
+def test_eps_must_be_finite_and_positive(eps):
+    with pytest.raises(ValidationError) as caught:
+        ExperimentConfig(Mode.ONLINE, StreamConfig(0.3), UpdateStrategy(), eps=eps)
+    assert caught.value.violations == [f"eps must be finite and > 0, got {eps}"]
 
 
 def test_repeats_must_be_positive_and_may_be_any_integer_type():

@@ -134,8 +134,11 @@ def test_scripted_label_strings_are_converted_and_need_the_scripted_order():
     assert all(type(label) is Label for label in config.scripted)
     events = drain(planned(dataset, "u0", 2, config, seed=0), reference_for(dataset))
     assert tuple(e.true_label for e in events) == SCRIPT
-    with pytest.raises(ValidationError, match="scripted: 'genuin' is not a valid Label"):
+    with pytest.raises(ValidationError) as caught:
         StreamConfig(0.3, GlobalOrder.SCRIPTED, scripted=("genuine", "genuin"))
+    assert caught.value.violations == [
+        "scripted must be a list, each one of ['genuine', 'impostor'], got ('genuine', 'genuin')"
+    ]
     for order in set(GlobalOrder) - {GlobalOrder.SCRIPTED}:
         with pytest.raises(ValidationError, match="scripted global order only"):
             StreamConfig(0.3, order, scripted=SCRIPT)

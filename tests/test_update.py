@@ -142,7 +142,7 @@ def test_a_kind_given_by_value_is_converted():
 @pytest.mark.parametrize(
     "arguments, message",
     [
-        (("bogus", 0.0), "kind: 'bogus' is not a valid StrategyKind"),
+        (("bogus", 0.0), "kind must be one of ['none', 'supervised', 'self_threshold'], got 'bogus'"),
         ((StrategyKind.SUPERVISED, "x"), "threshold must be a number, got 'x'"),
         ((StrategyKind.SUPERVISED, None, "3"), "capacity must be an integer, got '3'"),
         ((StrategyKind.SUPERVISED, None, 2.0), "capacity must be an integer, got 2.0"),
