@@ -77,6 +77,18 @@ def typed(kind, value):
     raise TypeError(_what(kind))
 
 
+def shown(value) -> str:
+    """`value` as a problem message shows it: its repr, or for an int too
+    long for Python to write in decimal (`sys.get_int_max_str_digits`), its
+    sign and bit length, and for any other value whose repr fails, its type."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} too long to show"
+
+
 def check_fields(instance) -> None:
     """Set each field of a frozen config dataclass to its `typed` value, or
     leave a None whose default is None; raise every misfit together, by name."""
@@ -88,7 +100,7 @@ def check_fields(instance) -> None:
         try:
             object.__setattr__(instance, name, typed(kind, value))
         except TypeError as exc:
-            problems.append(f"{name} must be {exc}, got {value!r}")
+            problems.append(f"{name} must be {exc}, got {shown(value)}")
     if problems:
         raise ValidationError(problems)
 
@@ -159,9 +171,9 @@ def _check_columns(dimension, num_sessions, user_ids, sessions, order_indices, f
     features, session_col, order_col = _columns(user_ids, sessions, order_indices, features)
     problems = []
     if dimension < 1:
-        problems.append(f"dimension must be >= 1, got {dimension}")
+        problems.append(f"dimension must be >= 1, got {shown(dimension)}")
     if num_sessions < 2:
-        problems.append(f"dataset must span at least 2 sessions, got {num_sessions}")
+        problems.append(f"dataset must span at least 2 sessions, got {shown(num_sessions)}")
     users = tuple(sorted(set(user_ids), key=str))
     position = {user: i for i, user in enumerate(users)}
     codes = np.fromiter(map(position.__getitem__, user_ids), np.intp, len(user_ids))

@@ -1,9 +1,10 @@
 """Session-loop orchestration: online and offline evaluation runs.
 
 One loop serves both modes. Each (user, session) is laid out once per
-run, before the first enrollment; each repeat plans every session from
-its layout and its block-drawn indices, presents it to the user's
-reference by one `_present` call, and logs it if the mode logs it. The
+run, before the first enrollment, and each user is enrolled once per
+run. Each repeat plans every session from its layout and its block-drawn
+indices, presents it by one `_present` call to the repeat's own copy of
+the user's reference, and logs it if the mode logs it. The
 reference changes only where the update rule accepts a query; the
 queries after an applied update are rescored against it, with one
 matrix call per reference state.
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Mode, ScoreLog, check_fields, scored_sessions
+from .core import Dataset, Mode, ScoreLog, check_fields, scored_sessions, shown
 from .errors import ConfigError, ValidationError
 from .matcher import EPSILON, center, enroll, raw_score
 from .matcher import centered_score  # noqa: F401  perfbench traces it under this module
@@ -53,9 +54,9 @@ class ExperimentConfig:
         check_fields(self)
         problems = []
         if self.repeats < 1:
-            problems.append(f"repeats must be >= 1, got {self.repeats}")
+            problems.append(f"repeats must be >= 1, got {shown(self.repeats)}")
         if not (math.isfinite(self.eps) and self.eps > 0):
-            problems.append(f"eps must be finite and > 0, got {self.eps}")
+            problems.append(f"eps must be finite and > 0, got {shown(self.eps)}")
         if problems:
             raise ValidationError(problems)
 
@@ -135,18 +136,23 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
     closest = config.stream.local_order in CLOSEST
     layouts = session_layouts(dataset, config.stream, [(u, s) for u in users for s in sessions])
     bounds = BlockBounds([layout.bounds for layout in layouts])
+    # Enrollment reads session 1, eps and the capacity only, so each user is
+    # enrolled once and every repeat presents to its own copy.
+    templates = []
+    for user in users:
+        span = dataset.row_range(user, 1)
+        templates.append(enroll(
+            user,
+            dataset.feature_matrix[span.start : span.stop],
+            eps=config.eps,
+            capacity=config.strategy.capacity,
+        ))
     for repeat in range(config.repeats):
         # Every stream of the repeat in one block draw; seeds and layouts are user-major.
         seeds = block_mix64(config.base_seed, repeat, np.arange(len(users))[:, None], sessions)
         plans = zip(layouts, block_randbelow(seeds.ravel(), bounds))
-        for user_index, user in enumerate(users):
-            span = dataset.row_range(user, 1)
-            model = enroll(
-                user,
-                dataset.feature_matrix[span.start : span.stop],
-                eps=config.eps,
-                capacity=config.strategy.capacity,
-            )
+        for user_index, template in enumerate(templates):
+            model = template.copy()
             for session in sessions:
                 state = plan_session(*next(plans))
                 # Offline, only the unlogged session 2 re-plans its closest-* impostors.

@@ -268,11 +268,9 @@ def _read_rows(path, mapping: ColumnMapping):
 def _plain(line: bytes) -> bool:
     """Whether `line` holds none of the characters that need the row loop:
     csv's quote and carriage return, NUL, and the separators \\x1c-\\x1f,
-    which numpy's float parser strips as whitespace and float() rejects."""
-    return not (
-        b'"' in line or b"\r" in line or b"\0" in line
-        or b"\x1c" in line or b"\x1d" in line or b"\x1e" in line or b"\x1f" in line
-    )
+    which numpy's float parser strips as whitespace and float() rejects.
+    One C pass: deleting them leaves the line as long only if it has none."""
+    return len(line.translate(None, b'"\r\0\x1c\x1d\x1e\x1f')) == len(line)
 
 
 #: Below this many bytes of rows a dataset file is parsed in this process

@@ -8,6 +8,10 @@ negative values mean closer than that, which is what makes negative
 update thresholds meaningful. A reference is built only by enrolling a
 user's enrollment vectors. Its gallery holds vectors only: which query
 each update came from is recorded by the run (`RunResult.updates`).
+
+Every kernel averages as `np.add.reduce(x, axis) / count`. For float64
+input that is exactly what `np.mean` computes, a sum reduction and then
+one true division by the count, without its Python wrapper.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ class ReferenceModel:
     """A user's adaptable biometric reference, built by enrolling the (n, d)
     matrix of the user's enrollment vectors.
 
-    The gallery is mutated by exactly one evaluation loop at a time;
+    The gallery is mutated by exactly one evaluation loop at a time (a run
+    enrolls each user once and presents each repeat to a `copy`);
     mu / mad always mirror the current gallery, while center_m /
     center_s stay fixed at their enrollment values. The centering
     constants come from leave-one-out self-scores: each enrollment
@@ -62,25 +67,35 @@ class ReferenceModel:
         # Row k of `rest` holds every enrollment vector but the k-th, in order, so the
         # axis-1 reductions give each leave-one-out gallery's statistics, the same in
         # any block of rows; one block holds about LOO_BLOCK values.
+        d = vectors.shape[1]
         loo_scores = np.empty(n)
-        step = max(1, LOO_BLOCK // ((n - 1) * vectors.shape[1]))
+        step = max(1, LOO_BLOCK // ((n - 1) * d))
         for start in range(0, n, step):
             k = np.arange(start, min(start + step, n))
             rest = vectors[np.arange(n - 1) + (np.arange(n - 1) >= k[:, None])]
-            mu_loo = rest.mean(axis=1)
-            mad_loo = np.maximum(np.abs(rest - mu_loo[:, None, :]).mean(axis=1), eps)
-            loo_scores[k] = np.mean(np.abs(vectors[k] - mu_loo) / mad_loo, axis=1)
+            mu_loo = np.add.reduce(rest, axis=1) / (n - 1)
+            spread = np.add.reduce(np.abs(rest - mu_loo[:, None, :]), axis=1) / (n - 1)
+            mad_loo = np.maximum(spread, eps)
+            loo_scores[k] = np.add.reduce(np.abs(vectors[k] - mu_loo) / mad_loo, axis=1) / d
         self.center_m = float(np.mean(loo_scores))
         self.center_s = max(float(np.std(loo_scores)), eps)
 
         self.target_user = target_user
         self.eps = eps
         self.capacity = capacity
-        self._matrix = np.empty((min(2 * n, capacity or math.inf), vectors.shape[1]))
+        self._matrix = np.empty((min(2 * n, capacity or math.inf), d))
         self._matrix[:n] = vectors
         self._size = self._enrolled = n
         self.mu, self.mad = gallery_statistics(vectors, eps)
         self._inv_mad = 1.0 / self.mad
+
+    def copy(self) -> "ReferenceModel":
+        """An independent reference in this one's current state. Only the
+        gallery matrix is copied: mu / mad are replaced on refresh, never
+        written, and the rest never changes."""
+        twin = object.__new__(type(self))
+        twin.__dict__ = {**self.__dict__, "_matrix": self._matrix.copy()}
+        return twin
 
     @property
     def vectors(self) -> np.ndarray:
@@ -115,8 +130,9 @@ class ReferenceModel:
 
 def gallery_statistics(vectors: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-dimension mean and mean absolute deviation, mad floored at eps."""
-    mu = vectors.mean(axis=0)
-    mad = np.maximum(np.abs(vectors - mu).mean(axis=0), eps)
+    n = len(vectors)
+    mu = np.add.reduce(vectors, axis=0) / n
+    mad = np.maximum(np.add.reduce(np.abs(vectors - mu), axis=0) / n, eps)
     return mu, mad
 
 
@@ -142,7 +158,7 @@ def raw_score(ref: ReferenceModel, query):
         raise ValidationError(
             f"query shape {arr.shape} does not end in reference dimension {ref.mu.size}"
         )
-    scores = np.mean(np.abs(arr - ref.mu) * ref._inv_mad, axis=-1)
+    scores = np.add.reduce(np.abs(arr - ref.mu) * ref._inv_mad, axis=-1) / ref.mu.size
     return float(scores) if arr.ndim == 1 else scores
 
 

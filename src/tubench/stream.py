@@ -39,7 +39,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import Dataset, Label, QueryEvent, check_fields
+from .core import Dataset, Label, QueryEvent, check_fields, shown
 from .errors import StreamError, ValidationError
 from .matcher import ReferenceModel, centered_score
 
@@ -83,7 +83,7 @@ class StreamConfig:
         check_fields(self)
         problems = []
         if not 0.0 <= self.impostor_ratio < 1.0:
-            problems.append(f"impostor_ratio must be in [0, 1), got {self.impostor_ratio}")
+            problems.append(f"impostor_ratio must be in [0, 1), got {shown(self.impostor_ratio)}")
         if (self.scripted is None) == (self.global_order is GlobalOrder.SCRIPTED):
             problems.append("scripted: a label sequence goes with the scripted global order only")
         if problems:
@@ -146,7 +146,7 @@ def session_layouts(dataset: Dataset, config: StreamConfig, targets) -> list[Ses
     layouts = []
     for user, session in targets:
         if session < 2:
-            raise ValidationError(f"query sessions start at 2, got {session}")
+            raise ValidationError(f"query sessions start at 2, got {shown(session)}")
         own = dataset.row_range(user, session)
         if not own:
             raise StreamError(f"user {user} has no samples in session {session}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, check_fields
+from .core import Dataset, check_fields, shown
 from .errors import ValidationError
 from .ingest import split_work
 from .rng import block_normals, mix64
@@ -43,21 +43,21 @@ class SynthConfig:
         check_fields(self)
         problems = []
         if self.num_users < 1:
-            problems.append(f"num_users must be >= 1, got {self.num_users}")
+            problems.append(f"num_users must be >= 1, got {shown(self.num_users)}")
         if self.num_sessions < 2:
-            problems.append(f"num_sessions must be >= 2, got {self.num_sessions}")
+            problems.append(f"num_sessions must be >= 2, got {shown(self.num_sessions)}")
         if self.samples_per_session < 1:
             problems.append(
-                f"samples_per_session must be >= 1, got {self.samples_per_session}"
+                f"samples_per_session must be >= 1, got {shown(self.samples_per_session)}"
             )
         if self.dimension < 1:
-            problems.append(f"dimension must be >= 1, got {self.dimension}")
+            problems.append(f"dimension must be >= 1, got {shown(self.dimension)}")
         if not 0 < self.base_spread < math.inf:
-            problems.append(f"base_spread must be finite and > 0, got {self.base_spread}")
+            problems.append(f"base_spread must be finite and > 0, got {shown(self.base_spread)}")
         if not 0 <= self.drift_scale < math.inf:
-            problems.append(f"drift_scale must be finite and >= 0, got {self.drift_scale}")
+            problems.append(f"drift_scale must be finite and >= 0, got {shown(self.drift_scale)}")
         if not 0 < self.noise_scale < math.inf:
-            problems.append(f"noise_scale must be finite and > 0, got {self.noise_scale}")
+            problems.append(f"noise_scale must be finite and > 0, got {shown(self.noise_scale)}")
         if problems:
             raise ValidationError(problems)
 

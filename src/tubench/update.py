@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Dataset, Label, QueryEvent, check_fields
+from .core import Dataset, Label, QueryEvent, check_fields, shown
 from .errors import ValidationError
 from .matcher import ReferenceModel, refresh_statistics
 
@@ -51,7 +51,7 @@ class UpdateStrategy:
         elif math.isnan(self.threshold):
             problems.append("threshold must not be NaN")
         if self.capacity is not None and self.capacity < 1:
-            problems.append(f"capacity must be >= 1, got {self.capacity}")
+            problems.append(f"capacity must be >= 1, got {shown(self.capacity)}")
         if problems:
             raise ValidationError(problems)
 

@@ -23,7 +23,7 @@ from tubench import (
     ValidationError,
     score_log_violations,
 )
-from tubench.core import fields_of, typed
+from tubench.core import fields_of, shown, typed
 from conftest import dataset_of, log_columns, log_of, make_sample, sample_columns
 
 
@@ -491,6 +491,39 @@ def test_every_config_field_of_the_wrong_type_fails_naming_it(config, name, kind
     with pytest.raises(ValidationError) as caught:
         dataclasses.replace(config, **{name: value})
     assert caught.value.violations == [f"{name} must be {misfit.value}, got {value!r}"]
+
+
+HUGE = 10**5000  # past Python's 4,300-digit limit on writing an int in decimal
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        pytest.param(lambda: StreamConfig(HUGE), "impostor_ratio", id="stream-ratio"),
+        pytest.param(lambda: UpdateStrategy(capacity=-HUGE), "capacity", id="update-capacity"),
+        pytest.param(
+            lambda: ExperimentConfig(Mode.ONLINE, StreamConfig(0.3), UpdateStrategy(), -HUGE),
+            "repeats", id="experiment-repeats",
+        ),
+        pytest.param(lambda: SynthConfig(-HUGE, 3, 2, 2), "num_users", id="synth-users"),
+        pytest.param(
+            lambda: SynthConfig(3, 3, 2, 2, base_spread=HUGE), "base_spread", id="synth-spread",
+        ),
+        pytest.param(lambda: ColumnMapping(HUGE), "user_column", id="mapping-user"),
+    ],
+)
+def test_an_int_too_long_to_print_is_rejected_by_name(build, name):
+    with pytest.raises(ValidationError) as caught:
+        build()
+    [problem] = caught.value.violations
+    assert problem.startswith(f"{name} must be "), problem
+    assert problem.endswith(" integer of 16610 bits"), problem
+
+
+def test_shown_is_the_repr_of_anything_it_can_print():
+    assert [shown(value) for value in (2.5, "x", -3, ("a",))] == ["2.5", "'x'", "-3", "('a',)"]
+    assert shown(-HUGE) == "a negative integer of 16610 bits"
+    assert shown((HUGE,)) == "a tuple too long to show"
 
 
 def test_every_wrong_field_is_named_before_any_range_check():

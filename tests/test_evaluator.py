@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 from tubench import (
     ConfigError,
     Dataset,
+    EnrollmentError,
     GlobalOrder,
     Label,
     LocalOrder,
     Mode,
+    ReferenceModel,
     ScoreRecord,
     SessionPolicy,
     StrategyKind,
@@ -175,7 +177,7 @@ def test_offline_needs_at_least_three_sessions():
 
 
 def test_runs_build_no_sample_views_and_evict_updates_oldest_first(monkeypatch):
-    models = recording_enroll(monkeypatch)
+    models = recording_copies(monkeypatch)
     dataset = small_synth()  # built from columns
     for mode in Mode:
         models.clear()
@@ -281,7 +283,7 @@ def test_online_hand_trace(trace_dataset):
 
 
 def test_offline_hand_trace(trace_dataset, monkeypatch):
-    models = recording_enroll(monkeypatch)
+    models = recording_copies(monkeypatch)
     result = run_experiment(trace_dataset, trace_config(Mode.OFFLINE))
     sqrt2 = math.sqrt(2.0)
     log = result.log
@@ -515,16 +517,18 @@ def _assert_same_galleries(dataset, result, got, expected):
         assert vectors.tobytes() == dataset.feature_matrix[rows].tobytes(), key
 
 
-def recording_enroll(monkeypatch):
-    """Make runs enroll through a wrapper of `evaluator.enroll`; returns the
-    list every enrolled reference is appended to, in enrollment order."""
+def recording_copies(monkeypatch):
+    """Make runs copy their enrolled references through a wrapper of
+    `ReferenceModel.copy`; returns the list every repeat's reference is
+    appended to, in the order presented: repeat by repeat, users in order."""
     models = []
+    copy = ReferenceModel.copy
 
-    def enrolling(*args, **kwargs):
-        models.append(enroll(*args, **kwargs))
+    def copying(template):
+        models.append(copy(template))
         return models[-1]
 
-    monkeypatch.setattr(evaluator, "enroll", enrolling)
+    monkeypatch.setattr(ReferenceModel, "copy", copying)
     return models
 
 
@@ -585,7 +589,7 @@ def assert_matches_the_per_query_loop(dataset, config):
     reference = reference_online if config.mode is Mode.ONLINE else reference_offline
     seen = reference(dataset, config)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        models = recording_enroll(monkeypatch)
+        models = recording_copies(monkeypatch)
         result = run_experiment(dataset, config)
     assert _hex_rows(log_rows(result.log)) == _hex_rows(astuple(r) for r in seen.records)
     assert result.inclusion.shape == seen.inclusion.shape
@@ -764,6 +768,56 @@ def test_stream_faults_are_reported_before_enrollment_faults():
     config = ExperimentConfig(Mode.ONLINE, StreamConfig(0.0), UpdateStrategy(StrategyKind.NONE))
     with pytest.raises(StreamError, match="user u1 has no samples in session 3"):
         run_experiment(dataset, config)
+
+
+@pytest.mark.parametrize("repeats", [1, 3])
+@pytest.mark.parametrize(
+    "enrolled, capacity, error, message",
+    [
+        ((2, 1, 1), None, EnrollmentError,
+         "user u1: enrollment needs an (n >= 2, d) matrix, got shape (1, 1)"),
+        ((2, 3, 4), 2, ConfigError, "gallery capacity 2 is below the enrollment size 3"),
+    ],
+    ids=["one-vector", "capacity"],
+)
+def test_the_first_user_that_cannot_enroll_fails_the_run_at_any_repeats(
+    repeats, enrolled, capacity, error, message
+):
+    # u0 enrolls; u1 and u2 cannot, and the run names u1's fault only.
+    rows = [(f"u{u}", 1) for u, n in enumerate(enrolled) for _ in range(n)]
+    rows += [(f"u{u}", 2) for u in range(len(enrolled))]
+    users, sessions = zip(*rows)
+    dataset = Dataset.from_columns(1, 2, users, sessions, range(len(rows)),
+                                   np.arange(len(rows), dtype=float)[:, None])
+    config = ExperimentConfig(Mode.ONLINE, StreamConfig(0.0),
+                              UpdateStrategy(StrategyKind.NONE, capacity=capacity), repeats)
+    with pytest.raises(error) as caught:
+        run_experiment(dataset, config)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("repeats", [1, 3])
+def test_a_run_enrolls_each_user_once_and_presents_each_repeat_to_a_copy(monkeypatch, repeats):
+    enrolled, states = [], []
+
+    def state(model):
+        return [model._matrix.tobytes(), model.mu.tobytes(), model.mad.tobytes()]
+
+    def enrolling(*args, **kwargs):
+        enrolled.append(enroll(*args, **kwargs))
+        states.append(state(enrolled[-1]))
+        return enrolled[-1]
+
+    monkeypatch.setattr(evaluator, "enroll", enrolling)
+    models = recording_copies(monkeypatch)
+    dataset = small_synth()
+    config = ExperimentConfig(Mode.ONLINE, StreamConfig(0.3),
+                              UpdateStrategy(StrategyKind.SELF_THRESHOLD, 1.0), repeats)
+    result = run_experiment(dataset, config)
+    assert [model.target_user for model in enrolled] == list(dataset.users)
+    assert [model.target_user for model in models] == list(dataset.users) * repeats
+    assert result.updates["row"].size  # updates were applied, to the copies only
+    assert [state(template) for template in enrolled] == states
 
 
 @pytest.mark.parametrize("local_order", list(LocalOrder))

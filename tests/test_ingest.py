@@ -332,6 +332,26 @@ def test_bulk_path_leaves_these_files_to_the_row_loop(tmp_path, content):
     assert _outcome(lambda: read_dataset(path)) == _outcome(lambda: _row_loop(path))
 
 
+def scanned_plain(line: bytes) -> bool:
+    """The line check `_plain` replaced: one `in` scan per row-loop byte."""
+    return not (
+        b'"' in line or b"\r" in line or b"\0" in line
+        or b"\x1c" in line or b"\x1d" in line or b"\x1e" in line or b"\x1f" in line
+    )
+
+
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+def test_the_one_pass_line_check_agrees_with_the_scans_on_every_byte(where):
+    line = b"u001,3,17,0.25,-1.5e-07\n"
+    for value in range(256):
+        byte = bytes([value])
+        cut = {"start": 0, "middle": len(line) // 2, "end": len(line)}[where]
+        placed = line[:cut] + byte + line[cut:]
+        assert ingest._plain(placed) == scanned_plain(placed), (where, value)
+        assert ingest._plain(byte) == scanned_plain(byte), value
+    assert ingest._plain(line) and ingest._plain(b"")
+
+
 def test_lines_past_the_csv_field_limit_go_to_the_row_loop(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text(HEADER + "u,1,0,1.0,2.0\nu,2,1,3.0,4.0\n" + "w" * 30 + ",1,0,5.0,6.0\n")

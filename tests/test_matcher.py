@@ -26,6 +26,7 @@ from tubench import (
 from tubench import matcher
 from tubench.matcher import gallery_statistics
 from tubench.rng import SplitMix64
+from tubench.update import apply_updates
 from conftest import make_sample
 
 
@@ -207,6 +208,59 @@ def test_blocked_leave_one_out_equals_the_whole_array_bitwise(n, d, block, scale
     center_m, center_s = whole_array_centering(vectors, eps)
     assert ref.center_m.hex() == center_m.hex()
     assert ref.center_s.hex() == center_s.hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    d=st.sampled_from([1, 2, 3, 10, 31]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    eps=st.sampled_from([EPSILON, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bare_reductions_equal_np_mean_bitwise(n, d, scale, eps, seed):
+    # The kernels average by np.add.reduce / count; np.mean must give the same bits.
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(n, d)) * scale + rng.normal() * scale
+    mu, mad = gallery_statistics(vectors, eps)
+    mean_mu = np.mean(vectors, axis=0)
+    mean_mad = np.maximum(np.mean(np.abs(vectors - mean_mu), axis=0), eps)
+    assert mu.tobytes() == mean_mu.tobytes()
+    assert mad.tobytes() == mean_mad.tobytes()
+
+    enrolled = rng.normal(size=(max(n, 2), d)) * scale
+    ref = enroll("u", enrolled, eps=eps)
+    center_m, center_s = whole_array_centering(enrolled, eps)
+    assert ref.center_m.hex() == center_m.hex()
+    assert ref.center_s.hex() == center_s.hex()
+    queries = rng.normal(size=(n, d)) * scale
+    expected = np.mean(np.abs(queries - ref.mu) * ref._inv_mad, axis=-1)
+    assert raw_score(ref, queries).tobytes() == expected.tobytes()
+    assert raw_score(ref, queries[0]).hex() == float(expected[0]).hex()
+
+
+@pytest.mark.parametrize("capacity", [None, 5])
+def test_a_copy_updates_and_evicts_without_touching_its_template(capacity):
+    # 2 + 5 + 4 updates on 3 enrollment vectors outgrow the template's matrix
+    # (6 rows unbounded) or evict (a FIFO of 5).
+    rng = np.random.default_rng(17)
+    template = enroll("u", rng.normal(size=(3, 2)), capacity=capacity)
+    state = [template._matrix.tobytes(), template.mu.tobytes(), template.mad.tobytes()]
+    copy, fresh = template.copy(), enroll("u", template.vectors, capacity=capacity)
+    evicted = 0
+    for k in (2, 5, 4):
+        rows = rng.normal(size=(k, 2))
+        dropped = apply_updates(copy, rows)
+        assert dropped.tobytes() == apply_updates(fresh, rows).tobytes()
+        evicted += len(dropped)
+        for name in ("vectors", "mu", "mad"):
+            assert getattr(copy, name).tobytes() == getattr(fresh, name).tobytes(), name
+        assert [template._matrix.tobytes(), template.mu.tobytes(), template.mad.tobytes()] == state
+    assert (len(template.vectors), len(template._matrix)) == (3, 6 if capacity is None else 5)
+    # Unbounded, the copy's matrix grew to 24 rows; a FIFO of 5 evicted 14 - 5 updates.
+    assert (len(copy._matrix), evicted) == ((24, 0) if capacity is None else (5, 9))
+    assert (copy.center_m, copy.center_s) == (template.center_m, template.center_s)
+    assert template.copy().vectors.tobytes() == template.vectors.tobytes()
 
 
 def test_enrollment_memory_stays_bounded_by_its_blocks():
