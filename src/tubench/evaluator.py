@@ -3,11 +3,11 @@
 One loop serves both modes. Each (user, session) is laid out once per
 run, before the first enrollment, and each user is enrolled once per
 run. Each repeat plans every session from its layout and its block-drawn
-indices, presents it by one `_present` call to the repeat's own copy of
-the user's reference, and logs it if the mode logs it. The
-reference changes only where the update rule accepts a query; the
-queries after an applied update are rescored against it, with one
-matrix call per reference state.
+indices, and presents each session by one `_present` call to all the
+lanes of one `ReferenceLanes` built from the users' references. A lane
+changes only where the update rule accepts a query; the queries after an
+applied update are rescored, with one call for all the lanes an update
+round changed.
 
 Online, each query's score against the reference it meets is logged and
 drives the update decision, and closest-* orders re-plan their impostors
@@ -29,12 +29,12 @@ import numpy as np
 
 from .core import Dataset, Mode, ScoreLog, check_fields, scored_sessions, shown
 from .errors import ConfigError, ValidationError
-from .matcher import EPSILON, center, enroll, raw_score
-from .matcher import centered_score  # noqa: F401  perfbench traces it under this module
+from .matcher import EPSILON, ReferenceLanes, enroll
+from .matcher import centered_score, raw_score  # noqa: F401  perfbench traces them here
 from .rng import BlockBounds, block_mix64, block_randbelow
 from .stream import CLOSEST, StreamConfig, commit, plan_rows, plan_session, session_layouts
 from .stream import next_query  # noqa: F401  perfbench traces it under this module
-from .update import UpdateStrategy, accepts, apply_updates, impostor_inclusion, score_free
+from .update import UpdateStrategy, accepts, impostor_inclusion, score_free
 from .update import maybe_update  # noqa: F401  perfbench traces it under this module
 
 
@@ -80,44 +80,56 @@ class RunResult:
     updates: dict[str, np.ndarray]
 
 
-def _present(model, dataset, rows, impostor, strategy, stream=None, frozen=False):
-    """Present the queries on `rows` to `model` in order, updating it where
-    the strategy accepts one.
-
-    Returns each query's raw and centered score and whether it updated
-    the reference. After an applied update the later queries are rescored;
-    a closest-* `stream` first commits the presented ones and re-plans the
-    rest. A `frozen` (offline) presentation returns the session-start
-    scores; if it re-plans nothing under a score-free rule, its accepted
-    rows enter as one FIFO batch with one refresh.
-    """
+def _present(lanes, dataset, states, rows, valid, strategy, replan, frozen):
+    """Present stream `states[k]` to lane k, all lanes at once. Fills `rows`
+    where `valid`; returns each query's raw and centered score and whether
+    it updated its lane. Each round appends every lane's first accepted
+    query from its cursor on, then refreshes and rescores the hit lanes in
+    one call each, after a `replan` (closest-*) lane commits its presented
+    queries and re-plans the rest. A `frozen` (offline) presentation returns
+    the session-start scores; if it re-plans nothing under a score-free
+    rule, each lane's accepted rows enter as one FIFO batch, one refresh."""
+    rows[valid] = np.concatenate([plan_rows(state, lanes.reference(lane))
+                                  for lane, state in enumerate(states)])
+    impostor = np.zeros(valid.shape, dtype=bool)
+    impostor[valid] = np.concatenate([state.impostor for state in states])
     queries = dataset.feature_matrix[rows]
-    raw = raw_score(model, queries)
-    centered = center(model, raw)
-    if frozen and stream is None and score_free(strategy):
-        applied = accepts(strategy, centered, impostor)
-        if applied.any():
-            apply_updates(model, queries[applied])
+    raw, centered = lanes.scores(queries)
+    if frozen and not replan and score_free(strategy):
+        applied = accepts(strategy, centered, impostor) & valid
+        hit = np.flatnonzero(applied.any(axis=1))
+        for lane in hit.tolist():
+            lanes.extend(lane, queries[lane, applied[lane]])
+        if hit.size:
+            lanes.refresh(hit)
         return raw, centered, applied
     scores = (raw.copy(), centered.copy()) if frozen else (raw, centered)
-    applied = np.zeros(rows.size, dtype=bool)
-    done = 0
-    while done < rows.size:
-        accepted = accepts(strategy, centered[done:], impostor[done:])
-        first = int(accepted.argmax())
-        if not accepted[first]:
+    applied = np.zeros(valid.shape, dtype=bool)
+    cursor = np.zeros(len(states), dtype=np.intp)
+    positions = np.arange(valid.shape[1])
+    live = np.arange(len(states))  # the lanes whose scores changed last round
+    while True:
+        accepted = accepts(strategy, centered[live], impostor[live])
+        accepted &= valid[live] & (positions >= cursor[live, None])
+        first = accepted.argmax(axis=1)
+        hit = accepted[np.arange(live.size), first]
+        live, first = live[hit], first[hit]
+        if not live.size:
             break
-        done += first
-        apply_updates(model, queries[done : done + 1])
-        applied[done] = True
-        done += 1
-        if stream is not None:
-            commit(stream, done)
-            rows[done:] = plan_rows(stream, model)
-            queries[done:] = dataset.feature_matrix[rows[done:]]
-        if done < rows.size:
-            raw[done:] = raw_score(model, queries[done:])
-            centered[done:] = center(model, raw[done:])
+        applied[live, first] = True
+        cursor[live] = first + 1
+        for lane, position in zip(live.tolist(), first.tolist()):
+            lanes.extend(lane, queries[lane, position : position + 1])
+        lanes.refresh(live)
+        if replan:
+            for lane, done in zip(live.tolist(), cursor[live].tolist()):
+                end = states[lane].rows.size
+                commit(states[lane], done)
+                rows[lane, done:end] = plan_rows(states[lane], lanes.reference(lane))
+                queries[lane, done:end] = dataset.feature_matrix[rows[lane, done:end]]
+        later = positions >= cursor[live, None]
+        for scored, rescored in zip((raw, centered), lanes.scores(queries[live], live)):
+            scored[live] = np.where(later, rescored, scored[live])
     return (*scores, applied)
 
 
@@ -129,15 +141,23 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
             f"offline evaluation needs at least 3 sessions, dataset has {dataset.num_sessions}"
         )
     logged_sessions = scored_sessions(config.mode, dataset.num_sessions)
-    presented = []  # per session: repeat, session, target, rows, raw, centered, applied
     users = dataset.users
     sessions = range(2, dataset.num_sessions + 1)
-    gallery_size = np.empty((config.repeats, len(sessions), len(users)), dtype=np.intp)
     closest = config.stream.local_order in CLOSEST
     layouts = session_layouts(dataset, config.stream, [(u, s) for u in users for s in sessions])
     bounds = BlockBounds([layout.bounds for layout in layouts])
+    lengths = np.reshape([len(layout.genuine) + layout.n_impostor for layout in layouts],
+                         (len(users), len(sessions)))
+    valid = np.arange(lengths.max()) < lengths[..., None]  # per user, session, position
+    try:
+        gallery_size = np.empty((config.repeats, len(sessions), len(users)), dtype=np.intp)
+        # Per repeat, user, session and position; padded positions read row 0.
+        rows, raw, centered, applied = (np.zeros((config.repeats, *valid.shape), dtype)
+                                        for dtype in (np.intp, float, float, bool))
+    except (ValueError, MemoryError) as error:
+        raise ConfigError(f"repeats {shown(config.repeats)} is too large to run: {error}") from None
     # Enrollment reads session 1, eps and the capacity only, so each user is
-    # enrolled once and every repeat presents to its own copy.
+    # enrolled once and every repeat presents to its own lanes.
     templates = []
     for user in users:
         span = dataset.row_range(user, 1)
@@ -150,48 +170,41 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
     for repeat in range(config.repeats):
         # Every stream of the repeat in one block draw; seeds and layouts are user-major.
         seeds = block_mix64(config.base_seed, repeat, np.arange(len(users))[:, None], sessions)
-        plans = zip(layouts, block_randbelow(seeds.ravel(), bounds))
-        for user_index, template in enumerate(templates):
-            model = template.copy()
-            for session in sessions:
-                state = plan_session(*next(plans))
-                # Offline, only the unlogged session 2 re-plans its closest-* impostors.
-                replan = closest and (online or session not in logged_sessions)
-                rows = plan_rows(state, model)
-                raw, centered, applied = _present(
-                    model, dataset, rows, state.impostor, config.strategy,
-                    state if replan else None, frozen=not online,
-                )
-                presented.append((repeat, session, user_index, rows, raw, centered, applied))
-                gallery_size[repeat, session - 2, user_index] = len(model.vectors)
-    log, updates = _tables(dataset, config.mode, logged_sessions, presented)
+        draws = block_randbelow(seeds.ravel(), bounds)
+        states = [plan_session(*plan) for plan in zip(layouts, draws)]
+        lanes = ReferenceLanes(templates, lengths.sum(axis=1))
+        for index, session in enumerate(sessions):
+            # Offline, only the unlogged session 2 re-plans its closest-* impostors.
+            replan = closest and (online or session not in logged_sessions)
+            presented = _present(
+                lanes, dataset, states[index :: len(sessions)], rows[repeat, :, index],
+                valid[:, index], config.strategy, replan, frozen=not online,
+            )
+            for output, values in zip((raw, centered, applied), presented):
+                output[repeat, :, index] = values
+            gallery_size[repeat, index] = lanes.size
+    log, updates = _tables(dataset, config.mode, valid, rows, raw, centered, applied)
     inclusion = impostor_inclusion(dataset, updates, gallery_size)
     return RunResult(log, inclusion, gallery_size, updates)
 
 
-def _tables(dataset: Dataset, mode: Mode, logged_sessions: range, presented: list[tuple]):
+def _tables(dataset: Dataset, mode: Mode, valid, rows, raw, centered, applied):
     """The score log of the logged sessions and the applied-update columns,
-    both in run order, from one concatenation of every presented session."""
-    repeat, session, target, rows, raw, centered, applied = zip(*presented) if presented else [()] * 7
-    lengths = [len(r) for r in rows]
-
-    def flat(parts, dtype=np.intp):
-        return np.concatenate([np.empty(0, dtype), *parts])
-
-    columns = dict(
-        zip(("repeat", "session", "target"),
-            (np.repeat(np.array(c, dtype=np.intp), lengths) for c in (repeat, session, target))),
-        position=flat(map(np.arange, lengths)),
-        row=flat(rows),
-    )
-    applied, logged = flat(applied, bool), columns["session"] >= logged_sessions.start
+    both in run order, read where `valid` from the run's padded (repeat,
+    user, session, position) arrays."""
+    presented = np.broadcast_to(valid, rows.shape)
+    repeat, target, session, position = np.nonzero(presented)
+    columns = dict(repeat=repeat, session=session + 2, target=target, position=position,
+                   row=rows[presented])
+    applied = applied[presented]
+    logged = columns["session"] >= scored_sessions(mode, dataset.num_sessions).start
     log = ScoreLog(
         dataset.users,
         dataset.num_sessions,
         mode,
         *(columns[name][logged] for name in ("repeat", "session", "target")),
         dataset.row_user[columns["row"][logged]],
-        *(flat(scores, float)[logged] for scores in (raw, centered)),
+        *(scores[presented][logged] for scores in (raw, centered)),
         applied[logged],
     )
     updates = {name: column[applied] for name, column in columns.items()}

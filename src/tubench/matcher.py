@@ -30,8 +30,8 @@ class ReferenceModel:
     """A user's adaptable biometric reference, built by enrolling the (n, d)
     matrix of the user's enrollment vectors.
 
-    The gallery is mutated by exactly one evaluation loop at a time (a run
-    enrolls each user once and presents each repeat to a `copy`);
+    A run enrolls each user once and presents each repeat to the lanes of a
+    `ReferenceLanes` built from the references, which stay unchanged;
     mu / mad always mirror the current gallery, while center_m /
     center_s stay fixed at their enrollment values. The centering
     constants come from leave-one-out self-scores: each enrollment
@@ -88,14 +88,6 @@ class ReferenceModel:
         self._size = self._enrolled = n
         self.mu, self.mad = gallery_statistics(vectors, eps)
         self._inv_mad = 1.0 / self.mad
-
-    def copy(self) -> "ReferenceModel":
-        """An independent reference in this one's current state. Only the
-        gallery matrix is copied: mu / mad are replaced on refresh, never
-        written, and the rest never changes."""
-        twin = object.__new__(type(self))
-        twin.__dict__ = {**self.__dict__, "_matrix": self._matrix.copy()}
-        return twin
 
     @property
     def vectors(self) -> np.ndarray:
@@ -176,3 +168,58 @@ def refresh_statistics(ref: ReferenceModel) -> ReferenceModel:
     ref.mu, ref.mad = gallery_statistics(ref.vectors, ref.eps)
     ref._inv_mad = 1.0 / ref.mad
     return ref
+
+
+class ReferenceLanes:
+    """Many references as one stack of lanes, lane k starting in the state of
+    `templates[k]`, which stays unchanged. Lane k's gallery is the top
+    `size[k]` rows of `gallery[k]`, zero-filled and wide enough for
+    `room[k]` more updates; `mu`, `mad`, `inv_mad`, `center_m` and
+    `center_s` stack the lanes' statistics, bitwise each lane's own."""
+
+    def __init__(self, templates: list[ReferenceModel], room: np.ndarray):
+        self.eps = templates[0].eps
+        self.size = np.array([len(template.vectors) for template in templates])
+        width = min(templates[0].capacity or math.inf, int(np.max(self.size + room)))
+        self.gallery = np.zeros((len(templates), width, templates[0].dimension))
+        self.mu, self.mad, self.inv_mad, self.center_m, self.center_s = (
+            np.array([getattr(template, name) for template in templates])
+            for name in ("mu", "mad", "_inv_mad", "center_m", "center_s")
+        )
+        stacks = {"_matrix": self.gallery, "mu": self.mu, "mad": self.mad, "_inv_mad": self.inv_mad}
+        self._views = [object.__new__(ReferenceModel) for _ in templates]
+        for lane, (template, view) in enumerate(zip(templates, self._views)):
+            self.gallery[lane, : self.size[lane]] = template.vectors
+            view.__dict__ = {**template.__dict__, **{k: stack[lane] for k, stack in stacks.items()}}
+
+    def reference(self, lane: int) -> ReferenceModel:
+        """Lane `lane` as a reference: a read-only view, current until the lane next changes."""
+        view = self._views[lane]
+        view._size = int(self.size[lane])
+        return view
+
+    def scores(self, queries: np.ndarray, lanes=slice(None)):
+        """Raw and centered scores of a (lanes, m, d) query stack, each row of
+        `queries[k]` against lane `lanes[k]`, as `raw_score` and `center` give."""
+        raw = np.add.reduce(
+            np.abs(queries - self.mu[lanes, None]) * self.inv_mad[lanes, None], axis=-1
+        ) / queries.shape[-1]
+        return raw, (raw - self.center_m[lanes, None]) / self.center_s[lanes, None]
+
+    def extend(self, lane: int, vectors) -> None:
+        """Add a (k, d) matrix of update vectors to the lane by `ReferenceModel.extend`,
+        in place, as a lane never outgrows its rows; mu / mad are left to `refresh`."""
+        view = self.reference(lane)
+        view.extend(vectors)
+        self.size[lane] = view._size
+
+    def refresh(self, lanes: np.ndarray) -> None:
+        """Recompute mu / mad of the (non-empty) `lanes` from their galleries,
+        in one masked reduction over the lanes' entries; centering untouched."""
+        size = self.size[lanes][:, None]
+        vectors = self.gallery[lanes, : size.max()]
+        held = (np.arange(vectors.shape[1]) < size)[..., None]
+        mu = np.add.reduce(vectors, axis=1, where=held) / size
+        spread = np.add.reduce(np.abs(vectors - mu[:, None]), axis=1, where=held) / size
+        self.mu[lanes], self.mad[lanes] = mu, np.maximum(spread, self.eps)
+        self.inv_mad[lanes] = 1.0 / self.mad[lanes]

@@ -426,6 +426,16 @@ def test_cross_field_rules_fail_naming_the_field(tmp_path, capsys, patch, path):
     assert not out.exists()
 
 
+def test_repeats_too_many_to_run_fail_with_one_error_line(tmp_path, capsys):
+    config = write_config(tmp_path / "huge.json", patch={"evaluation": {"repeats": 10**30}})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: repeats {10**30} is too large to run: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_a_scheme_given_twice_fails_before_the_dataset_is_built(tmp_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr("tubench.cli.generate", calls.append)

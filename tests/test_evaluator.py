@@ -13,7 +13,6 @@ from tubench import (
     Label,
     LocalOrder,
     Mode,
-    ReferenceModel,
     ScoreRecord,
     SessionPolicy,
     StrategyKind,
@@ -32,7 +31,8 @@ from tubench import (
     raw_score,
     run_experiment,
 )
-from tubench import evaluator, stream as stream_module, update as update_module
+from tubench import evaluator, stream as stream_module
+from tubench.matcher import ReferenceLanes
 from tubench.rng import mix64
 from tubench.stream import CLOSEST, session_layouts
 from tubench.synthdata import SynthConfig, generate
@@ -176,15 +176,32 @@ def test_offline_needs_at_least_three_sessions():
         run_experiment(dataset, config)
 
 
+@pytest.mark.parametrize("repeats", [10**30, 2**50])
+def test_repeats_too_many_for_the_run_arrays_fail_naming_repeats_before_enrollment(
+    monkeypatch, repeats
+):
+    # numpy refuses both shapes before it touches a page: 10**30 exceeds its
+    # largest dimension, 2**50 x 3 x 4 entries its address space.
+    enrolled = []
+    monkeypatch.setattr(evaluator, "enroll", lambda *args, **kwargs: enrolled.append(args))
+    config = ExperimentConfig(Mode.ONLINE, StreamConfig(0.3), UpdateStrategy(StrategyKind.NONE),
+                              repeats)
+    with pytest.raises(ConfigError) as caught:
+        run_experiment(small_synth(), config)
+    assert type(caught.value) is ConfigError
+    assert str(caught.value).startswith(f"repeats {repeats} is too large to run: ")
+    assert enrolled == []
+
+
 def test_runs_build_no_sample_views_and_evict_updates_oldest_first(monkeypatch):
-    models = recording_copies(monkeypatch)
+    galleries = recording_lanes(monkeypatch)
     dataset = small_synth()  # built from columns
     for mode in Mode:
-        models.clear()
         strategy = UpdateStrategy(StrategyKind.SUPERVISED, capacity=6)
         result = run_experiment(
             dataset, ExperimentConfig(mode, StreamConfig(impostor_ratio=0.3), strategy, 1, 2)
         )
+        models = galleries(len(dataset.users))
         updates = result.updates
         assert (dataset.row_user[updates["row"]] == updates["target"]).all(), mode
         assert derived_evictions(dataset, result).any(), mode
@@ -283,8 +300,9 @@ def test_online_hand_trace(trace_dataset):
 
 
 def test_offline_hand_trace(trace_dataset, monkeypatch):
-    models = recording_copies(monkeypatch)
+    galleries = recording_lanes(monkeypatch)
     result = run_experiment(trace_dataset, trace_config(Mode.OFFLINE))
+    models = galleries(len(trace_dataset.users))
     sqrt2 = math.sqrt(2.0)
     log = result.log
     a = log.target == log.users.index("A")
@@ -517,19 +535,27 @@ def _assert_same_galleries(dataset, result, got, expected):
         assert vectors.tobytes() == dataset.feature_matrix[rows].tobytes(), key
 
 
-def recording_copies(monkeypatch):
-    """Make runs copy their enrolled references through a wrapper of
-    `ReferenceModel.copy`; returns the list every repeat's reference is
-    appended to, in the order presented: repeat by repeat, users in order."""
-    models = []
-    copy = ReferenceModel.copy
+def recording_lanes(monkeypatch):
+    """Make runs build their lane stores through a wrapper of
+    `ReferenceLanes`. Returns a function that, called after a run with the
+    number of galleries it must have presented to, checks that number and
+    returns every final gallery recorded since its last call, as read by
+    `reference(lane)`, in the order presented: repeat by repeat, users in
+    order."""
+    stores = []
 
-    def copying(template):
-        models.append(copy(template))
-        return models[-1]
+    def recording(*args):
+        stores.append(ReferenceLanes(*args))
+        return stores[-1]
 
-    monkeypatch.setattr(ReferenceModel, "copy", copying)
-    return models
+    def galleries(count):
+        models = [store.reference(lane) for store in stores for lane in range(len(store.size))]
+        stores.clear()
+        assert len(models) == count
+        return models
+
+    monkeypatch.setattr(evaluator, "ReferenceLanes", recording)
+    return galleries
 
 
 def derived_evictions(dataset, result):
@@ -589,8 +615,9 @@ def assert_matches_the_per_query_loop(dataset, config):
     reference = reference_online if config.mode is Mode.ONLINE else reference_offline
     seen = reference(dataset, config)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        models = recording_copies(monkeypatch)
+        galleries = recording_lanes(monkeypatch)
         result = run_experiment(dataset, config)
+    models = galleries(config.repeats * len(dataset.users))
     assert _hex_rows(log_rows(result.log)) == _hex_rows(astuple(r) for r in seen.records)
     assert result.inclusion.shape == seen.inclusion.shape
     assert result.inclusion.tobytes() == seen.inclusion.tobytes()
@@ -672,6 +699,30 @@ def mixed_counts(uniform_queries=False):
                 features.append([u + 0.1 * order, u - 0.05 * order])
                 order += 1
     return Dataset.from_columns(2, 4, users, sessions, orders, np.array(features))
+
+
+@pytest.mark.parametrize("local_order", list(LocalOrder))
+@pytest.mark.parametrize("mode", list(Mode))
+def test_ragged_lanes_match_the_per_query_loop_where_updates_apply_and_evict(mode, local_order):
+    # Enrollment sizes 3 to 7 and session lengths 3 to 6 pad the lanes; a
+    # lenient self-threshold applies some queries, impostors among them, and
+    # a FIFO of 8 evicts updates for the users that enroll few vectors.
+    dataset = mixed_counts()
+    config = ExperimentConfig(
+        mode,
+        StreamConfig(0.3, local_order=local_order),
+        UpdateStrategy(StrategyKind.SELF_THRESHOLD, 2.0, capacity=8),
+        repeats=2,
+        base_seed=3,
+    )
+    sessions = range(2, dataset.num_sessions + 1)
+    lengths = {len(dataset.row_range(user, s)) for user in dataset.users for s in sessions}
+    assert lengths == {3, 4, 5, 6}
+    result = assert_matches_the_per_query_loop(dataset, config)
+    assert result.log.applied.any() and not result.log.applied.all()
+    updates = result.updates
+    assert np.any(dataset.row_user[updates["row"]] != updates["target"])
+    assert derived_evictions(dataset, result).any()
 
 
 @pytest.mark.parametrize("chronology", [True, False])
@@ -797,7 +848,9 @@ def test_the_first_user_that_cannot_enroll_fails_the_run_at_any_repeats(
 
 
 @pytest.mark.parametrize("repeats", [1, 3])
-def test_a_run_enrolls_each_user_once_and_presents_each_repeat_to_a_copy(monkeypatch, repeats):
+def test_a_run_enrolls_each_user_once_and_presents_each_repeat_to_its_own_lanes(
+    monkeypatch, repeats
+):
     enrolled, states = [], []
 
     def state(model):
@@ -809,14 +862,15 @@ def test_a_run_enrolls_each_user_once_and_presents_each_repeat_to_a_copy(monkeyp
         return enrolled[-1]
 
     monkeypatch.setattr(evaluator, "enroll", enrolling)
-    models = recording_copies(monkeypatch)
+    galleries = recording_lanes(monkeypatch)
     dataset = small_synth()
     config = ExperimentConfig(Mode.ONLINE, StreamConfig(0.3),
                               UpdateStrategy(StrategyKind.SELF_THRESHOLD, 1.0), repeats)
     result = run_experiment(dataset, config)
+    models = galleries(len(dataset.users) * repeats)
     assert [model.target_user for model in enrolled] == list(dataset.users)
     assert [model.target_user for model in models] == list(dataset.users) * repeats
-    assert result.updates["row"].size  # updates were applied, to the copies only
+    assert result.updates["row"].size  # updates were applied, to the lanes only
     assert [state(template) for template in enrolled] == states
 
 
@@ -849,21 +903,31 @@ def test_only_closest_sessions_replan_after_an_update(monkeypatch, local_order):
 @pytest.mark.parametrize("local_order", [LocalOrder.TOTALLY_RANDOM, LocalOrder.CLOSEST_IMPOSTOR])
 def test_score_free_offline_sessions_refresh_once_unless_they_replan(monkeypatch, local_order):
     # Supervised at +inf reads no score: it applies every genuine query.
-    plans, refreshes = [], []
+    plans, presenting, refreshes = [], [], []
+
+    def session_of(layout):
+        return int(layout.dataset.row_session[layout.genuine.start])
 
     def recording_plan_session(layout, indices):
-        session = int(layout.dataset.row_session[layout.genuine.start])
-        plans.append((layout.target_user, session))
+        plans.append((layout.target_user, session_of(layout)))
         return plan_session(layout, indices)
 
-    def counting_refresh(ref):
-        refreshes.append(len(plans) - 1)  # the session being presented
-        return update_refresh(ref)
+    def recording_plan_rows(state, ref):
+        presenting.append(session_of(state.layout))  # every session plans before it refreshes
+        return stream_module.plan_rows(state, ref)
 
-    update_refresh = update_module.refresh_statistics
+    def recording_refresh(lanes, indices):
+        # A repeat plans all its sessions before it presents the first.
+        repeat = (len(plans) - 1) // (len(dataset.users) * len(sessions))
+        refreshes.append((repeat, presenting[-1], indices.tolist()))
+        return lanes_refresh(lanes, indices)
+
+    lanes_refresh = ReferenceLanes.refresh
     monkeypatch.setattr(evaluator, "plan_session", recording_plan_session)
-    monkeypatch.setattr(update_module, "refresh_statistics", counting_refresh)
+    monkeypatch.setattr(evaluator, "plan_rows", recording_plan_rows)
+    monkeypatch.setattr(ReferenceLanes, "refresh", recording_refresh)
     dataset = small_synth(sessions=5)
+    sessions = range(2, dataset.num_sessions + 1)
     config = ExperimentConfig(
         Mode.OFFLINE,
         StreamConfig(0.3, local_order=local_order),
@@ -872,17 +936,37 @@ def test_score_free_offline_sessions_refresh_once_unless_they_replan(monkeypatch
         base_seed=9,
     )
     log = run_experiment(dataset, config).log
-    sessions = range(2, dataset.num_sessions + 1)
     keys = [(r, u, s) for r in range(config.repeats) for u in dataset.users for s in sessions]
     assert plans == [(u, s) for _, u, s in keys]
-    expected = []
+    applied = {}
     for repeat, user, session in keys:
         if session == 2:  # unlogged: every genuine query is applied
-            applied = len(dataset.row_range(user, 2))
+            applied[repeat, user, session] = len(dataset.row_range(user, 2))
         else:
             rows = (log.repeat == repeat) & (log.target == log.users.index(user))
-            applied = int(np.count_nonzero(log.applied & rows & (log.session == session)))
+            count = int(np.count_nonzero(log.applied & rows & (log.session == session)))
+            applied[repeat, user, session] = count
+    # One refresh call per update round for all the lanes it updates: a
+    # re-planning session has a round per applied query, any other one round.
+    expected_calls = []
+    for repeat in range(config.repeats):
+        for session in sessions:
+            counts = [applied[repeat, user, session] for user in dataset.users]
+            if not (session == 2 and local_order in CLOSEST):
+                counts = [min(count, 1) for count in counts]
+            for round_ in range(1, max(counts) + 1):
+                lanes = [lane for lane, count in enumerate(counts) if count >= round_]
+                expected_calls.append((repeat, session, lanes))
+    assert refreshes == expected_calls
+    expected = []
+    for repeat, user, session in keys:
         replans = session == 2 and local_order in CLOSEST
-        expected.append(applied if replans else min(applied, 1))
+        count = applied[repeat, user, session]
+        expected.append(count if replans else min(count, 1))
     assert all(expected)
-    assert [refreshes.count(i) for i in range(len(keys))] == expected
+    refreshed = [
+        sum(dataset.users.index(user) in lanes
+            for r, s, lanes in refreshes if (r, s) == (repeat, session))
+        for repeat, user, session in keys
+    ]
+    assert refreshed == expected

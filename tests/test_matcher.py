@@ -24,7 +24,7 @@ from tubench import (
     refresh_statistics,
 )
 from tubench import matcher
-from tubench.matcher import gallery_statistics
+from tubench.matcher import ReferenceLanes, gallery_statistics
 from tubench.rng import SplitMix64
 from tubench.update import apply_updates
 from conftest import make_sample
@@ -240,27 +240,82 @@ def test_bare_reductions_equal_np_mean_bitwise(n, d, scale, eps, seed):
 
 
 @pytest.mark.parametrize("capacity", [None, 5])
-def test_a_copy_updates_and_evicts_without_touching_its_template(capacity):
-    # 2 + 5 + 4 updates on 3 enrollment vectors outgrow the template's matrix
-    # (6 rows unbounded) or evict (a FIFO of 5).
+def test_lanes_update_and_evict_without_touching_their_templates(capacity):
+    # 2 + 5 + 4 updates on 3 or 4 enrollment vectors fill an unbounded lane
+    # or evict from a FIFO of 5.
     rng = np.random.default_rng(17)
-    template = enroll("u", rng.normal(size=(3, 2)), capacity=capacity)
-    state = [template._matrix.tobytes(), template.mu.tobytes(), template.mad.tobytes()]
-    copy, fresh = template.copy(), enroll("u", template.vectors, capacity=capacity)
-    evicted = 0
+    templates = [enroll(user, rng.normal(size=(n, 2)), capacity=capacity)
+                 for user, n in (("u", 3), ("v", 4))]
+
+    def states():
+        return [[t._matrix.tobytes(), t.mu.tobytes(), t.mad.tobytes()] for t in templates]
+
+    before = states()
+    lanes = ReferenceLanes(templates, np.array([11, 11]))
+    fresh = [enroll(t.target_user, t.vectors, capacity=capacity) for t in templates]
+    evicted = [0, 0]
     for k in (2, 5, 4):
-        rows = rng.normal(size=(k, 2))
-        dropped = apply_updates(copy, rows)
-        assert dropped.tobytes() == apply_updates(fresh, rows).tobytes()
-        evicted += len(dropped)
-        for name in ("vectors", "mu", "mad"):
-            assert getattr(copy, name).tobytes() == getattr(fresh, name).tobytes(), name
-        assert [template._matrix.tobytes(), template.mu.tobytes(), template.mad.tobytes()] == state
-    assert (len(template.vectors), len(template._matrix)) == (3, 6 if capacity is None else 5)
-    # Unbounded, the copy's matrix grew to 24 rows; a FIFO of 5 evicted 14 - 5 updates.
-    assert (len(copy._matrix), evicted) == ((24, 0) if capacity is None else (5, 9))
-    assert (copy.center_m, copy.center_s) == (template.center_m, template.center_s)
-    assert template.copy().vectors.tobytes() == template.vectors.tobytes()
+        for lane, model in enumerate(fresh):
+            rows = rng.normal(size=(k, 2))
+            lanes.extend(lane, rows)
+            evicted[lane] += len(apply_updates(model, rows))
+        lanes.refresh(np.arange(2))
+        for lane, model in enumerate(fresh):
+            got = lanes.reference(lane)
+            assert got.target_user == model.target_user
+            for name in ("vectors", "mu", "mad"):
+                assert getattr(got, name).tobytes() == getattr(model, name).tobytes(), name
+            assert (got.center_m, got.center_s) == (model.center_m, model.center_s)
+        assert states() == before
+    # Unbounded, the widest lane holds 4 + 11 rows; a FIFO of 5 evicted 14 - 5 and 15 - 5 updates.
+    assert lanes.gallery.shape[1] == (15 if capacity is None else 5)
+    assert lanes.size.tolist() == ([14, 15] if capacity is None else [5, 5])
+    assert evicted == ([0, 0] if capacity is None else [9, 10])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sizes=st.lists(st.integers(2, 40), min_size=1, max_size=5),
+    d=st.sampled_from([1, 2, 3, 8, 31]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    spare=st.sampled_from([None, 0, 3]),
+    batches=st.lists(st.integers(0, 30), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lane_kernels_equal_the_single_reference_kernels_bitwise(
+    sizes, d, scale, spare, batches, seed
+):
+    # Lanes of ragged sizes take ragged batches; with a capacity, the FIFO
+    # wraps around (spare 0 evicts every update of the largest lane at once).
+    rng = np.random.default_rng(seed)
+    capacity = None if spare is None else max(sizes) + spare
+    templates = [enroll(f"u{k}", rng.normal(size=(n, d)) * scale, capacity=capacity)
+                 for k, n in enumerate(sizes)]
+    lanes = ReferenceLanes(templates, np.full(len(sizes), sum(batches)))
+    models = [enroll(t.target_user, t.vectors, capacity=capacity) for t in templates]
+    for batch in batches:
+        counts = rng.integers(0, batch + 1, size=len(sizes))
+        for lane, (model, k) in enumerate(zip(models, counts)):
+            rows = rng.normal(size=(k, d)) * scale
+            lanes.extend(lane, rows)
+            apply_updates(model, rows)
+        if counts.any():
+            lanes.refresh(np.flatnonzero(counts))
+        for lane, model in enumerate(models):
+            assert lanes.reference(lane).vectors.tobytes() == model.vectors.tobytes()
+            mu, mad = gallery_statistics(lanes.reference(lane).vectors, model.eps)
+            assert lanes.mu[lane].tobytes() == mu.tobytes()
+            assert lanes.mad[lane].tobytes() == mad.tobytes()
+        queries = rng.normal(size=(len(sizes), int(rng.integers(1, 6)), d)) * scale
+        some = np.flatnonzero(rng.integers(0, 2, size=len(sizes)))
+        for picked, (raw, centered) in (
+            (range(len(sizes)), lanes.scores(queries)),
+            (some, lanes.scores(queries[some], some)),
+        ):
+            for row, lane in enumerate(picked):
+                expected = raw_score(models[lane], queries[lane])
+                assert raw[row].tobytes() == expected.tobytes()
+                assert centered[row].tobytes() == center(models[lane], expected).tobytes()
 
 
 def test_enrollment_memory_stays_bounded_by_its_blocks():
