@@ -36,7 +36,7 @@ from .evaluator import (
 from .ingest import CMU_KEYSTROKE, ColumnMapping, read_dataset, write_dataset
 from .matcher import (
     EPSILON,
-    ReferenceModel,
+    ReferenceLanes,
     center,
     centered_score,
     enroll,

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .core import REQUIRED, Label, Mode, ScoreLog, fields_of, scored_sessions, typed
-from .errors import BenchError, ConfigError, MetricError
+from .errors import BenchError, ConfigError, MetricError, ValidationError
 from .evaluator import ExperimentConfig, run_experiment
 from .ingest import (
     ColumnMapping,
@@ -152,23 +152,36 @@ def load_config(path) -> dict:
     return resolved
 
 
+def _built(path: str, cls, fields: dict):
+    """`cls(**fields)`, its `ValidationError` reported under the config section `path`."""
+    try:
+        return cls(**fields)
+    except ValidationError as exc:
+        raise _fail(path, str(exc)) from None
+
+
 def _build_experiment(resolved: dict) -> tuple[ExperimentConfig, tuple[Scheme, ...]]:
-    """The experiment and the EER schemes to report."""
+    """The experiment and the EER schemes to report, checked against the synthetic shape."""
     evaluation = dict(resolved["evaluation"])
     schemes = tuple(map(Scheme, evaluation.pop("schemes")))
     experiment = ExperimentConfig(
-        stream=StreamConfig(**resolved["stream"]),
-        strategy=UpdateStrategy(**resolved["update"]),
+        stream=_built("stream", StreamConfig, resolved["stream"]),
+        strategy=_built("update", UpdateStrategy, resolved["update"]),
         eps=resolved["matcher"]["epsilon"],
         **evaluation,
     )
+    synthetic = resolved["dataset"]["synthetic"] or {}
+    if experiment.mode is Mode.OFFLINE and synthetic.get("num_sessions", 3) < 3:
+        raise _fail("dataset.synthetic.num_sessions", "offline evaluation needs at least 3")
+    if (experiment.strategy.capacity or math.inf) < synthetic.get("samples_per_session", 0):
+        raise _fail("update.capacity", "below samples_per_session, the enrollment size")
     return experiment, schemes
 
 
 def _load_dataset(resolved: dict):
     section = resolved["dataset"]
     if section["synthetic"] is not None:
-        return generate(SynthConfig(**section["synthetic"]))
+        return generate(_built("dataset.synthetic", SynthConfig, section["synthetic"]))
     return read_dataset(Path(section["path"]), ColumnMapping(**section["mapping"]))
 
 
@@ -222,6 +235,7 @@ def cmd_generate(config_path, out_path) -> None:
     resolved = load_config(config_path)
     if resolved["dataset"]["synthetic"] is None:
         raise ConfigError("dataset.synthetic: required by the generate command")
+    _build_experiment(resolved)  # reject at once what `run` would reject from the manifest
     dataset = _load_dataset(resolved)
     out_path = Path(out_path)
     manifest_name = out_path.name + ".manifest.json"
@@ -236,11 +250,6 @@ def cmd_run(config_path, out_dir) -> None:
     """Run the configured experiment and write the result tables."""
     resolved = load_config(config_path)
     experiment, schemes = _build_experiment(resolved)
-    synthetic = resolved["dataset"]["synthetic"] or {}  # checked before it is generated
-    if experiment.mode is Mode.OFFLINE and synthetic.get("num_sessions", 3) < 3:
-        raise _fail("dataset.synthetic.num_sessions", "offline evaluation needs at least 3")
-    if (experiment.strategy.capacity or math.inf) < synthetic.get("samples_per_session", 0):
-        raise _fail("update.capacity", "below samples_per_session, the enrollment size")
     dataset = _load_dataset(resolved)
     for session in scored_sessions(experiment.mode, dataset.num_sessions):
         genuine = np.bincount(dataset.row_user[dataset.session_rows[session]])

@@ -4,7 +4,7 @@ One loop serves both modes. Each (user, session) is laid out once per
 run, before the first enrollment, and each user is enrolled once per
 run. Each repeat plans every session from its layout and its block-drawn
 indices, and presents each session by one `_present` call to all the
-lanes of one `ReferenceLanes` built from the users' references. A lane
+lanes of one `ReferenceLanes` stacked from the users' references. A lane
 changes only where the update rule accepts a query; the queries after an
 applied update are rescored, with one call for all the lanes an update
 round changed.
@@ -89,7 +89,7 @@ def _present(lanes, dataset, states, rows, valid, strategy, replan, frozen):
     queries and re-plans the rest. A `frozen` (offline) presentation returns
     the session-start scores; if it re-plans nothing under a score-free
     rule, each lane's accepted rows enter as one FIFO batch, one refresh."""
-    rows[valid] = np.concatenate([plan_rows(state, lanes.reference(lane))
+    rows[valid] = np.concatenate([plan_rows(state, lanes, lane)
                                   for lane, state in enumerate(states)])
     impostor = np.zeros(valid.shape, dtype=bool)
     impostor[valid] = np.concatenate([state.impostor for state in states])
@@ -125,7 +125,7 @@ def _present(lanes, dataset, states, rows, valid, strategy, replan, frozen):
             for lane, done in zip(live.tolist(), cursor[live].tolist()):
                 end = states[lane].rows.size
                 commit(states[lane], done)
-                rows[lane, done:end] = plan_rows(states[lane], lanes.reference(lane))
+                rows[lane, done:end] = plan_rows(states[lane], lanes, lane)
                 queries[lane, done:end] = dataset.feature_matrix[rows[lane, done:end]]
         later = positions >= cursor[live, None]
         for scored, rescored in zip((raw, centered), lanes.scores(queries[live], live)):
@@ -172,7 +172,7 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
         seeds = block_mix64(config.base_seed, repeat, np.arange(len(users))[:, None], sessions)
         draws = block_randbelow(seeds.ravel(), bounds)
         states = [plan_session(*plan) for plan in zip(layouts, draws)]
-        lanes = ReferenceLanes(templates, lengths.sum(axis=1))
+        lanes = ReferenceLanes.stack(templates, lengths.sum(axis=1))
         for index, session in enumerate(sessions):
             # Offline, only the unlogged session 2 re-plans its closest-* impostors.
             replan = closest and (online or session not in logged_sessions)

@@ -1,13 +1,14 @@
-"""Reference verifier: a per-user gallery scored by scaled-Manhattan distance.
+"""Reference verifier: per-user galleries scored by scaled-Manhattan distance.
 
 Scores are dissimilarities (lower = more similar). Acceptance and update
 rules therefore read "score <= threshold". Each reference carries
 centering constants frozen at enrollment that place scores on a scale
 where 0 means "as close as a typical enrollment self-comparison" and
 negative values mean closer than that, which is what makes negative
-update thresholds meaningful. A reference is built only by enrolling a
-user's enrollment vectors. Its gallery holds vectors only: which query
-each update came from is recorded by the run (`RunResult.updates`).
+update thresholds meaningful. Enrolling a user's enrollment vectors gives
+a one-lane `ReferenceLanes`; a run stacks them into the lanes of one store
+per repeat. A gallery holds vectors only: which query each update came
+from is recorded by the run (`RunResult.updates`).
 
 Every kernel averages as `np.add.reduce(x, axis) / count`. For float64
 input that is exactly what `np.mean` computes, a sum reduction and then
@@ -20,112 +21,90 @@ import math
 
 import numpy as np
 
+from .core import shown
 from .errors import ConfigError, EnrollmentError, ValidationError
 
 EPSILON = 1e-6
 LOO_BLOCK = 1 << 20
 
 
-class ReferenceModel:
-    """A user's adaptable biometric reference, built by enrolling the (n, d)
-    matrix of the user's enrollment vectors.
+class ReferenceLanes:
+    """References as one stack of lanes. Lane k's gallery is the top
+    `size[k]` rows of `gallery[k]`, in gallery order: its `enrolled[k]`
+    enrollment entries first, then updates, oldest first; the rows below
+    are zero-filled. `statistics` are the per-lane stacks `mu`, `mad`,
+    `inv_mad`, `center_m` and `center_s`. mu / mad mirror each lane's
+    gallery once `refresh` has run; center_m / center_s stay at their
+    enrollment values.
 
-    A run enrolls each user once and presents each repeat to the lanes of a
-    `ReferenceLanes` built from the references, which stay unchanged;
-    mu / mad always mirror the current gallery, while center_m /
-    center_s stay fixed at their enrollment values. The centering
-    constants come from leave-one-out self-scores: each enrollment
-    vector is scored against the statistics of the remaining ones;
-    center_m is the mean of those scores and center_s their population
-    standard deviation (floored at eps). They never change afterwards,
-    so the centered scale keeps its meaning while the gallery evolves.
-
-    The gallery's vectors live in one preallocated matrix, one row per
-    entry in gallery order: enrollment entries first, then updates,
-    oldest first. With a `capacity` (at least the enrollment size) the
-    gallery is a FIFO that evicts only updates, and only when full; without
-    one it grows without bound. The matrix starts at twice the enrollment
-    size and doubles when outgrown, never past the capacity. Evicting
-    shifts later updates up.
+    With a `capacity` (at least every lane's enrollment size) each gallery
+    is a FIFO that evicts only updates, and only when full; without one it
+    grows without bound (`extend`).
     """
 
-    def __init__(
-        self, target_user: str, vectors, eps: float = EPSILON, capacity: int | None = None
-    ):
-        vectors = np.asarray(vectors, dtype=float)
-        if vectors.ndim != 2 or len(vectors) < 2 or not vectors.shape[1]:
-            raise EnrollmentError(
-                f"user {target_user}: enrollment needs an (n >= 2, d) matrix,"
-                f" got shape {vectors.shape}"
-            )
-        n = len(vectors)
-        if not eps > 0:
-            raise ValidationError("eps must be > 0")
-        if capacity is not None and capacity < n:
-            raise ConfigError(f"gallery capacity {capacity} is below the enrollment size {n}")
+    def __init__(self, gallery, size, enrolled, statistics, eps, capacity):
+        self.gallery, self.size, self.enrolled = gallery, size, enrolled
+        self.mu, self.mad, self.inv_mad, self.center_m, self.center_s = statistics
+        self.eps, self.capacity = eps, capacity
 
-        # Row k of `rest` holds every enrollment vector but the k-th, in order, so the
-        # axis-1 reductions give each leave-one-out gallery's statistics, the same in
-        # any block of rows; one block holds about LOO_BLOCK values.
-        d = vectors.shape[1]
-        loo_scores = np.empty(n)
-        step = max(1, LOO_BLOCK // ((n - 1) * d))
-        for start in range(0, n, step):
-            k = np.arange(start, min(start + step, n))
-            rest = vectors[np.arange(n - 1) + (np.arange(n - 1) >= k[:, None])]
-            mu_loo = np.add.reduce(rest, axis=1) / (n - 1)
-            spread = np.add.reduce(np.abs(rest - mu_loo[:, None, :]), axis=1) / (n - 1)
-            mad_loo = np.maximum(spread, eps)
-            loo_scores[k] = np.add.reduce(np.abs(vectors[k] - mu_loo) / mad_loo, axis=1) / d
-        self.center_m = float(np.mean(loo_scores))
-        self.center_s = max(float(np.std(loo_scores)), eps)
+    @classmethod
+    def stack(cls, references: list[ReferenceLanes], room: np.ndarray) -> ReferenceLanes:
+        """Lanes starting as the one-lane `references`, which stay unchanged,
+        lane k wide enough for `room[k]` more updates under the capacity."""
+        first = references[0]
+        size = np.concatenate([reference.size for reference in references])
+        width = min(first.capacity or math.inf, int(np.max(size + room)))
+        gallery = np.zeros((len(references), width, first.gallery.shape[2]))
+        for lane, reference in enumerate(references):
+            gallery[lane, : size[lane]] = reference.vectors()
+        enrolled = [count for reference in references for count in reference.enrolled]
+        statistics = (np.concatenate([getattr(reference, name) for reference in references])
+                      for name in ("mu", "mad", "inv_mad", "center_m", "center_s"))
+        return cls(gallery, size, enrolled, statistics, first.eps, first.capacity)
 
-        self.target_user = target_user
-        self.eps = eps
-        self.capacity = capacity
-        self._matrix = np.empty((min(2 * n, capacity or math.inf), d))
-        self._matrix[:n] = vectors
-        self._size = self._enrolled = n
-        self.mu, self.mad = gallery_statistics(vectors, eps)
-        self._inv_mad = 1.0 / self.mad
+    def vectors(self, lane: int = 0) -> np.ndarray:
+        """(gallery size, dimension) view of the lane's vectors, in gallery order."""
+        return self.gallery[lane, : self.size[lane]]
 
-    @property
-    def vectors(self) -> np.ndarray:
-        """(gallery size, dimension) view of the gallery's vectors, in gallery order."""
-        return self._matrix[: self._size]
+    def scores(self, queries: np.ndarray, lanes=slice(None)):
+        """Raw and centered scores of a (lanes, m, d) query stack, `queries[k]`
+        against lane `lanes[k]`, or of an (m, d) matrix against one int lane."""
+        raw = np.add.reduce(
+            np.abs(queries - self.mu[lanes, None]) * self.inv_mad[lanes, None], axis=-1
+        ) / queries.shape[-1]
+        return raw, (raw - self.center_m[lanes, None]) / self.center_s[lanes, None]
 
-    @property
-    def dimension(self) -> int:
-        return int(self._matrix.shape[1])
-
-    def extend(self, vectors) -> np.ndarray:
-        """Add a (k, d) matrix of update vectors as k appends would: each
-        append past `capacity` entries evicts the oldest update. Returns the
-        evicted update vectors, oldest first; mu / mad are left to
-        `refresh_statistics`."""
-        first, n, rows = self._enrolled, self._size, len(self._matrix)
+    def extend(self, lane: int, vectors) -> np.ndarray:
+        """Add a (k, d) matrix of update vectors to the lane as k appends
+        would: each append past `capacity` entries evicts the oldest update.
+        A lane that outgrows the width doubles it, never past the capacity.
+        Returns the evicted update vectors, oldest first; mu / mad are left
+        to `refresh`."""
+        first, n, width = self.enrolled[lane], int(self.size[lane]), self.gallery.shape[1]
         end, capacity = n + len(vectors), self.capacity or math.inf
-        if end > rows and rows < capacity:  # outgrown: double, never past the capacity
-            grown = np.empty((min(max(2 * rows, end), capacity), self._matrix.shape[1]))
-            grown[:n] = self._matrix[:n]
-            self._matrix = grown
+        if end > width and width < capacity:
+            grow = min(max(2 * width, end), capacity) - width
+            self.gallery = np.pad(self.gallery, ((0, 0), (0, grow), (0, 0)))
+        gallery = self.gallery[lane]
+        self.size[lane] = min(end, capacity)
         if end <= capacity:  # nothing to evict: write in place
-            self._matrix[n:end] = vectors
-            self._size = end
-            return self._matrix[:0]
-        updates = np.concatenate([self._matrix[first:n], vectors])
+            gallery[n:end] = vectors
+            return gallery[:0]
+        updates = np.concatenate([gallery[first:n], vectors])
         dropped = end - capacity
-        self._matrix[first:capacity] = updates[dropped:]
-        self._size = capacity
+        gallery[first:capacity] = updates[dropped:]
         return updates[:dropped]
 
-
-def gallery_statistics(vectors: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-dimension mean and mean absolute deviation, mad floored at eps."""
-    n = len(vectors)
-    mu = np.add.reduce(vectors, axis=0) / n
-    mad = np.maximum(np.add.reduce(np.abs(vectors - mu), axis=0) / n, eps)
-    return mu, mad
+    def refresh(self, lanes) -> None:
+        """Recompute mu / mad of the (non-empty) `lanes` from their galleries,
+        in one masked reduction over the lanes' entries; centering untouched."""
+        size = self.size[lanes][:, None]
+        vectors = self.gallery[lanes, : size.max()]
+        held = (np.arange(vectors.shape[1]) < size)[..., None]
+        mu = np.add.reduce(vectors, axis=1, where=held) / size
+        spread = np.add.reduce(np.abs(vectors - mu[:, None]), axis=1, where=held) / size
+        mad = np.maximum(spread, self.eps)
+        self.mu[lanes], self.mad[lanes], self.inv_mad[lanes] = mu, mad, 1.0 / mad
 
 
 def enroll(
@@ -134,92 +113,83 @@ def enroll(
     *,
     eps: float = EPSILON,
     capacity: int | None = None,
-) -> ReferenceModel:
-    """Build a reference from the (n, d) matrix of a user's enrollment vectors;
-    `capacity` is the gallery's FIFO capacity for the reference's lifetime."""
-    return ReferenceModel(target_user, enrollment_vectors, eps, capacity)
+) -> ReferenceLanes:
+    """Enroll the (n, d) matrix of a user's enrollment vectors as a one-lane
+    store; `capacity` is the gallery's FIFO capacity for its lifetime.
+
+    The centering constants come from leave-one-out self-scores: each
+    enrollment vector is scored against the statistics of the remaining
+    ones; center_m is the mean of those scores and center_s their
+    population standard deviation (floored at eps). They never change
+    afterwards, so the centered scale keeps its meaning while the gallery
+    evolves. The gallery starts twice the enrollment size wide, never past
+    the capacity.
+    """
+    vectors = np.asarray(enrollment_vectors, dtype=float)
+    if vectors.ndim != 2 or len(vectors) < 2 or not vectors.shape[1]:
+        raise EnrollmentError(
+            f"user {target_user}: enrollment needs an (n >= 2, d) matrix,"
+            f" got shape {vectors.shape}"
+        )
+    n, d = vectors.shape
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValidationError(f"eps must be finite and > 0, got {shown(eps)}")
+    if capacity is not None and capacity < n:
+        raise ConfigError(f"gallery capacity {capacity} is below the enrollment size {n}")
+
+    # Row k of `rest` holds every enrollment vector but the k-th, in order, so the
+    # axis-1 reductions give each leave-one-out gallery's statistics, the same in
+    # any block of rows; one block holds about LOO_BLOCK values.
+    loo_scores = np.empty(n)
+    step = max(1, LOO_BLOCK // ((n - 1) * d))
+    for start in range(0, n, step):
+        k = np.arange(start, min(start + step, n))
+        rest = vectors[np.arange(n - 1) + (np.arange(n - 1) >= k[:, None])]
+        mu_loo = np.add.reduce(rest, axis=1) / (n - 1)
+        spread = np.add.reduce(np.abs(rest - mu_loo[:, None, :]), axis=1) / (n - 1)
+        mad_loo = np.maximum(spread, eps)
+        loo_scores[k] = np.add.reduce(np.abs(vectors[k] - mu_loo) / mad_loo, axis=1) / d
+    gallery = np.zeros((1, min(2 * n, capacity or math.inf), d))
+    gallery[0, :n] = vectors
+    statistics = (*np.empty((3, 1, d)), np.array([np.mean(loo_scores)]),
+                  np.array([max(np.std(loo_scores), eps)]))
+    reference = ReferenceLanes(gallery, np.array([n]), [n], statistics, eps, capacity)
+    reference.refresh(slice(None))  # mu / mad / inv_mad
+    return reference
 
 
-def raw_score(ref: ReferenceModel, query):
+def raw_score(ref: ReferenceLanes, query):
     """Scaled-Manhattan dissimilarity of a query vector to the gallery mean.
 
     An (n, d) query matrix gives n scores, bitwise equal to scoring each row alone.
     """
-    arr = np.asarray(query, dtype=float)
-    if arr.ndim not in (1, 2) or arr.shape[-1:] != ref.mu.shape:
-        raise ValidationError(
-            f"query shape {arr.shape} does not end in reference dimension {ref.mu.size}"
-        )
-    scores = np.add.reduce(np.abs(arr - ref.mu) * ref._inv_mad, axis=-1) / ref.mu.size
-    return float(scores) if arr.ndim == 1 else scores
+    return _lane_scores(ref, query, 0)[0]
 
 
-def center(ref: ReferenceModel, raw: float) -> float:
+def center(ref: ReferenceLanes, raw):
     """Map a raw score onto the reference's frozen centered scale."""
-    return (raw - ref.center_m) / ref.center_s
+    return (raw - ref.center_m[0]) / ref.center_s[0]
 
 
-def centered_score(ref: ReferenceModel, query):
-    return center(ref, raw_score(ref, query))
+def centered_score(ref: ReferenceLanes, query, lane: int = 0):
+    """`center` of `raw_score`, from the same one `scores` call."""
+    return _lane_scores(ref, query, lane)[1]
 
 
-def refresh_statistics(ref: ReferenceModel) -> ReferenceModel:
-    """Recompute mu / mad from the current gallery; centering untouched."""
-    ref.mu, ref.mad = gallery_statistics(ref.vectors, ref.eps)
-    ref._inv_mad = 1.0 / ref.mad
-    return ref
-
-
-class ReferenceLanes:
-    """Many references as one stack of lanes, lane k starting in the state of
-    `templates[k]`, which stays unchanged. Lane k's gallery is the top
-    `size[k]` rows of `gallery[k]`, zero-filled and wide enough for
-    `room[k]` more updates; `mu`, `mad`, `inv_mad`, `center_m` and
-    `center_s` stack the lanes' statistics, bitwise each lane's own."""
-
-    def __init__(self, templates: list[ReferenceModel], room: np.ndarray):
-        self.eps = templates[0].eps
-        self.size = np.array([len(template.vectors) for template in templates])
-        width = min(templates[0].capacity or math.inf, int(np.max(self.size + room)))
-        self.gallery = np.zeros((len(templates), width, templates[0].dimension))
-        self.mu, self.mad, self.inv_mad, self.center_m, self.center_s = (
-            np.array([getattr(template, name) for template in templates])
-            for name in ("mu", "mad", "_inv_mad", "center_m", "center_s")
+def _lane_scores(ref: ReferenceLanes, query, lane: int):
+    arr = np.asarray(query, dtype=float)
+    d = ref.gallery.shape[2]
+    if arr.ndim not in (1, 2) or arr.shape[-1:] != (d,):
+        raise ValidationError(
+            f"query shape {arr.shape} does not end in reference dimension {d}"
         )
-        stacks = {"_matrix": self.gallery, "mu": self.mu, "mad": self.mad, "_inv_mad": self.inv_mad}
-        self._views = [object.__new__(ReferenceModel) for _ in templates]
-        for lane, (template, view) in enumerate(zip(templates, self._views)):
-            self.gallery[lane, : self.size[lane]] = template.vectors
-            view.__dict__ = {**template.__dict__, **{k: stack[lane] for k, stack in stacks.items()}}
+    raw, centered = ref.scores(arr, lane)
+    if arr.ndim == 1:
+        return float(raw[0]), float(centered[0])
+    return raw, centered
 
-    def reference(self, lane: int) -> ReferenceModel:
-        """Lane `lane` as a reference: a read-only view, current until the lane next changes."""
-        view = self._views[lane]
-        view._size = int(self.size[lane])
-        return view
 
-    def scores(self, queries: np.ndarray, lanes=slice(None)):
-        """Raw and centered scores of a (lanes, m, d) query stack, each row of
-        `queries[k]` against lane `lanes[k]`, as `raw_score` and `center` give."""
-        raw = np.add.reduce(
-            np.abs(queries - self.mu[lanes, None]) * self.inv_mad[lanes, None], axis=-1
-        ) / queries.shape[-1]
-        return raw, (raw - self.center_m[lanes, None]) / self.center_s[lanes, None]
-
-    def extend(self, lane: int, vectors) -> None:
-        """Add a (k, d) matrix of update vectors to the lane by `ReferenceModel.extend`,
-        in place, as a lane never outgrows its rows; mu / mad are left to `refresh`."""
-        view = self.reference(lane)
-        view.extend(vectors)
-        self.size[lane] = view._size
-
-    def refresh(self, lanes: np.ndarray) -> None:
-        """Recompute mu / mad of the (non-empty) `lanes` from their galleries,
-        in one masked reduction over the lanes' entries; centering untouched."""
-        size = self.size[lanes][:, None]
-        vectors = self.gallery[lanes, : size.max()]
-        held = (np.arange(vectors.shape[1]) < size)[..., None]
-        mu = np.add.reduce(vectors, axis=1, where=held) / size
-        spread = np.add.reduce(np.abs(vectors - mu[:, None]), axis=1, where=held) / size
-        self.mu[lanes], self.mad[lanes] = mu, np.maximum(spread, self.eps)
-        self.inv_mad[lanes] = 1.0 / self.mad[lanes]
+def refresh_statistics(ref: ReferenceLanes) -> ReferenceLanes:
+    """Recompute mu / mad from the current gallery; centering untouched."""
+    ref.refresh([0])
+    return ref

@@ -18,8 +18,8 @@ position order. A run draws the indices of many sessions in one block
 `plan_session` applies one session's indices with list swaps and pops.
 The closest-* orders consult the evolving reference: `plan_rows`
 chooses the impostors of the positions not yet presented against a
-given reference, and `commit` marks positions as presented, so a caller
-re-plans only after an update changes the reference. The impostor pool
+given reference lane, and `commit` marks positions as presented, so a
+caller re-plans only after an update changes the reference. The impostor pool
 is a set of rows, in (user, session, order_index) order, with an alive
 mask. A closest-* plan scores every live row in one batched
 `centered_score` call and ranks the rows by a stable sort, so ties go
@@ -41,7 +41,7 @@ import numpy as np
 
 from .core import Dataset, Label, QueryEvent, check_fields, shown
 from .errors import StreamError, ValidationError
-from .matcher import ReferenceModel, centered_score
+from .matcher import ReferenceLanes, centered_score
 
 
 class GlobalOrder(str, Enum):
@@ -247,10 +247,10 @@ def _impostor_flags(config: StreamConfig, n_genuine: int, n_impostor: int, draws
     return np.array(flags, dtype=bool)
 
 
-def plan_rows(state: StreamState, ref: ReferenceModel) -> np.ndarray:
-    """The rows of the positions from the cursor on, as presented while `ref` holds.
+def plan_rows(state: StreamState, lanes: ReferenceLanes, lane: int) -> np.ndarray:
+    """The rows of the positions from the cursor on, as presented while lane `lane` holds.
 
-    closest-* orders choose those positions' impostors against `ref`;
+    closest-* orders choose those positions' impostors against that lane;
     the result is a view of `state.rows`.
     """
     ahead = state.rows[state.cursor :]
@@ -261,7 +261,7 @@ def plan_rows(state: StreamState, ref: ReferenceModel) -> np.ndarray:
     count = int(np.count_nonzero(slots))
     if count:
         live = layout.candidates[state.alive]
-        scores = centered_score(ref, layout.dataset.feature_matrix[live])
+        scores = centered_score(lanes, layout.dataset.feature_matrix[live], lane)
         ranked = live[np.argsort(scores, kind="stable")]
         if layout.config.local_order is LocalOrder.CLOSEST_IMPOSTOR:
             row_user = layout.dataset.row_user
@@ -285,12 +285,12 @@ def commit(state: StreamState, count: int) -> None:
     state.cursor = count
 
 
-def next_query(state: StreamState, current_ref: ReferenceModel) -> QueryEvent | None:
-    """Present the next query, planned against `current_ref`, or None after the last position."""
+def next_query(state: StreamState, current_ref: ReferenceLanes) -> QueryEvent | None:
+    """Present the next query, planned against one-lane `current_ref`, or None at the end."""
     if state.cursor >= state.rows.size:
         return None
     position = state.cursor
-    row = plan_rows(state, current_ref)[0]
+    row = plan_rows(state, current_ref, 0)[0]
     commit(state, position + 1)
     label = Label.IMPOSTOR if state.impostor[position] else Label.GENUINE
     return QueryEvent(state.layout.dataset.samples[row], state.layout.target_user, label, position)

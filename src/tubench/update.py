@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import Dataset, Label, QueryEvent, check_fields, shown
 from .errors import ValidationError
-from .matcher import ReferenceModel, refresh_statistics
+from .matcher import ReferenceLanes, refresh_statistics
 
 
 class StrategyKind(str, Enum):
@@ -90,21 +90,22 @@ def score_free(strategy: UpdateStrategy) -> bool:
     return strategy.kind is StrategyKind.NONE or strategy.threshold == math.inf
 
 
-def apply_updates(ref: ReferenceModel, features) -> np.ndarray:
+def apply_updates(ref: ReferenceLanes, features) -> np.ndarray:
     """Insert accepted queries' (k, d) vectors in order and refresh mu / mad
     once, as one insert and refresh per row would: the statistics read only
     the final gallery. Returns the evicted update vectors, oldest first."""
-    if np.ndim(features) != 2 or np.shape(features)[1] != ref.dimension:
+    d = ref.gallery.shape[2]
+    if np.ndim(features) != 2 or np.shape(features)[1] != d:
         raise ValidationError(
-            f"query shape {np.shape(features)} != (k, reference dimension {ref.dimension})"
+            f"query shape {np.shape(features)} != (k, reference dimension {d})"
         )
-    evicted = ref.extend(features)
+    evicted = ref.extend(0, features)
     refresh_statistics(ref)
     return evicted
 
 
 def maybe_update(
-    ref: ReferenceModel,
+    ref: ReferenceLanes,
     query: QueryEvent,
     centered: float,
     strategy: UpdateStrategy,

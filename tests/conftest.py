@@ -43,6 +43,42 @@ def fast_oracle_eer(genuine, impostor):
     return best_eer
 
 
+def gallery_statistics(vectors, eps):
+    """One gallery's per-dimension mean and mean absolute deviation, mad
+    floored at eps: the single-reference refresh that
+    `ReferenceLanes.refresh` must equal bit for bit."""
+    n = len(vectors)
+    mu = np.add.reduce(vectors, axis=0) / n
+    mad = np.maximum(np.add.reduce(np.abs(vectors - mu), axis=0) / n, eps)
+    return mu, mad
+
+
+def single_raw_score(query, mu, mad):
+    """The single-reference raw score of a (d,) query or an (m, d) matrix
+    against statistics (mu, mad): what `ReferenceLanes.scores` must equal
+    bit for bit."""
+    return np.add.reduce(np.abs(query - mu) * (1.0 / mad), axis=-1) / mu.size
+
+
+class ListFifo:
+    """A gallery as a list of vectors: its enrollment, then its updates,
+    oldest first. With a capacity, an append past it pops the oldest update."""
+
+    def __init__(self, enrollment, capacity=None):
+        self.vectors = list(enrollment)
+        self.enrolled, self.capacity = len(self.vectors), capacity
+
+    def append(self, vector):
+        """Append one vector; return the evicted update, or None."""
+        self.vectors.append(vector)
+        if self.capacity is not None and len(self.vectors) > self.capacity:
+            return self.vectors.pop(self.enrolled)
+        return None
+
+    def tobytes(self):
+        return b"".join(np.asarray(vector, dtype=float).tobytes() for vector in self.vectors)
+
+
 def make_sample(user, session, order, feats):
     return Sample(user, session, order, np.asarray(feats, dtype=float))
 

@@ -464,6 +464,39 @@ def test_bad_stream_config_fails_before_the_dataset_is_built(tmp_path, capsys, m
     assert not out.exists()
 
 
+SYNTHETIC = BASE_CONFIG["dataset"]["synthetic"]
+
+
+@pytest.mark.parametrize("command", ["generate", "run"])
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ({"stream": {"impostor_ratio": 1.5}}, "stream: impostor_ratio must be in [0, 1), got 1.5"),
+        ({"update": {"capacity": 0}}, "update: capacity must be >= 1, got 0"),
+        ({"update": {"capacity": 5}},
+         "update.capacity: below samples_per_session, the enrollment size"),
+        ({"dataset": {"synthetic": {**SYNTHETIC, "num_users": 0}}},
+         "dataset.synthetic: num_users must be >= 1, got 0"),
+        ({"dataset": {"synthetic": {**SYNTHETIC, "num_sessions": 2}},
+          "evaluation": {"mode": "offline"}},
+         "dataset.synthetic.num_sessions: offline evaluation needs at least 3"),
+    ],
+    ids=["stream", "update", "capacity", "synthetic", "offline-sessions"],
+)
+def test_both_commands_reject_a_bad_section_by_name_before_generating(
+    tmp_path, capsys, monkeypatch, command, patch, message
+):
+    # A generate that accepted these would write a manifest that run rejects.
+    calls = []
+    monkeypatch.setattr("tubench.cli.generate", calls.append)
+    config = write_config(tmp_path / "bad.json", patch=patch)
+    out = tmp_path / ("data.csv" if command == "generate" else "out")
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
+    assert list(tmp_path.iterdir()) == [config]
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["base_spread", "drift_scale", "noise_scale"])
 def test_non_finite_synthetic_scales_fail_before_generating(

@@ -1,5 +1,6 @@
 import math
 from dataclasses import astuple
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -360,7 +361,7 @@ def test_offline_scoring_references_exclude_current_session_vectors(trace_datase
         state = planned(
             trace_dataset, user, 2, config.stream, mix64(config.base_seed, 0, user_index, 2)
         )
-        sources = [1] * len(model.vectors)  # each gallery entry's session, in gallery order
+        sources = [1] * len(model.vectors())  # each gallery entry's session, in gallery order
         while (query := next_query(state, model)) is not None:
             centered = centered_score(model, query.sample.features)
             if maybe_update(model, query, centered, config.strategy).applied:
@@ -370,7 +371,7 @@ def test_offline_scoring_references_exclude_current_session_vectors(trace_datase
                 trace_dataset, user, session, config.stream,
                 mix64(config.base_seed, 0, user_index, session),
             )
-            assert len(sources) == len(model.vectors)
+            assert len(sources) == len(model.vectors())
             assert all(source_session < session for source_session in sources)
             staged = []
             while (query := next_query(state, model)) is not None:
@@ -448,8 +449,8 @@ class _Reference:
 
     def measure(self, model, repeat, session, user_index):
         key = (repeat, session - 2, user_index)
-        self.inclusion[key] = sum(impostor for _, impostor in self.kept) / len(model.vectors)
-        self.sizes[key] = len(model.vectors)
+        self.inclusion[key] = sum(impostor for _, impostor in self.kept) / len(model.vectors())
+        self.sizes[key] = len(model.vectors())
         self.evictions[key] = self.evicted
 
 
@@ -523,6 +524,7 @@ def _assert_same_galleries(dataset, result, got, expected):
     assert got.keys() == expected.keys()
     updates = result.updates
     for key, (model, kept) in expected.items():
+        model = LaneView.of(model)
         assert got[key].vectors.tobytes() == model.vectors.tobytes(), key
         assert got[key].mu.tobytes() == model.mu.tobytes(), key
         assert got[key].mad.tobytes() == model.mad.tobytes(), key
@@ -535,26 +537,38 @@ def _assert_same_galleries(dataset, result, got, expected):
         assert vectors.tobytes() == dataset.feature_matrix[rows].tobytes(), key
 
 
-def recording_lanes(monkeypatch):
-    """Make runs build their lane stores through a wrapper of
-    `ReferenceLanes`. Returns a function that, called after a run with the
-    number of galleries it must have presented to, checks that number and
-    returns every final gallery recorded since its last call, as read by
-    `reference(lane)`, in the order presented: repeat by repeat, users in
-    order."""
-    stores = []
+class LaneView(NamedTuple):
+    """A copy of one lane's gallery vectors and statistics."""
 
-    def recording(*args):
-        stores.append(ReferenceLanes(*args))
+    vectors: np.ndarray
+    mu: np.ndarray
+    mad: np.ndarray
+
+    @classmethod
+    def of(cls, store, lane=0):
+        return cls(store.vectors(lane).copy(), store.mu[lane].copy(), store.mad[lane].copy())
+
+
+def recording_lanes(monkeypatch):
+    """Make runs stack their lane stores through a wrapper of
+    `ReferenceLanes.stack`. Returns a function that, called after a run with
+    the number of galleries it must have presented to, checks that number
+    and returns every final gallery recorded since its last call, as a
+    `LaneView`, in the order presented: repeat by repeat, users in order."""
+    stores = []
+    stack = ReferenceLanes.stack
+
+    def recording(references, room):
+        stores.append(stack(references, room))
         return stores[-1]
 
     def galleries(count):
-        models = [store.reference(lane) for store in stores for lane in range(len(store.size))]
+        models = [LaneView.of(store, lane) for store in stores for lane in range(len(store.size))]
         stores.clear()
         assert len(models) == count
         return models
 
-    monkeypatch.setattr(evaluator, "ReferenceLanes", recording)
+    monkeypatch.setattr(ReferenceLanes, "stack", recording)
     return galleries
 
 
@@ -851,13 +865,14 @@ def test_the_first_user_that_cannot_enroll_fails_the_run_at_any_repeats(
 def test_a_run_enrolls_each_user_once_and_presents_each_repeat_to_its_own_lanes(
     monkeypatch, repeats
 ):
-    enrolled, states = [], []
+    users, enrolled, states = [], [], []
 
     def state(model):
-        return [model._matrix.tobytes(), model.mu.tobytes(), model.mad.tobytes()]
+        return [model.gallery.tobytes(), model.mu.tobytes(), model.mad.tobytes()]
 
-    def enrolling(*args, **kwargs):
-        enrolled.append(enroll(*args, **kwargs))
+    def enrolling(user, *args, **kwargs):
+        users.append(user)
+        enrolled.append(enroll(user, *args, **kwargs))
         states.append(state(enrolled[-1]))
         return enrolled[-1]
 
@@ -868,8 +883,10 @@ def test_a_run_enrolls_each_user_once_and_presents_each_repeat_to_its_own_lanes(
                               UpdateStrategy(StrategyKind.SELF_THRESHOLD, 1.0), repeats)
     result = run_experiment(dataset, config)
     models = galleries(len(dataset.users) * repeats)
-    assert [model.target_user for model in enrolled] == list(dataset.users)
-    assert [model.target_user for model in models] == list(dataset.users) * repeats
+    assert users == list(dataset.users)
+    # Lane k of every repeat starts from user k's enrollment, kept first.
+    for model, template in zip(models, enrolled * repeats, strict=True):
+        assert model.vectors[: template.size[0]].tobytes() == template.vectors().tobytes()
     assert result.updates["row"].size  # updates were applied, to the lanes only
     assert [state(template) for template in enrolled] == states
 
@@ -878,9 +895,9 @@ def test_a_run_enrolls_each_user_once_and_presents_each_repeat_to_its_own_lanes(
 def test_only_closest_sessions_replan_after_an_update(monkeypatch, local_order):
     calls = []
 
-    def counting_plan_rows(state, ref):
+    def counting_plan_rows(state, lanes, lane):
         calls.append(state)
-        return stream_module.plan_rows(state, ref)
+        return stream_module.plan_rows(state, lanes, lane)
 
     monkeypatch.setattr(evaluator, "plan_rows", counting_plan_rows)
     config = ExperimentConfig(
@@ -903,7 +920,7 @@ def test_only_closest_sessions_replan_after_an_update(monkeypatch, local_order):
 @pytest.mark.parametrize("local_order", [LocalOrder.TOTALLY_RANDOM, LocalOrder.CLOSEST_IMPOSTOR])
 def test_score_free_offline_sessions_refresh_once_unless_they_replan(monkeypatch, local_order):
     # Supervised at +inf reads no score: it applies every genuine query.
-    plans, presenting, refreshes = [], [], []
+    plans, presenting, refreshes, enrollments = [], [], [], []
 
     def session_of(layout):
         return int(layout.dataset.row_session[layout.genuine.start])
@@ -912,11 +929,14 @@ def test_score_free_offline_sessions_refresh_once_unless_they_replan(monkeypatch
         plans.append((layout.target_user, session_of(layout)))
         return plan_session(layout, indices)
 
-    def recording_plan_rows(state, ref):
+    def recording_plan_rows(state, lanes, lane):
         presenting.append(session_of(state.layout))  # every session plans before it refreshes
-        return stream_module.plan_rows(state, ref)
+        return stream_module.plan_rows(state, lanes, lane)
 
     def recording_refresh(lanes, indices):
+        if not plans:  # enrollment, before the first session is planned
+            enrollments.append(len(lanes.size))
+            return lanes_refresh(lanes, indices)
         # A repeat plans all its sessions before it presents the first.
         repeat = (len(plans) - 1) // (len(dataset.users) * len(sessions))
         refreshes.append((repeat, presenting[-1], indices.tolist()))
@@ -938,6 +958,7 @@ def test_score_free_offline_sessions_refresh_once_unless_they_replan(monkeypatch
     log = run_experiment(dataset, config).log
     keys = [(r, u, s) for r in range(config.repeats) for u in dataset.users for s in sessions]
     assert plans == [(u, s) for _, u, s in keys]
+    assert enrollments == [1] * len(dataset.users)  # one refresh per one-lane enrollment
     applied = {}
     for repeat, user, session in keys:
         if session == 2:  # unlogged: every genuine query is applied

@@ -12,7 +12,7 @@ from tubench import (
     EnrollmentError,
     Label,
     QueryEvent,
-    ReferenceModel,
+    ReferenceLanes,
     StrategyKind,
     UpdateStrategy,
     ValidationError,
@@ -24,10 +24,9 @@ from tubench import (
     refresh_statistics,
 )
 from tubench import matcher
-from tubench.matcher import ReferenceLanes, gallery_statistics
 from tubench.rng import SplitMix64
 from tubench.update import apply_updates
-from conftest import make_sample
+from conftest import ListFifo, gallery_statistics, make_sample, single_raw_score
 
 
 def brute_stats(vectors, eps=EPSILON):
@@ -45,14 +44,14 @@ def brute_raw(query, mu, mad):
 def test_enroll_identical_vectors_floors_everything():
     ref = enroll("u", np.array([[1.0, 2.0], [1.0, 2.0]]))
     assert np.allclose(ref.mad, EPSILON)
-    assert ref.center_m == 0.0
-    assert ref.center_s == EPSILON
+    assert ref.center_m.tolist() == [0.0]
+    assert ref.center_s.tolist() == [EPSILON]
 
 
 def test_enroll_two_point_statistics():
     ref = enroll("u", np.array([[0.0, 0.0], [2.0, 2.0]]))
-    assert np.array_equal(ref.mu, [1.0, 1.0])
-    assert np.array_equal(ref.mad, [1.0, 1.0])
+    assert np.array_equal(ref.mu[0], [1.0, 1.0])
+    assert np.array_equal(ref.mad[0], [1.0, 1.0])
 
 
 def test_enroll_leave_one_out_centering_matches_hand_computation():
@@ -63,8 +62,8 @@ def test_enroll_leave_one_out_centering_matches_hand_computation():
     #   hold (4,4): rest mean (1,1), rest mad (1,1) -> score 3
     vectors = [[0.0, 0.0], [2.0, 2.0], [4.0, 4.0]]
     ref = enroll("u", np.array(vectors))
-    assert ref.center_m == pytest.approx(2.0, abs=1e-15)
-    assert ref.center_s == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    assert ref.center_m[0] == pytest.approx(2.0, abs=1e-15)
+    assert ref.center_s[0] == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
     # same numbers from an independent brute-force pass over the folds
     loo = []
@@ -72,8 +71,8 @@ def test_enroll_leave_one_out_centering_matches_hand_computation():
         rest = [v for i, v in enumerate(vectors) if i != k]
         mu, mad = brute_stats(rest)
         loo.append(brute_raw(vectors[k], mu, mad))
-    assert ref.center_m == pytest.approx(np.mean(loo), abs=1e-15)
-    assert ref.center_s == pytest.approx(np.std(loo), abs=1e-15)
+    assert ref.center_m[0] == pytest.approx(np.mean(loo), abs=1e-15)
+    assert ref.center_s[0] == pytest.approx(np.std(loo), abs=1e-15)
 
 
 def test_enroll_requires_two_samples():
@@ -91,14 +90,14 @@ def test_enroll_rejects_capacity_below_enrollment():
 
 def test_raw_score_of_gallery_mean_is_zero():
     ref = enroll("u", np.array([[0.0, 1.0], [2.0, 5.0], [1.0, 0.0]]))
-    assert raw_score(ref, ref.mu) == 0.0
+    assert raw_score(ref, ref.mu[0]) == 0.0
 
 
 def test_raw_score_hand_example():
     ref = enroll("u", np.array([[0.0, 0.0], [2.0, 2.0]]))
-    ref.mu = np.array([1.0, 2.0])
-    ref.mad = np.array([0.5, 1.0])
-    ref._inv_mad = 1.0 / ref.mad
+    ref.mu[0] = [1.0, 2.0]
+    ref.mad[0] = [0.5, 1.0]
+    ref.inv_mad[0] = 1.0 / ref.mad[0]
     assert raw_score(ref, [1.5, 1.0]) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -108,7 +107,7 @@ def test_raw_score_matches_elementwise_recomputation():
     ref = enroll("u", np.array(vectors))
     for _ in range(20):
         query = rng.normal(size=5)
-        expected = brute_raw(query, ref.mu, ref.mad)
+        expected = brute_raw(query, ref.mu[0], ref.mad[0])
         assert raw_score(ref, query) == pytest.approx(expected, abs=1e-12)
 
 
@@ -172,8 +171,8 @@ def test_gathered_leave_one_out_equals_the_per_sample_loop_bitwise(n, d, scale, 
     vectors = rng.normal(size=(n, d)) * scale + rng.normal()
     ref = enroll("u", np.array(vectors), eps=eps)
     center_m, center_s = loop_centering(vectors, eps)
-    assert ref.center_m.hex() == center_m.hex()
-    assert ref.center_s.hex() == center_s.hex()
+    assert ref.center_m[0].hex() == center_m.hex()
+    assert ref.center_s[0].hex() == center_s.hex()
 
 
 def whole_array_centering(vectors, eps):
@@ -206,8 +205,8 @@ def test_blocked_leave_one_out_equals_the_whole_array_bitwise(n, d, block, scale
         patch.setattr(matcher, "LOO_BLOCK", block)
         ref = enroll("u", np.array(vectors), eps=eps)
     center_m, center_s = whole_array_centering(vectors, eps)
-    assert ref.center_m.hex() == center_m.hex()
-    assert ref.center_s.hex() == center_s.hex()
+    assert ref.center_m[0].hex() == center_m.hex()
+    assert ref.center_s[0].hex() == center_s.hex()
 
 
 @settings(max_examples=150, deadline=None)
@@ -219,24 +218,37 @@ def test_blocked_leave_one_out_equals_the_whole_array_bitwise(n, d, block, scale
     seed=st.integers(0, 2**32 - 1),
 )
 def test_bare_reductions_equal_np_mean_bitwise(n, d, scale, eps, seed):
-    # The kernels average by np.add.reduce / count; np.mean must give the same bits.
+    # The kernels, and the oracles the tests hold them to, average by
+    # np.add.reduce / count; np.mean must give the same bits.
     rng = np.random.default_rng(seed)
     vectors = rng.normal(size=(n, d)) * scale + rng.normal() * scale
-    mu, mad = gallery_statistics(vectors, eps)
     mean_mu = np.mean(vectors, axis=0)
     mean_mad = np.maximum(np.mean(np.abs(vectors - mean_mu), axis=0), eps)
-    assert mu.tobytes() == mean_mu.tobytes()
-    assert mad.tobytes() == mean_mad.tobytes()
+    lane = one_lane(vectors, eps)
+    for mu, mad in (gallery_statistics(vectors, eps), (lane.mu[0], lane.mad[0])):
+        assert mu.tobytes() == mean_mu.tobytes()
+        assert mad.tobytes() == mean_mad.tobytes()
 
     enrolled = rng.normal(size=(max(n, 2), d)) * scale
     ref = enroll("u", enrolled, eps=eps)
     center_m, center_s = whole_array_centering(enrolled, eps)
-    assert ref.center_m.hex() == center_m.hex()
-    assert ref.center_s.hex() == center_s.hex()
+    assert ref.center_m[0].hex() == center_m.hex()
+    assert ref.center_s[0].hex() == center_s.hex()
     queries = rng.normal(size=(n, d)) * scale
-    expected = np.mean(np.abs(queries - ref.mu) * ref._inv_mad, axis=-1)
+    expected = np.mean(np.abs(queries - ref.mu[0]) * ref.inv_mad[0], axis=-1)
     assert raw_score(ref, queries).tobytes() == expected.tobytes()
     assert raw_score(ref, queries[0]).hex() == float(expected[0]).hex()
+
+
+def one_lane(vectors, eps=EPSILON):
+    """A one-lane store whose gallery is `vectors` (one row is enough), with
+    its statistics from `refresh`; its centering stays at 0 / 1."""
+    vectors = np.array(vectors, dtype=float)
+    statistics = (*np.empty((3, 1, vectors.shape[1])), np.zeros(1), np.ones(1))
+    lane = ReferenceLanes(vectors[None], np.array([len(vectors)]), [len(vectors)], statistics,
+                          eps, None)
+    lane.refresh([0])
+    return lane
 
 
 @pytest.mark.parametrize("capacity", [None, 5])
@@ -244,15 +256,15 @@ def test_lanes_update_and_evict_without_touching_their_templates(capacity):
     # 2 + 5 + 4 updates on 3 or 4 enrollment vectors fill an unbounded lane
     # or evict from a FIFO of 5.
     rng = np.random.default_rng(17)
-    templates = [enroll(user, rng.normal(size=(n, 2)), capacity=capacity)
-                 for user, n in (("u", 3), ("v", 4))]
+    users = (("u", 3), ("v", 4))
+    templates = [enroll(user, rng.normal(size=(n, 2)), capacity=capacity) for user, n in users]
 
     def states():
-        return [[t._matrix.tobytes(), t.mu.tobytes(), t.mad.tobytes()] for t in templates]
+        return [[t.gallery.tobytes(), t.mu.tobytes(), t.mad.tobytes()] for t in templates]
 
     before = states()
-    lanes = ReferenceLanes(templates, np.array([11, 11]))
-    fresh = [enroll(t.target_user, t.vectors, capacity=capacity) for t in templates]
+    lanes = ReferenceLanes.stack(templates, np.array([11, 11]))
+    fresh = [enroll(user, t.vectors(), capacity=capacity) for (user, _), t in zip(users, templates)]
     evicted = [0, 0]
     for k in (2, 5, 4):
         for lane, model in enumerate(fresh):
@@ -261,11 +273,9 @@ def test_lanes_update_and_evict_without_touching_their_templates(capacity):
             evicted[lane] += len(apply_updates(model, rows))
         lanes.refresh(np.arange(2))
         for lane, model in enumerate(fresh):
-            got = lanes.reference(lane)
-            assert got.target_user == model.target_user
-            for name in ("vectors", "mu", "mad"):
-                assert getattr(got, name).tobytes() == getattr(model, name).tobytes(), name
-            assert (got.center_m, got.center_s) == (model.center_m, model.center_s)
+            assert lanes.vectors(lane).tobytes() == model.vectors().tobytes()
+            for name in ("mu", "mad", "center_m", "center_s"):
+                assert getattr(lanes, name)[lane].tobytes() == getattr(model, name)[0].tobytes()
         assert states() == before
     # Unbounded, the widest lane holds 4 + 11 rows; a FIFO of 5 evicted 14 - 5 and 15 - 5 updates.
     assert lanes.gallery.shape[1] == (15 if capacity is None else 5)
@@ -280,30 +290,34 @@ def test_lanes_update_and_evict_without_touching_their_templates(capacity):
     scale=st.sampled_from([1e-3, 1.0, 1e3]),
     spare=st.sampled_from([None, 0, 3]),
     batches=st.lists(st.integers(0, 30), min_size=1, max_size=4),
+    grow=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_lane_kernels_equal_the_single_reference_kernels_bitwise(
-    sizes, d, scale, spare, batches, seed
+    sizes, d, scale, spare, batches, grow, seed
 ):
     # Lanes of ragged sizes take ragged batches; with a capacity, the FIFO
     # wraps around (spare 0 evicts every update of the largest lane at once).
+    # Stacked with no room, the lanes outgrow their width and double it.
     rng = np.random.default_rng(seed)
     capacity = None if spare is None else max(sizes) + spare
     templates = [enroll(f"u{k}", rng.normal(size=(n, d)) * scale, capacity=capacity)
                  for k, n in enumerate(sizes)]
-    lanes = ReferenceLanes(templates, np.full(len(sizes), sum(batches)))
-    models = [enroll(t.target_user, t.vectors, capacity=capacity) for t in templates]
+    room = 0 if grow else sum(batches)
+    lanes = ReferenceLanes.stack(templates, np.full(len(sizes), room))
+    galleries = [ListFifo(t.vectors().copy(), capacity) for t in templates]
     for batch in batches:
         counts = rng.integers(0, batch + 1, size=len(sizes))
-        for lane, (model, k) in enumerate(zip(models, counts)):
+        for lane, (gallery, k) in enumerate(zip(galleries, counts)):
             rows = rng.normal(size=(k, d)) * scale
-            lanes.extend(lane, rows)
-            apply_updates(model, rows)
+            evicted = lanes.extend(lane, rows)
+            expected = [vector for vector in map(gallery.append, rows) if vector is not None]
+            assert evicted.tobytes() == b"".join(vector.tobytes() for vector in expected)
         if counts.any():
             lanes.refresh(np.flatnonzero(counts))
-        for lane, model in enumerate(models):
-            assert lanes.reference(lane).vectors.tobytes() == model.vectors.tobytes()
-            mu, mad = gallery_statistics(lanes.reference(lane).vectors, model.eps)
+        for lane, gallery in enumerate(galleries):
+            assert lanes.vectors(lane).tobytes() == gallery.tobytes()
+            mu, mad = gallery_statistics(np.array(gallery.vectors), lanes.eps)
             assert lanes.mu[lane].tobytes() == mu.tobytes()
             assert lanes.mad[lane].tobytes() == mad.tobytes()
         queries = rng.normal(size=(len(sizes), int(rng.integers(1, 6)), d)) * scale
@@ -313,9 +327,14 @@ def test_lane_kernels_equal_the_single_reference_kernels_bitwise(
             (some, lanes.scores(queries[some], some)),
         ):
             for row, lane in enumerate(picked):
-                expected = raw_score(models[lane], queries[lane])
+                mu, mad = gallery_statistics(np.array(galleries[lane].vectors), lanes.eps)
+                expected = single_raw_score(queries[lane], mu, mad)
                 assert raw[row].tobytes() == expected.tobytes()
-                assert centered[row].tobytes() == center(models[lane], expected).tobytes()
+                template = templates[lane]
+                shifted = (expected - template.center_m[0]) / template.center_s[0]
+                assert centered[row].tobytes() == shifted.tobytes()
+                assert lanes.scores(queries[lane], lane)[0].tobytes() == expected.tobytes()
+                assert centered_score(lanes, queries[lane], lane).tobytes() == shifted.tobytes()
 
 
 def test_enrollment_memory_stays_bounded_by_its_blocks():
@@ -332,7 +351,7 @@ def test_enrollment_memory_stays_bounded_by_its_blocks():
 
 def test_centered_score_is_affine_in_raw():
     ref = enroll("u", np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 4.0]]))
-    m, s = ref.center_m, ref.center_s
+    m, s = ref.center_m[0], ref.center_s[0]
     assert center(ref, m) == 0.0
     assert center(ref, m - 0.2 * s) == pytest.approx(-0.2, abs=1e-12)
     assert center(ref, m + 2.0 * s) == pytest.approx(2.0, abs=1e-12)
@@ -342,7 +361,7 @@ def test_centered_score_is_affine_in_raw():
         a, b = sorted(rng.uniform(0.0, 10.0, size=2))
         if a != b:
             assert center(ref, a) < center(ref, b)
-    assert centered_score(ref, ref.mu) == center(ref, 0.0)
+    assert centered_score(ref, ref.mu[0]) == center(ref, 0.0)
 
 
 def test_refresh_statistics_is_idempotent():
@@ -356,31 +375,13 @@ def test_refresh_statistics_is_idempotent():
 def test_refresh_after_appending_the_mean_shrinks_mad():
     ref = enroll("u", np.array([[0.0, 1.0], [4.0, 3.0], [2.0, 5.0]]))
     before_mu, before_mad = ref.mu.copy(), ref.mad.copy()
-    assert ref.extend(before_mu[None]).shape == (0, 2)
+    assert ref.extend(0, before_mu).shape == (0, 2)
     refresh_statistics(ref)
     assert np.allclose(ref.mu, before_mu)
     assert np.all(ref.mad <= before_mad + 1e-15)
-    expected_mu, expected_mad = brute_stats(list(ref.vectors))
+    expected_mu, expected_mad = brute_stats(list(ref.vectors()))
     assert np.allclose(ref.mu, expected_mu, atol=1e-15)
     assert np.allclose(ref.mad, expected_mad, atol=1e-15)
-
-
-def reference_append(ref, features):
-    """A one-row append under the reference's capacity, as galleries appended
-    before `extend` existed: returns the evicted update vector, if any."""
-    n = ref._size
-    if n == len(ref._matrix):
-        grown = np.empty((2 * n, ref._matrix.shape[1]))
-        grown[:n] = ref._matrix
-        ref._matrix = grown
-    ref._matrix[n] = features
-    if ref.capacity is None or n + 1 <= ref.capacity:
-        ref._size += 1
-        return None
-    first = ref._enrolled
-    evicted = ref._matrix[first].copy()
-    ref._matrix[first:n] = ref._matrix[first + 1 : n + 1]
-    return evicted
 
 
 @settings(max_examples=150, deadline=None)
@@ -391,21 +392,21 @@ def reference_append(ref, features):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_extend_equals_a_loop_of_one_row_appends(enrolled, spare, batches, seed):
-    # spare None: unbounded, so batches cross the matrix doubling; 0: capacity
+    # spare None: unbounded, so batches cross the width doubling; 0: capacity
     # equal to the enrollment size, so every update is evicted at once.
     capacity = None if spare is None else enrolled + spare
     rng = np.random.default_rng(seed)
     vectors = rng.normal(size=(enrolled, 3))
-    batched, looped = (enroll("u", vectors, capacity=capacity) for _ in range(2))
+    batched, looped = enroll("u", vectors, capacity=capacity), ListFifo(vectors, capacity)
     for k in batches:
         rows = rng.normal(size=(k, 3))
-        evicted = batched.extend(rows)
-        appended = [reference_append(looped, row) for row in rows]
+        evicted = batched.extend(0, rows)
+        appended = [looped.append(row) for row in rows]
         expected = [vector for vector in appended if vector is not None]
         assert evicted.shape == (len(expected), 3)
         assert evicted.tobytes() == b"".join(vector.tobytes() for vector in expected)
-        assert batched.vectors.tobytes() == looped.vectors.tobytes()
-        assert batched._size == looped._size
+        assert batched.vectors().tobytes() == looped.tobytes()
+        assert batched.size.tolist() == [len(looped.vectors)]
 
 
 def test_a_capacity_no_gallery_reaches_allocates_as_an_unbounded_gallery():
@@ -413,10 +414,10 @@ def test_a_capacity_no_gallery_reaches_allocates_as_an_unbounded_gallery():
     unbounded, huge = enroll("u", vectors), enroll("u", vectors, capacity=10**12)
     for first_session in (2, 5, 6, 20):
         rows = _updates(first_session, 3)
-        assert len(unbounded.extend(rows)) == len(huge.extend(rows)) == 0
-        assert huge._matrix.shape == unbounded._matrix.shape
-        assert huge.vectors.tobytes() == unbounded.vectors.tobytes()
-    assert len(huge._matrix) == 16
+        assert len(unbounded.extend(0, rows)) == len(huge.extend(0, rows)) == 0
+        assert huge.gallery.shape == unbounded.gallery.shape
+        assert huge.vectors().tobytes() == unbounded.vectors().tobytes()
+    assert huge.gallery.shape[1] == 16
 
 
 def _updates(first, k):
@@ -427,60 +428,62 @@ def _updates(first, k):
 def test_a_batch_that_lands_exactly_on_the_capacity_evicts_nothing():
     ref = enroll("u", np.array([[0.0, 0.0], [1.0, 1.0]]), capacity=5)
     rows = _updates(2, 3)
-    assert ref.extend(rows).shape == (0, 2)
-    assert len(ref.vectors) == 5
-    assert ref.vectors[2:].tobytes() == rows.tobytes()
+    assert ref.extend(0, rows).shape == (0, 2)
+    assert len(ref.vectors()) == 5
+    assert ref.vectors()[2:].tobytes() == rows.tobytes()
 
 
 def test_one_row_past_the_capacity_evicts_the_oldest_update():
     enrollment = np.array([[0.0, 0.0], [1.0, 1.0]])
     ref = enroll("u", enrollment, capacity=5)
     rows = _updates(2, 3)
-    ref.extend(rows)  # the gallery sits at its capacity
+    ref.extend(0, rows)  # the gallery sits at its capacity
     row = _updates(5, 1)
-    assert ref.extend(row).tobytes() == rows[:1].tobytes()
-    assert len(ref.vectors) == 5
-    assert ref.vectors.tobytes() == np.concatenate([enrollment, rows[1:], row]).tobytes()
+    assert ref.extend(0, row).tobytes() == rows[:1].tobytes()
+    assert len(ref.vectors()) == 5
+    assert ref.vectors().tobytes() == np.concatenate([enrollment, rows[1:], row]).tobytes()
     # a batch that overshoots the capacity by one from below evicts one too
     ref = enroll("u", enrollment, capacity=5)
     rows = _updates(2, 4)
-    assert ref.extend(rows).tobytes() == rows[:1].tobytes()
-    assert ref.vectors.tobytes() == np.concatenate([enrollment, rows[1:]]).tobytes()
+    assert ref.extend(0, rows).tobytes() == rows[:1].tobytes()
+    assert ref.vectors().tobytes() == np.concatenate([enrollment, rows[1:]]).tobytes()
 
 
 def test_singleton_gallery_statistics_are_floored():
-    mu, mad = gallery_statistics(np.array([[7.0, 8.0]]), EPSILON)
-    assert np.array_equal(mu, [7.0, 8.0])
-    assert np.allclose(mad, EPSILON)
+    lane = one_lane([[7.0, 8.0]])
+    for mu, mad in (gallery_statistics(np.array([[7.0, 8.0]]), EPSILON), (lane.mu[0], lane.mad[0])):
+        assert np.array_equal(mu, [7.0, 8.0])
+        assert np.allclose(mad, EPSILON)
     # a gallery of one repeated vector has the singleton's statistics
     ref = enroll("u", np.array([[7.0, 8.0], [7.0, 8.0]]))
     refresh_statistics(ref)
-    assert np.array_equal(ref.mu, [7.0, 8.0])
+    assert np.array_equal(ref.mu[0], [7.0, 8.0])
     assert np.allclose(ref.mad, EPSILON)
-    assert ref.center_s == EPSILON
+    assert ref.center_s.tolist() == [EPSILON]
 
 
-def test_reference_model_construction_is_validated():
+def test_one_lane_enrollment_is_validated():
     with pytest.raises(EnrollmentError, match=r"shape \(0,\)"):
-        ReferenceModel("u", [])
+        enroll("u", [])
     with pytest.raises(EnrollmentError, match=r"shape \(1, 2\)"):
-        ReferenceModel("u", [[1.0, 2.0]])
+        enroll("u", [[1.0, 2.0]])
     with pytest.raises(ConfigError, match="capacity 1 is below the enrollment size 2"):
-        ReferenceModel("u", [[1.0], [2.0]], capacity=1)
-    ref = ReferenceModel("u", [[1.0], [2.0]], 0.5, 2)
-    assert (ref.eps, ref.capacity) == (0.5, 2)
-    assert ref.vectors.tobytes() == np.array([[1.0], [2.0]]).tobytes()
+        enroll("u", [[1.0], [2.0]], capacity=1)
+    ref = enroll("u", [[1.0], [2.0]], eps=0.5, capacity=2)
+    assert (ref.eps, ref.capacity, ref.enrolled, ref.size.tolist()) == (0.5, 2, [2], [2])
+    assert ref.vectors().tobytes() == np.array([[1.0], [2.0]]).tobytes()
 
 
 @pytest.mark.parametrize(
     "vectors, eps, error, message",
     [
-        ([[1.0], [2.0]], 0.0, ValidationError, "eps must be > 0"),
-        ([[1.0], [2.0]], -1.0, ValidationError, "eps must be > 0"),
-        ([[1.0], [2.0]], math.nan, ValidationError, "eps must be > 0"),
+        ([[1.0], [2.0]], 0.0, ValidationError, "^eps must be finite and > 0, got 0.0$"),
+        ([[1.0], [2.0]], -1.0, ValidationError, "^eps must be finite and > 0, got -1.0$"),
+        ([[1.0], [2.0]], math.nan, ValidationError, "^eps must be finite and > 0, got nan$"),
+        ([[1.0], [2.0]], math.inf, ValidationError, "^eps must be finite and > 0, got inf$"),
         (np.empty((3, 0)), EPSILON, EnrollmentError, r"shape \(3, 0\)"),
     ],
-    ids=["eps 0", "eps -1", "eps nan", "zero width"],
+    ids=["eps 0", "eps -1", "eps nan", "eps inf", "zero width"],
 )
 def test_enrollment_checks_its_inputs_before_any_arithmetic(vectors, eps, error, message):
     with warnings.catch_warnings():
@@ -491,12 +494,12 @@ def test_enrollment_checks_its_inputs_before_any_arithmetic(vectors, eps, error,
 
 def test_gallery_keeps_enrollment_entries_first():
     ref = enroll("u", np.array([[2.0], [1.0]]))
-    assert ref.extend(np.array([[3.0], [4.0]])).shape == (0, 1)
-    assert ref.vectors.tobytes() == np.array([[2.0], [1.0], [3.0], [4.0]]).tobytes()
+    assert ref.extend(0, np.array([[3.0], [4.0]])).shape == (0, 1)
+    assert ref.vectors().tobytes() == np.array([[2.0], [1.0], [3.0], [4.0]]).tobytes()
     # a FIFO gallery evicts only updates, so its enrollment entries stay first
     ref = enroll("u", np.array([[2.0], [1.0]]), capacity=2)
-    assert ref.extend(np.array([[3.0]])).tobytes() == np.array([[3.0]]).tobytes()
-    assert ref.vectors.tobytes() == np.array([[2.0], [1.0]]).tobytes()
+    assert ref.extend(0, np.array([[3.0]])).tobytes() == np.array([[3.0]]).tobytes()
+    assert ref.vectors().tobytes() == np.array([[2.0], [1.0]]).tobytes()
 
 
 def test_statistics_track_gallery_through_random_update_sequences():
@@ -504,16 +507,16 @@ def test_statistics_track_gallery_through_random_update_sequences():
     stream_rng = SplitMix64(99)
     ref = enroll("u", np.array(rng.normal(size=(4, 3))))
     strategy = UpdateStrategy(StrategyKind.SELF_THRESHOLD, threshold=math.inf)
-    m, s = ref.center_m, ref.center_s
+    m, s = ref.center_m.copy(), ref.center_s.copy()
     for i in range(40):
         source = "u" if stream_rng.random() < 0.5 else "v"
         label = Label.GENUINE if source == "u" else Label.IMPOSTOR
         sample = make_sample(source, 2, i, rng.normal(size=3))
         query = QueryEvent(sample, "u", label, i)
         maybe_update(ref, query, centered_score(ref, sample.features), strategy)
-        expected_mu, expected_mad = brute_stats(list(ref.vectors))
+        expected_mu, expected_mad = brute_stats(list(ref.vectors()))
         assert np.allclose(ref.mu, expected_mu, atol=1e-12)
         assert np.allclose(ref.mad, expected_mad, atol=1e-12)
-        assert raw_score(ref, ref.mu) == 0.0
+        assert raw_score(ref, ref.mu[0]) == 0.0
     # centering constants never move, bit for bit
-    assert ref.center_m == m and ref.center_s == s
+    assert ref.center_m.tobytes() == m.tobytes() and ref.center_s.tobytes() == s.tobytes()

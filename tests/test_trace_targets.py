@@ -2,7 +2,8 @@
 (`perfbench/tracing.py`). A rename or a moved import would break
 `--trace 1` only when the benchmark runs, so the names are checked here,
 without running a benchmark. So are the updates each benchmark workload
-applies, from the configs `perfbench/workloads.py` makes."""
+applies and the traced call counts CI pins, from the configs
+`perfbench/workloads.py` makes."""
 
 import importlib.util
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tubench import run_experiment
+from tubench import evaluator, run_experiment, stream
 from tubench.cli import _build_experiment, _load_dataset, resolve_config
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -82,3 +83,35 @@ def test_each_workload_applies_its_counted_updates_and_no_impostor(workloads, na
         total += updates["row"].size
         impostors += np.count_nonzero(dataset.row_user[updates["row"]] != updates["target"])
     assert (total, impostors) == (applied, 0)
+
+
+@pytest.mark.parametrize(
+    "name, counts",
+    [
+        ("acceptance-online", (20, 0, 1400)),
+        ("cmu-offline-fifo", (51, 0, 357)),
+        ("local-orders", (80, 588, 560)),
+    ],
+)
+def test_each_workload_makes_the_traced_call_counts_ci_pins(workloads, monkeypatch, name, counts):
+    # The traced benchmark run reports these as matcher.enroll_calls,
+    # matcher.score_calls and stream.plan_calls; CI pins them.
+    calls = {target: 0 for target in ("enroll", "centered_score", "plan_session")}
+
+    def counting(module, target):
+        original = getattr(module, target)
+
+        def counted(*args, **kwargs):
+            calls[target] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, target, counted)
+
+    counting(evaluator, "enroll")
+    counting(stream, "centered_score")
+    counting(evaluator, "plan_session")
+    for document in workloads.WORKLOADS[name].configs(42).values():
+        if document["dataset"].get("synthetic"):
+            resolved = resolve_config(document)
+            run_experiment(_load_dataset(resolved), _build_experiment(resolved)[0])
+    assert (calls["enroll"], calls["centered_score"], calls["plan_session"]) == counts
