@@ -38,7 +38,7 @@ from .ingest import (
 )
 from .matcher import EPSILON
 from .metrics import Scheme, aggregate, compute_scheme, session_eers
-from .stream import GlobalOrder, StreamConfig, impostor_count
+from .stream import StreamConfig, impostor_count
 from .synthdata import SynthConfig, generate
 from .update import StrategyKind, UpdateStrategy
 
@@ -112,17 +112,12 @@ def resolve_config(document: dict) -> dict:
     resolved = {name: _resolve(document.get(name), name, dict, {}) for name in sections}
 
     dataset, epsilon, update = resolved["dataset"], resolved["matcher"]["epsilon"], resolved["update"]
-    stream = resolved["stream"]
     if dataset["synthetic"] is None and dataset["path"] is None:
         raise _fail("dataset", "needs either a 'synthetic' section or a 'path'")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise _fail("matcher.epsilon", "must be finite and > 0")
     if update["kind"] == StrategyKind.SELF_THRESHOLD.value and update["threshold"] is None:
         raise _fail("update.threshold", "required for self_threshold updating")
-    if (stream["scripted"] is None) == (stream["global_order"] == GlobalOrder.SCRIPTED.value):
-        raise _fail("stream.scripted", "given exactly when stream.global_order is 'scripted'")
-    if resolved["evaluation"]["repeats"] < 1:
-        raise _fail("evaluation.repeats", "must be >= 1")
     schemes = resolved["evaluation"]["schemes"]
     for i, scheme in enumerate(schemes):
         if scheme in schemes[:i]:
@@ -164,12 +159,12 @@ def _build_experiment(resolved: dict) -> tuple[ExperimentConfig, tuple[Scheme, .
     """The experiment and the EER schemes to report, checked against the synthetic shape."""
     evaluation = dict(resolved["evaluation"])
     schemes = tuple(map(Scheme, evaluation.pop("schemes")))
-    experiment = ExperimentConfig(
+    experiment = _built("evaluation", ExperimentConfig, dict(
         stream=_built("stream", StreamConfig, resolved["stream"]),
         strategy=_built("update", UpdateStrategy, resolved["update"]),
         eps=resolved["matcher"]["epsilon"],
         **evaluation,
-    )
+    ))
     synthetic = resolved["dataset"]["synthetic"] or {}
     if experiment.mode is Mode.OFFLINE and synthetic.get("num_sessions", 3) < 3:
         raise _fail("dataset.synthetic.num_sessions", "offline evaluation needs at least 3")

@@ -172,7 +172,7 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> RunResult:
         seeds = block_mix64(config.base_seed, repeat, np.arange(len(users))[:, None], sessions)
         draws = block_randbelow(seeds.ravel(), bounds)
         states = [plan_session(*plan) for plan in zip(layouts, draws)]
-        lanes = ReferenceLanes.stack(templates, lengths.sum(axis=1))
+        lanes = ReferenceLanes.stack(templates)
         for index, session in enumerate(sessions):
             # Offline, only the unlogged session 2 re-plans its closest-* impostors.
             replan = closest and (online or session not in logged_sessions)

@@ -48,13 +48,12 @@ class ReferenceLanes:
         self.eps, self.capacity = eps, capacity
 
     @classmethod
-    def stack(cls, references: list[ReferenceLanes], room: np.ndarray) -> ReferenceLanes:
+    def stack(cls, references: list[ReferenceLanes]) -> ReferenceLanes:
         """Lanes starting as the one-lane `references`, which stay unchanged,
-        lane k wide enough for `room[k]` more updates under the capacity."""
+        as wide as the largest of them; `extend` grows the width."""
         first = references[0]
         size = np.concatenate([reference.size for reference in references])
-        width = min(first.capacity or math.inf, int(np.max(size + room)))
-        gallery = np.zeros((len(references), width, first.gallery.shape[2]))
+        gallery = np.zeros((len(references), int(size.max()), first.gallery.shape[2]))
         for lane, reference in enumerate(references):
             gallery[lane, : size[lane]] = reference.vectors()
         enrolled = [count for reference in references for count in reference.enrolled]
@@ -122,8 +121,7 @@ def enroll(
     ones; center_m is the mean of those scores and center_s their
     population standard deviation (floored at eps). They never change
     afterwards, so the centered scale keeps its meaning while the gallery
-    evolves. The gallery starts twice the enrollment size wide, never past
-    the capacity.
+    evolves. The gallery starts at its enrollment size; `extend` grows it.
     """
     vectors = np.asarray(enrollment_vectors, dtype=float)
     if vectors.ndim != 2 or len(vectors) < 2 or not vectors.shape[1]:
@@ -149,8 +147,7 @@ def enroll(
         spread = np.add.reduce(np.abs(rest - mu_loo[:, None, :]), axis=1) / (n - 1)
         mad_loo = np.maximum(spread, eps)
         loo_scores[k] = np.add.reduce(np.abs(vectors[k] - mu_loo) / mad_loo, axis=1) / d
-    gallery = np.zeros((1, min(2 * n, capacity or math.inf), d))
-    gallery[0, :n] = vectors
+    gallery = vectors.copy()[None]
     statistics = (*np.empty((3, 1, d)), np.array([np.mean(loo_scores)]),
                   np.array([max(np.std(loo_scores), eps)]))
     reference = ReferenceLanes(gallery, np.array([n]), [n], statistics, eps, capacity)

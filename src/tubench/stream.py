@@ -198,14 +198,14 @@ def plan_session(layout: SessionLayout, indices) -> StreamState:
     rows = np.empty(impostor.size, dtype=np.intp)
     rows[~impostor] = genuine
     if config.local_order is LocalOrder.TOTALLY_RANDOM:
-        picked = np.array(_popped(islice(draws, n_impostor)), dtype=np.intp)
+        picked = np.fromiter(_popped(islice(draws, n_impostor)), np.intp, n_impostor)
         rows[impostor] = layout.candidates[picked + (picked >= start) * (stop - start)]
     elif config.local_order is LocalOrder.RANDOM_IMPOSTOR:
         # Whole users in ascending row order, each drawn from those left when needed.
-        edges, picked = layout.edges, []
-        runs = [k for k in range(len(edges) - 1) if k != layout.run]  # the pool users' runs
+        edges, picked, users = layout.edges, [], _popped(draws)
         while len(picked) < n_impostor:
-            k = runs.pop(next(draws))
+            k = next(users)
+            k += k >= layout.run  # a pool user's run, skipping the target's
             picked += layout.candidates[edges[k] : edges[k + 1]].tolist()
         rows[impostor] = picked[:n_impostor]
     alive = np.ones(layout.candidates.size, dtype=bool)
@@ -219,19 +219,17 @@ def _shuffle(items: list, draws) -> None:
         items[i], items[j] = items[j], items[i]
 
 
-def _popped(indices) -> list[int]:
+def _popped(indices):
     """The original positions that successive ``items.pop(j)`` take, for j in
-    `indices`, found without building the list: pop j takes the least
-    position p with p == j + (taken positions at or below p)."""
+    `indices` as they are read, found without building the list: pop j takes
+    the least position p with p == j + (taken positions at or below p)."""
     taken: list[int] = []  # ascending
-    positions = []
     for j in indices:
         position = j
         while (moved := j + bisect_right(taken, position)) != position:
             position = moved
         insort(taken, position)
-        positions.append(position)
-    return positions
+        yield position
 
 
 def _impostor_flags(config: StreamConfig, n_genuine: int, n_impostor: int, draws) -> np.ndarray:

@@ -90,20 +90,6 @@ def score_free(strategy: UpdateStrategy) -> bool:
     return strategy.kind is StrategyKind.NONE or strategy.threshold == math.inf
 
 
-def apply_updates(ref: ReferenceLanes, features) -> np.ndarray:
-    """Insert accepted queries' (k, d) vectors in order and refresh mu / mad
-    once, as one insert and refresh per row would: the statistics read only
-    the final gallery. Returns the evicted update vectors, oldest first."""
-    d = ref.gallery.shape[2]
-    if np.ndim(features) != 2 or np.shape(features)[1] != d:
-        raise ValidationError(
-            f"query shape {np.shape(features)} != (k, reference dimension {d})"
-        )
-    evicted = ref.extend(0, features)
-    refresh_statistics(ref)
-    return evicted
-
-
 def maybe_update(
     ref: ReferenceLanes,
     query: QueryEvent,
@@ -118,7 +104,14 @@ def maybe_update(
     is_impostor = query.true_label is Label.IMPOSTOR
     if not accepts(strategy, centered, is_impostor):
         return UpdateOutcome(False, None, is_impostor)
-    evicted = apply_updates(ref, [query.sample.features])
+    features = [query.sample.features]  # built outside the program: check its width
+    d = ref.gallery.shape[2]
+    if np.ndim(features) != 2 or np.shape(features)[1] != d:
+        raise ValidationError(
+            f"query shape {np.shape(features)} != (k, reference dimension {d})"
+        )
+    evicted = ref.extend(0, features)
+    refresh_statistics(ref)
     return UpdateOutcome(True, evicted[0] if len(evicted) else None, is_impostor)
 
 

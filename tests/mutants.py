@@ -53,6 +53,29 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "extend-doubles-without-the-batch-end",
+        "matcher.py",
+        "            grow = min(max(2 * width, end), capacity) - width\n",
+        "            grow = min(2 * width, capacity) - width\n",
+        (
+            "tests/test_matcher.py::test_lane_kernels_equal_the_single_reference_kernels_bitwise",
+            "tests/test_matcher.py::test_extend_equals_a_loop_of_one_row_appends",
+            "tests/test_matcher.py::test_a_capacity_no_gallery_reaches_allocates_as_an_unbounded_gallery",
+            "tests/test_matcher.py::test_a_batch_that_lands_exactly_on_the_capacity_evicts_nothing",
+            "tests/test_matcher.py::test_one_row_past_the_capacity_evicts_the_oldest_update",
+        ),
+    ),
+    Mutant(
+        "extend-grows-past-the-capacity",
+        "matcher.py",
+        "            grow = min(max(2 * width, end), capacity) - width\n",
+        "            grow = max(2 * width, end) - width\n",
+        (
+            "tests/test_matcher.py::test_lanes_update_and_evict_without_touching_their_templates",
+            "tests/test_matcher.py::test_lane_kernels_equal_the_single_reference_kernels_bitwise",
+        ),
+    ),
+    Mutant(
         "closest-draws-take-the-last-minimum",
         "stream.py",
         '        ranked = live[np.argsort(scores, kind="stable")]\n',

@@ -408,21 +408,26 @@ def test_epsilon_must_be_finite_and_positive(tmp_path, capsys, epsilon):
     assert not out.exists()
 
 
+SCRIPTED_ALONE = "stream: scripted: a label sequence goes with the scripted global order only"
+
+
 @pytest.mark.parametrize(
-    "patch, path",
+    "patch, line",
     [
-        ({"dataset": {"synthetic": None}}, "dataset"),
-        ({"update": {"threshold": None}}, "update.threshold"),
-        ({"evaluation": {"repeats": 0}}, "evaluation.repeats"),
-        ({"stream": {"scripted": ["impostor"]}}, "stream.scripted"),
-        ({"stream": {"global_order": "scripted"}}, "stream.scripted"),
+        ({"dataset": {"synthetic": None}},
+         "dataset: needs either a 'synthetic' section or a 'path'"),
+        ({"update": {"threshold": None}}, "update.threshold: required for self_threshold updating"),
+        ({"evaluation": {"repeats": 0}}, "evaluation: repeats must be >= 1, got 0"),
+        ({"stream": {"scripted": ["impostor"]}}, SCRIPTED_ALONE),
+        ({"stream": {"global_order": "scripted"}}, SCRIPTED_ALONE),
     ],
 )
-def test_cross_field_rules_fail_naming_the_field(tmp_path, capsys, patch, path):
+def test_cross_field_rules_fail_naming_the_field(tmp_path, capsys, patch, line):
+    # A rule its dataclass checks is reported under the section, in the dataclass's words.
     config = write_config(tmp_path / "bad.json", patch=patch)
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert capsys.readouterr().err == f"error: {line}\n"
     assert not out.exists()
 
 
@@ -480,8 +485,10 @@ SYNTHETIC = BASE_CONFIG["dataset"]["synthetic"]
         ({"dataset": {"synthetic": {**SYNTHETIC, "num_sessions": 2}},
           "evaluation": {"mode": "offline"}},
          "dataset.synthetic.num_sessions: offline evaluation needs at least 3"),
+        ({"stream": {"global_order": "scripted"}}, SCRIPTED_ALONE),
+        ({"evaluation": {"repeats": 0}}, "evaluation: repeats must be >= 1, got 0"),
     ],
-    ids=["stream", "update", "capacity", "synthetic", "offline-sessions"],
+    ids=["stream", "update", "capacity", "synthetic", "offline-sessions", "scripted", "repeats"],
 )
 def test_both_commands_reject_a_bad_section_by_name_before_generating(
     tmp_path, capsys, monkeypatch, command, patch, message

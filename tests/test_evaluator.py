@@ -558,8 +558,8 @@ def recording_lanes(monkeypatch):
     stores = []
     stack = ReferenceLanes.stack
 
-    def recording(references, room):
-        stores.append(stack(references, room))
+    def recording(references):
+        stores.append(stack(references))
         return stores[-1]
 
     def galleries(count):

@@ -415,7 +415,7 @@ def test_pool_pops_are_found_without_building_the_pool(data):
     count = data.draw(st.integers(0, size))
     indices = [data.draw(st.integers(0, size - 1 - k)) for k in range(count)]
     pool = list(range(size))
-    assert _popped(indices) == [pool.pop(j) for j in indices]
+    assert list(_popped(indices)) == [pool.pop(j) for j in indices]
 
 
 def test_random_impostor_can_take_every_pool_user():

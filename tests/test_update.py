@@ -56,6 +56,16 @@ def test_self_threshold_applies_on_close_impostor():
     assert ref.vectors().tobytes() == _bytes([*ENROLLMENT, (2.0, 2.0)])
 
 
+def test_an_accepted_query_of_the_wrong_width_fails_before_the_append():
+    ref = fresh_ref()
+    strategy = UpdateStrategy(StrategyKind.SUPERVISED)  # accepts every genuine query
+    with pytest.raises(ValidationError) as excinfo:
+        maybe_update(ref, query_for("u", [1.0, 1.0, 1.0]), -5.0, strategy)
+    assert str(excinfo.value) == "query shape (1, 3) != (k, reference dimension 2)"
+    assert ref.vectors().tobytes() == _bytes(ENROLLMENT)
+    assert ref.size.tolist() == [3]
+
+
 def test_self_threshold_boundary_is_inclusive():
     strategy = UpdateStrategy(StrategyKind.SELF_THRESHOLD, threshold=-0.2)
     ref = fresh_ref()
