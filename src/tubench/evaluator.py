@@ -32,7 +32,7 @@ from .errors import ConfigError, ValidationError
 from .matcher import EPSILON, ReferenceLanes, enroll
 from .matcher import centered_score, raw_score  # noqa: F401  perfbench traces them here
 from .rng import BlockBounds, block_mix64, block_randbelow
-from .stream import CLOSEST, StreamConfig, commit, plan_rows, plan_session, session_layouts
+from .stream import CLOSEST, StreamConfig, plan_rows, plan_session, session_layouts
 from .stream import next_query  # noqa: F401  perfbench traces it under this module
 from .update import UpdateStrategy, accepts, impostor_inclusion, score_free
 from .update import maybe_update  # noqa: F401  perfbench traces it under this module
@@ -85,8 +85,8 @@ def _present(lanes, dataset, states, rows, valid, strategy, replan, frozen):
     where `valid`; returns each query's raw and centered score and whether
     it updated its lane. Each round appends every lane's first accepted
     query from its cursor on, then refreshes and rescores the hit lanes in
-    one call each, after a `replan` (closest-*) lane commits its presented
-    queries and re-plans the rest. A `frozen` (offline) presentation returns
+    one call each, after a `replan` (closest-*) lane moves its cursor on
+    and re-plans the rest. A `frozen` (offline) presentation returns
     the session-start scores; if it re-plans nothing under a score-free
     rule, each lane's accepted rows enter as one FIFO batch, one refresh."""
     rows[valid] = np.concatenate([plan_rows(state, lanes, lane)
@@ -124,7 +124,7 @@ def _present(lanes, dataset, states, rows, valid, strategy, replan, frozen):
         if replan:
             for lane, done in zip(live.tolist(), cursor[live].tolist()):
                 end = states[lane].rows.size
-                commit(states[lane], done)
+                states[lane].cursor = done
                 rows[lane, done:end] = plan_rows(states[lane], lanes, lane)
                 queries[lane, done:end] = dataset.feature_matrix[rows[lane, done:end]]
         later = positions >= cursor[live, None]

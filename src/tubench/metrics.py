@@ -29,20 +29,14 @@ class Scheme(str, Enum):
     POOLED = "pooled"
 
 
-def _candidate_thresholds(scores: np.ndarray) -> np.ndarray:
-    distinct = np.unique(scores)
-    midpoints = (distinct[:-1] + distinct[1:]) / 2.0
-    inner = np.sort(np.concatenate((distinct, midpoints)))
-    return np.concatenate(([-math.inf], inner, [math.inf]))
-
-
 def eer(genuine, impostor) -> float:
     """Equal error rate: (far + frr) / 2 at the closest crossing.
 
-    Candidate thresholds are every distinct score, the midpoints between
-    consecutive distinct scores, and +-infinity. Among candidates the
-    one minimizing |far - frr| wins; ties fall to the smaller far + frr,
-    then to the smaller threshold.
+    The candidate thresholds are the distinct scores: the one minimizing
+    |far - frr| wins, ties falling to the smaller far + frr. Any other
+    threshold gives the (far, frr) of the largest distinct score at or
+    below it, or (0, 1) below every score, which wins only where every gap
+    is 1 and so every EER is 0.5. Equal gaps and totals give equal EERs.
     """
     gen = np.sort(np.asarray(genuine, dtype=float))
     imp = np.sort(np.asarray(impostor, dtype=float))
@@ -50,14 +44,10 @@ def eer(genuine, impostor) -> float:
         raise MetricError("eer needs at least one genuine score")
     if imp.size == 0:
         raise MetricError("eer needs at least one impostor score")
-    candidates = _candidate_thresholds(np.concatenate((gen, imp)))
-    accepted_imp = np.searchsorted(imp, candidates, side="right")
-    accepted_gen = np.searchsorted(gen, candidates, side="right")
-    far = accepted_imp / imp.size
-    frr = (gen.size - accepted_gen) / gen.size
-    gap = np.abs(far - frr)
-    total = far + frr
-    best = np.lexsort((candidates, total, gap))[0]
+    thresholds = np.unique(np.concatenate((gen, imp)))
+    far = np.searchsorted(imp, thresholds, side="right") / imp.size
+    frr = (gen.size - np.searchsorted(gen, thresholds, side="right")) / gen.size
+    best = np.lexsort((far + frr, np.abs(far - frr)))[0]
     return float((far[best] + frr[best]) / 2.0)
 
 

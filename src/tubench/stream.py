@@ -17,16 +17,16 @@ position order. A run draws the indices of many sessions in one block
 (`rng.block_randbelow`, bit-equal to the scalar stream), and
 `plan_session` applies one session's indices with list swaps and pops.
 The closest-* orders consult the evolving reference: `plan_rows`
-chooses the impostors of the positions not yet presented against a
-given reference lane, and `commit` marks positions as presented, so a
-caller re-plans only after an update changes the reference. The impostor pool
-is a set of rows, in (user, session, order_index) order, with an alive
-mask. A closest-* plan scores every live row in one batched
-`centered_score` call and ranks the rows by a stable sort, so ties go
-to the lowest (user, session, order_index), as repeatedly taking the
-first minimum would: `closest_sample` takes rows in that ranking,
-`closest_impostor` takes users in the ranking of their first-ranked row
-(the current impostor first), each user's rows in ascending order.
+chooses the impostors of the positions from a stream's cursor on against
+a given reference lane, so a caller re-plans only after an update
+changes the reference. The pool is read off the presented rows: the
+layout's candidates, in (user, session, order_index) order, less the
+target's run and the impostors before the cursor. A closest-* plan
+scores every pool row in one batched `centered_score` call. Ties go to
+the lowest (user, session, order_index), as repeatedly taking the first
+minimum would: `closest_sample` takes rows in a stable sort of their
+scores, `closest_impostor` takes users by least score (the user of the
+last impostor presented first), each user's rows in ascending order.
 """
 
 from __future__ import annotations
@@ -125,15 +125,14 @@ class StreamState:
 
     `rows[k]` is the dataset row of query position k and `impostor[k]`
     whether it is an impostor query; positions before `cursor` have been
-    presented.
+    presented. A closest-* impostor row from the cursor on holds until
+    `plan_rows` plans it again.
     """
 
     layout: SessionLayout
     impostor: np.ndarray
     rows: np.ndarray
-    alive: np.ndarray  # per layout candidate, True while it is in the pool
     cursor: int = 0
-    current_impostor: int | None = None  # position in dataset.users
 
 
 def session_layouts(dataset: Dataset, config: StreamConfig, targets) -> list[SessionLayout]:
@@ -208,9 +207,7 @@ def plan_session(layout: SessionLayout, indices) -> StreamState:
             k += k >= layout.run  # a pool user's run, skipping the target's
             picked += layout.candidates[edges[k] : edges[k + 1]].tolist()
         rows[impostor] = picked[:n_impostor]
-    alive = np.ones(layout.candidates.size, dtype=bool)
-    alive[start:stop] = False
-    return StreamState(layout, impostor, rows, alive)
+    return StreamState(layout, impostor, rows)
 
 
 def _shuffle(items: list, draws) -> None:
@@ -251,36 +248,32 @@ def plan_rows(state: StreamState, lanes: ReferenceLanes, lane: int) -> np.ndarra
     closest-* orders choose those positions' impostors against that lane;
     the result is a view of `state.rows`.
     """
-    ahead = state.rows[state.cursor :]
-    layout = state.layout
+    cursor, layout = state.cursor, state.layout
+    ahead = state.rows[cursor:]
     if layout.config.local_order not in CLOSEST:
         return ahead
-    slots = state.impostor[state.cursor :]
+    slots = state.impostor[cursor:]
     count = int(np.count_nonzero(slots))
     if count:
-        live = layout.candidates[state.alive]
+        presented = state.rows[:cursor][state.impostor[:cursor]]
+        gone = np.searchsorted(layout.candidates, presented)
+        start, stop = layout.edges[layout.run : layout.run + 2]
+        live = np.delete(layout.candidates, np.r_[start:stop, gone])
         scores = centered_score(lanes, layout.dataset.feature_matrix[live], lane)
-        ranked = live[np.argsort(scores, kind="stable")]
-        if layout.config.local_order is LocalOrder.CLOSEST_IMPOSTOR:
-            row_user = layout.dataset.row_user
-            owners = row_user[ranked]
-            firsts = np.unique(owners, return_index=True)[1]
-            rank = np.empty(len(layout.dataset.users), dtype=np.intp)
-            rank[owners[np.sort(firsts)]] = np.arange(firsts.size)
-            if state.current_impostor is not None:
-                rank[state.current_impostor] = -1
-            ranked = live[np.argsort(rank[row_user[live]], kind="stable")]
+        if layout.config.local_order is LocalOrder.CLOSEST_SAMPLE:
+            ranked = live[np.argsort(scores, kind="stable")]
+        else:
+            # Users by least score (fmin skips NaN, as the stable sort ranks it
+            # last), the current impostor first, ties to the lower user.
+            owners = layout.dataset.row_user[live]
+            starts = np.flatnonzero(np.diff(owners, prepend=-1))
+            current = owners[starts] == (layout.dataset.row_user[presented[-1]]
+                                         if presented.size else -1)
+            users = np.lexsort((np.fmin.reduceat(scores, starts), ~current))[:count]
+            ends = np.append(starts[1:], live.size)
+            ranked = np.concatenate([live[a:b] for a, b in zip(starts[users], ends[users])])
         ahead[slots] = ranked[:count]
     return ahead
-
-
-def commit(state: StreamState, count: int) -> None:
-    """Mark the positions before `count` as presented: their impostors leave the pool."""
-    presented = state.rows[state.cursor : count][state.impostor[state.cursor : count]]
-    if presented.size:
-        state.alive[np.searchsorted(state.layout.candidates, presented)] = False
-        state.current_impostor = int(state.layout.dataset.row_user[presented[-1]])
-    state.cursor = count
 
 
 def next_query(state: StreamState, current_ref: ReferenceLanes) -> QueryEvent | None:
@@ -289,6 +282,6 @@ def next_query(state: StreamState, current_ref: ReferenceLanes) -> QueryEvent | 
         return None
     position = state.cursor
     row = plan_rows(state, current_ref, 0)[0]
-    commit(state, position + 1)
+    state.cursor = position + 1
     label = Label.IMPOSTOR if state.impostor[position] else Label.GENUINE
     return QueryEvent(state.layout.dataset.samples[row], state.layout.target_user, label, position)

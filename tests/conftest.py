@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from tubench import (
-    Dataset, Label, Sample, ScoreLog, ingest, plan_session, session_layouts, synthdata,
+    Dataset, Label, LocalOrder, Sample, ScoreLog, centered_score, ingest, plan_session,
+    session_layouts, synthdata,
 )
 from tubench.rng import SplitMix64
 
@@ -77,6 +78,52 @@ class ListFifo:
 
     def tobytes(self):
         return b"".join(np.asarray(vector, dtype=float).tobytes() for vector in self.vectors)
+
+
+class MaskedPool:
+    """A closest-* stream's impostor pool kept as state: an alive mask over
+    the layout's candidates and the current impostor (a `dataset.users`
+    position), both moved by `commit`. `plan` ranks the pool with two
+    stable argsorts. The oracle of `stream.plan_rows`, which reads the
+    pool off the presented rows instead."""
+
+    def __init__(self, layout):
+        start, stop = layout.edges[layout.run : layout.run + 2]
+        self.layout, self.cursor, self.current = layout, 0, None
+        self.alive = np.ones(layout.candidates.size, dtype=bool)
+        self.alive[start:stop] = False
+
+    def commit(self, rows, impostor, count):
+        """Mark the positions before `count` of the planned `rows` as
+        presented: their impostors leave the pool."""
+        presented = rows[self.cursor : count][impostor[self.cursor : count]]
+        if presented.size:
+            self.alive[np.searchsorted(self.layout.candidates, presented)] = False
+            self.current = int(self.layout.dataset.row_user[presented[-1]])
+        self.cursor = count
+
+    def plan(self, rows, impostor, lanes, lane):
+        """Choose the impostor rows of `rows` from the cursor on against
+        lane `lane`, in place; returns that view of `rows`."""
+        layout = self.layout
+        ahead, slots = rows[self.cursor :], impostor[self.cursor :]
+        count = int(np.count_nonzero(slots))
+        if count:
+            live = layout.candidates[self.alive]
+            scores = centered_score(lanes, layout.dataset.feature_matrix[live], lane)
+            ranked = live[np.argsort(scores, kind="stable")]
+            if layout.config.local_order is LocalOrder.CLOSEST_IMPOSTOR:
+                # Users in the ranking of their first-ranked row, current first.
+                row_user = layout.dataset.row_user
+                owners = row_user[ranked]
+                firsts = np.unique(owners, return_index=True)[1]
+                rank = np.empty(len(layout.dataset.users), dtype=np.intp)
+                rank[owners[np.sort(firsts)]] = np.arange(firsts.size)
+                if self.current is not None:
+                    rank[self.current] = -1
+                ranked = live[np.argsort(rank[row_user[live]], kind="stable")]
+            ahead[slots] = ranked[:count]
+        return ahead
 
 
 def make_sample(user, session, order, feats):

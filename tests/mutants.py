@@ -78,12 +78,30 @@ MUTANTS = (
     Mutant(
         "closest-draws-take-the-last-minimum",
         "stream.py",
-        '        ranked = live[np.argsort(scores, kind="stable")]\n',
-        '        ranked = live[::-1][np.argsort(scores[::-1], kind="stable")]\n',
+        '            ranked = live[np.argsort(scores, kind="stable")]\n',
+        '            ranked = live[::-1][np.argsort(scores[::-1], kind="stable")]\n',
         (
             "tests/test_stream.py::test_closest_sample_breaks_ties_lexicographically",
             "tests/test_stream.py::test_row_pool_draws_match_the_reference_loops[tie-heavy]",
         ),
+    ),
+    Mutant(
+        "closest-pools-keep-presented-impostors",
+        "stream.py",
+        "        live = np.delete(layout.candidates, np.r_[start:stop, gone])\n",
+        "        live = np.delete(layout.candidates, np.r_[start:stop])\n",
+        (
+            "tests/test_stream.py::test_no_impostor_sample_repeats_within_a_session",
+            "tests/test_stream.py::test_row_pool_draws_match_the_reference_loops[grid]",
+            "tests/test_stream.py::test_row_pool_draws_match_the_reference_loops[tie-heavy]",
+        ),
+    ),
+    Mutant(
+        "closest-impostor-ranks-the-current-impostor-last",
+        "stream.py",
+        "            users = np.lexsort((np.fmin.reduceat(scores, starts), ~current))[:count]\n",
+        "            users = np.lexsort((np.fmin.reduceat(scores, starts), current))[:count]\n",
+        ("tests/test_stream.py::test_closest_impostor_selects_nearest_user_first",),
     ),
     Mutant(
         "block-normals-swap-cosine-and-sine",
@@ -129,6 +147,16 @@ MUTANTS = (
         "            np.add(ageing[:, None, :], noise, out=features[user_index])\n",
         "            np.add(base + noise, (elapsed * drift)[:, None, :], out=features[user_index])\n",
         ("tests/test_synthdata.py::test_generate_equals_the_per_sample_reference_bitwise",),
+    ),
+    Mutant(
+        "eer-drops-the-total-tie-break",
+        "metrics.py",
+        "    best = np.lexsort((far + frr, np.abs(far - frr)))[0]\n",
+        "    best = np.argmin(np.abs(far - frr))\n",
+        (
+            "tests/test_metrics.py::test_eer_matches_oracle_on_random_instances",
+            "tests/test_acceptance.py::test_eer_equals_bruteforce_oracle_on_1000_instances",
+        ),
     ),
     Mutant(
         "run-writes-scores-before-the-metrics",

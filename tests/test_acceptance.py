@@ -137,6 +137,7 @@ def ordering_outcomes(acceptance_dataset):
 # --- criterion 1: EER oracle equivalence ------------------------------------
 
 
+@pytest.mark.filterwarnings("error")
 def test_eer_equals_bruteforce_oracle_on_1000_instances():
     rng = random.Random(20240901)
     start = time.perf_counter()
@@ -156,6 +157,13 @@ def test_eer_equals_bruteforce_oracle_on_1000_instances():
     ok = elapsed < 5.0
     announce("eer-oracle-equivalence", ok, f"1000 instances in {elapsed:.2f}s")
     assert ok
+    # Infinite scores, a third of them with no finite score between -inf
+    # and +inf; no warning may be raised.
+    for _ in range(300):
+        values = (-math.inf, math.inf, 0.0, rng.gauss(0.0, 1.0))[: rng.randint(2, 4)]
+        genuine = [rng.choice(values) for _ in range(rng.randint(1, 6))]
+        impostor = [rng.choice(values) for _ in range(rng.randint(1, 6))]
+        assert eer(genuine, impostor) == fast_oracle_eer(genuine, impostor), (genuine, impostor)
 
 
 # --- criterion 2: presentation-scheme identities -----------------------------

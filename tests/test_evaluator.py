@@ -763,10 +763,13 @@ def test_plans_from_block_drawn_indices_equal_per_session_plans(
 
     plans = []
 
+    def pool_of(layout):  # the candidates less the target's run
+        start, stop = layout.edges[layout.run : layout.run + 2]
+        return np.delete(layout.candidates, np.s_[start:stop])
+
     def recording_plan_session(*args):
         state = plan_session(*args)
-        pool = state.layout.candidates[state.alive]
-        plans.append((state.rows.copy(), state.impostor.copy(), pool))
+        plans.append((state.rows.copy(), state.impostor.copy(), pool_of(state.layout)))
         return state
 
     monkeypatch.setattr(evaluator, "plan_session", recording_plan_session)
@@ -786,7 +789,7 @@ def test_plans_from_block_drawn_indices_equal_per_session_plans(
         # closest-* impostor rows are chosen later, against the reference
         fixed = ~impostor if local_order in CLOSEST else slice(None)
         assert rows[fixed].tolist() == state.rows[fixed].tolist(), key
-        assert pool.tolist() == state.layout.candidates[state.alive].tolist(), key
+        assert pool.tolist() == pool_of(state.layout).tolist(), key
         # the pool is the other users' rows of the session, or of every session
         others = dataset.row_user != user_index
         if policy is SessionPolicy.SAME_SESSION:

@@ -7,6 +7,7 @@ from tubench import (
     Label,
     LocalOrder,
     QueryEvent,
+    ReferenceLanes,
     SessionPolicy,
     StrategyKind,
     StreamConfig,
@@ -22,8 +23,8 @@ from tubench import (
     session_layouts,
 )
 from tubench.rng import SplitMix64
-from tubench.stream import _popped
-from conftest import dataset_of, make_sample, planned
+from tubench.stream import CLOSEST, _popped, plan_rows
+from conftest import MaskedPool, dataset_of, make_sample, planned
 
 
 def grid_dataset(num_users=4, sessions=3, per_session=7, d=2, spacing=10.0):
@@ -240,6 +241,17 @@ def test_closest_impostor_selects_nearest_user_first():
     assert [s.order_index for s in impostors] == sorted(s.order_index for s in impostors)
 
 
+def test_closest_impostor_keeps_the_current_impostor_first_through_a_tie():
+    dataset = grid_dataset(num_users=4, per_session=3)  # u2 at 20 is nearest to u3
+    ref = reference_for(dataset, "u3")
+    config = StreamConfig(0.5, GlobalOrder.IMPOSTOR_FIRST, LocalOrder.CLOSEST_IMPOSTOR)
+    state = planned(dataset, "u3", 2, config, seed=0)
+    first = next_query(state, ref)
+    ref.center_m[0] = np.inf  # from here every row scores -inf, a tie u0 would win
+    impostors = [e.sample for e in [first, *drain(state, ref)] if e.true_label is Label.IMPOSTOR]
+    assert [s.user_id for s in impostors] == ["u2", "u2", "u2"]
+
+
 def test_no_impostor_sample_repeats_within_a_session():
     dataset = grid_dataset(num_users=5, per_session=4)
     ref = reference_for(dataset)
@@ -406,6 +418,57 @@ def test_row_pool_draws_match_the_reference_loops(dataset, targets):
                 slow_ref = enroll(target, dataset.feature_matrix[dataset.row_range(target, 1)])
                 slow_draws = reference_draws(dataset, target, session, config, seed, slow_ref)
                 assert fast == run(slow_draws, target, slow_ref), (order, policy, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_plan_rows_equals_the_masked_pool_oracle_at_every_cursor(data):
+    # Three feature values per axis make scores tie often. From a drawn
+    # cursor on, the lane may score every row -inf (center_m at +inf), or
+    # NaN or +inf (inv_mad at +inf in one dimension, until an update
+    # refreshes it: a row that meets mu there scores 0 * inf).
+    num_users = data.draw(st.integers(3, 6), label="users")
+    values = st.sampled_from([0.0, 0.5, 1.0])
+    samples, order = [], 0
+    for user in range(num_users):
+        for session in (1, 2, 3):
+            for _ in range(data.draw(st.integers(2 if session == 1 else 1, 4))):
+                features = [data.draw(values), data.draw(values)]
+                samples.append(make_sample(f"u{user}", session, order, features))
+                order += 1
+    dataset = dataset_of(2, 3, tuple(samples))
+    target = data.draw(st.integers(0, num_users - 1), label="target")
+    session = data.draw(st.sampled_from([2, 3]), label="session")
+    config = StreamConfig(
+        data.draw(st.sampled_from([0.2, 0.4, 0.5]), label="ratio"),
+        data.draw(st.sampled_from([o for o in GlobalOrder if o is not GlobalOrder.SCRIPTED])),
+        data.draw(st.sampled_from(CLOSEST)),
+        data.draw(st.booleans(), label="chronology"),
+        data.draw(st.sampled_from(list(SessionPolicy))),
+    )
+    try:
+        (layout,) = session_layouts(dataset, config, [(dataset.users[target], session)])
+    except StreamError:  # the pool is too small for the impostor count
+        return
+    state = plan_session(layout, [data.draw(st.integers(0, n - 1)) for n in layout.bounds])
+    expected, oracle = state.rows.copy(), MaskedPool(layout)
+    lanes = ReferenceLanes.stack([reference_for(dataset, user) for user in dataset.users])
+    distorted_from = data.draw(st.integers(0, state.rows.size), label="distorted from")
+    distortion = data.draw(st.sampled_from([None, ("center_m", target), ("inv_mad", (target, 0))]))
+    for cursor in range(state.rows.size + 1):
+        if cursor == distorted_from and distortion:
+            name, index = distortion
+            getattr(lanes, name)[index] = np.inf
+        oracle.commit(expected, state.impostor, cursor)
+        state.cursor = cursor
+        with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf score NaN
+            planned_rows = plan_rows(state, lanes, target)
+            oracle_rows = oracle.plan(expected, state.impostor, lanes, target)
+        assert planned_rows.tobytes() == oracle_rows.tobytes(), cursor
+        assert state.rows.tobytes() == expected.tobytes(), cursor
+        if cursor < state.rows.size and data.draw(st.booleans(), label="update"):
+            lanes.extend(target, dataset.feature_matrix[state.rows[cursor : cursor + 1]])
+            lanes.refresh([target])
 
 
 @settings(max_examples=200, deadline=None)
