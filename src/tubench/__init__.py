@@ -37,7 +37,6 @@ from .ingest import CMU_KEYSTROKE, ColumnMapping, read_dataset, write_dataset
 from .matcher import (
     EPSILON,
     ReferenceLanes,
-    center,
     centered_score,
     enroll,
     raw_score,

@@ -164,16 +164,17 @@ def _array(name: str, column, dtype, ndim: int = 1) -> np.ndarray:
     return array
 
 
-def _check_columns(dimension, num_sessions, user_ids, sessions, order_indices, features):
+def _check_columns(user_ids, sessions, order_indices, features):
     """Problems of per-row columns, the sorted users, the feature matrix
     with its rows sorted by (user, session, order_index), and the sorted
     (user position, session, order_index) columns."""
     features, session_col, order_col = _columns(user_ids, sessions, order_indices, features)
+    num_sessions = int(session_col.max(initial=0))
     problems = []
-    if dimension < 1:
-        problems.append(f"dimension must be >= 1, got {shown(dimension)}")
+    if not features.shape[1]:
+        problems.append("dimension must be >= 1, got 0")
     if num_sessions < 2:
-        problems.append(f"dataset must span at least 2 sessions, got {shown(num_sessions)}")
+        problems.append(f"dataset must span at least 2 sessions, got {num_sessions}")
     users = tuple(sorted(set(user_ids), key=str))
     position = {user: i for i, user in enumerate(users)}
     codes = np.fromiter(map(position.__getitem__, user_ids), np.intp, len(user_ids))
@@ -182,29 +183,24 @@ def _check_columns(dimension, num_sessions, user_ids, sessions, order_indices, f
     key = (codes[order], session_col[order], order_col[order])
     repeat = np.zeros(len(order), dtype=bool)
     repeat[order[1:]] = np.logical_and.reduce([k[1:] == k[:-1] for k in key])
-    in_range = (session_col >= 1) & (session_col <= num_sessions)
-    width = features.shape[1]
-    misshapen = np.full(len(features), width != dimension)
+    in_range = session_col >= 1
     finite = np.isfinite(features).all(axis=1)
-    for i in np.flatnonzero(repeat | ~in_range | misshapen | ~finite).tolist():
+    for i in np.flatnonzero(repeat | ~in_range | ~finite).tolist():
         key_text = f"({user_ids[i]}, session {sessions[i]}, #{order_indices[i]})"
         if repeat[i]:
             problems.append(f"duplicate sample key {key_text}")
         if not in_range[i]:
             problems.append(f"sample {key_text}: session outside [1, {num_sessions}]")
-        if misshapen[i]:
-            problems.append(f"sample {key_text}: feature dimension {width} != {dimension}")
-        elif not finite[i]:
+        if not finite[i]:
             problems.append(f"sample {key_text}: non-finite feature value")
     enrolled = np.zeros(len(users), dtype=bool)
-    enrolled[codes[in_range & (session_col == 1)]] = True
+    enrolled[codes[session_col == 1]] = True
     for k in np.flatnonzero(~enrolled).tolist():
         problems.append(f"user {users[k]}: no session-1 samples (no enrollment material)")
     present = np.unique(session_col[in_range])
     gaps = np.flatnonzero(present != np.arange(1, present.size + 1))
-    empty = gaps[0] + 1 if gaps.size else present.size + 1
-    if empty <= num_sessions:
-        problems.append(f"session {empty} of {num_sessions}: no samples")
+    if gaps.size:
+        problems.append(f"session {gaps[0] + 1} of {num_sessions}: no samples")
     return problems, users, features[order], key
 
 
@@ -214,38 +210,33 @@ class Dataset:
 
     Built from per-row columns and an (N, dimension) feature matrix with
     `from_columns`: a column without one entry per row is rejected first,
-    then the rows are checked once, in one vectorized pass. Every problem
-    is raised together, as `ValidationError.violations`, in row order
-    (per row: duplicate key, session range, then feature dimension or
-    non-finite values), then every user without session-1 samples,
-    sorted by str, then the first of sessions 1..`num_sessions` without
-    samples.
+    then the rows are checked once, in one vectorized pass. `dimension` is
+    the matrix's width and `num_sessions` the largest session of the rows.
+    Every problem is raised together, as `ValidationError.violations`, in
+    row order (per row: duplicate key, session below 1, then non-finite
+    values), then every user without session-1 samples, sorted by str,
+    then the first of sessions 1..`num_sessions` without samples.
     `feature_matrix` holds every feature vector, read-only, in (user,
     session, order_index) order, and `row_user` (position in `users`),
     `row_session` and `row_order` index its rows. `samples` views the
     same rows as `Sample` objects, built on first use.
     """
 
-    dimension: int
-    num_sessions: int
     columns: InitVar[tuple]
+    dimension: int = field(init=False)
+    num_sessions: int = field(init=False)
     feature_matrix: np.ndarray = field(init=False, repr=False)
     row_user: np.ndarray = field(init=False, repr=False)
     row_session: np.ndarray = field(init=False, repr=False)
     row_order: np.ndarray = field(init=False, repr=False)
 
     @classmethod
-    def from_columns(
-        cls, dimension: int, num_sessions: int, user_ids, sessions, order_indices, features
-    ) -> "Dataset":
+    def from_columns(cls, user_ids, sessions, order_indices, features) -> "Dataset":
         """A dataset from per-row columns and an (N, dimension) feature matrix."""
-        columns = (user_ids, sessions, order_indices, features)
-        return cls(dimension, num_sessions, columns=columns)
+        return cls((user_ids, sessions, order_indices, features))
 
     def __post_init__(self, columns):
-        problems, users, matrix, (row_user, row_session, row_order) = _check_columns(
-            self.dimension, self.num_sessions, *columns
-        )
+        problems, users, matrix, (row_user, row_session, row_order) = _check_columns(*columns)
         if problems:
             raise ValidationError(problems)
         for column in (matrix, row_user, row_session, row_order):
@@ -257,6 +248,8 @@ class Dataset:
             (users[row_user[a]], row_session[a].item()): range(a, b)
             for a, b in zip(starts, starts[1:] + [len(matrix)])
         }
+        object.__setattr__(self, "dimension", matrix.shape[1])
+        object.__setattr__(self, "num_sessions", int(row_session.max()))
         object.__setattr__(self, "_users", users)
         object.__setattr__(self, "_spans", spans)
         object.__setattr__(self, "feature_matrix", matrix)
@@ -289,12 +282,9 @@ class Dataset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        same_shape = (self.dimension, self.num_sessions) == (other.dimension, other.num_sessions)
         columns = ("row_user", "row_session", "row_order", "feature_matrix")
-        return (
-            same_shape
-            and self.users == other.users
-            and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in columns)
+        return self.users == other.users and all(
+            np.array_equal(getattr(self, c), getattr(other, c)) for c in columns
         )
 
 
@@ -432,7 +422,10 @@ class ScoreLog:
     validated once, by `score_log_violations`.
 
     Online runs cover sessions 2..S; offline runs cover 3..S because the
-    last consumed session never gets its own frozen-reference pass.
+    last consumed session never gets its own frozen-reference pass. Unlike
+    a `Dataset`'s, the log's `num_sessions` and `mode` are declared, not
+    read off its rows: they check a run's own output, and a log that misses
+    a session its mode requires is a fault the check catches.
     """
 
     users: tuple[str, ...]

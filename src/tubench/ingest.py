@@ -389,8 +389,6 @@ def _assemble(
     rank = np.empty_like(order)  # each row's place after its user's first row
     rank[order] = np.arange(len(order)) - np.searchsorted(grouped, grouped)
     return Dataset.from_columns(
-        dimension=features.shape[1],
-        num_sessions=max(0, int(session_col.max())),
         user_ids=np.array(list(user_codes), dtype=object)[codes],
         sessions=session_col,
         order_indices=rank,

@@ -163,13 +163,9 @@ def raw_score(ref: ReferenceLanes, query):
     return _lane_scores(ref, query, 0)[0]
 
 
-def center(ref: ReferenceLanes, raw):
-    """Map a raw score onto the reference's frozen centered scale."""
-    return (raw - ref.center_m[0]) / ref.center_s[0]
-
-
 def centered_score(ref: ReferenceLanes, query, lane: int = 0):
-    """`center` of `raw_score`, from the same one `scores` call."""
+    """The query's score on the lane's frozen centered scale: its raw score
+    less `center_m`, over `center_s`, from the same one `scores` call."""
     return _lane_scores(ref, query, lane)[1]
 
 

@@ -99,8 +99,6 @@ def generate(config: SynthConfig) -> Dataset:
         split_work(lambda: draw(range(mid)), lambda: draw(range(mid, n)), lambda: features[mid:])
     user_ids = [f"u{user_index:03d}" for user_index in range(config.num_users)]
     return Dataset.from_columns(
-        dimension=d,
-        num_sessions=sessions,
         user_ids=[user for user in user_ids for _ in range(per_user)],
         sessions=np.tile(np.repeat(np.arange(1, sessions + 1), per_session), config.num_users),
         order_indices=np.tile(np.arange(per_user), config.num_users),

@@ -61,6 +61,12 @@ def single_raw_score(query, mu, mad):
     return np.add.reduce(np.abs(query - mu) * (1.0 / mad), axis=-1) / mu.size
 
 
+def center(ref, raw):
+    """A raw score on a one-lane reference's frozen centered scale, by the
+    formula `ReferenceLanes.scores` applies, restated."""
+    return (raw - ref.center_m[0]) / ref.center_s[0]
+
+
 class ListFifo:
     """A gallery as a list of vectors: its enrollment, then its updates,
     oldest first. With a capacity, an append past it pops the oldest update."""
@@ -130,9 +136,9 @@ def make_sample(user, session, order, feats):
     return Sample(user, session, order, np.asarray(feats, dtype=float))
 
 
-def sample_columns(samples, width):
+def sample_columns(samples, width=-1):
     """The user_id, session, order_index columns and the (N, width) feature
-    matrix of sample-shaped records."""
+    matrix of sample-shaped records; `width` is needed only when N is 0."""
     samples = list(samples)
     return (
         [s.user_id for s in samples],
@@ -142,9 +148,9 @@ def sample_columns(samples, width):
     )
 
 
-def dataset_of(dimension, num_sessions, samples):
+def dataset_of(samples):
     """`Dataset.from_columns` over the columns of sample-shaped records."""
-    return Dataset.from_columns(dimension, num_sessions, *sample_columns(samples, dimension))
+    return Dataset.from_columns(*sample_columns(samples))
 
 
 def planned(dataset, user, session, config, seed):
@@ -208,7 +214,7 @@ def two_user_1d_dataset():
             samples.append(make_sample(user, 1, order, [offset + value]))
         samples.append(make_sample(user, 2, 3, [offset + 2.2]))
         samples.append(make_sample(user, 3, 4, [offset + 2.6]))
-    return dataset_of(1, 3, samples)
+    return dataset_of(samples)
 
 
 @pytest.fixture

@@ -159,6 +159,38 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "self-threshold-reads-the-label",
+        "update.py",
+        "    if strategy.kind is StrategyKind.SUPERVISED:\n",
+        "    if strategy.kind is not StrategyKind.NONE:\n",
+        (
+            "tests/test_acceptance.py::test_self_update_absorbs_impostors_at_the_operating_threshold",
+            "tests/test_cli.py::test_inclusion_table_is_the_mean_over_users_of_the_run",
+            "tests/test_update.py::test_self_threshold_is_label_blind",
+        ),
+    ),
+    Mutant(
+        "supervised-ignores-the-label",
+        "update.py",
+        "        accept = accept & ~np.asarray(impostor)\n",
+        "        accept = np.asarray(accept)\n",
+        (
+            "tests/test_acceptance.py::test_supervised_update_absorbs_no_impostor_at_the_operating_threshold",
+            "tests/test_acceptance.py::test_supervised_updating_never_includes_impostors",
+            "tests/test_update.py::test_supervised_never_admits_impostors",
+        ),
+    ),
+    Mutant(
+        "impostor-first-presents-genuine-queries-first",
+        "stream.py",
+        "        flags = [True] * n_impostor + [False] * n_genuine\n",
+        "        flags = [False] * n_genuine + [True] * n_impostor\n",
+        (
+            "tests/test_acceptance.py::test_impostor_first_against_genuine_first_at_the_operating_threshold",
+            "tests/test_stream.py::test_genuine_first_and_impostor_first_are_mirrors",
+        ),
+    ),
+    Mutant(
         "run-writes-scores-before-the-metrics",
         "cli.py",
         "    eers = session_eers(log)\n",

@@ -27,11 +27,13 @@ from tubench.core import fields_of, shown, typed
 from conftest import dataset_of, log_columns, log_of, make_sample, sample_columns
 
 
-def reference_violations(dimension, num_sessions, samples):
-    """Reference row-by-row scan of the dataset invariants."""
+def reference_violations(width, samples):
+    """Reference row-by-row scan of the dataset invariants, for sample-shaped
+    records whose features are `width` values each."""
+    num_sessions = max([0, *(sample.session for sample in samples)])
     problems = []
-    if dimension < 1:
-        problems.append(f"dimension must be >= 1, got {dimension}")
+    if width < 1:
+        problems.append(f"dimension must be >= 1, got {width}")
     if num_sessions < 2:
         problems.append(f"dataset must span at least 2 sessions, got {num_sessions}")
     seen_keys = set()
@@ -44,14 +46,11 @@ def reference_violations(dimension, num_sessions, samples):
         if key in seen_keys:
             problems.append(f"duplicate sample key {key_text}")
         seen_keys.add(key)
-        if not 1 <= sample.session <= num_sessions:
+        if sample.session < 1:
             problems.append(f"sample {key_text}: session outside [1, {num_sessions}]")
         elif sample.session == 1:
             users_with_session1.add(sample.user_id)
-        features = np.asarray(sample.features, dtype=float)
-        if features.ndim != 1 or features.size != dimension:
-            problems.append(f"sample {key_text}: feature dimension {features.size} != {dimension}")
-        elif not np.all(np.isfinite(features)):
+        if not np.all(np.isfinite(sample.features)):
             problems.append(f"sample {key_text}: non-finite feature value")
     for user in sorted(all_users - users_with_session1, key=str):
         problems.append(f"user {user}: no session-1 samples (no enrollment material)")
@@ -69,9 +68,7 @@ _feature_value = st.one_of(
 
 @st.composite
 def sample_shaped_records(draw):
-    dimension = draw(st.integers(0, 3))
-    num_sessions = draw(st.integers(0, 4))
-    width = draw(st.integers(0, 4)) if draw(st.booleans()) else dimension
+    width = draw(st.integers(0, 4))
     records = draw(
         st.lists(
             st.builds(
@@ -84,29 +81,28 @@ def sample_shaped_records(draw):
             max_size=25,
         )
     )
-    return dimension, num_sessions, width, records
+    return width, records
 
 
 @settings(max_examples=300, deadline=None)
 @given(sample_shaped_records())
 def test_column_validator_matches_the_row_by_row_scan(case):
-    dimension, num_sessions, width, records = case
-    expected = reference_violations(dimension, num_sessions, records)
+    width, records = case
+    expected = reference_violations(width, records)
     columns = sample_columns(records, width)
     if expected:
         with pytest.raises(ValidationError) as err:
-            Dataset.from_columns(dimension, num_sessions, *columns)
+            Dataset.from_columns(*columns)
         assert err.value.violations == expected
     else:
-        Dataset.from_columns(dimension, num_sessions, *columns)
+        Dataset.from_columns(*columns)
 
 
-def violations(dimension, num_sessions, samples, width=None):
+def violations(samples):
     """The `ValidationError.violations` that `Dataset.from_columns` raises
     over the columns of sample-shaped records, or [] when it builds."""
-    columns = sample_columns(samples, dimension if width is None else width)
     try:
-        Dataset.from_columns(dimension, num_sessions, *columns)
+        Dataset.from_columns(*sample_columns(samples))
     except ValidationError as err:
         return err.violations
     return []
@@ -129,73 +125,74 @@ def _ok_samples():
 
 
 def test_well_formed_dataset_has_no_violations():
-    assert violations(2, 2, _ok_samples()) == []
-    dataset_of(2, 2, _ok_samples())
+    assert violations(_ok_samples()) == []
+    dataset_of(_ok_samples())
 
 
 def test_violation_for_missing_enrollment_session():
     samples = [make_sample("a", 1, 0, [0.0]), make_sample("b", 2, 0, [1.0])]
-    problems = violations(1, 2, samples)
+    problems = violations(samples)
     assert len(problems) == 1
     assert "b" in problems[0] and "session-1" in problems[0]
 
 
 def test_violation_for_non_finite_feature_names_sample():
     samples = [make_sample("a", 1, 0, [math.nan]), make_sample("a", 2, 1, [0.5])]
-    problems = violations(1, 2, samples)
+    problems = violations(samples)
     assert len(problems) == 1
     assert "non-finite" in problems[0] and "a" in problems[0]
 
 
 def test_violation_for_duplicate_sample_key():
     samples = [make_sample("a", 1, 0, [0.0]), make_sample("a", 1, 0, [1.0])]
-    assert any("duplicate" in p for p in violations(1, 2, samples))
+    assert any("duplicate" in p for p in violations(samples))
 
 
 def test_violation_for_session_out_of_range():
-    samples = [make_sample("a", 1, 0, [0.0]), make_sample("a", 5, 1, [1.0])]
-    assert any("outside" in p for p in violations(1, 2, samples))
+    samples = [make_sample("a", 1, 0, [0.0]), make_sample("a", 2, 1, [1.0]),
+               make_sample("a", 0, 2, [1.0])]
+    assert violations(samples) == ["sample (a, session 0, #2): session outside [1, 2]"]
 
 
-def test_violation_for_dimension_mismatch():
-    samples = [make_sample("a", 1, 0, [0.0, 1.0]), make_sample("a", 2, 1, [1.0, 2.0])]
-    problems = violations(1, 2, samples, width=2)
-    assert problems == [
-        "sample (a, session 1, #0): feature dimension 2 != 1",
-        "sample (a, session 2, #1): feature dimension 2 != 1",
-    ]
+def test_dimension_and_session_count_are_read_off_the_rows():
+    samples = [make_sample(user, session, session, [0.5 * session, 1.0, -2.0])
+               for user in ("a", "b") for session in (1, 3, 2)]
+    dataset = dataset_of(samples)
+    assert (dataset.dimension, dataset.num_sessions) == (3, 3)
+    assert dataset.dimension == dataset.feature_matrix.shape[1]
+    assert dataset.num_sessions == int(dataset.row_session.max())
+    assert [len(rows) for rows in dataset.session_rows] == [0, 2, 2, 2]
+    with pytest.raises(TypeError):
+        Dataset.from_columns(3, 3, *sample_columns(samples))
 
 
 def test_violations_come_in_row_order_then_users_without_enrollment():
     samples = [
-        make_sample("c", 3, 0, [0.0]),
+        make_sample("c", 0, 0, [0.0]),
         make_sample("a", 1, 0, [0.0]),
         make_sample("a", 1, 0, [math.inf]),
         make_sample("b", 2, 0, [1.0]),
     ]
     expected = [
-        "sample (c, session 3, #0): session outside [1, 2]",
+        "sample (c, session 0, #0): session outside [1, 2]",
         "duplicate sample key (a, session 1, #0)",
         "sample (a, session 1, #0): non-finite feature value",
         "user b: no session-1 samples (no enrollment material)",
         "user c: no session-1 samples (no enrollment material)",
     ]
-    assert reference_violations(1, 2, samples) == expected
-    assert violations(1, 2, samples) == expected
+    assert reference_violations(1, samples) == expected
+    assert violations(samples) == expected
 
 
 @pytest.mark.parametrize(
-    "sessions, num_sessions, message",
-    [((1, 3), 3, "session 2 of 3"), ((1, 2), 3, "session 3 of 3"),
-     ((1, 2_000_000_000), 2_000_000_000, "session 2 of 2000000000")],
+    "sessions, message",
+    [((1, 3), "session 2 of 3"), ((1, 2_000_000_000), "session 2 of 2000000000")],
 )
-def test_first_session_without_samples_is_named_without_a_per_session_array(
-    sessions, num_sessions, message
-):
+def test_first_session_without_samples_is_named_without_a_per_session_array(sessions, message):
     samples = [make_sample("a", s, k, [float(k)]) for k, s in enumerate(sessions)]
     tracemalloc.start()
     try:
-        problems = violations(1, num_sessions, samples)
+        problems = violations(samples)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -206,12 +203,12 @@ def test_first_session_without_samples_is_named_without_a_per_session_array(
 def test_dataset_construction_rejects_violations():
     samples = [make_sample("a", 1, 0, [0.0]), make_sample("b", 2, 0, [1.0])]
     with pytest.raises(ValidationError) as err:
-        dataset_of(1, 2, samples)
+        dataset_of(samples)
     assert any("session-1" in v for v in err.value.violations)
 
 
 def test_dataset_lookup_is_chronological():
-    dataset = dataset_of(2, 2, _ok_samples())
+    dataset = dataset_of(_ok_samples())
     assert dataset.users == ("a", "b")
     orders = dataset.row_order[dataset.row_user == dataset.users.index("a")].tolist()
     assert orders == sorted(orders)
@@ -226,21 +223,19 @@ def _fields(samples):
 def test_dataset_from_columns_equals_dataset_from_samples():
     samples = _ok_samples()
     columns = Dataset.from_columns(
-        2,
-        2,
         [s.user_id for s in reversed(samples)],
         [s.session for s in reversed(samples)],
         [s.order_index for s in reversed(samples)],
         [s.features.tolist() for s in reversed(samples)],
     )
-    assert columns == dataset_of(2, 2, samples)
-    assert _fields(columns.samples) == _fields(dataset_of(2, 2, samples).samples)
+    assert columns == dataset_of(samples)
+    assert _fields(columns.samples) == _fields(dataset_of(samples).samples)
     assert _fields(columns.samples) == _fields(sorted(samples, key=lambda s: (s.user_id, s.session)))
     assert not columns.feature_matrix.flags.writeable
     with pytest.raises(ValueError):
         columns.samples[0].features[0] = 9.0
     with pytest.raises(ValidationError, match="session-1"):
-        Dataset.from_columns(1, 2, ["a"], [2], [0], np.array([[1.0]]))
+        Dataset.from_columns(["a"], [2], [0], np.array([[1.0]]))
 
 
 @pytest.mark.parametrize(
@@ -272,7 +267,7 @@ def test_malformed_columns_are_rejected_by_name(
     user_ids, sessions, order_indices, features, column
 ):
     with pytest.raises(ValidationError, match=f"column {column} "):
-        Dataset.from_columns(1, 2, user_ids, sessions, order_indices, features)
+        Dataset.from_columns(user_ids, sessions, order_indices, features)
 
 
 @pytest.mark.parametrize("short", ["repeat", "target", "raw", "applied"])
@@ -302,8 +297,8 @@ def test_a_log_leaves_the_callers_columns_writable():
 
 
 def test_dataset_equality_is_field_for_field():
-    first = dataset_of(2, 2, _ok_samples())
-    second = dataset_of(2, 2, reversed(_ok_samples()))
+    first = dataset_of(_ok_samples())
+    second = dataset_of(reversed(_ok_samples()))
     assert first == second
 
 

@@ -22,7 +22,6 @@ from tubench import (
     UpdateStrategy,
     ValidationError,
     ExperimentConfig,
-    center,
     centered_score,
     enroll,
     impostor_count,
@@ -37,7 +36,7 @@ from tubench.matcher import ReferenceLanes
 from tubench.rng import mix64
 from tubench.stream import CLOSEST, session_layouts
 from tubench.synthdata import SynthConfig, generate
-from conftest import dataset_of, log_columns, log_of, log_rows, make_sample, planned
+from conftest import center, dataset_of, log_columns, log_of, log_rows, make_sample, planned
 
 SCRIPTED = (Label.GENUINE, Label.IMPOSTOR)
 
@@ -224,7 +223,7 @@ def test_online_single_user_scores_match_standalone_recomputation():
     samples = [make_sample("solo", 1, i, [float(i), 1.0]) for i in range(3)]
     samples += [make_sample("solo", s, 3 * (s - 1) + i, [0.5 * s + 0.1 * i, 1.0])
                 for s in (2, 3) for i in range(3)]
-    dataset = dataset_of(2, 3, tuple(samples))
+    dataset = dataset_of(tuple(samples))
     config = ExperimentConfig(
         Mode.ONLINE, StreamConfig(impostor_ratio=0.0), UpdateStrategy(StrategyKind.NONE),
         repeats=1, base_seed=2,
@@ -712,7 +711,7 @@ def mixed_counts(uniform_queries=False):
                 orders.append(order)
                 features.append([u + 0.1 * order, u - 0.05 * order])
                 order += 1
-    return Dataset.from_columns(2, 4, users, sessions, orders, np.array(features))
+    return Dataset.from_columns(users, sessions, orders, np.array(features))
 
 
 @pytest.mark.parametrize("local_order", list(LocalOrder))
@@ -831,7 +830,7 @@ def test_stream_faults_are_reported_before_enrollment_faults():
     # u0 cannot be enrolled (one session-1 sample); u1 has nothing in session 3.
     rows = [("u0", 1), ("u0", 2), ("u0", 3), ("u1", 1), ("u1", 1), ("u1", 2)]
     users, sessions = zip(*rows)
-    dataset = Dataset.from_columns(1, 3, users, sessions, range(len(rows)),
+    dataset = Dataset.from_columns(users, sessions, range(len(rows)),
                                    np.arange(len(rows), dtype=float)[:, None])
     config = ExperimentConfig(Mode.ONLINE, StreamConfig(0.0), UpdateStrategy(StrategyKind.NONE))
     with pytest.raises(StreamError, match="user u1 has no samples in session 3"):
@@ -855,7 +854,7 @@ def test_the_first_user_that_cannot_enroll_fails_the_run_at_any_repeats(
     rows = [(f"u{u}", 1) for u, n in enumerate(enrolled) for _ in range(n)]
     rows += [(f"u{u}", 2) for u in range(len(enrolled))]
     users, sessions = zip(*rows)
-    dataset = Dataset.from_columns(1, 2, users, sessions, range(len(rows)),
+    dataset = Dataset.from_columns(users, sessions, range(len(rows)),
                                    np.arange(len(rows), dtype=float)[:, None])
     config = ExperimentConfig(Mode.ONLINE, StreamConfig(0.0),
                               UpdateStrategy(StrategyKind.NONE, capacity=capacity), repeats)

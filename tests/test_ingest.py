@@ -54,7 +54,7 @@ def test_round_trip_over_random_small_datasets(tmp_path):
                         make_sample(f"user{u}", session, order, rng.normal(size=d))
                     )
                     order += 1
-        dataset = dataset_of(int(d), int(sessions), tuple(samples))
+        dataset = dataset_of(tuple(samples))
         path = tmp_path / f"rt{trial}.csv"
         write_dataset(dataset, path)
         assert read_dataset(path) == dataset
@@ -67,7 +67,7 @@ def test_user_ids_are_quoted_like_csv_writer_does(tmp_path):
         for k, user in enumerate(users)
         for session in (1, 2)
     )
-    dataset = dataset_of(3, 2, samples)
+    dataset = dataset_of(samples)
     path = tmp_path / "quoted.csv"
     write_dataset(dataset, path)
     expected = tmp_path / "expected.csv"
@@ -91,7 +91,7 @@ def test_canonical_layout(tmp_path):
         make_sample("a", 2, 1, [0.1, 0.2]),
     )
     path = tmp_path / "tiny.csv"
-    write_dataset(dataset_of(2, 2, samples), path)
+    write_dataset(dataset_of(samples), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "user,session,rep,f1,f2"
     assert lines[1].startswith("a,1,0,")  # rows sorted by user then session
@@ -102,7 +102,7 @@ def test_canonical_layout(tmp_path):
 def test_smallest_dataset_writes_header_plus_one_row_per_session(tmp_path):
     samples = (make_sample("only", 1, 0, [1.0, 2.0]), make_sample("only", 2, 1, [3.0, 4.0]))
     path = tmp_path / "one.csv"
-    write_dataset(dataset_of(2, 2, samples), path)
+    write_dataset(dataset_of(samples), path)
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     assert lines[1:] == ["only,1,0,1.0,2.0", "only,2,1,3.0,4.0"]
@@ -495,7 +495,7 @@ def test_forked_dataset_write_equals_one_pass(tmp_path, forks, rows):
                     [0.1 * k, -2.5e-7, 1e16 + k])
         for k in range(rows)
     )
-    dataset = dataset_of(3, 2, samples)
+    dataset = dataset_of(samples)
     forked, single = tmp_path / "forked.csv", tmp_path / "single.csv"
     write_dataset(dataset, forked)
     assert len(forks) == 1
@@ -512,7 +512,7 @@ def test_forked_dataset_write_takes_a_str_path(tmp_path, forks):
         for user in QUOTED_USERS
         for session in (1, 2)
     )
-    dataset = dataset_of(1, 2, samples)
+    dataset = dataset_of(samples)
     named, single = tmp_path / "named.csv", tmp_path / "single.csv"
     write_dataset(dataset, str(named))
     assert len(forks) == 1
@@ -524,8 +524,8 @@ def test_forked_dataset_write_takes_a_str_path(tmp_path, forks):
 
 @st.composite
 def small_datasets(draw):
-    """A dimension and the samples of a dataset of 2 or 3 sessions whose
-    users need csv quoting or not."""
+    """The samples of a dataset of 2 or 3 sessions whose users need csv
+    quoting or not."""
     d = draw(st.integers(1, 3))
     users = draw(st.lists(st.sampled_from(QUOTED_USERS), min_size=1, max_size=4, unique=True))
     feature = st.floats(allow_nan=False, allow_infinity=False)
@@ -538,7 +538,7 @@ def small_datasets(draw):
                 samples.append(make_sample(user, session, order, draw(st.lists(
                     feature, min_size=d, max_size=d))))
                 order += 1
-    return d, tuple(samples)
+    return tuple(samples)
 
 
 # `forks` patches the same values for every example and counts forks across them.
@@ -547,8 +547,7 @@ def small_datasets(draw):
 )
 @given(small_datasets())
 def test_forked_write_of_any_small_dataset_equals_one_pass(tmp_path_factory, forks, drawn):
-    d, samples = drawn
-    dataset = dataset_of(d, max(sample.session for sample in samples), samples)
+    dataset = dataset_of(drawn)
     directory = tmp_path_factory.mktemp("split")
     forked, single = directory / "forked.csv", directory / "single.csv"
     before = len(forks)

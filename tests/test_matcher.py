@@ -16,7 +16,6 @@ from tubench import (
     StrategyKind,
     UpdateStrategy,
     ValidationError,
-    center,
     centered_score,
     enroll,
     maybe_update,
@@ -25,7 +24,7 @@ from tubench import (
 )
 from tubench import matcher
 from tubench.rng import SplitMix64
-from conftest import ListFifo, gallery_statistics, make_sample, single_raw_score
+from conftest import ListFifo, center, gallery_statistics, make_sample, single_raw_score
 
 
 def brute_stats(vectors, eps=EPSILON):
@@ -362,12 +361,14 @@ def test_centered_score_is_affine_in_raw():
     assert center(ref, m) == 0.0
     assert center(ref, m - 0.2 * s) == pytest.approx(-0.2, abs=1e-12)
     assert center(ref, m + 2.0 * s) == pytest.approx(2.0, abs=1e-12)
-    # strictly increasing on random raw pairs
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        a, b = sorted(rng.uniform(0.0, 10.0, size=2))
-        if a != b:
-            assert center(ref, a) < center(ref, b)
+    # the kernel's centered scores are the formula's, bit for bit, and strictly
+    # increasing in raw on random queries
+    queries = np.random.default_rng(3).uniform(-5.0, 10.0, size=(50, 2))
+    raw, centered = ref.scores(queries, 0)
+    assert centered.tolist() == [center(ref, r) for r in raw.tolist()]
+    assert [centered_score(ref, q) for q in queries] == centered.tolist()
+    rising = np.argsort(raw)
+    assert np.all(np.diff(centered[rising]) > 0) and np.all(np.diff(raw[rising]) > 0)
     assert centered_score(ref, ref.mu[0]) == center(ref, 0.0)
 
 

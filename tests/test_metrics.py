@@ -23,14 +23,15 @@ def oracle_eer(genuine, impostor):
     """Exhaustive-threshold brute force, coded independently of the library.
 
     Candidates are every distinct score, midpoints between consecutive
-    distinct scores, and +-infinity; acceptance is score <= threshold.
+    distinct scores, and +-infinity; acceptance is score <= threshold. The
+    midpoint of -inf and +inf is NaN, no threshold, so it is skipped.
     """
     distinct = sorted(set(genuine) | set(impostor))
     candidates = [-math.inf]
     for i, value in enumerate(distinct):
         candidates.append(value)
-        if i + 1 < len(distinct):
-            candidates.append((value + distinct[i + 1]) / 2.0)
+        if i + 1 < len(distinct) and not math.isnan(middle := (value + distinct[i + 1]) / 2.0):
+            candidates.append(middle)
     candidates.append(math.inf)
     best = None
     for threshold in candidates:
@@ -54,8 +55,15 @@ def test_eer_hand_example():
     assert eer([0.1, 0.2, 0.3], [0.25, 0.4, 0.5]) == pytest.approx(1 / 3)
 
 
+def test_oracle_skips_the_midpoint_of_minus_and_plus_infinity():
+    assert oracle_eer([math.inf], [-math.inf]) == 1.0
+    assert oracle_eer([math.inf, -math.inf], [-math.inf]) == 0.75
+
+
 def test_eer_matches_oracle_on_random_instances():
     rng = random.Random(12345)
+    infinite = random.Random(54321)  # a separate stream: the finite instances stay as they were
+    only_infinite = 0
     for _ in range(300):
         n_g = rng.randint(2, 40)
         n_i = rng.randint(2, 40)
@@ -64,7 +72,16 @@ def test_eer_matches_oracle_on_random_instances():
         impostor = [rng.gauss(rng.uniform(0.0, 2.0), 1.0) * scale for _ in range(n_i)]
         if rng.random() < 0.3:  # force ties between the two sides
             impostor[0] = genuine[0]
+        if infinite.random() < 0.3:  # +-inf scores; in some instances every score
+            everything = infinite.random() < 0.3
+            for scores in (genuine, impostor):
+                for k in range(len(scores)):
+                    if everything or infinite.random() < 0.1:
+                        scores[k] = infinite.choice((-math.inf, math.inf))
+        values = set(genuine) | set(impostor)
+        only_infinite += values == {-math.inf, math.inf}
         assert eer(genuine, impostor) == oracle_eer(genuine, impostor)
+    assert only_infinite > 0
 
 
 def test_eer_is_rank_invariant():

@@ -27,7 +27,7 @@ from tubench.stream import CLOSEST, _popped, plan_rows
 from conftest import MaskedPool, dataset_of, make_sample, planned
 
 
-def grid_dataset(num_users=4, sessions=3, per_session=7, d=2, spacing=10.0):
+def grid_dataset(num_users=4, sessions=3, per_session=7, spacing=10.0):
     """Deterministic dataset: user k sits at (k*spacing, ...) with a small
     per-sample wiggle that makes every vector distinct."""
     samples = []
@@ -38,7 +38,7 @@ def grid_dataset(num_users=4, sessions=3, per_session=7, d=2, spacing=10.0):
                 order = (session - 1) * per_session + i
                 feats = [base + 0.01 * order, base - 0.01 * order]
                 samples.append(make_sample(f"u{k}", session, order, feats))
-    return dataset_of(d, sessions, tuple(samples))
+    return dataset_of(tuple(samples))
 
 
 def reference_for(dataset, user="u0"):
@@ -203,7 +203,7 @@ def test_closest_sample_breaks_ties_lexicographically():
             for s in (1, 2)
             for i in ((s - 1),)
         )
-    dataset = dataset_of(2, 2, tuple(samples))
+    dataset = dataset_of(tuple(samples))
     ref = enroll("a", [[0.0, 0.0], [0.1, 0.1]])
     config = StreamConfig(0.5, GlobalOrder.IMPOSTOR_FIRST, LocalOrder.CLOSEST_SAMPLE)
     events = drain(planned(dataset, "a", 2, config, seed=0), ref)
@@ -377,7 +377,7 @@ def tie_heavy_dataset():
         for session in (1, 2, 3)
         for order in range((session - 1) * 4, session * 4)
     ]
-    return dataset_of(2, 3, tuple(samples))
+    return dataset_of(tuple(samples))
 
 
 def emitted(events):
@@ -436,7 +436,7 @@ def test_plan_rows_equals_the_masked_pool_oracle_at_every_cursor(data):
                 features = [data.draw(values), data.draw(values)]
                 samples.append(make_sample(f"u{user}", session, order, features))
                 order += 1
-    dataset = dataset_of(2, 3, tuple(samples))
+    dataset = dataset_of(tuple(samples))
     target = data.draw(st.integers(0, num_users - 1), label="target")
     session = data.draw(st.sampled_from([2, 3]), label="session")
     config = StreamConfig(
@@ -492,7 +492,7 @@ def test_random_impostor_can_take_every_pool_user():
         for session in (1, 2)
         for i in range(2)
     ]
-    dataset = dataset_of(2, 2, tuple(samples))
+    dataset = dataset_of(tuple(samples))
     for seed in range(10):
         config = StreamConfig(0.5, GlobalOrder.RANDOM, LocalOrder.RANDOM_IMPOSTOR)
         ref = reference_for(dataset, "t")

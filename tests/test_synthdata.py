@@ -64,7 +64,7 @@ def reference_generate(config):
                         features=ageing + noise,
                     )
                 )
-    return dataset_of(d, config.num_sessions, tuple(samples))
+    return dataset_of(tuple(samples))
 
 
 def bits(values):

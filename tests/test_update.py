@@ -193,7 +193,7 @@ def two_users():
         for session, count in ((1, 3), (2, 2), (3, 2))
         for order in range(count)
     ]
-    return dataset_of(1, 3, samples)
+    return dataset_of(samples)
 
 
 def updates_of(*entries):
