@@ -177,7 +177,8 @@ def _load_dataset(resolved: dict):
     section = resolved["dataset"]
     if section["synthetic"] is not None:
         return generate(_built("dataset.synthetic", SynthConfig, section["synthetic"]))
-    return read_dataset(Path(section["path"]), ColumnMapping(**section["mapping"]))
+    mapping = _built("dataset.mapping", ColumnMapping, section["mapping"])
+    return read_dataset(Path(section["path"]), mapping)
 
 
 def _write_manifest(path: Path, command: str, resolved: dict, outputs: list[str]) -> None:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Dataset, check_fields
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 
 
 @contextmanager
@@ -178,6 +178,9 @@ class ColumnMapping:
 
     def __post_init__(self):
         check_fields(self)
+        ids = (self.user_column, self.session_column, self.rep_column)
+        if len(set(ids)) < len(ids):
+            raise ValidationError(f"user_column, session_column and rep_column must differ, got {ids}")
 
 
 #: Layout used by the public CMU keystroke benchmark files.
@@ -237,8 +240,7 @@ def _read_rows(path, mapping: ColumnMapping):
         user_idx, session_idx, rep_idx = ids
         pick = itemgetter(*feature_idx) if len(feature_idx) > 1 else lambda row: (row[feature_idx[0]],)
 
-        user_codes: dict[str, int] = {}  # in order of first appearance
-        codes, sessions, reps = [], [], []
+        users, sessions, reps = [], [], []
         features = array("d")
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -255,14 +257,14 @@ def _read_rows(path, mapping: ColumnMapping):
             except ValueError:
                 name = _first_non_numeric(row, feature_names, feature_idx)
                 raise FormatError(f"{path}: row {line_no}: non-numeric feature '{name}'") from None
-            codes.append(user_codes.setdefault(row[user_idx], len(user_codes)))
+            users.append(row[user_idx])
             sessions.append(session)
             reps.append(rep)
 
-    if not codes:
+    if not users:
         raise FormatError(f"{path}: no data rows")
     matrix = np.frombuffer(features, dtype=float).reshape(-1, len(feature_names))
-    return user_codes, codes, sessions, reps, matrix
+    return users, sessions, reps, matrix
 
 
 def _plain(line: bytes) -> bool:
@@ -304,8 +306,7 @@ def _read_bulk(path, mapping: ColumnMapping):
     fills the matrix's rows before that line, which takes about as long.
     """
     limit = csv.field_size_limit()
-    user_codes: dict[bytes, int] = {}
-    codes, sessions, reps = [], [], []
+    users, sessions, reps = [], [], []
     front = features = None
     try:
         with open(path, "rb") as handle:
@@ -330,17 +331,17 @@ def _read_bulk(path, mapping: ColumnMapping):
                 at = body
                 for line in handle:
                     if at == cut:
-                        front = len(codes)
+                        front = len(users)
                     at += len(line)
                     if line.count(b",") != commas or len(line) > limit or not _plain(line):
                         raise ValueError("a line for the row loop")
                     fields = line.removesuffix(b"\n").split(b",", split)
                     sessions.append(int(fields[session_idx]))
                     reps.append(int(fields[rep_idx]))
-                    codes.append(user_codes.setdefault(fields[user_idx], len(user_codes)))
-            if not codes:
+                    users.append(fields[user_idx].decode("utf-8"))
+            if not users:
                 raise ValueError("no data rows")
-            features = np.empty((len(codes), len(feature_idx)))
+            features = np.empty((len(users), len(feature_idx)))
             features[:front] = _features(path, body, front, feature_idx)
 
         if cut < size:
@@ -348,10 +349,9 @@ def _read_bulk(path, mapping: ColumnMapping):
                        lambda: features[front:])
         else:
             here()
-        user_codes = {user.decode("utf-8"): code for user, code in user_codes.items()}
     except ValueError:  # UnicodeDecodeError among them
         return None
-    return user_codes, codes, sessions, reps, features
+    return users, sessions, reps, features
 
 
 def _integers(path, column: str, values: list[int]) -> np.ndarray:
@@ -367,13 +367,11 @@ def _integers(path, column: str, values: list[int]) -> np.ndarray:
         ) from None
 
 
-def _assemble(
-    path, mapping: ColumnMapping, user_codes: dict[str, int], codes, sessions, reps, features
-) -> Dataset:
-    """A Dataset from parsed columns in file order, each user's rows ranked
-    by (session, rep) into order indices; `Dataset.from_columns` sorts
-    them. Sessions 1..S must each hold a row; the first one that holds
-    none is a FormatError, raised before anything is built per session."""
+def _assemble(path, mapping: ColumnMapping, users, sessions, reps, features) -> Dataset:
+    """A Dataset from parsed columns in file order, each rep the order
+    index of its row; `Dataset.from_columns` checks and sorts them.
+    Sessions 1..S must each hold a row; the first one that holds none is
+    a FormatError, raised before anything is built per session."""
     session_col = _integers(path, mapping.session_column, sessions)
     rep_col = _integers(path, mapping.rep_column, reps)
     present = np.unique(session_col)
@@ -383,25 +381,15 @@ def _assemble(
         raise FormatError(
             f"{path}: session {missing[0] + 1} has no rows, though session {present[-1]} has"
         )
-    codes = np.array(codes, dtype=np.intp)
-    order = np.lexsort((rep_col, session_col, codes))
-    grouped = codes[order]
-    rank = np.empty_like(order)  # each row's place after its user's first row
-    rank[order] = np.arange(len(order)) - np.searchsorted(grouped, grouped)
-    return Dataset.from_columns(
-        user_ids=np.array(list(user_codes), dtype=object)[codes],
-        sessions=session_col,
-        order_indices=rank,
-        features=features,
-    )
+    return Dataset.from_columns(users, session_col, rep_col, features)
 
 
 def read_dataset(path, mapping: ColumnMapping = ColumnMapping()) -> Dataset:
     """Load a delimited file into a validated Dataset.
 
-    Rows are grouped per user and ordered by (session, rep); order_index
-    is assigned as the rank in that ordering, making it the single
-    source of chronology regardless of how the file numbered its reps.
+    Rows go to `Dataset.from_columns` as read: a row's rep is its
+    order_index, so `Dataset`'s checks apply to the file's own keys, and a
+    repeated (user, session, rep) is a ValidationError.
 
     The bulk path reads the id fields in one streaming pass and every
     feature with one np.loadtxt call. It leaves the whole file to the row

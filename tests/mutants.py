@@ -191,6 +191,32 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "read-passes-row-numbers-as-reps",
+        "ingest.py",
+        "    return Dataset.from_columns(users, session_col, rep_col, features)\n",
+        "    return Dataset.from_columns(users, session_col, np.arange(len(rep_col)), features)\n",
+        (
+            "tests/test_ingest.py::test_cmu_benchmark_layout_loads",
+            "tests/test_ingest.py::test_a_repeated_key_is_a_validation_error_naming_it[bulk-path]",
+            "tests/test_ingest.py::test_a_repeated_key_is_a_validation_error_naming_it[row-loop]",
+            "tests/test_ingest.py::test_a_split_read_rejects_a_repeated_key[after-the-cut]",
+            "tests/test_ingest.py::test_a_split_read_rejects_a_repeated_key[before-the-cut]",
+            "tests/test_cli.py::test_run_on_a_dataset_with_a_repeated_row_fails_naming_its_key",
+        ),
+    ),
+    Mutant(
+        "column-mapping-lets-one-column-take-two-roles",
+        "ingest.py",
+        "        if len(set(ids)) < len(ids):\n",
+        "        if False:\n",
+        (
+            "tests/test_ingest.py::test_a_column_mapping_gives_each_id_role_its_own_column[rep-is-session]",
+            "tests/test_ingest.py::test_a_column_mapping_gives_each_id_role_its_own_column[session-is-user]",
+            "tests/test_ingest.py::test_a_column_mapping_gives_each_id_role_its_own_column[all-three-rep]",
+            "tests/test_cli.py::test_a_mapping_that_gives_one_column_two_roles_fails_before_the_file_is_read",
+        ),
+    ),
+    Mutant(
         "run-writes-scores-before-the-metrics",
         "cli.py",
         "    eers = session_eers(log)\n",

@@ -757,6 +757,39 @@ def test_run_on_a_dataset_that_is_not_utf8_names_it(tmp_path, capsys, where):
     assert not out.exists()
 
 
+def test_run_on_a_dataset_with_a_repeated_row_fails_naming_its_key(tmp_path, capsys):
+    dataset = tmp_path / "data.csv"
+    cmd_generate(write_config(tmp_path / "gen.json"), dataset)
+    first_row = dataset.read_text().splitlines(keepends=True)[1]
+    assert first_row.startswith("u000,1,0,")
+    dataset.write_text(dataset.read_text() + first_row * 2)
+    config = write_config(tmp_path / "run.json", dataset={"path": str(dataset)})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    key = "duplicate sample key (u000, session 1, #0)"
+    assert capsys.readouterr().err == f"error: {key}; {key}\n"
+    assert not out.exists()
+
+
+def test_a_mapping_that_gives_one_column_two_roles_fails_before_the_file_is_read(
+    tmp_path, capsys, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr("tubench.cli.read_dataset", lambda *args: calls.append(args))
+    config = write_config(
+        tmp_path / "run.json",
+        dataset={"path": str(tmp_path / "data.csv"), "mapping": {"rep_column": "session"}},
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: dataset.mapping: user_column, session_column and rep_column must differ,"
+        " got ('user', 'session', 'session')\n"
+    )
+    assert calls == []
+    assert not out.exists()
+
+
 def test_run_computes_each_eer_once_from_one_log(tmp_path, monkeypatch):
     calls = {"eer": 0, "log": 0}
     eer, build_log = metrics.eer, ScoreLog.__post_init__

@@ -49,6 +49,8 @@ def test_round_trip_over_random_small_datasets(tmp_path):
         for u in range(users):
             order = 0
             for session in range(1, sessions + 1):
+                if trial % 2:  # reps restart at 1 in each session
+                    order = 1
                 for _ in range(rng.integers(1, 4)):
                     samples.append(
                         make_sample(f"user{u}", session, order, rng.normal(size=d))
@@ -127,10 +129,10 @@ def test_cmu_benchmark_layout_loads(tmp_path):
     assert dataset.num_sessions == 8
     assert len(dataset.users) == 51
     assert dataset.dimension == 5
-    # order_index follows (session, rep) chronology per user
+    # order_index is the file's rep, in (session, rep) chronology per user
     for user in dataset.users:
         orders = dataset.row_order[dataset.row_user == dataset.users.index(user)].tolist()
-        assert orders == list(range(16))
+        assert orders == [1, 2] * 8
 
 
 def test_feature_column_subset_is_respected(tmp_path):
@@ -198,7 +200,35 @@ def test_dataset_problems_of_a_file_come_in_file_order(tmp_path):
         read_dataset(path)
     assert raised.value.violations == [
         "sample (b, session 1, #0): non-finite feature value",
-        "sample (a, session 2, #1): non-finite feature value",
+        "sample (a, session 2, #0): non-finite feature value",
+    ]
+
+
+@pytest.mark.parametrize("user", ["u", '"u"'], ids=["bulk-path", "row-loop"])
+def test_a_repeated_key_is_a_validation_error_naming_it(tmp_path, user):
+    path = tmp_path / "repeat.csv"
+    path.write_text(HEADER + f"{user},1,0,1.0,2.0\n{user},2,1,3.0,4.0\n{user},1,0,5.0,6.0\n")
+    assert (_read_bulk(path, ColumnMapping()) is None) == (user != "u")
+    for read in (read_dataset, _row_loop):
+        with pytest.raises(ValidationError) as raised:
+            read(path)
+        assert raised.value.violations == ["duplicate sample key (u, session 1, #0)"]
+
+
+@pytest.mark.parametrize(
+    "roles, shown",
+    [
+        ({"rep_column": "session"}, "('user', 'session', 'session')"),
+        ({"session_column": "user"}, "('user', 'user', 'rep')"),
+        ({"user_column": "rep", "session_column": "rep"}, "('rep', 'rep', 'rep')"),
+    ],
+    ids=["rep-is-session", "session-is-user", "all-three-rep"],
+)
+def test_a_column_mapping_gives_each_id_role_its_own_column(roles, shown):
+    with pytest.raises(ValidationError) as raised:
+        ColumnMapping(**roles)
+    assert raised.value.violations == [
+        f"user_column, session_column and rep_column must differ, got {shown}"
     ]
 
 
@@ -633,7 +663,7 @@ def _one_pass(read):
 
 
 def _columns_bytes(columns):
-    return None if columns is None else (*columns[:4], columns[4].tobytes())
+    return None if columns is None else (*columns[:3], columns[3].tobytes())
 
 
 @settings(
@@ -681,6 +711,24 @@ def test_a_row_for_the_row_loop_in_either_part(tmp_path, split_reads, row, line,
     if message is not None:
         assert outcome == (FormatError, f"{path}: {message}")
     assert split_reads
+    assert_reaped_and_clean(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "row, line, key",
+    [(30, "u,1,4,1.0,2.0\n", "(u, session 1, #4)"), (5, "u,2,39,1.0,2.0\n", "(u, session 2, #39)")],
+    ids=["after-the-cut", "before-the-cut"],
+)
+def test_a_split_read_rejects_a_repeated_key(tmp_path, split_reads, row, line, key):
+    path = _split_file(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[row + 1] = line
+    path.write_text("".join(lines))
+    assert _read_bulk(path, ColumnMapping()) is not None
+    outcome = _outcome(lambda: read_dataset(path))
+    assert outcome == (ValidationError, f"duplicate sample key {key}")
+    assert outcome == _outcome(lambda: _row_loop(path))
+    assert len(split_reads) == 2
     assert_reaped_and_clean(tmp_path)
 
 
