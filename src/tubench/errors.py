@@ -19,14 +19,21 @@ class ConfigError(BenchError):
     exit_code = 1
 
 
+#: A ValidationError's message shows this many problems, then how many more.
+SHOWN_PROBLEMS = 10
+
+
 class ValidationError(ConfigError):
-    """Domain object rejected at construction; carries the violation list."""
+    """Domain object rejected at construction; carries the violation list,
+    of which the message shows the first SHOWN_PROBLEMS."""
 
     def __init__(self, violations):
         if isinstance(violations, str):
             violations = [violations]
         self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
+        hidden = len(self.violations) - SHOWN_PROBLEMS
+        shown = self.violations[:SHOWN_PROBLEMS] + [f"and {hidden} more"] * (hidden > 0)
+        super().__init__("; ".join(shown))
 
 
 class EnrollmentError(BenchError):

@@ -230,7 +230,7 @@ def _first_non_numeric(row: list[str], names: list[str], positions: list[int]) -
 def _read_rows(path, mapping: ColumnMapping):
     """The reference parse: csv.reader row by row, features parsed with
     float(). It reads csv quoting and raises every row error. Returns the
-    columns `_assemble` takes."""
+    user, session and rep fields as lists and the feature matrix."""
     with _utf8(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -367,29 +367,13 @@ def _integers(path, column: str, values: list[int]) -> np.ndarray:
         ) from None
 
 
-def _assemble(path, mapping: ColumnMapping, users, sessions, reps, features) -> Dataset:
-    """A Dataset from parsed columns in file order, each rep the order
-    index of its row; `Dataset.from_columns` checks and sorts them.
-    Sessions 1..S must each hold a row; the first one that holds none is
-    a FormatError, raised before anything is built per session."""
-    session_col = _integers(path, mapping.session_column, sessions)
-    rep_col = _integers(path, mapping.rep_column, reps)
-    present = np.unique(session_col)
-    present = present[present >= 1]
-    missing = np.flatnonzero(present != np.arange(1, len(present) + 1))
-    if missing.size:
-        raise FormatError(
-            f"{path}: session {missing[0] + 1} has no rows, though session {present[-1]} has"
-        )
-    return Dataset.from_columns(users, session_col, rep_col, features)
-
-
 def read_dataset(path, mapping: ColumnMapping = ColumnMapping()) -> Dataset:
     """Load a delimited file into a validated Dataset.
 
     Rows go to `Dataset.from_columns` as read: a row's rep is its
     order_index, so `Dataset`'s checks apply to the file's own keys, and a
-    repeated (user, session, rep) is a ValidationError.
+    repeated (user, session, rep) or a skipped session number is a
+    ValidationError whose every problem starts with `<path>: `.
 
     The bulk path reads the id fields in one streaming pass and every
     feature with one np.loadtxt call. It leaves the whole file to the row
@@ -399,13 +383,15 @@ def read_dataset(path, mapping: ColumnMapping = ColumnMapping()) -> Dataset:
     the file has no data rows or is not UTF-8, or when int() or loadtxt
     rejects a field. Both give the same dataset for the same file, and
     every row error comes from the row loop. A session or rep past the
-    intp range, or a session number skipped, is a FormatError raised
-    before the dataset is built.
+    intp range is a FormatError naming its row.
     """
-    columns = _read_bulk(path, mapping)
-    if columns is None:
-        columns = _read_rows(path, mapping)
-    return _assemble(path, mapping, *columns)
+    users, sessions, reps, features = _read_bulk(path, mapping) or _read_rows(path, mapping)
+    session_col = _integers(path, mapping.session_column, sessions)
+    rep_col = _integers(path, mapping.rep_column, reps)
+    try:
+        return Dataset.from_columns(users, session_col, rep_col, features)
+    except ValidationError as exc:
+        raise ValidationError([f"{path}: {problem}" for problem in exc.violations]) from None
 
 
 def csv_field(value: str) -> str:

@@ -193,8 +193,8 @@ MUTANTS = (
     Mutant(
         "read-passes-row-numbers-as-reps",
         "ingest.py",
-        "    return Dataset.from_columns(users, session_col, rep_col, features)\n",
-        "    return Dataset.from_columns(users, session_col, np.arange(len(rep_col)), features)\n",
+        "        return Dataset.from_columns(users, session_col, rep_col, features)\n",
+        "        return Dataset.from_columns(users, session_col, np.arange(len(rep_col)), features)\n",
         (
             "tests/test_ingest.py::test_cmu_benchmark_layout_loads",
             "tests/test_ingest.py::test_a_repeated_key_is_a_validation_error_naming_it[bulk-path]",
@@ -203,6 +203,27 @@ MUTANTS = (
             "tests/test_ingest.py::test_a_split_read_rejects_a_repeated_key[before-the-cut]",
             "tests/test_cli.py::test_run_on_a_dataset_with_a_repeated_row_fails_naming_its_key",
         ),
+    ),
+    Mutant(
+        "read-dataset-drops-the-file-name",
+        "ingest.py",
+        '        raise ValidationError([f"{path}: {problem}" for problem in exc.violations]) from None\n',
+        "        raise ValidationError(exc.violations) from None\n",
+        (
+            "tests/test_ingest.py::test_a_repeated_key_is_a_validation_error_naming_it[bulk-path]",
+            "tests/test_ingest.py::test_a_repeated_key_is_a_validation_error_naming_it[row-loop]",
+            "tests/test_ingest.py::test_a_session_gap_names_the_first_missing_session[sessions1-3-4]",
+            "tests/test_cli.py::test_run_on_a_dataset_with_a_repeated_row_fails_naming_its_key",
+            "tests/test_cli.py::test_run_on_a_dataset_whose_sessions_skip_a_number_fails_naming_the_file[bulk-path]",
+            "tests/test_cli.py::test_run_on_a_dataset_whose_sessions_skip_a_number_fails_naming_the_file[row-loop]",
+        ),
+    ),
+    Mutant(
+        "validation-error-shows-every-problem",
+        "errors.py",
+        '        shown = self.violations[:SHOWN_PROBLEMS] + [f"and {hidden} more"] * (hidden > 0)\n',
+        "        shown = self.violations\n",
+        ("tests/test_ingest.py::test_a_long_problem_list_shows_ten_problems_and_counts_the_rest",),
     ),
     Mutant(
         "column-mapping-lets-one-column-take-two-roles",

@@ -766,8 +766,23 @@ def test_run_on_a_dataset_with_a_repeated_row_fails_naming_its_key(tmp_path, cap
     config = write_config(tmp_path / "run.json", dataset={"path": str(dataset)})
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 1
-    key = "duplicate sample key (u000, session 1, #0)"
+    key = f"{dataset}: duplicate sample key (u000, session 1, #0)"
     assert capsys.readouterr().err == f"error: {key}; {key}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("user", ["u", '"u"'], ids=["bulk-path", "row-loop"])
+def test_run_on_a_dataset_whose_sessions_skip_a_number_fails_naming_the_file(
+    tmp_path, capsys, user
+):
+    dataset = tmp_path / "gap.csv"
+    dataset.write_text("user,session,rep,f1\n" + "".join(
+        f"{user},{session},{k},{k}.5\n" for k, session in enumerate((1, 2, 4, 4))
+    ))
+    config = write_config(tmp_path / "run.json", dataset={"path": str(dataset)})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {dataset}: session 3 of 4: no samples\n"
     assert not out.exists()
 
 

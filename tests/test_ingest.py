@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 from tubench import (
     CMU_KEYSTROKE,
     ColumnMapping,
-    Dataset,
     FormatError,
     SynthConfig,
     ValidationError,
@@ -20,7 +19,7 @@ from tubench import (
     write_dataset,
 )
 from tubench import ingest
-from tubench.ingest import _assemble, _read_bulk, _read_rows, read_table, write_table
+from tubench.ingest import _read_bulk, _read_rows, read_table, write_table
 from conftest import altered_child, assert_reaped_and_clean, dataset_of, in_process, make_sample
 
 
@@ -199,8 +198,8 @@ def test_dataset_problems_of_a_file_come_in_file_order(tmp_path):
     with pytest.raises(ValidationError) as raised:
         read_dataset(path)
     assert raised.value.violations == [
-        "sample (b, session 1, #0): non-finite feature value",
-        "sample (a, session 2, #0): non-finite feature value",
+        f"{path}: sample (b, session 1, #0): non-finite feature value",
+        f"{path}: sample (a, session 2, #0): non-finite feature value",
     ]
 
 
@@ -212,7 +211,7 @@ def test_a_repeated_key_is_a_validation_error_naming_it(tmp_path, user):
     for read in (read_dataset, _row_loop):
         with pytest.raises(ValidationError) as raised:
             read(path)
-        assert raised.value.violations == ["duplicate sample key (u, session 1, #0)"]
+        assert raised.value.violations == [f"{path}: duplicate sample key (u, session 1, #0)"]
 
 
 @pytest.mark.parametrize(
@@ -311,17 +310,19 @@ def _outcome(read):
 
 
 def _row_loop(path, mapping=ColumnMapping()):
-    return _assemble(path, mapping, *_read_rows(path, mapping))
+    """`read_dataset(path, mapping)` with the bulk path turned off, so the row loop reads."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_read_bulk", lambda path, mapping: None)
+        return read_dataset(path, mapping)
 
 
 def test_canonical_files_take_the_bulk_path(tmp_path):
     dataset = generate(SynthConfig(5, 3, 4, 7, drift_scale=0.1, seed=4))
     path = tmp_path / "data.csv"
     write_dataset(dataset, path)
-    columns = _read_bulk(path, ColumnMapping())
-    assert columns is not None
+    assert _read_bulk(path, ColumnMapping()) is not None
     expected = _outcome(lambda: _row_loop(path))
-    assert _outcome(lambda: _assemble(path, ColumnMapping(), *columns)) == expected
+    assert _outcome(lambda: read_dataset(path)) == expected
     # ids after the features, the last one ending its line
     lines = path.read_text().splitlines()
     moved = tmp_path / "moved.csv"
@@ -329,9 +330,8 @@ def test_canonical_files_take_the_bulk_path(tmp_path):
         ",".join(fields[3:] + [fields[2], fields[0], fields[1]]) + "\n"
         for fields in (line.split(",") for line in lines)
     ))
-    columns = _read_bulk(moved, ColumnMapping())
-    assert columns is not None
-    assert _outcome(lambda: _assemble(moved, ColumnMapping(), *columns)) == expected
+    assert _read_bulk(moved, ColumnMapping()) is not None
+    assert _outcome(lambda: read_dataset(moved)) == expected
     assert read_dataset(moved) == dataset
 
 
@@ -455,11 +455,8 @@ def test_bulk_path_reads_every_file_as_the_row_loop_does(tmp_path_factory, drawn
     path = tmp_path_factory.mktemp("differential") / "data.csv"
     path.write_text(text, encoding="utf-8", newline="")
     expected = _outcome(lambda: _row_loop(path, mapping))
-    columns = _read_bulk(path, mapping)
-    path_taken = "row loop" if columns is None else "bulk"
+    path_taken = "row loop" if _read_bulk(path, mapping) is None else "bulk"
     event(f"{path_taken}: {'error' if isinstance(expected[0], type) else 'dataset'}")
-    if columns is not None:
-        assert _outcome(lambda: _assemble(path, mapping, *columns)) == expected
     assert _outcome(lambda: read_dataset(path, mapping)) == expected
 
 
@@ -485,21 +482,34 @@ def test_integers_past_int64_name_the_file_row_and_column(tmp_path, column, valu
     "sessions, missing, last",
     [((1, 2000000000), 2, 2000000000), ((1, 2, 4), 3, 4), ((0, 1, 3), 2, 3), ((2, 3), 1, 3)],
 )
-def test_a_session_gap_names_the_first_missing_session(
-    tmp_path, monkeypatch, sessions, missing, last
-):
+def test_a_session_gap_names_the_first_missing_session(tmp_path, sessions, missing, last):
     path = tmp_path / "gap.csv"
     path.write_text(HEADER + "".join(f"u,{s},{k},1.0,2.0\n" for k, s in enumerate(sessions)))
-
-    def built(*args, **kwargs):
-        raise AssertionError("a dataset was built")
-
-    monkeypatch.setattr(Dataset, "from_columns", built)
+    # Dataset lists a row's own problems first, then a user without session 1, then the gap.
+    problems = [
+        f"sample (u, session {s}, #{k}): session outside [1, {last}]"
+        for k, s in enumerate(sessions) if s < 1
+    ] + ["user u: no session-1 samples (no enrollment material)"] * (1 not in sessions)
+    problems.append(f"session {missing} of {last}: no samples")
+    assert _read_bulk(path, ColumnMapping()) is not None
     for read in (read_dataset, _row_loop):
-        with pytest.raises(FormatError) as caught:
+        started = time.perf_counter()
+        with pytest.raises(ValidationError) as caught:
             read(path)
-        message = f"session {missing} has no rows, though session {last} has"
-        assert str(caught.value) == f"{path}: {message}"
+        # no per-session array is built: one over 2e9 sessions would take far longer
+        assert time.perf_counter() - started < 1.0
+        assert caught.value.violations == [f"{path}: {problem}" for problem in problems]
+
+
+def test_a_long_problem_list_shows_ten_problems_and_counts_the_rest(tmp_path):
+    path = tmp_path / "repeats.csv"
+    rows = "".join(f"u,{1 + k % 2},{k},1.0,2.0\n" for k in range(12))
+    path.write_text(HEADER + rows + rows)
+    with pytest.raises(ValidationError) as caught:
+        read_dataset(path)
+    problems = [f"{path}: duplicate sample key (u, session {1 + k % 2}, #{k})" for k in range(12)]
+    assert caught.value.violations == problems
+    assert str(caught.value) == "; ".join(problems[:10] + ["and 2 more"])
 
 
 def _lines(lo, hi):
@@ -726,7 +736,7 @@ def test_a_split_read_rejects_a_repeated_key(tmp_path, split_reads, row, line, k
     path.write_text("".join(lines))
     assert _read_bulk(path, ColumnMapping()) is not None
     outcome = _outcome(lambda: read_dataset(path))
-    assert outcome == (ValidationError, f"duplicate sample key {key}")
+    assert outcome == (ValidationError, f"{path}: duplicate sample key {key}")
     assert outcome == _outcome(lambda: _row_loop(path))
     assert len(split_reads) == 2
     assert_reaped_and_clean(tmp_path)
