@@ -112,8 +112,8 @@ def resolve_config(document: dict) -> dict:
     resolved = {name: _resolve(document.get(name), name, dict, {}) for name in sections}
 
     dataset, epsilon, update = resolved["dataset"], resolved["matcher"]["epsilon"], resolved["update"]
-    if dataset["synthetic"] is None and dataset["path"] is None:
-        raise _fail("dataset", "needs either a 'synthetic' section or a 'path'")
+    if (dataset["synthetic"] is None) == (dataset["path"] is None):
+        raise _fail("dataset", "needs exactly one of a 'synthetic' section and a 'path'")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise _fail("matcher.epsilon", "must be finite and > 0")
     if update["kind"] == StrategyKind.SELF_THRESHOLD.value and update["threshold"] is None:

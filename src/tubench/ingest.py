@@ -163,12 +163,18 @@ def write_table(path, header: list[str], rows=(), lines=None, count: int = 0) ->
             _write_lines(handle, Path(path), lines, count)
 
 
+def _repeated(names) -> str | None:
+    """The first name that occurs more than once in `names`, if any."""
+    return next((name for name, count in Counter(names).items() if count > 1), None)
+
+
 @dataclass(frozen=True)
 class ColumnMapping:
     """Where to find the identity, chronology, and feature columns.
 
     feature_columns None means "every column not otherwise claimed",
-    in header order.
+    in header order; otherwise it names one or more columns, each once,
+    none of them an id column.
     """
 
     user_column: str = "user"
@@ -179,39 +185,38 @@ class ColumnMapping:
     def __post_init__(self):
         check_fields(self)
         ids = (self.user_column, self.session_column, self.rep_column)
+        features, problems = self.feature_columns or (), []
         if len(set(ids)) < len(ids):
-            raise ValidationError(f"user_column, session_column and rep_column must differ, got {ids}")
+            problems.append(f"user_column, session_column and rep_column must differ, got {ids}")
+        if self.feature_columns == ():
+            problems.append("feature_columns must name at least one column, got ()")
+        repeated = _repeated(features)
+        if repeated is not None:
+            problems.append(f"feature_columns must name each column once, got {repeated!r} twice")
+        taken = next((name for name in features if name in ids), None)
+        if taken is not None:
+            problems.append(f"feature_columns must not name an id column, got {taken!r}")
+        if problems:
+            raise ValidationError(problems)
 
 
 #: Layout used by the public CMU keystroke benchmark files.
 CMU_KEYSTROKE = ColumnMapping("subject", "sessionIndex", "rep")
 
 
-def _repeated(names) -> str | None:
-    """The first name that occurs more than once in `names`, if any."""
-    return next((name for name, count in Counter(names).items() if count > 1), None)
-
-
 def _layout(path, header: list[str], mapping: ColumnMapping):
     """The header positions of the user, session and rep columns, the
-    feature names and their positions; a repeated, missing or absent
-    column is a FormatError naming the file."""
-    for names in (header, mapping.feature_columns or ()):
-        name = _repeated(names)
-        if name is not None:
-            raise FormatError(f"{path}: duplicate column '{name}'")
+    feature names and their positions; a repeated header column, a missing
+    column or no feature columns is a FormatError naming the file."""
+    name = _repeated(header)
+    if name is not None:
+        raise FormatError(f"{path}: duplicate column '{name}'")
     positions = {name: i for i, name in enumerate(header)}
     ids = (mapping.user_column, mapping.session_column, mapping.rep_column)
-    for name in ids:
+    feature_names = list(mapping.feature_columns or (name for name in header if name not in ids))
+    for name in (*ids, *feature_names):
         if name not in positions:
             raise FormatError(f"{path}: missing column '{name}'")
-    if mapping.feature_columns is None:
-        feature_names = [name for name in header if name not in ids]
-    else:
-        feature_names = list(mapping.feature_columns)
-        for name in feature_names:
-            if name not in positions:
-                raise FormatError(f"{path}: missing column '{name}'")
     if not feature_names:
         raise FormatError(f"{path}: no feature columns")
     feature_idx = [positions[name] for name in feature_names]

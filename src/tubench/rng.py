@@ -1,24 +1,24 @@
 """Deterministic 64-bit random primitives used throughout the bench.
 
-Everything that needs randomness derives a seed with :func:`mix64` and
-draws from a :class:`SplitMix64` stream, so every result depends only on
-the configured seeds, never on interpreter, platform, or scheduling
-state. Normal variates come from the Box-Muller transform, which keeps
-the generation algorithm portable and easy to re-derive.
+Everything that needs randomness derives its seeds with
+:func:`block_mix64` and draws from SplitMix64 streams, so every result
+depends only on the configured seeds, never on interpreter, platform, or
+scheduling state. Normal variates come from the Box-Muller transform,
+which keeps the generation algorithm portable and easy to re-derive.
 
-SplitMix64 is counter-based: word k of a stream is
-``_finalize(seed + k * gamma)``. So any block of words, of one stream
-or of many, is computed at once as a numpy ``uint64`` array
-(:func:`_finalize_words`), and the block functions below are bit-equal
-to drawing the same values one at a time:
+SplitMix64 is counter-based: word k (from 1) of the stream seeded s is
+``_finalize(s + k * gamma)``. So any block of words, of one stream or of
+many, is computed at once as a numpy ``uint64`` array
+(:func:`_finalize_words`). The bench draws in blocks only, bit-equal to
+the one-word-at-a-time oracle in ``tests/conftest.py``:
 
-- :func:`block_mix64` is :func:`mix64` over arrays of parts, such as
-  every (user, session) of a repeat;
-- :func:`block_randbelow` draws successive ``randbelow`` indices of many
+- :func:`block_mix64` hashes integer parts into a seed, in order
+  (``acc = _finalize(acc + gamma + part)`` from 0), over arrays of parts;
+- :func:`block_randbelow` draws successive indices below n of many
   streams, each with its own list of bounds, which :class:`BlockBounds`
   converts once for any number of blocks. An index is ``word % n``; a
-  stream that meets a word the scalar rejection would skip continues on
-  the scalar stream from that word on;
+  stream that meets a word at or above the largest multiple of n up to
+  2**64 rejects it and continues word by word from it on;
 - :func:`block_normals` draws a stream's normals. The transcendental
   step stays on libm through ``math``, because numpy's ``log``/``cos``/
   ``sin`` can differ from it in the last bit.
@@ -57,59 +57,16 @@ def _finalize_words(z: np.ndarray) -> np.ndarray:
 
 def _u64s(values) -> np.ndarray:
     """Integers (an int, or a sequence or array of them) masked to 64 bits
-    in Python, as `mix64` and `SplitMix64` mask them, then made a uint64
+    in Python, as SplitMix64's arithmetic wraps them, then made a uint64
     array of at least one dimension, so that numpy never sees a negative
     or oversized value and never computes on a numpy scalar."""
     return (np.atleast_1d(np.array(values, dtype=object)) & _MASK64).astype(_U64)
 
 
-def mix64(*parts: int) -> int:
-    """Hash any number of integers into one well-mixed 64-bit seed.
-
-    Order-sensitive, so mix64(a, b) != mix64(b, a) in general.
-    """
-    acc = 0
-    for part in parts:
-        acc = _finalize((acc + _GAMMA + (part & _MASK64)) & _MASK64)
-    return acc
-
-
-class SplitMix64:
-    """Seeded stream of 64-bit words with uniform, integer and shuffle helpers."""
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        return _finalize(self._state)
-
-    def random(self) -> float:
-        """Uniform float in [0, 1) with 53-bit resolution."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n) without modulo bias."""
-        if n <= 0:
-            raise ValueError("randbelow() requires n >= 1")
-        # Rejection sampling over the largest multiple of n below 2**64.
-        limit = (_MASK64 + 1) - ((_MASK64 + 1) % n)
-        while True:
-            value = self.next_u64()
-            if value < limit:
-                return value % n
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            items[i], items[j] = items[j], items[i]
-
-
 def block_mix64(*parts) -> np.ndarray:
-    """`mix64` elementwise over integer parts broadcast against each other,
-    as a uint64 array: ``block_mix64(base, repeat, users[:, None], sessions)``
-    holds ``mix64(base, repeat, user, session)`` at [user, session]."""
+    """Integer parts hashed into seeds, elementwise over parts broadcast
+    against each other, as a uint64 array: ``block_mix64(base, repeat,
+    users[:, None], sessions)`` at [user, session] seeds that session."""
     parts = np.broadcast_arrays(*map(_u64s, parts))
     acc = np.zeros(parts[0].shape, _U64)
     for part in parts:
@@ -131,18 +88,18 @@ class BlockBounds:
         self.starts = [end - length for end, length in zip(self.ends, self.lengths)]
         self.step = np.arange(1, self.n.size + 1, dtype=_U64)  # word number in its stream
         self.step -= np.repeat(self.starts, self.lengths).astype(_U64)
-        # The scalar limit is 2**64 - 2**64 % n, and 2**64 % n = ((2**64 - 1) % n + 1) % n.
+        # The rejection limit is 2**64 - 2**64 % n, and 2**64 % n = ((2**64 - 1) % n + 1) % n.
         self.highest = _U64(_MASK64) - (_U64(_MASK64) % self.n + _U64(1)) % self.n
 
 
 def block_randbelow(seeds, bounds: BlockBounds) -> list[list[int]]:
-    """Per stream i, successive ``SplitMix64(seeds[i]).randbelow(n)`` for n in `bounds.rows[i]`.
+    """Per stream i, successive indices below each n in `bounds.rows[i]`,
+    drawn from the SplitMix64 stream seeded ``seeds[i]``.
 
     The words of every stream are drawn as one block, and each index is
-    ``word % n``. A word at or above randbelow's rejection limit, the
-    largest multiple of n up to 2**64, would be skipped by the scalar
-    stream; a stream that draws one continues on the scalar SplitMix64
-    from that word on, so every index is exact.
+    ``word % n``. A stream that draws a word at or above the rejection
+    limit, the largest multiple of n up to 2**64, continues from that word
+    on through `_rejecting`, so every index is exact.
     """
     seeds = _u64s(seeds)
     words = _finalize_words(np.repeat(seeds, bounds.lengths) + _U64(_GAMMA) * bounds.step)
@@ -154,9 +111,21 @@ def block_randbelow(seeds, bounds: BlockBounds) -> list[list[int]]:
         if stream not in fallen:
             fallen.add(stream)
             skip = at - bounds.starts[stream]
-            rng = SplitMix64(int(seeds[stream]) + skip * _GAMMA)
-            rows[stream][skip:] = [rng.randbelow(int(m)) for m in bounds.rows[stream][skip:]]
+            state = int(seeds[stream]) + skip * _GAMMA
+            rows[stream][skip:] = _rejecting(state, bounds.rows[stream][skip:])
     return rows
+
+
+def _rejecting(state: int, bounds):
+    """From stream state `state` on, one index below n for each n in `bounds`:
+    the first word below the largest multiple of n up to 2**64, modulo n."""
+    for n in map(int, bounds):
+        limit = (_MASK64 + 1) - (_MASK64 + 1) % n
+        word = limit
+        while word >= limit:
+            state = (state + _GAMMA) & _MASK64
+            word = _finalize(state)
+        yield word % n
 
 
 def block_normals(seed: int, count: int) -> np.ndarray:

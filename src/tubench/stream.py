@@ -11,10 +11,10 @@ query position. Genuine rows, and the impostor rows of the random local
 orders, are fixed when the session is planned. A run lays out each
 session once (`session_layouts`): its genuine rows, its impostor count,
 its impostor pool as a cut of a shared candidate array, and the bounds
-of its `randbelow` draws from the SplitMix64 stream of its seed: the
+of its index draws from the SplitMix64 stream of its seed: the
 genuine shuffle, the label shuffle, then the random impostor draws in
 position order. A run draws the indices of many sessions in one block
-(`rng.block_randbelow`, bit-equal to the scalar stream), and
+(`rng.block_randbelow`, bit-equal to one draw at a time), and
 `plan_session` applies one session's indices with list swaps and pops.
 The closest-* orders consult the evolving reference: `plan_rows`
 chooses the impostors of the positions from a stream's cursor on against
@@ -211,7 +211,7 @@ def plan_session(layout: SessionLayout, indices) -> StreamState:
 
 
 def _shuffle(items: list, draws) -> None:
-    """`SplitMix64.shuffle`, Fisher-Yates, with its `randbelow` indices taken from `draws`."""
+    """Fisher-Yates: each position i, from the last down, swaps with the next j <= i of `draws`."""
     for i, j in zip(range(len(items) - 1, 0, -1), draws):
         items[i], items[j] = items[j], items[i]
 

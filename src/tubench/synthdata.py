@@ -4,11 +4,11 @@ Each user gets a fixed base vector and a fixed per-user drift vector;
 session i samples scatter around base + (i - 1) * drift. Linear drift is
 the simplest ageing model that makes a frozen reference degrade across
 sessions. Generation is fully determined by the seed via per-user
-SplitMix64 streams, independent of iteration order.
+SplitMix64 streams, seeded in one block, independent of iteration order.
 
 Each user's d * (2 + sessions * samples) normals are drawn as one block
 (base, then drift, then each sample's noise in chronological order),
-bit-equal to drawing them one at a time from the scalar Box-Muller
+bit-equal to drawing them one at a time from a Box-Muller
 stream, and the features are formed with whole-matrix operations that
 perform the same IEEE operation on every element as a per-sample loop.
 """
@@ -23,7 +23,7 @@ import numpy as np
 from .core import Dataset, check_fields, shown
 from .errors import ValidationError
 from .ingest import split_work
-from .rng import block_normals, mix64
+from .rng import block_mix64, block_normals
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,11 @@ def generate(config: SynthConfig) -> Dataset:
     per_user = sessions * per_session
     elapsed = np.arange(sessions, dtype=float)[:, None]  # session - 1
     features = np.empty((config.num_users, sessions, per_session, d))
+    seeds = block_mix64(config.seed, np.arange(config.num_users)).tolist()
 
     def draw(users: range) -> np.ndarray:
         for user_index in users:
-            normals = block_normals(mix64(config.seed, user_index), d * (2 + per_user))
+            normals = block_normals(seeds[user_index], d * (2 + per_user))
             base = config.base_spread * normals[:d]
             drift = config.drift_scale * normals[d : 2 * d]
             ageing = base + elapsed * drift

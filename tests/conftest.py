@@ -10,9 +10,62 @@ from tubench import (
     Dataset, Label, LocalOrder, Sample, ScoreLog, centered_score, ingest, plan_session,
     session_layouts, synthdata,
 )
-from tubench.rng import SplitMix64
 
 LOG_COLUMNS = ("repeat", "session", "target", "source", "raw", "centered", "applied")
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def finalize64(z):
+    """SplitMix64's output mix of one 64-bit state."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def mix64(*parts):
+    """Hash any number of integers into one 64-bit seed, one part at a
+    time: the scalar oracle of `rng.block_mix64`. Order-sensitive, so
+    mix64(a, b) != mix64(b, a) in general."""
+    acc = 0
+    for part in parts:
+        acc = finalize64((acc + GAMMA + (part & MASK64)) & MASK64)
+    return acc
+
+
+class SplitMix64:
+    """A seeded stream of 64-bit words, drawn one at a time, with uniform,
+    integer and shuffle helpers. The scalar oracle of `rng.block_randbelow`,
+    of `rng.block_normals` (through `random`) and of `stream._shuffle`,
+    and the tests' own scalar RNG. It shares no code with `tubench.rng`."""
+
+    def __init__(self, seed):
+        self._state = seed & MASK64
+
+    def next_u64(self):
+        self._state = (self._state + GAMMA) & MASK64
+        return finalize64(self._state)
+
+    def random(self):
+        """Uniform float in [0, 1) with 53-bit resolution."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def randbelow(self, n):
+        """Uniform integer in [0, n) without modulo bias."""
+        if n <= 0:
+            raise ValueError("randbelow() requires n >= 1")
+        # Rejection sampling over the largest multiple of n below 2**64.
+        limit = (MASK64 + 1) - ((MASK64 + 1) % n)
+        while True:
+            value = self.next_u64()
+            if value < limit:
+                return value % n
+
+    def shuffle(self, items):
+        """In-place Fisher-Yates shuffle."""
+        for i in range(len(items) - 1, 0, -1):
+            j = self.randbelow(i + 1)
+            items[i], items[j] = items[j], items[i]
 
 
 def fast_oracle_eer(genuine, impostor):

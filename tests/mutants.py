@@ -4,9 +4,10 @@ Each mutant is one exact edit of one file under `src/tubench/` and the
 tier-1 test ids that must fail under it. For each mutant the script
 copies `src/`, `tests/`, `perfbench/`, `pyproject.toml` and `README.md`
 into a temporary directory, applies the edit there, and runs only the
-listed tests against that copy. The script fails if an edit no longer
-applies (its text is not found exactly once in the file) or if a mutant
-survives (one of its listed tests passes).
+listed tests against that copy. Two mutants run at a time, each in its
+own copy, and the results print in `MUTANTS` order. The script fails if an
+edit no longer applies (its text is not found exactly once in the file) or
+if a mutant survives (one of its listed tests passes).
 
 Run from anywhere, by hand or in CI:
 
@@ -24,11 +25,13 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "perfbench", "pyproject.toml", "README.md")
+PARALLEL = 2  # mutants run at a time
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,17 @@ MUTANTS = (
         ("tests/test_stream.py::test_closest_impostor_selects_nearest_user_first",),
     ),
     Mutant(
+        "closest-impostor-ranks-users-farthest-first",
+        "stream.py",
+        "            users = np.lexsort((np.fmin.reduceat(scores, starts), ~current))[:count]\n",
+        "            users = np.lexsort((-np.fmin.reduceat(scores, starts), ~current))[:count]\n",
+        (
+            "tests/test_acceptance.py::test_the_local_order_decides_whether_self_update_beats_no_update[closest_impostor]",
+            "tests/test_stream.py::test_closest_impostor_selects_nearest_user_first",
+            "tests/test_stream.py::test_row_pool_draws_match_the_reference_loops[grid]",
+        ),
+    ),
+    Mutant(
         "block-normals-swap-cosine-and-sine",
         "rng.py",
         "    out[0::2] = radius * np.fromiter(map(math.cos, theta), np.float64, pairs)\n"
@@ -111,6 +125,16 @@ MUTANTS = (
         "    out[0::2] = radius * np.fromiter(map(math.sin, theta), np.float64, pairs)\n"
         "    out[1::2] = radius * np.fromiter(map(math.cos, theta), np.float64, pairs)\n",
         ("tests/test_synthdata.py::test_block_normals_equal_the_scalar_stream_bitwise",),
+    ),
+    Mutant(
+        "randbelow-fallback-never-rejects",
+        "rng.py",
+        "        limit = (_MASK64 + 1) - (_MASK64 + 1) % n\n",
+        "        limit = _MASK64 + 1\n",
+        (
+            "tests/test_rng.py::test_block_randbelow_equals_successive_scalar_draws",
+            "tests/test_rng.py::test_block_randbelow_falls_back_to_the_scalar_stream_mid_row",
+        ),
     ),
     Mutant(
         "scores-multiply-by-the-reciprocal-of-d",
@@ -238,6 +262,48 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "column-mapping-takes-no-feature-columns",
+        "ingest.py",
+        "        if self.feature_columns == ():\n",
+        "        if False:\n",
+        (
+            "tests/test_ingest.py::test_a_column_mapping_names_each_feature_column_once_and_no_id_column[empty]",
+            "tests/test_cli.py::test_a_mapping_with_bad_feature_columns_fails_before_the_file_is_read[empty]",
+        ),
+    ),
+    Mutant(
+        "column-mapping-repeats-a-feature-column",
+        "ingest.py",
+        "        if repeated is not None:\n",
+        "        if False:\n",
+        (
+            "tests/test_ingest.py::test_a_column_mapping_names_each_feature_column_once_and_no_id_column[repeated-feature]",
+            "tests/test_ingest.py::test_a_column_mapping_names_each_feature_column_once_and_no_id_column[every-problem-at-once]",
+            "tests/test_cli.py::test_a_mapping_with_bad_feature_columns_fails_before_the_file_is_read[repeated]",
+        ),
+    ),
+    Mutant(
+        "column-mapping-reads-an-id-column-as-a-feature",
+        "ingest.py",
+        "        if taken is not None:\n",
+        "        if False:\n",
+        (
+            "tests/test_ingest.py::test_a_column_mapping_names_each_feature_column_once_and_no_id_column[id-column-as-feature]",
+            "tests/test_ingest.py::test_a_column_mapping_names_each_feature_column_once_and_no_id_column[every-problem-at-once]",
+            "tests/test_cli.py::test_a_mapping_with_bad_feature_columns_fails_before_the_file_is_read[id-column]",
+        ),
+    ),
+    Mutant(
+        "dataset-section-takes-two-sources",
+        "cli.py",
+        '    if (dataset["synthetic"] is None) == (dataset["path"] is None):\n',
+        '    if dataset["synthetic"] is None and dataset["path"] is None:\n',
+        (
+            "tests/test_cli.py::test_a_dataset_section_with_two_sources_fails_naming_the_section[generate]",
+            "tests/test_cli.py::test_a_dataset_section_with_two_sources_fails_naming_the_section[run]",
+        ),
+    ),
+    Mutant(
         "run-writes-scores-before-the-metrics",
         "cli.py",
         "    eers = session_eers(log)\n",
@@ -268,10 +334,30 @@ def survivors(copy: Path, mutant: Mutant) -> list[str]:
          *mutant.tests],
         cwd=copy, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, check=False,
     ).stdout.splitlines()
-    failed = [line.split()[1] for line in lines if line.startswith(("FAILED ", "ERROR "))]
+    failed = [line.split(" ", 1)[1] for line in lines if line.startswith(("FAILED ", "ERROR "))]
     if not failed and not any(" passed" in line for line in lines):
         return [f"no test ran: {lines[-1] if lines else 'no output'}"]
     return [test for test in mutant.tests if not any(f.startswith(test) for f in failed)]
+
+
+def run(mutant: Mutant) -> tuple[str | None, float]:
+    """Apply `mutant` in a fresh copy of the tree and run its tests: a problem
+    message, or None when it is killed, and the seconds it took."""
+    started = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="tubench-mutant-") as temporary:
+        copy = Path(temporary)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, copy / name,
+                                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            else:
+                shutil.copy2(source, copy / name)
+        problem = mutate(copy, mutant)
+        if problem is None:
+            alive = survivors(copy, mutant)
+            problem = f"survives {', '.join(alive)}" if alive else None
+    return problem, time.perf_counter() - started
 
 
 def main(argv=None) -> int:
@@ -281,28 +367,13 @@ def main(argv=None) -> int:
     unknown = sorted(set(names) - {mutant.name for mutant in MUTANTS})
     if unknown:
         parser.error(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [mutant for mutant in MUTANTS if not names or mutant.name in names]
     problems = 0
-    for mutant in MUTANTS:
-        if names and mutant.name not in names:
-            continue
-        started = time.perf_counter()
-        with tempfile.TemporaryDirectory(prefix="tubench-mutant-") as temporary:
-            copy = Path(temporary)
-            for name in COPIED:
-                source = ROOT / name
-                if source.is_dir():
-                    shutil.copytree(source, copy / name,
-                                    ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-                else:
-                    shutil.copy2(source, copy / name)
-            problem = mutate(copy, mutant)
-            if problem is None:
-                alive = survivors(copy, mutant)
-                problem = f"survives {', '.join(alive)}" if alive else None
-        seconds = time.perf_counter() - started
-        print(f"{'killed' if problem is None else 'FAILED'}  {mutant.name}  ({seconds:.1f} s)"
-              + (f": {problem}" if problem else ""), flush=True)
-        problems += problem is not None
+    with ThreadPoolExecutor(PARALLEL) as pool:
+        for mutant, (problem, seconds) in zip(chosen, pool.map(run, chosen)):
+            print(f"{'killed' if problem is None else 'FAILED'}  {mutant.name}  ({seconds:.1f} s)"
+                  + (f": {problem}" if problem else ""), flush=True)
+            problems += problem is not None
     print(f"{problems} problem(s)" if problems else "every mutant killed")
     return 1 if problems else 0
 

@@ -1,6 +1,6 @@
 """Acceptance suite: one test per exit criterion, at stated tolerances.
 
-The qualitative-reproduction tests share two module-scoped run sets so
+The qualitative-reproduction tests share module-scoped run sets so
 the whole module stays inside its runtime budget. Every test prints one
 ``[acceptance] <name>: PASS/FAIL`` line.
 """
@@ -715,6 +715,96 @@ def test_impostor_first_against_genuine_first_at_the_operating_threshold(
         + f"; impostor updates {impostor_updates} in 40 runs",
     )
     assert ok, (impostor_updates, levels)
+
+
+# --- criterion 10: the local order reverses "self-update beats no update" -------
+
+#: Fixed before any comparison: the acceptance generator at the first 20 dataset
+#: seeds, online, ratio 0.3, random global order, unbounded gallery, base seed
+#: 1234, two repeats, self-threshold at the committed operating threshold (12,
+#: not re-derived per dataset seed) against no update.
+REVERSAL_SEEDS = tuple(range(1, 21))
+REVERSAL_REPEATS = 2
+REVERSAL_THRESHOLD = 12
+#: Measured verdicts of self-threshold against no update, per local order and scheme.
+REVERSAL_VERDICTS = {
+    LocalOrder.TOTALLY_RANDOM: {"per-session": "better", "pooled": "better"},
+    LocalOrder.CLOSEST_IMPOSTOR: {"per-session": "worse", "pooled": "unresolved"},
+}
+
+
+def _verdict(wins, losses):
+    """How self-update compares with no update over the dataset seeds."""
+    if sign_test_p(wins, losses) >= 0.05:
+        return "unresolved"
+    return "better" if wins > losses else "worse"
+
+
+@pytest.fixture(scope="module", params=list(REVERSAL_VERDICTS), ids=lambda order: order.value)
+def reversal_runs(request):
+    """For one local order, per dataset seed and system, the mean over repeats of
+    the per-session EER averaged over sessions 2-8, and of the pooled EER."""
+    stream = StreamConfig(
+        impostor_ratio=0.30, global_order=GlobalOrder.RANDOM,
+        local_order=request.param, respect_chronology=True,
+    )
+    systems = {
+        "self": UpdateStrategy(StrategyKind.SELF_THRESHOLD, REVERSAL_THRESHOLD),
+        "none": UpdateStrategy(StrategyKind.NONE),
+    }
+    means = {}
+    for seed in REVERSAL_SEEDS:
+        dataset = generate(SynthConfig(
+            num_users=20, num_sessions=8, samples_per_session=20, dimension=10,
+            base_spread=1.0, drift_scale=0.08, noise_scale=0.15, seed=seed,
+        ))
+        for name, strategy in systems.items():
+            config = ExperimentConfig(
+                Mode.ONLINE, stream, strategy, REVERSAL_REPEATS, PRIMARY_BASE_SEED
+            )
+            eers = session_eers(run_experiment(dataset, config).log)
+            means[seed, name] = {
+                "per-session": float(np.mean(compute_scheme(Scheme.PER_SESSION, eers))),
+                "pooled": float(np.mean(compute_scheme(Scheme.POOLED, eers))),
+            }
+    return request.param, means
+
+
+def test_the_local_order_decides_whether_self_update_beats_no_update(reversal_runs):
+    """The paper's claim that evaluation procedures can contradict each other.
+
+    Over dataset seeds 1-20, paired by seed, judged by the exact two-sided
+    sign test (lower EER wins, `_tally`'s tie rule). Measured:
+
+    - `totally_random`: self is better at 20 of 20 seeds, per-session and
+      pooled (p = 1.9e-6 each);
+    - `closest_impostor`: self is better at 3 and worse at 16, with 1 tie,
+      per-session (p = 0.0044); pooled it is better at 14 and worse at 6
+      (p = 0.115), unresolved.
+
+    So the local order alone reverses "self-update beats no update" under
+    per-session EER, and under `closest_impostor` the per-session and
+    pooled presentations disagree. At noise 0.6 the reversal is gone (see
+    README), so this is a property of this regime, not of self-update.
+    """
+    local_order, means = reversal_runs
+    tallies = {
+        scheme: _tally(
+            (means[seed, "self"][scheme], means[seed, "none"][scheme]) for seed in REVERSAL_SEEDS
+        )
+        for scheme in REVERSAL_VERDICTS[local_order]
+    }
+    verdicts = {scheme: _verdict(w, l) for scheme, (w, l, _) in tallies.items()}
+    ok = verdicts == REVERSAL_VERDICTS[local_order]
+    announce(
+        f"local-order-reversal/{local_order.value}", ok,
+        "; ".join(
+            f"{scheme}: self better/worse/tied {w}/{l}/{t} sign p={sign_test_p(w, l):.2g}"
+            f" -> {verdicts[scheme]}"
+            for scheme, (w, l, t) in tallies.items()
+        ),
+    )
+    assert ok, (verdicts, tallies)
 
 
 # --- criterion 9: end-to-end determinism ---------------------------------------

@@ -415,7 +415,7 @@ SCRIPTED_ALONE = "stream: scripted: a label sequence goes with the scripted glob
     "patch, line",
     [
         ({"dataset": {"synthetic": None}},
-         "dataset: needs either a 'synthetic' section or a 'path'"),
+         "dataset: needs exactly one of a 'synthetic' section and a 'path'"),
         ({"update": {"threshold": None}}, "update.threshold: required for self_threshold updating"),
         ({"evaluation": {"repeats": 0}}, "evaluation: repeats must be >= 1, got 0"),
         ({"stream": {"scripted": ["impostor"]}}, SCRIPTED_ALONE),
@@ -805,6 +805,51 @@ def test_a_mapping_that_gives_one_column_two_roles_fails_before_the_file_is_read
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "features, problem",
+    [
+        ([], "must name at least one column, got ()"),
+        (["f1", "f1"], "must name each column once, got 'f1' twice"),
+        (["session", "f1"], "must not name an id column, got 'session'"),
+    ],
+    ids=["empty", "repeated", "id-column"],
+)
+def test_a_mapping_with_bad_feature_columns_fails_before_the_file_is_read(
+    tmp_path, capsys, monkeypatch, features, problem
+):
+    calls = []
+    monkeypatch.setattr("tubench.cli.read_dataset", lambda *args: calls.append(args))
+    config = write_config(
+        tmp_path / "run.json",
+        dataset={"path": str(tmp_path / "data.csv"), "mapping": {"feature_columns": features}},
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: dataset.mapping: feature_columns {problem}\n"
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "run"])
+def test_a_dataset_section_with_two_sources_fails_naming_the_section(
+    tmp_path, capsys, monkeypatch, command
+):
+    # Before this was an error, a run used the synthetic section and its
+    # manifest recorded the path it never read.
+    calls = []
+    monkeypatch.setattr("tubench.cli.read_dataset", lambda *args: calls.append(args))
+    config = write_config(
+        tmp_path / "both.json", patch={"dataset": {"path": str(tmp_path / "never_read.csv")}}
+    )
+    out = tmp_path / ("data.csv" if command == "generate" else "out")
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: dataset: needs exactly one of a 'synthetic' section and a 'path'\n"
+    )
+    assert calls == []
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_run_computes_each_eer_once_from_one_log(tmp_path, monkeypatch):
     calls = {"eer": 0, "log": 0}
     eer, build_log = metrics.eer, ScoreLog.__post_init__
@@ -976,7 +1021,9 @@ def test_resolve_config_is_idempotent(document):
     evaluation = document.get("evaluation") or {}
     if evaluation.get("schemes"):
         evaluation["schemes"] = list(dict.fromkeys(evaluation["schemes"]))
-    if dataset.get("synthetic") is None and dataset.get("path") is None:
+    if dataset.get("synthetic") is not None:
+        dataset.pop("path", None)
+    elif dataset.get("path") is None:
         dataset["path"] = "data.csv"
     assume(update.get("kind") != "self_threshold" or update.get("threshold") is not None)
     stream = document["stream"]

@@ -33,10 +33,11 @@ from tubench import (
 )
 from tubench import evaluator, stream as stream_module
 from tubench.matcher import ReferenceLanes
-from tubench.rng import mix64
 from tubench.stream import CLOSEST, session_layouts
 from tubench.synthdata import SynthConfig, generate
-from conftest import center, dataset_of, log_columns, log_of, log_rows, make_sample, planned
+from conftest import (
+    center, dataset_of, log_columns, log_of, log_rows, make_sample, mix64, planned,
+)
 
 SCRIPTED = (Label.GENUINE, Label.IMPOSTOR)
 

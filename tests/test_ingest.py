@@ -231,6 +231,34 @@ def test_a_column_mapping_gives_each_id_role_its_own_column(roles, shown):
     ]
 
 
+@pytest.mark.parametrize(
+    "fields, problems",
+    [
+        ({"feature_columns": ()}, ["feature_columns must name at least one column, got ()"]),
+        ({"feature_columns": ("f1", "f1")},
+         ["feature_columns must name each column once, got 'f1' twice"]),
+        ({"feature_columns": ("session", "f1")},
+         ["feature_columns must not name an id column, got 'session'"]),
+        ({"rep_column": "session", "feature_columns": ("f1", "user", "f1")}, [
+            "user_column, session_column and rep_column must differ,"
+            " got ('user', 'session', 'session')",
+            "feature_columns must name each column once, got 'f1' twice",
+            "feature_columns must not name an id column, got 'user'",
+        ]),
+    ],
+    ids=["empty", "repeated-feature", "id-column-as-feature", "every-problem-at-once"],
+)
+def test_a_column_mapping_names_each_feature_column_once_and_no_id_column(
+    tmp_path, fields, problems
+):
+    # Before the mapping rejected it, ("session", "f1") read the session number as feature 1.
+    path = tmp_path / "data.csv"
+    path.write_text(HEADER + ROWS)
+    with pytest.raises(ValidationError) as raised:
+        read_dataset(path, ColumnMapping(**fields))
+    assert raised.value.violations == problems
+
+
 def test_dataset_invariant_violations_propagate(tmp_path):
     path = tmp_path / "orphan.csv"
     write_table(
@@ -272,7 +300,6 @@ ROWS = "u,1,0,1.0,2.0\nu,2,1,3.0,4.0\n"
         ("\ufeff" + HEADER + ROWS, None, "missing column 'user'"),
         ("user,session,rep,f1,f1\nu,1,0,8.0,9.0\n", None, "duplicate column 'f1'"),
         ("user,session,rep,f1,user\na,1,0,1.0,y\n", None, "duplicate column 'user'"),
-        (HEADER + ROWS, ColumnMapping(feature_columns=("f1", "f1")), "duplicate column 'f1'"),
         ("", None, "empty file"),
         (HEADER, None, "no data rows"),
     ],
@@ -280,7 +307,7 @@ ROWS = "u,1,0,1.0,2.0\nu,2,1,3.0,4.0\n"
         "short row", "long row", "blank middle line", "trailing blank line",
         "non-integer session", "non-integer rep", "non-numeric feature", "no feature columns",
         "missing mapped feature", "not UTF-8", "UTF-8 BOM header", "repeated feature column",
-        "repeated user column", "repeated mapped feature", "empty file", "no data rows",
+        "repeated user column", "empty file", "no data rows",
     ],
 )
 def test_read_dataset_error_texts(tmp_path, content, mapping, message):

@@ -23,8 +23,9 @@ from tubench import (
     refresh_statistics,
 )
 from tubench import matcher
-from tubench.rng import SplitMix64
-from conftest import ListFifo, center, gallery_statistics, make_sample, single_raw_score
+from conftest import (
+    ListFifo, SplitMix64, center, gallery_statistics, make_sample, single_raw_score,
+)
 
 
 def brute_stats(vectors, eps=EPSILON):

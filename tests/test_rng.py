@@ -4,24 +4,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tubench.rng import BlockBounds, SplitMix64, block_mix64, block_normals, block_randbelow, mix64
+from tubench.rng import BlockBounds, block_mix64, block_normals, block_randbelow
+from tubench.stream import _shuffle
+from conftest import SplitMix64, mix64
 
-WIDE = st.integers(-(2**70), 2**70)  # masked to 64 bits, as mix64 and SplitMix64 mask
+WIDE = st.integers(-(2**70), 2**70)  # masked to 64 bits, as 64-bit arithmetic wraps them
 HALF_REJECTED = 2**63 + 1  # randbelow's limit is 2**63 + 1: about half of all words fail it
 BOUNDS = st.one_of(
     st.sampled_from([1, 2, HALF_REJECTED, 2**64 - 1]), st.integers(1, 40), st.integers(1, 2**64 - 1)
 )
 
 
-def test_mix64_is_deterministic_and_order_sensitive():
-    assert mix64(1, 2, 3) == mix64(1, 2, 3)
-    assert mix64(1, 2) != mix64(2, 1)
-    assert mix64(0) != mix64(0, 0)
-    seen = {mix64(a, b) for a in range(20) for b in range(20)}
+def test_block_mix64_is_deterministic_and_order_sensitive():
+    assert block_mix64(1, 2, 3) == block_mix64(1, 2, 3)
+    assert block_mix64(1, 2) != block_mix64(2, 1)
+    assert block_mix64(0) != block_mix64(0, 0)
+    seen = set(block_mix64(np.arange(20)[:, None], np.arange(20)).ravel().tolist())
     assert len(seen) == 400
 
 
 def test_streams_with_same_seed_are_identical():
+    a, b, c = block_randbelow([123, 123, 124], BlockBounds([[2**64 - 1] * 50] * 3))
+    assert a == b
+    assert a[0] != c[0]
     a, b = SplitMix64(123), SplitMix64(123)
     assert [a.next_u64() for _ in range(50)] == [b.next_u64() for _ in range(50)]
     assert SplitMix64(124).next_u64() != SplitMix64(123).next_u64()
@@ -35,23 +40,25 @@ def test_random_is_in_unit_interval():
 
 
 def test_randbelow_bounds_and_rough_uniformity():
-    stream = SplitMix64(9)
-    counts = [0] * 7
-    for _ in range(7000):
-        value = stream.randbelow(7)
-        counts[value] += 1
+    (values,) = block_randbelow([9], BlockBounds([[7] * 7000]))
+    counts = [values.count(value) for value in range(7)]
+    assert sum(counts) == 7000
     assert min(counts) > 800  # each bucket near 1000
     with pytest.raises(ValueError):
-        stream.randbelow(0)
+        BlockBounds([[0]])
+    with pytest.raises(ValueError):
+        SplitMix64(9).randbelow(0)
 
 
 def test_shuffle_is_a_permutation():
-    stream = SplitMix64(2)
     items = list(range(30))
-    shuffled = items[:]
-    stream.shuffle(shuffled)
+    shuffled, expected = items[:], items[:]
+    (draws,) = block_randbelow([2], BlockBounds([range(30, 1, -1)]))
+    _shuffle(shuffled, draws)
     assert sorted(shuffled) == items
     assert shuffled != items  # astronomically unlikely to be identity
+    SplitMix64(2).shuffle(expected)
+    assert shuffled == expected
 
 
 def test_normals_have_standard_moments():

@@ -22,9 +22,8 @@ from tubench import (
     plan_session,
     session_layouts,
 )
-from tubench.rng import SplitMix64
 from tubench.stream import CLOSEST, _popped, plan_rows
-from conftest import MaskedPool, dataset_of, make_sample, planned
+from conftest import MaskedPool, SplitMix64, dataset_of, make_sample, planned
 
 
 def grid_dataset(num_users=4, sessions=3, per_session=7, spacing=10.0):

@@ -15,8 +15,10 @@ from tubench import (
     write_dataset,
 )
 from tubench import ingest, synthdata
-from tubench.rng import SplitMix64, block_normals, mix64
-from conftest import altered_child, assert_reaped_and_clean, dataset_of, in_process
+from tubench.rng import block_normals
+from conftest import (
+    SplitMix64, altered_child, assert_reaped_and_clean, dataset_of, in_process, mix64,
+)
 
 
 class ScalarNormals:

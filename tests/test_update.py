@@ -15,9 +15,8 @@ from tubench import (
     impostor_inclusion,
     maybe_update,
 )
-from tubench.rng import SplitMix64
 from tubench.update import accepts
-from conftest import dataset_of, gallery_statistics, make_sample
+from conftest import SplitMix64, dataset_of, gallery_statistics, make_sample
 
 
 ENROLLMENT = ((0.0, 0.0), (2.0, 2.0), (4.0, 4.0))
