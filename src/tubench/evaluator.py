@@ -10,14 +10,15 @@ applied update are rescored, with one call for all the lanes an update
 round changed.
 
 Online, each query's score against the reference it meets is logged and
-drives the update decision, and closest-* orders re-plan their impostors
-after each update. Offline, the logged scores are the session-start
-scores against the frozen reference, and the same queries are replayed
-for the update decisions. Session 2 is consumed for update only (so
-offline runs yield one fewer per-session measure), and only it re-plans
-closest-* impostors. Under a score-free rule (`none`, or a threshold of
-+inf), an offline session that re-plans nothing applies its accepted
-rows as one FIFO batch.
+drives the update decision. A closest-* stream re-plans its impostors
+only when it reaches an impostor slot with a reference that an update
+has changed since its last plan. Offline, the logged scores are the
+session-start scores against the frozen reference, and the same queries
+are replayed for the update decisions. Session 2 is consumed for update
+only (so offline runs yield one fewer per-session measure), and only it
+re-plans closest-* impostors. Under a score-free rule (`none`, or a
+threshold of +inf), an offline session that re-plans nothing applies its
+accepted rows as one FIFO batch.
 """
 
 from __future__ import annotations
@@ -85,10 +86,12 @@ def _present(lanes, dataset, states, rows, valid, strategy, replan, frozen):
     where `valid`; returns each query's raw and centered score and whether
     it updated its lane. Each round appends every lane's first accepted
     query from its cursor on, then refreshes and rescores the hit lanes in
-    one call each, after a `replan` (closest-*) lane moves its cursor on
-    and re-plans the rest. A `frozen` (offline) presentation returns
-    the session-start scores; if it re-plans nothing under a score-free
-    rule, each lane's accepted rows enter as one FIFO batch, one refresh."""
+    one call each. An update leaves a `replan` (closest-*) lane stale from
+    its next impostor slot; a round in which it accepts nothing before the
+    slot first re-plans and rescores it from there. A `frozen` (offline)
+    presentation returns the session-start scores; if it re-plans nothing
+    under a score-free rule, each lane's accepted rows enter as one FIFO
+    batch, one refresh."""
     rows[valid] = np.concatenate([plan_rows(state, lanes, lane)
                                   for lane, state in enumerate(states)])
     impostor = np.zeros(valid.shape, dtype=bool)
@@ -107,10 +110,28 @@ def _present(lanes, dataset, states, rows, valid, strategy, replan, frozen):
     applied = np.zeros(valid.shape, dtype=bool)
     cursor = np.zeros(len(states), dtype=np.intp)
     positions = np.arange(valid.shape[1])
+    stale = np.full(len(states), positions.size)  # first row planned for an older reference
     live = np.arange(len(states))  # the lanes whose scores changed last round
+
+    def rescore(which):
+        later = positions >= cursor[which, None]
+        for scored, rescored in zip((raw, centered), lanes.scores(queries[which], which)):
+            scored[which] = np.where(later, rescored, scored[which])
+
     while True:
         accepted = accepts(strategy, centered[live], impostor[live])
         accepted &= valid[live] & (positions >= cursor[live, None])
+        if replan:  # a lane that accepts nothing before its stale rows re-plans them
+            reached = live[~(accepted & (positions < stale[live, None])).any(axis=1)]
+            if (reached := reached[stale[reached] < positions.size]).size:
+                for lane in reached.tolist():
+                    states[lane].cursor = done = int(stale[lane])
+                    end = states[lane].rows.size
+                    rows[lane, done:end] = plan_rows(states[lane], lanes, lane)
+                    queries[lane, done:end] = dataset.feature_matrix[rows[lane, done:end]]
+                rescore(reached)
+                stale[reached] = positions.size
+                continue  # and reads the round's acceptance again
         first = accepted.argmax(axis=1)
         hit = accepted[np.arange(live.size), first]
         live, first = live[hit], first[hit]
@@ -121,15 +142,10 @@ def _present(lanes, dataset, states, rows, valid, strategy, replan, frozen):
         for lane, position in zip(live.tolist(), first.tolist()):
             lanes.extend(lane, queries[lane, position : position + 1])
         lanes.refresh(live)
-        if replan:
-            for lane, done in zip(live.tolist(), cursor[live].tolist()):
-                end = states[lane].rows.size
-                states[lane].cursor = done
-                rows[lane, done:end] = plan_rows(states[lane], lanes, lane)
-                queries[lane, done:end] = dataset.feature_matrix[rows[lane, done:end]]
-        later = positions >= cursor[live, None]
-        for scored, rescored in zip((raw, centered), lanes.scores(queries[live], live)):
-            scored[live] = np.where(later, rescored, scored[live])
+        if replan:  # the rows from each updated lane's next impostor slot go stale
+            ahead = impostor[live] & (positions >= cursor[live, None])
+            stale[live] = np.where(ahead.any(axis=1), ahead.argmax(axis=1), positions.size)
+        rescore(live)
     return (*scores, applied)
 
 

@@ -18,13 +18,16 @@ position order. A run draws the indices of many sessions in one block
 `plan_session` applies one session's indices with list swaps and pops.
 The closest-* orders consult the evolving reference: `plan_rows`
 chooses the impostors of the positions from a stream's cursor on against
-a given reference lane, so a caller re-plans only after an update
-changes the reference. The pool is read off the presented rows: the
+a given reference lane. An impostor row depends only on the reference
+that meets its slot and on the impostors before it, so a caller re-plans
+only when a stream reaches an impostor slot with a reference changed
+since the last plan. The pool is read off the presented rows: the
 layout's candidates, in (user, session, order_index) order, less the
 target's run and the impostors before the cursor. A closest-* plan
-scores every pool row in one batched `centered_score` call. Ties go to
-the lowest (user, session, order_index), as repeatedly taking the first
-minimum would: `closest_sample` takes rows in a stable sort of their
+scores the layout's whole candidate block, built once per run, in one
+`centered_score` call and masks the rest out (a score is per row). Ties
+go to the lowest (user, session, order_index), as repeatedly taking the
+first minimum would: `closest_sample` takes rows in a stable sort of their
 scores, `closest_impostor` takes users by least score (the user of the
 last impostor presented first), each user's rows in ascending order.
 """
@@ -105,8 +108,10 @@ class SessionLayout:
 
     Its impostor pool is `candidates` (`Dataset.session_rows[session]`, or
     every row under `any_session`) less the target's run of it, rows
-    [edges[run], edges[run + 1]). A run's layouts share `candidates` and
-    its per-user run `edges`; `bounds` are the session's draw bounds."""
+    [edges[run], edges[run + 1]). A run's layouts share `candidates`, its
+    per-user run `edges` and, under the closest-* orders, `features`, the
+    candidates' feature rows (else None); `bounds` are the session's draw
+    bounds."""
 
     dataset: Dataset
     target_user: str
@@ -117,6 +122,7 @@ class SessionLayout:
     edges: list[int]
     run: int
     bounds: tuple[int, ...]
+    features: np.ndarray | None
 
 
 @dataclass(eq=False)
@@ -126,7 +132,8 @@ class StreamState:
     `rows[k]` is the dataset row of query position k and `impostor[k]`
     whether it is an impostor query; positions before `cursor` have been
     presented. A closest-* impostor row from the cursor on holds until
-    `plan_rows` plans it again.
+    `plan_rows` plans it again, which a caller must do before presenting
+    it if the reference has changed since the row was planned.
     """
 
     layout: SessionLayout
@@ -160,9 +167,10 @@ def session_layouts(dataset: Dataset, config: StreamConfig, targets) -> list[Ses
                 )
         if (key := session if same_session else 0) not in shared:
             rows = dataset.session_rows[key] if key else np.arange(dataset.row_user.size)
-            owners = dataset.row_user[rows]
-            shared[key] = rows, np.flatnonzero(np.diff(owners, prepend=-1, append=-1)).tolist()
-        candidates, edges = shared[key]
+            edges = np.flatnonzero(np.diff(dataset.row_user[rows], prepend=-1, append=-1)).tolist()
+            features = dataset.feature_matrix[rows] if config.local_order in CLOSEST else None
+            shared[key] = rows, edges, features
+        candidates, edges, features = shared[key]
         # Rows sort by (user, session): the target's rows are one run of the candidates.
         run = bisect_right(edges, int(np.searchsorted(candidates, own.start))) - 1
         pool_size = candidates.size - (edges[run + 1] - edges[run])
@@ -180,7 +188,7 @@ def session_layouts(dataset: Dataset, config: StreamConfig, targets) -> list[Ses
         elif config.local_order is LocalOrder.RANDOM_IMPOSTOR:
             bounds += range(len(edges) - 2, 0, -1)
         layouts.append(SessionLayout(dataset, user, config, own, n_impostor, candidates, edges,
-                                     run, tuple(bounds)))
+                                     run, tuple(bounds), features))
     return layouts
 
 
@@ -246,7 +254,8 @@ def plan_rows(state: StreamState, lanes: ReferenceLanes, lane: int) -> np.ndarra
     """The rows of the positions from the cursor on, as presented while lane `lane` holds.
 
     closest-* orders choose those positions' impostors against that lane;
-    the result is a view of `state.rows`.
+    the result is a view of `state.rows`, the same from any cursor up to
+    the next impostor slot.
     """
     cursor, layout = state.cursor, state.layout
     ahead = state.rows[cursor:]
@@ -255,23 +264,25 @@ def plan_rows(state: StreamState, lanes: ReferenceLanes, lane: int) -> np.ndarra
     slots = state.impostor[cursor:]
     count = int(np.count_nonzero(slots))
     if count:
-        presented = state.rows[:cursor][state.impostor[:cursor]]
-        gone = np.searchsorted(layout.candidates, presented)
-        start, stop = layout.edges[layout.run : layout.run + 2]
-        live = np.delete(layout.candidates, np.r_[start:stop, gone])
-        scores = centered_score(lanes, layout.dataset.feature_matrix[live], lane)
+        candidates, edges = layout.candidates, layout.edges
+        gone = np.searchsorted(candidates, state.rows[:cursor][state.impostor[:cursor]])
+        live = np.ones(candidates.size, dtype=bool)
+        live[edges[layout.run] : edges[layout.run + 1]] = False
+        live[gone] = False
+        scores = centered_score(lanes, layout.features, lane)
         if layout.config.local_order is LocalOrder.CLOSEST_SAMPLE:
-            ranked = live[np.argsort(scores, kind="stable")]
+            ranked = candidates[live][np.argsort(scores[live], kind="stable")]
         else:
-            # Users by least score (fmin skips NaN, as the stable sort ranks it
-            # last), the current impostor first, ties to the lower user.
-            owners = layout.dataset.row_user[live]
-            starts = np.flatnonzero(np.diff(owners, prepend=-1))
-            current = owners[starts] == (layout.dataset.row_user[presented[-1]]
-                                         if presented.size else -1)
-            users = np.lexsort((np.fmin.reduceat(scores, starts), ~current))[:count]
-            ends = np.append(starts[1:], live.size)
-            ranked = np.concatenate([live[a:b] for a, b in zip(starts[users], ends[users])])
+            # Users by least live score (fmin skips NaN, as the stable sort ranks
+            # it last), users with no live row last, the current impostor (the
+            # user of the last presented one) first, ties to the lower user.
+            scores[~live] = np.nan
+            current = np.arange(len(edges) - 1) == (
+                bisect_right(edges, gone[-1]) - 1 if gone.size else -1)
+            users = np.lexsort((np.fmin.reduceat(scores, edges[:-1]), ~current,
+                                ~np.logical_or.reduceat(live, edges[:-1])))[:count]
+            runs = (slice(edges[k], edges[k + 1]) for k in users.tolist())
+            ranked = np.concatenate([candidates[run][live[run]] for run in runs])
         ahead[slots] = ranked[:count]
     return ahead
 

@@ -5,11 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from tubench import (
     Dataset, Label, LocalOrder, Sample, ScoreLog, centered_score, ingest, plan_session,
     session_layouts, synthdata,
 )
+
+# `tests/mutants.py` runs its tests under this profile: a failing example
+# fails the test unshrunk, which is all a mutant's kill needs.
+settings.register_profile("no-shrink", phases=[phase for phase in Phase if phase != Phase.shrink])
 
 LOG_COLUMNS = ("repeat", "session", "target", "source", "raw", "centered", "applied")
 MASK64 = (1 << 64) - 1

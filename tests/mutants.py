@@ -4,8 +4,10 @@ Each mutant is one exact edit of one file under `src/tubench/` and the
 tier-1 test ids that must fail under it. For each mutant the script
 copies `src/`, `tests/`, `perfbench/`, `pyproject.toml` and `README.md`
 into a temporary directory, applies the edit there, and runs only the
-listed tests against that copy. Two mutants run at a time, each in its
-own copy, and the results print in `MUTANTS` order. The script fails if an
+listed tests against that copy, under the `no-shrink` hypothesis profile
+of `tests/conftest.py`: a hypothesis test that finds a failing example
+fails without shrinking it. Two mutants run at a time, each in its own
+copy, and the results print in `MUTANTS` order. The script fails if an
 edit no longer applies (its text is not found exactly once in the file) or
 if a mutant survives (one of its listed tests passes).
 
@@ -81,8 +83,8 @@ MUTANTS = (
     Mutant(
         "closest-draws-take-the-last-minimum",
         "stream.py",
-        '            ranked = live[np.argsort(scores, kind="stable")]\n',
-        '            ranked = live[::-1][np.argsort(scores[::-1], kind="stable")]\n',
+        '            ranked = candidates[live][np.argsort(scores[live], kind="stable")]\n',
+        '            ranked = candidates[live][::-1][np.argsort(scores[live][::-1], kind="stable")]\n',
         (
             "tests/test_stream.py::test_closest_sample_breaks_ties_lexicographically",
             "tests/test_stream.py::test_row_pool_draws_match_the_reference_loops[tie-heavy]",
@@ -91,8 +93,8 @@ MUTANTS = (
     Mutant(
         "closest-pools-keep-presented-impostors",
         "stream.py",
-        "        live = np.delete(layout.candidates, np.r_[start:stop, gone])\n",
-        "        live = np.delete(layout.candidates, np.r_[start:stop])\n",
+        "        live[gone] = False\n",
+        "",
         (
             "tests/test_stream.py::test_no_impostor_sample_repeats_within_a_session",
             "tests/test_stream.py::test_row_pool_draws_match_the_reference_loops[grid]",
@@ -102,19 +104,38 @@ MUTANTS = (
     Mutant(
         "closest-impostor-ranks-the-current-impostor-last",
         "stream.py",
-        "            users = np.lexsort((np.fmin.reduceat(scores, starts), ~current))[:count]\n",
-        "            users = np.lexsort((np.fmin.reduceat(scores, starts), current))[:count]\n",
+        "            users = np.lexsort((np.fmin.reduceat(scores, edges[:-1]), ~current,\n",
+        "            users = np.lexsort((np.fmin.reduceat(scores, edges[:-1]), current,\n",
         ("tests/test_stream.py::test_closest_impostor_selects_nearest_user_first",),
     ),
     Mutant(
         "closest-impostor-ranks-users-farthest-first",
         "stream.py",
-        "            users = np.lexsort((np.fmin.reduceat(scores, starts), ~current))[:count]\n",
-        "            users = np.lexsort((-np.fmin.reduceat(scores, starts), ~current))[:count]\n",
+        "            users = np.lexsort((np.fmin.reduceat(scores, edges[:-1]), ~current,\n",
+        "            users = np.lexsort((-np.fmin.reduceat(scores, edges[:-1]), ~current,\n",
         (
             "tests/test_acceptance.py::test_the_local_order_decides_whether_self_update_beats_no_update[closest_impostor]",
             "tests/test_stream.py::test_closest_impostor_selects_nearest_user_first",
             "tests/test_stream.py::test_row_pool_draws_match_the_reference_loops[grid]",
+        ),
+    ),
+    Mutant(
+        "closest-impostor-ranks-users-by-their-greatest-score",
+        "stream.py",
+        "            users = np.lexsort((np.fmin.reduceat(scores, edges[:-1]), ~current,\n",
+        "            users = np.lexsort((np.fmax.reduceat(scores, edges[:-1]), ~current,\n",
+        ("tests/test_stream.py::test_plan_rows_equals_the_masked_pool_oracle_at_every_cursor",),
+    ),
+    Mutant(
+        "stale-lanes-read-acceptance-at-their-next-impostor-slot",
+        "evaluator.py",
+        "            reached = live[~(accepted & (positions < stale[live, None])).any(axis=1)]\n",
+        "            reached = live[~(accepted & (positions <= stale[live, None])).any(axis=1)]\n",
+        (
+            "tests/test_evaluator.py::test_inclusion_matches_the_per_query_loop_where_impostors_enter_and_leave[online-closest_sample]",
+            "tests/test_evaluator.py::test_inclusion_matches_the_per_query_loop_where_impostors_enter_and_leave[offline-closest_sample]",
+            "tests/test_evaluator.py::test_ragged_lanes_match_the_per_query_loop_where_updates_apply_and_evict[online-closest_sample]",
+            "tests/test_evaluator.py::test_only_closest_sessions_replan_after_an_update[closest_impostor]",
         ),
     ),
     Mutant(
@@ -331,7 +352,7 @@ def survivors(copy: Path, mutant: Mutant) -> list[str]:
     """The mutant's tests that pass against `copy`, or a note if none ran."""
     lines = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rfE",
-         *mutant.tests],
+         "--hypothesis-profile", "no-shrink", *mutant.tests],
         cwd=copy, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, check=False,
     ).stdout.splitlines()
     failed = [line.split(" ", 1)[1] for line in lines if line.startswith(("FAILED ", "ERROR "))]

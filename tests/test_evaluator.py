@@ -894,6 +894,29 @@ def test_a_run_enrolls_each_user_once_and_presents_each_repeat_to_its_own_lanes(
     assert [state(template) for template in enrolled] == states
 
 
+def lazy_replans(result):
+    """The re-plans an online run of a closest-* order makes after its
+    session-start plans, counted from its score log and updates alone: an
+    update at stream position p leaves the impostor rows from its stream's
+    next impostor slot q on to be re-planned, once, unless the stream's next
+    update comes before q."""
+    log, updates, keys = result.log, result.updates, ("repeat", "target", "session")
+    impostor, done = {}, {}
+    for key, genuine in zip(zip(*(getattr(log, name).tolist() for name in keys)),
+                            log.genuine.tolist()):
+        impostor.setdefault(key, []).append(not genuine)  # online logs every position
+    for key, position in zip(zip(*(updates[name].tolist() for name in keys)),
+                             updates["position"].tolist()):
+        done.setdefault(key, []).append(position)
+    replans = 0
+    for key, positions in done.items():
+        flags = impostor[key]
+        for position, following in zip(positions, positions[1:] + [len(flags)]):
+            slot = next((q for q in range(position + 1, len(flags)) if flags[q]), None)
+            replans += slot is not None and following >= slot
+    return replans
+
+
 @pytest.mark.parametrize("local_order", list(LocalOrder))
 def test_only_closest_sessions_replan_after_an_update(monkeypatch, local_order):
     calls = []
@@ -903,21 +926,26 @@ def test_only_closest_sessions_replan_after_an_update(monkeypatch, local_order):
         return stream_module.plan_rows(state, lanes, lane)
 
     monkeypatch.setattr(evaluator, "plan_rows", counting_plan_rows)
-    config = ExperimentConfig(
-        Mode.ONLINE,
-        StreamConfig(0.5, local_order=local_order),
-        UpdateStrategy(StrategyKind.SELF_THRESHOLD, 50.0),
-        repeats=2,
-        base_seed=3,
-    )
     dataset = close_users(5)
-    log = run_experiment(dataset, config).log
-    sessions = config.repeats * len(dataset.users) * (dataset.num_sessions - 1)
-    if local_order in CLOSEST:
-        assert len(calls) == sessions + np.count_nonzero(log.applied)
-    else:
-        assert len(calls) == sessions
-    assert np.count_nonzero(log.applied) > sessions
+    # Threshold 50 applies every query; threshold -0.5 about half, so a
+    # stream's next update may come before, at or after its next impostor slot.
+    for threshold in (50.0, -0.5):
+        calls.clear()
+        config = ExperimentConfig(
+            Mode.ONLINE,
+            StreamConfig(0.5, local_order=local_order),
+            UpdateStrategy(StrategyKind.SELF_THRESHOLD, threshold),
+            repeats=2,
+            base_seed=3,
+        )
+        result = run_experiment(dataset, config)
+        sessions = config.repeats * len(dataset.users) * (dataset.num_sessions - 1)
+        applied, replans = np.count_nonzero(result.log.applied), lazy_replans(result)
+        if local_order in CLOSEST:
+            assert len(calls) == sessions + replans, threshold
+        else:
+            assert len(calls) == sessions, threshold
+        assert 0 < replans < applied and applied > sessions, threshold
 
 
 @pytest.mark.parametrize("local_order", [LocalOrder.TOTALLY_RANDOM, LocalOrder.CLOSEST_IMPOSTOR])
